@@ -1,10 +1,12 @@
-//! Engine hot-path benchmark: classic vs current pipelined engine.
+//! Engine hot-path benchmark: absolute throughput and latency of the
+//! pipelined engine, plus planner and view comparisons on that engine.
 //!
-//! Measures end-to-end throughput of [`fundb_core::ClassicEngine`] —
-//! coarse frontier lock, one job and one cell per write, no read
-//! fast-path — against [`fundb_core::PipelinedEngine`] — sharded
-//! frontier, coalesced write batches, inline fast-path reads with
-//! demand-driven forcing — on identical seeded workloads.
+//! Measures end-to-end throughput of [`fundb_core::PipelinedEngine`] —
+//! sharded frontier, coalesced write batches, inline fast-path reads with
+//! demand-driven forcing — on seeded workloads, in absolute terms: ops/s
+//! per pool width and p50/p99 latency. (Whole request paths, per-layer
+//! attribution and the regression bounds live in `bench_stack`; this
+//! binary keeps the engine-only view of the same hot path.)
 //!
 //! Four client threads submit concurrently (the paper's multi-user
 //! setting, and the scenario the sharded frontier exists for); each
@@ -47,8 +49,9 @@
 //! ```
 //!
 //! Output: a table on stdout and `BENCH_engine.json` in the current
-//! directory (ops/sec per workload × worker count × engine, speedup per
-//! row, and a best-speedup summary per workload).
+//! directory (ops/sec per workload × worker count — for the comparison
+//! workloads per side, with the speedup — and a best-row summary per
+//! workload).
 //!
 //! Pass `--smoke` for a fast correctness pass (tiny op counts, one
 //! repetition, no JSON written) — this is what CI runs — and
@@ -59,15 +62,14 @@
 //! latency is recorded and reported as p50/p99 (µs). Waits happen in
 //! submission order, so a response that filled while an earlier one was
 //! being awaited is charged the wait-return time — the numbers are
-//! observed-completion upper bounds, comparable across engines because
-//! both sides are measured the same way. The current engine's hot-path
-//! counters ([`fundb_core::EngineStats`]) are printed after the
+//! observed-completion upper bounds, comparable across sides because
+//! both are measured the same way. The engine's hot-path counters ([`fundb_core::EngineStats`]) are printed after the
 //! instrumented run, which is how the adaptive regime decisions are
 //! checked against real traffic.
 
 use std::time::Instant;
 
-use fundb_core::{ClassicEngine, PipelinedEngine};
+use fundb_core::PipelinedEngine;
 use fundb_lenient::Lenient;
 use fundb_query::{Response, Transaction};
 use fundb_relational::Database;
@@ -183,23 +185,6 @@ impl Config {
     }
 }
 
-/// Uniform submission interface over both engines under test.
-trait Engine: Sync {
-    fn submit_tx(&self, tx: Transaction) -> Lenient<Response>;
-}
-
-impl Engine for ClassicEngine {
-    fn submit_tx(&self, tx: Transaction) -> Lenient<Response> {
-        self.submit(tx)
-    }
-}
-
-impl Engine for PipelinedEngine {
-    fn submit_tx(&self, tx: Transaction) -> Lenient<Response> {
-        self.submit(tx)
-    }
-}
-
 struct CaseSpec {
     relations: usize,
     write_pct: u32,
@@ -259,12 +244,12 @@ fn cases(ops_per_client: usize) -> Vec<(&'static str, HotPathSpec)> {
 
 /// Submits every client's transactions from its own thread and waits for
 /// all responses.
-fn drive(engine: &dyn Engine, clients: Vec<Vec<Transaction>>) {
+fn drive(engine: &PipelinedEngine, clients: Vec<Vec<Transaction>>) {
     std::thread::scope(|s| {
         for ops in clients {
             s.spawn(move || {
                 let cells: Vec<Lenient<Response>> =
-                    ops.into_iter().map(|tx| engine.submit_tx(tx)).collect();
+                    ops.into_iter().map(|tx| engine.submit(tx)).collect();
                 // Wait tail-first: responses to one relation fill in
                 // submission order, so blocking on the newest cell first
                 // means one sleep per burst instead of one per response.
@@ -278,35 +263,37 @@ fn drive(engine: &dyn Engine, clients: Vec<Vec<Transaction>>) {
 
 /// One timed run: transaction clones happen off the clock; timing covers
 /// submission through the last response only.
-fn timed(engine: Box<dyn Engine>, clients: &[Vec<Transaction>]) -> f64 {
+fn timed(engine: PipelinedEngine, clients: &[Vec<Transaction>]) -> f64 {
     let total: usize = clients.iter().map(Vec::len).sum();
     let batch = clients.to_vec();
     let start = Instant::now();
-    drive(engine.as_ref(), batch);
+    drive(&engine, batch);
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Best-of-N throughput for both engines, with repetitions interleaved
-/// classic/current so machine-load epochs (CPU steal on a shared host)
-/// hit both sides alike instead of skewing the ratio.
-fn measure(
-    classic: impl Fn() -> Box<dyn Engine>,
-    current: impl Fn() -> Box<dyn Engine>,
+/// Best-of-N throughput for each side (each a fresh engine over its own
+/// database), with repetitions interleaved across sides so machine-load
+/// epochs (CPU steal on a shared host) hit all alike instead of skewing
+/// a ratio.
+fn measure<const N: usize>(
+    workers: usize,
+    sides: [&Database; N],
     clients: &[Vec<Transaction>],
     repetitions: usize,
-) -> (f64, f64) {
-    let (mut best_classic, mut best_current) = (0.0f64, 0.0f64);
+) -> [f64; N] {
+    let mut best = [0.0f64; N];
     for _ in 0..repetitions {
-        best_classic = best_classic.max(timed(classic(), clients));
-        best_current = best_current.max(timed(current(), clients));
+        for (best, db) in best.iter_mut().zip(sides) {
+            *best = best.max(timed(PipelinedEngine::new(workers, db), clients));
+        }
     }
-    (best_classic, best_current)
+    best
 }
 
 /// One instrumented repetition: per-transaction submit→response latency
 /// in microseconds, waits taken in submission order per client (see the
 /// module docs for why this is an observed-completion upper bound).
-fn latency_side(engine: &dyn Engine, clients: &[Vec<Transaction>]) -> (f64, f64) {
+fn latency_side(engine: &PipelinedEngine, clients: &[Vec<Transaction>]) -> (f64, f64) {
     let batch = clients.to_vec();
     let mut lats: Vec<f64> = Vec::new();
     std::thread::scope(|s| {
@@ -316,7 +303,7 @@ fn latency_side(engine: &dyn Engine, clients: &[Vec<Transaction>]) -> (f64, f64)
                 s.spawn(move || {
                     let submitted: Vec<(Instant, Lenient<Response>)> = ops
                         .into_iter()
-                        .map(|tx| (Instant::now(), engine.submit_tx(tx)))
+                        .map(|tx| (Instant::now(), engine.submit(tx)))
                         .collect();
                     submitted
                         .into_iter()
@@ -345,26 +332,18 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// p50/p99 latency (µs) for both sides of one workload, measured at
-/// [`LATENCY_WORKERS`] workers.
-struct LatencyRow {
-    workload: &'static str,
-    left_p50: f64,
-    left_p99: f64,
-    right_p50: f64,
-    right_p99: f64,
-}
-
-/// Side labels for a workload name (see [`Row::side_labels`]).
-fn side_labels_of(workload: &str) -> (&'static str, &'static str) {
+/// The two sides a comparison workload measures — both on the pipelined
+/// engine, over databases offering different access paths — or `None` for
+/// the hot-path workloads, which report the engine in absolute terms.
+fn side_labels_of(workload: &str) -> Option<(&'static str, &'static str)> {
     if workload == "selective" {
-        ("scan", "indexed")
+        Some(("scan", "indexed"))
     } else if workload.starts_with("analytic") {
-        ("baseline", "planned")
+        Some(("baseline", "planned"))
     } else if workload == "standing" {
-        ("recompute", "view")
+        Some(("recompute", "view"))
     } else {
-        ("classic", "current")
+        None
     }
 }
 
@@ -405,120 +384,131 @@ fn sequential_floor(db: &Database, clients: &[Vec<Transaction>], repetitions: us
     best
 }
 
+/// Throughput of one workload at one pool width: the engine's own ops/s
+/// and, for a comparison workload, the baseline side's.
 struct Row {
     workload: &'static str,
     workers: usize,
-    classic: f64,
-    current: f64,
+    baseline: Option<f64>,
+    ops: f64,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.current / self.classic
+    fn speedup(&self) -> Option<f64> {
+        self.baseline.map(|b| self.ops / b)
     }
+}
 
-    /// What the two measured sides are. The hot-path workloads compare
-    /// engines on one database; `selective` and the `analytic` pair
-    /// compare one engine (the current one, which plans) across databases
-    /// offering different access paths.
-    fn side_labels(&self) -> (&'static str, &'static str) {
-        side_labels_of(self.workload)
+/// p50/p99 latency (µs) of one workload at [`LATENCY_WORKERS`] workers,
+/// with the baseline side's for a comparison workload.
+struct LatencyRow {
+    workload: &'static str,
+    baseline: Option<(f64, f64)>,
+    p50: f64,
+    p99: f64,
+}
+
+/// Everything one run records.
+#[derive(Default)]
+struct Results {
+    rows: Vec<Row>,
+    floors: Vec<(&'static str, f64)>,
+    latencies: Vec<LatencyRow>,
+}
+
+impl Results {
+    /// Measures `name` over `sides` — the measured database last, its
+    /// baseline (if any) first — at every pool width, then runs the
+    /// instrumented latency repetition per side and prints the measured
+    /// side's hot-path counters.
+    fn measure<const N: usize>(
+        &mut self,
+        name: &'static str,
+        sides: [&Database; N],
+        clients: &[Vec<Transaction>],
+        floor_repetitions: usize,
+        repetitions: usize,
+    ) {
+        let labels = side_labels_of(name);
+        let floor = sequential_floor(sides[0], clients, floor_repetitions);
+        println!("{name:<12} sequential floor: {floor:>12.0} ops/s");
+        self.floors.push((name, floor));
+        for &workers in &WORKER_COUNTS {
+            let best = measure(workers, sides, clients, repetitions);
+            let row = Row {
+                workload: name,
+                workers,
+                baseline: labels.map(|_| best[0]),
+                ops: best[N - 1],
+            };
+            match (labels, row.baseline, row.speedup()) {
+                (Some((left, right)), Some(base), Some(speedup)) => println!(
+                    "{name:<12} workers={workers} {left}={base:>12.0} ops/s  \
+                     {right}={:>12.0} ops/s  speedup={speedup:.2}x",
+                    row.ops
+                ),
+                _ => println!("{name:<12} workers={workers} {:>12.0} ops/s", row.ops),
+            }
+            self.rows.push(row);
+        }
+        let mut lat = [(0.0, 0.0); N];
+        let mut stats = None;
+        for (lat, db) in lat.iter_mut().zip(sides) {
+            let engine = PipelinedEngine::new(LATENCY_WORKERS, db);
+            *lat = latency_side(&engine, clients);
+            stats = Some(engine.stats());
+        }
+        let (p50, p99) = lat[N - 1];
+        match labels {
+            Some((left, right)) => println!(
+                "{name:<12} latency µs (p50/p99) {left}={:.0}/{:.0}  {right}={p50:.0}/{p99:.0}",
+                lat[0].0, lat[0].1
+            ),
+            None => println!("{name:<12} latency µs (p50/p99) {p50:.0}/{p99:.0}"),
+        }
+        println!(
+            "{name:<12} stats: {}",
+            stats.expect("at least one side measured")
+        );
+        self.latencies.push(LatencyRow {
+            workload: name,
+            baseline: labels.map(|_| lat[0]),
+            p50,
+            p99,
+        });
     }
 }
 
 fn main() {
     let config = Config::from_args();
-    let mut rows = Vec::new();
-    let mut floors = Vec::new();
-    let mut latencies = Vec::new();
+    let mut results = Results::default();
     for (name, case) in cases(config.ops_per_client) {
-        if !config.runs(name) {
-            continue;
+        if config.runs(name) {
+            let reps = config.repetitions;
+            results.measure(name, [&case.initial()], &case.all_clients(), reps, reps);
         }
-        let db = case.initial();
-        let clients = case.all_clients();
-        let floor = sequential_floor(&db, &clients, config.repetitions);
-        println!("{name:<12} sequential floor: {floor:>12.0} ops/s");
-        floors.push((name, floor));
-        for &workers in &WORKER_COUNTS {
-            let (classic, current) = measure(
-                || Box::new(ClassicEngine::new(workers, &db)),
-                || Box::new(PipelinedEngine::new(workers, &db)),
-                &clients,
-                config.repetitions,
-            );
-            push_row(
-                Row {
-                    workload: name,
-                    workers,
-                    classic,
-                    current,
-                },
-                &mut rows,
-            );
-        }
-        // The instrumented repetition: latency percentiles for both
-        // sides, plus the current engine's hot-path counters.
-        let classic_engine = ClassicEngine::new(LATENCY_WORKERS, &db);
-        let (left_p50, left_p99) = latency_side(&classic_engine, &clients);
-        let current_engine = PipelinedEngine::new(LATENCY_WORKERS, &db);
-        let (right_p50, right_p99) = latency_side(&current_engine, &clients);
-        println!(
-            "{name:<12} latency µs (p50/p99) classic={left_p50:.0}/{left_p99:.0}  \
-             current={right_p50:.0}/{right_p99:.0}"
-        );
-        println!("{name:<12} stats: {}", current_engine.stats());
-        latencies.push(LatencyRow {
-            workload: name,
-            left_p50,
-            left_p99,
-            right_p50,
-            right_p99,
-        });
     }
-
     if config.runs("selective") {
-        run_selective(&config, &mut rows, &mut floors, &mut latencies);
+        run_selective(&config, &mut results);
     }
-
     if config.runs("analytic") {
-        run_analytic(&config, &mut rows, &mut floors, &mut latencies);
+        run_analytic(&config, &mut results);
     }
-
     let mut overhead = None;
     if config.runs("standing") {
-        overhead = Some(run_standing(
-            &config,
-            &mut rows,
-            &mut floors,
-            &mut latencies,
-        ));
+        overhead = Some(run_standing(&config, &mut results));
     }
 
     if config.smoke {
         println!(
             "\nsmoke run complete ({} cases); JSON not written",
-            rows.len()
+            results.rows.len()
         );
         return;
     }
-    let json = render_json(&rows, &floors, &latencies, overhead.as_ref(), &config);
+    let json = render_json(&results, overhead.as_ref(), &config);
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
-    println!("\nwrote BENCH_engine.json ({} cases)", rows.len());
-}
-
-/// Prints one measured row with its side labels and records it.
-fn push_row(row: Row, rows: &mut Vec<Row>) {
-    let (left, right) = row.side_labels();
-    println!(
-        "{:<12} workers={} {left}={:>12.0} ops/s  {right}={:>12.0} ops/s  speedup={:.2}x",
-        row.workload,
-        row.workers,
-        row.classic,
-        row.current,
-        row.speedup()
-    );
-    rows.push(row);
+    println!("\nwrote BENCH_engine.json ({} cases)", results.rows.len());
 }
 
 /// The `selective` workload: equality and range selects on a non-key
@@ -527,12 +517,7 @@ fn push_row(row: Row, rows: &mut Vec<Row>) {
 /// fallback) and once with a secondary index on the probed attribute
 /// (planner pushdown). The ratio is the index win, holding the engine
 /// constant.
-fn run_selective(
-    config: &Config,
-    rows: &mut Vec<Row>,
-    floors: &mut Vec<(&'static str, f64)>,
-    latencies: &mut Vec<LatencyRow>,
-) {
+fn run_selective(config: &Config, results: &mut Results) {
     let spec = SelectiveSpec {
         clients: CLIENTS,
         ops_per_client: config.selective_ops_per_client,
@@ -542,44 +527,14 @@ fn run_selective(
     };
     let scan_db = spec.initial();
     let indexed_db = SelectiveSpec::index(&scan_db);
-    let clients = spec.all_clients();
-    let floor = sequential_floor(&scan_db, &clients, config.repetitions);
-    println!("{:<12} sequential floor: {floor:>12.0} ops/s", "selective");
-    floors.push(("selective", floor));
-    for &workers in &WORKER_COUNTS {
-        let (scan, indexed) = measure(
-            || Box::new(PipelinedEngine::new(workers, &scan_db)),
-            || Box::new(PipelinedEngine::new(workers, &indexed_db)),
-            &clients,
-            config.repetitions,
-        );
-        push_row(
-            Row {
-                workload: "selective",
-                workers,
-                classic: scan,
-                current: indexed,
-            },
-            rows,
-        );
-    }
-    let scan_engine = PipelinedEngine::new(LATENCY_WORKERS, &scan_db);
-    let (left_p50, left_p99) = latency_side(&scan_engine, &clients);
-    let indexed_engine = PipelinedEngine::new(LATENCY_WORKERS, &indexed_db);
-    let (right_p50, right_p99) = latency_side(&indexed_engine, &clients);
-    println!(
-        "{:<12} latency µs (p50/p99) scan={left_p50:.0}/{left_p99:.0}  \
-         indexed={right_p50:.0}/{right_p99:.0}",
-        "selective"
+    let reps = config.repetitions;
+    results.measure(
+        "selective",
+        [&scan_db, &indexed_db],
+        &spec.all_clients(),
+        reps,
+        reps,
     );
-    println!("{:<12} stats: {}", "selective", indexed_engine.stats());
-    latencies.push(LatencyRow {
-        workload: "selective",
-        left_p50,
-        left_p99,
-        right_p50,
-        right_p99,
-    });
 }
 
 /// The `analytic` pair: a TPC-H-flavored star join and composite point
@@ -589,12 +544,7 @@ fn run_selective(
 /// filter) and a `planned` database (join index plus composite index —
 /// index-nested-loop joins and one-probe composite lookups). Each ratio
 /// isolates one cost-based planner decision.
-fn run_analytic(
-    config: &Config,
-    rows: &mut Vec<Row>,
-    floors: &mut Vec<(&'static str, f64)>,
-    latencies: &mut Vec<LatencyRow>,
-) {
+fn run_analytic(config: &Config, results: &mut Results) {
     let join_spec = AnalyticSpec {
         clients: CLIENTS,
         ops_per_client: config.analytic_join_ops,
@@ -615,48 +565,21 @@ fn run_analytic(
     // capped at a few repetitions: best-of-3 is stable for queries this
     // long, and the floor (equally dominated by per-query work) runs once.
     let reps = config.repetitions.min(3);
-    let streams: [(&'static str, Vec<Vec<Transaction>>); 2] = [
-        ("analytic_join", join_spec.all_join_clients()),
-        ("analytic_point", point_spec.all_point_clients()),
-    ];
-    for (name, clients) in streams {
-        let floor = sequential_floor(&baseline_db, &clients, 1);
-        println!("{name:<12} sequential floor: {floor:>12.0} ops/s");
-        floors.push((name, floor));
-        for &workers in &WORKER_COUNTS {
-            let (baseline, planned) = measure(
-                || Box::new(PipelinedEngine::new(workers, &baseline_db)),
-                || Box::new(PipelinedEngine::new(workers, &planned_db)),
-                &clients,
-                reps,
-            );
-            push_row(
-                Row {
-                    workload: name,
-                    workers,
-                    classic: baseline,
-                    current: planned,
-                },
-                rows,
-            );
-        }
-        let baseline_engine = PipelinedEngine::new(LATENCY_WORKERS, &baseline_db);
-        let (left_p50, left_p99) = latency_side(&baseline_engine, &clients);
-        let planned_engine = PipelinedEngine::new(LATENCY_WORKERS, &planned_db);
-        let (right_p50, right_p99) = latency_side(&planned_engine, &clients);
-        println!(
-            "{name:<12} latency µs (p50/p99) baseline={left_p50:.0}/{left_p99:.0}  \
-             planned={right_p50:.0}/{right_p99:.0}"
-        );
-        println!("{name:<12} stats: {}", planned_engine.stats());
-        latencies.push(LatencyRow {
-            workload: name,
-            left_p50,
-            left_p99,
-            right_p50,
-            right_p99,
-        });
-    }
+    let sides = [&baseline_db, &planned_db];
+    results.measure(
+        "analytic_join",
+        sides,
+        &join_spec.all_join_clients(),
+        1,
+        reps,
+    );
+    results.measure(
+        "analytic_point",
+        sides,
+        &point_spec.all_point_clients(),
+        1,
+        reps,
+    );
 }
 
 /// The `standing` workload: the incremental-view-maintenance measurement.
@@ -672,12 +595,7 @@ fn run_analytic(
 /// The returned [`ViewOverhead`] is the companion write-path cost: p50
 /// and p99 submit→response latency of a pure-write fact stream with 0,
 /// 1 and 4 views attached to the written relation.
-fn run_standing(
-    config: &Config,
-    rows: &mut Vec<Row>,
-    floors: &mut Vec<(&'static str, f64)>,
-    latencies: &mut Vec<LatencyRow>,
-) -> ViewOverhead {
+fn run_standing(config: &Config, results: &mut Results) -> ViewOverhead {
     let spec = StandingSpec {
         clients: CLIENTS,
         rounds_per_client: config.standing_rounds,
@@ -690,47 +608,16 @@ fn run_standing(
     };
     let recompute_db = spec.initial();
     let view_db = StandingSpec::materialize(&recompute_db);
-    let clients = spec.all_clients();
     // Recompute-side queries pay a full pass over the fact relation per
     // query, so repetitions are capped like the analytic pair's.
     let reps = config.repetitions.min(3);
-    let floor = sequential_floor(&recompute_db, &clients, 1);
-    println!("{:<12} sequential floor: {floor:>12.0} ops/s", "standing");
-    floors.push(("standing", floor));
-    for &workers in &WORKER_COUNTS {
-        let (recompute, view) = measure(
-            || Box::new(PipelinedEngine::new(workers, &recompute_db)),
-            || Box::new(PipelinedEngine::new(workers, &view_db)),
-            &clients,
-            reps,
-        );
-        push_row(
-            Row {
-                workload: "standing",
-                workers,
-                classic: recompute,
-                current: view,
-            },
-            rows,
-        );
-    }
-    let recompute_engine = PipelinedEngine::new(LATENCY_WORKERS, &recompute_db);
-    let (left_p50, left_p99) = latency_side(&recompute_engine, &clients);
-    let view_engine = PipelinedEngine::new(LATENCY_WORKERS, &view_db);
-    let (right_p50, right_p99) = latency_side(&view_engine, &clients);
-    println!(
-        "{:<12} latency µs (p50/p99) recompute={left_p50:.0}/{left_p99:.0}  \
-         view={right_p50:.0}/{right_p99:.0}",
-        "standing"
+    results.measure(
+        "standing",
+        [&recompute_db, &view_db],
+        &spec.all_clients(),
+        1,
+        reps,
     );
-    println!("{:<12} stats: {}", "standing", view_engine.stats());
-    latencies.push(LatencyRow {
-        workload: "standing",
-        left_p50,
-        left_p99,
-        right_p50,
-        right_p99,
-    });
 
     // What maintenance costs the writers: the same fact relation hammered
     // by a pure-write stream with 0, 1 and 4 views attached. Best-of-reps
@@ -768,46 +655,46 @@ fn run_standing(
     overhead
 }
 
-fn render_json(
-    rows: &[Row],
-    floors: &[(&str, f64)],
-    latencies: &[LatencyRow],
-    overhead: Option<&ViewOverhead>,
-    config: &Config,
-) -> String {
+fn render_json(results: &Results, overhead: Option<&ViewOverhead>, config: &Config) -> String {
+    let sep = |i: usize, len: usize| if i + 1 == len { "" } else { "," };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"benchmark\": \"pipelined engine hot path: classic (coarse lock, job-per-txn) \
-         vs current (sharded frontier, write coalescing, read fast-path); the selective \
-         workload instead holds the current engine fixed and compares full-scan vs \
-         secondary-index access paths, the analytic pair compares baseline vs planned \
-         access paths (build-and-probe vs index-nested-loop joins, single-column-plus-\
-         residual vs composite point probes), and the standing workload compares \
-         recomputing an analytic join per query vs scanning an incrementally-maintained \
-         materialized view while the fact relation mutates\",\n",
+        "  \"benchmark\": \"pipelined engine hot path (sharded frontier, write coalescing, \
+         read fast-path) in absolute ops/s and latency; the selective workload holds the \
+         engine fixed and compares full-scan vs secondary-index access paths, the analytic \
+         pair compares baseline vs planned access paths (build-and-probe vs \
+         index-nested-loop joins, single-column-plus-residual vs composite point probes), \
+         and the standing workload compares recomputing an analytic join per query vs \
+         scanning an incrementally-maintained materialized view while the fact relation \
+         mutates\",\n",
     );
     out.push_str("  \"regenerate\": \"cargo run --release -p fundb-bench --bin bench_engine\",\n");
+    out.push_str(&format!(
+        "  \"host\": {{\"available_parallelism\": {}}},\n",
+        std::thread::available_parallelism().map_or(0, usize::from)
+    ));
     out.push_str(&format!(
         "  \"clients\": {CLIENTS},\n  \"transactions_per_client\": {},\n  \
          \"repetitions\": {},\n",
         config.ops_per_client, config.repetitions
     ));
     out.push_str("  \"summary\": [\n");
-    for (i, (name, floor)) in floors.iter().enumerate() {
-        let best = rows
-            .iter()
-            .filter(|r| r.workload == *name)
-            .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
+    for (i, (name, floor)) in results.floors.iter().enumerate() {
+        let of_workload = results.rows.iter().filter(|r| r.workload == *name);
+        let key = |r: &&Row| r.speedup().unwrap_or(r.ops);
+        let best = of_workload
+            .max_by(|a, b| key(a).total_cmp(&key(b)))
             .expect("each workload has rows");
+        let headline = match best.speedup() {
+            Some(speedup) => format!("\"best_speedup\": {speedup:.2}"),
+            None => format!("\"best_ops_per_sec\": {:.0}", best.ops),
+        };
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"best_speedup\": {:.2}, \"at_workers\": {}, \
-             \"sequential_floor_ops_per_sec\": {:.0}}}{}\n",
-            name,
-            best.speedup(),
+            "    {{\"workload\": \"{name}\", {headline}, \"at_workers\": {}, \
+             \"sequential_floor_ops_per_sec\": {floor:.0}}}{}\n",
             best.workers,
-            floor,
-            if i + 1 == floors.len() { "" } else { "," }
+            sep(i, results.floors.len())
         ));
     }
     out.push_str("  ],\n");
@@ -817,17 +704,19 @@ fn render_json(
          values are observed-completion upper bounds\",\n"
     ));
     out.push_str("  \"latency_us\": [\n");
-    for (i, lat) in latencies.iter().enumerate() {
-        let (left, right) = side_labels_of(lat.workload);
+    for (i, lat) in results.latencies.iter().enumerate() {
+        let sides = match (side_labels_of(lat.workload), lat.baseline) {
+            (Some((left, right)), Some((left_p50, left_p99))) => format!(
+                "\"{left}_p50\": {left_p50:.1}, \"{left}_p99\": {left_p99:.1}, \
+                 \"{right}_p50\": {:.1}, \"{right}_p99\": {:.1}",
+                lat.p50, lat.p99
+            ),
+            _ => format!("\"p50\": {:.1}, \"p99\": {:.1}", lat.p50, lat.p99),
+        };
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"{left}_p50\": {:.1}, \"{left}_p99\": {:.1}, \
-             \"{right}_p50\": {:.1}, \"{right}_p99\": {:.1}}}{}\n",
+            "    {{\"workload\": \"{}\", {sides}}}{}\n",
             lat.workload,
-            lat.left_p50,
-            lat.left_p99,
-            lat.right_p50,
-            lat.right_p99,
-            if i + 1 == latencies.len() { "" } else { "," }
+            sep(i, results.latencies.len())
         ));
     }
     out.push_str("  ],\n");
@@ -855,17 +744,20 @@ fn render_json(
         ));
     }
     out.push_str("  \"cases\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let (left, right) = row.side_labels();
+    for (i, row) in results.rows.iter().enumerate() {
+        let sides = match (side_labels_of(row.workload), row.baseline, row.speedup()) {
+            (Some((left, right)), Some(base), Some(speedup)) => format!(
+                "\"{left}_ops_per_sec\": {base:.0}, \"{right}_ops_per_sec\": {:.0}, \
+                 \"speedup\": {speedup:.2}",
+                row.ops
+            ),
+            _ => format!("\"ops_per_sec\": {:.0}", row.ops),
+        };
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"workers\": {}, \"{left}_ops_per_sec\": {:.0}, \
-             \"{right}_ops_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"workload\": \"{}\", \"workers\": {}, {sides}}}{}\n",
             row.workload,
             row.workers,
-            row.classic,
-            row.current,
-            row.speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
+            sep(i, results.rows.len())
         ));
     }
     out.push_str("  ]\n}\n");

@@ -19,8 +19,10 @@
 //!
 //! The submission path is kept short by a sharded frontier plus an
 //! *adaptive* per-slot choice between three regimes (see `DESIGN.md` for
-//! the full argument; [`crate::ClassicEngine`] is the version without
-//! any of this, kept for before/after measurement):
+//! the full argument). All of it is scheduling: what a statement *means*
+//! is [`fundb_query::exec`]'s, the same code `translate` runs, so this
+//! module decides only which relation version a statement sees and when
+//! it runs:
 //!
 //! * **Sharded frontier** — the frontier is a map of independent slots,
 //!   one lock per relation, behind an `RwLock` catalog that only `create`
@@ -61,14 +63,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fundb_lenient::{scatter, spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
-use fundb_query::ast::{compute_aggregate, ViewSpec};
-use fundb_query::plan::{
-    choose_join_strategy, execute_join_explained, execute_select_explained, explain_select,
-};
+use fundb_query::exec::{self, Entry};
 use fundb_query::{FieldRef, Predicate, Query, Response, Transaction};
 use fundb_relational::{
-    batch_transitions, derive_delta, eval_view, BatchOp, BatchOutcome, Database, Relation,
-    RelationName, Repr, Schema, ViewDef,
+    batch_transitions, derive_delta, eval_view, BatchOp, Database, Relation, RelationName, Repr,
+    Schema, ViewDef,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
@@ -86,8 +85,6 @@ use crate::stats::{EngineStats, EngineStatsSnapshot};
 /// sealed no submission may append, and the batch's output cell is the
 /// fold of precisely the ops recorded here.
 struct BatchOps {
-    /// The relation the batch belongs to (for the commit sink).
-    relation: RelationName,
     /// The version cell the batch folds from.
     input: Lenient<Relation>,
     /// The version cell the batch fills: the slot's head while the batch
@@ -221,7 +218,6 @@ impl ViewHandle {
 /// waiting on base head cells alone.
 fn propagate_to_views(
     slot: &RelationSlot,
-    relation: &RelationName,
     first: &Relation,
     next: &Relation,
     first_seq: u64,
@@ -245,7 +241,8 @@ fn propagate_to_views(
             // are part of the initial materialization already.
             continue;
         }
-        dep.view.apply_delta(dep.role, relation, &runs, next, stats);
+        dep.view
+            .apply_delta(dep.role, &slot.name, &runs, next, stats);
     }
 }
 
@@ -281,50 +278,9 @@ fn publish_frontier(frontier: &AtomicArc<FrontierEntry>, covers: u64, value: &Re
     );
 }
 
-/// Applies one write query to `first`, returning the successor relation
-/// and the response — the shared single-op arm of the bypass regime and
-/// single-op claimed runs.
-fn apply_single(first: &Relation, q: Query) -> (Relation, Response) {
-    match q {
-        Query::Insert { relation, tuple } => {
-            let (next, _) = first.insert(tuple.clone());
-            (next, Response::Inserted { relation, tuple })
-        }
-        Query::Replace { relation, tuple } => {
-            let (mid, _, _) = first.delete(tuple.key());
-            let (next, _) = mid.insert(tuple.clone());
-            (next, Response::Inserted { relation, tuple })
-        }
-        Query::Delete { key, .. } => {
-            let (next, removed, _) = first.delete(&key);
-            (next, Response::Deleted(removed.len()))
-        }
-        Query::CreateIndex {
-            relation,
-            name,
-            fields,
-        } => {
-            // Submission normalized every field to a position, so the
-            // index definition needs no schema here. A duplicate is
-            // answered with the same error string as the translate
-            // path; its logged record replays as the same no-op.
-            let positions: Vec<usize> = fields
-                .iter()
-                .map(|f| {
-                    f.resolve(None)
-                        .expect("index fields normalized to positions at submission")
-                })
-                .collect();
-            match first.create_index_multi(&name, &positions) {
-                Some(next) => (next, Response::IndexCreated { relation, name }),
-                None => (
-                    first.clone(),
-                    Response::Error(format!("index already exists on {relation}: {name}")),
-                ),
-            }
-        }
-        _ => unreachable!("write arm"),
-    }
+/// The answer to every statement whose durable commit failed.
+fn commit_failed(e: &std::io::Error) -> Response {
+    Response::Error(format!("commit failed: {e}"))
 }
 
 /// Commits a claimed run through the sink (if any), then applies it and
@@ -341,7 +297,6 @@ fn apply_single(first: &Relation, q: Query) -> (Relation, Response) {
 /// so recovery still sees a clean prefix of acknowledged history.
 fn commit_and_apply(
     sink: Option<&Arc<dyn CommitSink>>,
-    relation: &RelationName,
     first: &Relation,
     claimed: Vec<(u64, Query, Lenient<Response>)>,
     output: &Lenient<Relation>,
@@ -362,39 +317,31 @@ fn commit_and_apply(
     // publications are ordered along each slot's version chain and
     // `publish_frontier`'s monotonic guard only ever resolves races with
     // readers repairing the frontier from a newer head.
+    let first_seq = claimed.first().map(|(s, _, _)| *s).expect("nonempty run");
     let covers = claimed.last().map(|(s, _, _)| s + 1).expect("nonempty run");
     if let Some(sink) = sink {
         let records: Vec<(u64, Query)> = claimed.iter().map(|(s, q, _)| (*s, q.clone())).collect();
-        if let Err(e) = sink.commit_writes(relation, &records) {
+        if let Err(e) = sink.commit_writes(&slot.name, &records) {
             publish_frontier(frontier, covers, first);
             for (_, _, resp_cell) in claimed {
-                resp_cell
-                    .fill(Response::Error(format!("commit failed: {e}")))
-                    .ok();
+                resp_cell.fill(commit_failed(&e)).ok();
             }
             output.fill(first.clone()).ok();
             return;
         }
     }
-    // A run of one op — a batch sealed by a reader right away — skips the
-    // batch machinery: no op vector, no outcome vector, no extra clone.
+    // A run of one op — a batch sealed by a reader right away, or index
+    // DDL, which always runs alone — skips the batch machinery: no op
+    // vector, no outcome vector, no extra clone.
     if claimed.len() == 1 {
-        let (seq, q, resp_cell) = claimed.into_iter().next().expect("len checked");
+        let (_, q, resp_cell) = claimed.into_iter().next().expect("len checked");
         let data_op = if wants_views {
-            match &q {
-                Query::Insert { tuple, .. } => Some(BatchOp::Insert(tuple.clone())),
-                Query::Replace { tuple, .. } => Some(BatchOp::Replace(tuple.clone())),
-                Query::Delete { key, .. } => Some(BatchOp::Delete(key.clone())),
-                // Index DDL changes no rows: nothing to propagate.
-                _ => None,
-            }
+            exec::batch_op(&q)
         } else {
             None
         };
-        let (next, resp) = apply_single(first, q);
-        if let Some(op) = data_op {
-            propagate_to_views(slot, relation, first, &next, seq, &[op], stats);
-        }
+        let (next, resp) = exec::write(first, q);
+        propagate_to_views(slot, first, &next, first_seq, data_op.as_slice(), stats);
         publish_frontier(frontier, covers, &next);
         resp_cell.fill(resp).ok();
         output.fill(next).ok();
@@ -408,29 +355,15 @@ fn commit_and_apply(
     // reader's force() off the pool, `scatter` degrades to inline.
     let ops: Vec<BatchOp> = claimed
         .iter()
-        .map(|(_, q, _)| match q {
-            Query::Insert { tuple, .. } => BatchOp::Insert(tuple.clone()),
-            Query::Delete { key, .. } => BatchOp::Delete(key.clone()),
-            Query::Replace { tuple, .. } => BatchOp::Replace(tuple.clone()),
-            _ => unreachable!("write arm"),
-        })
+        .map(|(_, q, _)| exec::batch_op(q).expect("only data writes coalesce"))
         .collect();
     let (next, outcomes, _) = first.apply_batch_scattered(&ops, &scatter);
     if wants_views {
-        let first_seq = claimed.first().map(|(s, _, _)| *s).expect("nonempty run");
-        propagate_to_views(slot, relation, first, &next, first_seq, &ops, stats);
+        propagate_to_views(slot, first, &next, first_seq, &ops, stats);
     }
     publish_frontier(frontier, covers, &next);
     for ((_, q, resp_cell), outcome) in claimed.into_iter().zip(outcomes) {
-        let resp = match (q, outcome) {
-            (
-                Query::Insert { relation, tuple } | Query::Replace { relation, tuple },
-                BatchOutcome::Inserted,
-            ) => Response::Inserted { relation, tuple },
-            (Query::Delete { .. }, BatchOutcome::Deleted(n)) => Response::Deleted(n),
-            _ => unreachable!("outcomes align with their ops"),
-        };
-        resp_cell.fill(resp).ok();
+        resp_cell.fill(exec::batch_response(q, outcome)).ok();
     }
     output.fill(next).ok();
 }
@@ -450,7 +383,7 @@ fn force(
     sink: Option<&Arc<dyn CommitSink>>,
     stats: &EngineStats,
 ) -> bool {
-    let (current, relation, ops, output) = {
+    let (current, ops, output) = {
         let mut guard = batch.lock();
         let Some(rel) = guard.input.try_map(Relation::clone) else {
             return false;
@@ -461,14 +394,9 @@ fn force(
             return false;
         }
         guard.sealed = true;
-        (
-            rel,
-            guard.relation.clone(),
-            std::mem::take(&mut guard.ops),
-            guard.output.clone(),
-        )
+        (rel, std::mem::take(&mut guard.ops), guard.output.clone())
     };
-    commit_and_apply(sink, &relation, &current, ops, &output, slot, stats);
+    commit_and_apply(sink, &current, ops, &output, slot, stats);
     true
 }
 
@@ -491,13 +419,13 @@ fn run_batch_job(
     // happens in that window, so commit latency grows batches instead of
     // stalling submitters.
     let first = input.wait();
-    let (relation, claimed) = {
+    let claimed = {
         let mut guard = batch.lock();
         if !guard.sealed {
             guard.sealed = true;
             EngineStats::bump(&stats.seals_by_worker);
         }
-        (guard.relation.clone(), std::mem::take(&mut guard.ops))
+        std::mem::take(&mut guard.ops)
     };
     if claimed.is_empty() {
         // A reader forced this batch; the claimer fills the output and
@@ -507,15 +435,7 @@ fn run_batch_job(
         // head.
         output.wait();
     } else {
-        commit_and_apply(
-            sink,
-            &relation,
-            first,
-            claimed,
-            &output,
-            slot.as_ref(),
-            stats,
-        );
+        commit_and_apply(sink, first, claimed, &output, slot.as_ref(), stats);
     }
     drain_chain(slot, sink, stats);
 }
@@ -548,7 +468,6 @@ fn drain_chain(
                     EngineStats::bump(&stats.seals_by_worker);
                     EngineStats::bump(&stats.chained_claims);
                     Some((
-                        guard.relation.clone(),
                         guard.input.clone(),
                         std::mem::take(&mut guard.ops),
                         guard.output.clone(),
@@ -558,19 +477,11 @@ fn drain_chain(
                 }
             })
         };
-        let Some((relation, input, claimed, output)) = work else {
+        let Some((input, claimed, output)) = work else {
             return;
         };
         let first = input.try_map(Relation::clone).expect("probed filled above");
-        commit_and_apply(
-            sink,
-            &relation,
-            &first,
-            claimed,
-            &output,
-            slot.as_ref(),
-            stats,
-        );
+        commit_and_apply(sink, &first, claimed, &output, slot.as_ref(), stats);
         drained += 1;
         if drained >= MAX_DRAIN {
             let slot = Arc::clone(slot);
@@ -649,9 +560,10 @@ struct SlotState {
     tracker: TrafficTracker,
 }
 
-/// One relation's slot: static schema plus the locked frontier shard and
-/// the lock-free read-side publications.
+/// One relation's slot: static name and schema plus the locked frontier
+/// shard and the lock-free read-side publications.
 struct RelationSlot {
+    name: RelationName,
     schema: Option<Schema>,
     state: Mutex<SlotState>,
     /// The newest *ready* version, readable without the slot lock.
@@ -681,8 +593,9 @@ struct RelationSlot {
 impl RelationSlot {
     /// A slot whose frontier starts at `value`, covering `start_seq`
     /// already-accounted writes (nonzero after recovery).
-    fn new(schema: Option<Schema>, value: Relation, start_seq: u64) -> Self {
+    fn new(name: RelationName, schema: Option<Schema>, value: Relation, start_seq: u64) -> Self {
         RelationSlot {
+            name,
             schema,
             frontier: AtomicArc::new(Arc::new(FrontierEntry {
                 covers: start_seq,
@@ -699,6 +612,24 @@ impl RelationSlot {
                 tracker: TrafficTracker::new(),
             }),
         }
+    }
+
+    /// Registers `view` on this slot, the `i`-th of its bases: every run
+    /// numbered `from_seq` or later propagates to it. Called under the
+    /// slot's state lock (or before the engine is shared), so `from_seq`
+    /// draws a sharp line through the slot's history.
+    fn register(&self, view: &Arc<ViewHandle>, i: usize, from_seq: u64) {
+        let role = match (&view.def, i) {
+            (ViewDef::Join { .. }, 0) => DepRole::JoinLeft,
+            (ViewDef::Join { .. }, _) => DepRole::JoinRight,
+            _ => DepRole::Base,
+        };
+        self.dependents.lock().push(Dependent {
+            view: Arc::clone(view),
+            role,
+            from_seq,
+        });
+        self.has_dependents.store(true, Ordering::Release);
     }
 }
 
@@ -718,6 +649,17 @@ struct Catalog {
     /// still running outside the lock: they collide like existing
     /// relations but are not yet visible.
     reserved: HashSet<RelationName>,
+}
+
+impl Catalog {
+    /// Every view with its definition, in creation order — the order the
+    /// sequential model's database lists them in, so a substitution probe
+    /// picks the same view here as there.
+    fn view_defs(&self) -> impl Iterator<Item = (&RelationName, &ViewDef)> {
+        self.order
+            .iter()
+            .filter_map(|n| self.views.get(n).map(|v| (&v.name, &v.def)))
+    }
 }
 
 /// An atomic cut of the engine's frontier: a database value plus, for each
@@ -789,6 +731,33 @@ impl fmt::Debug for PipelinedEngine {
     }
 }
 
+/// An already-answered submission: the statement was refused.
+fn refused(message: String) -> Lenient<Response> {
+    Lenient::ready(Response::Error(message))
+}
+
+/// Evaluates a single-relation read — or, under `explain`, plans it —
+/// against the version pinned for it, recording the access path a select
+/// actually ran on. `substituted` marks a view standing in for the
+/// relation the statement was written against.
+fn evaluate(
+    explain: bool,
+    substituted: bool,
+    rel: &Relation,
+    schema: Option<&Schema>,
+    query: &Query,
+    stats: &EngineStats,
+) -> Response {
+    if explain {
+        return exec::explain_read(rel, schema, query, substituted);
+    }
+    let (response, path) = exec::read(rel, schema, query);
+    if let Some(path) = &path {
+        stats.record_path(path);
+    }
+    response
+}
+
 impl PipelinedEngine {
     /// An engine with `workers` threads, starting from `initial`.
     ///
@@ -842,6 +811,7 @@ impl PipelinedEngine {
                     slots.insert(
                         n.clone(),
                         Arc::new(RelationSlot::new(
+                            n.clone(),
                             schema,
                             rel,
                             seq_marks.get(n).copied().unwrap_or(0),
@@ -884,11 +854,10 @@ impl PipelinedEngine {
             }
         }
         for handle in views.values() {
-            Self::register_dependents(
-                handle,
-                |b| slots.get(b).map(Arc::clone),
-                |slot| slot.state.lock().next_seq,
-            );
+            for (i, base) in handle.def.bases().into_iter().enumerate() {
+                let slot = slots.get(base).expect("view bases exist as relations");
+                slot.register(handle, i, slot.state.lock().next_seq);
+            }
         }
         let views_exist = !views.is_empty();
         PipelinedEngine {
@@ -903,32 +872,6 @@ impl PipelinedEngine {
             stats: Arc::new(EngineStats::default()),
             views_exist: AtomicBool::new(views_exist),
             id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Registers `handle` as a dependent on each of its base slots,
-    /// resolving slots through `lookup` and each base's starting sequence
-    /// number through `from_seq_of`.
-    fn register_dependents(
-        handle: &Arc<ViewHandle>,
-        lookup: impl Fn(&RelationName) -> Option<Arc<RelationSlot>>,
-        from_seq_of: impl Fn(&RelationSlot) -> u64,
-    ) {
-        let is_join = matches!(handle.def, ViewDef::Join { .. });
-        for (i, base) in handle.def.bases().into_iter().enumerate() {
-            let slot = lookup(base).expect("view bases exist as relations");
-            let role = match (is_join, i) {
-                (false, _) => DepRole::Base,
-                (true, 0) => DepRole::JoinLeft,
-                (true, _) => DepRole::JoinRight,
-            };
-            let from_seq = from_seq_of(&slot);
-            slot.dependents.lock().push(Dependent {
-                view: Arc::clone(handle),
-                role,
-                from_seq,
-            });
-            slot.has_dependents.store(true, Ordering::Release);
         }
     }
 
@@ -972,214 +915,51 @@ impl PipelinedEngine {
         self.catalog.read().views.get(name).cloned()
     }
 
-    /// Resolves a `create view` spec against the slots' static schemas
-    /// into a position-only [`ViewDef`], rejecting missing bases and
-    /// views-over-views (same rules as [`Database::create_view`]).
-    fn resolve_spec(&self, spec: &ViewSpec) -> Result<ViewDef, Response> {
-        let schema_of = |n: &RelationName| -> Result<Option<Schema>, Response> {
-            if self.view(n).is_some() {
-                return Err(Response::Error(format!(
-                    "views over views are not supported: {n}"
-                )));
-            }
-            match self.slot(n) {
-                Some(s) => Ok(s.schema.clone()),
-                None => Err(Response::Error(format!("no such relation: {n}"))),
-            }
-        };
-        match spec {
-            ViewSpec::Select {
-                relation,
-                predicate,
-            } => {
-                let schema = schema_of(relation)?;
-                let filter = match predicate {
-                    None => None,
-                    Some(p) => Some(p.to_view_filter(schema.as_ref()).map_err(Response::Error)?),
-                };
-                Ok(ViewDef::Select {
-                    base: relation.clone(),
-                    filter,
-                })
-            }
-            ViewSpec::Join {
-                left,
-                right,
-                on: (lf, rf),
-            } => {
-                let ls = schema_of(left)?;
-                let rs = schema_of(right)?;
-                Ok(ViewDef::Join {
-                    left: left.clone(),
-                    right: right.clone(),
-                    left_field: lf.resolve(ls.as_ref()).map_err(Response::Error)?,
-                    right_field: rf.resolve(rs.as_ref()).map_err(Response::Error)?,
-                })
-            }
-            ViewSpec::Count { relation, group } => {
-                let s = schema_of(relation)?;
-                Ok(ViewDef::GroupCount {
-                    base: relation.clone(),
-                    group: group.resolve(s.as_ref()).map_err(Response::Error)?,
-                })
-            }
-            ViewSpec::Sum {
-                relation,
-                field,
-                group,
-            } => {
-                let s = schema_of(relation)?;
-                Ok(ViewDef::GroupSum {
-                    base: relation.clone(),
-                    field: field.resolve(s.as_ref()).map_err(Response::Error)?,
-                    group: group.resolve(s.as_ref()).map_err(Response::Error)?,
-                })
-            }
+    /// What `name` resolves to in the catalog, for `exec`'s resolution
+    /// steps (slots carry their static schema).
+    fn entry(&self, name: &RelationName) -> Entry {
+        match self.slot(name) {
+            Some(slot) => Entry::Base(slot.schema.clone()),
+            None if self.view(name).is_some() => Entry::View,
+            None => Entry::Missing,
         }
     }
 
-    /// A view whose definition is exactly `select from relation [where
-    /// predicate]`, if one exists — the select is then answered from the
-    /// view without re-filtering (views hold whole base rows, so any
-    /// projection still applies).
-    fn matching_select_view(
+    /// The view that materializes exactly `select from relation [where
+    /// predicate]`, if any.
+    fn select_view(
         &self,
         relation: &RelationName,
         predicate: &Option<Predicate>,
     ) -> Option<Arc<ViewHandle>> {
-        let schema = self.slot(relation)?.schema.clone();
-        let want = match predicate {
-            None => None,
-            Some(p) => Some(p.to_view_filter(schema.as_ref()).ok()?),
-        };
+        if !self.views_exist.load(Ordering::Acquire) {
+            return None;
+        }
+        let slot = self.slot(relation)?;
         let catalog = self.catalog.read();
-        catalog
-            .views
-            .values()
-            .find(|v| {
-                matches!(&v.def, ViewDef::Select { base, filter }
-                    if base == relation && *filter == want)
-            })
-            .cloned()
+        let name = exec::matching_select_view(
+            catalog.view_defs(),
+            relation,
+            predicate,
+            slot.schema.as_ref(),
+        )?;
+        catalog.views.get(name).cloned()
     }
 
-    /// A view whose definition is exactly `join left with right` on the
-    /// given (resolved) attributes, if one exists. A `None` join means
-    /// key-key, which a view on `#0 = #0` covers.
-    fn matching_join_view(
+    /// The view that materializes exactly `join left with right` on the
+    /// resolved positions, if any.
+    fn join_view(
         &self,
         left: &RelationName,
         right: &RelationName,
         on: Option<(usize, usize)>,
     ) -> Option<Arc<ViewHandle>> {
-        let on = on.unwrap_or((0, 0));
+        if !self.views_exist.load(Ordering::Acquire) {
+            return None;
+        }
         let catalog = self.catalog.read();
-        catalog
-            .views
-            .values()
-            .find(|v| {
-                matches!(&v.def, ViewDef::Join { left: l, right: r, left_field, right_field }
-                    if l == left && r == right && (*left_field, *right_field) == on)
-            })
-            .cloned()
-    }
-
-    /// Submits a read answered from a materialized view's contents.
-    ///
-    /// Freshness protocol: seal and pin every base's head (name-ordered
-    /// locks, like join). Once those heads fill, every base write
-    /// submitted before this read has committed, and commits propagate to
-    /// dependent views *before* filling their output cells — so by then
-    /// the view covers at least this read's prefix. (It may additionally
-    /// include concurrently submitted writes; an equivalent serial order
-    /// simply places them before the read.) Fast path: if every base's
-    /// published frontier covers all its submitted writes, that proof has
-    /// already happened and the read answers inline.
-    fn submit_view_read(&self, view: Arc<ViewHandle>, query: Query) -> Lenient<Response> {
-        fn answer(
-            rel: &Relation,
-            schema: Option<&Schema>,
-            query: &Query,
-            stats: &EngineStats,
-        ) -> Response {
-            match query {
-                Query::Find { key, .. } => Response::Tuples(rel.find(key)),
-                Query::FindRange { lo, hi, .. } => Response::Tuples(rel.find_range(lo, hi)),
-                Query::Count { .. } => Response::Count(rel.len()),
-                Query::Select {
-                    projection,
-                    predicate,
-                    ..
-                } => match execute_select_explained(rel, schema, projection, predicate) {
-                    Ok((tuples, path)) => {
-                        stats.record_path(&path);
-                        Response::Tuples(tuples)
-                    }
-                    Err(e) => Response::Error(e),
-                },
-                Query::Aggregate { op, field, .. } => {
-                    match compute_aggregate(&rel.scan(), schema, *op, field) {
-                        Ok(value) => Response::Aggregate {
-                            op: op.to_string(),
-                            value,
-                        },
-                        Err(e) => Response::Error(e),
-                    }
-                }
-                _ => unreachable!("view read arm"),
-            }
-        }
-
-        let base_names: Vec<RelationName> = view.def.bases().into_iter().cloned().collect();
-        let bases: Vec<Arc<RelationSlot>> =
-            base_names.iter().filter_map(|b| self.slot(b)).collect();
-        for slot in &bases {
-            slot.read_seen.store(true, Ordering::Relaxed);
-        }
-        let quiescent = bases.iter().all(|slot| {
-            slot.frontier
-                .with(|e| e.covers == slot.submitted.load(Ordering::Acquire))
-        });
-        if quiescent {
-            EngineStats::bump(&self.stats.frontier_hits);
-            let resp = view
-                .with_state(|st| answer(&st.current, view.schema.as_ref(), &query, &self.stats));
-            return Lenient::ready(resp);
-        }
-        EngineStats::bump(&self.stats.frontier_misses);
-        let heads: Vec<Lenient<Relation>> = {
-            // Name-ordered locking, the same discipline as join and the
-            // consistent cut.
-            let mut idx: Vec<usize> = (0..bases.len()).collect();
-            idx.sort_by(|&a, &b| base_names[a].as_str().cmp(base_names[b].as_str()));
-            let mut guards: Vec<Option<MutexGuard<'_, SlotState>>> =
-                bases.iter().map(|_| None).collect();
-            for &i in &idx {
-                guards[i] = Some(bases[i].state.lock());
-            }
-            bases
-                .iter()
-                .zip(guards.iter_mut())
-                .map(|(slot, guard)| {
-                    let state = guard.as_mut().expect("guard acquired above");
-                    self.seal_and_promote(slot, state);
-                    state.head.share()
-                })
-                .collect()
-        };
-        let response = Lenient::new();
-        let out = response.clone();
-        let stats = Arc::clone(&self.stats);
-        self.pool.spawn(move || {
-            for h in &heads {
-                h.wait();
-            }
-            let (rel, schema) = view.with_state(|st| (st.current.clone(), view.schema.clone()));
-            response
-                .fill(answer(&rel, schema.as_ref(), &query, &stats))
-                .ok();
-        });
-        out
+        let name = exec::matching_join_view(catalog.view_defs(), left, right, on)?;
+        catalog.views.get(name).cloned()
     }
 
     /// Enqueues the pool job for `batch`. Must be called while the slot's
@@ -1223,14 +1003,477 @@ impl PipelinedEngine {
         Some(batch)
     }
 
-    /// Pins the current version of one relation for a reader: seals the
-    /// open batch (so the pinned cell's value is exactly the writes
-    /// submitted so far) and returns its cell, plus the batch itself so
-    /// the reader may [`force`] it.
-    fn pin(&self, slot: &Arc<RelationSlot>) -> (Lenient<Relation>, Option<Arc<Mutex<BatchOps>>>) {
+    /// Pins the current versions of several relations as one atomic cut:
+    /// every slot lock is held at once — acquired in name order, so
+    /// concurrent multi-relation pins cannot form a lock cycle — while
+    /// each open batch is sealed and each head shared, so the pinned
+    /// versions are a consistent prefix of every relation's history.
+    /// `under_lock` sees each slot's state (by position in `slots`) while
+    /// all the locks are still held. `slots` must be distinct.
+    fn pin_many(
+        &self,
+        slots: &[Arc<RelationSlot>],
+        mut under_lock: impl FnMut(usize, &SlotState),
+    ) -> Vec<Lenient<Relation>> {
+        let mut by_name: Vec<usize> = (0..slots.len()).collect();
+        by_name.sort_by(|&a, &b| slots[a].name.as_str().cmp(slots[b].name.as_str()));
+        let mut guards: Vec<Option<MutexGuard<'_, SlotState>>> =
+            slots.iter().map(|_| None).collect();
+        for &i in &by_name {
+            guards[i] = Some(slots[i].state.lock());
+        }
+        let mut heads = Vec::with_capacity(slots.len());
+        for (i, (slot, guard)) in slots.iter().zip(guards.iter_mut()).enumerate() {
+            let state = guard.as_mut().expect("guard acquired above");
+            self.seal_and_promote(slot, state);
+            heads.push(state.head.share());
+            under_lock(i, state);
+        }
+        heads
+    }
+
+    /// Submits a read answered from a materialized view's contents.
+    ///
+    /// Freshness protocol: seal and pin every base's head as one cut.
+    /// Once those heads fill, every base write submitted before this read
+    /// has committed, and commits propagate to dependent views *before*
+    /// filling their output cells — so by then the view covers at least
+    /// this read's prefix. (It may additionally include concurrently
+    /// submitted writes; an equivalent serial order simply places them
+    /// before the read.) Fast path: if every base's published frontier
+    /// covers all its submitted writes, that proof has already happened
+    /// and the read answers inline.
+    fn submit_view_read(
+        &self,
+        view: Arc<ViewHandle>,
+        query: Query,
+        explain: bool,
+        substituted: bool,
+    ) -> Lenient<Response> {
+        let bases: Vec<Arc<RelationSlot>> = view
+            .def
+            .bases()
+            .into_iter()
+            .filter_map(|b| self.slot(b))
+            .collect();
+        for slot in &bases {
+            slot.read_seen.store(true, Ordering::Relaxed);
+        }
+        let quiescent = bases.iter().all(|slot| {
+            slot.frontier
+                .with(|e| e.covers == slot.submitted.load(Ordering::Acquire))
+        });
+        if quiescent {
+            EngineStats::bump(&self.stats.frontier_hits);
+            let schema = view.schema.as_ref();
+            return Lenient::ready(view.with_state(|st| {
+                evaluate(
+                    explain,
+                    substituted,
+                    &st.current,
+                    schema,
+                    &query,
+                    &self.stats,
+                )
+            }));
+        }
+        EngineStats::bump(&self.stats.frontier_misses);
+        let heads = self.pin_many(&bases, |_, _| {});
+        let response = Lenient::new();
+        let out = response.clone();
+        let stats = Arc::clone(&self.stats);
+        self.pool.spawn(move || {
+            for h in &heads {
+                h.wait();
+            }
+            let rel = view.with_state(|st| st.current.clone());
+            let answer = evaluate(
+                explain,
+                substituted,
+                &rel,
+                view.schema.as_ref(),
+                &query,
+                &stats,
+            );
+            response.fill(answer).ok();
+        });
+        out
+    }
+
+    /// Submits a single-relation read (`find`, `find … to …`, `select`,
+    /// `count`, aggregate) or, under `explain`, its plan: planning pins a
+    /// version exactly as the read would, so estimates come from the same
+    /// relation value the read would have run against.
+    fn submit_read(&self, query: Query, explain: bool) -> Lenient<Response> {
+        // View substitution: a select whose shape matches a view's
+        // definition is answered from the view instead of its base — and
+        // shows up as such in its plan.
+        if let Query::Select {
+            relation,
+            projection,
+            predicate,
+        } = &query
+        {
+            if let Some(view) = self.select_view(relation, predicate) {
+                if !explain {
+                    EngineStats::bump(&self.stats.view_substitutions);
+                }
+                let scan = exec::view_scan(&view.name, projection.clone());
+                return self.submit_view_read(view, scan, explain, true);
+            }
+        }
+        let relation = query.relation().expect("single-relation read");
+        let Some(slot) = self.slot(relation) else {
+            return match self.view(relation) {
+                Some(view) => self.submit_view_read(view, query, explain, false),
+                None => refused(exec::no_such_relation(relation)),
+            };
+        };
+        let schema = slot.schema.as_ref();
+        let fast = !explain && query.is_point_read();
+        // Every read marks the slot's traffic tracker, so writers
+        // learn their bursts are being interrupted.
+        slot.read_seen.store(true, Ordering::Relaxed);
+        // Lock-free fast path: if the published frontier entry
+        // covers every submitted write, it *is* the version this
+        // read must observe (submission order positions the read
+        // after exactly those writes), and cheap queries answer
+        // from it without the slot mutex, a seal, or a job.
+        // `submitted` is stored before any write's response fills,
+        // so a client that saw a write acknowledged cannot hit a
+        // frontier that misses it.
+        if fast {
+            // Borrow-only probe: answer while registered on the
+            // publication side, skipping the `Arc` clone a `load`
+            // would pay.
+            let hit = slot.frontier.with(|entry| {
+                (entry.covers == slot.submitted.load(Ordering::Acquire))
+                    .then(|| exec::read(&entry.value, schema, &query).0)
+            });
+            if let Some(resp) = hit {
+                EngineStats::bump(&self.stats.frontier_hits);
+                return Lenient::ready(resp);
+            }
+            EngineStats::bump(&self.stats.frontier_misses);
+        }
+        let (input, sealed_batch) = {
+            let mut state = slot.state.lock();
+            // Second chance under the lock: a filled head already
+            // reflects every write submitted so far (an unsealed
+            // open batch's output *is* the head and would still be
+            // pending), so a cheap query that missed the frontier
+            // can still answer inline — and it *repairs* the
+            // frontier while it is here. Publication is
+            // demand-driven: writers never pay for readers that
+            // may not come; the first read after a write run
+            // publishes once and every read until the next write
+            // takes the lock-free path.
+            if fast {
+                if let Some(rel) = state.head.try_get() {
+                    let resp = exec::read(rel, schema, &query).0;
+                    publish_frontier(&slot.frontier, state.next_seq, rel);
+                    return Lenient::ready(resp);
+                }
+            }
+            let batch = self.seal_and_promote(&slot, &mut state);
+            (state.head.share(), batch)
+        };
+
+        // The pinned version is still pending. If its own input has
+        // arrived, force the sealed batch here (demand-driven
+        // evaluation) rather than waiting on a worker to be
+        // scheduled.
+        if fast {
+            if let Some(batch) = &sealed_batch {
+                if force(batch, &slot, self.sink.as_ref(), &self.stats) {
+                    if let Some(resp) = input.try_map(|rel| exec::read(rel, schema, &query).0) {
+                        return Lenient::ready(resp);
+                    }
+                }
+            }
+        }
+
+        let response = Lenient::new();
+        let out = response.clone();
+        let stats = Arc::clone(&self.stats);
+        self.pool.spawn(move || {
+            let rel = input.wait();
+            let answer = evaluate(explain, false, rel, slot.schema.as_ref(), &query, &stats);
+            response.fill(answer).ok();
+        });
+        out
+    }
+
+    /// Submits a join or, under `explain`, its plan.
+    fn submit_join(
+        &self,
+        left: &RelationName,
+        right: &RelationName,
+        on: &Option<(FieldRef, FieldRef)>,
+        explain: bool,
+    ) -> Lenient<Response> {
+        // Operands and join attributes resolve against the static schemas
+        // at submission — refusals answer before any version is pinned,
+        // like every other schema failure.
+        let on = match exec::resolve_join(left, right, on, |n| self.entry(n)) {
+            Ok(on) => on,
+            Err(e) => return refused(e),
+        };
+        // View substitution: a join a view materializes is answered
+        // by scanning the view instead of probing either base.
+        if let Some(view) = self.join_view(left, right, on) {
+            if !explain {
+                EngineStats::bump(&self.stats.view_substitutions);
+            }
+            let scan = exec::view_scan(&view.name, None);
+            return self.submit_view_read(view, scan, explain, true);
+        }
+        let mut slots: Vec<Arc<RelationSlot>> = Vec::with_capacity(2);
+        for name in [left, right] {
+            if slots.first().is_none_or(|s| s.name != *name) {
+                slots.push(self.slot(name).expect("resolved as a base above"));
+            }
+        }
+        for slot in &slots {
+            slot.read_seen.store(true, Ordering::Relaxed);
+        }
+        let heads = self.pin_many(&slots, |_, _| {});
+        let response = Lenient::new();
+        let out = response.clone();
+        let stats = Arc::clone(&self.stats);
+        self.pool.spawn(move || {
+            // Intra-transaction flooding: both sides' availability
+            // is awaited, but each was produced independently.
+            let left_rel = heads[0].wait();
+            let right_rel = heads[heads.len() - 1].wait();
+            let answer = if explain {
+                exec::explain_join(left_rel, right_rel, on)
+            } else {
+                let (answer, strategy) = exec::join(left_rel, right_rel, on);
+                stats.record_join(&strategy);
+                answer
+            };
+            response.fill(answer).ok();
+        });
+        out
+    }
+
+    /// Reserves `name` for a `create` — relations and views share one
+    /// namespace — and runs the statement's durable commit with the
+    /// catalog lock *released*: an fsync here must not stall every other
+    /// relation's submissions. Durable-before-visible still holds — until
+    /// the caller inserts the name, no statement against it can be
+    /// accepted, so in the log a create precedes its first use. On success
+    /// the reservation stands until the caller publishes the name.
+    fn reserve_and_commit(&self, name: &RelationName, query: &Query) -> Result<(), Response> {
+        {
+            let mut catalog = self.catalog.write();
+            if catalog.slots.contains_key(name)
+                || catalog.views.contains_key(name)
+                || !catalog.reserved.insert(name.clone())
+            {
+                return Err(Response::Error(exec::relation_exists(name)));
+            }
+        }
+        if let Some(sink) = &self.sink {
+            if let Err(e) = sink.commit_create(query) {
+                self.catalog.write().reserved.remove(name);
+                return Err(commit_failed(&e));
+            }
+        }
+        Ok(())
+    }
+
+    /// `create view`: register on the bases, then materialize once.
+    fn submit_create_view(
+        &self,
+        query: &Query,
+        name: &RelationName,
+        def: ViewDef,
+    ) -> Lenient<Response> {
+        let base_slots: Vec<Arc<RelationSlot>> = def
+            .bases()
+            .into_iter()
+            .map(|b| self.slot(b).expect("resolved as a base"))
+            .collect();
+        let schema = match &def {
+            ViewDef::Select { .. } => base_slots[0].schema.clone(),
+            _ => None,
+        };
+        if let Err(refusal) = self.reserve_and_commit(name, query) {
+            return Lenient::ready(refusal);
+        }
+        let is_join = matches!(def, ViewDef::Join { .. });
+        let handle = Arc::new(ViewHandle {
+            name: name.clone(),
+            def,
+            schema,
+            inner: Mutex::new(None),
+            init_cv: Condvar::new(),
+        });
+
+        // Register on every base under all their slot locks at once.
+        // Sealing each open batch and recording `next_seq` at the same
+        // instant draws a sharp line through each base's history:
+        // everything at or below the pinned head folds into the initial
+        // materialization, everything after flows through the dependent
+        // registration — no commit is lost or double-applied.
+        let heads = self.pin_many(&base_slots, |i, state| {
+            base_slots[i].register(&handle, i, state.next_seq);
+        });
+
+        {
+            let mut catalog = self.catalog.write();
+            catalog.reserved.remove(name);
+            catalog.views.insert(name.clone(), Arc::clone(&handle));
+            catalog.order.push(name.clone());
+        }
+        self.views_exist.store(true, Ordering::Release);
+
+        // Initial materialization on this client's thread: wait for
+        // the pinned base heads, evaluate the definition once, fill
+        // `inner`. A propagation from a commit past the pinned
+        // prefix blocks on `init_cv` until the fill — never the
+        // other way round, since head cells fill independently.
+        let left = heads[0].wait_cloned();
+        let right = heads.get(1).map(Lenient::wait_cloned);
+        let eval_right = match &right {
+            Some(r) => Some(r),
+            // A self-join dedups to one base; probe it on both sides.
+            None if is_join => Some(&left),
+            None => None,
+        };
+        let repr = match left.repr() {
+            Repr::Paged(_) => Repr::Tree23,
+            r => r,
+        };
+        let current = Relation::from_tuples(repr, eval_view(&handle.def, &left, eval_right));
+        let rows = current.len();
+        {
+            let mut guard = handle.inner.lock();
+            let right = right.unwrap_or_else(|| left.clone());
+            *guard = Some(ViewState {
+                current,
+                left,
+                right,
+            });
+        }
+        handle.init_cv.notify_all();
+        Lenient::ready(Response::ViewCreated {
+            name: name.clone(),
+            rows,
+        })
+    }
+
+    /// Stamps one write submission on a locked slot: its sequence number,
+    /// the mirror the lock-free read path compares against, and the
+    /// traffic tracker's read-interleaving sample.
+    fn stamp_write(slot: &RelationSlot, state: &mut SlotState) -> u64 {
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        // Mirror the submission mark for the lock-free read path
+        // *before* this write can be answered: a client that saw
+        // the acknowledgement cannot then hit a frontier entry that
+        // predates the write.
+        slot.submitted.store(state.next_seq, Ordering::Release);
+        let interrupted = slot.read_seen.load(Ordering::Relaxed);
+        if interrupted {
+            slot.read_seen.store(false, Ordering::Relaxed);
+        }
+        state.tracker.on_write(interrupted);
+        seq
+    }
+
+    /// Opens a batch holding `query` as the slot's new head. With
+    /// `has_job` its pool job is spawned here, still under the slot lock:
+    /// enqueue order must respect version order, or a concurrent submitter
+    /// could enqueue a job that waits on the new head ahead of this one,
+    /// and a FIFO worker would stall behind it forever. Without, the batch
+    /// is *chained*: the predecessor's runner claims it.
+    fn open_batch(
+        &self,
+        slot: &Arc<RelationSlot>,
+        state: &mut SlotState,
+        seq: u64,
+        query: Query,
+        sealed: bool,
+        has_job: bool,
+    ) -> Lenient<Response> {
+        let output = Lenient::new();
+        let response = Lenient::new();
+        let batch = Arc::new(Mutex::new(BatchOps {
+            input: state.head.share(),
+            output: output.clone(),
+            ops: vec![(seq, query, response.clone())],
+            sealed,
+            has_job,
+        }));
+        state.head = Head::Cell(output);
+        state.open = Some(Arc::clone(&batch));
+        EngineStats::bump(&self.stats.batches_opened);
+        if has_job {
+            self.spawn_batch_job(slot, &batch);
+        }
+        response
+    }
+
+    /// Submits a data write: coalesce, bypass or open a batch.
+    fn submit_write(&self, slot: &Arc<RelationSlot>, query: Query) -> Lenient<Response> {
         let mut state = slot.state.lock();
-        let batch = self.seal_and_promote(slot, &mut state);
-        (state.head.share(), batch)
+        let seq = Self::stamp_write(slot, &mut state);
+
+        // Coalesce: join the open batch if it is still accepting.
+        if let Some(batch) = &state.open {
+            let mut ops = batch.lock();
+            if !ops.sealed {
+                let response = Lenient::new();
+                let out = response.clone();
+                ops.ops.push((seq, query, response));
+                EngineStats::bump(&self.stats.coalesced_writes);
+                return out;
+            }
+            // Sealed mid-flight by its worker: open a successor.
+        }
+
+        // Adaptive regime decision. Queue pressure (a pending head:
+        // the predecessor version is still being computed) always
+        // coalesces — piling writes into a batch behind the pending
+        // version is exactly where batching wins. A quiescent slot
+        // with read-interleaved history bypasses instead.
+        let pressure = !state.head.is_filled();
+        // Bypass is off for relations feeding views: propagation
+        // lives in `commit_and_apply`, which bypass skips.
+        if state.tracker.regime(pressure) == BatchRegime::Bypass
+            && !slot.has_dependents.load(Ordering::Acquire)
+        {
+            // Bypass: apply inline under the slot lock. No cell, no
+            // batch, no pool job, no worker handoff — mixed workloads
+            // pay one lock and one structural update per write, while
+            // keeping the engine-wide submission-order serialization.
+            EngineStats::bump(&self.stats.bypass_writes);
+            state.open = None;
+            if let Some(sink) = &self.sink {
+                if let Err(e) = sink.commit_writes(&slot.name, &[(seq, query.clone())]) {
+                    // The sequence number is burned: the head keeps
+                    // the unchanged value, which covers it.
+                    return Lenient::ready(commit_failed(&e));
+                }
+            }
+            let first = state
+                .head
+                .try_get()
+                .expect("bypass regime requires a filled head");
+            let (next, resp) = exec::write(first, query);
+            state.head = Head::Ready(next);
+            return Lenient::ready(resp);
+        }
+
+        // Coalesce: open a new batch for this write and every
+        // unsealed write that follows it. Under queue pressure the
+        // batch is *chained* — it gets no pool job of its own; the
+        // predecessor's runner claims it when that version fills,
+        // so a claimed multi-batch run costs one pool job total.
+        self.open_batch(slot, &mut state, seq, query, false, !pressure)
     }
 
     /// Submits a transaction; the call returns immediately with the cell
@@ -1241,755 +1484,96 @@ impl PipelinedEngine {
     /// *earlier* submissions, and the worker pool is FIFO, so the earliest
     /// unfinished job always has every input available — the engine cannot
     /// deadlock regardless of pool width.
+    ///
+    /// Response cells are made lazily, per path: one that resolves its
+    /// answer inline (fast reads, bypass writes, refusals) returns an
+    /// already-filled cell and skips the empty-cell handshake — the
+    /// allocation, the clone, and the fill's lock-and-notify — entirely.
     pub fn submit(&self, tx: Transaction) -> Lenient<Response> {
         let query = tx.into_query();
-
-        // Response cells are made lazily, per arm: a path that resolves its
-        // answer inline (fast reads, bypass writes, errors) returns an
-        // already-filled cell and skips the empty-cell handshake — the
-        // allocation, the clone, and the fill's lock-and-notify — entirely.
-        match &query {
+        match query {
+            Query::Find { .. }
+            | Query::FindRange { .. }
+            | Query::Select { .. }
+            | Query::Count { .. }
+            | Query::Aggregate { .. } => self.submit_read(query, false),
+            Query::Insert { ref relation, .. }
+            | Query::Delete { ref relation, .. }
+            | Query::Replace { ref relation, .. } => match self.slot(relation) {
+                Some(slot) => self.submit_write(&slot, query),
+                None if self.view(relation).is_some() => refused(exec::view_is_read_only(relation)),
+                None => refused(exec::no_such_relation(relation)),
+            },
+            Query::Join {
+                ref left,
+                ref right,
+                ref on,
+            } => self.submit_join(left, right, on, false),
+            Query::Explain(inner) => match *inner {
+                Query::Join {
+                    ref left,
+                    ref right,
+                    ref on,
+                } => self.submit_join(left, right, on, true),
+                read if read.is_explainable() => self.submit_read(read, true),
+                ref other => Lenient::ready(exec::explain_unsupported(other)),
+            },
+            Query::CreateIndex {
+                ref relation,
+                ref name,
+                ref fields,
+            } => {
+                // Resolve every field against the slot's static schema at
+                // submission, so the logged record and the apply step agree
+                // on positions regardless of how the schema is spelled.
+                let resolved = match exec::resolve_index(relation, name, fields, |n| self.entry(n))
+                {
+                    Ok(resolved) => resolved,
+                    Err(e) => return refused(e),
+                };
+                let slot = self.slot(relation).expect("resolved as a base above");
+                let mut state = slot.state.lock();
+                let seq = Self::stamp_write(&slot, &mut state);
+                // DDL never coalesces with data writes: seal the open batch
+                // and run the create in its own already-sealed single-op
+                // batch. The batch kernel folds data writes only, and the
+                // sealed run keeps the WAL record at this exact sequence
+                // position — logged before visibility, the same rule as
+                // `create relation`.
+                self.seal_and_promote(&slot, &mut state);
+                self.open_batch(&slot, &mut state, seq, resolved, true, true)
+            }
             Query::Create {
-                relation,
-                schema,
+                ref relation,
+                ref schema,
                 repr,
             } => {
                 // Catalog updates are resolved at submission (the catalog is
                 // the spine; relation *contents* stay lenient).
-                let parsed = match schema {
-                    None => None,
-                    Some(attrs) => match Schema::new(attrs) {
-                        Ok(s) => Some(s),
-                        Err(e) => {
-                            return Lenient::ready(Response::Error(e.to_string()));
-                        }
-                    },
+                let schema = match exec::parse_schema(schema) {
+                    Ok(schema) => schema,
+                    Err(e) => return refused(e),
                 };
-                // Reserve the name under the write lock, then run the
-                // durable commit with the lock *released*: an fsync here
-                // must not stall every other relation's submissions.
-                // Durable-before-visible still holds — until the slot is
-                // inserted below, no write against this relation can be
-                // accepted, so in the log a relation's create precedes its
-                // first write.
-                {
-                    let mut catalog = self.catalog.write();
-                    if catalog.slots.contains_key(relation)
-                        || !catalog.reserved.insert(relation.clone())
-                    {
-                        drop(catalog);
-                        return Lenient::ready(Response::Error(format!(
-                            "relation already exists: {relation}"
-                        )));
-                    }
+                if let Err(refusal) = self.reserve_and_commit(relation, &query) {
+                    return Lenient::ready(refusal);
                 }
-                if let Some(sink) = &self.sink {
-                    if let Err(e) = sink.commit_create(&query) {
-                        self.catalog.write().reserved.remove(relation);
-                        return Lenient::ready(Response::Error(format!("commit failed: {e}")));
-                    }
-                }
+                let slot =
+                    RelationSlot::new(relation.clone(), schema, Relation::empty(repr.to_repr()), 0);
                 let mut catalog = self.catalog.write();
                 catalog.reserved.remove(relation);
-                catalog.slots.insert(
-                    relation.clone(),
-                    Arc::new(RelationSlot::new(
-                        parsed,
-                        Relation::empty(repr.to_repr()),
-                        0,
-                    )),
-                );
+                catalog.slots.insert(relation.clone(), Arc::new(slot));
                 catalog.order.push(relation.clone());
-                drop(catalog);
                 Lenient::ready(Response::Created(relation.clone()))
             }
-            Query::CreateView { name, spec } => {
+            Query::CreateView { ref name, ref spec } => {
                 // Resolve the spec against the slots' static schemas up
                 // front, so rejected specs never reach the log.
-                let def = match self.resolve_spec(spec) {
-                    Ok(d) => d,
-                    Err(resp) => return Lenient::ready(resp),
-                };
-                let schema = match &def {
-                    ViewDef::Select { base, .. } => self.slot(base).and_then(|s| s.schema.clone()),
-                    _ => None,
-                };
-                // Reserve the name — views and base relations share one
-                // namespace — then commit with the catalog lock released,
-                // same protocol as `create relation`.
-                {
-                    let mut catalog = self.catalog.write();
-                    if catalog.slots.contains_key(name)
-                        || catalog.views.contains_key(name)
-                        || !catalog.reserved.insert(name.clone())
-                    {
-                        drop(catalog);
-                        return Lenient::ready(Response::Error(format!(
-                            "relation already exists: {name}"
-                        )));
-                    }
+                match exec::resolve_view_spec(spec, |n| self.entry(n)) {
+                    Ok(def) => self.submit_create_view(&query, name, def),
+                    Err(e) => refused(e),
                 }
-                if let Some(sink) = &self.sink {
-                    if let Err(e) = sink.commit_create(&query) {
-                        self.catalog.write().reserved.remove(name);
-                        return Lenient::ready(Response::Error(format!("commit failed: {e}")));
-                    }
-                }
-                let handle = Arc::new(ViewHandle {
-                    name: name.clone(),
-                    def,
-                    schema,
-                    inner: Mutex::new(None),
-                    init_cv: Condvar::new(),
-                });
-
-                // Register on every base under all their slot locks at once
-                // (name order, the join discipline). Sealing each open batch
-                // and recording `next_seq` at the same instant draws a sharp
-                // line through each base's history: everything at or below
-                // the pinned head folds into the initial materialization,
-                // everything after flows through the dependent registration
-                // — no commit is lost or double-applied.
-                let bases: Vec<RelationName> = handle.def.bases().into_iter().cloned().collect();
-                let base_slots: Vec<Arc<RelationSlot>> = bases
-                    .iter()
-                    .map(|b| self.slot(b).expect("resolve_spec checked the bases"))
-                    .collect();
-                let mut by_name: Vec<usize> = (0..base_slots.len()).collect();
-                by_name.sort_by(|&a, &b| bases[a].as_str().cmp(bases[b].as_str()));
-                let mut guards: Vec<Option<MutexGuard<'_, SlotState>>> =
-                    base_slots.iter().map(|_| None).collect();
-                for &i in &by_name {
-                    guards[i] = Some(base_slots[i].state.lock());
-                }
-                let is_join = matches!(handle.def, ViewDef::Join { .. });
-                let mut heads = Vec::with_capacity(base_slots.len());
-                for (i, (slot, g)) in base_slots.iter().zip(guards.iter_mut()).enumerate() {
-                    let state = g.as_mut().expect("guard acquired above");
-                    self.seal_and_promote(slot, state);
-                    slot.dependents.lock().push(Dependent {
-                        view: Arc::clone(&handle),
-                        role: match (is_join, i) {
-                            (false, _) => DepRole::Base,
-                            (true, 0) => DepRole::JoinLeft,
-                            (true, _) => DepRole::JoinRight,
-                        },
-                        from_seq: state.next_seq,
-                    });
-                    slot.has_dependents.store(true, Ordering::Release);
-                    heads.push(state.head.share());
-                }
-                drop(guards);
-
-                {
-                    let mut catalog = self.catalog.write();
-                    catalog.reserved.remove(name);
-                    catalog.views.insert(name.clone(), Arc::clone(&handle));
-                    catalog.order.push(name.clone());
-                }
-                self.views_exist.store(true, Ordering::Release);
-
-                // Initial materialization on this client's thread: wait for
-                // the pinned base heads, evaluate the definition once, fill
-                // `inner`. A propagation from a commit past the pinned
-                // prefix blocks on `init_cv` until the fill — never the
-                // other way round, since head cells fill independently.
-                let left = heads[0].wait_cloned();
-                let right = heads.get(1).map(Lenient::wait_cloned);
-                let eval_right = match &right {
-                    Some(r) => Some(r),
-                    // A self-join dedups to one base; probe it on both sides.
-                    None if is_join => Some(&left),
-                    None => None,
-                };
-                let repr = match left.repr() {
-                    Repr::Paged(_) => Repr::Tree23,
-                    r => r,
-                };
-                let rows = eval_view(&handle.def, &left, eval_right);
-                let current = Relation::from_tuples(repr, rows);
-                let count = current.len();
-                {
-                    let mut guard = handle.inner.lock();
-                    let right = right.unwrap_or_else(|| left.clone());
-                    *guard = Some(ViewState {
-                        current,
-                        left,
-                        right,
-                    });
-                }
-                handle.init_cv.notify_all();
-                Lenient::ready(Response::ViewCreated {
-                    name: name.clone(),
-                    rows: count,
-                })
             }
-            Query::Names => {
-                let names = self.catalog.read().order.clone();
-                Lenient::ready(Response::Names(names))
-            }
-            Query::Find { relation, .. }
-            | Query::FindRange { relation, .. }
-            | Query::Select { relation, .. }
-            | Query::Count { relation }
-            | Query::Aggregate { relation, .. } => {
-                // View substitution: a select whose shape matches a view's
-                // definition is answered from the view instead of its base.
-                if self.views_exist.load(Ordering::Acquire) {
-                    if let Query::Select {
-                        relation,
-                        projection,
-                        predicate,
-                    } = &query
-                    {
-                        if let Some(view) = self.matching_select_view(relation, predicate) {
-                            EngineStats::bump(&self.stats.view_substitutions);
-                            // The view's rows are exactly the predicate's
-                            // matches, so only the projection remains.
-                            let substituted = Query::Select {
-                                relation: view.name.clone(),
-                                projection: projection.clone(),
-                                predicate: None,
-                            };
-                            return self.submit_view_read(view, substituted);
-                        }
-                    }
-                }
-                let fast = matches!(query, Query::Find { .. } | Query::Count { .. });
-                let answer = |rel: &Relation, query: &Query| match query {
-                    Query::Find { key, .. } => Response::Tuples(rel.find(key)),
-                    Query::Count { .. } => Response::Count(rel.len()),
-                    _ => unreachable!("fast-path arm"),
-                };
-
-                // Pin via a borrow under the catalog read guard: the hot
-                // read path never clones the slot handle — and, on a
-                // frontier hit, never takes the slot lock either.
-                let Some(slot) = self.slot(relation) else {
-                    if let Some(view) = self.view(relation) {
-                        return self.submit_view_read(view, query);
-                    }
-                    return Lenient::ready(Response::Error(format!(
-                        "no such relation: {relation}"
-                    )));
-                };
-                // Every read marks the slot's traffic tracker, so writers
-                // learn their bursts are being interrupted.
-                slot.read_seen.store(true, Ordering::Relaxed);
-                // Lock-free fast path: if the published frontier entry
-                // covers every submitted write, it *is* the version this
-                // read must observe (submission order positions the read
-                // after exactly those writes), and cheap queries answer
-                // from it without the slot mutex, a seal, or a job.
-                // `submitted` is stored before any write's response fills,
-                // so a client that saw a write acknowledged cannot hit a
-                // frontier that misses it.
-                if fast {
-                    // Borrow-only probe: answer while registered on the
-                    // publication side, skipping the `Arc` clone a `load`
-                    // would pay.
-                    let hit = slot.frontier.with(|entry| {
-                        if entry.covers == slot.submitted.load(Ordering::Acquire) {
-                            Some(answer(&entry.value, &query))
-                        } else {
-                            None
-                        }
-                    });
-                    if let Some(resp) = hit {
-                        EngineStats::bump(&self.stats.frontier_hits);
-                        return Lenient::ready(resp);
-                    }
-                    EngineStats::bump(&self.stats.frontier_misses);
-                }
-                let (input, sealed_batch, schema, slot_arc) = {
-                    let mut state = slot.state.lock();
-                    // Second chance under the lock: a filled head already
-                    // reflects every write submitted so far (an unsealed
-                    // open batch's output *is* the head and would still be
-                    // pending), so a cheap query that missed the frontier
-                    // can still answer inline — and it *repairs* the
-                    // frontier while it is here. Publication is
-                    // demand-driven: writers never pay for readers that
-                    // may not come; the first read after a write run
-                    // publishes once and every read until the next write
-                    // takes the lock-free path.
-                    if fast {
-                        if let Some(rel) = state.head.try_get() {
-                            let resp = answer(rel, &query);
-                            publish_frontier(&slot.frontier, state.next_seq, rel);
-                            return Lenient::ready(resp);
-                        }
-                    }
-                    let batch = self.seal_and_promote(&slot, &mut state);
-                    let input = state.head.share();
-                    drop(state);
-                    let slot_arc = batch.is_some().then(|| Arc::clone(&slot));
-                    (input, batch, slot.schema.clone(), slot_arc)
-                };
-
-                // The pinned version is still pending. If its own input has
-                // arrived, force the sealed batch here (demand-driven
-                // evaluation) rather than waiting on a worker to be
-                // scheduled.
-                if fast {
-                    if let (Some(batch), Some(slot)) = (&sealed_batch, &slot_arc) {
-                        if force(batch, slot, self.sink.as_ref(), &self.stats) {
-                            if let Some(resp) = input.try_map(|rel| answer(rel, &query)) {
-                                return Lenient::ready(resp);
-                            }
-                        }
-                    }
-                }
-
-                let response = Lenient::new();
-                let out = response.clone();
-                let stats = Arc::clone(&self.stats);
-                self.pool.spawn(move || {
-                    let rel = input.wait();
-                    let resp = match &query {
-                        Query::Find { key, .. } => Response::Tuples(rel.find(key)),
-                        Query::FindRange { lo, hi, .. } => Response::Tuples(rel.find_range(lo, hi)),
-                        Query::Select {
-                            projection,
-                            predicate,
-                            ..
-                        } => match execute_select_explained(
-                            rel,
-                            schema.as_ref(),
-                            projection,
-                            predicate,
-                        ) {
-                            Ok((tuples, path)) => {
-                                stats.record_path(&path);
-                                Response::Tuples(tuples)
-                            }
-                            Err(e) => Response::Error(e),
-                        },
-                        Query::Count { .. } => Response::Count(rel.len()),
-                        Query::Aggregate { op, field, .. } => {
-                            match compute_aggregate(&rel.scan(), schema.as_ref(), *op, field) {
-                                Ok(value) => Response::Aggregate {
-                                    op: op.to_string(),
-                                    value,
-                                },
-                                Err(e) => Response::Error(e),
-                            }
-                        }
-                        _ => unreachable!("read-only arm"),
-                    };
-                    response.fill(resp).ok();
-                });
-                out
-            }
-            Query::Join { left, right, on } => {
-                let (l_slot, r_slot) = match (self.slot(left), self.slot(right)) {
-                    (Some(l), Some(r)) => (l, r),
-                    _ => {
-                        if self.view(left).is_some() || self.view(right).is_some() {
-                            return Lenient::ready(Response::Error(format!(
-                                "joins over materialized views are not supported: \
-                                 join {left} with {right}"
-                            )));
-                        }
-                        return Lenient::ready(Response::Error(format!(
-                            "no such relation in: join {left} with {right}"
-                        )));
-                    }
-                };
-                // Resolve the join attributes against the static schemas at
-                // submission — name errors answer before any version is
-                // pinned, like every other schema failure.
-                let on = match on {
-                    None => None,
-                    Some((lf, rf)) => {
-                        let lp = match lf.resolve(l_slot.schema.as_ref()) {
-                            Ok(p) => p,
-                            Err(e) => return Lenient::ready(Response::Error(e)),
-                        };
-                        let rp = match rf.resolve(r_slot.schema.as_ref()) {
-                            Ok(p) => p,
-                            Err(e) => return Lenient::ready(Response::Error(e)),
-                        };
-                        Some((lp, rp))
-                    }
-                };
-                // View substitution: a join a view materializes is answered
-                // by scanning the view instead of probing either base.
-                if self.views_exist.load(Ordering::Acquire) {
-                    if let Some(view) = self.matching_join_view(left, right, on) {
-                        EngineStats::bump(&self.stats.view_substitutions);
-                        let substituted = Query::Select {
-                            relation: view.name.clone(),
-                            projection: None,
-                            predicate: None,
-                        };
-                        return self.submit_view_read(view, substituted);
-                    }
-                }
-                // Pin both sides as one atomic cut, locking in name order so
-                // concurrent multi-relation pins cannot form a lock cycle —
-                // and so the pair of pinned versions is a consistent prefix
-                // of both relations' histories.
-                l_slot.read_seen.store(true, Ordering::Relaxed);
-                r_slot.read_seen.store(true, Ordering::Relaxed);
-                let (l, r) = if left == right {
-                    let (cell, _) = self.pin(&l_slot);
-                    (cell.clone(), cell)
-                } else if left.as_str() < right.as_str() {
-                    let mut lg = l_slot.state.lock();
-                    let mut rg = r_slot.state.lock();
-                    self.seal_and_promote(&l_slot, &mut lg);
-                    self.seal_and_promote(&r_slot, &mut rg);
-                    (lg.head.share(), rg.head.share())
-                } else {
-                    let mut rg = r_slot.state.lock();
-                    let mut lg = l_slot.state.lock();
-                    self.seal_and_promote(&l_slot, &mut lg);
-                    self.seal_and_promote(&r_slot, &mut rg);
-                    (lg.head.share(), rg.head.share())
-                };
-                let response = Lenient::new();
-                let out = response.clone();
-                let stats = Arc::clone(&self.stats);
-                self.pool.spawn(move || {
-                    // Intra-transaction flooding: both sides' availability
-                    // is awaited, but each was produced independently.
-                    let left_rel = l.wait();
-                    let right_rel = r.wait();
-                    let (tuples, strategy) = execute_join_explained(left_rel, right_rel, on);
-                    stats.record_join(&strategy);
-                    response.fill(Response::Tuples(tuples)).ok();
-                });
-                out
-            }
-            Query::Explain(inner) => match inner.as_ref() {
-                // Planning still pins a version: estimates come from the
-                // same relation value the read would have run against.
-                Query::Select {
-                    relation,
-                    projection,
-                    predicate,
-                } => {
-                    if self.views_exist.load(Ordering::Acquire) {
-                        // Substitution shows up in the plan: planning must
-                        // report the path execution would actually take.
-                        let view = self
-                            .matching_select_view(relation, predicate)
-                            .or_else(|| self.view(relation));
-                        if let Some(view) = view {
-                            let rows = view.with_state(|st| st.current.len());
-                            return Lenient::ready(Response::Plan {
-                                plan: format!("materialized view scan on {}", view.name),
-                                estimated_rows: rows,
-                            });
-                        }
-                    }
-                    let Some(slot) = self.slot(relation) else {
-                        return Lenient::ready(Response::Error(format!(
-                            "no such relation: {relation}"
-                        )));
-                    };
-                    slot.read_seen.store(true, Ordering::Relaxed);
-                    let (input, _batch) = self.pin(&slot);
-                    let schema = slot.schema.clone();
-                    let projection = projection.clone();
-                    let predicate = predicate.clone();
-                    let response = Lenient::new();
-                    let out = response.clone();
-                    self.pool.spawn(move || {
-                        let rel = input.wait();
-                        let resp =
-                            match explain_select(rel, schema.as_ref(), &projection, &predicate) {
-                                Ok((path, est)) => Response::Plan {
-                                    plan: path.to_string(),
-                                    estimated_rows: est,
-                                },
-                                Err(e) => Response::Error(e),
-                            };
-                        response.fill(resp).ok();
-                    });
-                    out
-                }
-                Query::Find { relation, key } => {
-                    if self.slot(relation).is_none() {
-                        return Lenient::ready(Response::Error(format!(
-                            "no such relation: {relation}"
-                        )));
-                    }
-                    Lenient::ready(Response::Plan {
-                        plan: format!("key eq find (#0 = {key})"),
-                        estimated_rows: 1,
-                    })
-                }
-                Query::FindRange { relation, lo, hi } => {
-                    let Some(slot) = self.slot(relation) else {
-                        return Lenient::ready(Response::Error(format!(
-                            "no such relation: {relation}"
-                        )));
-                    };
-                    slot.read_seen.store(true, Ordering::Relaxed);
-                    let (input, _batch) = self.pin(&slot);
-                    let plan = format!("key range find (#0 in {lo}..{hi})");
-                    let response = Lenient::new();
-                    let out = response.clone();
-                    self.pool.spawn(move || {
-                        let rel = input.wait();
-                        response
-                            .fill(Response::Plan {
-                                plan,
-                                estimated_rows: (rel.len() / 4).max(1),
-                            })
-                            .ok();
-                    });
-                    out
-                }
-                Query::Join { left, right, on } => {
-                    let (l_slot, r_slot) = match (self.slot(left), self.slot(right)) {
-                        (Some(l), Some(r)) => (l, r),
-                        _ => {
-                            return Lenient::ready(Response::Error(format!(
-                                "no such relation in: join {left} with {right}"
-                            )));
-                        }
-                    };
-                    let on = match on {
-                        None => None,
-                        Some((lf, rf)) => {
-                            let lp = match lf.resolve(l_slot.schema.as_ref()) {
-                                Ok(p) => p,
-                                Err(e) => return Lenient::ready(Response::Error(e)),
-                            };
-                            let rp = match rf.resolve(r_slot.schema.as_ref()) {
-                                Ok(p) => p,
-                                Err(e) => return Lenient::ready(Response::Error(e)),
-                            };
-                            Some((lp, rp))
-                        }
-                    };
-                    if self.views_exist.load(Ordering::Acquire) {
-                        if let Some(view) = self.matching_join_view(left, right, on) {
-                            let rows = view.with_state(|st| st.current.len());
-                            return Lenient::ready(Response::Plan {
-                                plan: format!("materialized view scan on {}", view.name),
-                                estimated_rows: rows,
-                            });
-                        }
-                    }
-                    l_slot.read_seen.store(true, Ordering::Relaxed);
-                    r_slot.read_seen.store(true, Ordering::Relaxed);
-                    let (l, r) = if left == right {
-                        let (cell, _) = self.pin(&l_slot);
-                        (cell.clone(), cell)
-                    } else if left.as_str() < right.as_str() {
-                        let mut lg = l_slot.state.lock();
-                        let mut rg = r_slot.state.lock();
-                        self.seal_and_promote(&l_slot, &mut lg);
-                        self.seal_and_promote(&r_slot, &mut rg);
-                        (lg.head.share(), rg.head.share())
-                    } else {
-                        let mut rg = r_slot.state.lock();
-                        let mut lg = l_slot.state.lock();
-                        self.seal_and_promote(&l_slot, &mut lg);
-                        self.seal_and_promote(&r_slot, &mut rg);
-                        (lg.head.share(), rg.head.share())
-                    };
-                    let response = Lenient::new();
-                    let out = response.clone();
-                    self.pool.spawn(move || {
-                        let left_rel = l.wait();
-                        let right_rel = r.wait();
-                        let (strategy, est) = choose_join_strategy(left_rel, right_rel, on);
-                        response
-                            .fill(Response::Plan {
-                                plan: strategy.to_string(),
-                                estimated_rows: est,
-                            })
-                            .ok();
-                    });
-                    out
-                }
-                other => Lenient::ready(Response::Error(format!(
-                    "explain supports select, join and find, not '{other}'"
-                ))),
-            },
-            Query::CreateIndex {
-                relation,
-                name,
-                fields,
-            } => {
-                let Some(slot) = self.slot(relation) else {
-                    if self.view(relation).is_some() {
-                        return Lenient::ready(Response::Error(format!(
-                            "indexes on materialized views are not supported: {relation}"
-                        )));
-                    }
-                    return Lenient::ready(Response::Error(format!(
-                        "no such relation: {relation}"
-                    )));
-                };
-                // Resolve every field against the slot's static schema at
-                // submission, so the logged record and the apply arm agree
-                // on positions regardless of how the schema is spelled.
-                let mut normalized_fields = Vec::with_capacity(fields.len());
-                for field in fields {
-                    match field.resolve(slot.schema.as_ref()) {
-                        Ok(p) => normalized_fields.push(FieldRef::Index(p)),
-                        Err(e) => {
-                            return Lenient::ready(Response::Error(e));
-                        }
-                    }
-                }
-                let normalized = Query::CreateIndex {
-                    relation: relation.clone(),
-                    name: name.clone(),
-                    fields: normalized_fields,
-                };
-                let mut state = slot.state.lock();
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                slot.submitted.store(state.next_seq, Ordering::Release);
-                let interrupted = slot.read_seen.load(Ordering::Relaxed);
-                if interrupted {
-                    slot.read_seen.store(false, Ordering::Relaxed);
-                }
-                state.tracker.on_write(interrupted);
-                // DDL never coalesces with data writes: seal the open batch
-                // and run the create in its own already-sealed single-op
-                // batch. The batch kernel folds Insert/Delete/Replace only,
-                // and the sealed run keeps the WAL record at this exact
-                // sequence position — logged before visibility, the same
-                // rule as `create relation`.
-                self.seal_and_promote(&slot, &mut state);
-                let input = state.head.share();
-                let output = Lenient::new();
-                let response = Lenient::new();
-                let out = response.clone();
-                let batch = Arc::new(Mutex::new(BatchOps {
-                    relation: relation.clone(),
-                    input,
-                    output: output.clone(),
-                    ops: vec![(seq, normalized, response)],
-                    sealed: true,
-                    has_job: true,
-                }));
-                state.head = Head::Cell(output);
-                state.open = Some(Arc::clone(&batch));
-                EngineStats::bump(&self.stats.batches_opened);
-                // Spawn while still holding the slot lock (see the write
-                // arm below for why enqueue order must match version order).
-                self.spawn_batch_job(&slot, &batch);
-                out
-            }
-            Query::Insert { relation, .. }
-            | Query::Delete { relation, .. }
-            | Query::Replace { relation, .. } => {
-                let Some(slot) = self.slot(relation) else {
-                    if self.view(relation).is_some() {
-                        return Lenient::ready(Response::Error(format!(
-                            "cannot write to materialized view: {relation}"
-                        )));
-                    }
-                    return Lenient::ready(Response::Error(format!(
-                        "no such relation: {relation}"
-                    )));
-                };
-                let mut state = slot.state.lock();
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                // Mirror the submission mark for the lock-free read path
-                // *before* this write can be answered: a client that saw
-                // the acknowledgement cannot then hit a frontier entry that
-                // predates the write.
-                slot.submitted.store(state.next_seq, Ordering::Release);
-                let interrupted = slot.read_seen.load(Ordering::Relaxed);
-                if interrupted {
-                    slot.read_seen.store(false, Ordering::Relaxed);
-                }
-                state.tracker.on_write(interrupted);
-
-                // Coalesce: join the open batch if it is still accepting.
-                if let Some(batch) = &state.open {
-                    let mut ops = batch.lock();
-                    if !ops.sealed {
-                        let response = Lenient::new();
-                        let out = response.clone();
-                        ops.ops.push((seq, query, response));
-                        EngineStats::bump(&self.stats.coalesced_writes);
-                        return out;
-                    }
-                    // Sealed mid-flight by its worker: open a successor.
-                }
-
-                // Adaptive regime decision. Queue pressure (a pending head:
-                // the predecessor version is still being computed) always
-                // coalesces — piling writes into a batch behind the pending
-                // version is exactly where batching wins. A quiescent slot
-                // with read-interleaved history bypasses instead.
-                let pressure = !state.head.is_filled();
-                // Bypass is off for relations feeding views: propagation
-                // lives in `commit_and_apply`, which bypass skips.
-                if state.tracker.regime(pressure) == BatchRegime::Bypass
-                    && !slot.has_dependents.load(Ordering::Acquire)
-                {
-                    // Bypass: apply inline under the slot lock. No cell, no
-                    // batch, no pool job, no worker handoff — mixed
-                    // workloads pay one lock and one structural update per
-                    // write, like the classic engine, while keeping the
-                    // engine-wide submission-order serialization.
-                    EngineStats::bump(&self.stats.bypass_writes);
-                    if let Some(sink) = &self.sink {
-                        if let Err(e) = sink.commit_writes(relation, &[(seq, query.clone())]) {
-                            // The sequence number is burned: the head keeps
-                            // the unchanged value, which covers it.
-                            state.open = None;
-                            drop(state);
-                            return Lenient::ready(Response::Error(format!("commit failed: {e}")));
-                        }
-                    }
-                    let (next, resp) = {
-                        let first = state
-                            .head
-                            .try_get()
-                            .expect("bypass regime requires a filled head");
-                        apply_single(first, query)
-                    };
-                    state.head = Head::Ready(next);
-                    state.open = None;
-                    drop(state);
-                    return Lenient::ready(resp);
-                }
-
-                // Coalesce: open a new batch for this write and every
-                // unsealed write that follows it. Under queue pressure the
-                // batch is *chained* — it gets no pool job of its own; the
-                // predecessor's runner claims it when that version fills,
-                // so a claimed multi-batch run costs one pool job total.
-                let input = state.head.share();
-                let output = Lenient::new();
-                let response = Lenient::new();
-                let out = response.clone();
-                let batch = Arc::new(Mutex::new(BatchOps {
-                    relation: relation.clone(),
-                    input,
-                    output: output.clone(),
-                    ops: vec![(seq, query, response)],
-                    sealed: false,
-                    has_job: !pressure,
-                }));
-                state.head = Head::Cell(output);
-                state.open = Some(Arc::clone(&batch));
-                EngineStats::bump(&self.stats.batches_opened);
-
-                if !pressure {
-                    // Spawn while still holding the slot lock: enqueue order
-                    // must respect version order, or a concurrent submitter
-                    // could enqueue a job that waits on `output` ahead of
-                    // this one, and a FIFO worker would stall behind it
-                    // forever.
-                    self.spawn_batch_job(&slot, &batch);
-                }
-                out
-            }
+            Query::Names => Lenient::ready(Response::Names(self.catalog.read().order.clone())),
         }
     }
 
@@ -2009,59 +1593,35 @@ impl PipelinedEngine {
     /// every relation's current head, plus each relation's write sequence
     /// mark (how many writes the cut folds in).
     ///
-    /// All slot locks are held at once (acquired in name order, the same
-    /// discipline as join) while heads are pinned and marks read, so the
-    /// cut is a consistent prefix of every relation's history and the
-    /// marks align exactly with the contents. The assembled database holds
-    /// the engine's *actual* relation values — physical sharing with prior
-    /// cuts is preserved, which is what makes checkpointing a cut
-    /// incremental.
+    /// All slot locks are held at once (see [`Self::pin_many`]) while
+    /// heads are pinned and marks read, so the cut is a consistent prefix
+    /// of every relation's history and the marks align exactly with the
+    /// contents. The assembled database holds the engine's *actual*
+    /// relation values — physical sharing with prior cuts is preserved,
+    /// which is what makes checkpointing a cut incremental.
     pub fn consistent_cut(&self) -> ConsistentCut {
-        let (order, slots, views) = {
+        let (slots, views) = {
             let catalog = self.catalog.read();
-            let slots: Vec<(RelationName, Arc<RelationSlot>)> = catalog
-                .order
-                .iter()
-                .filter_map(|n| catalog.slots.get(n).map(|s| (n.clone(), Arc::clone(s))))
-                .collect();
+            let pick = |n: &RelationName| catalog.slots.get(n).map(Arc::clone);
+            let slots: Vec<Arc<RelationSlot>> = catalog.order.iter().filter_map(pick).collect();
             let views: Vec<Arc<ViewHandle>> = catalog
                 .order
                 .iter()
                 .filter_map(|n| catalog.views.get(n).map(Arc::clone))
                 .collect();
-            (
-                slots.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
-                slots,
-                views,
-            )
+            (slots, views)
         };
 
-        let mut by_name: Vec<usize> = (0..slots.len()).collect();
-        by_name.sort_by(|&a, &b| slots[a].0.as_str().cmp(slots[b].0.as_str()));
-        let mut guards: Vec<Option<MutexGuard<'_, SlotState>>> =
-            slots.iter().map(|_| None).collect();
-        for &i in &by_name {
-            guards[i] = Some(slots[i].1.state.lock());
-        }
-        let pinned: Vec<(Lenient<Relation>, u64)> = guards
-            .iter_mut()
-            .zip(&slots)
-            .map(|(g, (_, slot))| {
-                let state = g.as_mut().expect("guard acquired above");
-                self.seal_and_promote(slot, state);
-                (state.head.share(), state.next_seq)
-            })
-            .collect();
-        drop(guards);
+        let mut marks = vec![0u64; slots.len()];
+        let heads = self.pin_many(&slots, |i, state| marks[i] = state.next_seq);
 
         let mut db = Database::empty();
         let mut seq_marks = HashMap::new();
-        for ((name, (head, mark)), (_, slot)) in order.iter().zip(pinned).zip(&slots) {
-            let rel = head.wait_cloned();
+        for ((slot, head), mark) in slots.iter().zip(heads).zip(marks) {
             db = db
-                .with_relation_value(name.as_str(), rel, slot.schema.clone())
+                .with_relation_value(slot.name.as_str(), head.wait_cloned(), slot.schema.clone())
                 .expect("cut names are unique");
-            seq_marks.insert(name.clone(), mark);
+            seq_marks.insert(slot.name.clone(), mark);
         }
         // Views ride along with their definitions, then one recompute pins
         // their contents to exactly the cut's base values — a propagation
@@ -2340,10 +1900,17 @@ mod tests {
         }
     }
 
+    /// The responses of applying `txns` one after another to `base()` —
+    /// the sequential model every engine run must reproduce.
+    fn sequential(txns: &[Transaction]) -> Vec<Response> {
+        let stream: Stream<Transaction> = txns.iter().cloned().collect();
+        apply_stream(stream, base()).0.collect_vec()
+    }
+
     #[test]
-    fn batches_and_reads_match_classic_engine() {
-        // The coalescing engine and the classic one-job-per-transaction
-        // engine produce identical response sequences.
+    fn batches_and_reads_match_sequential_application() {
+        // Coalesced batches answer each transaction exactly as applying
+        // them one at a time would.
         let queries: Vec<String> = (0..80)
             .map(|i| match i % 7 {
                 0..=2 => format!("insert ({i}, 'x{i}') into R"),
@@ -2354,9 +1921,9 @@ mod tests {
             })
             .collect();
         let txns: Vec<Transaction> = queries.iter().map(|q| txn(q)).collect();
-        let classic = crate::ClassicEngine::new(4, &base()).run(txns.clone());
+        let expected = sequential(&txns);
         let current = PipelinedEngine::new(4, &base()).run(txns);
-        assert_eq!(current, classic);
+        assert_eq!(current, expected);
     }
 
     /// A sink that records every committed record and can be switched to
@@ -2623,7 +2190,7 @@ mod tests {
     }
 
     #[test]
-    fn classic_and_pipelined_agree_on_create_index() {
+    fn create_index_matches_sequential_application() {
         let queries = [
             "insert (1, 'a') into R",
             "insert (2, 'b') into R",
@@ -2633,9 +2200,8 @@ mod tests {
             "create index nope on Missing (#0)",
         ];
         let txns: Vec<Transaction> = queries.iter().map(|q| txn(q)).collect();
-        let classic = crate::ClassicEngine::new(2, &base()).run(txns.to_vec());
         let current = PipelinedEngine::new(2, &base()).run(txns.to_vec());
-        assert_eq!(current, classic);
+        assert_eq!(current, sequential(&txns));
     }
 
     #[test]
@@ -2969,22 +2535,5 @@ mod tests {
         sink.fail.store(false, std::sync::atomic::Ordering::SeqCst);
         let rs = engine.run(vec![txn("create view W as select from S")]);
         assert!(!rs[0].is_error());
-    }
-
-    #[test]
-    fn classic_engine_rejects_views_but_base_traffic_matches() {
-        // The classic engine is the one-job-per-transaction baseline; view
-        // maintenance lives in the pipelined commit path only. Base-table
-        // traffic around a rejected create must still agree.
-        let rs = crate::ClassicEngine::new(2, &base()).run(vec![
-            txn("insert (1, 'eng') into R"),
-            txn("create view Eng as select from R where #1 = 'eng'"),
-            txn("count R"),
-        ]);
-        assert_eq!(
-            rs[1],
-            Response::Error("classic engine does not maintain materialized views".into())
-        );
-        assert_eq!(rs[2], Response::Count(1));
     }
 }

@@ -17,8 +17,6 @@
 //!   actually touches. The frontier is sharded per relation, consecutive
 //!   writes coalesce into one job, and cheap reads of settled versions
 //!   answer inline (see `DESIGN.md`).
-//! * [`engine_classic`] — the same engine before those hot-path
-//!   optimizations, frozen as the before/after benchmark baseline.
 //! * [`locking`] — the conventional two-phase-locking executor the paper
 //!   argues against, as a measurable baseline.
 //! * [`archive`] — complete version archives (Section 3.3): time-travel
@@ -44,7 +42,6 @@ pub mod archive;
 pub mod commit;
 pub mod dataflow;
 pub mod engine;
-pub mod engine_classic;
 pub mod fasthash;
 pub mod locking;
 pub mod primary_copy;
@@ -57,7 +54,6 @@ pub use archive::VersionArchive;
 pub use commit::{CommitSink, FanoutSink};
 pub use dataflow::{AccessShape, CostModel, DataflowCompiler};
 pub use engine::{ConsistentCut, PipelinedEngine};
-pub use engine_classic::ClassicEngine;
 pub use locking::LockingDb;
 pub use primary_copy::OptimisticEngine;
 pub use schedule::{BatchRegime, TrafficTracker, TxnSchedule};

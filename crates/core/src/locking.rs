@@ -16,8 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use fundb_query::ast::{apply_select, compute_aggregate};
-use fundb_query::{Query, Response, Transaction};
+use fundb_query::{exec, Query, Response, Transaction};
 use fundb_relational::{Database, RelationName, Schema, Tuple};
 use parking_lot::RwLock;
 
@@ -101,11 +100,7 @@ impl LockingDb {
                 None => Response::Error(format!("no such relation: {relation}")),
                 Some(r) => {
                     let schema = self.schemas.get(relation).and_then(Option::as_ref);
-                    let scanned = r.read().clone();
-                    match apply_select(scanned, schema, projection, predicate) {
-                        Ok(tuples) => Response::Tuples(tuples),
-                        Err(e) => Response::Error(e),
-                    }
+                    exec::select_rows(r.read().clone(), schema, projection, predicate)
                 }
             },
             Query::Join { left, right, on } => {
@@ -177,13 +172,7 @@ impl LockingDb {
                 None => Response::Error(format!("no such relation: {relation}")),
                 Some(r) => {
                     let schema = self.schemas.get(relation).and_then(Option::as_ref);
-                    match compute_aggregate(&r.read(), schema, *op, field) {
-                        Ok(value) => Response::Aggregate {
-                            op: op.to_string(),
-                            value,
-                        },
-                        Err(e) => Response::Error(e),
-                    }
+                    exec::aggregate(&r.read(), schema, *op, field)
                 }
             },
             Query::Insert { relation, tuple } => match self.relations.get(relation) {

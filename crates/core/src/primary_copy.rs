@@ -25,8 +25,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fundb_query::ast::{apply_select, compute_aggregate};
-use fundb_query::plan::execute_join;
+use fundb_query::exec::{self, Entry};
 use fundb_query::{Query, Response};
 use fundb_relational::{Database, Relation, RelationName, Schema, Tuple};
 use parking_lot::{Mutex, RwLock};
@@ -232,27 +231,16 @@ impl OptimisticEngine {
         }
     }
 
-    /// Convenience: runs a batch of single-relation queries as one atomic
-    /// transaction (the footprint is derived from the queries). `create`
-    /// and `relations` are rejected — the catalog is fixed.
+    /// Convenience: runs a batch of queries as one atomic transaction (the
+    /// footprint is derived from the queries). `create relation`, `create
+    /// view`, `create index` and `relations` are rejected — the catalog is
+    /// fixed.
     pub fn execute_queries(&self, queries: &[Query]) -> (Vec<Response>, u64) {
-        let mut footprint: Vec<RelationName> = queries
-            .iter()
-            .flat_map(|q| q.reads().into_iter().chain(q.writes()))
-            .collect();
-        footprint.sort();
-        footprint.dedup();
-        // Unknown relations or catalog ops: answer without a transaction.
-        if footprint.iter().any(|n| !self.copies.contains_key(n)) {
-            return (
-                queries
-                    .iter()
-                    .map(|q| Response::Error(format!("no such relation in: {q}")))
-                    .collect(),
-                0,
-            );
-        }
-        if queries.iter().any(|q| {
+        let refuse_all = |why: String| {
+            let refused = queries.iter().map(|_| Response::Error(why.clone()));
+            (refused.collect(), 0)
+        };
+        let catalog_op = |q: &Query| {
             matches!(
                 q,
                 Query::Create { .. }
@@ -260,19 +248,25 @@ impl OptimisticEngine {
                     | Query::CreateView { .. }
                     | Query::Names
             )
-        }) {
-            return (
-                queries
-                    .iter()
-                    .map(|_| Response::Error("primary-copy engine has a fixed catalog".into()))
-                    .collect(),
-                0,
-            );
+        };
+        if queries.iter().any(catalog_op) {
+            return refuse_all("primary-copy engine has a fixed catalog".into());
         }
+        let mut footprint: Vec<RelationName> = queries
+            .iter()
+            .flat_map(|q| q.reads().into_iter().chain(q.writes()))
+            .collect();
+        // Unknown relations: answer without a transaction, naming the
+        // first one in statement order as the sequential model would.
+        if let Some(missing) = footprint.iter().find(|n| !self.copies.contains_key(*n)) {
+            return refuse_all(exec::no_such_relation(missing));
+        }
+        footprint.sort();
+        footprint.dedup();
         self.execute(&footprint, |ws| {
             queries
                 .iter()
-                .map(|q| apply_query(ws, q, &self.schemas))
+                .map(|q| apply_query(ws, q, &self.schemas, false))
                 .collect::<Vec<Response>>()
         })
     }
@@ -303,89 +297,39 @@ impl OptimisticEngine {
     }
 }
 
-/// Applies one query inside a workspace (single-relation queries only, as
-/// produced by the parser).
+/// Evaluates one statement — under `explain`, plans it — inside a
+/// workspace: `exec` computes, the workspace is the database it reads
+/// from and stages writes into.
 fn apply_query(
     ws: &mut TxnWorkspace,
     q: &Query,
     schemas: &HashMap<RelationName, Option<Schema>>,
+    explain: bool,
 ) -> Response {
+    let schema = |n: &RelationName| schemas.get(n).and_then(Option::as_ref);
     match q {
-        Query::Insert { relation, tuple } => {
-            ws.insert(relation, tuple.clone());
-            Response::Inserted {
-                relation: relation.clone(),
-                tuple: tuple.clone(),
-            }
-        }
-        Query::Find { relation, key } => Response::Tuples(ws.relation(relation).find(key)),
-        Query::FindRange { relation, lo, hi } => {
-            Response::Tuples(ws.relation(relation).find_range(lo, hi))
-        }
-        Query::Delete { relation, key } => {
-            let (next, removed, _) = ws.relation(relation).delete(key);
-            ws.set_relation(relation, next);
-            Response::Deleted(removed.len())
-        }
-        Query::Replace { relation, tuple } => {
-            let (next, _, _) = ws.relation(relation).delete(tuple.key());
-            let (next, _) = next.insert(tuple.clone());
-            ws.set_relation(relation, next);
-            Response::Inserted {
-                relation: relation.clone(),
-                tuple: tuple.clone(),
-            }
-        }
-        Query::Select {
-            relation,
-            projection,
-            predicate,
-        } => {
-            let schema = schemas.get(relation).and_then(Option::as_ref);
-            match apply_select(ws.relation(relation).scan(), schema, projection, predicate) {
-                Ok(tuples) => Response::Tuples(tuples),
-                Err(e) => Response::Error(e),
-            }
-        }
+        Query::Explain(inner) if !explain => apply_query(ws, inner, schemas, true),
         Query::Join { left, right, on } => {
-            let resolved = match on {
-                None => Ok(None),
-                Some((lf, rf)) => {
-                    let ls = schemas.get(left).and_then(Option::as_ref);
-                    let rs = schemas.get(right).and_then(Option::as_ref);
-                    lf.resolve(ls)
-                        .and_then(|a| rf.resolve(rs).map(|b| Some((a, b))))
-                }
-            };
-            match resolved {
+            let entry = |n: &RelationName| Entry::Base(schema(n).cloned());
+            match exec::resolve_join(left, right, on, entry) {
                 Err(e) => Response::Error(e),
-                Ok(on) => Response::Tuples(execute_join(
-                    &ws.relation(left).clone(),
-                    ws.relation(right),
-                    on,
-                )),
+                Ok(on) if explain => exec::explain_join(ws.relation(left), ws.relation(right), on),
+                Ok(on) => exec::join(ws.relation(left), ws.relation(right), on).0,
             }
         }
-        Query::Count { relation } => Response::Count(ws.relation(relation).len()),
-        Query::Aggregate {
-            relation,
-            op,
-            field,
-        } => {
-            let schema = schemas.get(relation).and_then(Option::as_ref);
-            match compute_aggregate(&ws.relation(relation).scan(), schema, *op, field) {
-                Ok(value) => Response::Aggregate {
-                    op: op.to_string(),
-                    value,
-                },
-                Err(e) => Response::Error(e),
+        _ if explain => match q.relation().filter(|_| q.is_explainable()) {
+            Some(r) => exec::explain_read(ws.relation(r), schema(r), q, false),
+            None => exec::explain_unsupported(q),
+        },
+        _ => {
+            let relation = q.relation().expect("catalog statements were refused");
+            if q.is_read_only() {
+                return exec::read(ws.relation(relation), schema(relation), q).0;
             }
+            let (next, response) = exec::write(ws.relation(relation), q.clone());
+            ws.set_relation(relation, next);
+            response
         }
-        Query::Create { .. }
-        | Query::CreateIndex { .. }
-        | Query::CreateView { .. }
-        | Query::Names => Response::Error("catalog queries are not transactional here".into()),
-        Query::Explain(_) => Response::Error("explain is not transactional here".into()),
     }
 }
 

@@ -287,3 +287,42 @@ proptest! {
         prop_assert_eq!(rs[0].tuples().expect("view find answers tuples").len(), 1);
     }
 }
+
+/// A view's name is taken: `create relation` over it is refused before it
+/// reaches the log, so no base relation shadows the view, writes aimed at
+/// the name are refused rather than acknowledged and lost, and the state
+/// before and after a restart is the sequential model's.
+#[test]
+fn create_relation_over_a_view_is_refused_and_restart_matches_the_model() {
+    let statements = [
+        "create relation R as tree",
+        "insert (1, 10) into R",
+        "create view V as select from R where #1 > 5",
+        "create relation V as tree",
+        "insert (99, 99) into V",
+        "insert (2, 20) into R",
+        "find 99 in V",
+        "relations",
+    ];
+    let (mut model, mut want) = (Database::empty(), Vec::new());
+    for q in statements {
+        let (response, next) = tx(q).apply(&model);
+        want.push(response);
+        model = next;
+    }
+    assert_eq!(want[3].to_string(), "error: relation already exists: V");
+
+    let tmp = ScratchDir::new("create-over-view");
+    let (engine, _) = DurableEngine::open(tmp.path(), 2).unwrap();
+    for (q, want) in statements.iter().zip(&want) {
+        assert_eq!(&engine.run([tx(q)])[0], want, "{q}");
+    }
+    assert!(db_equal(&engine.snapshot(), &model));
+    drop(engine);
+
+    let (engine, _) = DurableEngine::open(tmp.path(), 2).unwrap();
+    assert!(db_equal(&engine.snapshot(), &model));
+    for (q, want) in statements.iter().zip(&want).skip(6) {
+        assert_eq!(&engine.run([tx(q)])[0], want, "after restart: {q}");
+    }
+}

@@ -544,13 +544,57 @@ impl Query {
             | Query::Count { relation }
             | Query::Aggregate { relation, .. } => vec![relation.clone()],
             Query::Join { left, right, .. } => vec![left.clone(), right.clone()],
-            Query::Explain(inner) => inner.reads(),
+            // An `explain` of anything else is refused on sight.
+            Query::Explain(inner) if inner.is_explainable() => inner.reads(),
+            Query::Explain(_) => Vec::new(),
             Query::Insert { relation, .. }
             | Query::Delete { relation, .. }
             | Query::Replace { relation, .. } => vec![relation.clone()],
             Query::CreateView { spec, .. } => spec.reads(),
             Query::Create { .. } | Query::CreateIndex { .. } | Query::Names => Vec::new(),
         }
+    }
+
+    /// The relation a single-relation statement names: the five reads,
+    /// the three data writes and `create index`. `None` for joins,
+    /// `explain` and the catalog statements, which a scheduler places by
+    /// other means.
+    pub fn relation(&self) -> Option<&RelationName> {
+        match self {
+            Query::Find { relation, .. }
+            | Query::FindRange { relation, .. }
+            | Query::Select { relation, .. }
+            | Query::Count { relation }
+            | Query::Aggregate { relation, .. }
+            | Query::Insert { relation, .. }
+            | Query::Delete { relation, .. }
+            | Query::Replace { relation, .. }
+            | Query::CreateIndex { relation, .. } => Some(relation),
+            Query::Join { .. }
+            | Query::Explain(_)
+            | Query::Create { .. }
+            | Query::CreateView { .. }
+            | Query::Names => None,
+        }
+    }
+
+    /// `true` for the statements `explain` can plan: `select`, `find`,
+    /// `find … to …` and `join`.
+    pub fn is_explainable(&self) -> bool {
+        matches!(
+            self,
+            Query::Select { .. }
+                | Query::Find { .. }
+                | Query::FindRange { .. }
+                | Query::Join { .. }
+        )
+    }
+
+    /// `true` for the reads that cost one probe or less — `find` is one
+    /// descent, `count` a stored counter — which a scheduler may answer
+    /// inline on the submitting thread instead of queueing.
+    pub fn is_point_read(&self) -> bool {
+        matches!(self, Query::Find { .. } | Query::Count { .. })
     }
 
     /// Relations this query writes.

@@ -69,6 +69,7 @@
 
 pub mod ast;
 pub mod error;
+pub mod exec;
 pub mod parser;
 pub mod plan;
 pub mod response;

@@ -3,202 +3,175 @@
 //! "`translate` must parse the query and produce a function which is the
 //! transaction itself. Here is where a language capability for
 //! 'higher-order' (or function-producing) functions is very useful."
-//! (Section 2.1.) In Rust the produced function is a shared closure over
-//! the parsed AST; applying it to a database yields `(response, database')`
-//! without touching the input value.
+//! (Section 2.1.) The produced function is [`Transaction::apply`] with the
+//! query bound: applying it to a database yields `(response, database')`
+//! without touching the input value. All it does itself is look the
+//! statement's relations up in the [`Database`]; evaluation is
+//! [`exec`]'s, the same code every engine calls.
 
 use std::fmt;
 use std::sync::Arc;
 
-use fundb_relational::{Database, RelationName, ViewDef};
+use fundb_relational::{Database, RelationName};
 
-use crate::ast::{compute_aggregate, FieldRef, Predicate, Query, ViewSpec};
-use crate::plan::{choose_join_strategy, execute_join, execute_select, explain_select};
+use crate::ast::{FieldRef, Query};
+use crate::exec::{self, Entry};
 use crate::response::Response;
 
-/// Resolves a join's `on` clause to positions: the left field against the
-/// left schema, the right field against the right schema.
-fn resolve_join_on(
+/// What `name` resolves to in `db`'s catalog.
+fn entry(db: &Database, name: &RelationName) -> Entry {
+    match db.view_def(name) {
+        Err(_) => Entry::Missing,
+        Ok(Some(_)) => Entry::View,
+        Ok(None) => Entry::Base(db.schema(name).ok().flatten().cloned()),
+    }
+}
+
+/// Evaluates — or, under `explain`, plans — the single-relation read `q`
+/// against the relation it names. `substituted` marks a view standing in
+/// for the relation the statement was written against.
+fn answer(db: &Database, q: &Query, explain: bool, substituted: bool) -> Response {
+    let source = q.relation().expect("single-relation read");
+    let Ok(rel) = db.relation(source) else {
+        return Response::Error(exec::no_such_relation(source));
+    };
+    let schema = db.schema(source).ok().flatten();
+    if explain {
+        exec::explain_read(rel, schema, q, substituted)
+    } else {
+        exec::read(rel, schema, q).0
+    }
+}
+
+/// A single-relation read, or its plan. A select that a view materializes
+/// exactly is answered from the view's maintained contents, so the filter
+/// never runs again.
+fn read(db: &Database, q: &Query, explain: bool) -> Response {
+    if let Query::Select {
+        relation,
+        projection,
+        predicate,
+    } = q
+    {
+        let schema = db.schema(relation).ok().flatten();
+        if let Some(view) = exec::matching_select_view(db.view_defs(), relation, predicate, schema)
+        {
+            let scan = exec::view_scan(view, projection.clone());
+            return answer(db, &scan, explain, true);
+        }
+    }
+    answer(db, q, explain, false)
+}
+
+/// A join, or its plan. A view materializing exactly this join is already
+/// the answer.
+fn join(
     db: &Database,
     left: &RelationName,
     right: &RelationName,
     on: &Option<(FieldRef, FieldRef)>,
-) -> Result<Option<(usize, usize)>, String> {
-    match on {
-        None => Ok(None),
-        Some((lf, rf)) => {
-            let ls = db.schema(left).map_err(|e| e.to_string())?;
-            let rs = db.schema(right).map_err(|e| e.to_string())?;
-            Ok(Some((lf.resolve(ls)?, rf.resolve(rs)?)))
-        }
-    }
-}
-
-/// Resolves a `create view` spec against the current database's schemas,
-/// producing the positional [`ViewDef`] the relational layer maintains.
-/// Resolution happens at execution time (like predicate resolution): the
-/// base schemas belong to the database version the DDL runs against.
-///
-/// # Errors
-///
-/// A message when a base relation is missing or a field reference cannot
-/// be resolved.
-pub fn resolve_view_spec(db: &Database, spec: &ViewSpec) -> Result<ViewDef, String> {
-    match spec {
-        ViewSpec::Select {
-            relation,
-            predicate,
-        } => {
-            let schema = db.schema(relation).map_err(|e| e.to_string())?;
-            let filter = match predicate {
-                None => None,
-                Some(p) => Some(p.to_view_filter(schema)?),
-            };
-            Ok(ViewDef::Select {
-                base: relation.clone(),
-                filter,
-            })
-        }
-        ViewSpec::Join {
-            left,
-            right,
-            on: (lf, rf),
-        } => {
-            let ls = db.schema(left).map_err(|e| e.to_string())?;
-            let rs = db.schema(right).map_err(|e| e.to_string())?;
-            Ok(ViewDef::Join {
-                left: left.clone(),
-                right: right.clone(),
-                left_field: lf.resolve(ls)?,
-                right_field: rf.resolve(rs)?,
-            })
-        }
-        ViewSpec::Count { relation, group } => {
-            let s = db.schema(relation).map_err(|e| e.to_string())?;
-            Ok(ViewDef::GroupCount {
-                base: relation.clone(),
-                group: group.resolve(s)?,
-            })
-        }
-        ViewSpec::Sum {
-            relation,
-            field,
-            group,
-        } => {
-            let s = db.schema(relation).map_err(|e| e.to_string())?;
-            Ok(ViewDef::GroupSum {
-                base: relation.clone(),
-                field: field.resolve(s)?,
-                group: group.resolve(s)?,
-            })
-        }
-    }
-}
-
-/// A materialized view whose definition is exactly `select from relation
-/// where predicate`, if one exists: the select can then be answered from
-/// the view's contents without re-filtering (the view holds whole base
-/// rows, so any projection still applies). Returns `None` rather than
-/// erroring when the predicate cannot be lowered — substitution is an
-/// optimization, never a requirement.
-pub fn matching_select_view(
-    db: &Database,
-    relation: &RelationName,
-    predicate: &Option<Predicate>,
-) -> Option<RelationName> {
-    let views = db.views();
-    if views.is_empty() {
-        return None;
-    }
-    let schema = db.schema(relation).ok().flatten();
-    let want = match predicate {
-        None => None,
-        Some(p) => Some(p.to_view_filter(schema).ok()?),
+    explain: bool,
+) -> Response {
+    let on = match exec::resolve_join(left, right, on, |n| entry(db, n)) {
+        Ok(on) => on,
+        Err(e) => return Response::Error(e),
     };
-    views
-        .into_iter()
-        .find_map(|(name, def)| match def.as_ref() {
-            ViewDef::Select { base, filter } if base == relation && *filter == want => Some(name),
-            _ => None,
-        })
+    if let Some(view) = exec::matching_join_view(db.view_defs(), left, right, on) {
+        return answer(db, &exec::view_scan(view, None), explain, true);
+    }
+    let rel = |n: &RelationName| db.relation(n).expect("resolve_join found both operands");
+    if explain {
+        exec::explain_join(rel(left), rel(right), on)
+    } else {
+        exec::join(rel(left), rel(right), on).0
+    }
 }
 
-/// A materialized view whose definition is exactly `join left with right`
-/// on the given (resolved) attribute pair, if one exists. `None` join
-/// positions mean the key-key join, which a view on `#0 = #0` covers.
-pub fn matching_join_view(
-    db: &Database,
-    left: &RelationName,
-    right: &RelationName,
-    on: Option<(usize, usize)>,
-) -> Option<RelationName> {
-    let on = on.unwrap_or((0, 0));
-    db.views()
-        .into_iter()
-        .find_map(|(name, def)| match def.as_ref() {
-            ViewDef::Join {
-                left: l,
-                right: r,
-                left_field,
-                right_field,
-            } if l == left && r == right && (*left_field, *right_field) == on => Some(name),
-            _ => None,
-        })
+/// A single-relation write: `exec` computes the successor relation value,
+/// the database lands it and maintains the dependent views.
+fn write(db: &Database, q: &Query) -> (Response, Database) {
+    let relation = q.relation().expect("single-relation write");
+    let q = match q {
+        Query::CreateIndex { name, fields, .. } => {
+            match exec::resolve_index(relation, name, fields, |n| entry(db, n)) {
+                Ok(resolved) => resolved,
+                Err(e) => return (Response::Error(e), db.clone()),
+            }
+        }
+        _ => q.clone(),
+    };
+    let op = exec::batch_op(&q);
+    match db.write_with(relation, op.as_slice(), |rel| exec::write(rel, q)) {
+        Ok((next, response)) => (response, next),
+        Err(e) => (Response::Error(e.to_string()), db.clone()),
+    }
 }
 
-/// Plans (without executing) the query inside an `explain`, returning the
-/// chosen access path or join strategy and its estimated cardinality.
-fn explain_query(db: &Database, inner: &Query) -> Result<(String, usize), String> {
-    match inner {
-        Query::Select {
+/// The catalog statements, which change (or list) the name space itself.
+fn catalog(db: &Database, q: &Query) -> Result<(Response, Database), String> {
+    match q {
+        Query::Create {
             relation,
-            projection,
-            predicate,
+            schema,
+            repr,
         } => {
-            if let Some(vname) = matching_select_view(db, relation, predicate) {
-                let view = db.relation(&vname).map_err(|e| e.to_string())?;
-                return Ok((format!("materialized view scan on {vname}"), view.len()));
-            }
-            let rel = db.relation(relation).map_err(|e| e.to_string())?;
-            let schema = db.schema(relation).ok().flatten();
-            let (path, est) = explain_select(rel, schema, projection, predicate)?;
-            Ok((path.to_string(), est))
+            let schema = exec::parse_schema(schema)?;
+            let next = db
+                .create_relation_with_schema(relation.clone(), repr.to_repr(), schema)
+                .map_err(|e| e.to_string())?;
+            Ok((Response::Created(relation.clone()), next))
         }
-        Query::Join { left, right, on } => {
-            let on = resolve_join_on(db, left, right, on)?;
-            if let Some(vname) = matching_join_view(db, left, right, on) {
-                let view = db.relation(&vname).map_err(|e| e.to_string())?;
-                return Ok((format!("materialized view scan on {vname}"), view.len()));
-            }
-            let l = db.relation(left).map_err(|e| e.to_string())?;
-            let r = db.relation(right).map_err(|e| e.to_string())?;
-            let (strategy, est) = choose_join_strategy(l, r, on);
-            Ok((strategy.to_string(), est))
-        }
-        Query::Find { relation, key } => {
-            db.relation(relation).map_err(|e| e.to_string())?;
-            Ok((format!("key eq find (#0 = {key})"), 1))
-        }
-        Query::FindRange { relation, lo, hi } => {
-            let rel = db.relation(relation).map_err(|e| e.to_string())?;
+        Query::CreateView { name, spec } => {
+            let def = exec::resolve_view_spec(spec, |n| entry(db, n))?;
+            let next = db
+                .create_view(name.clone(), def)
+                .map_err(|e| e.to_string())?;
+            let rows = next.relation(name).map(|r| r.len()).unwrap_or(0);
             Ok((
-                format!("key range find (#0 in {lo}..{hi})"),
-                (rel.len() / 4).max(1),
+                Response::ViewCreated {
+                    name: name.clone(),
+                    rows,
+                },
+                next,
             ))
         }
-        other => Err(format!(
-            "explain supports select, join and find, not '{other}'"
-        )),
+        Query::Names => Ok((Response::Names(db.relation_names()), db.clone())),
+        other => unreachable!("not a catalog statement: {other}"),
     }
 }
 
-type TransactionFn = dyn Fn(&Database) -> (Response, Database) + Send + Sync;
+/// `database -> (response, database)` for one statement.
+fn run(db: &Database, q: &Query) -> (Response, Database) {
+    match q {
+        Query::Find { .. }
+        | Query::FindRange { .. }
+        | Query::Select { .. }
+        | Query::Count { .. }
+        | Query::Aggregate { .. } => (read(db, q, false), db.clone()),
+        Query::Join { left, right, on } => (join(db, left, right, on, false), db.clone()),
+        Query::Explain(inner) => {
+            let plan = match inner.as_ref() {
+                Query::Join { left, right, on } => join(db, left, right, on, true),
+                read_stmt if read_stmt.is_explainable() => read(db, read_stmt, true),
+                other => exec::explain_unsupported(other),
+            };
+            (plan, db.clone())
+        }
+        Query::Insert { .. }
+        | Query::Delete { .. }
+        | Query::Replace { .. }
+        | Query::CreateIndex { .. } => write(db, q),
+        Query::Create { .. } | Query::CreateView { .. } | Query::Names => {
+            catalog(db, q).unwrap_or_else(|e| (Response::Error(e), db.clone()))
+        }
+    }
+}
 
 /// A transaction: a pure function `database -> (response, database)`,
 /// packaged with the read/write sets derived from its source query.
 ///
-/// Cloning is O(1); transactions are freely shared between threads, streams
-/// and simulator passes.
+/// Cloning is cheap; transactions are freely shared between threads,
+/// streams and simulator passes.
 ///
 /// # Example
 ///
@@ -215,7 +188,6 @@ type TransactionFn = dyn Fn(&Database) -> (Response, Database) + Send + Sync;
 /// ```
 #[derive(Clone)]
 pub struct Transaction {
-    func: Arc<TransactionFn>,
     query: Query,
     reads: Arc<[RelationName]>,
     writes: Arc<[RelationName]>,
@@ -238,7 +210,7 @@ impl Transaction {
     /// database version. The input database is not modified (it cannot be:
     /// it is immutable); failed transactions return it as the successor.
     pub fn apply(&self, db: &Database) -> (Response, Database) {
-        (self.func)(db)
+        run(db, &self.query)
     }
 
     /// The source query.
@@ -247,9 +219,8 @@ impl Transaction {
     }
 
     /// Consumes the transaction, returning the source query without a
-    /// clone. Executors that interpret the query themselves (rather than
-    /// calling [`apply`](Self::apply)) use this to drop the closure and
-    /// keep only the AST.
+    /// clone — what an engine, which schedules the statement itself and
+    /// evaluates it through [`exec`], keeps.
     pub fn into_query(self) -> Query {
         self.query
     }
@@ -272,201 +243,10 @@ impl Transaction {
 
 /// Produces the transaction function for a query — the paper's `translate`.
 pub fn translate(query: Query) -> Transaction {
-    let reads: Arc<[RelationName]> = query.reads().into();
-    let writes: Arc<[RelationName]> = query.writes().into();
-    let q = query.clone();
-    let func: Arc<TransactionFn> = match query.clone() {
-        Query::Insert { relation, tuple } => {
-            Arc::new(move |db| match db.insert(&relation, tuple.clone()) {
-                Ok((db2, _report)) => (
-                    Response::Inserted {
-                        relation: relation.clone(),
-                        tuple: tuple.clone(),
-                    },
-                    db2,
-                ),
-                Err(e) => (Response::Error(e.to_string()), db.clone()),
-            })
-        }
-        Query::Find { relation, key } => Arc::new(move |db| match db.find(&relation, &key) {
-            Ok(tuples) => (Response::Tuples(tuples), db.clone()),
-            Err(e) => (Response::Error(e.to_string()), db.clone()),
-        }),
-        Query::FindRange { relation, lo, hi } => {
-            Arc::new(move |db| match db.find_range(&relation, &lo, &hi) {
-                Ok(tuples) => (Response::Tuples(tuples), db.clone()),
-                Err(e) => (Response::Error(e.to_string()), db.clone()),
-            })
-        }
-        Query::Delete { relation, key } => Arc::new(move |db| match db.delete(&relation, &key) {
-            Ok((db2, removed)) => (Response::Deleted(removed.len()), db2),
-            Err(e) => (Response::Error(e.to_string()), db.clone()),
-        }),
-        Query::Replace { relation, tuple } => Arc::new(move |db| {
-            let key = tuple.key().clone();
-            match db.delete(&relation, &key) {
-                Ok((db2, _removed)) => match db2.insert(&relation, tuple.clone()) {
-                    Ok((db3, _)) => (
-                        Response::Inserted {
-                            relation: relation.clone(),
-                            tuple: tuple.clone(),
-                        },
-                        db3,
-                    ),
-                    Err(e) => (Response::Error(e.to_string()), db.clone()),
-                },
-                Err(e) => (Response::Error(e.to_string()), db.clone()),
-            }
-        }),
-        Query::Select {
-            relation,
-            projection,
-            predicate,
-        } => Arc::new(move |db| {
-            // A view materializing exactly this select answers directly;
-            // its contents are maintained, not recomputed, so the filter
-            // never runs again.
-            let (source, predicate) = match matching_select_view(db, &relation, &predicate) {
-                Some(vname) => (vname, None),
-                None => (relation.clone(), predicate.clone()),
-            };
-            let rel = match db.relation(&source) {
-                Ok(rel) => rel,
-                Err(e) => return (Response::Error(e.to_string()), db.clone()),
-            };
-            let schema = db.schema(&source).ok().flatten();
-            match execute_select(rel, schema, &projection, &predicate) {
-                Ok(tuples) => (Response::Tuples(tuples), db.clone()),
-                Err(e) => (Response::Error(e), db.clone()),
-            }
-        }),
-        Query::Create {
-            relation,
-            schema,
-            repr,
-        } => Arc::new(move |db| {
-            let parsed_schema = match &schema {
-                None => None,
-                Some(attrs) => match fundb_relational::Schema::new(attrs) {
-                    Ok(s) => Some(s),
-                    Err(e) => return (Response::Error(e.to_string()), db.clone()),
-                },
-            };
-            match db.create_relation_with_schema(relation.clone(), repr.to_repr(), parsed_schema) {
-                Ok(db2) => (Response::Created(relation.clone()), db2),
-                Err(e) => (Response::Error(e.to_string()), db.clone()),
-            }
-        }),
-        Query::CreateIndex {
-            relation,
-            name,
-            fields,
-        } => Arc::new(move |db| {
-            let schema = match db.schema(&relation) {
-                Ok(s) => s,
-                Err(e) => return (Response::Error(e.to_string()), db.clone()),
-            };
-            let mut positions = Vec::with_capacity(fields.len());
-            for field in &fields {
-                match field.resolve(schema) {
-                    Ok(pos) => positions.push(pos),
-                    Err(e) => return (Response::Error(e), db.clone()),
-                }
-            }
-            match db.create_index_multi(&relation, &name, &positions) {
-                Ok(db2) => (
-                    Response::IndexCreated {
-                        relation: relation.clone(),
-                        name: name.clone(),
-                    },
-                    db2,
-                ),
-                Err(e) => (Response::Error(e.to_string()), db.clone()),
-            }
-        }),
-        Query::CreateView { name, spec } => Arc::new(move |db| {
-            let def = match resolve_view_spec(db, &spec) {
-                Ok(def) => def,
-                Err(e) => return (Response::Error(e), db.clone()),
-            };
-            match db.create_view(name.clone(), def) {
-                Ok(db2) => {
-                    let rows = db2.relation(&name).map(|r| r.len()).unwrap_or(0);
-                    (
-                        Response::ViewCreated {
-                            name: name.clone(),
-                            rows,
-                        },
-                        db2,
-                    )
-                }
-                Err(e) => (Response::Error(e.to_string()), db.clone()),
-            }
-        }),
-        Query::Join { left, right, on } => Arc::new(move |db| {
-            let on = match resolve_join_on(db, &left, &right, &on) {
-                Ok(on) => on,
-                Err(e) => return (Response::Error(e), db.clone()),
-            };
-            // A view materializing exactly this join is already the answer.
-            if let Some(vname) = matching_join_view(db, &left, &right, on) {
-                return match db.relation(&vname) {
-                    Ok(view) => (Response::Tuples(view.scan()), db.clone()),
-                    Err(e) => (Response::Error(e.to_string()), db.clone()),
-                };
-            }
-            let l = match db.relation(&left) {
-                Ok(rel) => rel,
-                Err(e) => return (Response::Error(e.to_string()), db.clone()),
-            };
-            let r = match db.relation(&right) {
-                Ok(rel) => rel,
-                Err(e) => return (Response::Error(e.to_string()), db.clone()),
-            };
-            (Response::Tuples(execute_join(l, r, on)), db.clone())
-        }),
-        Query::Explain(inner) => Arc::new(move |db| match explain_query(db, &inner) {
-            Ok((plan, estimated_rows)) => (
-                Response::Plan {
-                    plan,
-                    estimated_rows,
-                },
-                db.clone(),
-            ),
-            Err(e) => (Response::Error(e), db.clone()),
-        }),
-        Query::Count { relation } => Arc::new(move |db| match db.relation(&relation) {
-            Ok(rel) => (Response::Count(rel.len()), db.clone()),
-            Err(e) => (Response::Error(e.to_string()), db.clone()),
-        }),
-        Query::Aggregate {
-            relation,
-            op,
-            field,
-        } => Arc::new(move |db| {
-            let rel = match db.relation(&relation) {
-                Ok(rel) => rel,
-                Err(e) => return (Response::Error(e.to_string()), db.clone()),
-            };
-            let schema = db.schema(&relation).ok().flatten();
-            match compute_aggregate(&rel.scan(), schema, op, &field) {
-                Ok(value) => (
-                    Response::Aggregate {
-                        op: op.to_string(),
-                        value,
-                    },
-                    db.clone(),
-                ),
-                Err(e) => (Response::Error(e), db.clone()),
-            }
-        }),
-        Query::Names => Arc::new(move |db| (Response::Names(db.relation_names()), db.clone())),
-    };
     Transaction {
-        func,
-        query: q,
-        reads,
-        writes,
+        reads: query.reads().into(),
+        writes: query.writes().into(),
+        query,
     }
 }
 

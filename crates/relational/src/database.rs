@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use fundb_persist::{CopyReport, PList};
 
+use crate::batch::{batch_transitions, BatchOp};
 use crate::index::KeyTransition;
 use crate::relation::{Relation, Repr};
 use crate::schema::Schema;
@@ -456,6 +457,41 @@ impl Database {
         Ok(db)
     }
 
+    /// Replaces base relation `name`'s value with `f(current)`, then
+    /// maintains every dependent view from `ops` — the data operations the
+    /// new value folds in, in application order (none for an update that
+    /// changes no rows, such as an index build). This is how a statement
+    /// executor that works on relation *values* lands its result: the
+    /// update itself is the caller's, the spine re-consing and the view
+    /// pass are the database's.
+    ///
+    /// # Errors
+    ///
+    /// [`DatabaseError::NoSuchRelation`] if absent,
+    /// [`DatabaseError::WriteToView`] if `name` is a view.
+    pub fn write_with<T>(
+        &self,
+        name: &RelationName,
+        ops: &[BatchOp],
+        f: impl FnOnce(&Relation) -> (Relation, T),
+    ) -> Result<(Database, T), DatabaseError> {
+        self.reject_view_write(name)?;
+        let transitions = if !ops.is_empty() && self.has_dependent_views(name) {
+            batch_transitions(self.relation(name)?, ops)
+        } else {
+            Vec::new()
+        };
+        let (db, _, extra) = self.update_relation(name, |rel| {
+            let (r2, extra) = f(rel);
+            (r2, CopyReport::default(), extra)
+        })?;
+        if transitions.is_empty() {
+            Ok((db, extra))
+        } else {
+            Ok((db.propagate_to_views(name, &transitions), extra))
+        }
+    }
+
     /// Applies a functional update to one relation, re-consing the spine up
     /// to its entry (the paper's partial physical reconstruction).
     fn update_relation<T>(
@@ -567,6 +603,14 @@ impl Database {
             .find(|e| &e.name == name)
             .map(|e| e.view.as_deref())
             .ok_or_else(|| DatabaseError::NoSuchRelation(name.clone()))
+    }
+
+    /// Every view with its definition, in spine order, borrowed — what a
+    /// per-statement substitution probe walks without allocating.
+    pub fn view_defs(&self) -> impl Iterator<Item = (&RelationName, &ViewDef)> {
+        self.entries
+            .iter()
+            .filter_map(|e| e.view.as_deref().map(|v| (&e.name, v)))
     }
 
     /// Every view in the database, in spine order, with its definition.

@@ -4,7 +4,7 @@
 //! walks the regime boundaries gets exactly the sequential answers, on
 //! every relation representation.
 
-use fundb::core::{ClassicEngine, PipelinedEngine};
+use fundb::core::PipelinedEngine;
 use fundb::prelude::*;
 use fundb::workload::PhasedSpec;
 use proptest::prelude::*;
@@ -42,8 +42,7 @@ proptest! {
     /// The adaptive scheduler crosses every regime boundary under this
     /// workload — read-dominated (bypass + frontier hits), write burst
     /// (coalesce), then an even mix — and must still answer exactly like
-    /// the one-job-per-transaction classic engine and like sequential
-    /// application, for every representation and pool width.
+    /// sequential application, for every representation and pool width.
     #[test]
     fn phased_workload_is_prefix_exact_across_regime_switches(
         seed in 0u64..10_000,
@@ -57,8 +56,6 @@ proptest! {
         let txns = merged_order(&spec);
 
         let expected = sequential_responses(&db, &txns);
-        let classic = ClassicEngine::new(workers, &db).run(txns.iter().cloned());
-        prop_assert_eq!(&classic, &expected, "classic vs sequential ({:?})", repr);
         let adaptive = PipelinedEngine::new(workers, &db).run(txns.iter().cloned());
         prop_assert_eq!(&adaptive, &expected, "adaptive vs sequential ({:?})", repr);
     }

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use fundb_core::engine::ConsistentCut;
 use fundb_core::{CommitSink, FanoutSink, PipelinedEngine};
 use fundb_lenient::Lenient;
-use fundb_query::{parse, translate, Query, Response, Transaction};
-use fundb_relational::{Database, RelationName};
+use fundb_query::{exec, parse, translate, Query, Response, Transaction};
+use fundb_relational::{BatchOp, Database, RelationName};
 use parking_lot::Mutex;
 
 use crate::checkpoint::{self, CheckpointStats, CheckpointWriter};
@@ -113,6 +113,11 @@ pub struct ReplayedState {
 /// are skipped, and applying one advances the mark to `seq + 1`, so
 /// overlapping sources (a checkpoint plus a log tail, or a snapshot plus a
 /// shipped stream) fold to the same state.
+///
+/// Consecutive data writes on one relation go through the batch kernel as
+/// one run, as the engine that logged them committed them; DDL, an index
+/// build or a write on another relation ends the run. The state is the
+/// one the record-by-record fold gives.
 pub fn replay_records<'a>(
     db: Database,
     marks: HashMap<RelationName, u64>,
@@ -122,6 +127,7 @@ pub fn replay_records<'a>(
     let mut marks = marks;
     let mut replayed = 0usize;
     let mut skipped = 0usize;
+    let mut run = WriteRun::default();
     for record in records {
         match record {
             WalRecord::Create { query } => {
@@ -131,6 +137,7 @@ pub fn replay_records<'a>(
                     Query::CreateView { name, .. } => name.clone(),
                     _ => return Err(invalid_data("create record holds a non-create query")),
                 };
+                db = run.land(db);
                 // Idempotent: the crash may have been after the create
                 // reached a checkpoint but before log GC. A replayed
                 // `create view` re-materializes from the bases as replayed
@@ -155,19 +162,57 @@ pub fn replay_records<'a>(
                     continue;
                 }
                 let q = parse(query).map_err(invalid_data)?;
-                let (_, next) = translate(q).apply(&db);
-                db = next;
+                match (exec::batch_op(&q), q.relation()) {
+                    (Some(op), Some(target)) => {
+                        if run.relation.as_ref() != Some(target) {
+                            db = run.land(db);
+                            run.relation = Some(target.clone());
+                        }
+                        run.ops.push(op);
+                    }
+                    _ => {
+                        db = run.land(db);
+                        let (_, next) = translate(q).apply(&db);
+                        db = next;
+                    }
+                }
                 marks.insert(name, seq + 1);
                 replayed += 1;
             }
         }
     }
     Ok(ReplayedState {
-        database: db,
+        database: run.land(db),
         seq_marks: marks,
         replayed,
         skipped,
     })
+}
+
+/// The data writes of consecutive log records on one relation, not yet
+/// applied.
+#[derive(Default)]
+struct WriteRun {
+    relation: Option<RelationName>,
+    ops: Vec<BatchOp>,
+}
+
+impl WriteRun {
+    /// Applies the run to `db` as one batch and empties it. A relation
+    /// that is missing or is a view refuses the run, as it refuses each
+    /// write alone.
+    fn land(&mut self, db: Database) -> Database {
+        let Some(relation) = self.relation.take() else {
+            return db;
+        };
+        let ops = &self.ops;
+        let landed = db.write_with(&relation, ops, |rel| (rel.apply_batch(ops).0, ()));
+        self.ops.clear();
+        match landed {
+            Ok((next, ())) => next,
+            Err(_) => db,
+        }
+    }
 }
 
 /// The records of `records` that [`replay_records`] would *apply* on top

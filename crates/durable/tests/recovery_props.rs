@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use fundb_durable::fault::{append_garbage, flip_bit, truncate_at};
-use fundb_durable::{DurableEngine, ScratchDir, Wal, WalRecord};
+use fundb_durable::{replay_records, DurableEngine, ScratchDir, Wal, WalRecord};
 use fundb_query::{parse, translate, Transaction};
 use fundb_relational::{eval_view, Database, ViewDef};
 use proptest::prelude::*;
@@ -325,4 +325,86 @@ fn create_relation_over_a_view_is_refused_and_restart_matches_the_model() {
     for (q, want) in statements.iter().zip(&want).skip(6) {
         assert_eq!(&engine.run([tx(q)])[0], want, "after restart: {q}");
     }
+}
+
+/// Replay lands runs of data writes through the batch kernel. DDL in the
+/// middle of a run — an index build, a view, another relation's writes, a
+/// write the relation refuses — must take effect exactly where the log has
+/// it: the state, the index and the view are the record-by-record fold's.
+#[test]
+fn replay_batches_write_runs_around_ddl_like_the_sequential_fold() {
+    let mut seqs: HashMap<&str, u64> = HashMap::new();
+    let mut write = |relation: &'static str, query: String| {
+        let seq = seqs.entry(relation).or_insert(0);
+        *seq += 1;
+        WalRecord::Write {
+            relation: relation.to_string(),
+            seq: *seq - 1,
+            query,
+        }
+    };
+    let create = |query: &str| WalRecord::Create {
+        query: query.to_string(),
+    };
+    let mut records = vec![
+        create("create relation R as btree(3)"),
+        create("create relation S as tree"),
+    ];
+    for k in 0..30 {
+        records.push(write("R", format!("insert ({k}, 't{}') into R", k % 4)));
+    }
+    records.push(write("R", "insert (7, 'dup') into R".into()));
+    records.push(write("R", "delete 3 from R".into()));
+    records.push(write("R", "create index by_tag on R (#1)".into()));
+    for k in 10..20 {
+        records.push(write("R", format!("replace ({k}, 't{}') in R", k % 3)));
+        records.push(write("R", format!("delete {} from R", k + 10)));
+    }
+    records.push(create("create view V as select from R where #0 > 10"));
+    for k in 25..45 {
+        records.push(write("R", format!("insert ({k}, 't{}') into R", k % 5)));
+        if k % 4 == 0 {
+            records.push(write("S", format!("insert ({k}, {k}) into S")));
+        }
+    }
+    // Writes no engine acknowledges, so none logs — to a view, and to a
+    // relation created only later. They tell a run that stops at the
+    // `create` from one that does not: replay must refuse them as the fold
+    // does.
+    records.push(write("V", "insert (99, 'x') into V".into()));
+    records.push(write("T", "insert 1 into T".into()));
+    records.push(create("create relation T as list"));
+    records.push(write("T", "insert 2 into T".into()));
+    records.push(write("R", "delete 40 from R".into()));
+    records.push(write("R", "replace (41, 't9') in R".into()));
+
+    let model = fold_records(records.clone());
+    let state = replay_records(Database::empty(), HashMap::new(), &records).unwrap();
+    assert_eq!(state.replayed, records.len());
+    assert_eq!(state.skipped, 0);
+    for (relation, next) in &seqs {
+        assert_eq!(state.seq_marks.get(&(*relation).into()), Some(next));
+    }
+    let got = &state.database;
+    assert!(db_equal(got, &model));
+    assert!(got.relation_names().contains(&"V".into()));
+    let (ix, want) = (
+        got.relation(&"R".into()).unwrap().index_on(1).unwrap(),
+        model.relation(&"R".into()).unwrap().index_on(1).unwrap(),
+    );
+    for tag in (0..10).map(|t| format!("t{t}")).chain(["dup".to_string()]) {
+        assert_eq!(
+            ix.keys_eq(&tag.as_str().into()),
+            want.keys_eq(&tag.as_str().into())
+        );
+    }
+
+    // A checkpoint that already holds a prefix: the marks skip it, and the
+    // rest lands on top of it as the fold of the rest does.
+    let split = 40;
+    let prefix = replay_records(Database::empty(), HashMap::new(), &records[..split]).unwrap();
+    let resumed = replay_records(prefix.database, prefix.seq_marks, &records).unwrap();
+    assert_eq!(resumed.skipped, split);
+    assert_eq!(resumed.replayed, records.len() - split);
+    assert!(db_equal(&resumed.database, &model));
 }

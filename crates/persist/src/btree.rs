@@ -6,7 +6,11 @@
 //! be negligible" next to the page-transit time. This module is that
 //! strategy: a copy-on-write B-tree whose node capacity models the page
 //! size. Every update copies one root-to-leaf path of "pages" and shares
-//! the rest, which the `_counted` operations report.
+//! the rest. The write operations ([`BTree::upsert`], [`BTree::remove_copied`],
+//! [`BTree::merge_batch`]) return the number of pages they allocated and
+//! walk nothing else; the `_counted` forms are the same operations followed
+//! by a walk of the result that counts the pages shared — the measurement
+//! behind the `(log n)/n` claim, for benches and tests.
 //!
 //! A functional B-tree in this style was implemented for the paper's group
 //! by Paul Hudak (Section 5); this is the Rust equivalent.
@@ -382,15 +386,21 @@ impl<K: Ord, V> BTree<K, V> {
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// Inserts or replaces `key`, returning the new tree.
     pub fn insert(&self, key: K, value: V) -> BTree<K, V> {
-        self.insert_counted(key, value).0
+        self.upsert(key, |_| value).0
     }
 
-    /// [`insert`](Self::insert) plus a [`CopyReport`] of pages copied versus
-    /// shared (the `shared` count is an O(n) walk; use in benches/tests).
-    pub fn insert_counted(&self, key: K, value: V) -> (BTree<K, V>, CopyReport) {
+    /// Sets `key` to what `f` makes of its current value (`None` when the
+    /// key is absent), in the one descent that copies the path. Returns the
+    /// new tree and the number of pages it allocated — O(log n), nothing is
+    /// walked to measure sharing.
+    pub fn upsert<F: FnOnce(Option<&V>) -> V>(&self, key: K, f: F) -> (BTree<K, V>, u64) {
         let t = self.min_degree;
         let mut copied = 0u64;
-        let replaced = self.contains_key(&key);
+        let mut replaced = false;
+        let f = |old: Option<&V>| {
+            replaced = old.is_some();
+            f(old)
+        };
         let root = if self.root.keys.len() == 2 * t - 1 {
             // Split the root: the only way a B-tree grows in height.
             let (left, mid, right) = split_page(&self.root, t, &mut copied);
@@ -399,42 +409,57 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
                 children: vec![left, right],
             };
             copied += 1;
-            insert_nonfull(&Arc::new(new_root), key, value, t, &mut copied)
+            insert_nonfull(&Arc::new(new_root), key, f, t, &mut copied)
         } else {
-            insert_nonfull(&self.root, key, value, t, &mut copied)
+            insert_nonfull(&self.root, key, f, t, &mut copied)
         };
         let out = BTree {
             root,
             len: if replaced { self.len } else { self.len + 1 },
             min_degree: t,
         };
+        (out, copied)
+    }
+
+    /// [`insert`](Self::insert) plus a [`CopyReport`] of pages copied versus
+    /// shared (the `shared` count is an O(n) walk; use in benches/tests).
+    pub fn insert_counted(&self, key: K, value: V) -> (BTree<K, V>, CopyReport) {
+        let (out, copied) = self.upsert(key, |_| value);
         let shared = out.node_count().saturating_sub(copied);
         (out, CopyReport::new(copied, shared))
     }
 
     /// Removes `key`, returning the new tree and removed value, or `None`
-    /// if absent (in which case no copying has happened).
+    /// if absent.
     pub fn remove(&self, key: &K) -> Option<(BTree<K, V>, V)> {
-        if !self.contains_key(key) {
-            return None;
-        }
+        self.remove_copied(key).map(|(out, value, _)| (out, value))
+    }
+
+    /// [`remove`](Self::remove) plus the number of pages it allocated.
+    pub fn remove_copied(&self, key: &K) -> Option<(BTree<K, V>, V, u64)> {
         let t = self.min_degree;
         let mut removed = None;
         let mut copied = 0u64;
         let mut root = delete_from(&self.root, key, t, &mut removed, &mut copied);
+        let value = removed?;
         // Shrink the root if it emptied out.
         if root.keys.is_empty() && !root.is_leaf() {
             root = root.children[0].clone();
         }
-        let value = removed.expect("contains_key verified presence");
-        Some((
-            BTree {
-                root,
-                len: self.len - 1,
-                min_degree: t,
-            },
-            value,
-        ))
+        let out = BTree {
+            root,
+            len: self.len - 1,
+            min_degree: t,
+        };
+        Some((out, value, copied))
+    }
+
+    /// [`remove`](Self::remove) plus a [`CopyReport`] (the `shared` count is
+    /// an O(n) walk; use in benches/tests).
+    pub fn remove_counted(&self, key: &K) -> Option<(BTree<K, V>, V, CopyReport)> {
+        let (out, value, copied) = self.remove_copied(key)?;
+        let shared = out.node_count().saturating_sub(copied);
+        Some((out, value, CopyReport::new(copied, shared)))
     }
 }
 
@@ -465,10 +490,12 @@ fn split_page<K: Clone, V: Clone>(node: &BNode<K, V>, t: usize, copied: &mut u64
     (Arc::new(left), mid, Arc::new(right))
 }
 
-fn insert_nonfull<K: Ord + Clone, V: Clone>(
+/// Inserts into a page known not to be full; `f` makes the new value of
+/// the key's current one, where the descent finds it.
+fn insert_nonfull<K: Ord + Clone, V: Clone, F: FnOnce(Option<&V>) -> V>(
     node: &Arc<BNode<K, V>>,
     key: K,
-    value: V,
+    f: F,
     t: usize,
     copied: &mut u64,
 ) -> Arc<BNode<K, V>> {
@@ -476,11 +503,12 @@ fn insert_nonfull<K: Ord + Clone, V: Clone>(
     *copied += 1;
     match page.keys.binary_search_by(|(k, _)| k.cmp(&key)) {
         Ok(i) => {
+            let value = f(Some(&page.keys[i].1));
             page.keys[i] = (key, value);
         }
         Err(mut i) => {
             if page.is_leaf() {
-                page.keys.insert(i, (key, value));
+                page.keys.insert(i, (key, f(None)));
             } else {
                 if page.children[i].keys.len() == 2 * t - 1 {
                     let (l, mid, r) = split_page(&page.children[i], t, copied);
@@ -490,6 +518,7 @@ fn insert_nonfull<K: Ord + Clone, V: Clone>(
                     page.children[i] = l;
                     page.children.insert(i + 1, r);
                     if replace {
+                        let value = f(Some(&page.keys[i].1));
                         page.keys[i] = (key, value);
                         return Arc::new(page);
                     }
@@ -497,7 +526,7 @@ fn insert_nonfull<K: Ord + Clone, V: Clone>(
                         i += 1;
                     }
                 }
-                page.children[i] = insert_nonfull(&page.children[i], key, value, t, copied);
+                page.children[i] = insert_nonfull(&page.children[i], key, f, t, copied);
             }
         }
     }
@@ -506,7 +535,9 @@ fn insert_nonfull<K: Ord + Clone, V: Clone>(
 
 /// CLRS-style delete: before descending into a child, guarantee it has at
 /// least `t` entries by borrowing from a sibling or merging. `node` itself
-/// is copied on the way down (path copy).
+/// is copied on the way down (path copy). When `key` is absent `removed`
+/// stays `None` and the result is to be discarded; no page is copied for
+/// such a miss unless a child on the way had to be rebalanced first.
 fn delete_from<K: Ord + Clone, V: Clone>(
     node: &Arc<BNode<K, V>>,
     key: &K,
@@ -514,9 +545,26 @@ fn delete_from<K: Ord + Clone, V: Clone>(
     removed: &mut Option<V>,
     copied: &mut u64,
 ) -> Arc<BNode<K, V>> {
+    let found = node.keys.binary_search_by(|(k, _)| k.cmp(key));
+    if let Err(i) = found {
+        if node.is_leaf() {
+            return node.clone();
+        }
+        if node.children[i].keys.len() >= t {
+            // Nothing to rebalance: look below before copying this page.
+            let child = delete_from(&node.children[i], key, t, removed, copied);
+            if removed.is_none() {
+                return node.clone();
+            }
+            let mut page: BNode<K, V> = (**node).clone();
+            *copied += 1;
+            page.children[i] = child;
+            return Arc::new(page);
+        }
+    }
     let mut page: BNode<K, V> = (**node).clone();
     *copied += 1;
-    match page.keys.binary_search_by(|(k, _)| k.cmp(key)) {
+    match found {
         Ok(i) => {
             if page.is_leaf() {
                 let (_, v) = page.keys.remove(i);
@@ -545,11 +593,6 @@ fn delete_from<K: Ord + Clone, V: Clone>(
             }
         }
         Err(i) => {
-            if page.is_leaf() {
-                // Key absent; caller checks presence first, but stay safe.
-                *copied -= 1;
-                return node.clone();
-            }
             let i = ensure_rich_child(&mut page, i, t, copied);
             page.children[i] = delete_from(&page.children[i], key, t, removed, copied);
         }
@@ -822,9 +865,9 @@ fn insert_entry<K: Ord + Clone, V: Clone>(
             children: vec![left, right],
         });
         *copied += 1;
-        (insert_nonfull(&new_root, key, value, t, copied), h + 1)
+        (insert_nonfull(&new_root, key, |_| value, t, copied), h + 1)
     } else {
-        (insert_nonfull(node, key, value, t, copied), h)
+        (insert_nonfull(node, key, |_| value, t, copied), h)
     }
 }
 
@@ -1037,7 +1080,8 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// one structural pass: `Some(v)` sets the key, `None` removes it if
     /// present. Each page is copied at most once per batch, so `k` nearby
     /// effects cost O(k + touched pages) copies instead of `k` full
-    /// root-to-leaf path copies.
+    /// root-to-leaf path copies. Returns the new tree and the number of
+    /// pages it allocated.
     ///
     /// An empty tree routes through [`BTree::from_sorted_entries`] — the
     /// bulk-load path — so initial loads are O(n).
@@ -1045,7 +1089,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// # Panics
     ///
     /// Panics if batch keys are not strictly ascending.
-    pub fn merge_batch(&self, batch: &[(K, Option<V>)]) -> (BTree<K, V>, CopyReport) {
+    pub fn merge_batch(&self, batch: &[(K, Option<V>)]) -> (BTree<K, V>, u64) {
         crate::batch::assert_ascending(batch);
         let t = self.min_degree;
         if self.is_empty() {
@@ -1055,7 +1099,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
                 .collect();
             let out = BTree::from_sorted_entries(t, entries);
             let copied = out.node_count();
-            return (out, CopyReport::new(copied, 0));
+            return (out, copied);
         }
         let mut copied = 0u64;
         let mut delta = 0i64;
@@ -1074,6 +1118,13 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             len,
             min_degree: t,
         };
+        (out, copied)
+    }
+
+    /// [`merge_batch`](Self::merge_batch) plus a [`CopyReport`] (the
+    /// `shared` count is an O(n) walk; use in benches/tests).
+    pub fn merge_batch_counted(&self, batch: &[(K, Option<V>)]) -> (BTree<K, V>, CopyReport) {
+        let (out, copied) = self.merge_batch(batch);
         let shared = out.node_count().saturating_sub(copied);
         (out, CopyReport::new(copied, shared))
     }
@@ -1404,12 +1455,28 @@ mod tests {
                 let got = tree.remove(&k);
                 let want = model.remove(&k);
                 assert_eq!(got.as_ref().map(|(_, v)| v), want.as_ref(), "step {step}");
+                // The counted form is the same removal plus the walk.
+                let counted = tree.remove_counted(&k);
+                assert_eq!(counted.is_some(), got.is_some(), "step {step}");
+                if let Some((t2, _, report)) = counted {
+                    let (plain, _, copied) = tree.remove_copied(&k).unwrap();
+                    assert_eq!(t2, plain, "step {step}");
+                    assert_eq!(report.copied, copied, "step {step}");
+                    assert_eq!(report.total(), t2.node_count(), "step {step}");
+                    // The whole root-to-leaf path of the result is new.
+                    assert!(copied >= t2.height() as u64, "step {step}");
+                }
                 if let Some((t2, _)) = got {
                     tree = t2;
                 }
             } else {
                 let v = rand();
+                let (counted, report) = tree.insert_counted(k, v);
+                let (plain, copied) = tree.upsert(k, |_| v);
+                assert_eq!(counted, plain, "step {step}");
+                assert_eq!(report.copied, copied, "step {step}");
                 tree = tree.insert(k, v);
+                assert_eq!(tree, plain, "step {step}");
                 model.insert(k, v);
             }
             if step % 500 == 0 {
@@ -1514,7 +1581,10 @@ mod tests {
                     let eff = if rand() % 3 == 0 { None } else { Some(rand()) };
                     batch.push((last, eff));
                 }
-                let (merged, report) = tree.merge_batch(&batch);
+                let (merged, report) = tree.merge_batch_counted(&batch);
+                let (plain, copied) = tree.merge_batch(&batch);
+                assert_eq!(merged, plain, "t={t} round {round}");
+                assert_eq!(report.copied, copied, "t={t} round {round}");
                 for (k, eff) in &batch {
                     match eff {
                         Some(v) => {
@@ -1549,7 +1619,7 @@ mod tests {
                 .map(|k| (k, if k % 5 == 0 { None } else { Some(k * 2) }))
                 .collect();
             let empty: BTree<u32, u32> = BTree::new(t);
-            let (built, report) = empty.merge_batch(&batch);
+            let (built, report) = empty.merge_batch_counted(&batch);
             assert!(built.check_invariants(), "t={t}");
             assert_eq!(built.len(), 240, "t={t}");
             assert_eq!(report.copied, built.node_count(), "t={t}");
@@ -1564,23 +1634,21 @@ mod tests {
         // 256 inserts into one adjacent odd-key region.
         let batch: Vec<(u32, Option<u32>)> =
             (0..256u32).map(|i| (8_000 + i * 2 + 1, Some(i))).collect();
-        let (merged, report) = tree.merge_batch(&batch);
+        let (merged, copied) = tree.merge_batch(&batch);
         assert!(merged.check_invariants());
         assert_eq!(merged.len(), 10_256);
 
         let mut singles = 0u64;
         let mut seq = tree.clone();
         for (k, v) in &batch {
-            let (next, r) = seq.insert_counted(*k, v.unwrap());
-            singles += r.copied;
+            let (next, c) = seq.upsert(*k, |_| v.unwrap());
+            singles += c;
             seq = next;
         }
         assert_eq!(merged, seq);
         assert!(
-            report.copied * 2 <= singles,
-            "batch copied {} vs {} for singles",
-            report.copied,
-            singles
+            copied * 2 <= singles,
+            "batch copied {copied} vs {singles} for singles"
         );
     }
 
@@ -1588,9 +1656,9 @@ mod tests {
     fn merge_batch_noop_deletes_share_everything() {
         let tree: BTree<u32, u32> = BTree::from_sorted_entries(3, (0..500u32).map(|k| (k * 2, k)));
         let batch: Vec<(u32, Option<u32>)> = (0..100u32).map(|i| (i * 2 + 1, None)).collect();
-        let (merged, report) = tree.merge_batch(&batch);
+        let (merged, copied) = tree.merge_batch(&batch);
         assert!(tree.ptr_eq(&merged));
-        assert_eq!(report.copied, 0);
+        assert_eq!(copied, 0);
     }
 
     #[test]
@@ -1606,14 +1674,14 @@ mod tests {
         for k in 2000..2050u32 {
             batch.push((k, Some(k))); // append new keys
         }
-        let (merged, report) = tree.merge_batch(&batch);
+        let (merged, copied) = tree.merge_batch(&batch);
         assert!(merged.check_invariants());
         assert_eq!(merged.len(), 1000 - 200 + 50);
         assert_eq!(merged.get(&0), None);
         assert_eq!(merged.get(&1), Some(&1));
         assert_eq!(merged.get(&550), Some(&557));
         assert_eq!(merged.get(&2049), Some(&2049));
-        assert!(report.copied > 0 && report.copied < merged.node_count());
+        assert!(copied > 0 && copied < merged.node_count());
     }
 
     #[test]

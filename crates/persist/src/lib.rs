@@ -18,10 +18,15 @@
 //! * [`paged`] — the data-page/directory-page organization of Figure 2-2,
 //!   with a sharing report that regenerates the figure's claim.
 //!
-//! Updating operations come in plain and `_counted` forms; the counted forms
-//! additionally return a [`CopyReport`] stating how many nodes were created
-//! anew versus shared, which is how the benches quantify the paper's
-//! "(log n)/n of a relation is copied" argument.
+//! A write costs what it copies. The tree operations `upsert`,
+//! `remove_copied` and `merge_batch` return the new value and the number
+//! of nodes they allocated — a count the path copy keeps anyway — and
+//! `insert`/`remove` are the same operations with the count dropped. The
+//! `_counted` forms are, literally, the same operation followed by
+//! `node_count()`: an O(n) walk of the result that fills a [`CopyReport`]'s
+//! `shared`, which is how the benches and tests quantify the paper's
+//! "(log n)/n of a relation is copied" argument. Nothing on a write path
+//! calls them.
 //!
 //! Each backend also provides a `merge_batch` kernel that folds a strictly
 //! ascending run of per-key effects (`Some(v)` sets, `None` removes) into

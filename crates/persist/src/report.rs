@@ -9,6 +9,14 @@ use std::ops::Add;
 /// paper's space argument (Section 2.2) is that `copied / (copied + shared)`
 /// tends to `O(log n / n)` for tree representations; the benches print
 /// exactly this ratio.
+///
+/// `copied` is exact wherever a report appears. `shared` is exact from the
+/// `_counted` operations, which walk the result to count it. The reports
+/// of the relational layer's write paths (`Relation::insert`, `delete`,
+/// `apply_batch`) fill it only where no tree walk is needed — the suffix
+/// of a list behind the touched cells, the directory of a paged store —
+/// and leave it 0 for the trees, so `total()` and `copied_fraction()` of
+/// a tree-backed relation's report say nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CopyReport {
     /// Nodes (or pages) constructed by this update.

@@ -5,7 +5,11 @@
 //! representation for relations. This module is that structure: a balanced
 //! search tree whose interior nodes hold one or two keys, every update
 //! copying exactly one root-to-leaf path and sharing the rest — the
-//! `(log n)/n` copying bound of Section 2.2.
+//! `(log n)/n` copying bound of Section 2.2. The write operations
+//! ([`Tree23::upsert`], [`Tree23::remove_copied`], [`Tree23::merge_batch`])
+//! return the number of nodes they allocated and walk nothing else; the
+//! `_counted` forms are the same operations followed by a walk of the
+//! result that counts the nodes shared, for benches and tests.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -395,18 +399,21 @@ impl<K: Ord, V> Tree23<K, V> {
 impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
     /// Inserts or replaces `key`, returning the new tree.
     pub fn insert(&self, key: K, value: V) -> Tree23<K, V> {
-        self.insert_counted(key, value).0
+        self.upsert(key, |_| value).0
     }
 
-    /// [`insert`](Self::insert) plus a [`CopyReport`].
-    ///
-    /// `copied` counts the nodes built by this insert; `shared` counts the
-    /// remaining reachable nodes (computed by an O(n) walk — intended for
-    /// benches and tests, not hot paths).
-    pub fn insert_counted(&self, key: K, value: V) -> (Tree23<K, V>, CopyReport) {
+    /// Sets `key` to what `f` makes of its current value (`None` when the
+    /// key is absent), in the one descent that copies the path. Returns the
+    /// new tree and the number of nodes it allocated — O(log n), nothing is
+    /// walked to measure sharing.
+    pub fn upsert<F: FnOnce(Option<&V>) -> V>(&self, key: K, f: F) -> (Tree23<K, V>, u64) {
         let mut copied = 0u64;
-        let replaced = self.contains_key(&key);
-        let root = match insert_node(&self.root, key, value, &mut copied) {
+        let mut replaced = false;
+        let f = |old: Option<&V>| {
+            replaced = old.is_some();
+            f(old)
+        };
+        let root = match insert_node(&self.root, key, f, &mut copied) {
             Ins::Fit(n) => n,
             Ins::Split(l, e, r) => {
                 copied += 1;
@@ -417,6 +424,16 @@ impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
             root,
             len: if replaced { self.len } else { self.len + 1 },
         };
+        (out, copied)
+    }
+
+    /// [`insert`](Self::insert) plus a [`CopyReport`].
+    ///
+    /// `copied` counts the nodes built by this insert; `shared` counts the
+    /// remaining reachable nodes (computed by an O(n) walk — intended for
+    /// benches and tests, not hot paths).
+    pub fn insert_counted(&self, key: K, value: V) -> (Tree23<K, V>, CopyReport) {
+        let (out, copied) = self.upsert(key, |_| value);
         let shared = out.node_count().saturating_sub(copied);
         (out, CopyReport::new(copied, shared))
     }
@@ -424,24 +441,36 @@ impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
     /// Removes `key`, returning the new tree and the removed value, or
     /// `None` if absent.
     pub fn remove(&self, key: &K) -> Option<(Tree23<K, V>, V)> {
+        self.remove_copied(key).map(|(out, value, _)| (out, value))
+    }
+
+    /// [`remove`](Self::remove) plus the number of nodes it allocated.
+    pub fn remove_copied(&self, key: &K) -> Option<(Tree23<K, V>, V, u64)> {
         let mut removed = None;
         let mut copied = 0u64;
         let root = match delete_node(&self.root, key, &mut removed, &mut copied) {
             Del::Same(n) | Del::Hole(n) => n,
         };
         let value = removed?;
-        Some((
-            Tree23 {
-                root,
-                len: self.len - 1,
-            },
-            value,
-        ))
+        let out = Tree23 {
+            root,
+            len: self.len - 1,
+        };
+        Some((out, value, copied))
+    }
+
+    /// [`remove`](Self::remove) plus a [`CopyReport`] (`shared` is an O(n)
+    /// walk — for benches and tests).
+    pub fn remove_counted(&self, key: &K) -> Option<(Tree23<K, V>, V, CopyReport)> {
+        let (out, value, copied) = self.remove_copied(key)?;
+        let shared = out.node_count().saturating_sub(copied);
+        Some((out, value, CopyReport::new(copied, shared)))
     }
 
     /// Merges a strictly-ascending batch of per-key effects in one
     /// structural pass: `Some(v)` sets `key` to `v` (insert or replace),
-    /// `None` removes `key` if present (and is a no-op otherwise).
+    /// `None` removes `key` if present (and is a no-op otherwise). Returns
+    /// the new tree and the number of nodes it allocated.
     ///
     /// Untouched subtrees are shared wholesale and each touched node is
     /// copied once, so k effects cost O(k + touched·log n) node copies
@@ -450,7 +479,7 @@ impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
     /// # Panics
     ///
     /// Panics if keys are not strictly ascending.
-    pub fn merge_batch(&self, batch: &[(K, Option<V>)]) -> (Tree23<K, V>, CopyReport) {
+    pub fn merge_batch(&self, batch: &[(K, Option<V>)]) -> (Tree23<K, V>, u64) {
         crate::batch::assert_ascending(batch);
         let mut copied = 0u64;
         let mut delta = 0i64;
@@ -460,6 +489,13 @@ impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
             root,
             len: (self.len as i64 + delta) as usize,
         };
+        (out, copied)
+    }
+
+    /// [`merge_batch`](Self::merge_batch) plus a [`CopyReport`] (`shared`
+    /// is an O(n) walk — for benches and tests).
+    pub fn merge_batch_counted(&self, batch: &[(K, Option<V>)]) -> (Tree23<K, V>, CopyReport) {
+        let (out, copied) = self.merge_batch(batch);
         let shared = out.node_count().saturating_sub(copied);
         (out, CopyReport::new(copied, shared))
     }
@@ -480,25 +516,27 @@ fn three<K, V>(
     Arc::new(Node::Three(l, e1, m, e2, r))
 }
 
-fn insert_node<K: Ord + Clone, V: Clone>(
+/// `f` makes the key's new value of its current one, where the descent
+/// finds it.
+fn insert_node<K: Ord + Clone, V: Clone, F: FnOnce(Option<&V>) -> V>(
     node: &Arc<Node<K, V>>,
     key: K,
-    value: V,
+    f: F,
     copied: &mut u64,
 ) -> Ins<K, V> {
     match &**node {
         Node::Leaf => {
             *copied += 1;
-            Ins::Split(Arc::new(Node::Leaf), (key, value), Arc::new(Node::Leaf))
+            Ins::Split(Arc::new(Node::Leaf), (key, f(None)), Arc::new(Node::Leaf))
         }
         Node::Two(l, e, r) => {
             use std::cmp::Ordering::*;
             match key.cmp(&e.0) {
                 Equal => {
                     *copied += 1;
-                    Ins::Fit(two(l.clone(), (key, value), r.clone()))
+                    Ins::Fit(two(l.clone(), (key, f(Some(&e.1))), r.clone()))
                 }
-                Less => match insert_node(l, key, value, copied) {
+                Less => match insert_node(l, key, f, copied) {
                     Ins::Fit(nl) => {
                         *copied += 1;
                         Ins::Fit(two(nl, e.clone(), r.clone()))
@@ -508,7 +546,7 @@ fn insert_node<K: Ord + Clone, V: Clone>(
                         Ins::Fit(three(a, up, b, e.clone(), r.clone()))
                     }
                 },
-                Greater => match insert_node(r, key, value, copied) {
+                Greater => match insert_node(r, key, f, copied) {
                     Ins::Fit(nr) => {
                         *copied += 1;
                         Ins::Fit(two(l.clone(), e.clone(), nr))
@@ -526,7 +564,7 @@ fn insert_node<K: Ord + Clone, V: Clone>(
                 *copied += 1;
                 return Ins::Fit(three(
                     l.clone(),
-                    (key, value),
+                    (key, f(Some(&e1.1))),
                     m.clone(),
                     e2.clone(),
                     r.clone(),
@@ -538,12 +576,12 @@ fn insert_node<K: Ord + Clone, V: Clone>(
                     l.clone(),
                     e1.clone(),
                     m.clone(),
-                    (key, value),
+                    (key, f(Some(&e2.1))),
                     r.clone(),
                 ));
             }
             match key.cmp(&e1.0) {
-                Less => match insert_node(l, key, value, copied) {
+                Less => match insert_node(l, key, f, copied) {
                     Ins::Fit(nl) => {
                         *copied += 1;
                         Ins::Fit(three(nl, e1.clone(), m.clone(), e2.clone(), r.clone()))
@@ -557,7 +595,7 @@ fn insert_node<K: Ord + Clone, V: Clone>(
                         )
                     }
                 },
-                _ if key < e2.0 => match insert_node(m, key, value, copied) {
+                _ if key < e2.0 => match insert_node(m, key, f, copied) {
                     Ins::Fit(nm) => {
                         *copied += 1;
                         Ins::Fit(three(l.clone(), e1.clone(), nm, e2.clone(), r.clone()))
@@ -571,7 +609,7 @@ fn insert_node<K: Ord + Clone, V: Clone>(
                         )
                     }
                 },
-                _ => match insert_node(r, key, value, copied) {
+                _ => match insert_node(r, key, f, copied) {
                     Ins::Fit(nr) => {
                         *copied += 1;
                         Ins::Fit(three(l.clone(), e1.clone(), m.clone(), e2.clone(), nr))
@@ -1376,12 +1414,28 @@ mod tests {
                 let removed = t.remove(&k);
                 let expect = model.remove(&k);
                 assert_eq!(removed.as_ref().map(|(_, v)| v), expect.as_ref());
+                // The counted form is the same removal plus the walk.
+                let counted = t.remove_counted(&k);
+                assert_eq!(counted.is_some(), removed.is_some());
+                if let Some((t2, _, report)) = counted {
+                    let (plain, _, copied) = t.remove_copied(&k).unwrap();
+                    assert_eq!(t2, plain);
+                    assert_eq!(report.copied, copied);
+                    assert_eq!(report.total(), t2.node_count());
+                    // The whole root-to-leaf path of the result is new.
+                    assert!(copied >= t2.height() as u64);
+                }
                 if let Some((t2, _)) = removed {
                     t = t2;
                 }
             } else {
                 let v = rand();
+                let (counted, report) = t.insert_counted(k, v);
+                let (plain, copied) = t.upsert(k, |_| v);
+                assert_eq!(counted, plain);
+                assert_eq!(report.copied, copied);
                 t = t.insert(k, v);
+                assert_eq!(t, plain);
                 model.insert(k, v);
             }
         }
@@ -1466,7 +1520,10 @@ mod tests {
                 }
             }
             let batch: Vec<(u32, Option<u32>)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-            let (merged, _) = t.merge_batch(&batch);
+            let (merged, copied) = t.merge_batch(&batch);
+            let (counted, report) = t.merge_batch_counted(&batch);
+            assert_eq!(counted, merged, "round {round}");
+            assert_eq!(report.copied, copied, "round {round}");
             for (k, v) in &batch {
                 t = match v {
                     Some(v) => t.insert(*k, *v),
@@ -1482,10 +1539,10 @@ mod tests {
     fn merge_batch_on_empty_builds_uniform_depth() {
         for n in [0u32, 1, 2, 3, 7, 26, 27, 100, 500] {
             let batch: Vec<(u32, Option<u32>)> = (0..n).map(|k| (k, Some(k))).collect();
-            let (t, report) = Tree23::new().merge_batch(&batch);
+            let (t, copied) = Tree23::new().merge_batch(&batch);
             assert!(t.check_invariants(), "n={n}");
             assert_eq!(t.len(), n as usize);
-            assert_eq!(report.copied, t.node_count(), "n={n}");
+            assert_eq!(copied, t.node_count(), "n={n}");
         }
     }
 
@@ -1495,21 +1552,19 @@ mod tests {
         // 256 fresh odd keys in one adjacent region.
         let batch: Vec<(u32, Option<u32>)> =
             (0..256).map(|i| (4000 + i * 2 + 1, Some(i))).collect();
-        let (merged, report) = t.merge_batch(&batch);
+        let (merged, copied) = t.merge_batch(&batch);
         assert!(merged.check_invariants());
         assert_eq!(merged.len(), 10_000 + 256);
         let mut singles = 0u64;
         let mut seq = t.clone();
         for (k, v) in &batch {
-            let (next, r) = seq.insert_counted(*k, v.unwrap());
-            singles += r.copied;
+            let (next, c) = seq.upsert(*k, |_| v.unwrap());
+            singles += c;
             seq = next;
         }
         assert!(
-            report.copied * 2 <= singles,
-            "merge copied {} vs sequential {}",
-            report.copied,
-            singles
+            copied * 2 <= singles,
+            "merge copied {copied} vs sequential {singles}"
         );
         assert_eq!(merged, seq);
     }
@@ -1518,9 +1573,9 @@ mod tests {
     fn merge_batch_noop_deletes_share_everything() {
         let t: Tree23<u32, u32> = (0..100).map(|i| (i * 2, i)).collect();
         let batch: Vec<(u32, Option<u32>)> = (0..50).map(|i| (i * 4 + 1, None)).collect();
-        let (merged, report) = t.merge_batch(&batch);
+        let (merged, copied) = t.merge_batch(&batch);
         assert!(t.ptr_eq(&merged));
-        assert_eq!(report.copied, 0, "{report}");
+        assert_eq!(copied, 0);
     }
 
     #[test]

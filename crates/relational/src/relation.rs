@@ -3,8 +3,10 @@
 //! "In the same way that we view a transaction as creating a new database,
 //! we also view the insertion of a tuple into a relation as the creation of
 //! a new relation." (Section 2.2.) A [`Relation`] value is immutable; every
-//! update returns the new relation plus a [`CopyReport`] quantifying how
-//! little of it was physically rebuilt.
+//! update returns the new relation plus a [`CopyReport`] whose `copied` is
+//! how little of it was physically rebuilt. A write costs what it copies:
+//! no write path here walks the result to count what it shares (the
+//! `_counted` operations of `fundb_persist` do that, for measurement).
 //!
 //! Four representations are provided (the [`Store`]). The paper's
 //! experiments used linked lists and projected better results for trees;
@@ -114,7 +116,9 @@ impl Store {
         }
     }
 
-    /// Inserts a tuple, returning the new store and a copy report.
+    /// Inserts a tuple, returning the new store and a copy report: `copied`
+    /// is exact; `shared` is filled for the list and the paged store only
+    /// (see [`CopyReport`]) — a tree insert costs its one path copy.
     pub fn insert(&self, tuple: Tuple) -> (Store, CopyReport) {
         match self {
             Store::List(l) => {
@@ -122,16 +126,16 @@ impl Store {
                 (Store::List(l2), report)
             }
             Store::Tree(t) => {
-                let key = tuple.key().clone();
-                let bucket = t.get(&key).cloned().unwrap_or_default();
-                let (t2, report) = t.insert_counted(key, PList::cons(tuple, bucket));
-                (Store::Tree(t2), report)
+                let (t2, copied) = t.upsert(tuple.key().clone(), |bucket| {
+                    PList::cons(tuple, bucket.cloned().unwrap_or_default())
+                });
+                (Store::Tree(t2), CopyReport::new(copied, 0))
             }
             Store::BTree(t) => {
-                let key = tuple.key().clone();
-                let bucket = t.get(&key).cloned().unwrap_or_else(PList::nil);
-                let (t2, report) = t.insert_counted(key, PList::cons(tuple, bucket));
-                (Store::BTree(t2), report)
+                let (t2, copied) = t.upsert(tuple.key().clone(), |bucket| {
+                    PList::cons(tuple, bucket.cloned().unwrap_or_default())
+                });
+                (Store::BTree(t2), CopyReport::new(copied, 0))
             }
             Store::Paged(p) => {
                 let (p2, report) = p.insert_counted(tuple);
@@ -318,7 +322,8 @@ impl Store {
     }
 
     /// Removes every tuple with key `key`, returning the new store, the
-    /// removed tuples, and a copy report.
+    /// removed tuples, and a copy report (`copied` exact, `shared` as for
+    /// [`insert`](Self::insert)).
     pub fn delete(&self, key: &Value) -> (Store, Vec<Tuple>, CopyReport) {
         match self {
             Store::List(l) => {
@@ -351,20 +356,18 @@ impl Store {
                 }
                 (Store::List(out), removed, CopyReport::new(copied, shared))
             }
-            Store::Tree(t) => match t.remove(key) {
+            Store::Tree(t) => match t.remove_copied(key) {
                 None => (self.clone(), Vec::new(), CopyReport::default()),
-                Some((t2, bucket)) => {
+                Some((t2, bucket, copied)) => {
                     let removed = bucket_in_arrival_order(&bucket);
-                    let report = CopyReport::new(0, t2.node_count());
-                    (Store::Tree(t2), removed, report)
+                    (Store::Tree(t2), removed, CopyReport::new(copied, 0))
                 }
             },
-            Store::BTree(t) => match t.remove(key) {
+            Store::BTree(t) => match t.remove_copied(key) {
                 None => (self.clone(), Vec::new(), CopyReport::default()),
-                Some((t2, bucket)) => {
+                Some((t2, bucket, copied)) => {
                     let removed = bucket_in_arrival_order(&bucket);
-                    let report = CopyReport::new(0, t2.node_count());
-                    (Store::BTree(t2), removed, report)
+                    (Store::BTree(t2), removed, CopyReport::new(copied, 0))
                 }
             },
             Store::Paged(p) => {

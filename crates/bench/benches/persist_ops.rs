@@ -2,7 +2,7 @@
 //! trees it projected (Section 2.2's `(log n)/n` copying bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fundb_persist::{Avl, BTree, PList, Tree23};
+use fundb_persist::{BTree, PList, Tree23};
 
 fn bench_persist(c: &mut Criterion) {
     // Print the copying fractions the structures actually achieve.
@@ -10,12 +10,10 @@ fn bench_persist(c: &mut Criterion) {
     let list: PList<u32> = (0..n).collect();
     let t23: Tree23<u32, u32> = (0..n).map(|k| (k, k)).collect();
     let bt: BTree<u32, u32> = (0..n).map(|k| (k, k)).collect();
-    let avl: Avl<u32, u32> = (0..n).map(|k| (k, k)).collect();
     println!("copying fraction for one insert at n = {n}:");
     println!("  list  : {}", list.insert_sorted_counted(n / 2).1);
     println!("  2-3   : {}", t23.insert_counted(n + 1, 0).1);
     println!("  B-tree: {}", bt.insert_counted(n + 1, 0).1);
-    println!("  AVL   : {}", avl.insert_counted(n + 1, 0).1);
 
     let mut group = c.benchmark_group("persist_insert");
     for size in [256u32, 4096] {
@@ -29,10 +27,6 @@ fn bench_persist(c: &mut Criterion) {
         });
         let bt: BTree<u32, u32> = (0..size).map(|k| (k, k)).collect();
         group.bench_with_input(BenchmarkId::new("btree", size), &bt, |b, t| {
-            b.iter(|| t.insert(size / 2, 0).len());
-        });
-        let avl: Avl<u32, u32> = (0..size).map(|k| (k, k)).collect();
-        group.bench_with_input(BenchmarkId::new("avl", size), &avl, |b, t| {
             b.iter(|| t.insert(size / 2, 0).len());
         });
     }

@@ -1,8 +1,9 @@
 //! Replication benchmark: what shipping the commit log to read replicas
 //! buys, and what it costs.
 //!
-//! Two measurements over the same [`ReplicatedCluster`] harness, same
-//! on-disk durable stores, same tree-backed relation:
+//! Two measurements over the same one-shard [`ShardedCluster`] (the
+//! replicated cluster), same on-disk durable stores, same tree-backed
+//! relation:
 //!
 //! 1. **Read throughput under a concurrent writer.** On the primary,
 //!    durable-before-visible means a point read that lands while a write
@@ -70,7 +71,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fundb_durable::{set_modeled_flush_latency, ScratchDir};
-use fundb_net::{ReplicatedCluster, ShardMap, ShardedCluster};
+use fundb_net::{ShardMap, ShardedCluster};
 use fundb_query::Response;
 use fundb_relational::Value;
 
@@ -279,7 +280,7 @@ fn run_sharded(shards: u32, config: Config, pad: Option<Duration>) -> ShardResul
 fn run(replicas: usize, config: Config) -> ConfigResult {
     let tmp = ScratchDir::new("bench-repl");
     let cluster =
-        ReplicatedCluster::start(tmp.path(), READ_CLIENTS + 1, WORKERS, replicas).unwrap();
+        ShardedCluster::start(tmp.path(), 1, READ_CLIENTS + 1, WORKERS, replicas).unwrap();
 
     let loader = cluster.client(READ_CLIENTS);
     expect_ok(
@@ -343,7 +344,7 @@ fn run(replicas: usize, config: Config) -> ConfigResult {
     }
     let latency = start.elapsed().as_secs_f64() * 1e6 / config.latency_ops as f64;
 
-    let batches = cluster.batches_shipped();
+    let batches = cluster.stats().shard_lag[0].0;
     let messages = cluster.message_count();
     cluster.shutdown();
     ConfigResult {

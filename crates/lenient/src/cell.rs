@@ -199,6 +199,13 @@ impl<T> Lenient<T> {
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.inner)
     }
+
+    /// Takes the value out if this is the last handle to a filled cell.
+    /// For a drop path only (see `Stream`'s `Drop`): the cell is left
+    /// empty, so the handle must not be read again.
+    pub(crate) fn take_if_sole(&mut self) -> Option<T> {
+        Arc::get_mut(&mut self.inner)?.slot.take()
+    }
 }
 
 impl<T: Clone> Lenient<T> {

@@ -66,6 +66,39 @@ impl<T> Clone for Stream<T> {
     }
 }
 
+impl<T> Stream<T> {
+    /// If this handle is the sole owner of a resolved `Cons` cell, empties
+    /// the cell and returns its tail. O(1); `None` for a shared, unfilled,
+    /// unforced or `Nil` cell.
+    fn take_sole_tail(&mut self) -> Option<Stream<T>> {
+        let node = match &mut self.cell {
+            CellKind::Lenient(c) => c.take_if_sole(),
+            CellKind::Lazy(t) => t.take_if_sole(),
+        };
+        match node? {
+            Node::Nil => None,
+            Node::Cons(_, tail) => Some(tail),
+        }
+    }
+}
+
+impl<T> Drop for Stream<T> {
+    /// Iterative unlink: letting the last handle to a long resolved spine
+    /// free it cell by cell would recurse once per element and overflow
+    /// the stack (a medium that carried a few hundred thousand messages
+    /// is such a spine). While this handle is the sole owner of a cell,
+    /// its tail is detached before the cell drops; the walk stops at the
+    /// first cell someone else still holds, or that is not yet resolved.
+    /// A handle that is not the last owner pays one failed ownership
+    /// check.
+    fn drop(&mut self) {
+        let mut next = self.take_sole_tail();
+        while let Some(mut tail) = next {
+            next = tail.take_sole_tail();
+        }
+    }
+}
+
 impl<T: fmt::Debug> fmt::Debug for Stream<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.try_node() {
@@ -586,6 +619,67 @@ mod tests {
         w.push(1u8);
         w.close();
         w.push(2u8);
+    }
+
+    /// Runs `f` on a thread whose stack a per-cell recursive drop of the
+    /// spines below would overflow many times over.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn long_channel_stream_drops_without_recursion() {
+        on_small_stack(|| {
+            let (mut w, s) = Stream::channel();
+            w.push_all(0..1_000_000u32);
+            w.close();
+            drop(s);
+        });
+    }
+
+    #[test]
+    fn long_forced_lazy_stream_drops_without_recursion() {
+        on_small_stack(|| {
+            let src: Stream<u32> = (0..400_000).collect();
+            let mapped = src.filter(|x| x % 2 == 0).map(|x| x + 1);
+            drop(src);
+            assert_eq!(mapped.len(), 200_000);
+            drop(mapped);
+        });
+    }
+
+    #[test]
+    fn drop_frees_up_to_the_first_shared_cell_and_no_further() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        #[derive(Clone)]
+        struct Counted(usize, Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        const N: usize = 100_000;
+        const K: usize = 60_000;
+        on_small_stack(|| {
+            let freed = Arc::new(AtomicUsize::new(0));
+            let (mut w, s) = Stream::channel();
+            w.push_all((0..N).map(|i| Counted(i, freed.clone())));
+            w.close();
+            let mut at_k = s.clone();
+            for _ in 0..K {
+                at_k = at_k.rest().unwrap();
+            }
+            drop(s);
+            assert_eq!(freed.load(Ordering::SeqCst), K);
+            let kept: Vec<usize> = at_k.iter().map(|c| c.0).collect();
+            assert_eq!(kept, (K..N).collect::<Vec<_>>());
+        });
     }
 
     #[test]

@@ -146,6 +146,13 @@ impl<T> Thunk<T> {
     pub fn try_get(&self) -> Option<&T> {
         self.inner.slot.get()
     }
+
+    /// Takes the value out if this is the last handle to a forced thunk.
+    /// For a drop path only (see `Stream`'s `Drop`): the thunk is left
+    /// empty, so the handle must not be read again.
+    pub(crate) fn take_if_sole(&mut self) -> Option<T> {
+        Arc::get_mut(&mut self.inner)?.slot.take()
+    }
 }
 
 impl<T: Clone> Thunk<T> {

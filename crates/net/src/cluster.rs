@@ -130,8 +130,9 @@ pub struct ClientHandle {
     seq: Arc<AtomicU64>,
     /// In-flight submissions by message `seq`.
     pending: Arc<Mutex<HashMap<u64, Pending>>>,
-    /// Shard partitioning + per-shard primaries and read sets. A
-    /// one-shard instance reproduces the unsharded clusters exactly.
+    /// Shard partitioning + per-shard primaries and read sets. With one
+    /// shard it is the routing of the in-memory [`Cluster`] (no read set)
+    /// and of the replicated cluster.
     routes: Arc<ShardRoutes>,
     stats: Arc<ClusterStats>,
     rr: Arc<AtomicU64>,
@@ -452,11 +453,11 @@ impl ClientHandle {
         cell
     }
 
-    /// The unsharded routing rule, unchanged from the replicated cluster:
-    /// point reads round-robin over the read set; everything else —
-    /// writes, creates, scans whose cost is in the engine anyway — goes
-    /// to the primary. Unparsable text goes to the primary, whose reply
-    /// carries the parse error.
+    /// The one-shard routing rule — the replicated cluster's: point reads
+    /// round-robin over the read set; everything else — writes, creates,
+    /// scans whose cost is in the engine anyway — goes to the primary.
+    /// Unparsable text goes to the primary, whose reply carries the parse
+    /// error.
     fn route_one_shard(&self, query: &str) -> SiteId {
         let replicas = self.routes.replicas_of(0);
         if !replicas.is_empty() {

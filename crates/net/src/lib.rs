@@ -17,16 +17,20 @@
 //!   accounting message distance on non-broadcast networks.
 //! * [`PrimarySite`] — the primary-site model: every transaction passes
 //!   through one coordinating site, which runs the pipelined functional
-//!   engine and mails responses back to their origin sites.
+//!   engine and mails responses back to their origin sites. [`primary`]
+//!   also holds the one serving loop every primary runs, in-memory or
+//!   durable, initial or promoted.
 //! * [`pragma`] — the `RESULT-ON` / `MY-SITE` site pragmas of Section 3.2.
 //! * [`Cluster`] — an end-to-end harness wiring client sites to a primary
 //!   site over a medium.
-//! * [`ReplicatedCluster`] — the distributed case: a durable primary ships
-//!   its commit log over the medium to [`ReplicaSite`]s, which serve
+//! * [`replica`] — log shipping: a durable primary's [`ReplicationSender`]
+//!   mails its commit log over the medium to [`ReplicaSite`]s, which serve
 //!   read-only queries locally and can be promoted on primary failure.
-//! * [`ShardedCluster`] — hash-partitioned shard groups (each a full
-//!   replication group) behind shard-aware clients; the medium's merge
-//!   order doubles as the sequencer for cross-shard transactions.
+//! * [`ShardedCluster`] — the durable topology: hash-partitioned shard
+//!   groups (each a durable primary plus its replicas) behind shard-aware
+//!   clients; the medium's merge order doubles as the sequencer for
+//!   cross-shard transactions. With one shard it is the distributed case
+//!   of Figure 3-1, the replicated cluster.
 //! * [`chaos`] — deterministic fault injection for the medium: a seeded
 //!   [`FaultPlan`] of per-edge drop/duplicate/delay/reorder rules and
 //!   partitions, interposed in the pump so every run replays from
@@ -56,6 +60,6 @@ pub use medium::SharedMedium;
 pub use message::{DbPayload, Message, SiteId};
 pub use pragma::{my_site, result_on_prefix, strip_result_on, SitePool};
 pub use primary::PrimarySite;
-pub use replica::{ReplicaSite, ReplicatedCluster, ReplicationSender};
+pub use replica::{ReplicaSite, ReplicationSender};
 pub use router::{combine_gather, plan_route, GatherKind, RoutePlan, Router};
 pub use shard::{ClusterStats, ClusterStatsSnapshot, ShardMap, ShardedCluster};

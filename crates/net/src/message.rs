@@ -144,11 +144,11 @@ pub enum DbPayload {
         /// message.
         subs: Vec<(u32, Vec<String>)>,
     },
-    /// One participant shard's fsync receipt for a [`Sequenced`]
-    /// transaction: sent to the origin site once every write of the
-    /// shard's sub-batch is durable, and copied to the shard's replica
-    /// peers so a promoted replica knows which sequenced transactions the
-    /// dead primary already applied.
+    /// One participant shard's fsync receipt for a
+    /// [`Sequenced`](DbPayload::Sequenced) transaction: sent to the origin
+    /// site once every write of the shard's sub-batch is durable, and
+    /// copied to the shard's replica peers so a promoted replica knows
+    /// which sequenced transactions the dead primary already applied.
     SequencedAck {
         /// The originating site of the transaction (echoed).
         origin: SiteId,

@@ -32,8 +32,9 @@ thread_local! {
 /// specified site". On the cluster the outermost function of a query is
 /// its execution, so the prefix directs *routing*: the client strips it
 /// with [`strip_result_on`] and sends the bare query to exactly that
-/// site, bypassing shard routing. [`ShardedCluster::owning_site`]
-/// (crate::ShardedCluster::owning_site) gives the site that owns a key,
+/// site, bypassing shard routing.
+/// [`ShardedCluster::owning_site`](crate::ShardedCluster::owning_site)
+/// gives the site that owns a key,
 /// so a caller can pin follow-up queries where the data lives.
 pub fn result_on_prefix(site: SiteId, query: &str) -> String {
     format!("result-on {site}: {query}")

@@ -11,32 +11,92 @@
 //! request through the pipelined functional engine — so the "finer grain
 //! actions" of successive transactions do overlap — and mails each response
 //! back to the site it came from, tagged with the originating client.
+//!
+//! The paper has one coordination model, so the crate has one serving
+//! loop: `run_primary_loop` here is what [`PrimarySite`] runs over an
+//! in-memory engine, what each shard of a
+//! [`ShardedCluster`](crate::ShardedCluster) runs over a durable one, and
+//! what a promoted replica continues in. It is generic over the two things
+//! it needs from an engine — submit a transaction, export a catch-up
+//! snapshot — and is the only place in the crate where a query text is
+//! handed to an engine.
 
 use std::fmt;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fundb_core::{ClientId, PipelinedEngine};
-use fundb_lenient::Lenient;
-use fundb_query::{parse, translate, Response};
+use fundb_durable::DurableEngine;
+use fundb_lenient::{Lenient, Stream};
+use fundb_query::{parse, translate, Response, Transaction};
 use fundb_relational::Database;
 
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
 
+/// The two things the serving loop needs from an engine: admit a
+/// transaction, and export the history a bootstrapping replica cannot read
+/// off the medium.
+pub(crate) trait PrimaryEngine: Send + 'static {
+    /// Admits `tx`; the cell fills when the engine considers it committed.
+    fn submit(&self, tx: Transaction) -> Lenient<Response>;
+
+    /// `(newest checkpoint blob, encoded WAL tail)` — what this engine
+    /// committed before the medium existed.
+    fn catch_up(&self) -> (Option<Vec<u8>>, Vec<u8>);
+}
+
+impl PrimaryEngine for PipelinedEngine {
+    fn submit(&self, tx: Transaction) -> Lenient<Response> {
+        PipelinedEngine::submit(self, tx)
+    }
+
+    /// An in-memory engine starts with the medium: the stream is complete.
+    fn catch_up(&self) -> (Option<Vec<u8>>, Vec<u8>) {
+        (None, Vec::new())
+    }
+}
+
+impl PrimaryEngine for Arc<DurableEngine> {
+    fn submit(&self, tx: Transaction) -> Lenient<Response> {
+        DurableEngine::submit(self, tx)
+    }
+
+    /// On export failure fall back to an empty snapshot: the replica then
+    /// converges from the shipped stream alone, which is complete whenever
+    /// this primary started fresh on this medium.
+    fn catch_up(&self) -> (Option<Vec<u8>>, Vec<u8>) {
+        self.replication_snapshot().unwrap_or((None, Vec::new()))
+    }
+}
+
+/// Which shard a primary serves, and who gets copies of its sequenced
+/// acks. An unsharded primary is shard 0 of a one-shard cluster — same
+/// loop, same protocol.
+#[derive(Debug)]
+pub(crate) struct PrimaryRole {
+    /// The shard this primary owns: it applies exactly the sub-batches
+    /// tagged with this id in [`Sequenced`](DbPayload::Sequenced) traffic.
+    pub shard: u32,
+    /// Replica peers that receive [`SequencedAck`](DbPayload::SequencedAck)
+    /// copies (so a later promotion knows what was already applied).
+    pub ack_peers: Vec<SiteId>,
+}
+
 /// One sequenced transaction's local work, handed from a primary's pump
 /// to its acker thread: the response cells of the sub-batch the shard
 /// applied (in sub-batch order), plus the identity the fsync receipt must
 /// carry back.
-pub(crate) struct SequencedWork {
+struct SequencedWork {
     /// Site the transaction originated at — where the receipt goes.
-    pub origin: SiteId,
+    origin: SiteId,
     /// The submitting client.
-    pub client: ClientId,
+    client: ClientId,
     /// The origin's transaction tag, echoed as `in_reply_to`.
-    pub txn: u64,
+    txn: u64,
     /// One cell per write of this shard's sub-batch; each fills only when
     /// its write is durable (committed through the engine's WAL).
-    pub cells: Vec<Lenient<Response>>,
+    cells: Vec<Lenient<Response>>,
 }
 
 /// Spawns a primary's acker: for each [`SequencedWork`], waits out every
@@ -55,11 +115,10 @@ pub(crate) struct SequencedWork {
 /// pending entry, the replica's strike is a no-op the second time — so a
 /// duplicating or reordering link (the chaos harness's stock faults,
 /// DESIGN.md §15) cannot double-apply a sequenced transaction.
-pub(crate) fn spawn_acker(
+fn spawn_acker(
     medium: SharedMedium<DbPayload>,
     site: SiteId,
-    shard: u32,
-    peers: Vec<SiteId>,
+    role: PrimaryRole,
 ) -> (crossbeam::channel::Sender<SequencedWork>, JoinHandle<()>) {
     let (tx, rx) = crossbeam::channel::unbounded::<SequencedWork>();
     let handle = std::thread::spawn(move || {
@@ -79,7 +138,7 @@ pub(crate) fn spawn_acker(
                 }
             }
             let response = err.unwrap_or(Response::Applied { ops, shards: 1 });
-            for dest in std::iter::once(work.origin).chain(peers.iter().copied()) {
+            for dest in std::iter::once(work.origin).chain(role.ack_peers.iter().copied()) {
                 medium.send(Message::new(
                     site,
                     dest,
@@ -88,7 +147,7 @@ pub(crate) fn spawn_acker(
                         origin: work.origin,
                         client: work.client,
                         in_reply_to: work.txn,
-                        shard,
+                        shard: role.shard,
                         response: response.clone(),
                     },
                 ));
@@ -97,6 +156,123 @@ pub(crate) fn spawn_acker(
         }
     });
     (tx, handle)
+}
+
+/// The one place a query text becomes a transaction in an engine: parse,
+/// translate, submit — or a ready error cell when it does not parse.
+fn submit_text(engine: &impl PrimaryEngine, text: &str) -> Lenient<Response> {
+    match parse(text) {
+        Ok(q) => engine.submit(translate(q)),
+        Err(e) => Lenient::ready(Response::Error(e.to_string())),
+    }
+}
+
+/// The serving loop of a primary: requests through the engine, sequenced
+/// sub-batches for its shard, catch-up snapshots for bootstrapping
+/// replicas. Runs until `Halt` or end-of-medium; returns the number of
+/// requests served.
+///
+/// Every primary runs this — [`PrimarySite`] over a [`PipelinedEngine`],
+/// a shard's initial primary and a promoted replica over a
+/// [`DurableEngine`]. A promoted replica enters with its inbox already
+/// advanced past the `Promote`, and hands in as `backlog` the sequenced
+/// transactions the dead primary never applied (buffered broadcasts with
+/// no observed ack); they are applied and acked before any newly-routed
+/// traffic.
+pub(crate) fn run_primary_loop<E: PrimaryEngine>(
+    inbox: Stream<Message<DbPayload>>,
+    medium: SharedMedium<DbPayload>,
+    site: SiteId,
+    engine: E,
+    role: PrimaryRole,
+    backlog: Vec<Message<DbPayload>>,
+) -> u64 {
+    let outbound = medium.clone();
+    // (reply destination, client, request seq, response cell) — one entry
+    // per admitted request, in admission order.
+    let (resp_tx, resp_rx) =
+        crossbeam::channel::unbounded::<(SiteId, ClientId, u64, Lenient<Response>)>();
+    // Replies go out in admission order, each waiting on its lenient cell —
+    // independent of whether more requests are arriving, so replies stream
+    // out as they complete. Under a durable engine a cell fills only after
+    // the transaction's batch is on disk (and, via the fan-out, already
+    // shipped to every replica).
+    let responder = std::thread::spawn(move || {
+        for (seq, (dest, client, request_seq, cell)) in resp_rx.into_iter().enumerate() {
+            outbound.send(Message::new(
+                site,
+                dest,
+                seq as u64,
+                DbPayload::Reply {
+                    client,
+                    in_reply_to: request_seq,
+                    response: cell.wait_cloned(),
+                },
+            ));
+        }
+    });
+    let shard = role.shard;
+    let (ack_tx, acker) = spawn_acker(medium.clone(), site, role);
+    let mut served = 0u64;
+    // Control replies (snapshots) are sent from this thread, on a seq
+    // range far from the responder's, purely to keep traces readable.
+    let mut ctl_seq = u64::MAX / 2;
+    for msg in backlog.into_iter().chain(inbox.iter()) {
+        let (from, seq) = (msg.from, msg.seq);
+        match msg.payload {
+            DbPayload::Request { client, query } => {
+                let cell = submit_text(&engine, &query);
+                if resp_tx.send((from, client, seq, cell)).is_err() {
+                    break; // responder gone; shutting down
+                }
+                served += 1;
+            }
+            DbPayload::Sequenced {
+                origin,
+                client,
+                txn,
+                subs,
+            } => {
+                // Apply our sub-batch — if we are a participant — right
+                // here, at this message's position in the inbox: the
+                // medium's merge order is the sequence, so these writes
+                // land exactly between the direct traffic that precedes
+                // and follows the broadcast.
+                if let Some((_, queries)) = subs.iter().find(|(s, _)| *s == shard) {
+                    let cells = queries.iter().map(|q| submit_text(&engine, q)).collect();
+                    let work = SequencedWork {
+                        origin,
+                        client,
+                        txn,
+                        cells,
+                    };
+                    if ack_tx.send(work).is_err() {
+                        break; // acker gone; shutting down
+                    }
+                    served += 1;
+                }
+            }
+            DbPayload::CatchUp => {
+                let (checkpoint, tail) = engine.catch_up();
+                medium.send(Message::new(
+                    site,
+                    from,
+                    ctl_seq,
+                    DbPayload::Snapshot { checkpoint, tail },
+                ));
+                ctl_seq += 1;
+            }
+            // A simulated crash: stop serving; the medium stays open so
+            // the survivors can take over.
+            DbPayload::Halt => break,
+            _ => {}
+        }
+    }
+    drop(resp_tx);
+    drop(ack_tx);
+    let _ = responder.join();
+    let _ = acker.join();
+    served
 }
 
 /// A running primary site.
@@ -125,90 +301,17 @@ impl PrimarySite {
         workers: usize,
     ) -> Self {
         let inbox = medium.choose(site);
-        let outbound = medium.clone();
+        let medium = medium.clone();
         let engine = PipelinedEngine::new(workers, initial);
-        // The responder mails replies out in admission order, waiting on
-        // each lenient response cell in turn — independent of whether more
-        // requests are arriving, so replies stream out as they complete.
-        let (resp_tx, resp_rx) = crossbeam::channel::unbounded::<(
-            SiteId,
-            fundb_core::ClientId,
-            u64,
-            fundb_lenient::Lenient<Response>,
-        )>();
-        let responder = std::thread::spawn(move || {
-            for (seq, (dest, client, request_seq, cell)) in resp_rx.into_iter().enumerate() {
-                outbound.send(Message::new(
-                    site,
-                    dest,
-                    seq as u64,
-                    DbPayload::Reply {
-                        client,
-                        in_reply_to: request_seq,
-                        response: cell.wait_cloned(),
-                    },
-                ));
-            }
-        });
         // An unsharded primary is shard 0 of a one-shard cluster with no
         // replica peers; sequenced transactions still work (every sub goes
         // to shard 0), so `submit_txn` is exercisable without durability.
-        let (ack_tx, acker) = spawn_acker(medium.clone(), site, 0, Vec::new());
+        let role = PrimaryRole {
+            shard: 0,
+            ack_peers: Vec::new(),
+        };
         let pump = std::thread::spawn(move || {
-            let mut served = 0u64;
-            for msg in inbox.iter() {
-                match msg.payload {
-                    DbPayload::Request { client, query } => {
-                        let cell = match parse(&query) {
-                            Ok(q) => engine.submit(translate(q)),
-                            Err(e) => fundb_lenient::Lenient::ready(Response::Error(e.to_string())),
-                        };
-                        if resp_tx.send((msg.from, client, msg.seq, cell)).is_err() {
-                            break; // responder gone; shutting down
-                        }
-                        served += 1;
-                    }
-                    DbPayload::Sequenced {
-                        origin,
-                        client,
-                        txn,
-                        subs,
-                    } => {
-                        if let Some((_, queries)) = subs.iter().find(|(s, _)| *s == 0) {
-                            let cells = queries
-                                .iter()
-                                .map(|q| match parse(q) {
-                                    Ok(pq) => engine.submit(translate(pq)),
-                                    Err(e) => fundb_lenient::Lenient::ready(Response::Error(
-                                        e.to_string(),
-                                    )),
-                                })
-                                .collect();
-                            if ack_tx
-                                .send(SequencedWork {
-                                    origin,
-                                    client,
-                                    txn,
-                                    cells,
-                                })
-                                .is_err()
-                            {
-                                break; // acker gone; shutting down
-                            }
-                            served += 1;
-                        }
-                    }
-                    // A simulated crash: stop serving without closing the
-                    // medium, so the rest of the cluster lives on.
-                    DbPayload::Halt => break,
-                    _ => {}
-                }
-            }
-            drop(resp_tx);
-            drop(ack_tx);
-            let _ = responder.join();
-            let _ = acker.join();
-            served
+            run_primary_loop(inbox, medium, site, engine, role, Vec::new())
         });
         PrimarySite {
             site,

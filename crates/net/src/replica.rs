@@ -28,38 +28,43 @@
 //! prefix — the merge order of the medium doubles as the consistency
 //! argument, with no extra synchronization.
 //!
-//! **Failover.** [`ReplicatedCluster::kill_primary`] halts the primary
+//! **Failover.** [`ShardedCluster::kill_primary`] halts a shard's primary
 //! (joining it, so every admitted commit is shipped and answered first);
-//! [`ReplicatedCluster::promote`] then orders a replica to take over. The
+//! [`ShardedCluster::promote`] then orders a replica to take over. The
 //! replica drains what it has buffered, reopens its local store as a full
 //! [`DurableEngine`] — its log holds every record it applied, so recovery
 //! reproduces its in-memory state exactly — and continues serving from the
-//! same inbox position in primary mode. The promoted state is a prefix of
-//! acknowledged history containing every acknowledged transaction.
+//! same inbox position in primary mode, running the same loop every
+//! primary runs (`primary::run_primary_loop`). The promoted state is a
+//! prefix of acknowledged history containing every acknowledged
+//! transaction.
+//!
+//! The cluster that wires primaries, replicas and clients together is
+//! [`ShardedCluster`]; with one shard it is the plain replicated cluster.
+//!
+//! [`ShardedCluster`]: crate::ShardedCluster
+//! [`ShardedCluster::kill_primary`]: crate::ShardedCluster::kill_primary
+//! [`ShardedCluster::promote`]: crate::ShardedCluster::promote
 
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fundb_core::{ClientId, CommitSink};
+use fundb_core::CommitSink;
 use fundb_durable::{
     decode_records, encode_records, fresh_records, replay_records, DurableEngine, Wal, WalRecord,
 };
-use fundb_lenient::{Lenient, Stream};
+use fundb_lenient::Stream;
 use fundb_query::{parse, translate, Query, Response};
 use fundb_relational::{Database, RelationName};
-use parking_lot::Mutex;
 
-use crate::chaos::FaultPlan;
-use crate::cluster::ClientHandle;
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
-use crate::primary::{spawn_acker, SequencedWork};
-use crate::shard::{ClusterStats, ShardRoutes};
+use crate::primary::{run_primary_loop, PrimaryRole};
 
 /// The site id cluster-control messages (`Halt`, `Promote`, `SyncPing`)
 /// originate from. No running site serves it — but the cluster's `sync`
@@ -161,186 +166,6 @@ impl CommitSink for ReplicationSender {
         }]);
         Ok(())
     }
-}
-
-/// Which shard a primary serves, and who gets copies of its sequenced
-/// acks. The unsharded [`ReplicatedCluster`] is shard 0 of a one-shard
-/// cluster — same loop, same protocol.
-#[derive(Debug, Clone)]
-pub(crate) struct PrimaryRole {
-    /// The shard this primary owns: it applies exactly the sub-batches
-    /// tagged with this id in [`Sequenced`](DbPayload::Sequenced) traffic.
-    pub shard: u32,
-    /// Replica peers that receive [`SequencedAck`](DbPayload::SequencedAck)
-    /// copies (so a later promotion knows what was already applied).
-    pub ack_peers: Vec<SiteId>,
-}
-
-/// (reply destination, client, request seq, response cell) — one entry
-/// per admitted request, in admission order.
-type PendingReply = (SiteId, ClientId, u64, Lenient<Response>);
-
-/// One message of a primary's serving loop. Returns `false` on `Halt`
-/// (or when a downstream thread is gone) — the caller stops pumping.
-#[allow(clippy::too_many_arguments)]
-fn primary_step(
-    msg: Message<DbPayload>,
-    engine: &Arc<DurableEngine>,
-    medium: &SharedMedium<DbPayload>,
-    site: SiteId,
-    shard: u32,
-    resp_tx: &crossbeam::channel::Sender<PendingReply>,
-    ack_tx: &crossbeam::channel::Sender<SequencedWork>,
-    ctl_seq: &mut u64,
-    served: &mut u64,
-) -> bool {
-    let (from, seq) = (msg.from, msg.seq);
-    match msg.payload {
-        DbPayload::Request { client, query } => {
-            let cell = match parse(&query) {
-                Ok(q) => engine.submit(translate(q)),
-                Err(e) => Lenient::ready(Response::Error(e.to_string())),
-            };
-            if resp_tx.send((from, client, seq, cell)).is_err() {
-                return false; // responder gone; shutting down
-            }
-            *served += 1;
-        }
-        DbPayload::Sequenced {
-            origin,
-            client,
-            txn,
-            subs,
-        } => {
-            // Apply our sub-batch — if we are a participant — right here,
-            // at this message's position in the inbox: the medium's merge
-            // order is the sequence, so these writes land exactly between
-            // the direct traffic that precedes and follows the broadcast.
-            if let Some((_, queries)) = subs.iter().find(|(s, _)| *s == shard) {
-                let cells: Vec<Lenient<Response>> = queries
-                    .iter()
-                    .map(|q| match parse(q) {
-                        Ok(pq) => engine.submit(translate(pq)),
-                        Err(e) => Lenient::ready(Response::Error(e.to_string())),
-                    })
-                    .collect();
-                if ack_tx
-                    .send(SequencedWork {
-                        origin,
-                        client,
-                        txn,
-                        cells,
-                    })
-                    .is_err()
-                {
-                    return false; // acker gone; shutting down
-                }
-                *served += 1;
-            }
-        }
-        DbPayload::CatchUp => {
-            // On export failure fall back to an empty snapshot: the
-            // replica then converges from the shipped stream alone,
-            // which is complete whenever this primary started fresh on
-            // this medium.
-            let (checkpoint, tail) = engine.replication_snapshot().unwrap_or((None, Vec::new()));
-            medium.send(Message::new(
-                site,
-                from,
-                *ctl_seq,
-                DbPayload::Snapshot { checkpoint, tail },
-            ));
-            *ctl_seq += 1;
-        }
-        // A simulated crash: stop serving; the medium stays open so
-        // the survivors can take over.
-        DbPayload::Halt => return false,
-        _ => {}
-    }
-    true
-}
-
-/// The serving loop of a primary: requests through the durable engine,
-/// sequenced sub-batches for its shard, catch-up snapshots for
-/// bootstrapping replicas. Runs until `Halt` or end-of-medium; returns
-/// the number of requests served.
-///
-/// Both the initial primary and a promoted replica run this — a promoted
-/// replica enters with its inbox already advanced past the `Promote`,
-/// and hands in as `backlog` the sequenced transactions the dead primary
-/// never applied (buffered broadcasts with no observed ack); they are
-/// applied and acked before any newly-routed traffic.
-pub(crate) fn run_primary_loop(
-    mut cur: Stream<Message<DbPayload>>,
-    medium: SharedMedium<DbPayload>,
-    site: SiteId,
-    engine: Arc<DurableEngine>,
-    role: PrimaryRole,
-    backlog: Vec<Message<DbPayload>>,
-) -> u64 {
-    let outbound = medium.clone();
-    let (resp_tx, resp_rx) = crossbeam::channel::unbounded::<PendingReply>();
-    // Replies go out in admission order, each waiting on its lenient cell —
-    // which fills only after the transaction's batch is durable (and, via
-    // the fan-out, already shipped to every replica).
-    let responder = std::thread::spawn(move || {
-        for (seq, (dest, client, request_seq, cell)) in resp_rx.into_iter().enumerate() {
-            outbound.send(Message::new(
-                site,
-                dest,
-                seq as u64,
-                DbPayload::Reply {
-                    client,
-                    in_reply_to: request_seq,
-                    response: cell.wait_cloned(),
-                },
-            ));
-        }
-    });
-    let (ack_tx, acker) = spawn_acker(medium.clone(), site, role.shard, role.ack_peers);
-    let mut served = 0u64;
-    // Control replies (snapshots) are sent from this thread, on a seq
-    // range far from the responder's, purely to keep traces readable.
-    let mut ctl_seq = u64::MAX / 2;
-    let mut live = true;
-    for msg in backlog {
-        if !primary_step(
-            msg,
-            &engine,
-            &medium,
-            site,
-            role.shard,
-            &resp_tx,
-            &ack_tx,
-            &mut ctl_seq,
-            &mut served,
-        ) {
-            live = false;
-            break;
-        }
-    }
-    while live {
-        let Some((msg, rest)) = cur.uncons() else {
-            break;
-        };
-        cur = rest;
-        live = primary_step(
-            msg,
-            &engine,
-            &medium,
-            site,
-            role.shard,
-            &resp_tx,
-            &ack_tx,
-            &mut ctl_seq,
-            &mut served,
-        );
-    }
-    drop(resp_tx);
-    drop(ack_tx);
-    let _ = responder.join();
-    let _ = acker.join();
-    served
 }
 
 /// The mutable state a replica thread carries through its inbox.
@@ -741,294 +566,5 @@ impl Drop for ReplicaSite {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-/// A cluster with durable primary, N replicas, and read routing: the
-/// distributed case of Figure 3-1, with the commit stream shipped over
-/// the same medium the queries ride.
-///
-/// Site layout: primary at site 0, replicas at `1..=replicas`, clients
-/// after them. Point reads (`find`, `count`) round-robin over the
-/// replicas; everything else goes to the current primary. Storage lives
-/// under `dir/primary` and `dir/replica-<site>`.
-pub struct ReplicatedCluster {
-    medium: SharedMedium<DbPayload>,
-    primary: Arc<AtomicU32>,
-    clients: Vec<ClientHandle>,
-    replicas: Vec<ReplicaSite>,
-    primary_pump: Option<JoinHandle<u64>>,
-    batches_sent: Arc<AtomicU64>,
-    /// Replicas still applying the shipped stream (promotion removes the
-    /// promoted site — it is the stream's source now).
-    active: Mutex<Vec<SiteId>>,
-    ctl_seq: AtomicU64,
-}
-
-impl fmt::Debug for ReplicatedCluster {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ReplicatedCluster[{} clients, {} replicas, primary site{}]",
-            self.clients.len(),
-            self.replicas.len(),
-            self.primary.load(Ordering::SeqCst)
-        )
-    }
-}
-
-impl ReplicatedCluster {
-    /// Starts the cluster over `dir` (created if needed; reopening a
-    /// previous run's directory recovers it). `replicas` may be 0 — the
-    /// degenerate case is a durable [`Cluster`](crate::Cluster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is zero.
-    pub fn start(
-        dir: &Path,
-        clients: usize,
-        workers: usize,
-        replicas: usize,
-    ) -> io::Result<ReplicatedCluster> {
-        Self::start_with_faults(dir, clients, workers, replicas, FaultPlan::none())
-    }
-
-    /// Like [`start`](Self::start), but the medium runs every message
-    /// through `plan` (see [`SharedMedium::with_faults`]) — the chaos
-    /// harness's single-shard entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is zero.
-    pub fn start_with_faults(
-        dir: &Path,
-        clients: usize,
-        workers: usize,
-        replicas: usize,
-        plan: FaultPlan,
-    ) -> io::Result<ReplicatedCluster> {
-        assert!(clients > 0, "cluster needs at least one client");
-        let medium: SharedMedium<DbPayload> = SharedMedium::with_faults(plan);
-        let primary = Arc::new(AtomicU32::new(0));
-        let batches_sent = Arc::new(AtomicU64::new(0));
-        let replica_sites: Vec<SiteId> = (1..=replicas).map(|i| SiteId(i as u32)).collect();
-
-        let (engine, _report) = DurableEngine::open(&dir.join("primary"), workers)?;
-        let engine = Arc::new(engine);
-        if !replica_sites.is_empty() {
-            engine.attach_sink(Arc::new(ReplicationSender::new(
-                medium.clone(),
-                SiteId(0),
-                replica_sites.clone(),
-                Arc::clone(&batches_sent),
-            )));
-        }
-        let primary_pump = {
-            let inbox = medium.choose(SiteId(0));
-            let medium = medium.clone();
-            let role = PrimaryRole {
-                shard: 0,
-                ack_peers: replica_sites.clone(),
-            };
-            std::thread::spawn(move || {
-                run_primary_loop(inbox, medium, SiteId(0), engine, role, Vec::new())
-            })
-        };
-
-        let replicas: Vec<ReplicaSite> = replica_sites
-            .iter()
-            .map(|&site| {
-                ReplicaSite::start(
-                    dir.join(format!("replica-{}", site.0)),
-                    medium.clone(),
-                    site,
-                    SiteId(0),
-                    0,
-                    workers,
-                    Arc::clone(&batches_sent),
-                )
-            })
-            .collect();
-
-        let routes = Arc::new(ShardRoutes::single(
-            Arc::clone(&primary),
-            replica_sites.clone(),
-        ));
-        let stats = Arc::new(ClusterStats::new(1));
-        let clients = (0..clients)
-            .map(|i| {
-                ClientHandle::spawn(
-                    &medium,
-                    SiteId((replica_sites.len() + 1 + i) as u32),
-                    ClientId(i as u32),
-                    Arc::clone(&routes),
-                    Arc::clone(&stats),
-                )
-            })
-            .collect();
-
-        Ok(ReplicatedCluster {
-            medium,
-            primary,
-            clients,
-            replicas,
-            primary_pump: Some(primary_pump),
-            batches_sent,
-            active: Mutex::new(replica_sites),
-            ctl_seq: AtomicU64::new(0),
-        })
-    }
-
-    /// Handle for client `i` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn client(&self, i: usize) -> ClientHandle {
-        self.clients[i].clone()
-    }
-
-    /// The current primary's site id.
-    pub fn primary_site(&self) -> SiteId {
-        SiteId(self.primary.load(Ordering::SeqCst))
-    }
-
-    /// The replica sites, in site order (promotion does not renumber).
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Batches shipped by every primary so far.
-    pub fn batches_shipped(&self) -> u64 {
-        self.batches_sent.load(Ordering::SeqCst)
-    }
-
-    /// Total messages that crossed the medium so far.
-    pub fn message_count(&self) -> u64 {
-        self.medium.message_count()
-    }
-
-    /// Advances the fault plan's logical clock one pump step (see
-    /// [`SharedMedium::tick`]). No-op without a fault plan.
-    pub fn tick(&self) {
-        self.medium.tick();
-    }
-
-    /// Point-in-time fault counters (all zero without a fault plan).
-    pub fn chaos_stats(&self) -> crate::chaos::ChaosSnapshot {
-        self.medium.chaos_stats()
-    }
-
-    fn ctl(&self, to: SiteId, payload: DbPayload) {
-        let seq = self.ctl_seq.fetch_add(1, Ordering::SeqCst);
-        self.medium
-            .send(Message::new(CONTROL_SITE, to, seq, payload));
-    }
-
-    /// Blocks until every still-replicating replica has applied all
-    /// batches shipped so far: sends each a [`DbPayload::SyncPing`] and
-    /// waits for the echoes. Inboxes preserve the medium's merge order, so
-    /// a replica *answering* the probe has necessarily processed every
-    /// `Replicate` shipped to it before the probe. Returns early if the
-    /// medium closes mid-sync.
-    pub fn sync(&self) {
-        let active = self.active.lock().clone();
-        if active.is_empty() {
-            return;
-        }
-        let token = self.ctl_seq.fetch_add(1, Ordering::SeqCst);
-        // Subscribe before pinging so no echo can be missed (the stream
-        // is persistent anyway, but the intent should be explicit).
-        let mut cur = self.medium.choose(CONTROL_SITE);
-        for &site in &active {
-            self.ctl(site, DbPayload::SyncPing { token });
-        }
-        let mut waiting: std::collections::HashSet<SiteId> = active.into_iter().collect();
-        while !waiting.is_empty() {
-            let Some((msg, rest)) = cur.uncons() else {
-                return; // medium closed; nothing more is coming
-            };
-            cur = rest;
-            if let DbPayload::ReplicateAck { token: t, .. } = msg.payload {
-                if t == token {
-                    waiting.remove(&msg.from);
-                }
-            }
-        }
-    }
-
-    /// Simulates a primary crash: halts the current primary and waits for
-    /// its serving loop to exit. Because the join drains the responder,
-    /// every transaction admitted before the halt has been committed,
-    /// shipped to the replicas, and answered by the time this returns —
-    /// later messages to the dead site go unanswered until
-    /// [`promote`](Self::promote) re-points the cluster.
-    ///
-    /// Returns the number of requests the dead primary served.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the primary was already killed and not yet replaced.
-    pub fn kill_primary(&mut self) -> u64 {
-        let old = self.primary_site();
-        self.ctl(old, DbPayload::Halt);
-        self.primary_pump
-            .take()
-            .expect("no primary is running")
-            .join()
-            .expect("primary loop panicked")
-    }
-
-    /// Promotes replica `site` to primary: sends `Promote` (with the
-    /// surviving replica set), re-points client routing, and fails the
-    /// in-flight requests the dead primary will never answer. The order
-    /// matters — the promotion message is on the medium *before* any
-    /// client can address the new primary, so the replica sees it before
-    /// the first re-routed write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is not one of this cluster's replicas.
-    pub fn promote(&mut self, site: SiteId) {
-        let mut active = self.active.lock();
-        assert!(
-            self.replicas.iter().any(|r| r.site() == site),
-            "{site} is not a replica of this cluster"
-        );
-        active.retain(|&s| s != site);
-        let peers = active.clone();
-        drop(active);
-        self.ctl(site, DbPayload::Promote { peers });
-        let old = SiteId(self.primary.swap(site.0, Ordering::SeqCst));
-        for client in &self.clients {
-            client.fail_pending_to(old, "primary halted before a reply arrived");
-        }
-        // The promoted replica's serving loop is now the primary pump; a
-        // later kill/shutdown joins it through the ReplicaSite handle.
-    }
-
-    /// Closes the medium and waits for every site; returns the number of
-    /// requests served by primaries over the cluster's lifetime.
-    pub fn shutdown(mut self) -> u64 {
-        self.medium.close();
-        let mut served = 0;
-        if let Some(pump) = self.primary_pump.take() {
-            served += pump.join().expect("primary loop panicked");
-        }
-        for replica in self.replicas.drain(..) {
-            served += replica.join();
-        }
-        served
-    }
-}
-
-impl Drop for ReplicatedCluster {
-    fn drop(&mut self) {
-        self.medium.close();
-        if let Some(pump) = self.primary_pump.take() {
-            let _ = pump.join();
-        }
-        // ReplicaSite::drop joins each replica thread.
     }
 }

@@ -3,11 +3,15 @@
 //! The paper's primary site is "a bottleneck which is temporary" — but at
 //! millions of users it is permanent, and it is the WAL's fsync queue.
 //! [`ShardedCluster`] removes it by hash-partitioning every relation's
-//! tuples by primary key over N *shard groups*, each a full PR-3
-//! replication group: its own durable primary (own WAL, own checkpoints),
-//! its own replicas, its own catch-up and failover. Two shards means two
-//! independent fsync queues; on commit-latency-bound write traffic the
-//! groups overlap their disk waits and throughput scales.
+//! tuples by primary key over N *shard groups*, each a full replication
+//! group ([`crate::replica`]): its own durable primary (own WAL, own
+//! checkpoints), its own replicas, its own catch-up and failover. Two
+//! shards means two independent fsync queues; on commit-latency-bound
+//! write traffic the groups overlap their disk waits and throughput
+//! scales. It is the crate's only durable topology: with `shards = 1`
+//! it *is* the replicated cluster of Figure 3-1's distributed case — one
+//! durable primary at site 0, its replicas at `1..=R`, every key on
+//! shard 0, every transaction single-shard.
 //!
 //! **Routing** ([`ShardMap`] + the shard-aware
 //! [`ClientHandle`](crate::ClientHandle)): a single-key read or write goes
@@ -15,8 +19,8 @@
 //! et al.'s observation that fast distributed transactions must keep
 //! single-partition work off global coordination. Reads round-robin over
 //! the owning shard's replicas only (read-your-writes holds per shard,
-//! because each shard ships its batches before acking, exactly as in the
-//! unsharded cluster). Scans and aggregates scatter to every shard and
+//! because each shard ships its batches before acking — see
+//! [`crate::replica`]). Scans and aggregates scatter to every shard and
 //! gather; DDL broadcasts to every primary so each shard holds the full
 //! catalog.
 //!
@@ -59,7 +63,8 @@ use crate::chaos::{ChaosSnapshot, FaultPlan};
 use crate::cluster::ClientHandle;
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
-use crate::replica::{run_primary_loop, PrimaryRole, ReplicaSite, ReplicationSender, CONTROL_SITE};
+use crate::primary::{run_primary_loop, PrimaryRole};
+use crate::replica::{ReplicaSite, ReplicationSender, CONTROL_SITE};
 
 /// Hash partitioning of primary keys over a fixed number of shards.
 ///
@@ -146,8 +151,9 @@ impl ShardRoutes {
         ShardRoutes { map, routes }
     }
 
-    /// The one-shard table the unsharded clusters use: same routing code,
-    /// degenerate partitioning.
+    /// The one-shard, no-replica table of the in-memory
+    /// [`Cluster`](crate::Cluster): same routing code, degenerate
+    /// partitioning.
     pub(crate) fn single(primary: Arc<AtomicU32>, replicas: Vec<SiteId>) -> ShardRoutes {
         ShardRoutes::new(ShardMap::new(1), vec![ShardRoute { primary, replicas }])
     }
@@ -357,16 +363,14 @@ struct ShardGroup {
     active: Mutex<Vec<SiteId>>,
 }
 
-/// A hash-partitioned cluster of [`ReplicatedCluster`]-style shard
-/// groups behind shard-aware clients — see the module docs for the
-/// architecture.
+/// A hash-partitioned cluster of replication groups (durable primary +
+/// log-shipping replicas) behind shard-aware clients — see the module
+/// docs for the architecture. One shard is the plain replicated cluster.
 ///
 /// Site layout with `R` replicas per shard: shard `g`'s primary sits at
 /// site `g*(R+1)`, its replicas right after it, and the client sites
 /// after every group. Storage lives under `dir/shard-<g>/primary` and
 /// `dir/shard-<g>/replica-<site>`.
-///
-/// [`ReplicatedCluster`]: crate::ReplicatedCluster
 pub struct ShardedCluster {
     medium: SharedMedium<DbPayload>,
     groups: Vec<ShardGroup>,
@@ -599,11 +603,12 @@ impl ShardedCluster {
     }
 
     /// Blocks until every still-replicating replica of every shard has
-    /// applied all batches shipped so far (the per-shard
-    /// [`SyncPing`](DbPayload::SyncPing) barrier of the replicated
-    /// cluster, run across all groups at once), and records each shard's
-    /// apply progress into the stats. Returns early if the medium closes
-    /// mid-sync.
+    /// applied all batches shipped so far, and records each shard's apply
+    /// progress into the stats: sends each a
+    /// [`SyncPing`](DbPayload::SyncPing) and waits for the echoes. Inboxes
+    /// preserve the medium's merge order, so a replica *answering* the
+    /// probe has necessarily processed every `Replicate` shipped to it
+    /// before the probe. Returns early if the medium closes mid-sync.
     pub fn sync(&self) {
         let mut targets: HashMap<SiteId, u32> = HashMap::new();
         for g in &self.groups {
@@ -637,10 +642,11 @@ impl ShardedCluster {
     }
 
     /// Simulates a crash of `shard`'s primary: halts it and waits for its
-    /// serving loop to exit. Exactly the replicated cluster's clean-halt
-    /// contract, scoped to one group — every transaction the dead primary
-    /// admitted is committed, shipped, and acked by the time this
-    /// returns; the *other shards keep serving throughout*.
+    /// serving loop to exit. Because the join drains the responder, every
+    /// transaction the dead primary admitted is committed, shipped to the
+    /// replicas, and answered by the time this returns — later messages to
+    /// the dead site go unanswered until [`promote`](Self::promote)
+    /// re-points the shard; the *other shards keep serving throughout*.
     ///
     /// Returns the number of requests the dead primary served.
     ///
@@ -665,7 +671,10 @@ impl ShardedCluster {
     /// (with the shard's surviving replica set), re-points client routing
     /// for that shard, and fails the in-flight requests the dead primary
     /// will never answer — except broadcast sequenced transactions, which
-    /// the promoted primary replays and acks itself.
+    /// the promoted primary replays and acks itself. The order matters —
+    /// the promotion message is on the medium *before* any client can
+    /// address the new primary, so the replica sees it before the first
+    /// re-routed write.
     ///
     /// # Panics
     ///

@@ -1,15 +1,16 @@
 //! End-to-end replication properties: read routing, the failover
 //! invariant (every acknowledged transaction survives promotion), and
-//! replica catch-up from a torn local log.
+//! replica catch-up from a torn local log — on the replicated cluster,
+//! i.e. a [`ShardedCluster`] with one shard.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use fundb_durable::{fault, ScratchDir};
-use fundb_net::{ReplicatedCluster, SiteId};
+use fundb_net::{Cluster, ShardedCluster, SiteId};
 use fundb_query::Response;
-use fundb_relational::Tuple;
+use fundb_relational::{Database, Tuple};
 
 fn assert_found(resp: &Response, key: i64) {
     match resp {
@@ -30,7 +31,7 @@ fn assert_found(resp: &Response, key: i64) {
 #[test]
 fn reads_route_to_replicas_and_see_acked_writes() {
     let tmp = ScratchDir::new("repl-reads");
-    let cluster = ReplicatedCluster::start(tmp.path(), 2, 2, 2).unwrap();
+    let cluster = ShardedCluster::start(tmp.path(), 1, 2, 2, 2).unwrap();
     let c = cluster.client(0);
     assert!(!c.submit("create relation R").wait().is_error());
     for k in 0..50 {
@@ -44,7 +45,7 @@ fn reads_route_to_replicas_and_see_acked_writes() {
     // Writes may not target a replica.
     let c1 = cluster.client(1);
     assert_eq!(*c1.submit("count R").wait(), Response::Count(50));
-    assert!(cluster.batches_shipped() > 0);
+    assert!(cluster.stats().shard_lag[0].0 > 0, "no batch was shipped");
     cluster.sync();
     cluster.shutdown();
 }
@@ -56,7 +57,7 @@ fn reads_route_to_replicas_and_see_acked_writes() {
 #[test]
 fn promotion_preserves_every_acknowledged_transaction() {
     let tmp = ScratchDir::new("repl-promote");
-    let mut cluster = ReplicatedCluster::start(tmp.path(), 2, 2, 2).unwrap();
+    let mut cluster = ShardedCluster::start(tmp.path(), 1, 2, 2, 2).unwrap();
     let c = cluster.client(0);
     assert!(!c.submit("create relation R").wait().is_error());
 
@@ -81,8 +82,8 @@ fn promotion_preserves_every_acknowledged_transaction() {
     };
 
     std::thread::sleep(Duration::from_millis(50));
-    cluster.kill_primary();
-    cluster.promote(SiteId(1));
+    cluster.kill_primary(0);
+    cluster.promote(0, SiteId(1));
     // Let the writer run through the failover and land some writes on the
     // promoted primary before stopping it.
     std::thread::sleep(Duration::from_millis(50));
@@ -110,7 +111,7 @@ fn promotion_preserves_every_acknowledged_transaction() {
 fn replica_with_torn_log_catches_up_after_restart() {
     let tmp = ScratchDir::new("repl-torn");
     {
-        let cluster = ReplicatedCluster::start(tmp.path(), 1, 2, 1).unwrap();
+        let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 1).unwrap();
         let c = cluster.client(0);
         assert!(!c.submit("create relation R").wait().is_error());
         for k in 0..40 {
@@ -121,7 +122,7 @@ fn replica_with_torn_log_catches_up_after_restart() {
     }
 
     // Tear the replica's newest log segment mid-frame.
-    let wal_dir = tmp.path().join("replica-1").join("wal");
+    let wal_dir = tmp.path().join("shard-0/replica-1/wal");
     let newest = std::fs::read_dir(&wal_dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -135,7 +136,7 @@ fn replica_with_torn_log_catches_up_after_restart() {
     // Restart over the same directories. With a single replica, every
     // find routes to it — so these reads prove the replica recovered its
     // valid prefix and the snapshot filled in the torn-off suffix.
-    let cluster = ReplicatedCluster::start(tmp.path(), 1, 2, 1).unwrap();
+    let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 1).unwrap();
     let c = cluster.client(0);
     for k in 0..40 {
         assert_found(&c.submit(&format!("find {k} in R")).wait_cloned(), k);
@@ -144,4 +145,62 @@ fn replica_with_torn_log_catches_up_after_restart() {
     assert!(!c.submit("insert 40 into R").wait().is_error());
     assert_found(&c.submit("find 40 in R").wait_cloned(), 40);
     cluster.shutdown();
+}
+
+/// One serving loop: the in-memory Figure 3-1 cluster and a one-shard
+/// durable cluster run the same `run_primary_loop`, so the same client
+/// script — DDL, single-key writes and reads, a sequenced transaction, a
+/// parse error, a write to a relation that does not exist — draws the same
+/// response sequence from both.
+#[test]
+fn in_memory_and_one_shard_durable_clusters_answer_a_script_alike() {
+    enum Step {
+        Query(&'static str),
+        Txn(&'static [&'static str]),
+    }
+    use Step::{Query, Txn};
+    let script = [
+        Query("create relation R"),
+        Query("create relation R"),
+        Query("insert 1 into R"),
+        Query("insert (2, 'two') into R"),
+        Query("find 2 in R"),
+        Query("find 9 in R"),
+        Txn(&["insert 3 into R", "delete 1 from R", "insert 4 into R"]),
+        Query("count R"),
+        Query("frobnicate everything"),
+        Query("insert 5 into Missing"),
+        Txn(&["insert 6 into R", "insert 7 into Missing"]),
+        Query("find 1 in R"),
+        Query("count R"),
+    ];
+    let run = |c: fundb_net::ClientHandle| -> Vec<Response> {
+        script
+            .iter()
+            .map(|step| match step {
+                Query(q) => c.submit(q).wait_cloned(),
+                Txn(qs) => c.submit_txn(qs).wait_cloned(),
+            })
+            .collect()
+    };
+
+    let memory = Cluster::start(&Database::empty(), 1, 2);
+    let in_memory = run(memory.client(0));
+    memory.shutdown();
+
+    let tmp = ScratchDir::new("repl-differential");
+    let durable = ShardedCluster::start(tmp.path(), 1, 1, 2, 0).unwrap();
+    let on_disk = run(durable.client(0));
+    durable.shutdown();
+
+    assert_eq!(in_memory, on_disk);
+    // The script did what it says: data, a miss, an applied transaction,
+    // and the three kinds of error all appear.
+    assert_eq!(in_memory[4].tuples().map(|ts| ts.len()), Some(1));
+    assert_eq!(in_memory[6], Response::Applied { ops: 3, shards: 1 });
+    assert_eq!(in_memory[7], Response::Count(3));
+    for i in [1, 8, 9, 10] {
+        assert!(in_memory[i].is_error(), "step {i}: {:?}", in_memory[i]);
+    }
+    assert_eq!(in_memory[11], Response::Tuples(Vec::new()));
 }

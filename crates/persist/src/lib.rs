@@ -14,7 +14,6 @@
 //!   root-to-leaf path.
 //! * [`BTree`] — a persistent B-tree of configurable order, the "tree node
 //!   is one physical page" strategy of Section 3.3.
-//! * [`Avl`] — an applicative AVL map after Myers, cited as related work.
 //! * [`paged`] — the data-page/directory-page organization of Figure 2-2,
 //!   with a sharing report that regenerates the figure's claim.
 //!
@@ -36,7 +35,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod avl;
 pub mod batch;
 pub mod btree;
 pub mod list;
@@ -44,7 +42,6 @@ pub mod paged;
 pub mod report;
 pub mod tree23;
 
-pub use avl::Avl;
 pub use btree::BTree;
 pub use list::PList;
 pub use paged::{PageSharingReport, PagedStore};

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use fundb::persist::{Avl, BTree, PList, Tree23};
+use fundb::persist::{BTree, PList, Tree23};
 use fundb::prelude::*;
 use proptest::prelude::*;
 
@@ -57,32 +57,6 @@ proptest! {
     fn btree_matches_btreemap(ops in map_ops(), degree in 2usize..6) {
         let mut model = BTreeMap::new();
         let mut tree: BTree<u16, u16> = BTree::new(degree);
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    tree = tree.insert(k, v);
-                    model.insert(k, v);
-                }
-                MapOp::Remove(k) => {
-                    let got = tree.remove(&k);
-                    let want = model.remove(&k);
-                    prop_assert_eq!(got.as_ref().map(|(_, v)| *v), want);
-                    if let Some((t, _)) = got {
-                        tree = t;
-                    }
-                }
-            }
-        }
-        prop_assert!(tree.check_invariants());
-        let got: Vec<(u16, u16)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(u16, u16)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn avl_matches_btreemap(ops in map_ops()) {
-        let mut model = BTreeMap::new();
-        let mut tree: Avl<u16, u16> = Avl::new();
         for op in ops {
             match op {
                 MapOp::Insert(k, v) => {

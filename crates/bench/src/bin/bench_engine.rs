@@ -79,8 +79,8 @@ const CLIENTS: usize = 4;
 const OPS_PER_CLIENT: usize = 8000;
 const KEY_SPACE: u64 = 64;
 /// `batch_heavy` spreads its writes over a much larger key space: claimed
-/// runs then hold many distinct keys, which is what the one-pass
-/// `merge_batch` kernels and the scattered per-key folds exist for.
+/// runs then hold many distinct keys, which is what the batch's one
+/// per-key derivation and the one-pass `merge_batch` kernels exist for.
 const BATCH_KEY_SPACE: u64 = 1024;
 /// `selective` probes a non-key attribute of one large relation: the scan
 /// side pays a full pass per query, the indexed side a posting lookup.
@@ -232,8 +232,8 @@ fn cases(ops_per_client: usize) -> Vec<(&'static str, HotPathSpec)> {
         ),
         spec("mixed", case(3, 50, 0, KEY_SPACE, 0xbe53), ops_per_client),
         // Pure writes (with replaces mixed in) over a wide key space: each
-        // coalesced run carries many distinct keys, exercising the one-pass
-        // merge_batch kernels and the scattered per-key folds.
+        // coalesced run carries many distinct keys, exercising the per-key
+        // derivation and the one-pass merge_batch kernels.
         spec(
             "batch_heavy",
             case(1, 100, 25, BATCH_KEY_SPACE, 0xbe54),

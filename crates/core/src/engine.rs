@@ -62,11 +62,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fundb_lenient::{scatter, spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
+use fundb_lenient::{spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
 use fundb_query::exec::{self, Entry};
 use fundb_query::{FieldRef, Predicate, Query, Response, Transaction};
 use fundb_relational::{
-    batch_transitions, derive_delta, eval_view, BatchOp, Database, Relation, RelationName, Repr,
+    advance_view, eval_view, BatchOp, Database, KeyTransition, Relation, RelationName, Repr,
     Schema, ViewDef,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -169,39 +169,24 @@ impl ViewHandle {
         f(guard.as_mut().expect("waited for init above"))
     }
 
-    /// Applies one base commit's transition runs to the view: derive the
-    /// view's own transitions (per the definition's delta rule) and merge
-    /// them in — O(touched · log n), never a rescan. A self-join is the
-    /// one case with no sound incremental rule here (both sides change at
-    /// once) and falls back to re-evaluation.
+    /// Advances the view by one base commit's transition runs (see
+    /// [`advance_view`]) — O(touched · log n), never a rescan, except for
+    /// a self-join, which is re-evaluated.
     fn apply_delta(
         &self,
         role: DepRole,
         base: &RelationName,
-        runs: &[fundb_relational::KeyTransition],
+        runs: &[KeyTransition],
         base_after: &Relation,
         stats: &EngineStats,
     ) {
         self.with_state(|st| {
-            if let ViewDef::Join { left, right, .. } = &self.def {
-                if left == right {
-                    st.current = fundb_relational::rebuilt_like(
-                        &st.current,
-                        eval_view(&self.def, base_after, Some(base_after)),
-                    );
-                    st.left = base_after.clone();
-                    st.right = base_after.clone();
-                    EngineStats::bump(&stats.view_updates);
-                    return;
-                }
-            }
             let other = match role {
                 DepRole::JoinLeft => Some(&st.right),
                 DepRole::JoinRight => Some(&st.left),
                 DepRole::Base => None,
             };
-            let delta = derive_delta(&self.def, base, &st.current, runs, other);
-            st.current = st.current.apply_transitions(&delta);
+            st.current = advance_view(&self.def, base, &st.current, runs, base_after, other);
             match role {
                 DepRole::Base | DepRole::JoinLeft => st.left = base_after.clone(),
                 DepRole::JoinRight => st.right = base_after.clone(),
@@ -211,26 +196,19 @@ impl ViewHandle {
     }
 }
 
-/// Forwards a committed run's transitions to every dependent view
+/// Forwards a committed run's transitions — the runs the batch kernel
+/// derived and landed, not a second derivation — to every dependent view
 /// registered on `slot`. Runs inside the commit, *before* any response or
 /// the output cell fills, so an acknowledged base write is already visible
 /// in its views — which is what lets a view read prove freshness by
 /// waiting on base head cells alone.
 fn propagate_to_views(
     slot: &RelationSlot,
-    first: &Relation,
     next: &Relation,
     first_seq: u64,
-    data_ops: &[BatchOp],
+    runs: &[KeyTransition],
     stats: &EngineStats,
 ) {
-    if data_ops.is_empty() {
-        return;
-    }
-    let runs = batch_transitions(first, data_ops);
-    if runs.is_empty() {
-        return;
-    }
     // Snapshot the registration list, then apply outside its lock: a
     // propagation may block briefly on a view's initial materialization,
     // and that wait must not hold up concurrent view creation.
@@ -242,7 +220,7 @@ fn propagate_to_views(
             continue;
         }
         dep.view
-            .apply_delta(dep.role, &slot.name, &runs, next, stats);
+            .apply_delta(dep.role, &slot.name, runs, next, stats);
     }
 }
 
@@ -330,36 +308,33 @@ fn commit_and_apply(
             return;
         }
     }
-    // A run of one op — a batch sealed by a reader right away, or index
-    // DDL, which always runs alone — skips the batch machinery: no op
-    // vector, no outcome vector, no extra clone.
-    if claimed.len() == 1 {
-        let (_, q, resp_cell) = claimed.into_iter().next().expect("len checked");
-        let data_op = if wants_views {
-            exec::batch_op(&q)
-        } else {
-            None
+    // A run of one op with no view to feed — a batch sealed by a reader
+    // right away — and index DDL, which always runs alone and changes no
+    // rows, skip the batch machinery: no op vector, no outcome vector, no
+    // extra clone.
+    let ops: Option<Vec<BatchOp>> = if claimed.len() == 1 && !wants_views {
+        None
+    } else {
+        claimed.iter().map(|(_, q, _)| exec::batch_op(q)).collect()
+    };
+    let Some(ops) = ops else {
+        let Ok([(_, q, resp_cell)]) = <[_; 1]>::try_from(claimed) else {
+            unreachable!("only data writes coalesce; index DDL runs alone")
         };
         let (next, resp) = exec::write(first, q);
-        propagate_to_views(slot, first, &next, first_seq, data_op.as_slice(), stats);
         publish_frontier(frontier, covers, &next);
         resp_cell.fill(resp).ok();
         output.fill(next).ok();
         return;
-    }
-    // Apply the whole run as one structural merge: the batch kernel groups
-    // the ops per key (stably — submission order within a key is preserved,
-    // so the result equals tuple-at-a-time application in submission order)
-    // and copies each touched node once instead of once per op. Large
-    // per-key folds are scattered over idle pool workers; called from a
-    // reader's force() off the pool, `scatter` degrades to inline.
-    let ops: Vec<BatchOp> = claimed
-        .iter()
-        .map(|(_, q, _)| exec::batch_op(q).expect("only data writes coalesce"))
-        .collect();
-    let (next, outcomes, _) = first.apply_batch_scattered(&ops, &scatter);
+    };
+    // Apply the whole run as one commit: the batch kernel derives the
+    // per-key transitions once (grouped stably — submission order within a
+    // key is preserved, so the result equals tuple-at-a-time application
+    // in submission order), lands them copying each touched node once, and
+    // hands the same runs on to the views.
+    let (next, outcomes, _, runs) = first.apply_batch_with_runs(&ops);
     if wants_views {
-        propagate_to_views(slot, first, &next, first_seq, &ops, stats);
+        propagate_to_views(slot, &next, first_seq, &runs, stats);
     }
     publish_frontier(frontier, covers, &next);
     for ((_, q, resp_cell), outcome) in claimed.into_iter().zip(outcomes) {

@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{self, Sender};
 use parking_lot::{Condvar, Mutex};
 
-/// A boxed unit of work, as accepted by [`WorkerPool::spawn`] and [`scatter`].
+/// A boxed unit of work, as a worker receives it.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A message to a worker: run a job, or exit (the shutdown pill `Drop`
@@ -34,18 +34,18 @@ enum Msg {
 }
 
 /// A lightweight handle a worker thread keeps to its own pool: enough to
-/// spawn sibling jobs ([`scatter`]) without a back-reference to the
-/// [`WorkerPool`] itself (which would make drop order circular).
+/// spawn sibling jobs ([`spawn_on_current_pool`]) without a back-reference
+/// to the [`WorkerPool`] itself (which would make drop order circular).
 #[derive(Clone)]
 struct PoolHandle {
     sender: Sender<Msg>,
     pending: Arc<Pending>,
-    workers: usize,
 }
 
 thread_local! {
-    /// Set for the lifetime of each pool worker thread; [`scatter`] uses it
-    /// to discover the pool it is running on.
+    /// Set for the lifetime of each pool worker thread;
+    /// [`spawn_on_current_pool`] uses it to discover the pool it is
+    /// running on.
     static CURRENT_POOL: RefCell<Option<PoolHandle>> = const { RefCell::new(None) };
 }
 
@@ -145,7 +145,6 @@ impl WorkerPool {
                 let handle = PoolHandle {
                     sender: tx.clone(),
                     pending: Arc::clone(&pending),
-                    workers,
                 };
                 std::thread::spawn(move || {
                     CURRENT_POOL.with(|c| *c.borrow_mut() = Some(handle));
@@ -242,87 +241,6 @@ pub fn spawn_on_current_pool<F: FnOnce() + Send + 'static>(job: F) -> bool {
     true
 }
 
-/// Runs every task to completion, using the surrounding pool's idle
-/// workers opportunistically.
-///
-/// When called on a [`WorkerPool`] worker thread, the tasks go into a
-/// shared work list; helper jobs are spawned for the other workers, and
-/// the *calling thread drains the same list itself*, so completion never
-/// depends on any other worker being free — on a fully loaded or
-/// single-worker pool the caller simply does all the work. This makes the
-/// primitive safe to use from inside a pool job on the strictly FIFO queue
-/// (a blocking fork-join would deadlock there). Called from a non-pool
-/// thread, it runs the tasks inline.
-///
-/// Panics in a task claimed by a helper are swallowed by the pool's job
-/// isolation; panics in a task the caller drains propagate to the caller.
-/// Either way the in-flight accounting is released, so `scatter` returns.
-pub fn scatter(tasks: Vec<Job>) {
-    let handle = CURRENT_POOL.with(|c| c.borrow().clone());
-    let Some(handle) = handle else {
-        for t in tasks {
-            t();
-        }
-        return;
-    };
-    if tasks.len() <= 1 || handle.workers <= 1 {
-        for t in tasks {
-            t();
-        }
-        return;
-    }
-    struct ScatterState {
-        tasks: Mutex<Vec<Job>>,
-        running: Pending,
-    }
-    /// Claims one task, registering it as running *under the list lock* so
-    /// an empty list implies every claimed task is counted in `running`.
-    fn claim(state: &ScatterState) -> Option<Job> {
-        let mut tasks = state.tasks.lock();
-        let job = tasks.pop()?;
-        state.running.incr();
-        Some(job)
-    }
-    /// Decrements on drop, so a panicking task still releases its claim.
-    struct RunningGuard<'a>(&'a Pending);
-    impl Drop for RunningGuard<'_> {
-        fn drop(&mut self) {
-            self.0.decr();
-        }
-    }
-    fn drain(state: &ScatterState) {
-        while let Some(job) = claim(state) {
-            let _guard = RunningGuard(&state.running);
-            job();
-        }
-    }
-
-    let helpers = (handle.workers - 1).min(tasks.len() - 1);
-    let state = Arc::new(ScatterState {
-        tasks: Mutex::new(tasks),
-        running: Pending {
-            count: AtomicUsize::new(0),
-            waiters: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cond: Condvar::new(),
-        },
-    });
-    for _ in 0..helpers {
-        let state = Arc::clone(&state);
-        handle.pending.incr();
-        if handle
-            .sender
-            .send(Msg::Run(Box::new(move || drain(&state))))
-            .is_err()
-        {
-            handle.pending.decr();
-        }
-    }
-    drain(&state);
-    // The list is empty; wait only for tasks helpers already claimed.
-    state.running.wait_zero();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,98 +331,5 @@ mod tests {
     fn worker_count_reported() {
         let pool = WorkerPool::new(5);
         assert_eq!(pool.worker_count(), 5);
-    }
-
-    #[test]
-    fn scatter_off_pool_runs_inline() {
-        let n = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Job> = (0..10)
-            .map(|_| {
-                let n = n.clone();
-                Box::new(move || {
-                    n.fetch_add(1, Ordering::SeqCst);
-                }) as Job
-            })
-            .collect();
-        scatter(tasks);
-        assert_eq!(n.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn scatter_on_pool_completes_all_tasks() {
-        let pool = WorkerPool::new(4);
-        let n = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let n = n.clone();
-            let done = done.clone();
-            pool.spawn(move || {
-                let tasks: Vec<Job> = (0..32)
-                    .map(|_| {
-                        let n = n.clone();
-                        Box::new(move || {
-                            n.fetch_add(1, Ordering::SeqCst);
-                        }) as Job
-                    })
-                    .collect();
-                scatter(tasks);
-                // All 32 sub-tasks must be complete before scatter returns.
-                assert!(n.load(Ordering::SeqCst) >= 32);
-                done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(n.load(Ordering::SeqCst), 8 * 32);
-        assert_eq!(done.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn scatter_on_single_worker_pool_cannot_deadlock() {
-        let pool = WorkerPool::new(1);
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
-        pool.spawn(move || {
-            let tasks: Vec<Job> = (0..16)
-                .map(|_| {
-                    let n = n2.clone();
-                    Box::new(move || {
-                        n.fetch_add(1, Ordering::SeqCst);
-                    }) as Job
-                })
-                .collect();
-            scatter(tasks);
-        });
-        pool.wait_idle();
-        assert_eq!(n.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn scatter_survives_panicking_helper_tasks() {
-        let pool = WorkerPool::new(4);
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
-        pool.spawn(move || {
-            let tasks: Vec<Job> = (0..20)
-                .map(|i| {
-                    let n = n2.clone();
-                    Box::new(move || {
-                        n.fetch_add(1, Ordering::SeqCst);
-                        if i % 7 == 3 {
-                            panic!("injected scatter failure {i}");
-                        }
-                    }) as Job
-                })
-                .collect();
-            scatter(tasks);
-        });
-        pool.wait_idle();
-        assert_eq!(n.load(Ordering::SeqCst), 20);
-        // The pool still works afterwards.
-        let n3 = n.clone();
-        pool.spawn(move || {
-            n3.fetch_add(1, Ordering::SeqCst);
-        });
-        pool.wait_idle();
-        assert_eq!(n.load(Ordering::SeqCst), 21);
     }
 }

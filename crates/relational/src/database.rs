@@ -17,7 +17,7 @@ use crate::relation::{Relation, Repr};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use crate::view::{derive_delta, eval_view, rebuilt_like, ViewDef};
+use crate::view::{advance_view, eval_view, rebuilt_like, ViewDef};
 
 /// The name of a relation (cheap to clone and compare).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -328,25 +328,9 @@ impl Database {
         name: &RelationName,
         tuple: Tuple,
     ) -> Result<(Database, CopyReport), DatabaseError> {
-        self.reject_view_write(name)?;
-        // Single-op transition, derived only when a view will consume it.
-        let transitions = if self.has_dependent_views(name) {
-            let before = self.relation(name)?.key_group(tuple.key());
-            let mut after = before.clone();
-            after.push(tuple.clone());
-            Some(vec![KeyTransition::new(tuple.key().clone(), before, after)])
-        } else {
-            None
-        };
-        let (db, report, ()) = self.update_relation(name, |rel| {
-            let (r2, report) = rel.insert(tuple);
-            (r2, report, ())
-        })?;
-        let db = match transitions {
-            Some(ts) => db.propagate_to_views(name, &ts),
-            None => db,
-        };
-        Ok((db, report))
+        self.write_with(name, &[BatchOp::Insert(tuple.clone())], |rel| {
+            rel.insert(tuple)
+        })
     }
 
     /// `find`: every tuple in relation `name` whose key is `key`.
@@ -398,18 +382,10 @@ impl Database {
         name: &RelationName,
         key: &Value,
     ) -> Result<(Database, Vec<Tuple>), DatabaseError> {
-        self.reject_view_write(name)?;
-        let (db, _, removed) = self.update_relation(name, |rel| {
-            let (r2, removed, report) = rel.delete(key);
-            (r2, report, removed)
-        })?;
-        let db = if !removed.is_empty() && self.has_dependent_views(name) {
-            let ts = vec![KeyTransition::new(key.clone(), removed.clone(), Vec::new())];
-            db.propagate_to_views(name, &ts)
-        } else {
-            db
-        };
-        Ok((db, removed))
+        self.write_with(name, &[BatchOp::Delete(key.clone())], |rel| {
+            let (r2, removed, _) = rel.delete(key);
+            (r2, removed)
+        })
     }
 
     /// Attaches (and builds) a secondary index named `index` on attribute
@@ -652,37 +628,28 @@ impl Database {
         eval_view(def, left, right)
     }
 
-    /// Re-derives the contents of every dependent view from `base`'s
-    /// per-key transitions. The receiver is the *post-write* database: a
+    /// Advances every dependent view by `base`'s per-key transitions (see
+    /// [`advance_view`]). The receiver is the *post-write* database: a
     /// single base changed, so for a join the other side still holds its
     /// pre-write (= unchanged) value — exactly what the delta rules
-    /// expect. Self-joins fall back to a full re-evaluation.
+    /// expect.
     fn propagate_to_views(&self, base: &RelationName, transitions: &[KeyTransition]) -> Database {
         let mut db = self.clone();
-        let deps: Vec<(RelationName, Arc<ViewDef>)> = self
-            .entries
-            .iter()
-            .filter_map(|e| e.view.as_ref().map(|v| (e.name.clone(), Arc::clone(v))))
-            .filter(|(_, def)| def.depends_on(base))
-            .collect();
-        for (vname, def) in deps {
+        let base_after = self.relation(base).expect("base exists");
+        for (vname, def) in self.views() {
+            if !def.depends_on(base) {
+                continue;
+            }
             let new_view = {
-                let view = db.relation(&vname).expect("view exists");
-                match &*def {
-                    ViewDef::Join { left, right, .. } if left == right => {
-                        rebuilt_like(view, db.eval_def(&def))
-                    }
+                let other = match &*def {
                     ViewDef::Join { left, right, .. } => {
                         let other = if base == left { right } else { left };
-                        let other = db.relation(other).expect("join base exists");
-                        let vts = derive_delta(&def, base, view, transitions, Some(other));
-                        view.apply_transitions(&vts)
+                        Some(db.relation(other).expect("join base exists"))
                     }
-                    _ => {
-                        let vts = derive_delta(&def, base, view, transitions, None);
-                        view.apply_transitions(&vts)
-                    }
-                }
+                    _ => None,
+                };
+                let view = db.relation(&vname).expect("view exists");
+                advance_view(&def, base, view, transitions, base_after, other)
             };
             db = db
                 .update_relation(&vname, |_| (new_view, CopyReport::default(), ()))

@@ -27,9 +27,10 @@ use fundb_persist::{PList, Tree23};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// One per-key write effect as seen by index maintenance: the tuples the
-/// key held before the write and the tuples it holds after. Runs of these
-/// must be strictly ascending by `key`.
+/// One per-key write effect: the tuples the key held before the write and
+/// the tuples it holds after. A commit's run of these — strictly ascending
+/// by `key` — is what the store, the indexes, the length counter and the
+/// views all read (see [`crate::batch`]).
 #[derive(Debug, Clone)]
 pub struct KeyTransition {
     /// The primary key whose bucket changed.

@@ -34,11 +34,11 @@ pub mod tuple;
 pub mod value;
 pub mod view;
 
-pub use batch::{batch_transitions, BatchOp, BatchOutcome, BatchTask};
+pub use batch::{batch_transitions, BatchOp, BatchOutcome};
 pub use database::{Database, DatabaseError, RelationName};
 pub use index::{IndexSet, KeyTransition, SecondaryIndex};
 pub use relation::{Relation, Repr, Store};
 pub use schema::{Schema, SchemaError};
 pub use tuple::Tuple;
 pub use value::Value;
-pub use view::{derive_delta, eval_view, rebuilt_like, ViewDef, ViewFilter};
+pub use view::{advance_view, derive_delta, eval_view, rebuilt_like, ViewDef, ViewFilter};

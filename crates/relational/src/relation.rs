@@ -19,6 +19,7 @@ use std::fmt;
 
 use fundb_persist::{BTree, CopyReport, PList, PagedStore, Tree23};
 
+use crate::batch::BatchOp;
 use crate::index::{IndexSet, KeyTransition, SecondaryIndex};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -453,13 +454,11 @@ impl Relation {
         Relation::from(Store::empty(repr))
     }
 
-    /// Builds a relation of the chosen representation from tuples.
+    /// Builds a relation of the chosen representation from tuples, landed
+    /// as one batch of inserts (one kernel pass, not one insert per tuple).
     pub fn from_tuples<I: IntoIterator<Item = Tuple>>(repr: Repr, tuples: I) -> Self {
-        let mut rel = Relation::empty(repr);
-        for t in tuples {
-            rel = rel.insert(t).0;
-        }
-        rel
+        let ops: Vec<BatchOp> = tuples.into_iter().map(BatchOp::Insert).collect();
+        Relation::empty(repr).apply_batch(&ops).0
     }
 
     /// The physical tuple store.

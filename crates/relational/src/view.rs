@@ -512,8 +512,8 @@ pub fn group_delta(
 /// side at its last-committed value — left transitions probe it (the old
 /// right) for matches; right transitions consult it only to find the
 /// affected left keys and reconstruct their buckets from the transitions
-/// themselves. For a self-join (`left == right`) the caller should fall
-/// back to [`eval_view`] instead.
+/// themselves. A self-join (`left == right`) has no rule here;
+/// [`advance_view`] re-evaluates it instead.
 pub fn derive_delta(
     def: &ViewDef,
     base: &RelationName,
@@ -543,6 +543,28 @@ pub fn derive_delta(
     }
 }
 
+/// Advances `view` by one commit to its base `base`: `runs` are the
+/// commit's transitions, `base_after` the base's new value, and `other`
+/// the join's other side as [`derive_delta`] takes it. A self-join changes
+/// both of its sides at once, which no delta rule covers, so it is
+/// re-evaluated from `base_after`; every other definition lands
+/// [`derive_delta`]'s transitions.
+pub fn advance_view(
+    def: &ViewDef,
+    base: &RelationName,
+    view: &Relation,
+    runs: &[KeyTransition],
+    base_after: &Relation,
+    other: Option<&Relation>,
+) -> Relation {
+    match def {
+        ViewDef::Join { left, right, .. } if left == right => {
+            rebuilt_like(view, eval_view(def, base_after, Some(base_after)))
+        }
+        _ => view.apply_transitions(&derive_delta(def, base, view, runs, other)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,8 +580,8 @@ mod tests {
         Tuple::new(vec![k.into(), g.into(), x.into()])
     }
 
-    /// Applies `ops` to `base` and incrementally maintains `view` under
-    /// `def`, returning (new base, new view).
+    /// Applies `ops` to `base` and advances `view` under `def` from the
+    /// batch's own runs, returning (new base, new view).
     fn step(
         def: &ViewDef,
         base: &Relation,
@@ -568,11 +590,18 @@ mod tests {
         ops: &[BatchOp],
         base_is_left: bool,
     ) -> (Relation, Relation) {
-        let ts = batch_transitions(base, ops);
-        let (base2, _, _) = base.apply_batch(ops);
+        let (base2, _, _, runs) = base.apply_batch_with_runs(ops);
         let name: RelationName = if base_is_left { "L".into() } else { "R".into() };
-        let vts = derive_delta(def, &name, view, &ts, other);
-        (base2, view.apply_transitions(&vts))
+        let view2 = advance_view(def, &name, view, &runs, &base2, other);
+        (base2, view2)
+    }
+
+    /// The view's rows and a recompute's, each sorted.
+    fn sorted_pair(view: &Relation, mut expect: Vec<Tuple>) -> (Vec<Tuple>, Vec<Tuple>) {
+        let mut got = view.scan();
+        got.sort();
+        expect.sort();
+        (got, expect)
     }
 
     #[test]
@@ -593,10 +622,7 @@ mod tests {
             let ts = batch_transitions(&base, &ops);
             let (base2, _, _) = base.apply_batch(&ops);
             view = view.apply_transitions(&select_delta(&Some(ViewFilter::Gt(2, 25.into())), &ts));
-            let mut expect = eval_view(&def, &base2, None);
-            let mut got = view.scan();
-            expect.sort();
-            got.sort();
+            let (got, expect) = sorted_pair(&view, eval_view(&def, &base2, None));
             assert_eq!(got, expect, "{repr}");
             assert_eq!(view.len(), expect.len(), "{repr} len counter");
         }
@@ -621,30 +647,45 @@ mod tests {
                 BatchOp::Delete(5.into()),
                 BatchOp::Insert(row(50, 1, 1)),
             ];
-            let (left2, view2) = step(&def, &left, Some(&right), &view, &lops, true);
-            let mut expect = eval_view(&def, &left2, Some(&right));
-            let mut got = view2.scan();
-            expect.sort();
-            got.sort();
+            let left2;
+            (left2, view) = step(&def, &left, Some(&right), &view, &lops, true);
+            let (got, expect) = sorted_pair(&view, eval_view(&def, &left2, Some(&right)));
             assert_eq!(got, expect, "{repr} left step");
 
             // Right-side batch on top.
-            view = view2;
             let rops = vec![
                 BatchOp::Delete(104.into()),
                 BatchOp::Insert(row(200, 2, 9)),
                 BatchOp::Replace(row(101, 0, 8)),
             ];
-            let ts = batch_transitions(&right, &rops);
-            let (right2, _, _) = right.apply_batch(&rops);
-            let vts = derive_delta(&def, &"R".into(), &view, &ts, Some(&left2));
-            view = view.apply_transitions(&vts);
-            let mut expect = eval_view(&def, &left2, Some(&right2));
-            let mut got = view.scan();
-            expect.sort();
-            got.sort();
+            let right2;
+            (right2, view) = step(&def, &right, Some(&left2), &view, &rops, false);
+            let (got, expect) = sorted_pair(&view, eval_view(&def, &left2, Some(&right2)));
             assert_eq!(got, expect, "{repr} right step");
             assert_eq!(view.len(), expect.len(), "{repr} len counter");
+        }
+    }
+
+    #[test]
+    fn self_join_view_is_re_evaluated_from_the_new_base() {
+        for repr in all_reprs() {
+            let def = ViewDef::Join {
+                left: "L".into(),
+                right: "L".into(),
+                left_field: 1,
+                right_field: 1,
+            };
+            let base = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, k)));
+            let view = Relation::from_tuples(repr, eval_view(&def, &base, Some(&base)));
+            let ops = vec![
+                BatchOp::Insert(row(40, 1, 0)),
+                BatchOp::Delete(3.into()),
+                BatchOp::Replace(row(5, 0, 9)),
+                BatchOp::Insert(row(41, 2, 1)),
+            ];
+            let (base2, view2) = step(&def, &base, None, &view, &ops, true);
+            let (got, expect) = sorted_pair(&view2, eval_view(&def, &base2, Some(&base2)));
+            assert_eq!(got, expect, "{repr}");
         }
     }
 
@@ -664,14 +705,8 @@ mod tests {
             .unwrap();
         let view = Relation::from_tuples(Repr::Tree23, eval_view(&def, &left, Some(&right)));
         let ops = vec![BatchOp::Replace(row(7, 3, 0))];
-        let ts = batch_transitions(&right, &ops);
-        let (right2, _, _) = right.apply_batch(&ops);
-        let vts = derive_delta(&def, &"R".into(), &view, &ts, Some(&left));
-        let view2 = view.apply_transitions(&vts);
-        let mut expect = eval_view(&def, &left, Some(&right2));
-        let mut got = view2.scan();
-        expect.sort();
-        got.sort();
+        let (right2, view2) = step(&def, &right, Some(&left), &view, &ops, false);
+        let (got, expect) = sorted_pair(&view2, eval_view(&def, &left, Some(&right2)));
         assert_eq!(got, expect);
     }
 
@@ -706,15 +741,9 @@ mod tests {
             sums = sums.apply_transitions(&group_delta(&sums, &ts, 1, Some(2)));
             // Group 0 is now empty: its rows must be gone entirely.
             assert!(counts.key_group(&0.into()).is_empty(), "{repr}");
-            let mut expect = eval_view(&count_def, &base2, None);
-            let mut got = counts.scan();
-            expect.sort();
-            got.sort();
+            let (got, expect) = sorted_pair(&counts, eval_view(&count_def, &base2, None));
             assert_eq!(got, expect, "{repr} counts");
-            let mut expect = eval_view(&sum_def, &base2, None);
-            let mut got = sums.scan();
-            expect.sort();
-            got.sort();
+            let (got, expect) = sorted_pair(&sums, eval_view(&sum_def, &base2, None));
             assert_eq!(got, expect, "{repr} sums");
         }
     }

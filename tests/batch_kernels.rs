@@ -136,7 +136,7 @@ proptest! {
 #[test]
 fn batch_copy_bound_at_k256_n10k() {
     for repr in [Repr::Tree23, Repr::BTree(4)] {
-        // n = 10_000 even keys seeded tuple-at-a-time.
+        // n = 10_000 even keys, bulk-loaded.
         let base = Relation::from_tuples(repr, (0..10_000).map(|k| tup(k * 2, 0)));
         // k = 256 fresh odd keys in one contiguous region — the shape of a
         // coalesced write run, where neighbouring ops share spine paths.

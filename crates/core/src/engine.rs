@@ -2315,14 +2315,25 @@ mod tests {
             txn("insert (1, 'x') into S"),
             txn("create view RS as join R with S on #0 = #0"),
         ]);
-        let rs = engine.run(vec![
-            txn("insert (2, 'b') into R"), // no right partner yet
-            txn("count RS"),
-            txn("insert (2, 'y') into S"), // completes the pair
-            txn("count RS"),
-            txn("delete 1 from S"), // right-side retraction
-            txn("count RS"),
-        ]);
+        // A view read is at-least-fresh, not an atomic cut: it may also see
+        // writes submitted after it, so each count is awaited before the
+        // next write goes in.
+        let mut cells = Vec::new();
+        for q in [
+            "insert (2, 'b') into R", // no right partner yet
+            "count RS",
+            "insert (2, 'y') into S", // completes the pair
+            "count RS",
+            "delete 1 from S", // right-side retraction
+            "count RS",
+        ] {
+            let cell = engine.submit(txn(q));
+            if q.starts_with("count") {
+                cell.wait();
+            }
+            cells.push(cell);
+        }
+        let rs: Vec<Response> = cells.iter().map(Lenient::wait_cloned).collect();
         assert_eq!(rs[1], Response::Count(1));
         assert_eq!(rs[3], Response::Count(2));
         assert_eq!(rs[5], Response::Count(1));

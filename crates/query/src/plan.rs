@@ -13,10 +13,10 @@
 //!    a shorter conjunct prefix (`#i = v` alone) becomes a posting-range
 //!    probe on the same index.
 //! 3. **Indexed equality** (`#i = v` with a single-column index on `i`) —
-//!    one posting-list lookup, then batched key probes.
+//!    one posting-list lookup, whose entries carry the rows.
 //! 4. **Key range** (`#0 > lo and #0 < hi`) — a primary `find_range`.
 //! 5. **Indexed range** (`#i > lo` / `#i < hi` with an index on `i`) — a
-//!    posting-range union, then batched key probes.
+//!    posting-range union, whose entries carry the rows.
 //! 6. **Scan** — the streaming fallback ([`Relation::scan_iter`]); nothing
 //!    is materialized before the filter runs.
 //!
@@ -34,12 +34,14 @@
 //! so a path only has to produce a superset of the matching tuples — a
 //! wrong estimate can cost time but never change results.
 //!
-//! Candidate tuples are fetched with [`Relation::key_groups_sorted`] (the
-//! posting lookups already produce strictly ascending key runs), so on
-//! key-ordered representations an index-assisted select returns exactly
-//! the sequence a full scan-and-filter would. Arrival-order (paged) stores
-//! are the exception: equivalence there is as a multiset (documented in
-//! DESIGN.md §13).
+//! Index paths take their candidate tuples from the index itself: a
+//! posting entry carries its key's tuple whenever that key's bucket holds
+//! exactly one, and [`Relation::index_rows`] reads only multi-tuple
+//! buckets from the primary store. Probes return entries in ascending key
+//! order, so on key-ordered representations an index-assisted select
+//! returns exactly the sequence a full scan-and-filter would. Arrival-order
+//! (paged) stores are the exception: the index path yields key order, so
+//! equivalence there is as a multiset (documented in DESIGN.md §13).
 //!
 //! Joins get the same treatment via [`choose_join_strategy`]: key-key
 //! joins keep the merge pass, a non-key equi-join probes a secondary
@@ -316,7 +318,7 @@ fn fetch_candidates(rel: &Relation, path: &AccessPath) -> Vec<Tuple> {
         AccessPath::KeyRange(lo, hi) => rel.find_range(lo, hi),
         AccessPath::IndexEq { field, value, .. } => {
             let ix = rel.index_on(*field).expect("path chosen from this index");
-            rel.key_groups_sorted(&ix.keys_eq(value))
+            rel.index_rows(&ix.probe_prefix(std::slice::from_ref(value)))
         }
         AccessPath::CompositeEq { index, values, .. }
         | AccessPath::CoveredEq { index, values, .. } => {
@@ -324,11 +326,11 @@ fn fetch_candidates(rel: &Relation, path: &AccessPath) -> Vec<Tuple> {
                 .indexes()
                 .get(index)
                 .expect("path chosen from this index");
-            rel.key_groups_sorted(&ix.keys_prefix(values))
+            rel.index_rows(&ix.probe_prefix(values))
         }
         AccessPath::IndexRange { field, lo, hi, .. } => {
             let ix = rel.index_on(*field).expect("path chosen from this index");
-            rel.key_groups_sorted(&ix.keys_in_range(lo.as_ref(), hi.as_ref()))
+            rel.index_rows(&ix.probe_range(lo.as_ref(), hi.as_ref()))
         }
     }
 }
@@ -396,8 +398,8 @@ fn try_covering(
 }
 
 /// Executes a select against one relation: resolves the predicate, picks
-/// an access path by estimated cost, fetches candidates (posting probes
-/// batched into one sorted-run lookup), then applies the full predicate
+/// an access path by estimated cost, fetches candidates (index paths read
+/// the rows their posting entries carry), then applies the full predicate
 /// as a residual filter plus the projection. Shared by every executor
 /// (the sequential `translate` closure and the pipelined engine) so plans
 /// cannot drift between them.
@@ -445,7 +447,7 @@ pub fn execute_select_explained(
             .indexes()
             .get(index)
             .expect("covering chosen from this index");
-        let matched = ix.keys_prefix(values).len();
+        let matched = ix.probe_prefix(values).len();
         let row = Tuple::new(
             projection
                 .as_ref()
@@ -510,8 +512,8 @@ pub enum JoinStrategy {
     /// probe per left tuple.
     KeyProbe,
     /// Left attribute against a secondary index on the right join
-    /// attribute: one posting lookup plus batched key probes per left
-    /// tuple, instead of touching the whole inner relation.
+    /// attribute: one posting lookup per left tuple, whose entries carry
+    /// the matching rows, instead of touching the whole inner relation.
     IndexNestedLoop {
         /// The inner relation's index used for probing.
         index: String,
@@ -541,8 +543,7 @@ impl fmt::Display for JoinStrategy {
 ///
 /// An index nested loop is chosen over the build-and-probe pass when its
 /// probe cost — per left tuple, one posting lookup plus the index's
-/// average fanout in key probes — undercuts touching every inner tuple
-/// once.
+/// average fanout in rows — undercuts touching every inner tuple once.
 pub fn choose_join_strategy(
     left: &Relation,
     right: &Relation,
@@ -629,7 +630,7 @@ pub fn execute_join_explained(
             let mut out = Vec::new();
             for l in left.scan_iter() {
                 if let Some(v) = l.get(lf) {
-                    for r in right.key_groups_sorted(&ix.keys_eq(v)) {
+                    for r in right.index_rows(&ix.probe_prefix(std::slice::from_ref(v))) {
                         // Residual: a key group can hold tuples whose join
                         // attribute differs from the posting's value.
                         if r.get(rf) == Some(v) {

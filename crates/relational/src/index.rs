@@ -4,20 +4,30 @@
 //! function of the database version, rebuilt path-by-path with everything
 //! else shared (§2.2's full logical update by partial physical update
 //! applies to *derived* structures too). Concretely, a [`SecondaryIndex`]
-//! is a persistent 2-3 tree from attribute value to a *posting list* of
-//! primary keys (a shared [`PList`], copy-on-write like everything else),
-//! and an [`IndexSet`] is the cheaply clonable collection of them a
-//! `Relation` carries.
+//! is a persistent 2-3 tree from attribute value to a *posting list* (a
+//! shared [`PList`], copy-on-write like everything else), and an
+//! [`IndexSet`] is the cheaply clonable collection of them a `Relation`
+//! carries.
+//!
+//! A posting entry ([`PostingEntry`]) is a primary key plus, when that
+//! key's bucket holds exactly one tuple, the tuple itself — the index
+//! shares the row with the store instead of only naming it. A probe then
+//! hands back rows without descending the primary store once per key
+//! ([`Relation::index_rows`](crate::Relation::index_rows)). A key whose
+//! bucket holds several tuples carries `None`: those tuples may sit under
+//! different indexed values, so no single posting can own them, and the
+//! reader takes the bucket from the store instead.
 //!
 //! Maintenance is batch-shaped: every write path reduces to a strictly
 //! ascending run of per-key [`KeyTransition`]s (the tuples a key held
 //! before and after), and [`IndexSet::apply_transitions`] folds the run
 //! into every index with one `merge_batch` pass each — so an indexed write
 //! stays `O(k + touched·log n)` per structure, and a relation with no
-//! indexes pays nothing. Unsorted or duplicate-key runs are rejected with
-//! the same panic discipline as the `merge_batch` kernels themselves.
+//! indexes pays nothing. Each touched posting is rebuilt by one merge of
+//! the old posting with its sorted changes, sharing the old posting's
+//! tail past the last change. Unsorted or duplicate-key runs are rejected
+//! with the same panic discipline as the `merge_batch` kernels themselves.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,6 +71,14 @@ enum IxVal {
     Sup,
 }
 
+/// `t`'s attributes at `fields`, compared in place of its composite key.
+fn indexed_values<'a>(
+    fields: &'a [usize],
+    t: &'a Tuple,
+) -> impl Iterator<Item = Option<&'a Value>> + 'a {
+    fields.iter().map(move |&f| t.get(f))
+}
+
 /// The composite key a tuple contributes to an index over `fields`, or
 /// `None` when the tuple is too narrow for any indexed attribute.
 fn composite_key(fields: &[usize], t: &Tuple) -> Option<Vec<IxVal>> {
@@ -70,14 +88,41 @@ fn composite_key(fields: &[usize], t: &Tuple) -> Option<Vec<IxVal>> {
         .collect()
 }
 
+/// One posting entry: a primary key holding at least one tuple with the
+/// posting's values, and that key's tuple when its bucket holds exactly
+/// one. `None` marks a bucket of several tuples — they may sit under
+/// different indexed values, so the reader takes the bucket from the store.
+pub type PostingEntry = (Value, Option<Tuple>);
+
+/// The entry `key` gets for a bucket holding `bucket`: the tuple itself
+/// when it is the only one.
+fn sole(bucket: &[Tuple]) -> Option<&Tuple> {
+    match bucket {
+        [t] => Some(t),
+        _ => None,
+    }
+}
+
+/// The union of `postings`, ascending by key and deduplicated. A key in
+/// several postings has a multi-tuple bucket, so all its entries are the
+/// same `None` and any one of them stands for the rest.
+fn union<'a>(postings: impl IntoIterator<Item = &'a PList<PostingEntry>>) -> Vec<&'a PostingEntry> {
+    let mut out: Vec<&PostingEntry> = postings.into_iter().flat_map(PList::iter).collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out.dedup_by(|a, b| a.0 == b.0);
+    out
+}
+
 /// A persistent secondary index on one or more attributes: a lexicographic
-/// value tuple → ascending posting list of primary keys holding at least
-/// one tuple with those values.
+/// value tuple → posting list of [`PostingEntry`]s, ascending by primary
+/// key, one per key holding at least one tuple with those values. An entry
+/// carries the key's tuple when the key's bucket holds only that tuple, so
+/// a probe yields rows, not just keys, for every single-tuple bucket.
 #[derive(Clone)]
 pub struct SecondaryIndex {
     name: Arc<str>,
     fields: Arc<[usize]>,
-    map: Tree23<Vec<IxVal>, PList<Value>>,
+    map: Tree23<Vec<IxVal>, PList<PostingEntry>>,
     /// Total posting entries (sum of posting-list lengths): together with
     /// [`distinct_values`](Self::distinct_values) this gives the planner
     /// an average-fanout hint without an O(n) walk.
@@ -108,6 +153,12 @@ impl SecondaryIndex {
     /// Builds a (possibly composite) index over `fields` in lexicographic
     /// order. Tuples missing *any* indexed attribute are unindexed.
     ///
+    /// One sorted pass: the tuples are grouped by key (a key-ordered scan
+    /// already is), each indexed tuple is paired with its entry's row, and
+    /// a stable sort of the pairs by indexed values leaves every posting's
+    /// keys ascending. Values are compared in place; a composite key is
+    /// built once per distinct value, not once per tuple.
+    ///
     /// # Panics
     ///
     /// Panics when `fields` is empty.
@@ -117,20 +168,38 @@ impl SecondaryIndex {
         tuples: I,
     ) -> Self {
         assert!(!fields.is_empty(), "an index needs at least one field");
-        let mut grouped: BTreeMap<Vec<IxVal>, BTreeSet<Value>> = BTreeMap::new();
-        for t in tuples {
-            if let Some(k) = composite_key(fields, &t) {
-                grouped.entry(k).or_default().insert(t.key().clone());
+        let mut rows: Vec<Tuple> = tuples.into_iter().collect();
+        rows.sort_by(|a, b| a.key().cmp(b.key()));
+        let mut pairs: Vec<(&Tuple, Option<&Tuple>)> = Vec::with_capacity(rows.len());
+        for bucket in rows.chunk_by(|a, b| a.key() == b.key()) {
+            let row = sole(bucket);
+            let indexed = bucket
+                .iter()
+                .filter(|t| indexed_values(fields, t).all(|v| v.is_some()));
+            pairs.extend(indexed.map(|t| (t, row)));
+        }
+        pairs.sort_by(|a, b| indexed_values(fields, a.0).cmp(indexed_values(fields, b.0)));
+        // Cons each posting from its last entry; the values come out
+        // descending, so the effect list is reversed once at the end.
+        let mut effects: Vec<(Vec<IxVal>, Option<PList<PostingEntry>>)> = Vec::new();
+        let mut posting: PList<PostingEntry> = PList::nil();
+        let mut entries = 0usize;
+        let mut pairs = pairs.into_iter().rev().peekable();
+        while let Some((t, row)) = pairs.next() {
+            // A bucket's tuples sharing one value make one entry.
+            if posting.head().is_none_or(|(k, _)| k != t.key()) {
+                posting = PList::cons((t.key().clone(), row.cloned()), posting);
+                entries += 1;
+            }
+            if pairs
+                .peek()
+                .is_none_or(|(next, _)| indexed_values(fields, next).ne(indexed_values(fields, t)))
+            {
+                let value = composite_key(fields, t).expect("only indexed tuples are paired");
+                effects.push((value, Some(std::mem::take(&mut posting))));
             }
         }
-        let mut entries = 0usize;
-        let effects: Vec<(Vec<IxVal>, Option<PList<Value>>)> = grouped
-            .into_iter()
-            .map(|(v, keys)| {
-                entries += keys.len();
-                (v, Some(posting_from(&keys)))
-            })
-            .collect();
+        effects.reverse();
         let (map, _) = Tree23::new().merge_batch(&effects);
         SecondaryIndex {
             name: Arc::from(name),
@@ -171,22 +240,16 @@ impl SecondaryIndex {
         self.entries
     }
 
-    /// The primary keys holding at least one tuple whose first indexed
-    /// attribute equals `value`, in ascending key order. On a composite
-    /// index this is a width-1 prefix probe.
-    pub fn keys_eq(&self, value: &Value) -> Vec<Value> {
-        self.keys_prefix(std::slice::from_ref(value))
-    }
-
-    /// The primary keys matching `values` against the leading index
-    /// columns. A full-width match is one tree descent to a single
-    /// posting; a strict prefix is a range probe over the contiguous run
-    /// of keys sharing the prefix, deduplicated and ascending.
+    /// The posting entries matching `values` against the leading index
+    /// columns, ascending by key and deduplicated. A full-width match is
+    /// one tree descent to a single posting, already in key order; a
+    /// strict prefix is a range probe over the contiguous run of postings
+    /// sharing the prefix, merged by one sort.
     ///
     /// # Panics
     ///
     /// Panics when `values` is empty or wider than the index.
-    pub fn keys_prefix(&self, values: &[Value]) -> Vec<Value> {
+    pub fn probe_prefix(&self, values: &[Value]) -> Vec<&PostingEntry> {
         assert!(
             !values.is_empty() && values.len() <= self.fields.len(),
             "prefix width {} outside 1..={}",
@@ -198,23 +261,18 @@ impl SecondaryIndex {
             return self
                 .map
                 .get(&lo)
-                .map(|p| p.iter().cloned().collect())
+                .map(|p| p.iter().collect())
                 .unwrap_or_default();
         }
         let mut hi = lo.clone();
         hi.push(IxVal::Sup);
-        let mut keys: BTreeSet<Value> = BTreeSet::new();
-        for (_, posting) in self.map.range(&lo, &hi) {
-            keys.extend(posting.iter().cloned());
-        }
-        keys.into_iter().collect()
+        union(self.map.range(&lo, &hi).into_iter().map(|(_, p)| p))
     }
 
-    /// The primary keys holding at least one tuple whose first indexed
-    /// attribute lies in the (inclusive) range, deduplicated and
-    /// ascending. Open bounds default to the smallest/largest indexed
-    /// value.
-    pub fn keys_in_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<Value> {
+    /// The posting entries whose first indexed attribute lies in the
+    /// (inclusive) range, ascending by key and deduplicated. Open bounds
+    /// default to the smallest/largest indexed value.
+    pub fn probe_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<&PostingEntry> {
         let lo_key: Vec<IxVal> = match lo {
             // A bare prefix sorts below every full key sharing it.
             Some(v) => vec![IxVal::Val(v.clone())],
@@ -233,11 +291,28 @@ impl SecondaryIndex {
         if lo_key > hi_key {
             return Vec::new();
         }
-        let mut keys: BTreeSet<Value> = BTreeSet::new();
-        for (_, posting) in self.map.range(&lo_key, &hi_key) {
-            keys.extend(posting.iter().cloned());
-        }
-        keys.into_iter().collect()
+        union(self.map.range(&lo_key, &hi_key).into_iter().map(|(_, p)| p))
+    }
+
+    /// The primary keys holding at least one tuple whose first indexed
+    /// attribute equals `value`, in ascending key order. On a composite
+    /// index this is a width-1 prefix probe.
+    pub fn keys_eq(&self, value: &Value) -> Vec<Value> {
+        self.keys_prefix(std::slice::from_ref(value))
+    }
+
+    /// The keys of [`probe_prefix`](Self::probe_prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is empty or wider than the index.
+    pub fn keys_prefix(&self, values: &[Value]) -> Vec<Value> {
+        keys_of(self.probe_prefix(values))
+    }
+
+    /// The keys of [`probe_range`](Self::probe_range).
+    pub fn keys_in_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<Value> {
+        keys_of(self.probe_range(lo, hi))
     }
 
     /// `true` when both indexes are physically the same value.
@@ -247,80 +322,110 @@ impl SecondaryIndex {
             && self.map.ptr_eq(&other.map)
     }
 
+    /// The distinct composite values `bucket` contributes, ascending.
+    fn values_of(&self, bucket: &[Tuple]) -> Vec<Vec<IxVal>> {
+        let mut values: Vec<Vec<IxVal>> = bucket
+            .iter()
+            .filter_map(|t| composite_key(&self.fields, t))
+            .collect();
+        if values.len() > 1 {
+            values.sort();
+            values.dedup();
+        }
+        values
+    }
+
     /// Folds one ascending transition run into the index with a single
-    /// `merge_batch` pass. Postings are rebuilt per touched attribute
-    /// value (they are short); the tree shares every untouched path.
+    /// `merge_batch` pass; the tree shares every untouched path.
+    ///
+    /// Each transition yields per-value changes to its key's entry: a drop
+    /// for every value the key leaves, and a put for every value it joins
+    /// — or keeps, when the bucket's single tuple changed (a carried row
+    /// must follow the store even when the indexed values did not move).
+    /// A stable sort groups the changes by value with keys still ascending,
+    /// and each touched posting is one merge of the old posting with its
+    /// changes.
     fn apply_transitions(&self, runs: &[KeyTransition]) -> SecondaryIndex {
-        // composite value → (keys gaining the value, keys losing it)
-        let mut delta: BTreeMap<Vec<IxVal>, (BTreeSet<&Value>, BTreeSet<&Value>)> = BTreeMap::new();
+        let mut changes: Vec<PostingChange<'_>> = Vec::new();
         for run in runs {
-            let before: BTreeSet<Vec<IxVal>> = run
-                .before
-                .iter()
-                .filter_map(|t| composite_key(&self.fields, t))
-                .collect();
-            let after: BTreeSet<Vec<IxVal>> = run
-                .after
-                .iter()
-                .filter_map(|t| composite_key(&self.fields, t))
-                .collect();
-            for v in after.difference(&before) {
-                delta.entry(v.clone()).or_default().0.insert(&run.key);
+            let before = self.values_of(&run.before);
+            let after = self.values_of(&run.after);
+            let row = sole(&run.after);
+            let row_changed = sole(&run.before) != row;
+            for v in &before {
+                if after.binary_search(v).is_err() {
+                    changes.push((v.clone(), &run.key, None));
+                }
             }
-            for v in before.difference(&after) {
-                delta.entry(v.clone()).or_default().1.insert(&run.key);
+            for v in after {
+                if row_changed || before.binary_search(&v).is_err() {
+                    changes.push((v, &run.key, Some(row)));
+                }
             }
         }
-        if delta.is_empty() {
+        if changes.is_empty() {
             return self.clone();
         }
-        let mut entries = self.entries;
-        let mut effects: Vec<(Vec<IxVal>, Option<PList<Value>>)> = Vec::with_capacity(delta.len());
-        for (value, (add, del)) in delta {
-            let mut keys: BTreeSet<Value> = self
-                .map
-                .get(&value)
-                .map(|p| p.iter().cloned().collect())
-                .unwrap_or_default();
-            let old_len = keys.len();
-            for k in &del {
-                keys.remove(*k);
-            }
-            let mut changed = keys.len() != old_len;
-            for k in add {
-                changed |= keys.insert(k.clone());
-            }
-            if !changed {
-                continue;
-            }
-            entries = entries - old_len + keys.len();
-            let effect = if keys.is_empty() {
-                None
-            } else {
-                Some(posting_from(&keys))
-            };
-            effects.push((value, effect));
-        }
-        if effects.is_empty() {
-            return self.clone();
-        }
+        changes.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut entries = self.entries as isize;
+        let effects: Vec<(Vec<IxVal>, Option<PList<PostingEntry>>)> = changes
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let value = &group[0].0;
+                let (posting, delta) = merge_posting(self.map.get(value), group);
+                entries += delta;
+                (value.clone(), (!posting.is_empty()).then_some(posting))
+            })
+            .collect();
         let (map, _) = self.map.merge_batch(&effects);
         SecondaryIndex {
             name: self.name.clone(),
             fields: self.fields.clone(),
             map,
-            entries,
+            entries: entries as usize,
         }
     }
 }
 
-/// An ascending posting list from a sorted key set.
-fn posting_from(keys: &BTreeSet<Value>) -> PList<Value> {
-    let mut p = PList::nil();
-    for k in keys.iter().rev() {
-        p = PList::cons(k.clone(), p);
+/// One change to the posting of composite value `.0`: key `.1` gets an
+/// entry carrying `row` (`Some(row)`, replacing any entry it had), or
+/// leaves the posting (`None`).
+type PostingChange<'a> = (Vec<IxVal>, &'a Value, Option<Option<&'a Tuple>>);
+
+/// `old` with `changes` (one value's, strictly ascending by key) applied,
+/// and the change in its entry count. One walk: entries below the last
+/// change are copied, the rest of `old` is shared as the new tail.
+fn merge_posting(
+    old: Option<&PList<PostingEntry>>,
+    changes: &[PostingChange<'_>],
+) -> (PList<PostingEntry>, isize) {
+    let mut rest = old.cloned().unwrap_or_default();
+    let mut copied: Vec<PostingEntry> = Vec::new();
+    let mut delta = 0isize;
+    for (_, key, change) in changes {
+        while let Some(e) = rest.head().filter(|e| e.0 < **key) {
+            copied.push(e.clone());
+            rest = rest.tail().expect("a list with a head has a tail");
+        }
+        if rest.head().is_some_and(|e| e.0 == **key) {
+            rest = rest.tail().expect("a list with a head has a tail");
+            delta -= 1;
+        }
+        if let Some(row) = change {
+            copied.push(((*key).clone(), row.cloned()));
+            delta += 1;
+        }
     }
-    p
+    let posting = copied
+        .into_iter()
+        .rev()
+        .fold(rest, |tail, e| PList::cons(e, tail));
+    (posting, delta)
+}
+
+/// The keys of a probe's entries.
+fn keys_of(entries: Vec<&PostingEntry>) -> Vec<Value> {
+    entries.into_iter().map(|(k, _)| k.clone()).collect()
 }
 
 /// The secondary indexes attached to one relation. Cloning is O(1): the

@@ -36,7 +36,7 @@ pub mod view;
 
 pub use batch::{batch_transitions, BatchOp, BatchOutcome};
 pub use database::{Database, DatabaseError, RelationName};
-pub use index::{IndexSet, KeyTransition, SecondaryIndex};
+pub use index::{IndexSet, KeyTransition, PostingEntry, SecondaryIndex};
 pub use relation::{Relation, Repr, Store};
 pub use schema::{Schema, SchemaError};
 pub use tuple::Tuple;

@@ -20,7 +20,7 @@ use std::fmt;
 use fundb_persist::{BTree, CopyReport, PList, PagedStore, Tree23};
 
 use crate::batch::BatchOp;
-use crate::index::{IndexSet, KeyTransition, SecondaryIndex};
+use crate::index::{IndexSet, KeyTransition, PostingEntry, SecondaryIndex};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -421,7 +421,7 @@ pub struct Relation {
     /// Cached tuple count. The tree stores' `len` is a full iteration
     /// (their O(1) lengths count distinct keys, not bucket contents), so
     /// the relation tracks its own — the planner's cardinality estimates
-    /// and the batched probe threshold ask for it on every query.
+    /// ask for it on every query.
     pub(crate) len: usize,
 }
 
@@ -554,46 +554,22 @@ impl Relation {
         self.store.key_group(key)
     }
 
-    /// The tuples of every key in `keys` (a strictly ascending run, as the
-    /// index posting lookups produce) — the batched form of
-    /// [`key_group`](Self::key_group). Tree stores probe per key while the
-    /// run is small and switch to one merged ordered pass when `k·log n`
-    /// would exceed a scan; list and paged stores, whose per-key probes
-    /// are already O(n), always take the single pass.
-    pub fn key_groups_sorted(&self, keys: &[Value]) -> Vec<Tuple> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if let Store::Tree(_) | Store::BTree(_) = &self.store {
-            let n = self.len();
-            let per_probe = (usize::BITS - n.max(1).leading_zeros()) as usize;
-            if keys.len() * per_probe < n {
-                return keys.iter().flat_map(|k| self.store.key_group(k)).collect();
+    /// The rows behind one of this relation's index probes (entries
+    /// ascending by key, as [`SecondaryIndex::probe_prefix`] and
+    /// [`SecondaryIndex::probe_range`] return them): an entry's carried
+    /// tuple is used as is, and a multi-tuple bucket (`None`) is read with
+    /// [`key_group`](Self::key_group). The result is exactly the entries'
+    /// keys mapped through `key_group`, with no store descent for any
+    /// single-tuple key.
+    pub fn index_rows(&self, entries: &[&PostingEntry]) -> Vec<Tuple> {
+        let mut out = Vec::with_capacity(entries.len());
+        for (key, row) in entries.iter().copied() {
+            match row {
+                Some(t) => out.push(t.clone()),
+                None => out.extend(self.store.key_group(key)),
             }
         }
-        if self.store.is_key_ordered() {
-            // Both runs ascend: one synchronized walk, one tree descent
-            // total (the scan) amortized across every probed key.
-            let mut out = Vec::new();
-            let mut i = 0usize;
-            for t in self.scan_iter() {
-                while i < keys.len() && keys[i] < *t.key() {
-                    i += 1;
-                }
-                if i == keys.len() {
-                    break;
-                }
-                if keys[i] == *t.key() {
-                    out.push(t);
-                }
-            }
-            out
-        } else {
-            // Arrival order: filter the scan against the sorted run.
-            self.scan_iter()
-                .filter(|t| keys.binary_search(t.key()).is_ok())
-                .collect()
-        }
+        out
     }
 
     /// Like [`find`](Self::find), but also reports how many stored cells
@@ -1043,30 +1019,144 @@ mod tests {
         }
     }
 
-    #[test]
-    fn key_groups_sorted_matches_per_key_probes() {
-        for repr in all_reprs() {
-            // 300 tuples over 30 keys so the tree path crosses the
-            // merged-pass threshold for wide runs and stays under it for
-            // narrow ones.
-            let r = Relation::from_tuples(
-                repr,
-                (0..300).map(|i| Tuple::new(vec![(i % 30).into(), i.into()])),
-            );
-            for keys in [
-                vec![Value::from(3), 7.into(), 11.into()],
-                (0..30).map(Value::from).collect::<Vec<_>>(),
-                vec![Value::from(-5), 99.into()],
-                Vec::new(),
+    fn t3(key: i64, g: i64, h: i64) -> Tuple {
+        Tuple::new(vec![key.into(), g.into(), h.into()])
+    }
+
+    /// Every full-width, strict-prefix and range probe of both indexes
+    /// on `r` — a single-column one on `#1` and a composite on `(#1, #2)`
+    /// — yields exactly the rows of its keys' `key_group`s.
+    fn assert_index_rows_are_key_groups(r: &Relation, what: &str) {
+        let single = r.indexes().get("g").expect("single-column index");
+        let composite = r.indexes().get("gh").expect("composite index");
+        let per_key =
+            |keys: Vec<Value>| -> Vec<Tuple> { keys.iter().flat_map(|k| r.key_group(k)).collect() };
+        for g in 0..4i64 {
+            let g = Value::from(g);
+            for (ix, values) in [
+                (single, vec![g.clone()]),
+                (composite, vec![g.clone()]),
+                (composite, vec![g.clone(), 0.into()]),
+                (composite, vec![g.clone(), 1.into()]),
             ] {
-                let mut batched = r.key_groups_sorted(&keys);
-                let mut per_key: Vec<Tuple> = keys.iter().flat_map(|k| r.key_group(k)).collect();
-                if !r.store().is_key_ordered() {
-                    batched.sort();
-                    per_key.sort();
-                }
-                assert_eq!(batched, per_key, "{repr} keys={keys:?}");
+                assert_eq!(
+                    r.index_rows(&ix.probe_prefix(&values)),
+                    per_key(ix.keys_prefix(&values)),
+                    "{what}: {} prefix {values:?}",
+                    ix.name()
+                );
             }
+            for ix in [single, composite] {
+                for (lo, hi) in [
+                    (Some(&g), None),
+                    (None, Some(&g)),
+                    (Some(&g), Some(&3.into())),
+                ] {
+                    assert_eq!(
+                        r.index_rows(&ix.probe_range(lo, hi)),
+                        per_key(ix.keys_in_range(lo, hi)),
+                        "{what}: {} range {lo:?}..{hi:?}",
+                        ix.name()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Index rows are the probed keys mapped through `key_group` — what
+        /// a probe fetched before postings carried rows — on every
+        /// representation, under inserts onto existing keys (buckets past
+        /// one tuple), deletes and replaces, landed one at a time and in
+        /// batches.
+        #[test]
+        fn index_rows_equal_key_groups_of_probed_keys(
+            ops in proptest::collection::vec((0u8..6, 0i64..12, 0i64..4, 0i64..2), 0..48),
+        ) {
+            use crate::batch::BatchOp;
+            for repr in all_reprs() {
+                let mut r = Relation::empty(repr)
+                    .create_index("g", 1)
+                    .and_then(|r| r.create_index_multi("gh", &[1, 2]))
+                    .expect("fresh relation");
+                let mut pending: Vec<BatchOp> = Vec::new();
+                for &(kind, k, g, h) in &ops {
+                    // Kinds 3..6 land on their own, 0..3 join the batch.
+                    let op = match kind % 3 {
+                        0 => BatchOp::Insert(t3(k, g, h)),
+                        1 => BatchOp::Delete(k.into()),
+                        _ => BatchOp::Replace(t3(k, g, h)),
+                    };
+                    if kind >= 3 {
+                        r = r.apply_batch(&pending).0;
+                        pending.clear();
+                        r = match op {
+                            BatchOp::Insert(t) => r.insert(t).0,
+                            BatchOp::Delete(k) => r.delete(&k).0,
+                            BatchOp::Replace(t) => r.delete(t.key()).0.insert(t).0,
+                        };
+                    } else {
+                        pending.push(op);
+                    }
+                }
+                r = r.apply_batch(&pending).0;
+                assert_index_rows_are_key_groups(&r, &repr.to_string());
+                // A fresh build of the same contents agrees too.
+                let rebuilt = Relation::from(r.store().clone())
+                    .create_index("g", 1)
+                    .and_then(|r| r.create_index_multi("gh", &[1, 2]))
+                    .expect("fresh relation");
+                assert_index_rows_are_key_groups(&rebuilt, &format!("{repr} rebuilt"));
+            }
+        }
+    }
+
+    #[test]
+    fn replace_of_a_non_indexed_field_moves_the_carried_row() {
+        for repr in all_reprs() {
+            let r = Relation::from_tuples(repr, [t3(1, 7, 0), t3(2, 7, 0)])
+                .create_index("g", 1)
+                .unwrap();
+            for batch in [1, 4] {
+                // Same indexed value, new third field.
+                let mut ops = vec![crate::batch::BatchOp::Replace(t3(1, 7, 99))];
+                ops.extend((0..batch - 1).map(|i| crate::batch::BatchOp::Insert(t3(10 + i, 8, 0))));
+                let (r2, _, _) = r.apply_batch(&ops);
+                let ix = r2.index_on(1).unwrap();
+                assert_eq!(
+                    r2.index_rows(&ix.probe_prefix(&[7.into()])),
+                    vec![t3(1, 7, 99), t3(2, 7, 0)],
+                    "{repr}, batch of {batch}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bucket_growing_past_one_tuple_falls_back_to_the_store() {
+        for repr in all_reprs() {
+            let r = Relation::from_tuples(repr, [t3(1, 5, 0)])
+                .create_index("g", 1)
+                .unwrap();
+            let entry = |r: &Relation| -> PostingEntry {
+                let ix = r.index_on(1).unwrap();
+                let probed = ix.probe_prefix(&[5.into()]);
+                assert_eq!(probed.len(), 1, "{repr}");
+                probed[0].clone()
+            };
+            assert_eq!(entry(&r), (1.into(), Some(t3(1, 5, 0))), "{repr}");
+            // 1 → 2 tuples under the same value: the entry drops its row.
+            let (r2, _) = r.insert(t3(1, 5, 1));
+            assert_eq!(entry(&r2), (1.into(), None), "{repr}");
+            let ix = r2.index_on(1).unwrap();
+            assert_eq!(
+                r2.index_rows(&ix.probe_prefix(&[5.into()])),
+                r2.key_group(&1.into()),
+                "{repr}"
+            );
+            // 2 → 1: the sole survivor is carried again.
+            let (r3, _, _) = r2.apply_batch(&[crate::batch::BatchOp::Replace(t3(1, 5, 2))]);
+            assert_eq!(entry(&r3), (1.into(), Some(t3(1, 5, 2))), "{repr}");
         }
     }
 

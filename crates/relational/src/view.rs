@@ -214,7 +214,7 @@ fn probe_matches(right: &Relation, rf: usize, value: &Value) -> Vec<Tuple> {
     }
     if let Some(ix) = right.index_on(rf) {
         return right
-            .key_groups_sorted(&ix.keys_eq(value))
+            .index_rows(&ix.probe_prefix(std::slice::from_ref(value)))
             .into_iter()
             // Residual: a key group can hold tuples whose join attribute
             // differs from the posting's value.

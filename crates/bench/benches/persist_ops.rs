@@ -1,18 +1,16 @@
 //! Persistent-structure operation costs: the list the paper measured vs the
-//! trees it projected (Section 2.2's `(log n)/n` copying bound).
+//! tree it projected (Section 2.2's `(log n)/n` copying bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fundb_persist::{BTree, PList, Tree23};
+use fundb_persist::{BTree, PList};
 
 fn bench_persist(c: &mut Criterion) {
     // Print the copying fractions the structures actually achieve.
     let n = 4096u32;
     let list: PList<u32> = (0..n).collect();
-    let t23: Tree23<u32, u32> = (0..n).map(|k| (k, k)).collect();
     let bt: BTree<u32, u32> = (0..n).map(|k| (k, k)).collect();
     println!("copying fraction for one insert at n = {n}:");
     println!("  list  : {}", list.insert_sorted_counted(n / 2).1);
-    println!("  2-3   : {}", t23.insert_counted(n + 1, 0).1);
     println!("  B-tree: {}", bt.insert_counted(n + 1, 0).1);
 
     let mut group = c.benchmark_group("persist_insert");
@@ -20,10 +18,6 @@ fn bench_persist(c: &mut Criterion) {
         let list: PList<u32> = (0..size).collect();
         group.bench_with_input(BenchmarkId::new("list_mid", size), &list, |b, l| {
             b.iter(|| l.insert_sorted(size / 2).len());
-        });
-        let t23: Tree23<u32, u32> = (0..size).map(|k| (k, k)).collect();
-        group.bench_with_input(BenchmarkId::new("tree23", size), &t23, |b, t| {
-            b.iter(|| t.insert(size / 2, 0).len());
         });
         let bt: BTree<u32, u32> = (0..size).map(|k| (k, k)).collect();
         group.bench_with_input(BenchmarkId::new("btree", size), &bt, |b, t| {
@@ -38,8 +32,6 @@ fn bench_persist(c: &mut Criterion) {
     group.bench_function("list_scan", |b| {
         b.iter(|| list.iter().position(|&x| x == size - 1));
     });
-    let t23: Tree23<u32, u32> = (0..size).map(|k| (k, k)).collect();
-    group.bench_function("tree23_get", |b| b.iter(|| *t23.get(&(size - 1)).unwrap()));
     let bt: BTree<u32, u32> = (0..size).map(|k| (k, k)).collect();
     group.bench_function("btree_get", |b| b.iter(|| *bt.get(&(size - 1)).unwrap()));
     group.finish();

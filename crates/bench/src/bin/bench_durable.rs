@@ -106,7 +106,7 @@ fn timed(per_record_fsync: bool) -> (f64, usize) {
         per_record_fsync,
     });
     let initial = Database::empty()
-        .create_relation("R", Repr::Tree23)
+        .create_relation("R", Repr::TREE)
         .expect("fresh database");
     let engine = PipelinedEngine::with_sink(
         WORKERS,
@@ -203,8 +203,7 @@ fn cut_of(db: Database) -> ConsistentCut {
 }
 
 fn measure_checkpoints() -> Vec<CheckpointRow> {
-    let backends: [(&'static str, Repr); 4] = [
-        ("tree23", Repr::Tree23),
+    let backends: [(&'static str, Repr); 3] = [
         ("btree4", Repr::BTree(4)),
         ("list", Repr::List),
         ("paged64", Repr::Paged(64)),

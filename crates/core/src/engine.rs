@@ -66,7 +66,7 @@ use fundb_lenient::{spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
 use fundb_query::exec::{self, Entry};
 use fundb_query::{FieldRef, Predicate, Query, Response, Transaction};
 use fundb_relational::{
-    advance_view, eval_view, BatchOp, Database, KeyTransition, Relation, RelationName, Repr,
+    advance_view, materialize_view, BatchOp, Database, KeyTransition, Relation, RelationName,
     Schema, ViewDef,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -1278,7 +1278,6 @@ impl PipelinedEngine {
         if let Err(refusal) = self.reserve_and_commit(name, query) {
             return Lenient::ready(refusal);
         }
-        let is_join = matches!(def, ViewDef::Join { .. });
         let handle = Arc::new(ViewHandle {
             name: name.clone(),
             def,
@@ -1312,17 +1311,7 @@ impl PipelinedEngine {
         // other way round, since head cells fill independently.
         let left = heads[0].wait_cloned();
         let right = heads.get(1).map(Lenient::wait_cloned);
-        let eval_right = match &right {
-            Some(r) => Some(r),
-            // A self-join dedups to one base; probe it on both sides.
-            None if is_join => Some(&left),
-            None => None,
-        };
-        let repr = match left.repr() {
-            Repr::Paged(_) => Repr::Tree23,
-            r => r,
-        };
-        let current = Relation::from_tuples(repr, eval_view(&handle.def, &left, eval_right));
+        let current = materialize_view(&handle.def, &left, right.as_ref());
         let rows = current.len();
         {
             let mut guard = handle.inner.lock();

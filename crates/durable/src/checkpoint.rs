@@ -3,7 +3,7 @@
 //!
 //! Section 2.2's claim is that version `k+1` shares all but `O(log n)` of
 //! its structure with version `k`. A checkpoint makes that claim pay off on
-//! disk: every physical node (list cell, 2-3 node, B-tree page, data page)
+//! disk: every physical node (list cell, B-tree page, data page, directory)
 //! is serialized with its children referenced *by content hash*, and the
 //! node store is append-only with hash-based deduplication. Checkpointing a
 //! cut therefore appends only the nodes the previous checkpoint has never
@@ -46,9 +46,9 @@ pub const NIL_ID: u128 = 0;
 
 const MANIFEST_MAGIC: u32 = 0x4643_4B32; // "FCK2" (FCK1 + view definitions)
 
-/// Node payload tags.
+/// Node payload tags. Tag 2 was the retired 2-3 tree node; a store holding
+/// one fails to load with a typed error, like any node of the wrong kind.
 const TAG_LIST_CELL: u8 = 1;
-const TAG_TREE23: u8 = 2;
 const TAG_BTREE: u8 = 3;
 const TAG_PAGE: u8 = 4;
 const TAG_DIRECTORY: u8 = 5;
@@ -340,14 +340,7 @@ impl CheckpointWriter {
                     let id = fnv128(&payload);
                     assert_ne!(id, NIL_ID, "payload hashed to the reserved nil id");
                     if self.on_disk.insert(id) {
-                        let mut frame = Vec::with_capacity(payload.len() + 24);
-                        put_u32(&mut frame, (payload.len() + 16) as u32);
-                        let mut body = Vec::with_capacity(payload.len() + 16);
-                        put_u128(&mut body, id);
-                        body.extend_from_slice(&payload);
-                        put_u32(&mut frame, crc32(&body));
-                        frame.extend_from_slice(&body);
-                        buf.extend_from_slice(&frame);
+                        buf.extend_from_slice(&node_frame(id, &payload));
                         nodes_written += 1;
                     } else {
                         nodes_deduped += 1;
@@ -394,8 +387,8 @@ impl CheckpointWriter {
         for e in &entries {
             put_str(&mut body, e.name.as_str());
             match e.repr {
+                // Repr tag 1 was the retired 2-3 tree.
                 Repr::List => body.push(0),
-                Repr::Tree23 => body.push(1),
                 Repr::BTree(t) => {
                     body.push(2);
                     put_u32(&mut body, t as u32);
@@ -418,11 +411,7 @@ impl CheckpointWriter {
             }
             put_view_def(&mut body, e.view.as_ref());
         }
-        let mut manifest = Vec::with_capacity(body.len() + 12);
-        put_u32(&mut manifest, MANIFEST_MAGIC);
-        put_u32(&mut manifest, body.len() as u32);
-        put_u32(&mut manifest, crc32(&body));
-        manifest.extend_from_slice(&body);
+        let manifest = manifest_frame(&body);
 
         let index = self.next_manifest;
         let path = self.dir.join(manifest_name(index));
@@ -445,6 +434,29 @@ impl CheckpointWriter {
     }
 }
 
+/// One node-store record: `[u32 len][u32 crc][u128 id][payload]`, the
+/// length and checksum covering id and payload.
+fn node_frame(id: u128, payload: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(payload.len() + 16);
+    put_u128(&mut body, id);
+    body.extend_from_slice(payload);
+    let mut frame = Vec::with_capacity(body.len() + 8);
+    put_u32(&mut frame, body.len() as u32);
+    put_u32(&mut frame, crc32(&body));
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// A manifest file: `[magic][u32 len][u32 crc][body]`.
+fn manifest_frame(body: &[u8]) -> Vec<u8> {
+    let mut manifest = Vec::with_capacity(body.len() + 12);
+    put_u32(&mut manifest, MANIFEST_MAGIC);
+    put_u32(&mut manifest, body.len() as u32);
+    put_u32(&mut manifest, crc32(body));
+    manifest.extend_from_slice(body);
+    manifest
+}
+
 /// Folds one relation into the node store via `emit`, returning its root id.
 fn fold_relation(
     rel: &Relation,
@@ -456,17 +468,6 @@ fn fold_relation(
             let mut p = vec![TAG_LIST_CELL];
             put_tuple(&mut p, tuple);
             put_u128(&mut p, *tail);
-            emit(p)
-        }),
-        Store::Tree(t) => t.fold_nodes(memo, NIL_ID, &mut |entries, children| {
-            let mut p = vec![TAG_TREE23, entries.len() as u8];
-            for (k, bucket) in entries {
-                crate::codec::put_value(&mut p, k);
-                put_bucket(&mut p, bucket);
-            }
-            for c in children {
-                put_u128(&mut p, *c);
-            }
             emit(p)
         }),
         Store::BTree(b) => b.fold_nodes(memo, &mut |keys, children| {
@@ -745,7 +746,6 @@ fn try_load_manifest(
             let name = c.str()?;
             let repr = match c.u8()? {
                 0 => Repr::List,
-                1 => Repr::Tree23,
                 2 => Repr::BTree(c.u32()? as usize),
                 3 => Repr::Paged(c.u32()? as usize),
                 t => return Err(CodecError(format!("unknown repr tag {t}"))),
@@ -835,69 +835,13 @@ fn materialize(
             }
             Ok(Some(Relation::from(Store::List(l))))
         }
-        Repr::Tree23 => {
-            // Rebuild the *exact* stored shape (post-order, memoized by
-            // content id so shared subtrees stay physically shared). An
-            // entry-collect-and-reinsert walk would canonicalize the shape,
-            // and the next checkpoint would then re-store every node
-            // instead of deduplicating against what is already on disk.
-            type Tree = fundb_persist::Tree23<Value, PList<Tuple>>;
-            fn build(
-                id: u128,
-                nodes: &HashMap<u128, Vec<u8>>,
-                memo: &mut HashMap<u128, Tree>,
-            ) -> Result<Option<Tree>, CodecError> {
-                if id == NIL_ID {
-                    return Ok(Some(Tree::new()));
-                }
-                if let Some(t) = memo.get(&id) {
-                    return Ok(Some(t.clone()));
-                }
-                let Some(payload) = nodes.get(&id) else {
-                    return Ok(None);
-                };
-                let mut c = Cursor::new(payload);
-                if c.u8()? != TAG_TREE23 {
-                    return Err(CodecError("expected 2-3 node".into()));
-                }
-                let n = c.u8()? as usize;
-                if !(1..=2).contains(&n) {
-                    return Err(CodecError(format!("2-3 node with {n} entries")));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = c.value()?;
-                    let b = read_bucket(&mut c)?;
-                    entries.push((k, b));
-                }
-                let mut children = Vec::with_capacity(n + 1);
-                for _ in 0..=n {
-                    let Some(child) = build(c.u128()?, nodes, memo)? else {
-                        return Ok(None);
-                    };
-                    children.push(child);
-                }
-                let t = Tree::from_parts(entries, children)
-                    .ok_or_else(|| CodecError("2-3 node arity mismatch".into()))?;
-                memo.insert(id, t.clone());
-                Ok(Some(t))
-            }
-            let mut memo = HashMap::new();
-            let Some(t) = build(root, nodes, &mut memo)? else {
-                return Ok(None);
-            };
-            if !t.check_invariants() {
-                return Err(CodecError(
-                    "checkpointed 2-3 tree violates search-tree invariants".into(),
-                ));
-            }
-            Ok(Some(Relation::from(Store::Tree(t))))
-        }
         Repr::BTree(min_degree) => {
-            // Same shape-exact rebuild as the 2-3 arm: pages come back with
-            // the stored occupancy, not whatever sequential reinsertion
-            // would produce, so recovery does not defeat the node store's
-            // deduplication.
+            // Rebuild the *exact* stored shape (post-order, memoized by
+            // content id so shared subtrees stay physically shared): pages
+            // come back with the stored occupancy, not whatever sequential
+            // reinsertion would produce, so the next checkpoint deduplicates
+            // against what is already on disk instead of re-storing every
+            // node.
             type Tree = fundb_persist::BTree<Value, PList<Tuple>>;
             fn build(
                 id: u128,
@@ -1011,7 +955,7 @@ mod tests {
         let mut db = Database::empty()
             .create_relation("L", Repr::List)
             .unwrap()
-            .create_relation("T", Repr::Tree23)
+            .create_relation("T", Repr::BTree(2))
             .unwrap()
             .create_relation("B", Repr::BTree(4))
             .unwrap()
@@ -1108,7 +1052,7 @@ mod tests {
             .unwrap()
             .create_relation_with_schema(
                 "T",
-                Repr::Tree23,
+                Repr::TREE,
                 Some(Schema::new(&["id", "name"]).unwrap()),
             )
             .unwrap()
@@ -1154,7 +1098,7 @@ mod tests {
         // must make the second checkpoint a pure no-op.
         let tmp = ScratchDir::new("ckpt-shape-exact");
         let mut db = Database::empty()
-            .create_relation("T", Repr::Tree23)
+            .create_relation("T", Repr::TREE)
             .unwrap()
             .create_relation("B", Repr::BTree(3))
             .unwrap();
@@ -1181,6 +1125,61 @@ mod tests {
             second.nodes_written
         );
         assert!(second.nodes_deduped > 0);
+    }
+
+    /// A manifest body naming one relation `T` stored under the repr
+    /// encoding `repr` and rooted at `root`, with no schema, indexes or
+    /// view definition.
+    fn one_relation_manifest(repr: &[u8], root: u128) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u32(&mut body, 1);
+        put_str(&mut body, "T");
+        body.extend_from_slice(repr);
+        put_schema(&mut body, None);
+        put_u64(&mut body, 0);
+        put_u128(&mut body, root);
+        put_u32(&mut body, 0);
+        put_view_def(&mut body, None);
+        body
+    }
+
+    fn codec_error(e: &io::Error) -> Option<&CodecError> {
+        e.get_ref()
+            .and_then(|inner| inner.downcast_ref::<CodecError>())
+    }
+
+    #[test]
+    fn a_manifest_naming_repr_tag_1_is_refused_with_a_codec_error() {
+        // Repr tag 1 was the 2-3 tree, which relations can no longer pick.
+        let tmp = ScratchDir::new("ckpt-retired-repr");
+        let manifest = manifest_frame(&one_relation_manifest(&[1], NIL_ID));
+        fs::write(tmp.path().join(manifest_name(1)), manifest).unwrap();
+        let err = load_latest(tmp.path()).expect_err("repr tag 1 names no representation");
+        let codec = codec_error(&err).expect("a typed decode error");
+        assert!(codec.0.contains("unknown repr tag 1"), "{codec}");
+    }
+
+    #[test]
+    fn a_stored_2_3_node_is_refused_with_a_codec_error() {
+        // A node in the retired 2-3 format: tag 2, one entry, two children.
+        let mut payload = vec![2u8, 1];
+        crate::codec::put_value(&mut payload, &Value::from(1));
+        put_bucket(&mut payload, &PList::cons(Tuple::of_key(1), PList::nil()));
+        put_u128(&mut payload, NIL_ID);
+        put_u128(&mut payload, NIL_ID);
+        let id = fnv128(&payload);
+        let mut btree = vec![2u8];
+        put_u32(&mut btree, 16);
+        let mut paged = vec![3u8];
+        put_u32(&mut paged, 4);
+        for (what, repr) in [("list", vec![0u8]), ("B-tree", btree), ("paged", paged)] {
+            let tmp = ScratchDir::new("ckpt-retired-node");
+            fs::write(tmp.path().join("nodes.fns"), node_frame(id, &payload)).unwrap();
+            let manifest = manifest_frame(&one_relation_manifest(&repr, id));
+            fs::write(tmp.path().join(manifest_name(1)), manifest).unwrap();
+            let err = load_latest(tmp.path()).expect_err(what);
+            assert!(codec_error(&err).is_some(), "{what}: {err}");
+        }
     }
 
     #[test]

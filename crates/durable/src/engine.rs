@@ -473,11 +473,11 @@ mod tests {
             // Tiny segments so GC has closed segments to collect.
             let (engine, _) = DurableEngine::open_with_segment_bytes(tmp.path(), 2, 256).unwrap();
             engine.run([tx("create relation R as tree")]);
-            engine.run((0..30).map(|i| tx(&format!("insert ({i}, 'x') into R"))));
+            engine.run((0..100).map(|i| tx(&format!("insert ({i}, 'x') into R"))));
             let stats = engine.checkpoint().unwrap();
             assert!(stats.nodes_written > 0);
             // Post-checkpoint writes land in the log only.
-            engine.run((30..40).map(|i| tx(&format!("insert ({i}, 'x') into R"))));
+            engine.run((100..110).map(|i| tx(&format!("insert ({i}, 'x') into R"))));
             engine.snapshot()
         };
 
@@ -502,6 +502,27 @@ mod tests {
         // the restart even though in-memory sharing does not).
         let stats = engine.checkpoint().unwrap();
         assert!(stats.nodes_deduped > 0);
+    }
+
+    #[test]
+    fn a_tree_relation_comes_back_from_a_checkpoint_as_the_default_b_tree() {
+        let tmp = ScratchDir::new("dur-as-tree");
+        let expected = {
+            let (engine, _) = DurableEngine::open(tmp.path(), 2).unwrap();
+            engine.run([tx("create relation R as tree")]);
+            engine.run((0..50).map(|i| tx(&format!("insert ({i}, 'row-{i}') into R"))));
+            engine.checkpoint().unwrap();
+            engine.snapshot()
+        };
+        let (engine, report) = DurableEngine::open(tmp.path(), 2).unwrap();
+        assert!(report.checkpoint_manifest.is_some());
+        assert_eq!(report.replayed, 0, "the checkpoint covers every write");
+        let name: RelationName = "R".into();
+        let recovered = engine.snapshot();
+        let r = recovered.relation(&name).unwrap();
+        assert_eq!(r.repr(), fundb_relational::Repr::BTree(16));
+        assert_eq!(r.scan(), expected.relation(&name).unwrap().scan());
+        assert_eq!(r.len(), 50);
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //!
 //! * [`PList`] — the linked-list representation used in the paper's actual
 //!   experiments (Section 4): key-ordered insert copies the prefix spine.
-//! * [`Tree23`] — a 2-3 tree, after the equational formulation of
-//!   Hoffman & O'Donnell that the paper cites; insert copies one
-//!   root-to-leaf path.
 //! * [`BTree`] — a persistent B-tree of configurable order, the "tree node
-//!   is one physical page" strategy of Section 3.3.
+//!   is one physical page" strategy of Section 3.3, and the tree relations
+//!   are stored in: an update copies one root-to-leaf path of pages.
 //! * [`paged`] — the data-page/directory-page organization of Figure 2-2,
 //!   with a sharing report that regenerates the figure's claim.
+//! * [`Tree23`] — a 2-3 tree, after the equational formulation of
+//!   Hoffman & O'Donnell that the paper cites; the value → posting map of
+//!   every secondary index, written only through `merge_batch`.
 //!
-//! A write costs what it copies. The tree operations `upsert`,
+//! A write costs what it copies. The B-tree operations `upsert`,
 //! `remove_copied` and `merge_batch` return the new value and the number
 //! of nodes they allocated — a count the path copy keeps anyway — and
 //! `insert`/`remove` are the same operations with the count dropped. The
@@ -27,7 +28,7 @@
 //! "(log n)/n of a relation is copied" argument. Nothing on a write path
 //! calls them.
 //!
-//! Each backend also provides a `merge_batch` kernel that folds a strictly
+//! Each structure also provides a `merge_batch` kernel that folds a strictly
 //! ascending run of per-key effects (`Some(v)` sets, `None` removes) into
 //! the structure in one structural pass, copying each touched node once —
 //! the batch-level form of the paper's partial-physical-update bound.

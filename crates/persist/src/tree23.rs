@@ -1,22 +1,20 @@
-//! Persistent 2-3 trees.
+//! Persistent 2-3 trees: the secondary-index map.
 //!
 //! The paper cites Hoffman & O'Donnell's equational 2-3 tree code (and its
-//! FEL transcription by Mamdouh Ibrahim) as the canonical functional tree
-//! representation for relations. This module is that structure: a balanced
-//! search tree whose interior nodes hold one or two keys, every update
-//! copying exactly one root-to-leaf path and sharing the rest — the
-//! `(log n)/n` copying bound of Section 2.2. The write operations
-//! ([`Tree23::upsert`], [`Tree23::remove_copied`], [`Tree23::merge_batch`])
-//! return the number of nodes they allocated and walk nothing else; the
-//! `_counted` forms are the same operations followed by a walk of the
-//! result that counts the nodes shared, for benches and tests.
+//! FEL transcription by Mamdouh Ibrahim) as the canonical functional tree.
+//! This module is that structure — a balanced search tree whose interior
+//! nodes hold one or two keys — in the one role it keeps: the map from an
+//! indexed value to its posting list behind every secondary index.
+//! Relations themselves are stored in the [`BTree`](crate::BTree).
+//!
+//! Its one write is [`Tree23::merge_batch`]: a strictly ascending run of
+//! per-key effects folded in one structural pass that copies each touched
+//! node once and shares every untouched subtree — the `(log n)/n` copying
+//! bound of Section 2.2 at batch granularity. It returns the number of
+//! nodes it allocated and walks nothing else.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::iter::FromIterator;
 use std::sync::Arc;
-
-use crate::report::CopyReport;
 
 type Entry<K, V> = (K, V);
 
@@ -41,8 +39,8 @@ impl<K, V> Node<K, V> {
     }
 }
 
-/// Result of inserting into a subtree: it either still fits in the same
-/// height, or it split and kicks an entry up to the parent.
+/// Result of growing a subtree: it either still fits in the same height,
+/// or it split and kicks an entry up to the parent.
 enum Ins<K, V> {
     Fit(Arc<Node<K, V>>),
     Split(Arc<Node<K, V>>, Entry<K, V>, Arc<Node<K, V>>),
@@ -64,8 +62,8 @@ enum Del<K, V> {
 /// ```
 /// use fundb_persist::Tree23;
 ///
-/// let t1: Tree23<i32, &str> = [(2, "b"), (1, "a")].into_iter().collect();
-/// let t2 = t1.insert(3, "c");
+/// let (t1, _) = Tree23::new().merge_batch(&[(1, Some("a")), (2, Some("b"))]);
+/// let (t2, _) = t1.merge_batch(&[(3, Some("c"))]);
 /// assert_eq!(t2.get(&3), Some(&"c"));
 /// assert_eq!(t1.get(&3), None); // old version untouched
 /// ```
@@ -134,54 +132,10 @@ impl<K, V> Tree23<K, V> {
         go(&self.root)
     }
 
-    /// Total interior nodes (for sharing accounting).
-    pub fn node_count(&self) -> u64 {
-        fn go<K, V>(n: &Node<K, V>) -> u64 {
-            match n {
-                Node::Leaf => 0,
-                Node::Two(l, _, r) => 1 + go(l) + go(r),
-                Node::Three(l, _, m, _, r) => 1 + go(l) + go(m) + go(r),
-            }
-        }
-        go(&self.root)
-    }
-
     /// `true` if `self` and `other` share their root node (hence are the
     /// same tree, by immutability). Lets callers prove structural sharing.
     pub fn ptr_eq(&self, other: &Tree23<K, V>) -> bool {
         Arc::ptr_eq(&self.root, &other.root)
-    }
-
-    /// Reassembles a node from its parts — the inverse of one `fold_nodes`
-    /// step. Checkpoint load uses this to rebuild the *exact* stored shape
-    /// (rather than re-inserting entries, which canonicalizes the shape),
-    /// so the first checkpoint after recovery re-deduplicates against the
-    /// node store instead of rewriting every node.
-    ///
-    /// Returns `None` unless `entries.len()` is 1 or 2 with
-    /// `children.len() == entries.len() + 1`. Only arity is checked here;
-    /// ordering and balance are whole-tree properties, so the caller is
-    /// expected to run [`check_invariants`](Self::check_invariants) on the
-    /// finished root.
-    pub fn from_parts(entries: Vec<(K, V)>, children: Vec<Tree23<K, V>>) -> Option<Tree23<K, V>> {
-        let len = entries.len() + children.iter().map(|c| c.len).sum::<usize>();
-        let mut es = entries.into_iter();
-        let mut cs = children.into_iter().map(|c| c.root);
-        let root = match (es.len(), cs.len()) {
-            (1, 2) => {
-                let (l, r) = (cs.next().unwrap(), cs.next().unwrap());
-                Node::Two(l, es.next().unwrap(), r)
-            }
-            (2, 3) => {
-                let (l, m, r) = (cs.next().unwrap(), cs.next().unwrap(), cs.next().unwrap());
-                Node::Three(l, es.next().unwrap(), m, es.next().unwrap(), r)
-            }
-            _ => return None,
-        };
-        Some(Tree23 {
-            root: Arc::new(root),
-            len,
-        })
     }
 
     /// In-order iterator over `(key, value)` pairs.
@@ -189,62 +143,6 @@ impl<K, V> Tree23<K, V> {
         let mut iter = Iter { stack: Vec::new() };
         iter.push_left(&self.root);
         iter
-    }
-
-    /// Memoized post-order fold over the physical nodes — the serialization
-    /// visitor used by sharing-aware checkpoints.
-    ///
-    /// `f` receives a node's entries (one for a two-node, two for a
-    /// three-node) and its children's fold results (two or three, matching);
-    /// `leaf` is the result of the empty subtree. Results are memoized by
-    /// node address, so subtrees shared with previously folded versions are
-    /// pruned at their root: folding a successor version costs O(path
-    /// copied), which is the paper's `(log n)/n` bound showing up as
-    /// incremental checkpoint cost.
-    ///
-    /// Addresses are only stable while the nodes are alive — a caller that
-    /// reuses `memo` across calls must keep every previously folded tree
-    /// alive for as long as the memo is.
-    pub fn fold_nodes<R, F>(&self, memo: &mut HashMap<usize, R>, leaf: R, f: &mut F) -> R
-    where
-        R: Clone,
-        F: FnMut(&[(&K, &V)], &[R]) -> R,
-    {
-        fn go<K, V, R, F>(
-            node: &Arc<Node<K, V>>,
-            memo: &mut HashMap<usize, R>,
-            leaf: &R,
-            f: &mut F,
-        ) -> R
-        where
-            R: Clone,
-            F: FnMut(&[(&K, &V)], &[R]) -> R,
-        {
-            if node.is_leaf() {
-                return leaf.clone();
-            }
-            let addr = Arc::as_ptr(node) as usize;
-            if let Some(r) = memo.get(&addr) {
-                return r.clone();
-            }
-            let result = match &**node {
-                Node::Leaf => unreachable!("handled above"),
-                Node::Two(l, (k, v), r) => {
-                    let rl = go(l, memo, leaf, f);
-                    let rr = go(r, memo, leaf, f);
-                    f(&[(k, v)], &[rl, rr])
-                }
-                Node::Three(l, (k1, v1), m, (k2, v2), r) => {
-                    let rl = go(l, memo, leaf, f);
-                    let rm = go(m, memo, leaf, f);
-                    let rr = go(r, memo, leaf, f);
-                    f(&[(k1, v1), (k2, v2)], &[rl, rm, rr])
-                }
-            };
-            memo.insert(addr, result.clone());
-            result
-        }
-        go(&self.root, memo, &leaf, f)
     }
 
     /// Checks the 2-3 invariants: all leaves at equal depth and keys in
@@ -306,11 +204,6 @@ impl<K: Ord, V> Tree23<K, V> {
                 }
             }
         }
-    }
-
-    /// `true` if `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
     }
 
     /// All entries with `lo <= key <= hi`, in ascending key order. Prunes
@@ -397,76 +290,6 @@ impl<K: Ord, V> Tree23<K, V> {
 }
 
 impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
-    /// Inserts or replaces `key`, returning the new tree.
-    pub fn insert(&self, key: K, value: V) -> Tree23<K, V> {
-        self.upsert(key, |_| value).0
-    }
-
-    /// Sets `key` to what `f` makes of its current value (`None` when the
-    /// key is absent), in the one descent that copies the path. Returns the
-    /// new tree and the number of nodes it allocated — O(log n), nothing is
-    /// walked to measure sharing.
-    pub fn upsert<F: FnOnce(Option<&V>) -> V>(&self, key: K, f: F) -> (Tree23<K, V>, u64) {
-        let mut copied = 0u64;
-        let mut replaced = false;
-        let f = |old: Option<&V>| {
-            replaced = old.is_some();
-            f(old)
-        };
-        let root = match insert_node(&self.root, key, f, &mut copied) {
-            Ins::Fit(n) => n,
-            Ins::Split(l, e, r) => {
-                copied += 1;
-                Arc::new(Node::Two(l, e, r))
-            }
-        };
-        let out = Tree23 {
-            root,
-            len: if replaced { self.len } else { self.len + 1 },
-        };
-        (out, copied)
-    }
-
-    /// [`insert`](Self::insert) plus a [`CopyReport`].
-    ///
-    /// `copied` counts the nodes built by this insert; `shared` counts the
-    /// remaining reachable nodes (computed by an O(n) walk — intended for
-    /// benches and tests, not hot paths).
-    pub fn insert_counted(&self, key: K, value: V) -> (Tree23<K, V>, CopyReport) {
-        let (out, copied) = self.upsert(key, |_| value);
-        let shared = out.node_count().saturating_sub(copied);
-        (out, CopyReport::new(copied, shared))
-    }
-
-    /// Removes `key`, returning the new tree and the removed value, or
-    /// `None` if absent.
-    pub fn remove(&self, key: &K) -> Option<(Tree23<K, V>, V)> {
-        self.remove_copied(key).map(|(out, value, _)| (out, value))
-    }
-
-    /// [`remove`](Self::remove) plus the number of nodes it allocated.
-    pub fn remove_copied(&self, key: &K) -> Option<(Tree23<K, V>, V, u64)> {
-        let mut removed = None;
-        let mut copied = 0u64;
-        let root = match delete_node(&self.root, key, &mut removed, &mut copied) {
-            Del::Same(n) | Del::Hole(n) => n,
-        };
-        let value = removed?;
-        let out = Tree23 {
-            root,
-            len: self.len - 1,
-        };
-        Some((out, value, copied))
-    }
-
-    /// [`remove`](Self::remove) plus a [`CopyReport`] (`shared` is an O(n)
-    /// walk — for benches and tests).
-    pub fn remove_counted(&self, key: &K) -> Option<(Tree23<K, V>, V, CopyReport)> {
-        let (out, value, copied) = self.remove_copied(key)?;
-        let shared = out.node_count().saturating_sub(copied);
-        Some((out, value, CopyReport::new(copied, shared)))
-    }
-
     /// Merges a strictly-ascending batch of per-key effects in one
     /// structural pass: `Some(v)` sets `key` to `v` (insert or replace),
     /// `None` removes `key` if present (and is a no-op otherwise). Returns
@@ -474,7 +297,7 @@ impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
     ///
     /// Untouched subtrees are shared wholesale and each touched node is
     /// copied once, so k effects cost O(k + touched·log n) node copies
-    /// instead of the k·O(log n) of tuple-at-a-time updates.
+    /// instead of the k·O(log n) of one merge per key.
     ///
     /// # Panics
     ///
@@ -491,14 +314,6 @@ impl<K: Ord + Clone, V: Clone> Tree23<K, V> {
         };
         (out, copied)
     }
-
-    /// [`merge_batch`](Self::merge_batch) plus a [`CopyReport`] (`shared`
-    /// is an O(n) walk — for benches and tests).
-    pub fn merge_batch_counted(&self, batch: &[(K, Option<V>)]) -> (Tree23<K, V>, CopyReport) {
-        let (out, copied) = self.merge_batch(batch);
-        let shared = out.node_count().saturating_sub(copied);
-        (out, CopyReport::new(copied, shared))
-    }
 }
 
 fn two<K, V>(l: Arc<Node<K, V>>, e: Entry<K, V>, r: Arc<Node<K, V>>) -> Arc<Node<K, V>> {
@@ -514,118 +329,6 @@ fn three<K, V>(
     r: Arc<Node<K, V>>,
 ) -> Arc<Node<K, V>> {
     Arc::new(Node::Three(l, e1, m, e2, r))
-}
-
-/// `f` makes the key's new value of its current one, where the descent
-/// finds it.
-fn insert_node<K: Ord + Clone, V: Clone, F: FnOnce(Option<&V>) -> V>(
-    node: &Arc<Node<K, V>>,
-    key: K,
-    f: F,
-    copied: &mut u64,
-) -> Ins<K, V> {
-    match &**node {
-        Node::Leaf => {
-            *copied += 1;
-            Ins::Split(Arc::new(Node::Leaf), (key, f(None)), Arc::new(Node::Leaf))
-        }
-        Node::Two(l, e, r) => {
-            use std::cmp::Ordering::*;
-            match key.cmp(&e.0) {
-                Equal => {
-                    *copied += 1;
-                    Ins::Fit(two(l.clone(), (key, f(Some(&e.1))), r.clone()))
-                }
-                Less => match insert_node(l, key, f, copied) {
-                    Ins::Fit(nl) => {
-                        *copied += 1;
-                        Ins::Fit(two(nl, e.clone(), r.clone()))
-                    }
-                    Ins::Split(a, up, b) => {
-                        *copied += 1;
-                        Ins::Fit(three(a, up, b, e.clone(), r.clone()))
-                    }
-                },
-                Greater => match insert_node(r, key, f, copied) {
-                    Ins::Fit(nr) => {
-                        *copied += 1;
-                        Ins::Fit(two(l.clone(), e.clone(), nr))
-                    }
-                    Ins::Split(a, up, b) => {
-                        *copied += 1;
-                        Ins::Fit(three(l.clone(), e.clone(), a, up, b))
-                    }
-                },
-            }
-        }
-        Node::Three(l, e1, m, e2, r) => {
-            use std::cmp::Ordering::*;
-            if key == e1.0 {
-                *copied += 1;
-                return Ins::Fit(three(
-                    l.clone(),
-                    (key, f(Some(&e1.1))),
-                    m.clone(),
-                    e2.clone(),
-                    r.clone(),
-                ));
-            }
-            if key == e2.0 {
-                *copied += 1;
-                return Ins::Fit(three(
-                    l.clone(),
-                    e1.clone(),
-                    m.clone(),
-                    (key, f(Some(&e2.1))),
-                    r.clone(),
-                ));
-            }
-            match key.cmp(&e1.0) {
-                Less => match insert_node(l, key, f, copied) {
-                    Ins::Fit(nl) => {
-                        *copied += 1;
-                        Ins::Fit(three(nl, e1.clone(), m.clone(), e2.clone(), r.clone()))
-                    }
-                    Ins::Split(a, up, b) => {
-                        *copied += 2;
-                        Ins::Split(
-                            two(a, up, b),
-                            e1.clone(),
-                            two(m.clone(), e2.clone(), r.clone()),
-                        )
-                    }
-                },
-                _ if key < e2.0 => match insert_node(m, key, f, copied) {
-                    Ins::Fit(nm) => {
-                        *copied += 1;
-                        Ins::Fit(three(l.clone(), e1.clone(), nm, e2.clone(), r.clone()))
-                    }
-                    Ins::Split(a, up, b) => {
-                        *copied += 2;
-                        Ins::Split(
-                            two(l.clone(), e1.clone(), a),
-                            up,
-                            two(b, e2.clone(), r.clone()),
-                        )
-                    }
-                },
-                _ => match insert_node(r, key, f, copied) {
-                    Ins::Fit(nr) => {
-                        *copied += 1;
-                        Ins::Fit(three(l.clone(), e1.clone(), m.clone(), e2.clone(), nr))
-                    }
-                    Ins::Split(a, up, b) => {
-                        *copied += 2;
-                        Ins::Split(
-                            two(l.clone(), e1.clone(), m.clone()),
-                            e2.clone(),
-                            two(a, up, b),
-                        )
-                    }
-                },
-            }
-        }
-    }
 }
 
 /// Rebalances a Two node whose left child is a hole.
@@ -654,93 +357,31 @@ fn fix_two_left<K: Clone, V: Clone>(
     }
 }
 
-/// Rebalances a Two node whose right child is a hole.
-fn fix_two_right<K: Clone, V: Clone>(
-    left: &Arc<Node<K, V>>,
-    e: Entry<K, V>,
-    hole: Arc<Node<K, V>>,
-    copied: &mut u64,
-) -> Del<K, V> {
-    match &**left {
-        Node::Two(ll, a, lr) => {
-            *copied += 1;
-            Del::Hole(three(ll.clone(), a.clone(), lr.clone(), e, hole))
-        }
-        Node::Three(ll, a, lm, b, lr) => {
-            *copied += 3;
-            Del::Same(two(
-                two(ll.clone(), a.clone(), lm.clone()),
-                b.clone(),
-                two(lr.clone(), e, hole),
-            ))
-        }
-        Node::Leaf => unreachable!("hole sibling cannot be a leaf"),
-    }
-}
-
-/// Rebalances a Three node with a hole in the stated position.
-fn fix_three<K: Clone, V: Clone>(
-    pos: u8,
+/// Rebalances a Three node whose left child `a` is a hole.
+fn fix_three_left<K: Clone, V: Clone>(
     a: Arc<Node<K, V>>,
     e1: Entry<K, V>,
-    b: Arc<Node<K, V>>,
+    b: &Arc<Node<K, V>>,
     e2: Entry<K, V>,
     c: Arc<Node<K, V>>,
     copied: &mut u64,
 ) -> Del<K, V> {
-    // pos: 0 => a is the hole, 1 => b, 2 => c.
-    match pos {
-        0 => match &*b {
-            Node::Two(bl, x, br) => {
-                *copied += 2;
-                Del::Same(two(three(a, e1, bl.clone(), x.clone(), br.clone()), e2, c))
-            }
-            Node::Three(bl, x, bm, y, br) => {
-                *copied += 3;
-                Del::Same(three(
-                    two(a, e1, bl.clone()),
-                    x.clone(),
-                    two(bm.clone(), y.clone(), br.clone()),
-                    e2,
-                    c,
-                ))
-            }
-            Node::Leaf => unreachable!("hole sibling cannot be a leaf"),
-        },
-        1 => match &*a {
-            Node::Two(al, x, ar) => {
-                *copied += 2;
-                Del::Same(two(three(al.clone(), x.clone(), ar.clone(), e1, b), e2, c))
-            }
-            Node::Three(al, x, am, y, ar) => {
-                *copied += 3;
-                Del::Same(three(
-                    two(al.clone(), x.clone(), am.clone()),
-                    y.clone(),
-                    two(ar.clone(), e1, b),
-                    e2,
-                    c,
-                ))
-            }
-            Node::Leaf => unreachable!("hole sibling cannot be a leaf"),
-        },
-        _ => match &*b {
-            Node::Two(bl, x, br) => {
-                *copied += 2;
-                Del::Same(two(a, e1, three(bl.clone(), x.clone(), br.clone(), e2, c)))
-            }
-            Node::Three(bl, x, bm, y, br) => {
-                *copied += 3;
-                Del::Same(three(
-                    a,
-                    e1,
-                    two(bl.clone(), x.clone(), bm.clone()),
-                    y.clone(),
-                    two(br.clone(), e2, c),
-                ))
-            }
-            Node::Leaf => unreachable!("hole sibling cannot be a leaf"),
-        },
+    match &**b {
+        Node::Two(bl, x, br) => {
+            *copied += 2;
+            Del::Same(two(three(a, e1, bl.clone(), x.clone(), br.clone()), e2, c))
+        }
+        Node::Three(bl, x, bm, y, br) => {
+            *copied += 3;
+            Del::Same(three(
+                two(a, e1, bl.clone()),
+                x.clone(),
+                two(bm.clone(), y.clone(), br.clone()),
+                e2,
+                c,
+            ))
+        }
+        Node::Leaf => unreachable!("hole sibling cannot be a leaf"),
     }
 }
 
@@ -780,130 +421,9 @@ fn delete_min<K: Ord + Clone, V: Clone>(
                     *copied += 1;
                     Del::Same(three(nl, e1.clone(), m.clone(), e2.clone(), r.clone()))
                 }
-                Del::Hole(nl) => {
-                    fix_three(0, nl, e1.clone(), m.clone(), e2.clone(), r.clone(), copied)
-                }
+                Del::Hole(nl) => fix_three_left(nl, e1.clone(), m, e2.clone(), r.clone(), copied),
             };
             (del, min)
-        }
-    }
-}
-
-fn delete_node<K: Ord + Clone, V: Clone>(
-    node: &Arc<Node<K, V>>,
-    key: &K,
-    removed: &mut Option<V>,
-    copied: &mut u64,
-) -> Del<K, V> {
-    match &**node {
-        Node::Leaf => Del::Same(node.clone()),
-        Node::Two(l, e, r) => {
-            use std::cmp::Ordering::*;
-            match key.cmp(&e.0) {
-                Equal => {
-                    *removed = Some(e.1.clone());
-                    if r.is_leaf() {
-                        // Bottom node: removing the only entry leaves a hole.
-                        return Del::Hole(Arc::new(Node::Leaf));
-                    }
-                    // Replace with the successor, then fix up.
-                    let (dr, succ) = delete_min(r, copied);
-                    match dr {
-                        Del::Same(nr) => {
-                            *copied += 1;
-                            Del::Same(two(l.clone(), succ, nr))
-                        }
-                        Del::Hole(nr) => fix_two_right(l, succ, nr, copied),
-                    }
-                }
-                Less => match delete_node(l, key, removed, copied) {
-                    _ if removed.is_none() => Del::Same(node.clone()),
-                    Del::Same(nl) => {
-                        *copied += 1;
-                        Del::Same(two(nl, e.clone(), r.clone()))
-                    }
-                    Del::Hole(nl) => fix_two_left(nl, e.clone(), r, copied),
-                },
-                Greater => match delete_node(r, key, removed, copied) {
-                    _ if removed.is_none() => Del::Same(node.clone()),
-                    Del::Same(nr) => {
-                        *copied += 1;
-                        Del::Same(two(l.clone(), e.clone(), nr))
-                    }
-                    Del::Hole(nr) => fix_two_right(l, e.clone(), nr, copied),
-                },
-            }
-        }
-        Node::Three(l, e1, m, e2, r) => {
-            let bottom = l.is_leaf();
-            if key == &e1.0 {
-                *removed = Some(e1.1.clone());
-                if bottom {
-                    *copied += 1;
-                    return Del::Same(two(Arc::new(Node::Leaf), e2.clone(), Arc::new(Node::Leaf)));
-                }
-                let (dm, succ) = delete_min(m, copied);
-                return match dm {
-                    Del::Same(nm) => {
-                        *copied += 1;
-                        Del::Same(three(l.clone(), succ, nm, e2.clone(), r.clone()))
-                    }
-                    Del::Hole(nm) => {
-                        fix_three(1, l.clone(), succ, nm, e2.clone(), r.clone(), copied)
-                    }
-                };
-            }
-            if key == &e2.0 {
-                *removed = Some(e2.1.clone());
-                if bottom {
-                    *copied += 1;
-                    return Del::Same(two(Arc::new(Node::Leaf), e1.clone(), Arc::new(Node::Leaf)));
-                }
-                let (dr, succ) = delete_min(r, copied);
-                return match dr {
-                    Del::Same(nr) => {
-                        *copied += 1;
-                        Del::Same(three(l.clone(), e1.clone(), m.clone(), succ, nr))
-                    }
-                    Del::Hole(nr) => {
-                        fix_three(2, l.clone(), e1.clone(), m.clone(), succ, nr, copied)
-                    }
-                };
-            }
-            if key < &e1.0 {
-                match delete_node(l, key, removed, copied) {
-                    _ if removed.is_none() => Del::Same(node.clone()),
-                    Del::Same(nl) => {
-                        *copied += 1;
-                        Del::Same(three(nl, e1.clone(), m.clone(), e2.clone(), r.clone()))
-                    }
-                    Del::Hole(nl) => {
-                        fix_three(0, nl, e1.clone(), m.clone(), e2.clone(), r.clone(), copied)
-                    }
-                }
-            } else if key < &e2.0 {
-                match delete_node(m, key, removed, copied) {
-                    _ if removed.is_none() => Del::Same(node.clone()),
-                    Del::Same(nm) => {
-                        *copied += 1;
-                        Del::Same(three(l.clone(), e1.clone(), nm, e2.clone(), r.clone()))
-                    }
-                    Del::Hole(nm) => {
-                        fix_three(1, l.clone(), e1.clone(), nm, e2.clone(), r.clone(), copied)
-                    }
-                }
-            } else {
-                match delete_node(r, key, removed, copied) {
-                    _ if removed.is_none() => Del::Same(node.clone()),
-                    Del::Same(nr) => {
-                        *copied += 1;
-                        Del::Same(three(l.clone(), e1.clone(), m.clone(), e2.clone(), nr))
-                    }
-                    Del::Hole(nr) => {
-                        fix_three(2, l.clone(), e1.clone(), m.clone(), e2.clone(), nr, copied)
-                    }
-                }
-            }
         }
     }
 }
@@ -944,7 +464,7 @@ fn join_nodes<K: Ord + Clone, V: Clone>(
 }
 
 /// Descends the right spine of `node` (height `h` > `rh`) and grafts `r`
-/// beside the height-`rh` subtree, propagating splits exactly like insert.
+/// beside the height-`rh` subtree, propagating splits up the spine.
 fn join_right<K: Ord + Clone, V: Clone>(
     node: &Arc<Node<K, V>>,
     h: usize,
@@ -1182,16 +702,6 @@ fn merge_node<K: Ord + Clone, V: Clone>(
     }
 }
 
-impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for Tree23<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut t = Tree23::new();
-        for (k, v) in iter {
-            t = t.insert(k, v);
-        }
-        t
-    }
-}
-
 /// In-order iterator over a [`Tree23`]; see [`Tree23::iter`].
 pub struct Iter<'a, K, V> {
     /// Stack of (node, next child index to descend / entry to emit).
@@ -1253,50 +763,35 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn entries(t: &Tree23<i32, i32>) -> Vec<(i32, i32)> {
-        t.iter().map(|(k, v)| (*k, *v)).collect()
+    /// A tree holding `entries` (the last value per key wins), landed as
+    /// one merge into the empty tree.
+    fn build<K: Ord + Clone, V: Clone>(entries: impl IntoIterator<Item = (K, V)>) -> Tree23<K, V> {
+        let model: BTreeMap<K, V> = entries.into_iter().collect();
+        let batch: Vec<(K, Option<V>)> = model.into_iter().map(|(k, v)| (k, Some(v))).collect();
+        Tree23::new().merge_batch(&batch).0
     }
 
-    #[test]
-    fn fold_nodes_memoizes_shared_subtrees() {
-        let mut t: Tree23<i32, i32> = Tree23::new();
-        for i in 0..128 {
-            t = t.insert(i, i * 10);
-        }
-        let mut memo: HashMap<usize, (i64, usize)> = HashMap::new();
-        let visited = std::cell::Cell::new(0usize);
-        // Fold to (sum of key+value over subtree, node count).
-        let mut f = |es: &[(&i32, &i32)], rs: &[(i64, usize)]| {
-            visited.set(visited.get() + 1);
-            let own: i64 = es
-                .iter()
-                .map(|(k, v)| i64::from(**k) + i64::from(**v))
-                .sum();
-            (
-                own + rs.iter().map(|r| r.0).sum::<i64>(),
-                1 + rs.iter().map(|r| r.1).sum::<usize>(),
-            )
-        };
-        let (sum1, nodes1) = t.fold_nodes(&mut memo, (0, 0), &mut f);
-        let expected: i64 = (0..128).map(|i| i64::from(i) + i64::from(i) * 10).sum();
-        assert_eq!(sum1, expected);
-        assert_eq!(
-            visited.get(),
-            nodes1,
-            "first fold visits every node exactly once"
-        );
+    /// A tree holding `keys` (each mapped to itself), landed one merge per
+    /// key in the given order — the shapes a one-key-at-a-time writer
+    /// leaves, unlike [`build`]'s minimal-height one.
+    fn grown(keys: impl IntoIterator<Item = u32>) -> Tree23<u32, u32> {
+        keys.into_iter()
+            .fold(Tree23::new(), |t, k| t.merge_batch(&[(k, Some(k))]).0)
+    }
 
-        // One more insert copies only a root-to-leaf path; re-folding with
-        // the same memo must revisit only that path, not the whole tree.
-        let t2 = t.insert(128, 1280);
-        visited.set(0);
-        let (sum2, _) = t2.fold_nodes(&mut memo, (0, 0), &mut f);
-        assert_eq!(sum2, expected + 128 + 1280);
-        assert!(
-            visited.get() <= 8,
-            "expected only the copied path to be revisited, got {} of {nodes1} nodes",
-            visited.get()
-        );
+    fn node_count<K, V>(t: &Tree23<K, V>) -> u64 {
+        fn go<K, V>(n: &Node<K, V>) -> u64 {
+            match n {
+                Node::Leaf => 0,
+                Node::Two(l, _, r) => 1 + go(l) + go(r),
+                Node::Three(l, _, m, _, r) => 1 + go(l) + go(m) + go(r),
+            }
+        }
+        go(&t.root)
+    }
+
+    fn entries<K: Clone, V: Clone>(t: &Tree23<K, V>) -> Vec<(K, V)> {
+        t.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     #[test]
@@ -1310,8 +805,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_get() {
-        let t: Tree23<i32, i32> = (0..100).map(|i| (i, i * 10)).collect();
+    fn get_finds_every_entry() {
+        let t = build((0..100).map(|i| (i, i * 10)));
         assert_eq!(t.len(), 100);
         for i in 0..100 {
             assert_eq!(t.get(&i), Some(&(i * 10)));
@@ -1321,50 +816,47 @@ mod tests {
     }
 
     #[test]
-    fn insert_replaces_value() {
-        let t = Tree23::new().insert(1, "a").insert(1, "b");
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&1), Some(&"b"));
-    }
-
-    #[test]
-    fn persistence_across_inserts() {
-        let t1: Tree23<i32, i32> = (0..10).map(|i| (i, i)).collect();
-        let t2 = t1.insert(100, 100);
+    fn persistence_across_merges() {
+        let t1 = build((0..10).map(|i| (i, i)));
+        let (t2, _) = t1.merge_batch(&[(3, None), (100, Some(100))]);
         assert_eq!(t1.len(), 10);
-        assert_eq!(t2.len(), 11);
+        assert_eq!(t2.len(), 10);
         assert_eq!(t1.get(&100), None);
+        assert_eq!(t1.get(&3), Some(&3));
         assert_eq!(t2.get(&100), Some(&100));
+        assert_eq!(t2.get(&3), None);
     }
 
     #[test]
     fn iteration_is_sorted() {
-        let t: Tree23<i32, i32> = [5, 3, 8, 1, 9, 2, 7].iter().map(|&k| (k, k)).collect();
-        let keys: Vec<i32> = t.iter().map(|(k, _)| *k).collect();
+        let t = grown([5, 3, 8, 1, 9, 2, 7]);
+        let keys: Vec<u32> = t.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 2, 3, 5, 7, 8, 9]);
+        assert!(t.check_invariants());
     }
 
     #[test]
     fn height_is_logarithmic() {
-        let t: Tree23<i32, i32> = (0..1000).map(|i| (i, i)).collect();
+        let t = grown(0..1000);
         // log2(1000) ≈ 10; a 2-3 tree is at most that and at least log3.
         assert!(t.height() <= 10, "height {}", t.height());
         assert!(t.height() >= 6, "height {}", t.height());
+        assert!(t.check_invariants());
     }
 
     #[test]
-    fn insert_copies_one_path() {
-        let t: Tree23<i32, i32> = (0..1000).map(|i| (i, i)).collect();
-        let (_t2, report) = t.insert_counted(5000, 0);
+    fn one_key_merge_copies_one_path() {
+        let t = grown(0..1000);
+        let (t2, copied) = t.merge_batch(&[(5000, Some(0))]);
         // Path copy: O(height) new nodes, everything else shared.
-        assert!(report.copied as usize <= 2 * t.height() + 2, "{report}");
-        assert!(report.shared > 300, "{report}");
-        assert!(report.copied_fraction() < 0.05, "{report}");
+        assert!(copied as usize <= 2 * t.height() + 2, "copied {copied}");
+        assert!(node_count(&t2) - copied > 300);
+        assert!((copied as f64) < 0.05 * node_count(&t2) as f64);
     }
 
     #[test]
     fn min_max() {
-        let t: Tree23<i32, i32> = [4, 2, 9].iter().map(|&k| (k, k)).collect();
+        let t = build([4, 2, 9].iter().map(|&k| (k, k)));
         assert_eq!(t.min(), Some((&2, &2)));
         assert_eq!(t.max(), Some((&9, &9)));
         let e: Tree23<i32, i32> = Tree23::new();
@@ -1373,32 +865,25 @@ mod tests {
     }
 
     #[test]
-    fn remove_missing_is_none() {
-        let t: Tree23<i32, i32> = (0..10).map(|i| (i, i)).collect();
-        assert!(t.remove(&99).is_none());
-        assert_eq!(t.len(), 10);
-    }
-
-    #[test]
-    fn remove_every_element_every_order() {
-        // Remove each key from a small tree, checking invariants each time.
-        for n in 1..30 {
-            let t: Tree23<i32, i32> = (0..n).map(|i| (i, i * 2)).collect();
+    fn removing_each_key_keeps_the_invariants() {
+        // Remove each key from small trees of every shape a one-key-at-a-
+        // time writer leaves, checking invariants each time.
+        for n in 1..30u32 {
+            let t = grown((0..n).rev());
             for k in 0..n {
-                let (t2, v) = t.remove(&k).unwrap();
-                assert_eq!(v, k * 2);
-                assert_eq!(t2.len() as i32, n - 1);
+                let (t2, _) = t.merge_batch(&[(k, None)]);
+                assert_eq!(t2.len() as u32, n - 1);
                 assert!(t2.check_invariants(), "n={n} k={k}");
                 assert_eq!(t2.get(&k), None);
                 // Old version intact.
-                assert_eq!(t.get(&k), Some(&(k * 2)));
+                assert_eq!(t.get(&k), Some(&k));
             }
         }
     }
 
     #[test]
     fn random_ops_match_btreemap() {
-        // Deterministic pseudo-random mixed workload vs std reference.
+        // Deterministic pseudo-random runs of small batches vs std reference.
         let mut model = BTreeMap::new();
         let mut t: Tree23<u32, u32> = Tree23::new();
         let mut state = 0x12345678u64;
@@ -1408,62 +893,45 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        for _ in 0..2000 {
-            let k = rand() % 200;
-            if rand() % 3 == 0 {
-                let removed = t.remove(&k);
-                let expect = model.remove(&k);
-                assert_eq!(removed.as_ref().map(|(_, v)| v), expect.as_ref());
-                // The counted form is the same removal plus the walk.
-                let counted = t.remove_counted(&k);
-                assert_eq!(counted.is_some(), removed.is_some());
-                if let Some((t2, _, report)) = counted {
-                    let (plain, _, copied) = t.remove_copied(&k).unwrap();
-                    assert_eq!(t2, plain);
-                    assert_eq!(report.copied, copied);
-                    assert_eq!(report.total(), t2.node_count());
-                    // The whole root-to-leaf path of the result is new.
-                    assert!(copied >= t2.height() as u64);
-                }
-                if let Some((t2, _)) = removed {
-                    t = t2;
-                }
-            } else {
-                let v = rand();
-                let (counted, report) = t.insert_counted(k, v);
-                let (plain, copied) = t.upsert(k, |_| v);
-                assert_eq!(counted, plain);
-                assert_eq!(report.copied, copied);
-                t = t.insert(k, v);
-                assert_eq!(t, plain);
-                model.insert(k, v);
+        for _ in 0..600 {
+            let mut effects: BTreeMap<u32, Option<u32>> = BTreeMap::new();
+            for _ in 0..1 + rand() % 6 {
+                let k = rand() % 200;
+                effects.insert(k, (rand() % 3 != 0).then(&mut rand));
             }
+            let batch: Vec<(u32, Option<u32>)> = effects.into_iter().collect();
+            for (k, v) in &batch {
+                match v {
+                    Some(v) => model.insert(*k, *v),
+                    None => model.remove(k),
+                };
+            }
+            t = t.merge_batch(&batch).0;
+            assert!(t.check_invariants());
+            assert_eq!(t.len(), model.len());
         }
-        assert!(t.check_invariants());
-        assert_eq!(t.len(), model.len());
-        let got: Vec<(u32, u32)> = t.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<(u32, u32)> = model.into_iter().collect();
-        assert_eq!(got, want);
+        assert_eq!(entries(&t), want);
     }
 
     #[test]
     fn equality_is_structural() {
-        let a: Tree23<i32, i32> = [(1, 1), (2, 2)].into_iter().collect();
-        let b: Tree23<i32, i32> = [(2, 2), (1, 1)].into_iter().collect();
+        let a = build([(1, 1), (2, 2)]);
+        let b = grown([2, 1]);
         assert_eq!(a, b);
-        let c = a.insert(3, 3);
+        let (c, _) = a.merge_batch(&[(3, Some(3))]);
         assert_ne!(a, c);
     }
 
     #[test]
     fn debug_renders_as_map() {
-        let t: Tree23<i32, i32> = [(1, 10)].into_iter().collect();
+        let t = build([(1, 10)]);
         assert_eq!(format!("{t:?}"), "{1: 10}");
     }
 
     #[test]
     fn range_queries() {
-        let t: Tree23<i32, i32> = (0..100).filter(|k| k % 2 == 0).map(|k| (k, k)).collect();
+        let t = build((0..100).filter(|k| k % 2 == 0).map(|k| (k, k)));
         let got: Vec<i32> = t.range(&10, &20).iter().map(|(k, _)| **k).collect();
         assert_eq!(got, vec![10, 12, 14, 16, 18, 20]);
         // Bounds between keys.
@@ -1480,26 +948,20 @@ mod tests {
 
     #[test]
     fn range_matches_iter_filter() {
-        let t: Tree23<i32, i32> = (0..200).map(|k| ((k * 7) % 200, k)).collect();
-        for (lo, hi) in [(0, 199), (50, 60), (13, 13), (190, 300), (-5, 5)] {
-            let want: Vec<i32> = t
+        let t = grown((0..200).map(|k| (k * 7) % 200));
+        for (lo, hi) in [(0, 199), (50, 60), (13, 13), (190, 300), (0, 5)] {
+            let want: Vec<u32> = t
                 .iter()
                 .filter(|(k, _)| **k >= lo && **k <= hi)
                 .map(|(k, _)| *k)
                 .collect();
-            let got: Vec<i32> = t.range(&lo, &hi).iter().map(|(k, _)| **k).collect();
+            let got: Vec<u32> = t.range(&lo, &hi).iter().map(|(k, _)| **k).collect();
             assert_eq!(got, want, "range {lo}..={hi}");
         }
     }
 
     #[test]
-    fn entries_helper_roundtrip() {
-        let t: Tree23<i32, i32> = (0..7).map(|i| (i, i)).collect();
-        assert_eq!(entries(&t), (0..7).map(|i| (i, i)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_batch_matches_sequential_application() {
+    fn merge_batch_matches_btreemap() {
         let mut state = 0xfeed_f00d_u64;
         let mut rand = move || {
             state = state
@@ -1509,29 +971,28 @@ mod tests {
         };
         for round in 0..60 {
             let size = rand() % 150;
-            let mut t: Tree23<u32, u32> = (0..size).map(|i| (i * 3, i)).collect();
-            let mut model: BTreeMap<u32, Option<u32>> = BTreeMap::new();
+            let mut model: BTreeMap<u32, u32> = (0..size).map(|i| (i * 3, i)).collect();
+            let t = build(model.clone());
+            let mut effects: BTreeMap<u32, Option<u32>> = BTreeMap::new();
             for _ in 0..(rand() % 50) {
                 let k = rand() % 500;
                 if rand() % 3 == 0 {
-                    model.insert(k, None);
+                    effects.insert(k, None);
                 } else {
-                    model.insert(k, Some(rand()));
+                    effects.insert(k, Some(rand()));
                 }
             }
-            let batch: Vec<(u32, Option<u32>)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-            let (merged, copied) = t.merge_batch(&batch);
-            let (counted, report) = t.merge_batch_counted(&batch);
-            assert_eq!(counted, merged, "round {round}");
-            assert_eq!(report.copied, copied, "round {round}");
+            let batch: Vec<(u32, Option<u32>)> = effects.into_iter().collect();
+            let (merged, _) = t.merge_batch(&batch);
             for (k, v) in &batch {
-                t = match v {
-                    Some(v) => t.insert(*k, *v),
-                    None => t.remove(k).map(|(t2, _)| t2).unwrap_or(t),
+                match v {
+                    Some(v) => model.insert(*k, *v),
+                    None => model.remove(k),
                 };
             }
             assert!(merged.check_invariants(), "round {round}");
-            assert_eq!(merged, t, "round {round}");
+            let want: Vec<(u32, u32)> = model.into_iter().collect();
+            assert_eq!(entries(&merged), want, "round {round}");
         }
     }
 
@@ -1542,13 +1003,13 @@ mod tests {
             let (t, copied) = Tree23::new().merge_batch(&batch);
             assert!(t.check_invariants(), "n={n}");
             assert_eq!(t.len(), n as usize);
-            assert_eq!(copied, t.node_count(), "n={n}");
+            assert_eq!(copied, node_count(&t), "n={n}");
         }
     }
 
     #[test]
     fn merge_batch_copies_far_less_than_singles() {
-        let t: Tree23<u32, u32> = (0..10_000).map(|i| (i * 2, i)).collect();
+        let t = build((0..10_000).map(|i| (i * 2, i)));
         // 256 fresh odd keys in one adjacent region.
         let batch: Vec<(u32, Option<u32>)> =
             (0..256).map(|i| (4000 + i * 2 + 1, Some(i))).collect();
@@ -1557,21 +1018,21 @@ mod tests {
         assert_eq!(merged.len(), 10_000 + 256);
         let mut singles = 0u64;
         let mut seq = t.clone();
-        for (k, v) in &batch {
-            let (next, c) = seq.upsert(*k, |_| v.unwrap());
+        for effect in &batch {
+            let (next, c) = seq.merge_batch(std::slice::from_ref(effect));
             singles += c;
             seq = next;
         }
         assert!(
             copied * 2 <= singles,
-            "merge copied {copied} vs sequential {singles}"
+            "merge copied {copied} vs one key at a time {singles}"
         );
         assert_eq!(merged, seq);
     }
 
     #[test]
     fn merge_batch_noop_deletes_share_everything() {
-        let t: Tree23<u32, u32> = (0..100).map(|i| (i * 2, i)).collect();
+        let t = build((0..100).map(|i| (i * 2, i)));
         let batch: Vec<(u32, Option<u32>)> = (0..50).map(|i| (i * 4 + 1, None)).collect();
         let (merged, copied) = t.merge_batch(&batch);
         assert!(t.ptr_eq(&merged));
@@ -1580,7 +1041,7 @@ mod tests {
 
     #[test]
     fn merge_batch_mixed_inserts_and_deletes() {
-        let t: Tree23<u32, u32> = (0..1000).map(|i| (i, i)).collect();
+        let t = build((0..1000).map(|i| (i, i)));
         // Delete all evens, replace 100..200, insert beyond the max key.
         let mut batch: Vec<(u32, Option<u32>)> = Vec::new();
         for k in 0..1000 {

@@ -48,7 +48,7 @@ impl fmt::Display for FieldRef {
 pub enum ReprSpec {
     /// Key-ordered linked list (the default, as in the paper's experiments).
     List,
-    /// 2-3 tree.
+    /// The default tree, [`Repr::TREE`] (a B-tree of degree 16).
     Tree,
     /// B-tree with the given minimum degree.
     BTree(usize),
@@ -61,7 +61,7 @@ impl ReprSpec {
     pub fn to_repr(self) -> Repr {
         match self {
             ReprSpec::List => Repr::List,
-            ReprSpec::Tree => Repr::Tree23,
+            ReprSpec::Tree => Repr::TREE,
             ReprSpec::BTree(t) => Repr::BTree(t),
             ReprSpec::Paged(c) => Repr::Paged(c),
         }
@@ -1014,7 +1014,7 @@ mod tests {
     #[test]
     fn repr_spec_maps_to_repr() {
         assert_eq!(ReprSpec::List.to_repr(), Repr::List);
-        assert_eq!(ReprSpec::Tree.to_repr(), Repr::Tree23);
+        assert_eq!(ReprSpec::Tree.to_repr(), Repr::BTree(16));
         assert_eq!(ReprSpec::BTree(4).to_repr(), Repr::BTree(4));
         assert_eq!(ReprSpec::Paged(8).to_repr(), Repr::Paged(8));
         assert_eq!(ReprSpec::BTree(4).to_string(), "btree(4)");

@@ -46,6 +46,7 @@
 //! atom    := field ( "=" | "<" | ">" | "!=" ) value | "(" pred ")"
 //! field   := "#" INT | NAME          (names need a relation schema)
 //! repr    := "list" | "tree" | "btree" "(" INT ")" | "paged" "(" INT ")"
+//!                                    ("tree" is "btree(16)")
 //! ```
 //!
 //! # Example

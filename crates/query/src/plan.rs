@@ -51,7 +51,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use fundb_relational::{Relation, Schema, SecondaryIndex, Tuple, Value};
+use fundb_relational::{concat_on, Relation, Schema, SecondaryIndex, Tuple, Value};
 
 use crate::ast::{apply_select, FieldRef, Predicate};
 
@@ -575,24 +575,6 @@ pub fn choose_join_strategy(
     (JoinStrategy::ScanBuild, nl.max(nr))
 }
 
-/// The joined tuple for an `on` join: all of `left`, then `right` minus
-/// its join attribute (which duplicates the left one) — mirroring the
-/// key-join convention of dropping the right key.
-fn concat_on(left: &Tuple, right: &Tuple, rf: usize) -> Tuple {
-    let fields: Vec<Value> = left
-        .iter()
-        .cloned()
-        .chain(
-            right
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != rf)
-                .map(|(_, v)| v.clone()),
-        )
-        .collect();
-    Tuple::new(fields)
-}
-
 /// Executes an equi-join under the strategy [`choose_join_strategy`]
 /// picks, returning the joined tuples in left-driving order. Left tuples
 /// missing the join attribute simply match nothing (the same semantics as
@@ -672,7 +654,7 @@ mod tests {
     fn rel() -> Relation {
         // (id, group, score)
         Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             (0..50).map(|k| {
                 Tuple::new(vec![
                     k.into(),
@@ -753,7 +735,7 @@ mod tests {
         // (id, group, score mod 10): both a single-column index on group
         // and a composite on (group, bucket).
         let r = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             (0..100).map(|k| {
                 Tuple::new(vec![
                     k.into(),
@@ -793,7 +775,7 @@ mod tests {
         // Drop the single-column index: the same predicate rides the
         // composite's prefix range probe.
         let only_composite = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             (0..100).map(|k| {
                 Tuple::new(vec![
                     k.into(),
@@ -816,7 +798,7 @@ mod tests {
 
     #[test]
     fn composite_select_matches_scan_select() {
-        for repr in [Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(4), Repr::Paged(4)] {
             let r = Relation::from_tuples(
                 repr,
                 (0..80).map(|k| {
@@ -969,7 +951,7 @@ mod tests {
         // Every tuple is indexed and (group, score) pairs are unique per
         // key, so entries() == len() and full-width probes can cover.
         let r = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             (0..60).map(|k| {
                 Tuple::new(vec![
                     k.into(),
@@ -1011,7 +993,7 @@ mod tests {
     #[test]
     fn covering_gates_hold() {
         let r = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             (0..60).map(|k| {
                 Tuple::new(vec![
                     k.into(),
@@ -1047,7 +1029,7 @@ mod tests {
         // still answers correctly.
         let with_narrow = {
             let base = Relation::from_tuples(
-                Repr::Tree23,
+                Repr::TREE,
                 (0..10)
                     .map(|k| {
                         Tuple::new(vec![
@@ -1097,7 +1079,7 @@ mod tests {
 
     #[test]
     fn join_strategy_choice() {
-        let (left, right) = join_fixture(Repr::Tree23);
+        let (left, right) = join_fixture(Repr::TREE);
         assert_eq!(
             choose_join_strategy(&left, &right, None).0,
             JoinStrategy::MergeKeys
@@ -1132,7 +1114,7 @@ mod tests {
 
     #[test]
     fn join_strategies_agree() {
-        for repr in [Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(4), Repr::Paged(4)] {
             let (left, right) = join_fixture(repr);
             let indexed = right.create_index("by_cust", 1).unwrap();
             // Reference: the naive build-and-probe on the unindexed right.
@@ -1157,9 +1139,9 @@ mod tests {
 
     #[test]
     fn join_on_drops_right_join_attribute() {
-        let left = Relation::from_tuples(Repr::Tree23, [Tuple::new(vec![1.into(), "a".into()])]);
+        let left = Relation::from_tuples(Repr::TREE, [Tuple::new(vec![1.into(), "a".into()])]);
         let right = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             [Tuple::new(vec![9.into(), "a".into(), 42.into()])],
         );
         let joined = execute_join(&left, &right, Some((1, 1)));

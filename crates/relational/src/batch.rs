@@ -124,11 +124,11 @@ fn apply_paged_batch(store: &PagedStore<Tuple>, ops: &[BatchOp]) -> (Store, Copy
 }
 
 /// Each key's current tuples, in scan order, for a strictly ascending key
-/// run: a probe per key on the trees, one pass otherwise (the key-ordered
+/// run: a probe per key on the B-tree, one pass otherwise (the key-ordered
 /// list stops past the last key; the paged store has no order to stop on).
 fn key_groups(store: &Store, keys: &[&Value]) -> Vec<Vec<Tuple>> {
     let tuples: Box<dyn Iterator<Item = &Tuple> + '_> = match store {
-        Store::Tree(_) | Store::BTree(_) => {
+        Store::BTree(_) => {
             return keys.iter().map(|k| store.key_group(k)).collect();
         }
         Store::List(l) => {
@@ -188,7 +188,7 @@ pub fn batch_transitions(rel: &Relation, ops: &[BatchOp]) -> Vec<KeyTransition> 
     derive(&rel.store, ops).0
 }
 
-/// One transition's bucket effect for the tree kernels: `None` when the key
+/// One transition's bucket effect for the B-tree kernel: `None` when the key
 /// ends up absent, otherwise the `after` run consed so that a scan (which
 /// reverses the bucket) replays it in order.
 fn transition_effect(tr: &KeyTransition) -> (Value, Option<PList<Tuple>>) {
@@ -223,11 +223,6 @@ fn land(store: &Store, runs: &[KeyTransition]) -> (Store, CopyReport) {
                 .collect();
             let (l2, report) = l.merge_runs_by(|t| t.key().clone(), &effects);
             (Store::List(l2), report)
-        }
-        Store::Tree(t) => {
-            let effects: Vec<_> = runs.iter().map(transition_effect).collect();
-            let (t2, copied) = t.merge_batch(&effects);
-            (Store::Tree(t2), CopyReport::new(copied, 0))
         }
         Store::BTree(t) => {
             let effects: Vec<_> = runs.iter().map(transition_effect).collect();
@@ -345,7 +340,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn all_reprs() -> Vec<Repr> {
-        vec![Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(4)]
+        vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
     }
 
     /// Reference semantics: ops applied one at a time via the existing
@@ -530,7 +525,7 @@ mod tests {
 
     #[test]
     fn batch_copies_less_than_tuple_at_a_time() {
-        for repr in [Repr::Tree23, Repr::BTree(4)] {
+        for repr in [Repr::BTree(2), Repr::BTree(4)] {
             let base = Relation::from_tuples(repr, (0..1000).map(|k| tup(k * 2, "seed")));
             let ops: Vec<BatchOp> = (0..64)
                 .map(|i| BatchOp::Insert(tup(i * 2 + 1, "n")))

@@ -17,7 +17,7 @@ use crate::relation::{Relation, Repr};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use crate::view::{advance_view, eval_view, rebuilt_like, ViewDef};
+use crate::view::{advance_view, eval_view, materialize_view, rebuilt_like, ViewDef};
 
 /// The name of a relation (cheap to clone and compare).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -513,10 +513,8 @@ impl Database {
     ///
     /// A `select` view inherits its base's schema (it holds base rows);
     /// join and aggregate views produce new shapes and carry none. The
-    /// view's representation follows its primary base, except that
-    /// arrival-order paged bases get a 2-3 tree view (paged stores rebuild
-    /// wholesale on keyed replacement, which would defeat the differential
-    /// pass).
+    /// view is stored as [`materialize_view`] lays it out: like its
+    /// primary base, or as [`Repr::TREE`] over a paged one.
     ///
     /// # Errors
     ///
@@ -542,16 +540,12 @@ impl Database {
                 return Err(DatabaseError::ViewOnView(base.clone()));
             }
         }
-        let primary = def.bases()[0].clone();
-        let repr = match self.relation(&primary)?.repr() {
-            Repr::Paged(_) => Repr::Tree23,
-            r => r,
-        };
         let schema = match &def {
             ViewDef::Select { base, .. } => self.schema(base)?.cloned(),
             _ => None,
         };
-        let relation = Relation::from_tuples(repr, self.eval_def(&def));
+        let (left, right) = self.view_bases(&def);
+        let relation = materialize_view(&def, left, right);
         let entries: Vec<Entry> = self
             .entries
             .iter()
@@ -611,9 +605,9 @@ impl Database {
         }
     }
 
-    /// A view definition's rows, evaluated from this database's current
-    /// base relations.
-    fn eval_def(&self, def: &ViewDef) -> Vec<Tuple> {
+    /// A view definition's base relations as [`eval_view`] takes them: the
+    /// primary base, and the right side of a join.
+    fn view_bases(&self, def: &ViewDef) -> (&Relation, Option<&Relation>) {
         let bases = def.bases();
         let left = self
             .relation(bases[0])
@@ -625,7 +619,7 @@ impl Database {
             ),
             _ => None,
         };
-        eval_view(def, left, right)
+        (left, right)
     }
 
     /// Advances every dependent view by `base`'s per-key transitions (see
@@ -673,7 +667,10 @@ impl Database {
                 None => e.clone(),
                 Some(def) => Entry {
                     name: e.name.clone(),
-                    relation: rebuilt_like(&e.relation, self.eval_def(def)),
+                    relation: {
+                        let (left, right) = self.view_bases(def);
+                        rebuilt_like(&e.relation, eval_view(def, left, right))
+                    },
                     schema: e.schema.clone(),
                     view: e.view.clone(),
                 },
@@ -805,7 +802,7 @@ mod tests {
         let db = Database::empty()
             .create_relation("L", Repr::List)
             .unwrap()
-            .create_relation("T", Repr::Tree23)
+            .create_relation("T", Repr::TREE)
             .unwrap()
             .create_relation("B", Repr::BTree(4))
             .unwrap()
@@ -971,9 +968,9 @@ mod tests {
     #[test]
     fn join_view_maintained_through_database_writes() {
         let mut db = Database::empty()
-            .create_relation("L", Repr::Tree23)
+            .create_relation("L", Repr::BTree(2))
             .unwrap()
-            .create_relation("R", Repr::Tree23)
+            .create_relation("R", Repr::BTree(2))
             .unwrap();
         for k in 0..6i64 {
             let t = Tuple::new(vec![k.into(), (k % 2).into()]);
@@ -1026,7 +1023,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(db.relation(&"V".into()).unwrap().repr(), Repr::Tree23);
+        assert_eq!(db.relation(&"V".into()).unwrap().repr(), Repr::TREE);
         assert_eq!(db.schema(&"V".into()).unwrap(), Some(&schema));
         // Aggregate views carry no schema.
         let db = db

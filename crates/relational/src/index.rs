@@ -4,10 +4,16 @@
 //! function of the database version, rebuilt path-by-path with everything
 //! else shared (§2.2's full logical update by partial physical update
 //! applies to *derived* structures too). Concretely, a [`SecondaryIndex`]
-//! is a persistent 2-3 tree from attribute value to a *posting list* (a
-//! shared [`PList`], copy-on-write like everything else), and an
-//! [`IndexSet`] is the cheaply clonable collection of them a `Relation`
-//! carries.
+//! is a persistent 2-3 tree ([`Tree23`]) from attribute value to a
+//! *posting list* (a shared [`PList`], copy-on-write like everything
+//! else), and an [`IndexSet`] is the cheaply clonable collection of them a
+//! `Relation` carries.
+//!
+//! Relations are stored in B-trees; the index map is not. Its keys are
+//! composite value vectors, and a B-tree path copy clones every key of
+//! every page on the path where a 2-3 node holds at most two — measured,
+//! a B-tree map multiplies the per-transition index upkeep (DESIGN.md
+//! §13 records the numbers).
 //!
 //! A posting entry ([`PostingEntry`]) is a primary key plus, when that
 //! key's bucket holds exactly one tuple, the tuple itself — the index

@@ -6,9 +6,8 @@
 //! values:
 //!
 //! * a [`Relation`] is a multiset of [`Tuple`]s keyed by their first
-//!   attribute, represented by any of the structures of `fundb_persist`
-//!   (linked list as in the paper's experiments, 2-3 tree, B-tree, paged
-//!   store);
+//!   attribute, represented by one of the structures of `fundb_persist`
+//!   (linked list as in the paper's experiments, B-tree, paged store);
 //! * a [`Database`] is a persistent association list from [`RelationName`]
 //!   to [`Relation`] — exactly the linked-list database of Section 4 — so
 //!   updating one relation re-conses the spine up to its entry and shares
@@ -39,6 +38,8 @@ pub use database::{Database, DatabaseError, RelationName};
 pub use index::{IndexSet, KeyTransition, PostingEntry, SecondaryIndex};
 pub use relation::{Relation, Repr, Store};
 pub use schema::{Schema, SchemaError};
-pub use tuple::Tuple;
+pub use tuple::{concat_on, Tuple};
 pub use value::Value;
-pub use view::{advance_view, derive_delta, eval_view, rebuilt_like, ViewDef, ViewFilter};
+pub use view::{
+    advance_view, derive_delta, eval_view, materialize_view, rebuilt_like, ViewDef, ViewFilter,
+};

@@ -8,7 +8,7 @@
 //! no write path here walks the result to count what it shares (the
 //! `_counted` operations of `fundb_persist` do that, for measurement).
 //!
-//! Four representations are provided (the [`Store`]). The paper's
+//! Three representations are provided (the [`Store`]). The paper's
 //! experiments used linked lists and projected better results for trees;
 //! benches compare them. A relation additionally carries an [`IndexSet`] of
 //! secondary indexes — persistent derived structures maintained
@@ -17,11 +17,11 @@
 
 use std::fmt;
 
-use fundb_persist::{BTree, CopyReport, PList, PagedStore, Tree23};
+use fundb_persist::{BTree, CopyReport, PList, PagedStore};
 
 use crate::batch::BatchOp;
 use crate::index::{IndexSet, KeyTransition, PostingEntry, SecondaryIndex};
-use crate::tuple::Tuple;
+use crate::tuple::{concat_on, Tuple};
 use crate::value::Value;
 
 /// Which physical representation a relation uses.
@@ -29,20 +29,25 @@ use crate::value::Value;
 pub enum Repr {
     /// Key-ordered persistent linked list (the paper's experimental setup).
     List,
-    /// Persistent 2-3 tree of key → tuple bucket.
-    Tree23,
-    /// Persistent B-tree with the given minimum degree.
+    /// Persistent B-tree of key → tuple bucket, with the given minimum
+    /// degree.
     BTree(usize),
     /// Paged store (Figure 2-2) with the given page capacity; kept in
     /// arrival order.
     Paged(usize),
 }
 
+impl Repr {
+    /// The tree a relation gets when it asks for one without naming a
+    /// degree: the query language's `tree`, and the store of a view over
+    /// an arrival-order paged base.
+    pub const TREE: Repr = Repr::BTree(16);
+}
+
 impl fmt::Display for Repr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Repr::List => write!(f, "list"),
-            Repr::Tree23 => write!(f, "2-3 tree"),
             Repr::BTree(t) => write!(f, "B-tree(t={t})"),
             Repr::Paged(c) => write!(f, "paged(cap={c})"),
         }
@@ -55,9 +60,7 @@ impl fmt::Display for Repr {
 pub enum Store {
     /// Key-ordered linked list.
     List(PList<Tuple>),
-    /// 2-3 tree of key → bucket of tuples with that key.
-    Tree(Tree23<Value, PList<Tuple>>),
-    /// B-tree of key → bucket.
+    /// B-tree of key → bucket of tuples with that key.
     BTree(BTree<Value, PList<Tuple>>),
     /// Paged store in arrival order.
     Paged(PagedStore<Tuple>),
@@ -81,7 +84,6 @@ impl Store {
     pub fn empty(repr: Repr) -> Self {
         match repr {
             Repr::List => Store::List(PList::nil()),
-            Repr::Tree23 => Store::Tree(Tree23::new()),
             Repr::BTree(t) => Store::BTree(BTree::new(t)),
             Repr::Paged(c) => Store::Paged(PagedStore::new(c)),
         }
@@ -91,7 +93,6 @@ impl Store {
     pub fn repr(&self) -> Repr {
         match self {
             Store::List(_) => Repr::List,
-            Store::Tree(_) => Repr::Tree23,
             Store::BTree(b) => Repr::BTree(b.min_degree()),
             Store::Paged(p) => Repr::Paged(p.page_capacity()),
         }
@@ -101,7 +102,6 @@ impl Store {
     pub fn len(&self) -> usize {
         match self {
             Store::List(l) => l.len(),
-            Store::Tree(t) => t.iter().map(|(_, b)| b.len()).sum(),
             Store::BTree(t) => t.iter().map(|(_, b)| b.len()).sum(),
             Store::Paged(p) => p.len(),
         }
@@ -111,7 +111,6 @@ impl Store {
     pub fn is_empty(&self) -> bool {
         match self {
             Store::List(l) => l.is_empty(),
-            Store::Tree(t) => t.is_empty(),
             Store::BTree(t) => t.is_empty(),
             Store::Paged(p) => p.is_empty(),
         }
@@ -125,12 +124,6 @@ impl Store {
             Store::List(l) => {
                 let (l2, report) = l.insert_sorted_counted(tuple);
                 (Store::List(l2), report)
-            }
-            Store::Tree(t) => {
-                let (t2, copied) = t.upsert(tuple.key().clone(), |bucket| {
-                    PList::cons(tuple, bucket.cloned().unwrap_or_default())
-                });
-                (Store::Tree(t2), CopyReport::new(copied, 0))
             }
             Store::BTree(t) => {
                 let (t2, copied) = t.upsert(tuple.key().clone(), |bucket| {
@@ -160,10 +153,6 @@ impl Store {
                 }
                 out
             }
-            Store::Tree(t) => t
-                .get(key)
-                .map(|b| b.iter().cloned().collect())
-                .unwrap_or_default(),
             Store::BTree(t) => t
                 .get(key)
                 .map(|b| b.iter().cloned().collect())
@@ -178,7 +167,6 @@ impl Store {
     /// this so their per-key output matches a full scan's.
     pub fn key_group(&self, key: &Value) -> Vec<Tuple> {
         match self {
-            Store::Tree(t) => t.get(key).map(bucket_in_arrival_order).unwrap_or_default(),
             Store::BTree(t) => t.get(key).map(bucket_in_arrival_order).unwrap_or_default(),
             _ => self.find(key),
         }
@@ -206,16 +194,6 @@ impl Store {
                         std::cmp::Ordering::Greater => break,
                     }
                 }
-                (out, visited)
-            }
-            Store::Tree(t) => {
-                // Each descent level compares against at most 2 keys.
-                let visited = 2 * t.height();
-                let out: Vec<Tuple> = t
-                    .get(key)
-                    .map(|b| b.iter().cloned().collect())
-                    .unwrap_or_default();
-                let visited = visited + out.len();
                 (out, visited)
             }
             Store::BTree(t) => {
@@ -255,11 +233,6 @@ impl Store {
                 }
                 out
             }
-            Store::Tree(t) => t
-                .range(lo, hi)
-                .into_iter()
-                .flat_map(|(_, bucket)| bucket_in_arrival_order(bucket))
-                .collect(),
             Store::BTree(t) => t
                 .range(lo, hi)
                 .into_iter()
@@ -280,7 +253,6 @@ impl Store {
     /// `true` if any tuple has this key.
     pub fn contains_key(&self, key: &Value) -> bool {
         match self {
-            Store::Tree(t) => t.contains_key(key),
             Store::BTree(t) => t.contains_key(key),
             _ => !self.find(key).is_empty(),
         }
@@ -292,7 +264,6 @@ impl Store {
     pub fn scan_iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
         match self {
             Store::List(l) => Box::new(l.iter().cloned()),
-            Store::Tree(t) => Box::new(t.iter().flat_map(|(_, b)| bucket_in_arrival_order(b))),
             Store::BTree(t) => Box::new(t.iter().flat_map(|(_, b)| bucket_in_arrival_order(b))),
             Store::Paged(p) => Box::new(p.iter().cloned()),
         }
@@ -315,7 +286,6 @@ impl Store {
     pub fn ptr_eq(&self, other: &Store) -> bool {
         match (self, other) {
             (Store::List(a), Store::List(b)) => a.ptr_eq(b),
-            (Store::Tree(a), Store::Tree(b)) => a.ptr_eq(b),
             (Store::BTree(a), Store::BTree(b)) => a.ptr_eq(b),
             (Store::Paged(a), Store::Paged(b)) => a.ptr_eq(b),
             _ => false,
@@ -357,13 +327,6 @@ impl Store {
                 }
                 (Store::List(out), removed, CopyReport::new(copied, shared))
             }
-            Store::Tree(t) => match t.remove_copied(key) {
-                None => (self.clone(), Vec::new(), CopyReport::default()),
-                Some((t2, bucket, copied)) => {
-                    let removed = bucket_in_arrival_order(&bucket);
-                    (Store::Tree(t2), removed, CopyReport::new(copied, 0))
-                }
-            },
             Store::BTree(t) => match t.remove_copied(key) {
                 None => (self.clone(), Vec::new(), CopyReport::default()),
                 Some((t2, bucket, copied)) => {
@@ -623,7 +586,7 @@ impl Relation {
         let mut out = Vec::new();
         for left in self.scan() {
             for right in other.find(left.key()) {
-                out.push(concat_join(&left, &right));
+                out.push(concat_on(&left, &right, 0));
             }
         }
         out
@@ -652,7 +615,7 @@ impl Relation {
                     while left.peek().is_some_and(|t| *t.key() == key) {
                         let l = left.next().expect("peeked above");
                         for r in &group {
-                            out.push(concat_join(&l, r));
+                            out.push(concat_on(&l, r, 0));
                         }
                     }
                 }
@@ -696,16 +659,6 @@ impl Relation {
     }
 }
 
-/// The joined tuple: all of `left`, then `right` minus its key.
-fn concat_join(left: &Tuple, right: &Tuple) -> Tuple {
-    let fields: Vec<Value> = left
-        .iter()
-        .cloned()
-        .chain(right.iter().skip(1).cloned())
-        .collect();
-    Tuple::new(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,7 +672,7 @@ mod tests {
     }
 
     fn all_reprs() -> Vec<Repr> {
-        vec![Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(4)]
+        vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
     }
 
     #[test]
@@ -782,7 +735,7 @@ mod tests {
             .collect();
         assert_eq!(keys, vec![3, 1, 2]); // arrival order
 
-        let tree = Relation::from_tuples(Repr::Tree23, tuples());
+        let tree = Relation::from_tuples(Repr::TREE, tuples());
         let keys: Vec<i64> = tree
             .scan()
             .iter()
@@ -898,7 +851,7 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(visited, 17);
         // Tree probes visit O(log n) entries.
-        let tree = Relation::from_tuples(Repr::Tree23, (0..n).map(|k| Tuple::of_key(k * 2)));
+        let tree = Relation::from_tuples(Repr::TREE, (0..n).map(|k| Tuple::of_key(k * 2)));
         let (_, visited) = tree.find_counted(&31.into());
         assert!(visited * 10 < n as usize, "tree probe visited {visited}");
     }
@@ -922,7 +875,7 @@ mod tests {
                 ],
             );
             let right = Relation::from_tuples(
-                Repr::Tree23,
+                Repr::TREE,
                 vec![
                     Tuple::new(vec![2.into(), "x".into()]),
                     Tuple::new(vec![2.into(), "y".into()]),
@@ -961,14 +914,14 @@ mod tests {
             let right = mk(Repr::List, &rights);
             left.join_by_key(&right)
         };
-        for repr in [Repr::Tree23, Repr::BTree(4)] {
+        for repr in [Repr::BTree(2), Repr::BTree(4)] {
             let left = mk(repr, &pairs);
             let right = mk(repr, &rights);
             assert_eq!(left.join_by_key(&right), reference, "{repr}");
         }
         // Paged fallback: same rows, arrival order on the left.
         let left = mk(Repr::Paged(2), &pairs);
-        let right = mk(Repr::Tree23, &rights);
+        let right = mk(Repr::TREE, &rights);
         let mut got = left.join_by_key(&right);
         let mut want = reference.clone();
         got.sort();
@@ -1163,7 +1116,7 @@ mod tests {
     #[test]
     fn create_index_multi_attaches_composite() {
         let r = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             vec![
                 Tuple::new(vec![1.into(), "a".into(), 10.into()]),
                 Tuple::new(vec![2.into(), "a".into(), 20.into()]),
@@ -1187,7 +1140,7 @@ mod tests {
 
     #[test]
     fn create_index_rejects_duplicates_and_shares_store() {
-        let r = Relation::from_tuples(Repr::Tree23, tuples());
+        let r = Relation::from_tuples(Repr::TREE, tuples());
         let r1 = r.create_index("ix", 1).unwrap();
         assert!(r1.create_index("ix", 0).is_none());
         // The store itself is shared, not copied.

@@ -70,6 +70,25 @@ impl Tuple {
     }
 }
 
+/// The joined tuple: all of `left`, then `right` minus its join attribute
+/// `rf` (which duplicates a `left` field). Every join builds its rows with
+/// this — the key join (`rf = 0`), the planner's `on` joins and the join
+/// views.
+pub fn concat_on(left: &Tuple, right: &Tuple, rf: usize) -> Tuple {
+    let fields: Vec<Value> = left
+        .iter()
+        .cloned()
+        .chain(
+            right
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != rf)
+                .map(|(_, v)| v.clone()),
+        )
+        .collect();
+    Tuple::new(fields)
+}
+
 impl PartialOrd for Tuple {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))

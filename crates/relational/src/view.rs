@@ -36,8 +36,8 @@ use std::fmt;
 
 use crate::database::RelationName;
 use crate::index::KeyTransition;
-use crate::relation::Relation;
-use crate::tuple::Tuple;
+use crate::relation::{Relation, Repr};
+use crate::tuple::{concat_on, Tuple};
 use crate::value::Value;
 
 /// A position-resolved predicate for a `select` view definition.
@@ -104,8 +104,8 @@ pub enum ViewDef {
         filter: Option<ViewFilter>,
     },
     /// `join left with right on #left_field = #right_field` — rows are
-    /// `concat_on(l, r)` (all of `l`, then `r` minus its join attribute),
-    /// keyed by the left tuple's key.
+    /// [`concat_on`]`(l, r, right_field)` (all of `l`, then `r` minus its
+    /// join attribute), keyed by the left tuple's key.
     Join {
         /// The left (driving) base relation.
         left: RelationName,
@@ -184,24 +184,6 @@ impl fmt::Display for ViewDef {
             }
         }
     }
-}
-
-/// The joined tuple: all of `left`, then `right` minus its join attribute
-/// (which duplicates the left one) — the same convention as the query
-/// planner's `on` joins.
-fn concat_on(left: &Tuple, right: &Tuple, rf: usize) -> Tuple {
-    let fields: Vec<Value> = left
-        .iter()
-        .cloned()
-        .chain(
-            right
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != rf)
-                .map(|(_, v)| v.clone()),
-        )
-        .collect();
-    Tuple::new(fields)
 }
 
 /// Every `right` tuple whose join attribute equals `value`, probed through
@@ -292,6 +274,23 @@ pub fn eval_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Ve
                 .collect()
         }
     }
+}
+
+/// A new view's first materialization: `def` evaluated over its bases and
+/// stored like the primary base `left` — except over an arrival-order paged
+/// base, which gets [`Repr::TREE`] (paged stores rebuild wholesale on keyed
+/// replacement, which would defeat the differential pass). A join given no
+/// `right` is a self-join and probes `left` on both sides.
+pub fn materialize_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Relation {
+    let repr = match left.repr() {
+        Repr::Paged(_) => Repr::TREE,
+        r => r,
+    };
+    let right = match def {
+        ViewDef::Join { .. } => Some(right.unwrap_or(left)),
+        _ => None,
+    };
+    Relation::from_tuples(repr, eval_view(def, left, right))
 }
 
 /// Rebuilds a relation from `rows`, keeping `old`'s representation and
@@ -570,10 +569,9 @@ mod tests {
     use super::*;
     use crate::batch::batch_transitions;
     use crate::batch::BatchOp;
-    use crate::relation::Repr;
 
     fn all_reprs() -> Vec<Repr> {
-        vec![Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(4)]
+        vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
     }
 
     fn row(k: i64, g: i64, x: i64) -> Tuple {
@@ -690,6 +688,28 @@ mod tests {
     }
 
     #[test]
+    fn materialize_view_follows_its_base_and_self_joins_probe_it_twice() {
+        let def = ViewDef::Join {
+            left: "L".into(),
+            right: "L".into(),
+            left_field: 1,
+            right_field: 1,
+        };
+        for repr in all_reprs() {
+            let base = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, k)));
+            let view = materialize_view(&def, &base, None);
+            let stored = if matches!(repr, Repr::Paged(_)) {
+                Repr::TREE
+            } else {
+                repr
+            };
+            assert_eq!(view.repr(), stored, "{repr}");
+            let (got, expect) = sorted_pair(&view, eval_view(&def, &base, Some(&base)));
+            assert_eq!(got, expect, "{repr}");
+        }
+    }
+
+    #[test]
     fn join_delta_uses_left_index_to_find_affected_keys() {
         let def = ViewDef::Join {
             left: "L".into(),
@@ -697,13 +717,13 @@ mod tests {
             left_field: 1,
             right_field: 1,
         };
-        let left = Relation::from_tuples(Repr::Tree23, (0..50).map(|k| row(k, k % 10, k)))
+        let left = Relation::from_tuples(Repr::TREE, (0..50).map(|k| row(k, k % 10, k)))
             .create_index("l_by_g", 1)
             .unwrap();
-        let right = Relation::from_tuples(Repr::Tree23, (0..50).map(|k| row(k, k % 10, k)))
+        let right = Relation::from_tuples(Repr::TREE, (0..50).map(|k| row(k, k % 10, k)))
             .create_index("r_by_g", 1)
             .unwrap();
-        let view = Relation::from_tuples(Repr::Tree23, eval_view(&def, &left, Some(&right)));
+        let view = Relation::from_tuples(Repr::TREE, eval_view(&def, &left, Some(&right)));
         let ops = vec![BatchOp::Replace(row(7, 3, 0))];
         let (right2, view2) = step(&def, &right, Some(&left), &view, &ops, false);
         let (got, expect) = sorted_pair(&view2, eval_view(&def, &left, Some(&right2)));

@@ -1,6 +1,6 @@
 //! Property tests for incrementally-maintained views: after any random
 //! interleaving of write batches to the base relations, on every one of
-//! the four backends, a differentially-maintained view equals a full
+//! the three backends, a differentially-maintained view equals a full
 //! recomputation of its definition — and the O(1) `Relation::len`
 //! counter stays equal to a full scan's count through it all.
 
@@ -17,8 +17,7 @@ fn row(k: i64, g: i64, x: i64) -> Tuple {
 fn repr_strategy() -> impl Strategy<Value = Repr> {
     prop_oneof![
         Just(Repr::List),
-        Just(Repr::Tree23),
-        (3usize..9).prop_map(Repr::BTree),
+        (2usize..9).prop_map(Repr::BTree),
         (2usize..9).prop_map(Repr::Paged),
     ]
 }

@@ -23,7 +23,7 @@ fn client_stream(queries: &[String]) -> Stream<Transaction> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = Database::empty()
-        .create_relation("Books", Repr::Tree23)?
+        .create_relation("Books", Repr::TREE)?
         .create_relation("Loans", Repr::List)?;
 
     // Three independent terminals.

@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A database is an immutable value: a mapping names -> relations.
     let d0 = Database::empty()
         .create_relation("Emp", Repr::List)?
-        .create_relation("Dept", Repr::Tree23)?;
+        .create_relation("Dept", Repr::TREE)?;
 
     // translate : queries -> transactions.
     let queries = [

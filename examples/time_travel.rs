@@ -13,7 +13,7 @@ use fundb::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Database::empty()
-        .create_relation("Stock", Repr::Tree23)?
+        .create_relation("Stock", Repr::TREE)?
         .create_relation("Prices", Repr::List)?;
     let mut archive = VersionArchive::new(db);
 

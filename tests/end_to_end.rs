@@ -8,7 +8,7 @@ fn base() -> Database {
     Database::empty()
         .create_relation("Emp", Repr::List)
         .unwrap()
-        .create_relation("Dept", Repr::Tree23)
+        .create_relation("Dept", Repr::TREE)
         .unwrap()
         .create_relation("Log", Repr::Paged(8))
         .unwrap()

@@ -29,24 +29,24 @@ fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
 proptest! {
     #[test]
     fn tree23_matches_btreemap(ops in map_ops()) {
+        // The index map's one write is `merge_batch`; each op lands as a
+        // one-key batch.
         let mut model = BTreeMap::new();
         let mut tree: Tree23<u16, u16> = Tree23::new();
         for op in ops {
-            match op {
+            let effect = match op {
                 MapOp::Insert(k, v) => {
-                    tree = tree.insert(k, v);
                     model.insert(k, v);
+                    (k, Some(v))
                 }
                 MapOp::Remove(k) => {
-                    let got = tree.remove(&k);
-                    let want = model.remove(&k);
-                    prop_assert_eq!(got.as_ref().map(|(_, v)| *v), want);
-                    if let Some((t, _)) = got {
-                        tree = t;
-                    }
+                    model.remove(&k);
+                    (k, None)
                 }
-            }
+            };
+            tree = tree.merge_batch(&[effect]).0;
             prop_assert!(tree.check_invariants());
+            prop_assert_eq!(tree.len(), model.len());
         }
         let got: Vec<(u16, u16)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<(u16, u16)> = model.into_iter().collect();
@@ -172,7 +172,7 @@ fn plan_ops() -> impl Strategy<Value = Vec<(PlanOp, bool)>> {
 proptest! {
     #[test]
     fn database_matches_multiset_model(ops in db_ops(), use_tree in any::<bool>()) {
-        let repr = if use_tree { Repr::Tree23 } else { Repr::List };
+        let repr = if use_tree { Repr::BTree(2) } else { Repr::List };
         let mut db = Database::empty();
         for r in 0..3 {
             db = db.create_relation(format!("R{r}").as_str(), repr).unwrap();
@@ -253,7 +253,7 @@ proptest! {
         use fundb::query::{apply_select, execute_select, FieldRef, Predicate};
         use fundb::relational::BatchOp;
 
-        for repr in [Repr::List, Repr::Tree23, Repr::BTree(3), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(3), Repr::Paged(4)] {
             let mut indexed = Relation::empty(repr)
                 .create_index("by_group", 1)
                 .expect("fresh relation has no index yet");
@@ -336,7 +336,7 @@ proptest! {
         // A fixed outer relation for the join: one tuple per group value,
         // so `on #1 = #1` exercises every posting the index may hold.
         let left = Relation::from_tuples(
-            Repr::Tree23,
+            Repr::TREE,
             (0..5i64).map(|g| Tuple::new(vec![(100 + g).into(), g.into()])),
         );
         let sorted = |mut ts: Vec<Tuple>| {
@@ -344,7 +344,7 @@ proptest! {
             ts
         };
 
-        for repr in [Repr::List, Repr::Tree23, Repr::BTree(3), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(3), Repr::Paged(4)] {
             // `indexed` carries a single-column and a composite index, so
             // the planner has real paths to pick; `plain` forces the scan
             // semantics the plans must reproduce.

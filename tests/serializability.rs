@@ -346,9 +346,9 @@ proptest! {
         seed in 0u64..10_000,
         n in 30usize..100,
         workers in 1usize..9,
-        repr_idx in 0usize..4,
+        repr_idx in 0usize..3,
     ) {
-        let repr = [Repr::List, Repr::Tree23, Repr::BTree(4), Repr::Paged(8)][repr_idx];
+        let repr = [Repr::List, Repr::BTree(4), Repr::Paged(8)][repr_idx];
         let db = base_with(2, repr);
         let queries = random_queries(seed, n, 2);
         let txns = || queries.iter().map(|q| translate(parse(q).unwrap()));

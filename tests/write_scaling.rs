@@ -102,20 +102,19 @@ fn timings(repr: Repr, rows: i64) -> Vec<(&'static str, Duration)> {
 
 #[test]
 fn write_time_does_not_grow_with_the_relation() {
-    for repr in [Repr::BTree(16), Repr::Tree23] {
-        let small = timings(repr, SMALL_ROWS);
-        let large = timings(repr, LARGE_ROWS);
-        for ((kind, small), (_, large)) in small.into_iter().zip(large) {
-            let ratio = large.as_secs_f64() / small.as_secs_f64();
-            println!(
-                "{repr}: {kind}: {small:?} at {SMALL_ROWS} rows, {large:?} at {LARGE_ROWS} rows, ratio {ratio:.1}"
-            );
-            assert!(
-                ratio < MAX_RATIO,
-                "{repr}: {WRITES} x {kind} took {large:?} on {LARGE_ROWS} rows against {small:?} \
-                 on {SMALL_ROWS} rows ({ratio:.1} times as long; a path copy stays under \
-                 {MAX_RATIO})"
-            );
-        }
+    let repr = Repr::TREE;
+    let small = timings(repr, SMALL_ROWS);
+    let large = timings(repr, LARGE_ROWS);
+    for ((kind, small), (_, large)) in small.into_iter().zip(large) {
+        let ratio = large.as_secs_f64() / small.as_secs_f64();
+        println!(
+            "{repr}: {kind}: {small:?} at {SMALL_ROWS} rows, {large:?} at {LARGE_ROWS} rows, ratio {ratio:.1}"
+        );
+        assert!(
+            ratio < MAX_RATIO,
+            "{repr}: {WRITES} x {kind} took {large:?} on {LARGE_ROWS} rows against {small:?} \
+             on {SMALL_ROWS} rows ({ratio:.1} times as long; a path copy stays under \
+             {MAX_RATIO})"
+        );
     }
 }

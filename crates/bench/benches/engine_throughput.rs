@@ -30,7 +30,7 @@ fn workload() -> (Database, Vec<Transaction>) {
     (db, txns)
 }
 
-fn bench_engine(c: &mut Criterion) {
+fn engine_throughput(c: &mut Criterion) {
     let (db, txns) = workload();
     let mut group = c.benchmark_group("engine_throughput");
     group.sample_size(10);
@@ -49,5 +49,5 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine);
+criterion_group!(benches, engine_throughput);
 criterion_main!(benches);

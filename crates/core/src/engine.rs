@@ -1490,9 +1490,12 @@ impl PipelinedEngine {
                 // Resolve every field against the slot's static schema at
                 // submission, so the logged record and the apply step agree
                 // on positions regardless of how the schema is spelled.
-                let resolved = match exec::resolve_index(relation, name, fields, |n| self.entry(n))
-                {
-                    Ok(resolved) => resolved,
+                let resolved = match exec::resolve_index(relation, fields, |n| self.entry(n)) {
+                    Ok(positions) => Query::CreateIndex {
+                        relation: relation.clone(),
+                        name: name.clone(),
+                        fields: positions.into_iter().map(FieldRef::Index).collect(),
+                    },
                     Err(e) => return refused(e),
                 };
                 let slot = self.slot(relation).expect("resolved as a base above");

@@ -25,14 +25,21 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fundb_query::exec::{self, Entry};
-use fundb_query::{Query, Response};
-use fundb_relational::{Database, Relation, RelationName, Schema, Tuple};
+use fundb_query::{translate, Query, Response};
+use fundb_relational::{Database, Relation, RelationName, Schema, Tuple, ViewDef};
 use parking_lot::{Mutex, RwLock};
 
 /// A relation's primary copy: the current value and a commit counter.
 struct PrimaryCopy {
     slot: RwLock<(Relation, u64)>,
+}
+
+/// One name of the fixed catalog: its schema and, for a materialized view,
+/// its definition.
+struct CatalogEntry {
+    name: RelationName,
+    schema: Option<Schema>,
+    view: Option<ViewDef>,
 }
 
 /// A transaction's private workspace: snapshots to read, replacements to
@@ -120,8 +127,8 @@ pub struct OccStats {
 /// ```
 pub struct OptimisticEngine {
     copies: HashMap<RelationName, PrimaryCopy>,
-    schemas: HashMap<RelationName, Option<Schema>>,
-    order: Vec<RelationName>,
+    /// In the initial database's order.
+    catalog: Vec<CatalogEntry>,
     commit_lock: Mutex<()>,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -133,7 +140,7 @@ impl fmt::Debug for OptimisticEngine {
         write!(
             f,
             "OptimisticEngine[{} relations, {} commits, {} aborts]",
-            self.order.len(),
+            self.catalog.len(),
             stats.commits,
             stats.aborts
         )
@@ -141,36 +148,29 @@ impl fmt::Debug for OptimisticEngine {
 }
 
 impl OptimisticEngine {
-    /// Builds primary copies for every relation of `initial`. The catalog
-    /// is fixed (as in the locking baseline).
+    /// Builds primary copies for every relation and view of `initial`.
+    /// The catalog is fixed (as in the locking baseline).
     pub fn new(initial: &Database) -> Self {
-        let order = initial.relation_names();
-        let copies = order
-            .iter()
-            .map(|n| {
-                let rel = initial
-                    .relation(n)
-                    .expect("name from this database")
-                    .clone();
-                (
-                    n.clone(),
-                    PrimaryCopy {
-                        slot: RwLock::new((rel, 0)),
-                    },
-                )
+        let catalog: Vec<CatalogEntry> = initial
+            .relation_names()
+            .into_iter()
+            .map(|name| CatalogEntry {
+                schema: initial.schema(&name).expect("own name").cloned(),
+                view: initial.view_def(&name).expect("own name").cloned(),
+                name,
             })
             .collect();
-        let schemas = order
+        let copies = catalog
             .iter()
-            .map(|n| {
-                let s = initial.schema(n).expect("name from this database").cloned();
-                (n.clone(), s)
+            .map(|e| {
+                let rel = initial.relation(&e.name).expect("own name").clone();
+                let slot = RwLock::new((rel, 0));
+                (e.name.clone(), PrimaryCopy { slot })
             })
             .collect();
         OptimisticEngine {
             copies,
-            schemas,
-            order,
+            catalog,
             commit_lock: Mutex::new(()),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -231,15 +231,16 @@ impl OptimisticEngine {
         }
     }
 
-    /// Convenience: runs a batch of queries as one atomic transaction (the
-    /// footprint is derived from the queries). `create relation`, `create
-    /// view`, `create index` and `relations` are rejected — the catalog is
-    /// fixed.
+    /// Convenience: runs a batch of queries as one atomic transaction,
+    /// each statement through [`translate()`] over a database assembled from
+    /// the workspace — so views are refused as write targets, maintained
+    /// from their bases' writes and substituted for matching reads exactly
+    /// as the sequential model does. The footprint is the queries'
+    /// relations, every view reading one of them, and those views' bases;
+    /// a name that does not exist gets the model's refusal.
+    /// `create relation`, `create view`, `create index` and `relations`
+    /// are rejected — the catalog is fixed.
     pub fn execute_queries(&self, queries: &[Query]) -> (Vec<Response>, u64) {
-        let refuse_all = |why: String| {
-            let refused = queries.iter().map(|_| Response::Error(why.clone()));
-            (refused.collect(), 0)
-        };
         let catalog_op = |q: &Query| {
             matches!(
                 q,
@@ -250,42 +251,76 @@ impl OptimisticEngine {
             )
         };
         if queries.iter().any(catalog_op) {
-            return refuse_all("primary-copy engine has a fixed catalog".into());
+            let why = "primary-copy engine has a fixed catalog";
+            return (
+                queries
+                    .iter()
+                    .map(|_| Response::Error(why.into()))
+                    .collect(),
+                0,
+            );
         }
-        let mut footprint: Vec<RelationName> = queries
+        // A name outside the catalog stays out of the assembled database,
+        // so `translate` refuses it exactly as the sequential model does.
+        let named: Vec<RelationName> = queries
             .iter()
             .flat_map(|q| q.reads().into_iter().chain(q.writes()))
+            .filter(|n| self.copies.contains_key(n))
             .collect();
-        // Unknown relations: answer without a transaction, naming the
-        // first one in statement order as the sequential model would.
-        if let Some(missing) = footprint.iter().find(|n| !self.copies.contains_key(*n)) {
-            return refuse_all(exec::no_such_relation(missing));
+        let mut footprint = named.clone();
+        for e in &self.catalog {
+            let Some(def) = &e.view else { continue };
+            if named.contains(&e.name) || def.bases().into_iter().any(|b| named.contains(b)) {
+                footprint.push(e.name.clone());
+                footprint.extend(def.bases().into_iter().cloned());
+            }
         }
         footprint.sort();
         footprint.dedup();
         self.execute(&footprint, |ws| {
-            queries
+            let mut db = self.assemble(|n| footprint.contains(n), |n| ws.relation(n).clone());
+            let responses: Vec<Response> = queries
                 .iter()
-                .map(|q| apply_query(ws, q, &self.schemas, false))
-                .collect::<Vec<Response>>()
+                .map(|q| {
+                    let (response, next) = translate(q.clone()).apply(&db);
+                    db = next;
+                    response
+                })
+                .collect();
+            for name in &footprint {
+                let after = db.relation(name).expect("the catalog is fixed");
+                if !after.ptr_eq(ws.relation(name)) {
+                    ws.set_relation(name, after.clone());
+                }
+            }
+            responses
         })
     }
 
-    /// A consistent snapshot of all primary copies as a [`Database`].
+    /// A consistent snapshot of all primary copies as a [`Database`]:
+    /// the relation values themselves (shared, not copied), with their
+    /// schemas, indexes and view definitions.
     pub fn snapshot(&self) -> Database {
         let _commit = self.commit_lock.lock();
-        let mut db = Database::empty();
-        for name in &self.order {
-            let rel = self.copies[name].slot.read().0.clone();
-            db = db
-                .create_relation(name.as_str(), rel.repr())
-                .expect("unique names");
-            for t in rel.scan() {
-                let (d2, _) = db.insert(name, t).expect("relation just created");
-                db = d2;
+        self.assemble(|_| true, |n| self.copies[n].slot.read().0.clone())
+    }
+
+    /// The catalog entries `include` admits, in catalog order, each
+    /// holding `value(name)`.
+    fn assemble(
+        &self,
+        include: impl Fn(&RelationName) -> bool,
+        value: impl Fn(&RelationName) -> Relation,
+    ) -> Database {
+        let entries = self.catalog.iter().filter(|e| include(&e.name));
+        entries.fold(Database::empty(), |db, e| {
+            let (name, schema) = (e.name.clone(), e.schema.clone());
+            match &e.view {
+                None => db.with_relation_value(name, value(&e.name), schema),
+                Some(def) => db.with_view_value(name, value(&e.name), schema, def.clone()),
             }
-        }
-        db
+            .expect("catalog names are unique")
+        })
     }
 
     /// Commit/abort counters so far.
@@ -293,42 +328,6 @@ impl OptimisticEngine {
         OccStats {
             commits: self.commits.load(Ordering::SeqCst),
             aborts: self.aborts.load(Ordering::SeqCst),
-        }
-    }
-}
-
-/// Evaluates one statement — under `explain`, plans it — inside a
-/// workspace: `exec` computes, the workspace is the database it reads
-/// from and stages writes into.
-fn apply_query(
-    ws: &mut TxnWorkspace,
-    q: &Query,
-    schemas: &HashMap<RelationName, Option<Schema>>,
-    explain: bool,
-) -> Response {
-    let schema = |n: &RelationName| schemas.get(n).and_then(Option::as_ref);
-    match q {
-        Query::Explain(inner) if !explain => apply_query(ws, inner, schemas, true),
-        Query::Join { left, right, on } => {
-            let entry = |n: &RelationName| Entry::Base(schema(n).cloned());
-            match exec::resolve_join(left, right, on, entry) {
-                Err(e) => Response::Error(e),
-                Ok(on) if explain => exec::explain_join(ws.relation(left), ws.relation(right), on),
-                Ok(on) => exec::join(ws.relation(left), ws.relation(right), on).0,
-            }
-        }
-        _ if explain => match q.relation().filter(|_| q.is_explainable()) {
-            Some(r) => exec::explain_read(ws.relation(r), schema(r), q, false),
-            None => exec::explain_unsupported(q),
-        },
-        _ => {
-            let relation = q.relation().expect("catalog statements were refused");
-            if q.is_read_only() {
-                return exec::read(ws.relation(relation), schema(relation), q).0;
-            }
-            let (next, response) = exec::write(ws.relation(relation), q.clone());
-            ws.set_relation(relation, next);
-            response
         }
     }
 }
@@ -558,11 +557,80 @@ mod tests {
     fn query_batch_rejects_unknown_relations_and_catalog_ops() {
         let engine = OptimisticEngine::new(&base());
         let (rs, _) = engine.execute_queries(&[parse("insert 1 into Nope").unwrap()]);
-        assert!(rs[0].is_error());
+        assert_eq!(rs[0].to_string(), "error: no such relation: Nope");
         let (rs, _) = engine.execute_queries(&[parse("create relation C").unwrap()]);
         assert!(rs[0].is_error());
-        // No transaction ran.
-        assert_eq!(engine.stats().commits, 0);
+        // The unknown name ran a transaction that wrote nothing; the
+        // catalog refusal ran none.
+        assert_eq!(engine.snapshot().tuple_count(), 0);
+        assert_eq!(engine.stats().commits, 1);
+    }
+
+    #[test]
+    fn snapshot_keeps_schemas_indexes_and_views() {
+        let db = [
+            "create relation R(id, v) as btree(4)",
+            "create relation S",
+            "insert (1, 5) into R",
+            "insert (2, -1) into R",
+            "create index by_v on R (v)",
+            "create view V as select from R where v > 0",
+        ]
+        .iter()
+        .fold(Database::empty(), |db, q| {
+            let (resp, next) = translate(parse(q).unwrap()).apply(&db);
+            assert!(!resp.is_error(), "{q}: {resp}");
+            next
+        });
+        let engine = OptimisticEngine::new(&db);
+        let (rs, _) = engine.execute_queries(&[parse("replace (2, 7) in R").unwrap()]);
+        assert!(!rs[0].is_error(), "{}", rs[0]);
+        let snap = engine.snapshot();
+        assert_eq!(snap.relation_names(), db.relation_names());
+        assert_eq!(
+            snap.schema(&"R".into()).unwrap(),
+            db.schema(&"R".into()).unwrap()
+        );
+        let r = snap.relation(&"R".into()).unwrap();
+        assert_eq!(r.repr(), Repr::BTree(4));
+        assert!(r.indexes().get("by_v").is_some());
+        assert_eq!(
+            snap.view_def(&"V".into()).unwrap(),
+            db.view_def(&"V".into()).unwrap()
+        );
+        assert_eq!(snap.relation(&"V".into()).unwrap().len(), 2);
+        // Relation values are shared with the primary copies, not rebuilt.
+        assert!(snap.shares_relation_with(&db, &"S".into()));
+        assert!(snap.shares_relation_with(&engine.snapshot(), &"R".into()));
+    }
+
+    #[test]
+    fn views_are_maintained_refused_and_substituted() {
+        let db = [
+            "create relation R",
+            "insert (1, 5) into R",
+            "insert (2, -1) into R",
+            "create view V as select from R where #1 > 0",
+        ]
+        .iter()
+        .fold(Database::empty(), |db, q| {
+            translate(parse(q).unwrap()).apply(&db).1
+        });
+        let engine = OptimisticEngine::new(&db);
+        let run = |q: &str| engine.execute_queries(&[parse(q).unwrap()]).0.remove(0);
+        assert_eq!(
+            run("insert (9, 9) into V").to_string(),
+            "error: cannot write to materialized view: V"
+        );
+        run("replace (2, 7) in R");
+        assert_eq!(
+            run("select from V").to_string(),
+            "found 2 tuples: (1, 5), (2, 7)"
+        );
+        assert_eq!(
+            run("explain select from R where #1 > 0").to_string(),
+            "plan: materialized view scan on V (~2 rows)"
+        );
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! pipelined engine bumps with `Relaxed` atomics — a handful of
 //! nanoseconds per event, never a lock — and
 //! [`EngineStats::snapshot`] reads them into a plain
-//! [`EngineStatsSnapshot`] for reporting. `bench_engine --smoke` prints a
-//! snapshot per workload, which is how the adaptive-batching regime
+//! [`EngineStatsSnapshot`] for reporting. `bench_stack --trace` reads a
+//! snapshot per window (`core.bypass_share`, `core.chained_claim_share`,
+//! `core.avg_batch_len`, `core.frontier_hit_ratio`, `query.path_scan_share`,
+//! `query.view_subst_per_join`), which is how the adaptive-batching regime
 //! decisions (`DESIGN.md` §9.5) are verified against real traffic rather
 //! than guessed at.
 

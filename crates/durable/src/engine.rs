@@ -205,11 +205,10 @@ impl WriteRun {
         let Some(relation) = self.relation.take() else {
             return db;
         };
-        let ops = &self.ops;
-        let landed = db.write_with(&relation, ops, |rel| (rel.apply_batch(ops).0, ()));
+        let landed = db.write(&relation, &self.ops);
         self.ops.clear();
         match landed {
-            Ok((next, ())) => next,
+            Ok((next, _, _)) => next,
             Err(_) => db,
         }
     }

@@ -6,9 +6,10 @@
 //! distribution only decide *when* that function runs. This module is the
 //! computation. [`translate`](crate::translate()) looks the relations up in
 //! a `Database` and calls it; the pipelined engine pins relation versions
-//! and calls it; the primary-copy engine calls it over its workspace. No
-//! scheduler interprets a statement itself, so the spec and the engines
-//! cannot answer differently — response text included.
+//! and calls it; the primary-copy engine runs `translate` over a database
+//! assembled from its workspace. No scheduler interprets a statement
+//! itself, so the spec and the engines cannot answer differently — response
+//! text included.
 //!
 //! Everything is a plain function over borrowed relation values: no trait
 //! object, no boxed closure, nothing allocated beyond the answer itself.
@@ -306,9 +307,10 @@ pub fn resolve_join(
     }
 }
 
-/// Resolves a `create index` against its relation's schema into the same
-/// statement with every field a position — the form [`write()`] evaluates
-/// and a log records, so replay needs no schema.
+/// Resolves a `create index`'s fields against its relation's schema into
+/// attribute positions — what the index is built over, and (as
+/// [`FieldRef::Index`]es) the form [`write()`] evaluates and a log
+/// records, so replay needs no schema.
 ///
 /// # Errors
 ///
@@ -316,22 +318,13 @@ pub fn resolve_join(
 /// be resolved.
 pub fn resolve_index(
     relation: &RelationName,
-    name: &str,
     fields: &[FieldRef],
     lookup: impl Fn(&RelationName) -> Entry,
-) -> Result<Query, String> {
+) -> Result<Vec<usize>, String> {
     let schema = lookup(relation).base(relation, || {
         format!("indexes on materialized views are not supported: {relation}")
     })?;
-    let fields = fields
-        .iter()
-        .map(|f| f.resolve(schema.as_ref()).map(FieldRef::Index))
-        .collect::<Result<Vec<FieldRef>, String>>()?;
-    Ok(Query::CreateIndex {
-        relation: relation.clone(),
-        name: name.to_string(),
-        fields,
-    })
+    fields.iter().map(|f| f.resolve(schema.as_ref())).collect()
 }
 
 /// Resolves a `create view` spec against its bases' schemas, producing the

@@ -314,7 +314,7 @@ pub fn choose_access_path_with_estimate(
 fn fetch_candidates(rel: &Relation, path: &AccessPath) -> Vec<Tuple> {
     match path {
         AccessPath::Scan => rel.scan(),
-        AccessPath::KeyEq(v) => rel.key_group(v),
+        AccessPath::KeyEq(v) => rel.find(v),
         AccessPath::KeyRange(lo, hi) => rel.find_range(lo, hi),
         AccessPath::IndexEq { field, value, .. } => {
             let ix = rel.index_on(*field).expect("path chosen from this index");
@@ -597,7 +597,7 @@ pub fn execute_join_explained(
             let mut out = Vec::new();
             for l in left.scan_iter() {
                 if let Some(v) = l.get(lf) {
-                    for r in right.key_group(v) {
+                    for r in right.find(v) {
                         out.push(concat_on(&l, &r, 0));
                     }
                 }

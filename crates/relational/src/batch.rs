@@ -15,7 +15,8 @@
 //! * the secondary indexes ([`crate::index::IndexSet::apply_transitions`]);
 //! * the relation's cached length (each run's `after.len() - before.len()`);
 //! * every dependent materialized view: [`Relation::apply_batch_with_runs`]
-//!   hands the runs back, and the engine advances each view from them
+//!   hands the runs back, and the engine's commit path and
+//!   [`crate::Database::write`] advance each view from them
 //!   ([`crate::view::advance_view`]) instead of deriving them again.
 //!
 //! [`Relation::apply_transitions`] lands a run through the same kernel call,
@@ -129,7 +130,7 @@ fn apply_paged_batch(store: &PagedStore<Tuple>, ops: &[BatchOp]) -> (Store, Copy
 fn key_groups(store: &Store, keys: &[&Value]) -> Vec<Vec<Tuple>> {
     let tuples: Box<dyn Iterator<Item = &Tuple> + '_> = match store {
         Store::BTree(_) => {
-            return keys.iter().map(|k| store.key_group(k)).collect();
+            return keys.iter().map(|k| store.find(k)).collect();
         }
         Store::List(l) => {
             let last = keys.last().copied();
@@ -183,7 +184,9 @@ fn derive(store: &Store, ops: &[BatchOp]) -> (Vec<KeyTransition>, Vec<BatchOutco
 /// The per-key before/after transitions a batch induces against `rel`, in
 /// the ascending key order index maintenance and the view delta rules
 /// require (see [`crate::view`]) — the same runs
-/// [`Relation::apply_batch_with_runs`] lands and returns.
+/// [`Relation::apply_batch_with_runs`] lands and returns. No write path
+/// calls it (each takes the runs its batch landed); it is for tests and
+/// measurements that need the runs without the write.
 pub fn batch_transitions(rel: &Relation, ops: &[BatchOp]) -> Vec<KeyTransition> {
     derive(&rel.store, ops).0
 }
@@ -281,7 +284,7 @@ impl Relation {
         );
         #[cfg(debug_assertions)]
         for tr in runs {
-            let mut cur = self.store.key_group(&tr.key);
+            let mut cur = self.store.find(&tr.key);
             let mut before = tr.before.clone();
             cur.sort();
             before.sort();

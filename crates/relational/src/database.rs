@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use fundb_persist::{CopyReport, PList};
 
-use crate::batch::{batch_transitions, BatchOp};
+use crate::batch::{BatchOp, BatchOutcome};
 use crate::index::KeyTransition;
 use crate::relation::{Relation, Repr};
 use crate::schema::Schema;
@@ -328,9 +328,8 @@ impl Database {
         name: &RelationName,
         tuple: Tuple,
     ) -> Result<(Database, CopyReport), DatabaseError> {
-        self.write_with(name, &[BatchOp::Insert(tuple.clone())], |rel| {
-            rel.insert(tuple)
-        })
+        let (db, _, report) = self.write(name, &[BatchOp::Insert(tuple)])?;
+        Ok((db, report))
     }
 
     /// `find`: every tuple in relation `name` whose key is `key`.
@@ -382,10 +381,9 @@ impl Database {
         name: &RelationName,
         key: &Value,
     ) -> Result<(Database, Vec<Tuple>), DatabaseError> {
-        self.write_with(name, &[BatchOp::Delete(key.clone())], |rel| {
-            let (r2, removed, _) = rel.delete(key);
-            (r2, removed)
-        })
+        let removed = self.find(name, key)?;
+        let (db, _, _) = self.write(name, &[BatchOp::Delete(key.clone())])?;
+        Ok((db, removed))
     }
 
     /// Attaches (and builds) a secondary index named `index` on attribute
@@ -433,39 +431,29 @@ impl Database {
         Ok(db)
     }
 
-    /// Replaces base relation `name`'s value with `f(current)`, then
-    /// maintains every dependent view from `ops` — the data operations the
-    /// new value folds in, in application order (none for an update that
-    /// changes no rows, such as an index build). This is how a statement
-    /// executor that works on relation *values* lands its result: the
-    /// update itself is the caller's, the spine re-consing and the view
-    /// pass are the database's.
+    /// Applies `ops` to base relation `name` as one batch
+    /// ([`Relation::apply_batch_with_runs`]) and advances every dependent
+    /// view from the same per-key runs, so the batch is derived once.
+    /// Returns the new database, each op's outcome in batch order and the
+    /// relation's copy report. Every statement-level write lands here:
+    /// `translate`'s insert/delete/replace, durable log replay and replica
+    /// apply.
     ///
     /// # Errors
     ///
     /// [`DatabaseError::NoSuchRelation`] if absent,
     /// [`DatabaseError::WriteToView`] if `name` is a view.
-    pub fn write_with<T>(
+    pub fn write(
         &self,
         name: &RelationName,
         ops: &[BatchOp],
-        f: impl FnOnce(&Relation) -> (Relation, T),
-    ) -> Result<(Database, T), DatabaseError> {
+    ) -> Result<(Database, Vec<BatchOutcome>, CopyReport), DatabaseError> {
         self.reject_view_write(name)?;
-        let transitions = if !ops.is_empty() && self.has_dependent_views(name) {
-            batch_transitions(self.relation(name)?, ops)
-        } else {
-            Vec::new()
-        };
-        let (db, _, extra) = self.update_relation(name, |rel| {
-            let (r2, extra) = f(rel);
-            (r2, CopyReport::default(), extra)
+        let (db, report, (outcomes, runs)) = self.update_relation(name, |rel| {
+            let (next, outcomes, report, runs) = rel.apply_batch_with_runs(ops);
+            (next, report, (outcomes, runs))
         })?;
-        if transitions.is_empty() {
-            Ok((db, extra))
-        } else {
-            Ok((db.propagate_to_views(name, &transitions), extra))
-        }
+        Ok((db.propagate_to_views(name, &runs), outcomes, report))
     }
 
     /// Applies a functional update to one relation, re-consing the spine up
@@ -629,24 +617,27 @@ impl Database {
     /// expect.
     fn propagate_to_views(&self, base: &RelationName, transitions: &[KeyTransition]) -> Database {
         let mut db = self.clone();
+        if transitions.is_empty() {
+            return db;
+        }
         let base_after = self.relation(base).expect("base exists");
-        for (vname, def) in self.views() {
+        for (vname, def) in self.view_defs() {
             if !def.depends_on(base) {
                 continue;
             }
             let new_view = {
-                let other = match &*def {
+                let other = match def {
                     ViewDef::Join { left, right, .. } => {
                         let other = if base == left { right } else { left };
                         Some(db.relation(other).expect("join base exists"))
                     }
                     _ => None,
                 };
-                let view = db.relation(&vname).expect("view exists");
-                advance_view(&def, base, view, transitions, base_after, other)
+                let view = db.relation(vname).expect("view exists");
+                advance_view(def, base, view, transitions, base_after, other)
             };
             db = db
-                .update_relation(&vname, |_| (new_view, CopyReport::default(), ()))
+                .update_relation(vname, |_| (new_view, CopyReport::default(), ()))
                 .expect("view exists")
                 .0;
         }

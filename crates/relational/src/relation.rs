@@ -138,7 +138,10 @@ impl Store {
         }
     }
 
-    /// Every tuple whose key equals `key`.
+    /// Every tuple whose key equals `key`, in this store's scan order (a
+    /// tree bucket is consed newest-first; this restores arrival order), so
+    /// a key's group reads the same through `find`, an index probe, a join
+    /// and a full scan.
     pub fn find(&self, key: &Value) -> Vec<Tuple> {
         match self {
             Store::List(l) => {
@@ -153,22 +156,8 @@ impl Store {
                 }
                 out
             }
-            Store::BTree(t) => t
-                .get(key)
-                .map(|b| b.iter().cloned().collect())
-                .unwrap_or_default(),
-            Store::Paged(p) => p.iter().filter(|t| t.key() == key).cloned().collect(),
-        }
-    }
-
-    /// The tuples with key `key` in this store's *scan* order (tree buckets
-    /// are consed newest-first; this restores arrival order, unlike
-    /// [`find`](Self::find)). Index-assisted reads and the merge join use
-    /// this so their per-key output matches a full scan's.
-    pub fn key_group(&self, key: &Value) -> Vec<Tuple> {
-        match self {
             Store::BTree(t) => t.get(key).map(bucket_in_arrival_order).unwrap_or_default(),
-            _ => self.find(key),
+            Store::Paged(p) => p.iter().filter(|t| t.key() == key).cloned().collect(),
         }
     }
 
@@ -198,10 +187,7 @@ impl Store {
             }
             Store::BTree(t) => {
                 let visited = (2 * t.min_degree() - 1) * t.height();
-                let out: Vec<Tuple> = t
-                    .get(key)
-                    .map(|b| b.iter().cloned().collect())
-                    .unwrap_or_default();
+                let out = t.get(key).map(bucket_in_arrival_order).unwrap_or_default();
                 let visited = visited + out.len();
                 (out, visited)
             }
@@ -485,7 +471,7 @@ impl Relation {
         let indexes = if self.indexes.is_empty() {
             self.indexes.clone()
         } else {
-            let before = self.store.key_group(tuple.key());
+            let before = self.store.find(tuple.key());
             let mut after = before.clone();
             after.push(tuple.clone());
             self.indexes.apply_transitions(&[KeyTransition::new(
@@ -506,30 +492,24 @@ impl Relation {
         )
     }
 
-    /// Every tuple whose key equals `key`.
+    /// Every tuple whose key equals `key`, in scan order (see
+    /// [`Store::find`]).
     pub fn find(&self, key: &Value) -> Vec<Tuple> {
         self.store.find(key)
-    }
-
-    /// The tuples with key `key`, in this relation's scan order (see
-    /// [`Store::key_group`]).
-    pub fn key_group(&self, key: &Value) -> Vec<Tuple> {
-        self.store.key_group(key)
     }
 
     /// The rows behind one of this relation's index probes (entries
     /// ascending by key, as [`SecondaryIndex::probe_prefix`] and
     /// [`SecondaryIndex::probe_range`] return them): an entry's carried
     /// tuple is used as is, and a multi-tuple bucket (`None`) is read with
-    /// [`key_group`](Self::key_group). The result is exactly the entries'
-    /// keys mapped through `key_group`, with no store descent for any
-    /// single-tuple key.
+    /// [`find`](Self::find). The result is exactly the entries' keys mapped
+    /// through `find`, with no store descent for any single-tuple key.
     pub fn index_rows(&self, entries: &[&PostingEntry]) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(entries.len());
         for (key, row) in entries.iter().copied() {
             match row {
                 Some(t) => out.push(t.clone()),
-                None => out.extend(self.store.key_group(key)),
+                None => out.extend(self.store.find(key)),
             }
         }
         out
@@ -754,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn key_group_follows_scan_order() {
+    fn find_follows_scan_order() {
         for repr in all_reprs() {
             let r = Relation::from_tuples(
                 repr,
@@ -768,7 +748,7 @@ mod tests {
                 .into_iter()
                 .filter(|t| t.key() == &1.into())
                 .collect();
-            assert_eq!(r.key_group(&1.into()), in_scan, "{repr}");
+            assert_eq!(r.find(&1.into()), in_scan, "{repr}");
         }
     }
 
@@ -978,12 +958,12 @@ mod tests {
 
     /// Every full-width, strict-prefix and range probe of both indexes
     /// on `r` — a single-column one on `#1` and a composite on `(#1, #2)`
-    /// — yields exactly the rows of its keys' `key_group`s.
-    fn assert_index_rows_are_key_groups(r: &Relation, what: &str) {
+    /// — yields exactly the rows `find` gives for its keys.
+    fn assert_index_rows_are_finds(r: &Relation, what: &str) {
         let single = r.indexes().get("g").expect("single-column index");
         let composite = r.indexes().get("gh").expect("composite index");
         let per_key =
-            |keys: Vec<Value>| -> Vec<Tuple> { keys.iter().flat_map(|k| r.key_group(k)).collect() };
+            |keys: Vec<Value>| -> Vec<Tuple> { keys.iter().flat_map(|k| r.find(k)).collect() };
         for g in 0..4i64 {
             let g = Value::from(g);
             for (ix, values) in [
@@ -1017,13 +997,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Index rows are the probed keys mapped through `key_group` — what
+        /// Index rows are the probed keys mapped through `find` — what
         /// a probe fetched before postings carried rows — on every
         /// representation, under inserts onto existing keys (buckets past
         /// one tuple), deletes and replaces, landed one at a time and in
         /// batches.
         #[test]
-        fn index_rows_equal_key_groups_of_probed_keys(
+        fn index_rows_equal_finds_of_probed_keys(
             ops in proptest::collection::vec((0u8..6, 0i64..12, 0i64..4, 0i64..2), 0..48),
         ) {
             use crate::batch::BatchOp;
@@ -1053,13 +1033,13 @@ mod tests {
                     }
                 }
                 r = r.apply_batch(&pending).0;
-                assert_index_rows_are_key_groups(&r, &repr.to_string());
+                assert_index_rows_are_finds(&r, &repr.to_string());
                 // A fresh build of the same contents agrees too.
                 let rebuilt = Relation::from(r.store().clone())
                     .create_index("g", 1)
                     .and_then(|r| r.create_index_multi("gh", &[1, 2]))
                     .expect("fresh relation");
-                assert_index_rows_are_key_groups(&rebuilt, &format!("{repr} rebuilt"));
+                assert_index_rows_are_finds(&rebuilt, &format!("{repr} rebuilt"));
             }
         }
     }
@@ -1104,7 +1084,7 @@ mod tests {
             let ix = r2.index_on(1).unwrap();
             assert_eq!(
                 r2.index_rows(&ix.probe_prefix(&[5.into()])),
-                r2.key_group(&1.into()),
+                r2.find(&1.into()),
                 "{repr}"
             );
             // 2 → 1: the sole survivor is carried again.

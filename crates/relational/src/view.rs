@@ -192,7 +192,7 @@ impl fmt::Display for ViewDef {
 /// otherwise.
 fn probe_matches(right: &Relation, rf: usize, value: &Value) -> Vec<Tuple> {
     if rf == 0 {
-        return right.key_group(value);
+        return right.find(value);
     }
     if let Some(ix) = right.index_on(rf) {
         return right
@@ -339,7 +339,7 @@ pub fn join_delta_left(
 ) -> Vec<KeyTransition> {
     let mut out = Vec::new();
     for tr in transitions {
-        let before = view.key_group(&tr.key);
+        let before = view.find(&tr.key);
         let mut after = Vec::new();
         for l in &tr.after {
             if let Some(v) = l.get(left_field) {
@@ -408,13 +408,13 @@ pub fn join_delta_right(
     }
     let mut out = Vec::new();
     for k in keys {
-        let before = view.key_group(&k);
+        let before = view.find(&k);
         // Reconstruct: drop one bucket row per departed right match (the
         // view reflected the pre-commit base exactly, so the row is
         // present), append one per arrival, then canonicalize the order
         // so reconstructed buckets compare and store deterministically.
         let mut after = before.clone();
-        for l in left.key_group(&k) {
+        for l in left.find(&k) {
             let Some(v) = l.get(left_field) else { continue };
             if let Some(rs) = removed.get(v) {
                 for r in rs {
@@ -472,7 +472,7 @@ pub fn group_delta(
         if dcount == 0 && dsum == 0 {
             continue;
         }
-        let before = view.key_group(&g);
+        let before = view.find(&g);
         // Current slot: (count, sum) parsed from the group's single row.
         let (cur_count, cur_sum) = match before.first() {
             None => (0, 0),
@@ -760,7 +760,7 @@ mod tests {
             counts = counts.apply_transitions(&group_delta(&counts, &ts, 1, None));
             sums = sums.apply_transitions(&group_delta(&sums, &ts, 1, Some(2)));
             // Group 0 is now empty: its rows must be gone entirely.
-            assert!(counts.key_group(&0.into()).is_empty(), "{repr}");
+            assert!(counts.find(&0.into()).is_empty(), "{repr}");
             let (got, expect) = sorted_pair(&counts, eval_view(&count_def, &base2, None));
             assert_eq!(got, expect, "{repr} counts");
             let (got, expect) = sorted_pair(&sums, eval_view(&sum_def, &base2, None));

@@ -161,101 +161,6 @@ impl Workload {
     }
 }
 
-/// Parameters for the engine hot-path benchmark workload: a fixed-size
-/// working set hammered by several concurrent clients.
-///
-/// Unlike [`WorkloadSpec`] — which reproduces the paper's Section 4 batch
-/// — this models a server under multi-terminal OLTP load: every relation
-/// holds `key_space` single-int tuples, writes alternate insert/delete so
-/// relation sizes stay flat, and each client gets its own deterministic
-/// transaction stream. Flat sizes keep per-transaction data work constant,
-/// so throughput differences between engines measure *engine* overhead
-/// (locking, handoffs, cell churn), not relation-representation cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotPathSpec {
-    /// Concurrent submitting clients.
-    pub clients: usize,
-    /// Transactions per client.
-    pub ops_per_client: usize,
-    /// Number of relations, named `R0..`.
-    pub relations: usize,
-    /// Keys per relation; also the initial tuple count of each.
-    pub key_space: u64,
-    /// Percentage (0–100) of transactions that are writes.
-    pub write_pct: u32,
-    /// Percentage (0–100) of *writes* that are replaces (delete-then-insert
-    /// of one key). The remaining writes alternate insert/delete. A value
-    /// of `0` draws nothing from the RNG for the decision, so workloads
-    /// generated before this knob existed are reproduced bit-for-bit.
-    pub replace_pct: u32,
-    /// RNG seed; equal specs generate equal workloads.
-    pub seed: u64,
-}
-
-impl HotPathSpec {
-    /// The pre-seeded database: `relations` B-tree relations with keys
-    /// `0..key_space` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `relations` is zero.
-    pub fn initial(&self) -> Database {
-        assert!(self.relations > 0, "need at least one relation");
-        let mut db = Database::empty();
-        for r in 0..self.relations {
-            db = db
-                .create_relation(format!("R{r}").as_str(), Repr::BTree(16))
-                .expect("generated names are unique");
-        }
-        for r in 0..self.relations {
-            let name = format!("R{r}").as_str().into();
-            for k in 0..self.key_space {
-                let (d2, _) = db
-                    .insert(&name, Tuple::of_key(k as i64))
-                    .expect("relation exists");
-                db = d2;
-            }
-        }
-        db
-    }
-
-    /// One client's deterministic transaction stream.
-    pub fn client_ops(&self, client: usize) -> Vec<Transaction> {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        (0..self.ops_per_client)
-            .map(|i| {
-                let rel = format!("R{}", rng.gen_range(0..self.relations));
-                let key = rng.gen_range(0..self.key_space);
-                let q = if rng.gen_range(0u32..100) < self.write_pct {
-                    // Short-circuit keeps the RNG stream untouched when the
-                    // knob is off (see `replace_pct`).
-                    if self.replace_pct > 0 && rng.gen_range(0u32..100) < self.replace_pct {
-                        format!("replace ({key}, 'r') in {rel}")
-                    } else if i % 2 == 0 {
-                        // Alternate insert/delete so the relation stays near
-                        // its initial size and per-write data cost stays flat.
-                        format!("insert {key} into {rel}")
-                    } else {
-                        format!("delete {key} from {rel}")
-                    }
-                } else if rng.gen_range(0..5) == 0 {
-                    format!("count {rel}")
-                } else {
-                    format!("find {key} in {rel}")
-                };
-                translate(parse(&q).expect("generated queries parse"))
-            })
-            .collect()
-    }
-
-    /// Every client's stream, indexed by client.
-    pub fn all_clients(&self) -> Vec<Vec<Transaction>> {
-        (0..self.clients).map(|c| self.client_ops(c)).collect()
-    }
-}
-
 /// One phase of a [`PhasedSpec`] workload: a run of ops at a fixed write
 /// percentage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,8 +171,10 @@ pub struct Phase {
     pub write_pct: u32,
 }
 
-/// Parameters for a *phased* hot-path workload: each client's stream moves
-/// through several [`Phase`]s with different read/write mixes.
+/// Parameters for a *phased* multi-client workload over a fixed working set
+/// (writes alternate insert/delete, so relation sizes stay flat): each
+/// client's stream moves through several [`Phase`]s with different
+/// read/write mixes.
 ///
 /// This is the adaptive-batching torture test: an engine that picks a
 /// batching regime from observed traffic (see `DESIGN.md` §9.5) must stay
@@ -375,452 +282,6 @@ impl PhasedSpec {
     }
 }
 
-/// Parameters for the selective-query benchmark workload: read-only
-/// equality and range selects over a *non-key* attribute of one large
-/// relation.
-///
-/// The relation `S` holds `tuples` rows of the form `(id, id % groups,
-/// id)`: the key is unique, attribute `#1` is low-cardinality. Every
-/// generated query filters on `#1`, so against [`Self::initial`] the
-/// planner has no applicable index and falls back to a full scan, while
-/// against [`Self::index`]'s database the same queries take the
-/// secondary-index path. The ratio between the two measures planner
-/// pushdown, not engine overhead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectiveSpec {
-    /// Concurrent submitting clients.
-    pub clients: usize,
-    /// Queries per client (all read-only selects).
-    pub ops_per_client: usize,
-    /// Rows in relation `S`; row `i` is `(i, i % groups, i)`.
-    pub tuples: usize,
-    /// Distinct values of the filtered attribute `#1`. An equality query
-    /// matches `tuples / groups` rows; a range query matches a few times
-    /// that.
-    pub groups: i64,
-    /// RNG seed; equal specs generate equal workloads.
-    pub seed: u64,
-}
-
-impl SelectiveSpec {
-    /// The benchmark relation's name.
-    pub const RELATION: &'static str = "S";
-    /// The secondary-index name [`Self::index`] attaches to `#1`.
-    pub const INDEX: &'static str = "by_group";
-
-    /// The pre-seeded database *without* the index: every generated
-    /// query falls back to a full scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is not positive.
-    pub fn initial(&self) -> Database {
-        assert!(self.groups > 0, "need at least one group");
-        let name = Self::RELATION.into();
-        let mut db = Database::empty()
-            .create_relation(Self::RELATION, Repr::BTree(16))
-            .expect("fresh database has no relations");
-        for i in 0..self.tuples {
-            let id = i as i64;
-            let tuple = Tuple::new(vec![id.into(), (id % self.groups).into(), id.into()]);
-            let (d2, _) = db.insert(&name, tuple).expect("relation exists");
-            db = d2;
-        }
-        db
-    }
-
-    /// The same database with a secondary index on `#1`: the planner
-    /// serves every generated query through the index.
-    pub fn index(db: &Database) -> Database {
-        db.create_index(&Self::RELATION.into(), Self::INDEX, 1)
-            .expect("initial database has no indexes")
-    }
-
-    /// One client's deterministic query stream: three quarters equality
-    /// probes on `#1`, one quarter narrow ranges over it.
-    pub fn client_ops(&self, client: usize) -> Vec<Transaction> {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        let rel = Self::RELATION;
-        (0..self.ops_per_client)
-            .map(|_| {
-                let q = if rng.gen_range(0u32..100) < 75 {
-                    let g = rng.gen_range(0..self.groups);
-                    format!("select from {rel} where #1 = {g}")
-                } else {
-                    // A window of a few groups: still well under 1% of the
-                    // relation, so the scan side's cost stays dominated by
-                    // the scan itself.
-                    let width = (self.groups / 200).max(2);
-                    let lo = rng.gen_range(0..self.groups);
-                    format!(
-                        "select from {rel} where #1 > {lo} and #1 < {}",
-                        lo + width + 1
-                    )
-                };
-                translate(parse(&q).expect("generated queries parse"))
-            })
-            .collect()
-    }
-
-    /// Every client's stream, indexed by client.
-    pub fn all_clients(&self) -> Vec<Vec<Transaction>> {
-        (0..self.clients).map(|c| self.client_ops(c)).collect()
-    }
-}
-
-/// Parameters for the TPC-H-flavored analytic benchmark workload: an
-/// order/lineitem star join plus composite point selections over a large
-/// fact relation.
-///
-/// Two relations model a warehouse slice. `Orders` is small: `orders` rows
-/// `(okey, okey % 100, okey)` whose keys are spread evenly over
-/// `0..order_span` — the "open orders" currently being analyzed.
-/// `Lineitem` is large: `lineitems` rows `(i, i % order_span, i % parts,
-/// (i / parts) % supps, i % 50)` — line id, order key, part, supplier,
-/// quantity. Generated queries come in two measured streams:
-///
-/// * [`Self::join_ops`] — `join Orders with Lineitem on #0 = #1`. Against
-///   [`Self::baseline`] the planner has no index on `Lineitem#1` and runs
-///   the build-and-probe pass over every fact row; against
-///   [`Self::planned`] the same query probes the join index once per
-///   order, touching only matching lines.
-/// * [`Self::point_ops`] — mostly `#2 = p and #3 = s` point selections
-///   (plus some single-group projections standing in for group-by cells,
-///   summed client-side). The baseline serves them from the single-column
-///   index on `#2` with a residual filter; the planned database serves
-///   them from the composite `(#2, #3)` index in one probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyticSpec {
-    /// Concurrent submitting clients.
-    pub clients: usize,
-    /// Queries per client per stream (all read-only).
-    pub ops_per_client: usize,
-    /// Rows in `Orders` (the small side of the join).
-    pub orders: usize,
-    /// Key space `Lineitem#1` draws from; only `orders / order_span` of
-    /// the fact rows join, so an index probe beats touching all of them.
-    pub order_span: i64,
-    /// Rows in `Lineitem` (the large fact side).
-    pub lineitems: usize,
-    /// Distinct values of `Lineitem#2`; a single-column probe matches
-    /// `lineitems / parts` rows.
-    pub parts: i64,
-    /// Distinct values of `Lineitem#3` *per part*; the composite probe
-    /// matches `lineitems / (parts * supps)` rows.
-    pub supps: i64,
-    /// RNG seed; equal specs generate equal workloads.
-    pub seed: u64,
-}
-
-impl AnalyticSpec {
-    /// The small dimension relation's name.
-    pub const ORDERS: &'static str = "Orders";
-    /// The large fact relation's name.
-    pub const LINEITEM: &'static str = "Lineitem";
-    /// The baseline single-column index on `Lineitem#2`.
-    pub const SINGLE_INDEX: &'static str = "li_by_part";
-    /// The planned join index on `Lineitem#1`.
-    pub const JOIN_INDEX: &'static str = "li_by_order";
-    /// The planned composite index on `(Lineitem#2, Lineitem#3)`.
-    pub const COMPOSITE_INDEX: &'static str = "li_by_part_supp";
-
-    /// The pre-seeded, index-free database.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order_span`, `parts` or `supps` is not positive.
-    pub fn initial(&self) -> Database {
-        assert!(self.order_span > 0, "need a positive order span");
-        assert!(self.parts > 0 && self.supps > 0, "need positive domains");
-        let mut db = Database::empty()
-            .create_relation(Self::ORDERS, Repr::BTree(16))
-            .expect("fresh database has no relations")
-            .create_relation(Self::LINEITEM, Repr::BTree(16))
-            .expect("generated names are unique");
-        let orders_name = Self::ORDERS.into();
-        let stride = (self.order_span / self.orders.max(1) as i64).max(1);
-        for o in 0..self.orders {
-            let okey = o as i64 * stride;
-            let tuple = Tuple::new(vec![okey.into(), (okey % 100).into(), okey.into()]);
-            let (d2, _) = db.insert(&orders_name, tuple).expect("relation exists");
-            db = d2;
-        }
-        let lineitem_name = Self::LINEITEM.into();
-        for i in 0..self.lineitems {
-            let id = i as i64;
-            let tuple = Tuple::new(vec![
-                id.into(),
-                (id % self.order_span).into(),
-                (id % self.parts).into(),
-                ((id / self.parts) % self.supps).into(),
-                (id % 50).into(),
-            ]);
-            let (d2, _) = db.insert(&lineitem_name, tuple).expect("relation exists");
-            db = d2;
-        }
-        db
-    }
-
-    /// The baseline access paths: only the single-column index on `#2`.
-    /// Joins fall back to build-and-probe; composite selections pay a
-    /// residual filter over the wider single-column postings.
-    pub fn baseline(db: &Database) -> Database {
-        db.create_index(&Self::LINEITEM.into(), Self::SINGLE_INDEX, 2)
-            .expect("initial database has no indexes")
-    }
-
-    /// The planned access paths on top of [`Self::baseline`]: the join
-    /// index on `#1` and the composite index on `(#2, #3)`.
-    pub fn planned(db: &Database) -> Database {
-        db.create_index(&Self::LINEITEM.into(), Self::JOIN_INDEX, 1)
-            .expect("join index is fresh")
-            .create_index_multi(&Self::LINEITEM.into(), Self::COMPOSITE_INDEX, &[2, 3])
-            .expect("composite index is fresh")
-    }
-
-    /// One client's join stream: the star join, repeated. The query takes
-    /// no parameters, so the stream needs no RNG; per-client streams exist
-    /// to drive the engine concurrently.
-    pub fn join_ops(&self, _client: usize) -> Vec<Transaction> {
-        let q = format!("join {} with {} on #0 = #1", Self::ORDERS, Self::LINEITEM);
-        let tx = translate(parse(&q).expect("generated queries parse"));
-        (0..self.ops_per_client).map(|_| tx.clone()).collect()
-    }
-
-    /// One client's point-selection stream: four fifths composite
-    /// equality probes, one fifth single-group projections (a group-by
-    /// cell, summed client-side).
-    pub fn point_ops(&self, client: usize) -> Vec<Transaction> {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        let rel = Self::LINEITEM;
-        (0..self.ops_per_client)
-            .map(|_| {
-                let p = rng.gen_range(0..self.parts);
-                let q = if rng.gen_range(0u32..100) < 80 {
-                    let s = rng.gen_range(0..self.supps);
-                    format!("select from {rel} where #2 = {p} and #3 = {s}")
-                } else {
-                    format!("select #4 from {rel} where #2 = {p}")
-                };
-                translate(parse(&q).expect("generated queries parse"))
-            })
-            .collect()
-    }
-
-    /// Every client's join stream, indexed by client.
-    pub fn all_join_clients(&self) -> Vec<Vec<Transaction>> {
-        (0..self.clients).map(|c| self.join_ops(c)).collect()
-    }
-
-    /// Every client's point stream, indexed by client.
-    pub fn all_point_clients(&self) -> Vec<Vec<Transaction>> {
-        (0..self.clients).map(|c| self.point_ops(c)).collect()
-    }
-}
-
-/// Parameters for the standing-query benchmark workload: one analytic
-/// join asked over and over while the fact relation it reads keeps
-/// mutating under it.
-///
-/// Two relations model the stream. `Dim` is small: `dims` rows `(dkey,
-/// dkey % 100, dkey)` whose keys are spread evenly over `0..dim_span`.
-/// `Fact` is large: `facts` rows `(id, id % dim_span, id % groups,
-/// id % 50)` — fact id, join key, group, quantity. Each client's stream
-/// ([`Self::client_ops`]) runs `rounds_per_client` rounds of
-/// `writes_per_round` fact writes — replaces, inserts and deletes, so
-/// every transition shape occurs — followed by the standing query
-/// `join Dim with Fact on #0 = #1`.
-///
-/// Against [`Self::initial`] every standing query *recomputes* its
-/// answer with a build-and-probe pass over all of `Fact`. Against
-/// [`Self::materialize`]'s database the same query substitutes the
-/// `Standing` materialized view, which is maintained differentially
-/// from each write's key transitions: the query degenerates to a view
-/// scan, and the per-write maintenance touches only the written keys.
-/// The throughput ratio is the incremental-maintenance win.
-///
-/// [`Self::maintenance_views`] and [`Self::write_ops`] support the
-/// companion measurement: the write-path latency cost of keeping 0, 1
-/// or 4 views current under a pure-write stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StandingSpec {
-    /// Concurrent submitting clients.
-    pub clients: usize,
-    /// Write-then-query rounds per client.
-    pub rounds_per_client: usize,
-    /// Fact-relation writes per round (before the standing query).
-    pub writes_per_round: usize,
-    /// Rows in `Dim` (the small side of the join).
-    pub dims: usize,
-    /// Key space `Fact#1` draws from; only `dims / dim_span` of the fact
-    /// rows join, so the standing result stays far smaller than `Fact`.
-    pub dim_span: i64,
-    /// Rows in `Fact` (the large, mutating side).
-    pub facts: usize,
-    /// Distinct values of the grouping attribute `Fact#2` (used by the
-    /// aggregate views of [`Self::maintenance_views`]).
-    pub groups: i64,
-    /// RNG seed; equal specs generate equal workloads.
-    pub seed: u64,
-}
-
-impl StandingSpec {
-    /// The small dimension relation's name.
-    pub const DIM: &'static str = "Dim";
-    /// The large, mutating fact relation's name.
-    pub const FACT: &'static str = "Fact";
-    /// The standing join view's name.
-    pub const VIEW: &'static str = "Standing";
-
-    /// The view definitions [`Self::maintenance_views`] layers on, in
-    /// order: a group sum, a group count, a selective filter, and the
-    /// standing join — one cheap differential pass each, of increasing
-    /// per-transition cost.
-    const MAINTENANCE_DDL: [&'static str; 4] = [
-        "create view SpendByGroup as sum #3 of Fact by #2",
-        "create view FactsByGroup as count Fact by #2",
-        "create view HotFacts as select from Fact where #2 = 0",
-        "create view Standing as join Dim with Fact on #0 = #1",
-    ];
-
-    /// The pre-seeded, view-free database: every standing query against
-    /// it recomputes from the bases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim_span` or `groups` is not positive.
-    pub fn initial(&self) -> Database {
-        assert!(self.dim_span > 0, "need a positive dim span");
-        assert!(self.groups > 0, "need at least one group");
-        let mut db = Database::empty()
-            .create_relation(Self::DIM, Repr::BTree(16))
-            .expect("fresh database has no relations")
-            .create_relation(Self::FACT, Repr::BTree(16))
-            .expect("generated names are unique");
-        let dim_name = Self::DIM.into();
-        let stride = (self.dim_span / self.dims.max(1) as i64).max(1);
-        for d in 0..self.dims {
-            let dkey = d as i64 * stride;
-            let tuple = Tuple::new(vec![dkey.into(), (dkey % 100).into(), dkey.into()]);
-            let (d2, _) = db.insert(&dim_name, tuple).expect("relation exists");
-            db = d2;
-        }
-        let fact_name = Self::FACT.into();
-        for i in 0..self.facts {
-            let id = i as i64;
-            let tuple = Tuple::new(vec![
-                id.into(),
-                (id % self.dim_span).into(),
-                (id % self.groups).into(),
-                (id % 50).into(),
-            ]);
-            let (d2, _) = db.insert(&fact_name, tuple).expect("relation exists");
-            db = d2;
-        }
-        db
-    }
-
-    /// The same database with the `Standing` join view materialized:
-    /// the standing query substitutes it, and every fact write pays one
-    /// differential maintenance pass.
-    pub fn materialize(db: &Database) -> Database {
-        Self::apply_ddl(db, &Self::MAINTENANCE_DDL[3..])
-    }
-
-    /// The same database with the first `n` (0–4) maintenance views
-    /// attached, for the write-path overhead measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 4`.
-    pub fn maintenance_views(db: &Database, n: usize) -> Database {
-        Self::apply_ddl(db, &Self::MAINTENANCE_DDL[..n])
-    }
-
-    fn apply_ddl(db: &Database, ddl: &[&str]) -> Database {
-        let mut db = db.clone();
-        for q in ddl {
-            let tx = translate(parse(q).expect("view DDL parses"));
-            let (resp, d2) = tx.apply(&db);
-            assert!(!resp.is_error(), "{resp}");
-            db = d2;
-        }
-        db
-    }
-
-    /// One client's deterministic write stream: per op, 60% replaces of
-    /// an existing fact (same key and join key, new group and quantity —
-    /// the update transition), 20% inserts of a fresh client-partitioned
-    /// key, 20% deletes of the most recent fresh insert (so the relation
-    /// stays near its initial size).
-    pub fn write_ops(&self, client: usize) -> Vec<Transaction> {
-        self.stream(client, false)
-    }
-
-    /// One client's full stream: `rounds_per_client` rounds of
-    /// `writes_per_round` writes followed by the standing join query.
-    pub fn client_ops(&self, client: usize) -> Vec<Transaction> {
-        self.stream(client, true)
-    }
-
-    fn stream(&self, client: usize, with_queries: bool) -> Vec<Transaction> {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        let writes = self.rounds_per_client * self.writes_per_round;
-        // Fresh keys are client-partitioned so concurrent clients never
-        // insert the same key.
-        let mut fresh_next = (self.facts + client * writes) as i64;
-        let mut fresh_live: Vec<i64> = Vec::new();
-        let join_q = format!("join {} with {} on #0 = #1", Self::DIM, Self::FACT);
-        let mut out = Vec::with_capacity(writes + self.rounds_per_client);
-        for _ in 0..self.rounds_per_client {
-            for _ in 0..self.writes_per_round {
-                let roll = rng.gen_range(0u32..100);
-                let q = if roll >= 80 && !fresh_live.is_empty() {
-                    format!("delete {} from {}", fresh_live.pop().unwrap(), Self::FACT)
-                } else if roll >= 60 {
-                    let id = fresh_next;
-                    fresh_next += 1;
-                    fresh_live.push(id);
-                    let jk = rng.gen_range(0..self.dim_span);
-                    let g = rng.gen_range(0..self.groups);
-                    let qty = rng.gen_range(0..50i64);
-                    format!("insert ({id}, {jk}, {g}, {qty}) into {}", Self::FACT)
-                } else {
-                    let id = rng.gen_range(0..self.facts as i64);
-                    let g = rng.gen_range(0..self.groups);
-                    let qty = rng.gen_range(0..50i64);
-                    format!(
-                        "replace ({id}, {}, {g}, {qty}) in {}",
-                        id % self.dim_span,
-                        Self::FACT
-                    )
-                };
-                out.push(translate(parse(&q).expect("generated queries parse")));
-            }
-            if with_queries {
-                out.push(translate(parse(&join_q).expect("generated queries parse")));
-            }
-        }
-        out
-    }
-
-    /// Every client's full stream, indexed by client.
-    pub fn all_clients(&self) -> Vec<Vec<Transaction>> {
-        (0..self.clients).map(|c| self.client_ops(c)).collect()
-    }
-
-    /// Every client's pure-write stream, indexed by client.
-    pub fn all_write_clients(&self) -> Vec<Vec<Transaction>> {
-        (0..self.clients).map(|c| self.write_ops(c)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,303 +375,6 @@ mod tests {
         .generate();
     }
 
-    fn hot_path() -> HotPathSpec {
-        HotPathSpec {
-            clients: 3,
-            ops_per_client: 60,
-            relations: 2,
-            key_space: 16,
-            write_pct: 50,
-            replace_pct: 0,
-            seed: 7,
-        }
-    }
-
-    #[test]
-    fn hot_path_replace_knob_emits_replaces_and_executes_cleanly() {
-        let spec = HotPathSpec {
-            write_pct: 100,
-            replace_pct: 40,
-            ..hot_path()
-        };
-        let queries: Vec<String> = spec
-            .client_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        let replaces = queries.iter().filter(|q| q.starts_with("replace")).count();
-        assert!(replaces > 0, "expected replaces in {queries:?}");
-        assert!(replaces < queries.len(), "expected a mix in {queries:?}");
-        let mut db = spec.initial();
-        for tx in spec.client_ops(0) {
-            let (resp, d2) = tx.apply(&db);
-            assert!(!resp.is_error(), "{resp}");
-            db = d2;
-        }
-    }
-
-    #[test]
-    fn hot_path_replace_knob_off_preserves_streams() {
-        // replace_pct = 0 must not consume RNG draws: the stream equals the
-        // pre-knob generator's output (checked against a second spec only
-        // differing in the knob being structurally present).
-        let spec = hot_path();
-        let queries: Vec<String> = spec
-            .client_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        assert!(queries.iter().all(|q| !q.starts_with("replace")));
-        assert!(queries.iter().any(|q| q.starts_with("insert")));
-    }
-
-    #[test]
-    fn hot_path_initial_holds_key_space_per_relation() {
-        let db = hot_path().initial();
-        assert_eq!(db.relation_count(), 2);
-        assert_eq!(db.tuple_count(), 32);
-    }
-
-    #[test]
-    fn hot_path_streams_are_deterministic_and_distinct_per_client() {
-        let spec = hot_path();
-        let a = spec.client_ops(0);
-        let b = spec.client_ops(0);
-        assert_eq!(a.len(), 60);
-        assert_eq!(
-            a.iter().map(|t| t.query().to_string()).collect::<Vec<_>>(),
-            b.iter().map(|t| t.query().to_string()).collect::<Vec<_>>(),
-        );
-        let c = spec.client_ops(1);
-        assert_ne!(
-            a.iter().map(|t| t.query().to_string()).collect::<Vec<_>>(),
-            c.iter().map(|t| t.query().to_string()).collect::<Vec<_>>(),
-        );
-    }
-
-    fn selective() -> SelectiveSpec {
-        SelectiveSpec {
-            clients: 2,
-            ops_per_client: 40,
-            tuples: 600,
-            groups: 12,
-            seed: 11,
-        }
-    }
-
-    #[test]
-    fn selective_streams_are_deterministic_and_all_selects() {
-        let spec = selective();
-        let a: Vec<String> = spec
-            .client_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        let b: Vec<String> = spec
-            .client_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        assert_eq!(a, b);
-        assert!(a.iter().all(|q| q.starts_with("select from S where ")));
-        assert!(a.iter().any(|q| q.contains("#1 = ")));
-        assert!(a.iter().any(|q| q.contains(" and ")));
-    }
-
-    #[test]
-    fn selective_indexed_and_scan_databases_answer_identically() {
-        let spec = selective();
-        let scan_db = spec.initial();
-        assert_eq!(scan_db.tuple_count(), 600);
-        let indexed_db = SelectiveSpec::index(&scan_db);
-        let rel = indexed_db
-            .relation(&SelectiveSpec::RELATION.into())
-            .unwrap();
-        assert_eq!(rel.indexes().len(), 1);
-        for ops in spec.all_clients() {
-            for tx in ops {
-                let (scan, _) = tx.apply(&scan_db);
-                assert!(!scan.is_error(), "{scan}");
-                let (indexed, _) = tx.apply(&indexed_db);
-                assert_eq!(scan, indexed, "{}", tx.query());
-            }
-        }
-    }
-
-    fn analytic() -> AnalyticSpec {
-        AnalyticSpec {
-            clients: 2,
-            ops_per_client: 30,
-            orders: 20,
-            order_span: 100,
-            lineitems: 1_000,
-            parts: 10,
-            supps: 5,
-            seed: 17,
-        }
-    }
-
-    #[test]
-    fn analytic_streams_are_deterministic_and_read_only() {
-        let spec = analytic();
-        let points: Vec<String> = spec
-            .point_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        let again: Vec<String> = spec
-            .point_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        assert_eq!(points, again);
-        assert!(points.iter().all(|q| q.starts_with("select")));
-        assert!(points
-            .iter()
-            .any(|q| q.contains("#2 = ") && q.contains("#3 = ")));
-        assert!(points.iter().any(|q| q.starts_with("select #4")));
-        let joins = spec.join_ops(0);
-        assert_eq!(joins.len(), 30);
-        assert_eq!(
-            joins[0].query().to_string(),
-            "join Orders with Lineitem on #0 = #1"
-        );
-    }
-
-    #[test]
-    fn analytic_baseline_and_planned_answer_identically() {
-        let spec = analytic();
-        let base_db = AnalyticSpec::baseline(&spec.initial());
-        let planned_db = AnalyticSpec::planned(&base_db);
-        let li = planned_db.relation(&AnalyticSpec::LINEITEM.into()).unwrap();
-        assert_eq!(li.indexes().len(), 3);
-        for ops in spec
-            .all_join_clients()
-            .into_iter()
-            .chain(spec.all_point_clients())
-        {
-            for tx in ops {
-                let (base, _) = tx.apply(&base_db);
-                assert!(!base.is_error(), "{base}");
-                let (planned, _) = tx.apply(&planned_db);
-                assert_eq!(base, planned, "{}", tx.query());
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_join_is_selective() {
-        // Only orders / order_span of the fact rows participate: the join
-        // output stays far smaller than Lineitem, which is what makes an
-        // index nested loop pay off.
-        let spec = analytic();
-        let db = AnalyticSpec::baseline(&spec.initial());
-        let (resp, _) = spec.join_ops(0)[0].apply(&db);
-        let joined = resp.tuples().expect("join answers tuples").len();
-        assert!(joined > 0, "join matched nothing");
-        assert!(
-            joined <= spec.lineitems / 2,
-            "join output {joined} is not selective"
-        );
-    }
-
-    fn standing() -> StandingSpec {
-        StandingSpec {
-            clients: 2,
-            rounds_per_client: 3,
-            writes_per_round: 12,
-            dims: 20,
-            dim_span: 100,
-            facts: 1_000,
-            groups: 10,
-            seed: 23,
-        }
-    }
-
-    #[test]
-    fn standing_streams_are_deterministic_and_shaped() {
-        let spec = standing();
-        let a: Vec<String> = spec
-            .client_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        let b: Vec<String> = spec
-            .client_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3 * (12 + 1));
-        let joins = a.iter().filter(|q| q.starts_with("join")).count();
-        assert_eq!(joins, 3);
-        // Every 13th op closes a round with the standing query.
-        assert_eq!(a[12], "join Dim with Fact on #0 = #1");
-        assert!(a.iter().any(|q| q.starts_with("replace")));
-        assert!(a.iter().any(|q| q.starts_with("insert")));
-        assert!(a.iter().any(|q| q.starts_with("delete")));
-        // The pure-write stream is the same stream minus the queries.
-        let w: Vec<String> = spec
-            .write_ops(0)
-            .iter()
-            .map(|t| t.query().to_string())
-            .collect();
-        assert_eq!(w.len(), 3 * 12);
-        assert!(w.iter().all(|q| !q.starts_with("join")));
-    }
-
-    #[test]
-    fn standing_view_and_recompute_answer_identically() {
-        let spec = standing();
-        let mut base_db = spec.initial();
-        let mut view_db = StandingSpec::materialize(&base_db);
-        assert!(view_db
-            .views()
-            .iter()
-            .any(|(n, _)| n.as_str() == StandingSpec::VIEW));
-        // Apply both clients' streams sequentially to both databases:
-        // after every transaction — in particular after every standing
-        // query, which recomputes on one side and substitutes the
-        // differentially-maintained view on the other — the responses
-        // must match up to tuple order.
-        for ops in spec.all_clients() {
-            for tx in ops {
-                let (base, b2) = tx.apply(&base_db);
-                assert!(!base.is_error(), "{base}");
-                let (view, v2) = tx.apply(&view_db);
-                match (base.tuples(), view.tuples()) {
-                    (Some(b), Some(v)) => {
-                        let mut b = b.to_vec();
-                        let mut v = v.to_vec();
-                        b.sort();
-                        v.sort();
-                        assert_eq!(b, v, "{}", tx.query());
-                    }
-                    _ => assert_eq!(base, view, "{}", tx.query()),
-                }
-                base_db = b2;
-                view_db = v2;
-            }
-        }
-    }
-
-    #[test]
-    fn standing_maintenance_views_layer_in_order() {
-        let spec = standing();
-        let db = spec.initial();
-        assert_eq!(StandingSpec::maintenance_views(&db, 0).views().len(), 0);
-        assert_eq!(StandingSpec::maintenance_views(&db, 1).views().len(), 1);
-        let four = StandingSpec::maintenance_views(&db, 4);
-        assert_eq!(four.views().len(), 4);
-        // The write stream executes cleanly with all four views attached.
-        let mut db = four;
-        for tx in spec.write_ops(0) {
-            let (resp, d2) = tx.apply(&db);
-            assert!(!resp.is_error(), "{resp}");
-            db = d2;
-        }
-    }
-
     #[test]
     fn phased_streams_are_deterministic_and_shift_mix() {
         let spec = PhasedSpec::regime_shifts(2, 40, 9);
@@ -1255,20 +419,5 @@ mod tests {
                 db = d2;
             }
         }
-    }
-
-    #[test]
-    fn hot_path_streams_execute_cleanly_and_stay_bounded() {
-        let spec = hot_path();
-        let mut db = spec.initial();
-        for ops in spec.all_clients() {
-            for tx in ops {
-                let (resp, d2) = tx.apply(&db);
-                assert!(!resp.is_error(), "{resp}");
-                db = d2;
-            }
-        }
-        // Insert/delete alternation keeps every relation near key_space.
-        assert!(db.tuple_count() <= 2 * 16 + 2 * 60);
     }
 }

@@ -24,7 +24,4 @@ pub use experiment::{
     run_scaling, run_table1, run_table2, run_table3, ScalingRow, SpeedupRow, Table1Row,
     PAPER_RELATION_COLUMNS, PAPER_UPDATE_PERCENTS,
 };
-pub use gen::{
-    AnalyticSpec, HotPathSpec, Phase, PhasedSpec, SelectiveSpec, StandingSpec, Workload,
-    WorkloadSpec,
-};
+pub use gen::{Phase, PhasedSpec, Workload, WorkloadSpec};

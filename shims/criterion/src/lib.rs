@@ -3,8 +3,9 @@
 //! Provides the group/`bench_with_input`/`iter` API shape the workspace's
 //! benches use, measuring wall-clock means over a fixed number of timed
 //! iterations and printing one line per benchmark. No statistics, plots,
-//! or saved baselines — the persistent perf record for this repository is
-//! `BENCH_engine.json`, not criterion output.
+//! or saved baselines — this repository's performance record is the
+//! `bench_stack` benchmark (`BENCHMARK.json` at the root), not criterion
+//! output.
 
 use std::fmt::{self, Display};
 use std::time::Instant;

@@ -184,6 +184,47 @@ fn joins_and_schemas_through_every_executor() {
     assert_eq!(got, expected);
 }
 
+/// `find k` answers exactly like `select from R where #0 = k` — the same
+/// tuples in the same (arrival) order — on every representation, with
+/// duplicate keys, through the sequential model and the pipelined engine.
+#[test]
+fn find_answers_like_a_key_select_on_every_repr() {
+    use fundb::core::PipelinedEngine;
+    for repr in ["list", "tree", "btree(4)", "paged(8)"] {
+        let mut stmts = vec![format!("create relation R as {repr}")];
+        for (k, tag) in [(1, "a"), (2, "x"), (1, "b"), (3, "y"), (1, "c"), (2, "z")] {
+            stmts.push(format!("insert ({k}, '{tag}') into R"));
+        }
+        for k in 0..4 {
+            stmts.push(format!("find {k} in R"));
+            stmts.push(format!("select from R where #0 = {k}"));
+        }
+        let spec: Vec<Response> = stmts
+            .iter()
+            .scan(Database::empty(), |db, s| {
+                let (r, next) = translate(parse(s).unwrap()).apply(db);
+                *db = next;
+                Some(r)
+            })
+            .collect();
+        let engine = PipelinedEngine::new(2, &Database::empty());
+        let pipelined = engine.run(stmts.iter().map(|s| translate(parse(s).unwrap())));
+        for answers in [&spec, &pipelined] {
+            let reads = &answers[7..];
+            for pair in reads.chunks(2) {
+                assert_eq!(pair[0], pair[1], "{repr}");
+            }
+            let ones: Vec<String> = reads[2]
+                .tuples()
+                .unwrap()
+                .iter()
+                .map(|t| t.to_string())
+                .collect();
+            assert_eq!(ones, ["(1, 'a')", "(1, 'b')", "(1, 'c')"], "{repr}");
+        }
+    }
+}
+
 #[test]
 fn facade_prelude_is_sufficient_for_the_readme_example() {
     let db = Database::empty().create_relation("R", Repr::List).unwrap();

@@ -200,8 +200,18 @@ fn every_scheduler_answers_the_statement_matrix_alike() {
         }
 
         // The primary-copy engine has a fixed catalog: give it the two
-        // base relations and every statement that leaves the catalog alone.
-        let base = sequential_final(&Database::empty(), &stmts[..2]);
+        // base relations, a select view and a join view the matrix's reads
+        // meet (so writes must maintain them, writes to them must be
+        // refused and matching reads must substitute them), and every
+        // statement that leaves the catalog alone.
+        let catalog = [
+            stmts[0].clone(),
+            stmts[1].clone(),
+            "create view V0 as select from R0 where qty > 10".to_string(),
+            "create view V1 as join R0 with R1 on #0 = #0".to_string(),
+        ];
+        let base = sequential_final(&Database::empty(), &catalog);
+        assert_eq!(base.views().len(), 2);
         let fixed: Vec<String> = stmts[2..]
             .iter()
             .filter(|s| !s.starts_with("create") && *s != "relations")

@@ -12,10 +12,12 @@
 //!
 //! Layout under `<dir>`:
 //!
-//! * `nodes.fns` — the append-only node store. Records are framed
-//!   `[u32 len][u32 crc][u128 id][payload]`, `id = fnv128(payload)`.
-//! * `ckpt-NNNNNN.fck` — immutable manifests: per relation its name,
-//!   representation, schema, write-sequence mark, and root node id.
+//! * `nodes.fns` — the append-only node store. Each record is one frame
+//!   (`[u32 len][u32 crc]` + body, [`put_frame`]) whose body is
+//!   `[u128 id][payload]`, `id = fnv128(payload)`.
+//! * `ckpt-NNNNNN.fck` — immutable manifests, `[magic]` + one frame: per
+//!   relation its name, representation, schema, write-sequence mark, and
+//!   root node id.
 //!
 //! Crash safety is by write ordering, not atomicity: nodes are appended
 //! and fsynced *before* their manifest is written and fsynced. A crash
@@ -26,18 +28,20 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use fundb_core::engine::ConsistentCut;
 use fundb_persist::PList;
 use fundb_relational::{
-    Database, Relation, RelationName, Repr, Schema, Store, Tuple, Value, ViewDef, ViewFilter,
+    Database, Relation, RelationName, Repr, Store, Tuple, Value, ViewDef, ViewFilter,
 };
 
 use crate::codec::{
-    crc32, fnv128, put_schema, put_str, put_tuple, put_u128, put_u32, put_u64, CodecError, Cursor,
+    fnv128, put_bytes, put_frame, put_schema, put_str, put_tuple, put_u128, put_u32, put_u64,
+    read_frame, CodecError, Cursor, Frame, MIN_TUPLE_BYTES, MIN_VALUE_BYTES,
 };
+use crate::{numbered_files, sync_dir};
 
 /// The id of the empty subtree. No real node gets this id (it would need a
 /// payload hashing to exactly zero — astronomically unlikely, and checked
@@ -45,6 +49,10 @@ use crate::codec::{
 pub const NIL_ID: u128 = 0;
 
 const MANIFEST_MAGIC: u32 = 0x4643_4B32; // "FCK2" (FCK1 + view definitions)
+
+/// The fewest bytes a manifest entry takes: name length, repr tag, schema
+/// tag, mark, root, index count and view tag.
+const MIN_MANIFEST_ENTRY_BYTES: usize = 4 + 1 + 1 + 8 + 16 + 4 + 1;
 
 /// Node payload tags. Tag 2 was the retired 2-3 tree node; a store holding
 /// one fails to load with a typed error, like any node of the wrong kind.
@@ -55,30 +63,6 @@ const TAG_DIRECTORY: u8 = 5;
 
 fn manifest_name(i: u64) -> String {
     format!("ckpt-{i:06}.fck")
-}
-
-fn manifest_indices(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("ckpt-")
-            .and_then(|s| s.strip_suffix(".fck"))
-        {
-            if let Ok(i) = num.parse::<u64>() {
-                out.push(i);
-            }
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        d.sync_all().ok();
-    }
 }
 
 /// What one checkpoint cost — the measurable form of the sharing bound.
@@ -125,16 +109,8 @@ fn put_bucket(buf: &mut Vec<u8>, bucket: &PList<Tuple>) {
 }
 
 fn read_bucket(c: &mut Cursor<'_>) -> Result<PList<Tuple>, CodecError> {
-    let n = c.u32()? as usize;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(c.tuple()?);
-    }
-    let mut l = PList::nil();
-    for t in items.into_iter().rev() {
-        l = PList::cons(t, l);
-    }
-    Ok(l)
+    let n = c.count(MIN_TUPLE_BYTES)?;
+    (0..n).map(|_| c.tuple()).collect()
 }
 
 /// Encodes a view filter tree. Tags: 1 Eq, 2 Ne, 3 Lt, 4 Gt, 5 And, 6 Or.
@@ -277,20 +253,27 @@ impl CheckpointWriter {
     /// manifest index.
     pub fn open(dir: &Path) -> io::Result<CheckpointWriter> {
         fs::create_dir_all(dir)?;
-        let store_path = dir.join("nodes.fns");
-        let (on_disk, valid_len) = scan_node_store(&store_path)?;
+        let store_path = dir.join(NODE_STORE);
+        let mut on_disk = HashSet::new();
+        let valid_len = walk_nodes(&read_node_store(&store_path)?, |id, _, _| {
+            on_disk.insert(id);
+        });
         let nodes = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&store_path)?;
-        if nodes.metadata()?.len() > valid_len {
+        if nodes.metadata()?.len() > valid_len as u64 {
             // Torn tail from a crash mid-checkpoint: the bytes were never
             // referenced by a valid manifest (manifests are written after
             // the node fsync), so cutting them loses nothing.
-            nodes.set_len(valid_len)?;
+            nodes.set_len(valid_len as u64)?;
             nodes.sync_all()?;
         }
-        let next_manifest = manifest_indices(dir)?.last().copied().unwrap_or(0) + 1;
+        let next_manifest = numbered_files(dir, "ckpt-", ".fck")?
+            .last()
+            .copied()
+            .unwrap_or(0)
+            + 1;
         sync_dir(dir);
         Ok(CheckpointWriter {
             dir: dir.to_path_buf(),
@@ -313,80 +296,30 @@ impl CheckpointWriter {
         // the on-disk id set, which never goes stale (content-addressed).
         let mut memo: HashMap<usize, u128> = HashMap::new();
 
-        struct ManifestEntry {
-            name: RelationName,
-            repr: Repr,
-            schema: Option<Schema>,
-            mark: u64,
-            root: u128,
-            /// Index *definitions* (name, fields). Contents are rebuilt
-            /// from the materialized store on load, so indexes — composite
-            /// or single-column — cost the manifest a few bytes and the
-            /// node store nothing.
-            indexes: Vec<(String, Vec<u32>)>,
-            /// `Some` marks the entry as a materialized view: the loader
-            /// reattaches the definition so recovered writes keep
-            /// maintaining it differentially.
-            view: Option<ViewDef>,
-        }
-
+        // One manifest entry per relation: name, representation, schema,
+        // mark, root, index *definitions* (contents are rebuilt from the
+        // materialized store on load, so an index costs the manifest a few
+        // bytes and the node store nothing) and, for a materialized view,
+        // its definition (the loader reattaches it, so recovered writes
+        // keep maintaining the view differentially).
         let names = cut.database.relation_names();
-        let mut entries: Vec<ManifestEntry> = Vec::new();
+        let mut body = Vec::new();
+        put_u32(&mut body, names.len() as u32);
         for name in &names {
             let rel = cut.database.relation(name).expect("name from this cut");
-            let schema = cut.database.schema(name).expect("name from this cut");
-            let root = {
-                let emit = &mut |payload: Vec<u8>| -> u128 {
-                    let id = fnv128(&payload);
-                    assert_ne!(id, NIL_ID, "payload hashed to the reserved nil id");
-                    if self.on_disk.insert(id) {
-                        buf.extend_from_slice(&node_frame(id, &payload));
-                        nodes_written += 1;
-                    } else {
-                        nodes_deduped += 1;
-                    }
-                    id
-                };
-                fold_relation(rel, &mut memo, emit)
-            };
-            let mark = cut.seq_marks.get(name).copied().unwrap_or(0);
-            let indexes = rel
-                .indexes()
-                .iter()
-                .map(|ix| {
-                    (
-                        ix.name().to_string(),
-                        ix.fields().iter().map(|&f| f as u32).collect(),
-                    )
-                })
-                .collect();
-            let view = cut
-                .database
-                .view_def(name)
-                .expect("name from this cut")
-                .cloned();
-            entries.push(ManifestEntry {
-                name: name.clone(),
-                repr: rel.repr(),
-                schema: schema.cloned(),
-                mark,
-                root,
-                indexes,
-                view,
+            let root = fold_relation(rel, &mut memo, &mut |payload: Vec<u8>| {
+                let id = fnv128(&payload);
+                assert_ne!(id, NIL_ID, "payload hashed to the reserved nil id");
+                if self.on_disk.insert(id) {
+                    put_node(&mut buf, id, &payload);
+                    nodes_written += 1;
+                } else {
+                    nodes_deduped += 1;
+                }
+                id
             });
-        }
-
-        // Nodes first, fsynced, ...
-        let node_bytes = buf.len() as u64;
-        self.nodes.write_all(&buf)?;
-        self.nodes.sync_data()?;
-
-        // ... then the manifest that references them.
-        let mut body = Vec::new();
-        put_u32(&mut body, entries.len() as u32);
-        for e in &entries {
-            put_str(&mut body, e.name.as_str());
-            match e.repr {
+            put_str(&mut body, name.as_str());
+            match rel.repr() {
                 // Repr tag 1 was the retired 2-3 tree.
                 Repr::List => body.push(0),
                 Repr::BTree(t) => {
@@ -398,63 +331,83 @@ impl CheckpointWriter {
                     put_u32(&mut body, c as u32);
                 }
             }
-            put_schema(&mut body, e.schema.as_ref());
-            put_u64(&mut body, e.mark);
-            put_u128(&mut body, e.root);
-            put_u32(&mut body, e.indexes.len() as u32);
-            for (iname, ifields) in &e.indexes {
-                put_str(&mut body, iname);
-                put_u32(&mut body, ifields.len() as u32);
-                for f in ifields {
-                    put_u32(&mut body, *f);
+            put_schema(
+                &mut body,
+                cut.database.schema(name).expect("name from this cut"),
+            );
+            put_u64(&mut body, cut.seq_marks.get(name).copied().unwrap_or(0));
+            put_u128(&mut body, root);
+            put_u32(&mut body, rel.indexes().len() as u32);
+            for ix in rel.indexes().iter() {
+                put_str(&mut body, ix.name());
+                put_u32(&mut body, ix.fields().len() as u32);
+                for &f in ix.fields() {
+                    put_u32(&mut body, f as u32);
                 }
             }
-            put_view_def(&mut body, e.view.as_ref());
+            put_view_def(
+                &mut body,
+                cut.database.view_def(name).expect("name from this cut"),
+            );
         }
+
+        // Nodes first, fsynced, then the manifest that references them.
+        self.nodes.write_all(&buf)?;
+        self.nodes.sync_data()?;
         let manifest = manifest_frame(&body);
-
-        let index = self.next_manifest;
-        let path = self.dir.join(manifest_name(index));
-        let mut f = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)?;
-        f.write_all(&manifest)?;
-        f.sync_all()?;
-        sync_dir(&self.dir);
-        self.next_manifest += 1;
-
+        let index = self.write_manifest(&manifest)?;
         Ok(CheckpointStats {
             manifest: index,
             nodes_written,
             nodes_deduped,
-            node_bytes,
+            node_bytes: buf.len() as u64,
             manifest_bytes: manifest.len() as u64,
         })
     }
+
+    /// Writes `manifest` under the next index — file and directory both
+    /// fsynced — and returns the index.
+    fn write_manifest(&mut self, manifest: &[u8]) -> io::Result<u64> {
+        let index = self.next_manifest;
+        let mut f = OpenOptions::new()
+            .create_new(true)
+            .write(true)
+            .open(self.dir.join(manifest_name(index)))?;
+        f.write_all(manifest)?;
+        f.sync_all()?;
+        sync_dir(&self.dir);
+        self.next_manifest += 1;
+        Ok(index)
+    }
 }
 
-/// One node-store record: `[u32 len][u32 crc][u128 id][payload]`, the
-/// length and checksum covering id and payload.
-fn node_frame(id: u128, payload: &[u8]) -> Vec<u8> {
+/// Appends one node-store record: a frame whose body is the node's id
+/// followed by its payload.
+fn put_node(buf: &mut Vec<u8>, id: u128, payload: &[u8]) {
     let mut body = Vec::with_capacity(payload.len() + 16);
     put_u128(&mut body, id);
     body.extend_from_slice(payload);
-    let mut frame = Vec::with_capacity(body.len() + 8);
-    put_u32(&mut frame, body.len() as u32);
-    put_u32(&mut frame, crc32(&body));
-    frame.extend_from_slice(&body);
-    frame
+    put_frame(buf, &body);
 }
 
-/// A manifest file: `[magic][u32 len][u32 crc][body]`.
+/// A manifest file: `[magic]` followed by one frame holding `body`.
 fn manifest_frame(body: &[u8]) -> Vec<u8> {
     let mut manifest = Vec::with_capacity(body.len() + 12);
     put_u32(&mut manifest, MANIFEST_MAGIC);
-    put_u32(&mut manifest, body.len() as u32);
-    put_u32(&mut manifest, crc32(body));
-    manifest.extend_from_slice(body);
+    put_frame(&mut manifest, body);
     manifest
+}
+
+/// The body of a manifest file, or `None` if the file is not exactly one
+/// whole manifest (wrong magic, torn, damaged, or trailing bytes).
+fn manifest_body(bytes: &[u8]) -> Option<&[u8]> {
+    if Cursor::new(bytes).u32().ok()? != MANIFEST_MAGIC {
+        return None;
+    }
+    match read_frame(bytes, 4) {
+        Frame::Whole { body, end } if end == bytes.len() => Some(body),
+        _ => None,
+    }
 }
 
 /// Folds one relation into the node store via `emit`, returning its root id.
@@ -510,47 +463,32 @@ fn fold_relation(
     }
 }
 
-/// Scans the node store, returning the set of valid ids and the byte
-/// length of the valid prefix (everything after it is a torn tail).
-fn scan_node_store(path: &Path) -> io::Result<(HashSet<u128>, u64)> {
-    let mut ids = HashSet::new();
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((ids, 0)),
-        Err(e) => return Err(e),
+/// The node store's file name within a checkpoint directory.
+const NODE_STORE: &str = "nodes.fns";
+
+/// The node store's bytes; empty if it does not exist yet.
+fn read_node_store(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
     }
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some((id, end)) = read_frame(&bytes, pos) else {
-            break;
-        };
-        ids.insert(id);
-        pos = end;
-    }
-    Ok((ids, pos as u64))
 }
 
-/// Parses one node frame at `pos`; returns `(id, end)` if valid.
-fn read_frame(bytes: &[u8], pos: usize) -> Option<(u128, usize)> {
-    if bytes.len() - pos < 8 {
-        return None;
+/// The one walk over node-store records: hands `visit` each valid record's
+/// id, payload and whole frame, in order, and returns the length of that
+/// valid prefix — the bytes past it are a torn tail (or, in a shipped
+/// blob, damage).
+fn walk_nodes<'a>(bytes: &'a [u8], mut visit: impl FnMut(u128, &'a [u8], &'a [u8])) -> usize {
+    let mut pos = 0usize;
+    while let Frame::Whole { body, end } = read_frame(bytes, pos) {
+        let mut c = Cursor::new(body);
+        let Ok(id) = c.u128() else {
+            break;
+        };
+        visit(id, c.rest(), &bytes[pos..end]);
+        pos = end;
     }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4"));
-    if len < 16 {
-        return None;
-    }
-    let start = pos + 8;
-    let end = start.checked_add(len).filter(|&e| e <= bytes.len())?;
-    let body = &bytes[start..end];
-    if crc32(body) != crc {
-        return None;
-    }
-    let id = u128::from_le_bytes(body[..16].try_into().expect("16"));
-    Some((id, end))
+    pos
 }
 
 const EXPORT_MAGIC: u32 = 0x4643_5850; // "FCXP"
@@ -570,21 +508,12 @@ pub fn export_latest(dir: &Path) -> io::Result<Option<Vec<u8>>> {
         return Ok(None);
     };
     let manifest_bytes = fs::read(dir.join(manifest_name(loaded.manifest)))?;
-    let store_path = dir.join("nodes.fns");
-    let (_, valid_len) = scan_node_store(&store_path)?;
-    let mut nodes = Vec::new();
-    match File::open(&store_path) {
-        Ok(f) => {
-            f.take(valid_len).read_to_end(&mut nodes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    let mut blob = Vec::with_capacity(8 + manifest_bytes.len() + nodes.len());
+    let nodes = read_node_store(&dir.join(NODE_STORE))?;
+    let valid_len = walk_nodes(&nodes, |_, _, _| {});
+    let mut blob = Vec::with_capacity(8 + manifest_bytes.len() + valid_len);
     put_u32(&mut blob, EXPORT_MAGIC);
-    put_u32(&mut blob, manifest_bytes.len() as u32);
-    blob.extend_from_slice(&manifest_bytes);
-    blob.extend_from_slice(&nodes);
+    put_bytes(&mut blob, &manifest_bytes);
+    blob.extend_from_slice(&nodes[..valid_len]);
     Ok(Some(blob))
 }
 
@@ -596,50 +525,34 @@ pub fn export_latest(dir: &Path) -> io::Result<Option<Vec<u8>>> {
 /// fsynced before the manifest referencing them.
 pub fn import(dir: &Path, blob: &[u8]) -> io::Result<()> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if blob.len() < 8 || u32::from_le_bytes(blob[0..4].try_into().expect("4")) != EXPORT_MAGIC {
+    let mut c = Cursor::new(blob);
+    if c.u32() != Ok(EXPORT_MAGIC) {
         return Err(bad("not a checkpoint export blob"));
     }
-    let manifest_len = u32::from_le_bytes(blob[4..8].try_into().expect("4")) as usize;
-    let manifest_end = 8usize
-        .checked_add(manifest_len)
-        .filter(|&e| e <= blob.len())
-        .ok_or_else(|| bad("export blob shorter than its manifest"))?;
-    let manifest = &blob[8..manifest_end];
-    let node_bytes = &blob[manifest_end..];
+    let manifest = c
+        .bytes()
+        .map_err(|_| bad("export blob shorter than its manifest"))?;
+    let node_bytes = c.rest();
     // The manifest must at least frame-validate; a damaged import must not
     // become the newest manifest (the loader would fall back, but the blob
     // is a network payload — reject it loudly instead).
-    if manifest.len() < 12
-        || u32::from_le_bytes(manifest[0..4].try_into().expect("4")) != MANIFEST_MAGIC
-        || manifest.len() != 12 + u32::from_le_bytes(manifest[4..8].try_into().expect("4")) as usize
-        || crc32(&manifest[12..]) != u32::from_le_bytes(manifest[8..12].try_into().expect("4"))
-    {
+    if manifest_body(manifest).is_none() {
         return Err(bad("export blob carries a damaged manifest"));
     }
 
     let mut writer = CheckpointWriter::open(dir)?;
     let mut fresh = Vec::new();
-    let mut pos = 0usize;
-    while pos < node_bytes.len() {
-        let Some((id, end)) = read_frame(node_bytes, pos) else {
-            return Err(bad("export blob carries a damaged node frame"));
-        };
+    let valid_len = walk_nodes(node_bytes, |id, _, frame| {
         if writer.on_disk.insert(id) {
-            fresh.extend_from_slice(&node_bytes[pos..end]);
+            fresh.extend_from_slice(frame);
         }
-        pos = end;
+    });
+    if valid_len != node_bytes.len() {
+        return Err(bad("export blob carries a damaged node frame"));
     }
     writer.nodes.write_all(&fresh)?;
     writer.nodes.sync_data()?;
-
-    let path = dir.join(manifest_name(writer.next_manifest));
-    let mut f = OpenOptions::new()
-        .create_new(true)
-        .write(true)
-        .open(&path)?;
-    f.write_all(manifest)?;
-    f.sync_all()?;
-    sync_dir(dir);
+    writer.write_manifest(manifest)?;
     Ok(())
 }
 
@@ -662,12 +575,16 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<LoadedCheckpoint>> {
     if !dir.exists() {
         return Ok(None);
     }
-    let mut indices = manifest_indices(dir)?;
+    let mut indices = numbered_files(dir, "ckpt-", ".fck")?;
     if indices.is_empty() {
         return Ok(None);
     }
     // One pass over the node store serves every manifest candidate.
-    let nodes = load_node_store(&dir.join("nodes.fns"))?;
+    let store = read_node_store(&dir.join(NODE_STORE))?;
+    let mut nodes = HashMap::new();
+    walk_nodes(&store, |id, payload, _| {
+        nodes.insert(id, payload);
+    });
     indices.reverse();
     for index in indices {
         match try_load_manifest(&dir.join(manifest_name(index)), &nodes) {
@@ -687,59 +604,25 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<LoadedCheckpoint>> {
 
 type ManifestState = (Database, HashMap<RelationName, u64>);
 
-fn load_node_store(path: &Path) -> io::Result<HashMap<u128, Vec<u8>>> {
-    let mut out = HashMap::new();
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    }
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some((id, end)) = read_frame(&bytes, pos) else {
-            break; // torn tail: nodes past here are unreferenced
-        };
-        out.insert(id, bytes[pos + 24..end].to_vec());
-        pos = end;
-    }
-    Ok(out)
-}
+/// Node payloads by id, borrowed from the node store's bytes.
+type Nodes<'a> = HashMap<u128, &'a [u8]>;
 
 /// Parses and materializes one manifest. `Ok(None)` means "unusable but
 /// not an environment failure" (torn file, missing nodes) — the caller
 /// falls back to an older manifest.
-fn try_load_manifest(
-    path: &Path,
-    nodes: &HashMap<u128, Vec<u8>>,
-) -> io::Result<Option<ManifestState>> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
+fn try_load_manifest(path: &Path, nodes: &Nodes<'_>) -> io::Result<Option<ManifestState>> {
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
-    }
-    if bytes.len() < 12 {
+    };
+    let Some(body) = manifest_body(&bytes) else {
         return Ok(None);
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("4"));
-    let len = u32::from_le_bytes(bytes[4..8].try_into().expect("4")) as usize;
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
-    if magic != MANIFEST_MAGIC || bytes.len() != 12 + len {
-        return Ok(None);
-    }
-    let body = &bytes[12..];
-    if crc32(body) != crc {
-        return Ok(None);
-    }
+    };
 
     let parse = |body: &[u8]| -> Result<Option<ManifestState>, CodecError> {
         let mut c = Cursor::new(body);
-        let count = c.u32()? as usize;
+        let count = c.count(MIN_MANIFEST_ENTRY_BYTES)?;
         let mut db = Database::empty();
         let mut marks = HashMap::new();
         for _ in 0..count {
@@ -753,11 +636,11 @@ fn try_load_manifest(
             let schema = c.schema()?;
             let mark = c.u64()?;
             let root = c.u128()?;
-            let n_indexes = c.u32()? as usize;
+            let n_indexes = c.count(8)?;
             let mut index_defs = Vec::with_capacity(n_indexes);
             for _ in 0..n_indexes {
                 let iname = c.str()?;
-                let n_fields = c.u32()? as usize;
+                let n_fields = c.count(4)?;
                 let mut ifields = Vec::with_capacity(n_fields);
                 for _ in 0..n_fields {
                     ifields.push(c.u32()? as usize);
@@ -802,16 +685,9 @@ fn try_load_manifest(
 
 /// Rebuilds one relation value from its root id. `Ok(None)` if a
 /// referenced node is absent from the store.
-fn materialize(
-    repr: Repr,
-    root: u128,
-    nodes: &HashMap<u128, Vec<u8>>,
-) -> Result<Option<Relation>, CodecError> {
-    fn node<'a>(
-        nodes: &'a HashMap<u128, Vec<u8>>,
-        id: u128,
-    ) -> Result<Option<Cursor<'a>>, CodecError> {
-        Ok(nodes.get(&id).map(|p| Cursor::new(p)))
+fn materialize(repr: Repr, root: u128, nodes: &Nodes<'_>) -> Result<Option<Relation>, CodecError> {
+    fn node<'a>(nodes: &Nodes<'a>, id: u128) -> Option<Cursor<'a>> {
+        nodes.get(&id).map(|p| Cursor::new(p))
     }
 
     match repr {
@@ -820,7 +696,7 @@ fn materialize(
             let mut items: Vec<Tuple> = Vec::new();
             let mut cur = root;
             while cur != NIL_ID {
-                let Some(mut c) = node(nodes, cur)? else {
+                let Some(mut c) = node(nodes, cur) else {
                     return Ok(None);
                 };
                 if c.u8()? != TAG_LIST_CELL {
@@ -829,11 +705,9 @@ fn materialize(
                 items.push(c.tuple()?);
                 cur = c.u128()?;
             }
-            let mut l = PList::nil();
-            for t in items.into_iter().rev() {
-                l = PList::cons(t, l);
-            }
-            Ok(Some(Relation::from(Store::List(l))))
+            Ok(Some(Relation::from(Store::List(
+                items.into_iter().collect(),
+            ))))
         }
         Repr::BTree(min_degree) => {
             // Rebuild the *exact* stored shape (post-order, memoized by
@@ -845,7 +719,7 @@ fn materialize(
             type Tree = fundb_persist::BTree<Value, PList<Tuple>>;
             fn build(
                 id: u128,
-                nodes: &HashMap<u128, Vec<u8>>,
+                nodes: &Nodes<'_>,
                 min_degree: usize,
                 memo: &mut HashMap<u128, Tree>,
             ) -> Result<Option<Tree>, CodecError> {
@@ -859,14 +733,14 @@ fn materialize(
                 if c.u8()? != TAG_BTREE {
                     return Err(CodecError("expected B-tree page".into()));
                 }
-                let nkeys = c.u32()? as usize;
+                let nkeys = c.count(MIN_VALUE_BYTES + 4)?;
                 let mut keys = Vec::with_capacity(nkeys);
                 for _ in 0..nkeys {
                     let k = c.value()?;
                     let b = read_bucket(&mut c)?;
                     keys.push((k, b));
                 }
-                let nchildren = c.u32()? as usize;
+                let nchildren = c.count(16)?;
                 if nchildren != 0 && nchildren != nkeys + 1 {
                     return Err(CodecError("B-tree page child count mismatch".into()));
                 }
@@ -894,23 +768,23 @@ fn materialize(
             Ok(Some(Relation::from(Store::BTree(t))))
         }
         Repr::Paged(cap) => {
-            let Some(mut c) = node(nodes, root)? else {
+            let Some(mut c) = node(nodes, root) else {
                 return Ok(None);
             };
             if c.u8()? != TAG_DIRECTORY {
                 return Err(CodecError("expected directory page".into()));
             }
-            let npages = c.u32()? as usize;
+            let npages = c.count(16)?;
             let mut items: Vec<Tuple> = Vec::new();
             for _ in 0..npages {
                 let page_id = c.u128()?;
-                let Some(mut pc) = node(nodes, page_id)? else {
+                let Some(mut pc) = node(nodes, page_id) else {
                     return Ok(None);
                 };
                 if pc.u8()? != TAG_PAGE {
                     return Err(CodecError("expected data page".into()));
                 }
-                let n = pc.u32()? as usize;
+                let n = pc.count(MIN_TUPLE_BYTES)?;
                 for _ in 0..n {
                     items.push(pc.tuple()?);
                 }
@@ -927,6 +801,7 @@ mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
     use fundb_query::{parse, translate};
+    use fundb_relational::Schema;
 
     fn cut_of(db: Database, marks: &[(&str, u64)]) -> ConsistentCut {
         ConsistentCut {
@@ -1174,12 +1049,85 @@ mod tests {
         put_u32(&mut paged, 4);
         for (what, repr) in [("list", vec![0u8]), ("B-tree", btree), ("paged", paged)] {
             let tmp = ScratchDir::new("ckpt-retired-node");
-            fs::write(tmp.path().join("nodes.fns"), node_frame(id, &payload)).unwrap();
+            let mut store = Vec::new();
+            put_node(&mut store, id, &payload);
+            fs::write(tmp.path().join(NODE_STORE), store).unwrap();
             let manifest = manifest_frame(&one_relation_manifest(&repr, id));
             fs::write(tmp.path().join(manifest_name(1)), manifest).unwrap();
             let err = load_latest(tmp.path()).expect_err(what);
             assert!(codec_error(&err).is_some(), "{what}: {err}");
         }
+    }
+
+    #[test]
+    fn crafted_counts_in_nodes_and_manifests_are_codec_errors() {
+        // Each count below declares 2^31 - 1 items in a few bytes; every
+        // decoder must refuse it with a typed error before allocating.
+        const HUGE: u32 = 0x7fff_ffff;
+        let mut bucket = Vec::new();
+        put_u32(&mut bucket, HUGE);
+        assert!(read_bucket(&mut Cursor::new(&bucket)).is_err());
+
+        let load = |what: &str, nodes: &[Vec<u8>], body: Vec<u8>| {
+            let tmp = ScratchDir::new("ckpt-crafted-count");
+            let mut store = Vec::new();
+            for payload in nodes {
+                put_node(&mut store, fnv128(payload), payload);
+            }
+            fs::write(tmp.path().join(NODE_STORE), store).unwrap();
+            fs::write(tmp.path().join(manifest_name(1)), manifest_frame(&body)).unwrap();
+            let err = load_latest(tmp.path()).expect_err(what);
+            assert!(codec_error(&err).is_some(), "{what}: {err}");
+        };
+        let mut btree = vec![2u8];
+        put_u32(&mut btree, 16);
+        let mut paged = vec![3u8];
+        put_u32(&mut paged, 4);
+
+        let mut keys = vec![TAG_BTREE];
+        put_u32(&mut keys, HUGE);
+        let mut children = vec![TAG_BTREE];
+        put_u32(&mut children, 0);
+        put_u32(&mut children, HUGE);
+        let mut pages = vec![TAG_DIRECTORY];
+        put_u32(&mut pages, HUGE);
+        for (what, repr, node) in [
+            ("B-tree keys", &btree, keys),
+            ("B-tree children", &btree, children),
+            ("directory pages", &paged, pages),
+        ] {
+            let root = fnv128(&node);
+            load(what, &[node], one_relation_manifest(repr, root));
+        }
+        let mut page = vec![TAG_PAGE];
+        put_u32(&mut page, HUGE);
+        let mut directory = vec![TAG_DIRECTORY];
+        put_u32(&mut directory, 1);
+        put_u128(&mut directory, fnv128(&page));
+        let root = fnv128(&directory);
+        load(
+            "page tuples",
+            &[page, directory],
+            one_relation_manifest(&paged, root),
+        );
+
+        let mut entries = Vec::new();
+        put_u32(&mut entries, HUGE);
+        load("manifest entries", &[], entries);
+        // A list relation whose index section is crafted.
+        let with_indexes = |indexes: &[u8]| {
+            let mut body = one_relation_manifest(&[0], NIL_ID);
+            body.truncate(body.len() - 5); // the index count and view tag
+            body.extend_from_slice(indexes);
+            put_view_def(&mut body, None);
+            body
+        };
+        load("index count", &[], with_indexes(&HUGE.to_le_bytes()));
+        let mut one_index = Vec::new();
+        put_u32(&mut one_index, 1);
+        put_str(&mut one_index, "ix");
+        put_u32(&mut one_index, HUGE);
+        load("index field count", &[], with_indexes(&one_index));
     }
 
     #[test]

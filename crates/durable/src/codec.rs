@@ -1,7 +1,9 @@
 //! Byte-level encoding shared by the log and the checkpoint store.
 //!
 //! Everything on disk is little-endian, length-prefixed, and guarded by
-//! CRC-32 at the record level; checkpoint nodes are additionally *named* by
+//! CRC-32 at the record level: a WAL record, a node-store record and a
+//! manifest are each one [frame](put_frame), and [`read_frame`] is the only
+//! parser of a frame header. Checkpoint nodes are additionally *named* by
 //! a 128-bit FNV-1a hash of their payload, which is what makes shared
 //! structure deduplicate on disk: two versions that share a subtree hash
 //! its nodes to the same ids, so the subtree is stored once.
@@ -90,10 +92,55 @@ pub fn put_u128(buf: &mut Vec<u8>, v: u128) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends length-prefixed bytes.
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
+}
+
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+    put_bytes(buf, s.as_bytes());
+}
+
+/// Appends one frame: `[u32 len][u32 crc32(body)][body]`.
+pub fn put_frame(buf: &mut Vec<u8>, body: &[u8]) {
+    put_u32(buf, body.len() as u32);
+    put_u32(buf, crc32(body));
+    buf.extend_from_slice(body);
+}
+
+/// What [`read_frame`] found at a position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A whole frame whose CRC matches.
+    Whole {
+        /// The bytes the CRC covers.
+        body: &'a [u8],
+        /// Where the next frame starts.
+        end: usize,
+    },
+    /// The bytes end before the frame does: a header short of 8 bytes, or
+    /// a declared body running past the end — what a torn append leaves.
+    Incomplete,
+    /// Fully present, but the CRC does not match the body.
+    Damaged,
+}
+
+/// Reads the frame starting at `pos` of `bytes`.
+pub fn read_frame(bytes: &[u8], pos: usize) -> Frame<'_> {
+    let mut c = Cursor::new(bytes.get(pos..).unwrap_or_default());
+    let (Ok(len), Ok(crc)) = (c.u32(), c.u32()) else {
+        return Frame::Incomplete;
+    };
+    match c.take(len as usize) {
+        Err(_) => Frame::Incomplete,
+        Ok(body) if crc32(body) != crc => Frame::Damaged,
+        Ok(body) => Frame::Whole {
+            body,
+            end: pos + c.pos,
+        },
+    }
 }
 
 /// Appends one [`Value`]: a tag byte plus the payload.
@@ -137,6 +184,12 @@ pub fn put_schema(buf: &mut Vec<u8>, schema: Option<&Schema>) {
     }
 }
 
+/// The fewest bytes an encoded [`Value`] takes (a `Bool`: tag + byte).
+pub(crate) const MIN_VALUE_BYTES: usize = 2;
+
+/// The fewest bytes an encoded [`Tuple`] takes (arity + one value).
+pub(crate) const MIN_TUPLE_BYTES: usize = 4 + MIN_VALUE_BYTES;
+
 /// A bounds-checked reader over an encoded byte slice.
 pub struct Cursor<'a> {
     buf: &'a [u8],
@@ -171,6 +224,17 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
+    /// The bytes not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
@@ -178,32 +242,50 @@ impl<'a> Cursor<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `u128` (a node id).
     pub fn u128(&mut self) -> Result<u128, CodecError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// Reads an item count (a `u32`) for items at least `item_bytes` long
+    /// each, refusing a count the remaining bytes cannot hold — so a
+    /// decoder may size its allocation by it without trusting the sender.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.saturating_mul(item_bytes) > left {
+            return Err(CodecError(format!(
+                "count {n} exceeds the {left} bytes left at {}",
+                self.pos
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Reads length-prefixed bytes (see [`put_bytes`]).
+    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.u32()? as usize;
+        self.take(len)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(e.to_string()))
     }
 
     /// Reads one [`Value`].
     pub fn value(&mut self) -> Result<Value, CodecError> {
         match self.u8()? {
-            0 => Ok(Value::Int(i64::from_le_bytes(
-                self.take(8)?.try_into().expect("8"),
-            ))),
+            0 => Ok(Value::Int(self.array().map(i64::from_le_bytes)?)),
             1 => Ok(Value::from(self.str()?)),
             2 => Ok(Value::Bool(self.u8()? != 0)),
             t => Err(CodecError(format!("unknown value tag {t}"))),
@@ -212,7 +294,7 @@ impl<'a> Cursor<'a> {
 
     /// Reads one [`Tuple`].
     pub fn tuple(&mut self) -> Result<Tuple, CodecError> {
-        let arity = self.u32()? as usize;
+        let arity = self.count(MIN_VALUE_BYTES)?;
         if arity == 0 {
             return Err(CodecError("zero-arity tuple".into()));
         }
@@ -228,7 +310,7 @@ impl<'a> Cursor<'a> {
         match self.u8()? {
             0 => Ok(None),
             1 => {
-                let n = self.u32()? as usize;
+                let n = self.count(4)?;
                 let mut attrs = Vec::with_capacity(n);
                 for _ in 0..n {
                     attrs.push(self.str()?);
@@ -293,5 +375,39 @@ mod tests {
         assert!(c.str().is_err());
         let mut c = Cursor::new(&[0u8, 0, 0]);
         assert!(c.u32().is_err());
+    }
+
+    #[test]
+    fn frames_read_back_whole_incomplete_or_damaged() {
+        let mut buf = Vec::new();
+        put_frame(&mut buf, b"abc");
+        put_frame(&mut buf, b"");
+        assert_eq!(
+            read_frame(&buf, 0),
+            Frame::Whole {
+                body: b"abc",
+                end: 11
+            }
+        );
+        assert_eq!(read_frame(&buf, 11), Frame::Whole { body: b"", end: 19 });
+        assert_eq!(read_frame(&buf, 19), Frame::Incomplete, "at the end");
+        assert_eq!(read_frame(&buf[..5], 0), Frame::Incomplete, "short header");
+        assert_eq!(read_frame(&buf[..10], 0), Frame::Incomplete, "short body");
+        let mut flipped = buf.clone();
+        flipped[9] ^= 1;
+        assert_eq!(read_frame(&flipped, 0), Frame::Damaged);
+    }
+
+    #[test]
+    fn crafted_counts_are_errors_not_allocations() {
+        // Four bytes declaring 2^31 - 1 items: decoding must refuse the
+        // count, not reserve room for it.
+        let huge = [0xff, 0xff, 0xff, 0x7f];
+        assert!(Cursor::new(&huge).tuple().is_err());
+        assert!(Cursor::new(&[&[1u8][..], &huge].concat()).schema().is_err());
+        assert!(Cursor::new(&huge).count(1).is_err());
+        // A count the remaining bytes can hold passes.
+        assert_eq!(Cursor::new(&[2, 0, 0, 0, 9, 9]).count(1), Ok(2));
+        assert!(Cursor::new(&[2, 0, 0, 0, 9, 9]).count(2).is_err());
     }
 }

@@ -10,14 +10,17 @@
 //! fsync latency grows the next batch, so the log keeps up with the
 //! pipeline instead of serializing it.
 //!
-//! **Recovery invariant.** [`DurableEngine::open`] rebuilds an engine whose
-//! state is exactly: the newest valid checkpoint, plus the replay of every
-//! log record not already folded into it (write-sequence marks decide),
-//! with a torn log tail truncated. The result is a *prefix* of the
-//! acknowledged history containing **every** acknowledged transaction —
-//! nothing acknowledged is lost, nothing half-applied appears.
+//! **Recovery invariant.** [`recover_state`] rebuilds the state stored in a
+//! directory: the newest valid checkpoint, plus the replay of every log
+//! record not already folded into it (write-sequence marks decide), with a
+//! torn log tail truncated. The result is a *prefix* of the acknowledged
+//! history containing **every** acknowledged transaction — nothing
+//! acknowledged is lost, nothing half-applied appears. It is the only way
+//! a state comes back from disk: [`DurableEngine::open`] starts its engine
+//! from it, and a replica starts from it and returns to it after importing
+//! a shipped checkpoint.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -31,7 +34,18 @@ use fundb_relational::{BatchOp, Database, RelationName};
 use parking_lot::Mutex;
 
 use crate::checkpoint::{self, CheckpointStats, CheckpointWriter};
-use crate::wal::{self, ScanStop, Wal, WalCursor, WalRecord};
+use crate::wal::{self, ScanStop, Wal, WalRecord};
+
+/// Where a store directory keeps its write-ahead log.
+pub fn wal_dir(dir: &Path) -> PathBuf {
+    dir.join("wal")
+}
+
+/// Where a store directory keeps its checkpoints (node store and
+/// manifests).
+pub fn checkpoint_dir(dir: &Path) -> PathBuf {
+    dir.join("checkpoints")
+}
 
 /// The durable store: one write-ahead log behind a mutex, so batches from
 /// different relations serialize their fsyncs into one tail.
@@ -42,7 +56,7 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Opens the log under `dir` (repairing nothing — pair with
-    /// [`Wal::recover`] first, as [`DurableEngine::open`] does).
+    /// [`Wal::recover`] first, as [`recover_state`] does).
     pub fn open(dir: &Path, segment_bytes: u64) -> io::Result<DurableStore> {
         Ok(DurableStore {
             wal: Mutex::new(Wal::open(dir, segment_bytes)?),
@@ -57,15 +71,9 @@ impl DurableStore {
 
 impl CommitSink for DurableStore {
     fn commit_writes(&self, relation: &RelationName, writes: &[(u64, Query)]) -> io::Result<()> {
-        let records: Vec<WalRecord> = writes
-            .iter()
-            .map(|(seq, q)| WalRecord::Write {
-                relation: relation.as_str().to_string(),
-                seq: *seq,
-                query: q.to_string(),
-            })
-            .collect();
-        self.wal.lock().append_batch(&records)
+        self.wal
+            .lock()
+            .append_batch(&WalRecord::write_run(relation, writes))
     }
 
     fn commit_create(&self, query: &Query) -> io::Result<()> {
@@ -75,7 +83,7 @@ impl CommitSink for DurableStore {
     }
 }
 
-/// What [`DurableEngine::open`] found and did.
+/// What [`recover_state`] found and did.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Manifest index of the checkpoint the state started from, if any.
@@ -92,6 +100,31 @@ pub struct RecoveryReport {
     pub wal_stop: Option<ScanStop>,
 }
 
+/// Rebuilds the state stored under `dir`: loads the newest valid
+/// checkpoint, repairs the log to its longest valid prefix, and replays
+/// every record the checkpoint does not cover ([`replay_records`]). The
+/// returned cut's marks are where each relation's write numbering resumes.
+pub fn recover_state(dir: &Path) -> io::Result<(ConsistentCut, RecoveryReport)> {
+    let (db, marks, checkpoint_manifest) = match checkpoint::load_latest(&checkpoint_dir(dir))? {
+        Some(l) => (l.database, l.seq_marks, Some(l.manifest)),
+        None => (Database::empty(), HashMap::new(), None),
+    };
+    let outcome = Wal::recover(&wal_dir(dir))?;
+    let records: Vec<WalRecord> = outcome.records.into_iter().map(|s| s.record).collect();
+    let state = replay_records(db, marks, &records)?;
+    let report = RecoveryReport {
+        checkpoint_manifest,
+        replayed: state.applied.len(),
+        skipped: state.skipped,
+        wal_stop: outcome.stop,
+    };
+    let cut = ConsistentCut {
+        database: state.database,
+        seq_marks: state.seq_marks,
+    };
+    Ok((cut, report))
+}
+
 /// The state rebuilt by [`replay_records`]: a database plus the marks at
 /// which each relation's write numbering resumes.
 #[derive(Debug)]
@@ -100,8 +133,8 @@ pub struct ReplayedState {
     pub database: Database,
     /// Per relation, the next expected write sequence number.
     pub seq_marks: HashMap<RelationName, u64>,
-    /// Records applied.
-    pub replayed: usize,
+    /// Positions, in input order, of the records applied.
+    pub applied: Vec<usize>,
     /// Records skipped as already folded in (below a mark, or a `create`
     /// whose relation already exists).
     pub skipped: usize,
@@ -112,7 +145,9 @@ pub struct ReplayedState {
 /// when the relation exists); `Write` records below their relation's mark
 /// are skipped, and applying one advances the mark to `seq + 1`, so
 /// overlapping sources (a checkpoint plus a log tail, or a snapshot plus a
-/// shipped stream) fold to the same state.
+/// shipped stream) fold to the same state. The result says which records
+/// were applied — what a replica appends to its own log, so the log holds
+/// each record once even when a shipped batch overlaps applied history.
 ///
 /// Consecutive data writes on one relation go through the batch kernel as
 /// one run, as the engine that logged them committed them; DDL, an index
@@ -125,18 +160,13 @@ pub fn replay_records<'a>(
 ) -> io::Result<ReplayedState> {
     let mut db = db;
     let mut marks = marks;
-    let mut replayed = 0usize;
+    let mut applied = Vec::new();
     let mut skipped = 0usize;
     let mut run = WriteRun::default();
-    for record in records {
+    for (i, record) in records.into_iter().enumerate() {
         match record {
             WalRecord::Create { query } => {
-                let q = parse(query).map_err(invalid_data)?;
-                let target = match &q {
-                    Query::Create { relation, .. } => relation.clone(),
-                    Query::CreateView { name, .. } => name.clone(),
-                    _ => return Err(invalid_data("create record holds a non-create query")),
-                };
+                let (q, target) = parse_create(query)?;
                 db = run.land(db);
                 // Idempotent: the crash may have been after the create
                 // reached a checkpoint but before log GC. A replayed
@@ -148,7 +178,6 @@ pub fn replay_records<'a>(
                 }
                 let (_, next) = translate(q).apply(&db);
                 db = next;
-                replayed += 1;
             }
             WalRecord::Write {
                 relation,
@@ -177,16 +206,28 @@ pub fn replay_records<'a>(
                     }
                 }
                 marks.insert(name, seq + 1);
-                replayed += 1;
             }
         }
+        applied.push(i);
     }
     Ok(ReplayedState {
         database: run.land(db),
         seq_marks: marks,
-        replayed,
+        applied,
         skipped,
     })
+}
+
+/// Parses a logged `create` query and names the relation or view it
+/// creates.
+fn parse_create(query: &str) -> io::Result<(Query, RelationName)> {
+    let q = parse(query).map_err(invalid_data)?;
+    let target = match &q {
+        Query::Create { relation, .. } => relation.clone(),
+        Query::CreateView { name, .. } => name.clone(),
+        _ => return Err(invalid_data("create record holds a non-create query")),
+    };
+    Ok((q, target))
 }
 
 /// The data writes of consecutive log records on one relation, not yet
@@ -214,45 +255,6 @@ impl WriteRun {
     }
 }
 
-/// The records of `records` that [`replay_records`] would *apply* on top
-/// of `(db, marks)`, in order — what a replica appends to its own log
-/// before applying, so the log holds each record exactly once even when a
-/// shipped batch overlaps already-applied history.
-pub fn fresh_records(
-    db: &Database,
-    marks: &HashMap<RelationName, u64>,
-    records: &[WalRecord],
-) -> io::Result<Vec<WalRecord>> {
-    let mut marks = marks.clone();
-    let mut created: std::collections::HashSet<RelationName> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for record in records {
-        match record {
-            WalRecord::Create { query } => {
-                let q = parse(query).map_err(invalid_data)?;
-                let target = match &q {
-                    Query::Create { relation, .. } => relation.clone(),
-                    Query::CreateView { name, .. } => name.clone(),
-                    _ => return Err(invalid_data("create record holds a non-create query")),
-                };
-                if db.relation(&target).is_ok() || !created.insert(target) {
-                    continue;
-                }
-                out.push(record.clone());
-            }
-            WalRecord::Write { relation, seq, .. } => {
-                let name = RelationName::new(relation);
-                if *seq < marks.get(&name).copied().unwrap_or(0) {
-                    continue;
-                }
-                marks.insert(name, seq + 1);
-                out.push(record.clone());
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// A [`PipelinedEngine`] whose acknowledgements are durability receipts.
 #[derive(Debug)]
 pub struct DurableEngine {
@@ -268,8 +270,8 @@ pub struct DurableEngine {
 }
 
 impl DurableEngine {
-    /// Opens (or creates) the store under `dir` and recovers: newest valid
-    /// checkpoint, then log replay, then a live engine resuming the
+    /// Opens (or creates) the store under `dir` and recovers
+    /// ([`recover_state`]), then starts a live engine resuming the
     /// per-relation write numbering.
     pub fn open(dir: &Path, workers: usize) -> io::Result<(DurableEngine, RecoveryReport)> {
         Self::open_with_segment_bytes(dir, workers, Wal::DEFAULT_SEGMENT_BYTES)
@@ -283,28 +285,16 @@ impl DurableEngine {
         segment_bytes: u64,
     ) -> io::Result<(DurableEngine, RecoveryReport)> {
         fs::create_dir_all(dir)?;
-        let wal_dir = dir.join("wal");
-        let ckpt_dir = dir.join("checkpoints");
-
-        let loaded = checkpoint::load_latest(&ckpt_dir)?;
-        let (db, marks, checkpoint_manifest) = match loaded {
-            Some(l) => (l.database, l.seq_marks, Some(l.manifest)),
-            None => (Database::empty(), HashMap::new(), None),
-        };
-
-        // Repair the log to its longest valid prefix, then replay what the
-        // checkpoint does not already cover.
-        let outcome = Wal::recover(&wal_dir)?;
-        let records: Vec<WalRecord> = outcome.records.into_iter().map(|s| s.record).collect();
-        let state = replay_records(db, marks, &records)?;
-
+        let (cut, report) = recover_state(dir)?;
+        let wal_dir = wal_dir(dir);
+        let ckpt_dir = checkpoint_dir(dir);
         let store = Arc::new(DurableStore::open(&wal_dir, segment_bytes)?);
         let fanout = Arc::new(FanoutSink::new(vec![store.clone() as Arc<dyn CommitSink>]));
         let engine = PipelinedEngine::with_sink(
             workers,
-            &state.database,
+            &cut.database,
             fanout.clone() as Arc<dyn CommitSink>,
-            &state.seq_marks,
+            &cut.seq_marks,
         );
         let checkpoints = Mutex::new(CheckpointWriter::open(&ckpt_dir)?);
         Ok((
@@ -316,12 +306,7 @@ impl DurableEngine {
                 wal_dir,
                 ckpt_dir,
             },
-            RecoveryReport {
-                checkpoint_manifest,
-                replayed: state.replayed,
-                skipped: state.skipped,
-                wal_stop: outcome.stop,
-            },
+            report,
         ))
     }
 
@@ -365,6 +350,11 @@ impl DurableEngine {
     /// the call that is no longer observable any other way; overlap with
     /// shipped batches is harmless (sequence marks dedup on apply).
     ///
+    /// The log is read like recovery reads it ([`Wal::scan`]): an
+    /// incomplete frame at the very end is an append still in flight and
+    /// ends the tail, but damaged history is an error — shipping the
+    /// prefix before it would silently drop acknowledged records.
+    ///
     /// Holds the checkpoint guard across both reads so a concurrent
     /// [`checkpoint`](Self::checkpoint)'s log GC cannot remove a covered
     /// segment between the export and the tail scan, which would leave a
@@ -372,7 +362,13 @@ impl DurableEngine {
     pub fn replication_snapshot(&self) -> io::Result<(Option<Vec<u8>>, Vec<u8>)> {
         let _guard = self.checkpoints.lock();
         let checkpoint = checkpoint::export_latest(&self.ckpt_dir)?;
-        let records = WalCursor::new(&self.wal_dir).poll()?;
+        let outcome = Wal::scan(&self.wal_dir)?;
+        if let Some(ScanStop::Corruption { segment, .. }) = outcome.stop {
+            return Err(invalid_data(format!(
+                "damaged wal frame in segment {segment}"
+            )));
+        }
+        let records: Vec<WalRecord> = outcome.records.into_iter().map(|s| s.record).collect();
         Ok((checkpoint, wal::encode_records(&records)))
     }
 
@@ -392,25 +388,20 @@ impl DurableEngine {
 
         // Covered: a write the cut's marks fold in, or a create whose
         // relation the cut carries. The live tail segment is always kept.
-        let marks: HashMap<String, u64> = cut
+        let marks: HashMap<&str, u64> = cut
             .seq_marks
             .iter()
-            .map(|(n, m)| (n.as_str().to_string(), *m))
+            .map(|(n, m)| (n.as_str(), *m))
             .collect();
-        let names: std::collections::HashSet<String> = cut
-            .database
-            .relation_names()
-            .iter()
-            .map(|n| n.as_str().to_string())
-            .collect();
+        let names: HashSet<RelationName> = cut.database.relation_names().into_iter().collect();
         let keep_from = self.store.current_segment();
-        Wal::remove_covered_segments(&self.wal_dir, keep_from, move |rec| match rec {
-            WalRecord::Write { relation, seq, .. } => marks.get(relation).is_some_and(|m| seq < m),
-            WalRecord::Create { query } => match parse(query) {
-                Ok(Query::Create { relation, .. }) => names.contains(relation.as_str()),
-                Ok(Query::CreateView { name, .. }) => names.contains(name.as_str()),
-                _ => false,
-            },
+        Wal::remove_covered_segments(&self.wal_dir, keep_from, |rec| match rec {
+            WalRecord::Write { relation, seq, .. } => {
+                marks.get(relation.as_str()).is_some_and(|m| seq < m)
+            }
+            WalRecord::Create { query } => {
+                parse_create(query).is_ok_and(|(_, target)| names.contains(&target))
+            }
         })?;
         Ok(stats)
     }
@@ -660,6 +651,25 @@ mod tests {
         engine.run([tx("insert (40, 'g0', 40) into R")]);
         let rs = engine.run([tx("select from PerTag where #0 = 'g0'")]);
         assert_eq!(rs[0].tuples().unwrap()[0].to_string(), "('g0', 15)");
+    }
+
+    #[test]
+    fn replication_snapshot_ships_the_log_and_refuses_damaged_history() {
+        let tmp = ScratchDir::new("dur-repl-snapshot");
+        // Tiny segments: the log spans several, all but the last closed.
+        let (engine, _) = DurableEngine::open_with_segment_bytes(tmp.path(), 2, 64).unwrap();
+        engine.run([tx("create relation R as list")]);
+        engine.run((0..6).map(|i| tx(&format!("insert {i} into R"))));
+        let (checkpoint, tail) = engine.replication_snapshot().unwrap();
+        assert!(checkpoint.is_none());
+        assert_eq!(wal::decode_records(&tail).unwrap().len(), 7);
+
+        // A bit-flip inside the first (closed) segment's first record:
+        // shipping the prefix before it would drop acknowledged writes.
+        let first = wal_dir(tmp.path()).join("wal-000001.log");
+        crate::fault::flip_bit(&first, 10, 0).unwrap();
+        let err = engine.replication_snapshot().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -19,13 +19,15 @@
 //!   share are stored once. An incremental checkpoint after `k` updates
 //!   appends `O(k · log n)` bytes — the copied paths — not a full copy.
 //!
-//! Recovery ([`DurableEngine::open`]) loads the newest valid checkpoint,
-//! repairs the log to its longest valid prefix (truncating a torn tail;
-//! surfacing mid-log corruption), replays records the checkpoint does not
-//! cover, and resumes per-relation write numbering. The recovered state is
-//! a prefix of the acknowledged history containing every acknowledged
-//! transaction. The [`fault`] module provides the file surgery the
-//! property tests use to prove that claim under simulated crashes.
+//! Recovery ([`recover_state`], which [`DurableEngine::open`] and a
+//! replica both start from) loads the newest valid checkpoint, repairs the
+//! log to its longest valid prefix (truncating a torn tail; surfacing
+//! mid-log corruption), replays records the checkpoint does not cover, and
+//! yields the marks where per-relation write numbering resumes. The
+//! recovered state is a prefix of the acknowledged history containing
+//! every acknowledged transaction. The [`fault`] module provides the file
+//! surgery the property tests use to prove that claim under simulated
+//! crashes.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,10 +43,42 @@ pub use checkpoint::{
     export_latest, import, load_latest, CheckpointStats, CheckpointWriter, LoadedCheckpoint,
 };
 pub use engine::{
-    fresh_records, replay_records, DurableEngine, DurableStore, RecoveryReport, ReplayedState,
+    checkpoint_dir, recover_state, replay_records, wal_dir, DurableEngine, DurableStore,
+    RecoveryReport, ReplayedState,
 };
 pub use scratch::ScratchDir;
 pub use wal::{
     decode_records, encode_records, set_modeled_flush_latency, ScanOutcome, ScanStop,
-    ScannedRecord, Wal, WalCursor, WalRecord,
+    ScannedRecord, Wal, WalRecord,
 };
+
+use std::fs::{self, File};
+use std::io;
+use std::path::Path;
+
+/// The numbers `N` of the files `<prefix>N<suffix>` in `dir`, ascending —
+/// log segments and checkpoint manifests.
+fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<u64>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        if let Some(Ok(i)) = name
+            .strip_prefix(prefix)
+            .and_then(|s| s.strip_suffix(suffix))
+            .map(str::parse::<u64>)
+        {
+            out.push(i);
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
+}
+
+/// Flushes directory metadata so freshly created / removed files survive a
+/// power cut (a no-op on platforms where directories cannot be fsynced).
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = File::open(dir) {
+        d.sync_all().ok();
+    }
+}

@@ -31,12 +31,16 @@
 //! never written after damaged bytes.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::codec::{crc32, put_str, put_u32, put_u64, Cursor};
+use fundb_query::Query;
+use fundb_relational::RelationName;
+
+use crate::codec::{put_frame, put_str, put_u64, read_frame, CodecError, Cursor, Frame};
+use crate::{numbered_files, sync_dir};
 
 /// Extra per-commit latency modeled on top of the real device, in
 /// nanoseconds. Zero — the default, and the value in every non-bench
@@ -68,29 +72,7 @@ fn segment_name(i: u64) -> String {
 
 /// Lists existing segment indices in ascending order.
 fn segment_indices(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".log"))
-        {
-            if let Ok(i) = num.parse::<u64>() {
-                out.push(i);
-            }
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
-/// Flushes directory metadata so freshly created / removed files survive a
-/// power cut (a no-op on platforms where directories cannot be fsynced).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        d.sync_all().ok();
-    }
+    numbered_files(dir, "wal-", ".log")
 }
 
 /// One logical log record.
@@ -113,6 +95,19 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The records of one committed write batch on `relation`: each
+    /// write's sequence number and query text, in batch order.
+    pub fn write_run(relation: &RelationName, writes: &[(u64, Query)]) -> Vec<WalRecord> {
+        writes
+            .iter()
+            .map(|(seq, q)| WalRecord::Write {
+                relation: relation.as_str().to_string(),
+                seq: *seq,
+                query: q.to_string(),
+            })
+            .collect()
+    }
+
     /// Encodes the record payload (the bytes the frame CRC covers).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -135,7 +130,7 @@ impl WalRecord {
         buf
     }
 
-    fn decode(payload: &[u8]) -> Result<WalRecord, crate::codec::CodecError> {
+    fn decode(payload: &[u8]) -> Result<WalRecord, CodecError> {
         let mut c = Cursor::new(payload);
         let rec = match c.u8()? {
             1 => WalRecord::Create { query: c.str()? },
@@ -144,26 +139,23 @@ impl WalRecord {
                 seq: c.u64()?,
                 query: c.str()?,
             },
-            t => return Err(crate::codec::CodecError(format!("unknown record tag {t}"))),
+            t => return Err(CodecError(format!("unknown record tag {t}"))),
         };
         if !c.at_end() {
-            return Err(crate::codec::CodecError("trailing bytes in record".into()));
+            return Err(CodecError("trailing bytes in record".into()));
         }
         Ok(rec)
     }
 }
 
-/// Frame-encodes `records` — `[u32 len][u32 crc32][payload]` per record —
+/// Frame-encodes `records` — one [`put_frame`] per record payload —
 /// exactly the byte run [`Wal::append_batch`] writes. This is the wire
 /// format replication ships: a replica can append the bytes to its own log
 /// or decode them with [`decode_records`].
 pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
     let mut buf = Vec::new();
     for rec in records {
-        let payload = rec.encode();
-        put_u32(&mut buf, payload.len() as u32);
-        put_u32(&mut buf, crc32(&payload));
-        buf.extend_from_slice(&payload);
+        put_frame(&mut buf, &rec.encode());
     }
     buf
 }
@@ -173,135 +165,59 @@ pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
 /// is an error — a message either arrived whole or not at all.
 pub fn decode_records(bytes: &[u8]) -> io::Result<Vec<WalRecord>> {
     let mut out = Vec::new();
+    let walk = walk_frames(bytes, |record, _| {
+        out.push(record);
+        true
+    });
+    match walk {
+        Walk::Invalid { incomplete, .. } => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            if incomplete {
+                "truncated wal frame"
+            } else {
+                "damaged wal frame"
+            },
+        )),
+        Walk::Clean | Walk::Declined => Ok(out),
+    }
+}
+
+/// How [`walk_frames`] ended.
+enum Walk {
+    /// Every frame was whole and valid, and the visitor took each record.
+    Clean,
+    /// The visitor declined a record.
+    Declined,
+    /// The frame at offset `at` is *incomplete* (the bytes end before it
+    /// does) or, if not, *damaged* (fully present, but its CRC or decode
+    /// fails).
+    Invalid { at: usize, incomplete: bool },
+}
+
+/// The one reader of WAL frames: walks `bytes` (a segment, or a shipped
+/// batch) from the start, handing each valid record and its end offset to
+/// `visit` until the bytes end, a frame is invalid, or `visit` returns
+/// `false`.
+fn walk_frames(bytes: &[u8], mut visit: impl FnMut(WalRecord, usize) -> bool) -> Walk {
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let (record, end) = read_frame(bytes, pos)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "damaged wal frame"))?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated wal frame"))?;
-        out.push(record);
+        let frame = read_frame(bytes, pos);
+        let decoded = match frame {
+            Frame::Whole { body, end } => WalRecord::decode(body).ok().map(|r| (r, end)),
+            Frame::Incomplete | Frame::Damaged => None,
+        };
+        let Some((record, end)) = decoded else {
+            return Walk::Invalid {
+                at: pos,
+                incomplete: frame == Frame::Incomplete,
+            };
+        };
+        if !visit(record, end) {
+            return Walk::Declined;
+        }
         pos = end;
     }
-    Ok(out)
-}
-
-/// Parses one frame at `pos`. `Ok(None)` = the frame is physically
-/// incomplete (the bytes end before it does); `Err(())` = the frame is
-/// fully present but its CRC or decode fails.
-fn read_frame(bytes: &[u8], pos: usize) -> Result<Option<(WalRecord, usize)>, ()> {
-    if bytes.len() - pos < 8 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4"));
-    let start = pos + 8;
-    let end = start.checked_add(len).ok_or(())?;
-    if end > bytes.len() {
-        return Ok(None);
-    }
-    let payload = &bytes[start..end];
-    if crc32(payload) != crc {
-        return Err(());
-    }
-    WalRecord::decode(payload)
-        .map(|r| Some((r, end)))
-        .map_err(|_| ())
-}
-
-/// A read-side position in the log: the shipping cursor.
-///
-/// A cursor remembers `(segment, offset)` and each [`poll`](Self::poll)
-/// returns the complete, valid records appended past it, advancing across
-/// segment boundaries (including gaps left by checkpoint-driven GC). It
-/// reads concurrently with an appender: group commit makes whole frames
-/// durable atomically from the scan's point of view, so the cursor simply
-/// stops before any frame whose bytes have not all landed yet and picks it
-/// up next poll.
-#[derive(Debug, Clone)]
-pub struct WalCursor {
-    dir: PathBuf,
-    segment: u64,
-    offset: u64,
-}
-
-impl WalCursor {
-    /// A cursor at the very start of the log in `dir`.
-    pub fn new(dir: &Path) -> WalCursor {
-        WalCursor {
-            dir: dir.to_path_buf(),
-            segment: 1,
-            offset: 0,
-        }
-    }
-
-    /// Reads every complete valid record past the cursor, in log order.
-    ///
-    /// Stops *benignly* (returns what it has) at an incomplete frame in
-    /// the newest segment — an append in progress or a torn tail, both of
-    /// which the next poll resolves. A damaged frame, or an incomplete one
-    /// in a closed segment, is corruption and errors.
-    pub fn poll(&mut self) -> io::Result<Vec<WalRecord>> {
-        let mut out = Vec::new();
-        loop {
-            let bytes = match fs::read(self.dir.join(segment_name(self.segment))) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    // GC removed it (all covered), or it was never created:
-                    // skip to the next segment that exists, if any.
-                    match segment_indices(&self.dir)?
-                        .into_iter()
-                        .find(|&s| s > self.segment)
-                    {
-                        Some(next) => {
-                            self.segment = next;
-                            self.offset = 0;
-                            continue;
-                        }
-                        None => return Ok(out),
-                    }
-                }
-                Err(e) => return Err(e),
-            };
-            let mut pos = self.offset as usize;
-            let complete = loop {
-                if pos >= bytes.len() {
-                    break true;
-                }
-                match read_frame(&bytes, pos) {
-                    Ok(Some((record, end))) => {
-                        out.push(record);
-                        pos = end;
-                    }
-                    Ok(None) => break false,
-                    Err(()) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("damaged wal frame in segment {}", self.segment),
-                        ))
-                    }
-                }
-            };
-            self.offset = pos as u64;
-            // Move on only when a higher segment exists — rotation happens
-            // between batches, so the current one is then closed for good.
-            let higher = segment_indices(&self.dir)?
-                .into_iter()
-                .find(|&s| s > self.segment);
-            match higher {
-                Some(next) if complete => {
-                    self.segment = next;
-                    self.offset = 0;
-                }
-                Some(_) => {
-                    // Incomplete frame in a closed segment: not a tail.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("incomplete frame in closed segment {}", self.segment),
-                    ));
-                }
-                None => return Ok(out),
-            }
-        }
-    }
+    Walk::Clean
 }
 
 /// A record recovered by [`Wal::scan`], with its position.
@@ -526,63 +442,47 @@ impl Wal {
     /// scan stopped.
     pub fn scan(dir: &Path) -> io::Result<ScanOutcome> {
         let mut records = Vec::new();
-        if !dir.exists() {
-            return Ok(ScanOutcome {
-                records,
-                stop: None,
-            });
-        }
-        let indices = segment_indices(dir)?;
+        let indices = if dir.exists() {
+            segment_indices(dir)?
+        } else {
+            Vec::new()
+        };
         let last_index = indices.last().copied();
-        for &seg in &indices {
-            let mut bytes = Vec::new();
-            File::open(dir.join(segment_name(seg)))?.read_to_end(&mut bytes)?;
-            let mut pos = 0usize;
-            loop {
-                if pos == bytes.len() {
-                    break;
-                }
-                // A frame is *incomplete* when the file ends before it
-                // does — the only shape a crash mid-append can leave,
-                // since a successful fsync persists whole frames. A frame
-                // that is fully present but fails its CRC or decode is
-                // *damaged*: that never comes from a torn append, and
-                // complete (acknowledged) frames may follow it.
-                let frame = match read_frame(&bytes, pos) {
-                    Ok(Some(hit)) => Ok(hit),
-                    Ok(None) => Err(true),
-                    Err(()) => Err(false),
+        for seg in indices {
+            let bytes = fs::read(dir.join(segment_name(seg)))?;
+            let walk = walk_frames(&bytes, |record, end| {
+                records.push(ScannedRecord {
+                    record,
+                    segment: seg,
+                    end_offset: end as u64,
+                });
+                true
+            });
+            // A frame is *incomplete* when the file ends before it does —
+            // the only shape a crash mid-append can leave, since a
+            // successful fsync persists whole frames. A frame that is fully
+            // present but fails its CRC or decode is *damaged*: that never
+            // comes from a torn append, and complete (acknowledged) frames
+            // may follow it. So a torn tail is only an incomplete frame at
+            // the very end of the very last segment; everything else is
+            // damage to synced history.
+            if let Walk::Invalid { at, incomplete } = walk {
+                let valid_up_to = at as u64;
+                let stop = if incomplete && Some(seg) == last_index {
+                    ScanStop::TornTail {
+                        segment: seg,
+                        valid_up_to,
+                    }
+                } else {
+                    ScanStop::Corruption {
+                        segment: seg,
+                        valid_up_to,
+                    }
                 };
-                match frame {
-                    Ok((record, end)) => {
-                        records.push(ScannedRecord {
-                            record,
-                            segment: seg,
-                            end_offset: end as u64,
-                        });
-                        pos = end;
-                    }
-                    Err(incomplete) => {
-                        // A torn tail is only an incomplete frame at the
-                        // very end of the very last segment; everything
-                        // else is damage to synced history.
-                        let stop = if incomplete && Some(seg) == last_index {
-                            ScanStop::TornTail {
-                                segment: seg,
-                                valid_up_to: pos as u64,
-                            }
-                        } else {
-                            ScanStop::Corruption {
-                                segment: seg,
-                                valid_up_to: pos as u64,
-                            }
-                        };
-                        return Ok(ScanOutcome {
-                            records,
-                            stop: Some(stop),
-                        });
-                    }
-                }
+                return Ok(ScanOutcome {
+                    records,
+                    stop: Some(stop),
+                });
             }
         }
         Ok(ScanOutcome {
@@ -635,40 +535,13 @@ impl Wal {
             if seg >= keep_from {
                 break;
             }
-            let mut bytes = Vec::new();
-            match File::open(dir.join(segment_name(seg))) {
-                Ok(mut f) => {
-                    f.read_to_end(&mut bytes)?;
-                }
+            let bytes = match fs::read(dir.join(segment_name(seg))) {
+                Ok(bytes) => bytes,
                 // A concurrent GC or recovery already removed it.
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
-            }
-            let mut pos = 0usize;
-            let mut all_covered = true;
-            while pos < bytes.len() {
-                if bytes.len() - pos < 8 {
-                    all_covered = false;
-                    break;
-                }
-                let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-                let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4"));
-                let Some(end) = (pos + 8).checked_add(len).filter(|&e| e <= bytes.len()) else {
-                    all_covered = false;
-                    break;
-                };
-                let payload = &bytes[pos + 8..end];
-                match (crc32(payload) == crc)
-                    .then(|| WalRecord::decode(payload).ok())
-                    .flatten()
-                {
-                    Some(rec) if covered(&rec) => pos = end,
-                    _ => {
-                        all_covered = false;
-                        break;
-                    }
-                }
-            }
+            };
+            let all_covered = matches!(walk_frames(&bytes, |rec, _| covered(&rec)), Walk::Clean);
             if all_covered {
                 match fs::remove_file(dir.join(segment_name(seg))) {
                     Ok(()) => removed += 1,
@@ -914,29 +787,8 @@ mod tests {
     }
 
     #[test]
-    fn cursor_follows_appends_across_rotations() {
-        let tmp = ScratchDir::new("wal-cursor");
-        let mut wal = Wal::open(tmp.path(), 48).unwrap();
-        let mut cur = WalCursor::new(tmp.path());
-        assert!(cur.poll().unwrap().is_empty(), "empty log, empty poll");
-
-        let mut shipped = Vec::new();
-        for i in 0..10 {
-            wal.append_batch(&[w("R", i, &format!("insert {i} into R"))])
-                .unwrap();
-            shipped.extend(cur.poll().unwrap());
-        }
-        assert!(wal.current_segment() > 1, "rotation must have happened");
-        let expect: Vec<WalRecord> = (0..10)
-            .map(|i| w("R", i, &format!("insert {i} into R")))
-            .collect();
-        assert_eq!(shipped, expect);
-        assert!(cur.poll().unwrap().is_empty(), "caught up");
-    }
-
-    #[test]
-    fn cursor_skips_gc_gaps_and_reopened_logs() {
-        let tmp = ScratchDir::new("wal-cursor-gap");
+    fn scan_skips_gc_gaps_and_reopened_logs() {
+        let tmp = ScratchDir::new("wal-scan-gap");
         let mut wal = Wal::open(tmp.path(), 32).unwrap();
         for i in 0..8 {
             wal.append_batch(&[w("R", i, &format!("insert {i} into R"))])
@@ -955,49 +807,19 @@ mod tests {
         let mut wal = Wal::open(tmp.path(), 32).unwrap();
         wal.append_batch(&[w("R", 8, "insert 8 into R")]).unwrap();
 
-        // A fresh cursor starts at segment 1 (GC'd) and must walk the
-        // gaps: it sees exactly the surviving records, in order.
-        let mut cur = WalCursor::new(tmp.path());
-        let seqs: Vec<u64> = cur
-            .poll()
-            .unwrap()
+        // Segment 1 is gone and the reopened log left gaps: the scan sees
+        // exactly the surviving records, in order, and no damage.
+        let outcome = Wal::scan(tmp.path()).unwrap();
+        assert!(outcome.stop.is_none());
+        let seqs: Vec<u64> = outcome
+            .records
             .iter()
-            .map(|r| match r {
+            .map(|r| match &r.record {
                 WalRecord::Write { seq, .. } => *seq,
                 WalRecord::Create { .. } => unreachable!(),
             })
             .collect();
         assert_eq!(seqs, (4..9).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn cursor_stops_benignly_at_torn_tail_and_errors_on_damage() {
-        let tmp = ScratchDir::new("wal-cursor-torn");
-        let mut wal = Wal::open(tmp.path(), Wal::DEFAULT_SEGMENT_BYTES).unwrap();
-        wal.append_batch(&[w("R", 0, "insert 0 into R")]).unwrap();
-        wal.append_batch(&[w("R", 1, "insert 1 into R")]).unwrap();
-        drop(wal);
-        let seg = tmp.path().join(segment_name(1));
-        let len = fs::metadata(&seg).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
-
-        let mut cur = WalCursor::new(tmp.path());
-        // Torn tail: the valid prefix comes back, no error.
-        assert_eq!(cur.poll().unwrap().len(), 1);
-        assert!(cur.poll().unwrap().is_empty());
-
-        // But a complete frame with a flipped bit is corruption.
-        let tmp2 = ScratchDir::new("wal-cursor-damage");
-        let mut wal = Wal::open(tmp2.path(), Wal::DEFAULT_SEGMENT_BYTES).unwrap();
-        wal.append_batch(&[w("R", 0, "insert 0 into R")]).unwrap();
-        drop(wal);
-        let seg = tmp2.path().join(segment_name(1));
-        let mut bytes = fs::read(&seg).unwrap();
-        bytes[10] ^= 0x01;
-        fs::write(&seg, &bytes).unwrap();
-        assert!(WalCursor::new(tmp2.path()).poll().is_err());
     }
 
     #[test]

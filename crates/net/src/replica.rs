@@ -17,9 +17,14 @@
 //! only history a replica can miss is what the primary committed before
 //! this medium existed (its recovered disk state) — which is exactly what
 //! the catch-up handshake ships: the newest checkpoint, exported as one
-//! blob, plus the uncovered WAL tail. Overlap between snapshot and stream
-//! is harmless because per-relation write sequence numbers make apply
-//! idempotent (records below a relation's mark are skipped).
+//! blob, plus the uncovered WAL tail. A replica's state always comes from
+//! the durable crate's one recovery function, `recover_state`: at startup
+//! over its own directory, and again after importing a shipped checkpoint
+//! (the import becomes its newest manifest; replay above the manifest's
+//! marks restores whatever its own log holds past it). Overlap between
+//! snapshot and stream is harmless because per-relation write sequence
+//! numbers make apply idempotent (records below a relation's mark are
+//! skipped).
 //!
 //! **Read-your-writes.** A batch's `Replicate` hits the medium *before*
 //! any of its transactions are acknowledged (the sender sits in the commit
@@ -56,7 +61,8 @@ use std::thread::JoinHandle;
 
 use fundb_core::CommitSink;
 use fundb_durable::{
-    decode_records, encode_records, fresh_records, replay_records, DurableEngine, Wal, WalRecord,
+    checkpoint_dir, decode_records, encode_records, import, recover_state, replay_records, wal_dir,
+    DurableEngine, Wal, WalRecord,
 };
 use fundb_lenient::Stream;
 use fundb_query::{parse, translate, Query, Response};
@@ -70,10 +76,6 @@ use crate::primary::{run_primary_loop, PrimaryRole};
 /// originate from. No running site serves it — but the cluster's `sync`
 /// reads its `choose` stream to collect ping answers.
 pub(crate) const CONTROL_SITE: SiteId = SiteId(u32::MAX - 1);
-
-fn invalid_data(e: impl fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
 
 /// A [`CommitSink`] that ships every committed batch to the replica sites.
 ///
@@ -148,15 +150,7 @@ impl ReplicationSender {
 
 impl CommitSink for ReplicationSender {
     fn commit_writes(&self, relation: &RelationName, writes: &[(u64, Query)]) -> io::Result<()> {
-        let records: Vec<WalRecord> = writes
-            .iter()
-            .map(|(seq, q)| WalRecord::Write {
-                relation: relation.as_str().to_string(),
-                seq: *seq,
-                query: q.to_string(),
-            })
-            .collect();
-        self.ship(&records);
+        self.ship(&WalRecord::write_run(relation, writes));
         Ok(())
     }
 
@@ -171,7 +165,6 @@ impl CommitSink for ReplicationSender {
 /// The mutable state a replica thread carries through its inbox.
 struct ReplicaState {
     dir: PathBuf,
-    ckpt_dir: PathBuf,
     medium: SharedMedium<DbPayload>,
     site: SiteId,
     /// The shard this replica belongs to (0 on an unsharded cluster).
@@ -201,50 +194,33 @@ impl ReplicaState {
         self.medium.send(Message::new(self.site, to, seq, payload));
     }
 
-    /// Logs then applies the records not already folded into our state.
-    /// Append-before-apply is the promotion invariant: everything visible
-    /// in `db` is in our log, so reopening the store recovers exactly this
-    /// state.
+    /// Replays `records` over our state, logs exactly the records the
+    /// replay applied, then installs the result. Append-before-install is
+    /// the promotion invariant: everything visible in `db` is in our log
+    /// (or an imported checkpoint), so reopening the store recovers
+    /// exactly this state.
     fn apply_records(&mut self, records: &[WalRecord]) -> io::Result<()> {
-        let fresh = fresh_records(&self.db, &self.marks, records)?;
-        if !fresh.is_empty() {
-            self.wal.append_batch(&fresh)?;
+        let state = replay_records(self.db.clone(), self.marks.clone(), records)?;
+        if !state.applied.is_empty() {
+            let applied: Vec<WalRecord> =
+                state.applied.iter().map(|&i| records[i].clone()).collect();
+            self.wal.append_batch(&applied)?;
         }
-        let db = std::mem::replace(&mut self.db, Database::empty());
-        let marks = std::mem::take(&mut self.marks);
-        let state = replay_records(db, marks, &fresh)?;
         self.db = state.database;
         self.marks = state.seq_marks;
         Ok(())
     }
 
-    /// Folds an imported checkpoint into our recovered state: per
-    /// relation, the side with the higher write mark wins (the checkpoint
-    /// for anything we lag on; our local replay where it is already ahead
-    /// of the primary's last checkpoint).
-    fn merge_checkpoint(&mut self, loaded: fundb_durable::LoadedCheckpoint) -> io::Result<()> {
-        for name in loaded.database.relation_names() {
-            let ckpt_mark = loaded.seq_marks.get(&name).copied().unwrap_or(0);
-            let local_mark = self.marks.get(&name).copied().unwrap_or(0);
-            if self.db.relation(&name).is_ok() && local_mark > ckpt_mark {
-                continue;
-            }
-            let rel = loaded
-                .database
-                .relation(&name)
-                .map_err(invalid_data)?
-                .clone();
-            let schema = loaded
-                .database
-                .schema(&name)
-                .map_err(invalid_data)?
-                .cloned();
-            self.db = self
-                .db
-                .with_relation_value(name.as_str(), rel, schema)
-                .map_err(invalid_data)?;
-            self.marks.insert(name.clone(), ckpt_mark);
-        }
+    /// Imports a shipped checkpoint as our newest manifest, then recovers
+    /// again: the checkpoint's state plus whatever our own log holds past
+    /// its marks. Nothing is applied before the snapshot lands, so the log
+    /// is as startup recovery left it and the second recovery only
+    /// re-reads it.
+    fn install_checkpoint(&mut self, blob: &[u8]) -> io::Result<()> {
+        import(&checkpoint_dir(&self.dir), blob)?;
+        let (cut, _) = recover_state(&self.dir)?;
+        self.db = cut.database;
+        self.marks = cut.seq_marks;
         Ok(())
     }
 
@@ -359,20 +335,10 @@ fn run_replica(
     workers: usize,
     batches: Arc<AtomicU64>,
 ) -> io::Result<u64> {
-    // 1. Local recovery, exactly like DurableEngine::open but without an
-    //    engine: repair our log, load our newest checkpoint, replay.
-    let wal_dir = dir.join("wal");
-    let ckpt_dir = dir.join("checkpoints");
-    let outcome = Wal::recover(&wal_dir)?;
-    let (db0, marks0) = match fundb_durable::load_latest(&ckpt_dir)? {
-        Some(l) => (l.database, l.seq_marks),
-        None => (Database::empty(), HashMap::new()),
-    };
-    let records: Vec<WalRecord> = outcome.records.into_iter().map(|s| s.record).collect();
-    let recovered = replay_records(db0, marks0, &records)?;
+    // 1. Local recovery, the same function DurableEngine::open runs.
+    let (recovered, _) = recover_state(&dir)?;
 
     let mut state = ReplicaState {
-        ckpt_dir: ckpt_dir.clone(),
         medium: medium.clone(),
         site,
         shard,
@@ -381,7 +347,7 @@ fn run_replica(
         // crash tears off this tail. Promotion syncs once before the log
         // becomes authoritative. Keeps log shipping off the disk's fsync
         // queue — the primary's commit latency must not feel the replicas.
-        wal: Wal::open(&wal_dir, Wal::DEFAULT_SEGMENT_BYTES)?.without_sync(),
+        wal: Wal::open(&wal_dir(&dir), Wal::DEFAULT_SEGMENT_BYTES)?.without_sync(),
         db: recovered.database,
         marks: recovered.seq_marks,
         pending: Vec::new(),
@@ -408,10 +374,7 @@ fn run_replica(
             DbPayload::Snapshot { .. } if caught_up => {} // duplicate
             DbPayload::Snapshot { checkpoint, tail } => {
                 if let Some(blob) = &checkpoint {
-                    fundb_durable::import(&state.ckpt_dir, blob)?;
-                    if let Some(l) = fundb_durable::load_latest(&state.ckpt_dir)? {
-                        state.merge_checkpoint(l)?;
-                    }
+                    state.install_checkpoint(blob)?;
                 }
                 state.apply_records(&decode_records(&tail)?)?;
                 caught_up = true;
@@ -423,17 +386,12 @@ fn run_replica(
             | DbPayload::Request { .. }
             | DbPayload::SyncPing { .. }
             | DbPayload::Sequenced { .. }
-            | DbPayload::SequencedAck { .. }
-                if !caught_up =>
-            {
-                buffered.push(msg);
-            }
-            DbPayload::Replicate { .. }
-            | DbPayload::Request { .. }
-            | DbPayload::SyncPing { .. }
-            | DbPayload::Sequenced { .. }
             | DbPayload::SequencedAck { .. } => {
-                state.handle_live(msg)?;
+                if caught_up {
+                    state.handle_live(msg)?;
+                } else {
+                    buffered.push(msg);
+                }
             }
             DbPayload::Promote { peers } => {
                 // The kill-then-promote protocol guarantees every batch

@@ -1,16 +1,29 @@
 //! End-to-end replication properties: read routing, the failover
 //! invariant (every acknowledged transaction survives promotion), and
-//! replica catch-up from a torn local log — on the replicated cluster,
-//! i.e. a [`ShardedCluster`] with one shard.
+//! replica catch-up from a torn local log and from a checkpointed primary
+//! — on the replicated cluster, i.e. a [`ShardedCluster`] with one shard.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fundb_durable::{fault, ScratchDir};
-use fundb_net::{Cluster, ShardedCluster, SiteId};
-use fundb_query::Response;
+use fundb_durable::{fault, DurableEngine, ScratchDir};
+use fundb_net::{ClientHandle, Cluster, ShardedCluster, SiteId};
+use fundb_query::{parse, translate, Response, Transaction};
 use fundb_relational::{Database, Tuple};
+
+fn tx(q: &str) -> Transaction {
+    translate(parse(q).expect("test query parses"))
+}
+
+/// The answer to `query`, failing the test rather than hanging when the
+/// site serving it never replies (a replica thread that died, say).
+fn answer(c: &ClientHandle, query: &str) -> Response {
+    c.submit(query)
+        .wait_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|| panic!("no answer to `{query}` within 5 s"))
+        .clone()
+}
 
 fn assert_found(resp: &Response, key: i64) {
     match resp {
@@ -144,6 +157,69 @@ fn replica_with_torn_log_catches_up_after_restart() {
     assert_eq!(*c.submit("count R").wait(), Response::Count(40));
     assert!(!c.submit("insert 40 into R").wait().is_error());
     assert_found(&c.submit("find 40 in R").wait_cloned(), 40);
+    cluster.shutdown();
+}
+
+/// A replica bootstrapped from a primary checkpoint that holds a view gets
+/// the view back *as a view*: later base writes shipped to the replica
+/// keep it maintained, so the replica's answers follow the primary's.
+#[test]
+fn replica_maintains_a_view_it_caught_up_from_a_checkpoint() {
+    let tmp = ScratchDir::new("repl-ckpt-view");
+    {
+        let (engine, _) = DurableEngine::open(&tmp.path().join("shard-0/primary"), 2).unwrap();
+        engine.run([
+            tx("create relation R as tree"),
+            tx("insert (1, 10) into R"),
+            tx("insert (2, 20) into R"),
+            tx("create view V as select from R where #1 > 15"),
+        ]);
+        engine.checkpoint().unwrap();
+    }
+    // With a single replica, every count and select routes to it.
+    let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 1).unwrap();
+    let c = cluster.client(0);
+    assert_eq!(answer(&c, "count V"), Response::Count(1));
+    assert!(!c.submit("insert (3, 30) into R").wait().is_error());
+    assert_eq!(answer(&c, "count V"), Response::Count(2));
+    assert_eq!(
+        answer(&c, "select from V").tuples().map(|ts| ts.len()),
+        Some(2)
+    );
+    cluster.shutdown();
+}
+
+/// A replica whose own log is older than the primary's newest checkpoint
+/// restarts, imports the checkpoint and recovers again: it serves keys its
+/// own log held, keys only the checkpoint holds, and keys only the
+/// primary's log tail holds.
+#[test]
+fn lagging_replica_restarts_against_a_checkpointed_primary() {
+    let tmp = ScratchDir::new("repl-ckpt-lag");
+    {
+        let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 1).unwrap();
+        let c = cluster.client(0);
+        assert!(!c.submit("create relation R").wait().is_error());
+        for k in 0..20 {
+            assert!(!c.submit(&format!("insert {k} into R")).wait().is_error());
+        }
+        cluster.sync();
+        cluster.shutdown();
+    }
+    // The primary runs on without its replica: writes, a checkpoint, and
+    // writes past the checkpoint.
+    {
+        let (engine, _) = DurableEngine::open(&tmp.path().join("shard-0/primary"), 2).unwrap();
+        engine.run((20..40).map(|k| tx(&format!("insert {k} into R"))));
+        engine.checkpoint().unwrap();
+        engine.run((40..45).map(|k| tx(&format!("insert {k} into R"))));
+    }
+    let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 1).unwrap();
+    let c = cluster.client(0);
+    for k in 0..45 {
+        assert_found(&answer(&c, &format!("find {k} in R")), k);
+    }
+    assert_eq!(answer(&c, "count R"), Response::Count(45));
     cluster.shutdown();
 }
 

@@ -13,6 +13,9 @@
 //! 3. reopen once more to show recovery is idempotent and numbering
 //!    resumes.
 //!
+//! Each lifetime asserts the counts it expects, so a recovery that loses
+//! or duplicates an acknowledged write fails the run.
+//!
 //! Run with: `cargo run --example durable_restart`
 
 use fundb::durable::{DurableEngine, ScratchDir};
@@ -65,9 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.skipped
     );
     let (resp, _) = tx("count Emp").apply(&engine.snapshot());
-    println!("count Emp after recovery: {resp} (expected 501)");
+    println!("count Emp after recovery: {resp}");
+    assert_eq!(resp, Response::Count(501), "lifetime 1 wrote 501 rows");
     let (resp, _) = tx("find 500 in Emp").apply(&engine.snapshot());
     println!("the post-checkpoint write survived: {resp}");
+    assert_eq!(resp.tuples().map(|ts| ts.len()), Some(1));
 
     // An incremental checkpoint of the recovered state: content
     // addressing means the unchanged structure costs nothing new.
@@ -91,7 +96,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cut.seq_marks[&"Emp".into()]
     );
     let (resp, _) = tx("count Emp").apply(&cut.database);
-    println!("count Emp: {resp} (expected 502)");
+    println!("count Emp: {resp}");
+    assert_eq!(resp, Response::Count(502), "lifetime 2 added one row");
+    assert_eq!(cut.seq_marks[&"Emp".into()], 502, "numbering resumes");
 
     std::fs::remove_dir_all(&dir)?;
     Ok(())

@@ -12,6 +12,15 @@ fn bench_persist(c: &mut Criterion) {
     println!("copying fraction for one insert at n = {n}:");
     println!("  list  : {}", list.insert_sorted_counted(n / 2).1);
     println!("  B-tree: {}", bt.insert_counted(n + 1, 0).1);
+    // The batch kernel where a page splits: bulk loading fills every page,
+    // so a one-effect batch into a degree-16 leaf splits it and every full
+    // page above it, and the split is repaired in place.
+    let full: BTree<u32, u32> = BTree::from_sorted_entries(16, (0..20_000u32).map(|k| (k * 2, k)));
+    let (_, report) = full.merge_batch_counted(&[(1, Some(0))]);
+    println!(
+        "one-effect merge_batch into a full degree-16 leaf (height {}): {report}",
+        full.height()
+    );
 
     let mut group = c.benchmark_group("persist_insert");
     for size in [256u32, 4096] {

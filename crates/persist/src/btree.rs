@@ -15,6 +15,7 @@
 //! A functional B-tree in this style was implemented for the paper's group
 //! by Paul Hudak (Section 5); this is the Rust equivalent.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::iter::FromIterator;
@@ -310,11 +311,16 @@ impl<K, V> BTree<K, V> {
 }
 
 impl<K: Ord, V> BTree<K, V> {
-    /// Looks up `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Looks up `key`, or any borrowed form of it that orders the same way
+    /// (a `&[T]` for `Arc<[T]>` keys, say), so a probe builds no key.
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let mut cur: &BNode<K, V> = &self.root;
         loop {
-            match cur.keys.binary_search_by(|(k, _)| k.cmp(key)) {
+            match cur.keys.binary_search_by(|(k, _)| k.borrow().cmp(key)) {
                 Ok(i) => return Some(&cur.keys[i].1),
                 Err(i) => {
                     if cur.is_leaf() {
@@ -327,22 +333,36 @@ impl<K: Ord, V> BTree<K, V> {
     }
 
     /// `true` if `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.get(key).is_some()
     }
 
     /// All entries with `lo <= key <= hi`, ascending; prunes pages wholly
-    /// outside the range (O(log n + answer size) pages touched).
-    pub fn range(&self, lo: &K, hi: &K) -> Vec<(&K, &V)> {
-        fn go<'a, K: Ord, V>(n: &'a BNode<K, V>, lo: &K, hi: &K, out: &mut Vec<(&'a K, &'a V)>) {
-            let start = n.keys.partition_point(|(k, _)| k < lo);
+    /// outside the range (O(log n + answer size) pages touched). The bounds
+    /// may be borrowed forms of the key, as for [`get`](Self::get).
+    pub fn range<Q>(&self, lo: &Q, hi: &Q) -> Vec<(&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        fn go<'a, K: Borrow<Q>, V, Q: Ord + ?Sized>(
+            n: &'a BNode<K, V>,
+            lo: &Q,
+            hi: &Q,
+            out: &mut Vec<(&'a K, &'a V)>,
+        ) {
+            let start = n.keys.partition_point(|(k, _)| k.borrow() < lo);
             // Child i precedes key i; visit child `start` through the child
             // after the last in-range key.
             let mut i = start;
             if !n.is_leaf() {
                 go(&n.children[i], lo, hi, out);
             }
-            while i < n.keys.len() && n.keys[i].0 <= *hi {
+            while i < n.keys.len() && n.keys[i].0.borrow() <= hi {
                 let (k, v) = &n.keys[i];
                 out.push((k, v));
                 if !n.is_leaf() {
@@ -579,7 +599,7 @@ fn delete_from<K: Ord + Clone, V: Clone>(
                 debug_assert!(pred_removed.is_some());
             } else if page.children[i + 1].keys.len() >= t {
                 // Replace with successor from the right child.
-                let (sk, sv) = min_entry(&page.children[i + 1]);
+                let (sk, sv) = min_entry(&page.children[i + 1]).expect("a rich child is nonempty");
                 let mut succ_removed = None;
                 page.children[i + 1] =
                     delete_from(&page.children[i + 1], &sk, t, &mut succ_removed, copied);
@@ -608,12 +628,15 @@ fn max_entry<K: Clone, V: Clone>(node: &Arc<BNode<K, V>>) -> (K, V) {
     cur.keys.last().expect("nonempty page").clone()
 }
 
-fn min_entry<K: Clone, V: Clone>(node: &Arc<BNode<K, V>>) -> (K, V) {
+/// The smallest entry under `node`, or `None` for an empty subtree. Below
+/// a page holding keys every page is legal, so only a chain of keyless
+/// pages can end in an empty leaf.
+fn min_entry<K: Clone, V: Clone>(node: &Arc<BNode<K, V>>) -> Option<(K, V)> {
     let mut cur = node;
-    while !cur.is_leaf() {
-        cur = &cur.children[0];
+    while let Some(first) = cur.children.first() {
+        cur = first;
     }
-    cur.keys.first().expect("nonempty page").clone()
+    cur.keys.first().cloned()
 }
 
 /// Merges child `i`, separator key `i`, and child `i+1` into a single child
@@ -695,316 +718,164 @@ fn ensure_rich_child<K: Clone, V: Clone>(
     }
 }
 
-/// Result of joining along a spine: either the subtree still fits in one
-/// node, or it overflowed and split around a promoted separator.
-enum JoinRes<K, V> {
-    Fit(Arc<BNode<K, V>>),
-    Split(Arc<BNode<K, V>>, (K, V), Arc<BNode<K, V>>),
+/// `page` as an owned page to rewrite. A page this batch made is taken
+/// over in place; a page the old tree still holds is copied, and counted.
+/// The old tree holds all its pages while a batch runs, so none of them is
+/// ever taken over, and each is copied at most once: later rewrites find
+/// the copy.
+fn own<K: Clone, V: Clone>(page: Arc<BNode<K, V>>, copied: &mut u64) -> BNode<K, V> {
+    Arc::try_unwrap(page).unwrap_or_else(|shared| {
+        *copied += 1;
+        (*shared).clone()
+    })
 }
 
-/// Joins two same-height subtrees around a separator by fusing their root
-/// pages: one merged page if the entries fit, otherwise a redistribution
-/// around a new median.
+/// Legal pages in key order and the separators that go between them.
+type Pieces<K, V> = (Vec<Arc<BNode<K, V>>>, Vec<(K, V)>);
+
+/// Cuts a page into legal pages filled to capacity left to right, the
+/// last two balanced so the last keeps at least `t - 1` keys — the bulk
+/// loader's fill, so appends leave full pages behind. A page of at most
+/// `2t - 1` keys comes back whole. The first piece is the page itself;
+/// each further one is a new page.
+fn split_legal<K, V>(page: BNode<K, V>, t: usize, copied: &mut u64) -> Pieces<K, V> {
+    let (cap, min) = (2 * t - 1, t - 1);
+    let leaf = page.is_leaf();
+    let mut left = page.keys.len();
+    let mut keys = page.keys.into_iter();
+    let mut children = page.children.into_iter();
+    let (mut pages, mut seps) = (Vec::new(), Vec::new());
+    loop {
+        let mut take = cap.min(left);
+        // Keys after this piece, the separator included.
+        let after = left - take;
+        if after > 0 && after - 1 < min {
+            take = (left - 1 - min).max(min);
+        }
+        left -= take;
+        pages.push(Arc::new(BNode {
+            keys: keys.by_ref().take(take).collect(),
+            children: if leaf {
+                Vec::new()
+            } else {
+                children.by_ref().take(take + 1).collect()
+            },
+        }));
+        match keys.next() {
+            Some(sep) => {
+                seps.push(sep);
+                left -= 1;
+            }
+            None => break,
+        }
+    }
+    *copied += pages.len() as u64 - 1;
+    (pages, seps)
+}
+
+/// Fuses two neighbouring same-height pages and the separator between
+/// them into one page and repairs the seam below it. The result may be
+/// overfull; the caller cuts it. `l` is rewritten (copied if the old tree
+/// holds it); `r`'s entries move into it.
 fn fuse_pages<K: Clone, V: Clone>(
-    l: &Arc<BNode<K, V>>,
+    l: Arc<BNode<K, V>>,
     sep: (K, V),
-    r: &Arc<BNode<K, V>>,
+    r: Arc<BNode<K, V>>,
     t: usize,
     copied: &mut u64,
-) -> JoinRes<K, V> {
-    let total = l.keys.len() + 1 + r.keys.len();
-    if total < 2 * t {
-        let mut keys = l.keys.clone();
-        keys.push(sep);
-        keys.extend(r.keys.iter().cloned());
-        let mut children = l.children.clone();
-        children.extend(r.children.iter().cloned());
-        *copied += 1;
-        return JoinRes::Fit(Arc::new(BNode { keys, children }));
-    }
-    // Redistribute around the overall median. With total >= 2t both sides
-    // keep at least t - 1 entries.
-    let mut keys = l.keys.clone();
-    keys.push(sep);
-    keys.extend(r.keys.iter().cloned());
-    let mut children = l.children.clone();
-    children.extend(r.children.iter().cloned());
-    let m = (total - 1) / 2;
-    let right = BNode {
-        keys: keys[m + 1..].to_vec(),
-        children: if children.is_empty() {
-            Vec::new()
+) -> BNode<K, V> {
+    let mut page = own(l, copied);
+    let r = Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone());
+    page.keys.push(sep);
+    page.keys.extend(r.keys);
+    page.children.extend(r.children);
+    repair(&mut page, t, copied);
+    page
+}
+
+/// Makes every child of `page` legal: an overfull child is cut into legal
+/// pages spliced in its place, an underfull one is fused with a neighbour.
+/// A sole underfull child is left for the level above to fuse (or, under
+/// the root, to collapse). Only pages this batch rewrote can be illegal,
+/// so the repair touches the changed pages, one neighbour of each that
+/// underflows, and the pages along the seam a fuse leaves below.
+fn repair<K: Clone, V: Clone>(page: &mut BNode<K, V>, t: usize, copied: &mut u64) {
+    let mut i = 0;
+    while i < page.children.len() {
+        let n = page.children[i].keys.len();
+        if n > 2 * t - 1 {
+            let (pages, seps) = split_legal(own(page.children.remove(i), copied), t, copied);
+            let added = pages.len();
+            page.children.splice(i..i, pages);
+            page.keys.splice(i..i, seps);
+            i += added;
+        } else if n < t - 1 && page.children.len() > 1 {
+            // Fuse children j and j + 1: the right neighbour, or the left
+            // one for the last child. The fused page is checked again.
+            let j = i.min(page.children.len() - 2);
+            let r = page.children.remove(j + 1);
+            let sep = page.keys.remove(j);
+            let fused = fuse_pages(page.children.remove(j), sep, r, t, copied);
+            page.children.insert(j, Arc::new(fused));
+            i = j;
         } else {
-            children[m + 1..].to_vec()
-        },
-    };
-    let mid = keys[m].clone();
-    keys.truncate(m);
-    if !children.is_empty() {
-        children.truncate(m + 1);
-    }
-    *copied += 2;
-    JoinRes::Split(Arc::new(BNode { keys, children }), mid, Arc::new(right))
-}
-
-/// Splits a page that ended up with more than `2t - 1` keys after a child
-/// split landed in it. The page has at most `2t` keys, so both halves are
-/// legal.
-fn split_overfull<K: Clone, V: Clone>(page: BNode<K, V>, copied: &mut u64) -> JoinRes<K, V> {
-    let m = page.keys.len() / 2;
-    let right = BNode {
-        keys: page.keys[m + 1..].to_vec(),
-        children: if page.is_leaf() {
-            Vec::new()
-        } else {
-            page.children[m + 1..].to_vec()
-        },
-    };
-    let mid = page.keys[m].clone();
-    let mut left = page;
-    left.keys.truncate(m);
-    if !left.is_leaf() {
-        left.children.truncate(m + 1);
-    }
-    *copied += 1;
-    JoinRes::Split(Arc::new(left), mid, Arc::new(right))
-}
-
-/// Joins `node` (height `h`) with the shorter subtree `r` (height `rh <=
-/// h`) around `sep`, descending `node`'s right spine until the heights
-/// meet.
-fn join_right<K: Clone, V: Clone>(
-    node: &Arc<BNode<K, V>>,
-    h: usize,
-    sep: (K, V),
-    r: &Arc<BNode<K, V>>,
-    rh: usize,
-    t: usize,
-    copied: &mut u64,
-) -> JoinRes<K, V> {
-    if h == rh {
-        return fuse_pages(node, sep, r, t, copied);
-    }
-    let mut page: BNode<K, V> = (**node).clone();
-    *copied += 1;
-    let last = page.children.len() - 1;
-    match join_right(&page.children[last], h - 1, sep, r, rh, t, copied) {
-        JoinRes::Fit(n) => {
-            page.children[last] = n;
-        }
-        JoinRes::Split(a, s, b) => {
-            page.children[last] = a;
-            page.keys.push(s);
-            page.children.push(b);
-        }
-    }
-    if page.keys.len() > 2 * t - 1 {
-        split_overfull(page, copied)
-    } else {
-        JoinRes::Fit(Arc::new(page))
-    }
-}
-
-/// Mirror of [`join_right`]: joins the shorter subtree `l` (height `lh <=
-/// h`) on the left of `node` (height `h`), descending the left spine.
-fn join_left<K: Clone, V: Clone>(
-    l: &Arc<BNode<K, V>>,
-    lh: usize,
-    sep: (K, V),
-    node: &Arc<BNode<K, V>>,
-    h: usize,
-    t: usize,
-    copied: &mut u64,
-) -> JoinRes<K, V> {
-    if h == lh {
-        return fuse_pages(l, sep, node, t, copied);
-    }
-    let mut page: BNode<K, V> = (**node).clone();
-    *copied += 1;
-    match join_left(l, lh, sep, &page.children[0], h - 1, t, copied) {
-        JoinRes::Fit(n) => {
-            page.children[0] = n;
-        }
-        JoinRes::Split(a, s, b) => {
-            page.children[0] = b;
-            page.keys.insert(0, s);
-            page.children.insert(0, a);
-        }
-    }
-    if page.keys.len() > 2 * t - 1 {
-        split_overfull(page, copied)
-    } else {
-        JoinRes::Fit(Arc::new(page))
-    }
-}
-
-/// Inserts one entry into a standalone subtree of height `h`, returning the
-/// new subtree and its height. Used when one side of a join is empty.
-fn insert_entry<K: Ord + Clone, V: Clone>(
-    node: &Arc<BNode<K, V>>,
-    h: usize,
-    key: K,
-    value: V,
-    t: usize,
-    copied: &mut u64,
-) -> (Arc<BNode<K, V>>, usize) {
-    if node.keys.is_empty() {
-        *copied += 1;
-        return (
-            Arc::new(BNode {
-                keys: vec![(key, value)],
-                children: Vec::new(),
-            }),
-            1,
-        );
-    }
-    if node.keys.len() == 2 * t - 1 {
-        let (left, mid, right) = split_page(node, t, copied);
-        let new_root = Arc::new(BNode {
-            keys: vec![mid],
-            children: vec![left, right],
-        });
-        *copied += 1;
-        (insert_nonfull(&new_root, key, |_| value, t, copied), h + 1)
-    } else {
-        (insert_nonfull(node, key, |_| value, t, copied), h)
-    }
-}
-
-/// Joins two subtrees of arbitrary heights around a separator entry,
-/// returning the joined subtree and its height.
-fn join_nodes<K: Ord + Clone, V: Clone>(
-    l: &Arc<BNode<K, V>>,
-    lh: usize,
-    sep: (K, V),
-    r: &Arc<BNode<K, V>>,
-    rh: usize,
-    t: usize,
-    copied: &mut u64,
-) -> (Arc<BNode<K, V>>, usize) {
-    if l.keys.is_empty() {
-        return insert_entry(r, rh, sep.0, sep.1, t, copied);
-    }
-    if r.keys.is_empty() {
-        return insert_entry(l, lh, sep.0, sep.1, t, copied);
-    }
-    let res = match lh.cmp(&rh) {
-        std::cmp::Ordering::Equal => fuse_pages(l, sep, r, t, copied),
-        std::cmp::Ordering::Greater => join_right(l, lh, sep, r, rh, t, copied),
-        std::cmp::Ordering::Less => join_left(l, lh, sep, r, rh, t, copied),
-    };
-    let base = lh.max(rh);
-    match res {
-        JoinRes::Fit(n) => (n, base),
-        JoinRes::Split(a, s, b) => {
-            *copied += 1;
-            (
-                Arc::new(BNode {
-                    keys: vec![s],
-                    children: vec![a, b],
-                }),
-                base + 1,
-            )
+            i += 1;
         }
     }
 }
 
-/// Joins two subtrees with no separator: pops the minimum of the right side
-/// to serve as one.
-fn join2_nodes<K: Ord + Clone, V: Clone>(
-    l: &Arc<BNode<K, V>>,
-    lh: usize,
-    r: &Arc<BNode<K, V>>,
-    rh: usize,
-    t: usize,
-    copied: &mut u64,
-) -> (Arc<BNode<K, V>>, usize) {
-    if r.keys.is_empty() {
-        return (l.clone(), lh);
-    }
-    if l.keys.is_empty() {
-        return (r.clone(), rh);
-    }
-    let (k, v) = min_entry(r);
-    let mut removed = None;
-    let mut rest = delete_from(r, &k, t, &mut removed, copied);
-    let mut rest_h = rh;
-    if rest.keys.is_empty() && !rest.is_leaf() {
-        rest = rest.children[0].clone();
-        rest_h -= 1;
-    }
-    join_nodes(l, lh, (k, v), &rest, rest_h, t, copied)
-}
-
-/// Rebuilds a subtree from scratch out of sorted entries, counting every
-/// page it allocates.
-fn build_subtree<K: Ord + Clone, V: Clone>(
-    entries: Vec<(K, V)>,
-    t: usize,
-    copied: &mut u64,
-) -> (Arc<BNode<K, V>>, usize) {
-    let tree = BTree::from_sorted_entries(t, entries);
-    *copied += tree.node_count();
-    let h = tree.height().max(1);
-    (tree.root, h)
-}
-
-/// One-pass batch merge over a subtree of height `h`. Returns the merged
-/// subtree and its height; `delta` accumulates the net entry-count change.
+/// Merges `batch` into the subtree under `node` in one pass, returning
+/// `node` itself when nothing under it changes. A returned page may hold
+/// too many or too few keys — the level above repairs it — but every page
+/// below it is legal, save a sole underfull child of a page left with no
+/// keys. `delta` accumulates the net entry-count change.
 fn merge_page<K: Ord + Clone, V: Clone>(
-    node: &Arc<BNode<K, V>>,
-    h: usize,
+    mut node: Arc<BNode<K, V>>,
     batch: &[(K, Option<V>)],
     t: usize,
     copied: &mut u64,
     delta: &mut i64,
-) -> (Arc<BNode<K, V>>, usize) {
+) -> Arc<BNode<K, V>> {
     if batch.is_empty() {
-        return (node.clone(), h);
+        return node;
     }
-    if h == 1 {
-        // Leaf page: two-pointer merge of the page entries with the batch.
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(node.keys.len() + batch.len());
-        let mut changed = false;
-        let mut bi = 0;
-        for (k, v) in &node.keys {
-            while bi < batch.len() && batch[bi].0 < *k {
-                if let Some(nv) = &batch[bi].1 {
-                    entries.push((batch[bi].0.clone(), nv.clone()));
+    if node.is_leaf() {
+        let touched = batch
+            .iter()
+            .any(|(k, eff)| eff.is_some() || node.keys.binary_search_by(|(x, _)| x.cmp(k)).is_ok());
+        if !touched {
+            return node;
+        }
+        // Two-pointer merge of the page entries with the batch.
+        let mut page = own(node, copied);
+        let old = std::mem::take(&mut page.keys);
+        page.keys.reserve(old.len() + batch.len());
+        let mut effects = batch.iter().peekable();
+        for (k, v) in old {
+            while let Some((bk, eff)) = effects.next_if(|(bk, _)| *bk < k) {
+                if let Some(nv) = eff {
+                    page.keys.push((bk.clone(), nv.clone()));
                     *delta += 1;
-                    changed = true;
                 }
-                bi += 1;
             }
-            if bi < batch.len() && batch[bi].0 == *k {
-                match &batch[bi].1 {
-                    Some(nv) => entries.push((k.clone(), nv.clone())),
-                    None => *delta -= 1,
-                }
-                changed = true;
-                bi += 1;
-            } else {
-                entries.push((k.clone(), v.clone()));
+            match effects.next_if(|(bk, _)| *bk == k) {
+                Some((_, Some(nv))) => page.keys.push((k, nv.clone())),
+                Some((_, None)) => *delta -= 1,
+                None => page.keys.push((k, v)),
             }
         }
-        while bi < batch.len() {
-            if let Some(nv) = &batch[bi].1 {
-                entries.push((batch[bi].0.clone(), nv.clone()));
+        for (bk, eff) in effects {
+            if let Some(nv) = eff {
+                page.keys.push((bk.clone(), nv.clone()));
                 *delta += 1;
-                changed = true;
             }
-            bi += 1;
         }
-        if !changed {
-            return (node.clone(), h);
-        }
-        return build_subtree(entries, t, copied);
+        return Arc::new(page);
     }
     // Internal page: split the batch per child slot and merge recursively.
-    let k = node.keys.len();
     let mut rest = batch;
-    let mut child_batches: Vec<&[(K, Option<V>)]> = Vec::with_capacity(k + 1);
-    let mut key_effects: Vec<Option<&Option<V>>> = Vec::with_capacity(k);
+    let mut child_batches: Vec<&[(K, Option<V>)]> = Vec::with_capacity(node.keys.len() + 1);
+    let mut key_effects: Vec<Option<&Option<V>>> = Vec::with_capacity(node.keys.len());
     for (key, _) in &node.keys {
         let (lo, eff, hi) = crate::batch::split_batch(rest, key);
         child_batches.push(lo);
@@ -1012,67 +883,56 @@ fn merge_page<K: Ord + Clone, V: Clone>(
         rest = hi;
     }
     child_batches.push(rest);
-    let merged: Vec<(Arc<BNode<K, V>>, usize)> = node
-        .children
-        .iter()
+    // A page this batch made gives its children up, so the ones it made
+    // too are rewritten in place rather than copied again.
+    let (children, fresh) = match Arc::get_mut(&mut node) {
+        Some(page) => (std::mem::take(&mut page.children), true),
+        None => (node.children.clone(), false),
+    };
+    let merged: Vec<Arc<BNode<K, V>>> = children
+        .into_iter()
         .zip(&child_batches)
-        .map(|(c, b)| merge_page(c, h - 1, b, t, copied, delta))
+        .map(|(c, b)| merge_page(c, b, t, copied, delta))
         .collect();
-    // Fast path: no page-key deletes, every child kept its height, and no
-    // child fell under the occupancy floor — the page skeleton survives, so
-    // copy it once and swap the children in.
-    let children_legal = merged
-        .iter()
-        .all(|(m, ch)| *ch == h - 1 && m.keys.len() >= t - 1);
-    let any_delete = key_effects.iter().any(|e| matches!(e, Some(None)));
-    if children_legal && !any_delete {
-        let all_shared = key_effects.iter().all(|e| e.is_none())
-            && merged
-                .iter()
-                .zip(&node.children)
-                .all(|((m, _), c)| Arc::ptr_eq(m, c));
-        if all_shared {
-            return (node.clone(), h);
-        }
-        let mut page: BNode<K, V> = (**node).clone();
-        *copied += 1;
-        for (i, (m, _)) in merged.iter().enumerate() {
-            page.children[i] = m.clone();
-        }
-        for (i, eff) in key_effects.iter().enumerate() {
-            if let Some(Some(nv)) = eff {
-                page.keys[i] = (page.keys[i].0.clone(), (*nv).clone());
-            }
-        }
-        return (Arc::new(page), h);
+    if !fresh
+        && key_effects.iter().all(Option::is_none)
+        && merged
+            .iter()
+            .zip(&node.children)
+            .all(|(m, c)| Arc::ptr_eq(m, c))
+    {
+        return node;
     }
-    // Fallback: fold the merged children back together with joins.
-    let mut it = merged.into_iter();
-    let (mut acc, mut acc_h) = it.next().expect("at least one child");
-    for (i, (m, mh)) in it.enumerate() {
-        let (key, value) = &node.keys[i];
-        match key_effects[i] {
-            None => {
-                let e = (key.clone(), value.clone());
-                let (n, nh) = join_nodes(&acc, acc_h, e, &m, mh, t, copied);
-                acc = n;
-                acc_h = nh;
-            }
-            Some(Some(nv)) => {
-                let e = (key.clone(), nv.clone());
-                let (n, nh) = join_nodes(&acc, acc_h, e, &m, mh, t, copied);
-                acc = n;
-                acc_h = nh;
-            }
+    let mut page = own(node, copied);
+    page.children = merged;
+    // Right to left, so a dropped separator shifts no effect still to come.
+    for (i, eff) in key_effects.iter().enumerate().rev() {
+        match eff {
+            None => {}
+            Some(Some(nv)) => page.keys[i].1 = nv.clone(),
             Some(None) => {
                 *delta -= 1;
-                let (n, nh) = join2_nodes(&acc, acc_h, &m, mh, t, copied);
-                acc = n;
-                acc_h = nh;
+                match min_entry(&page.children[i + 1]) {
+                    // The right subtree's minimum moves up to separate.
+                    Some(min) => {
+                        let right = page.children.remove(i + 1);
+                        let remove_min = [(min.0.clone(), None)];
+                        let right = merge_page(right, &remove_min, t, copied, &mut 0);
+                        page.children.insert(i + 1, right);
+                        page.keys[i] = min;
+                    }
+                    // Nothing survives right of the separator: it goes
+                    // with its empty subtree.
+                    None => {
+                        page.keys.remove(i);
+                        page.children.remove(i + 1);
+                    }
+                }
             }
         }
     }
-    (acc, acc_h)
+    repair(&mut page, t, copied);
+    Arc::new(page)
 }
 
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
@@ -1082,6 +942,13 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// effects cost O(k + touched pages) copies instead of `k` full
     /// root-to-leaf path copies. Returns the new tree and the number of
     /// pages it allocated.
+    ///
+    /// Pages the batch overfills or underfills are repaired where they
+    /// sit: an overfull page is cut into legal pages spliced into its
+    /// parent, an underfull one is fused with one neighbour, a deleted
+    /// separator is replaced by the minimum of the subtree to its right,
+    /// and the root grows or collapses a level as needed. A split or a
+    /// fuse copies the pages it writes and nothing else.
     ///
     /// An empty tree routes through [`BTree::from_sorted_entries`] — the
     /// bulk-load path — so initial loads are O(n).
@@ -1103,19 +970,20 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         }
         let mut copied = 0u64;
         let mut delta = 0i64;
-        let h = self.height();
-        let (mut root, _) = merge_page(&self.root, h, batch, t, &mut copied, &mut delta);
-        if root.keys.is_empty() && !root.is_leaf() {
+        let mut root = merge_page(self.root.clone(), batch, t, &mut copied, &mut delta);
+        // The root grows a level while it is overfull, and collapses
+        // while it has no keys and one child.
+        while root.keys.len() > 2 * t - 1 {
+            let (children, keys) = split_legal(own(root, &mut copied), t, &mut copied);
+            root = Arc::new(BNode { keys, children });
+            copied += 1;
+        }
+        while root.keys.is_empty() && !root.is_leaf() {
             root = root.children[0].clone();
         }
-        let len = (self.len as i64 + delta) as usize;
         let out = BTree {
-            root: if len == 0 {
-                Arc::new(BNode::leaf())
-            } else {
-                root
-            },
-            len,
+            root,
+            len: (self.len as i64 + delta) as usize,
             min_degree: t,
         };
         (out, copied)
@@ -1134,9 +1002,9 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// Bulk-loads from entries that are already sorted by strictly
     /// ascending key — O(n), against O(n log n) repeated insertion.
     ///
-    /// Builds maximally-filled pages bottom-up: leaves first, then parent
-    /// levels over the separator keys, so the result satisfies all B-tree
-    /// invariants.
+    /// Builds maximally-filled pages: the entries start as one leaf, which
+    /// is cut into legal pages under a new root until the root fits —
+    /// the way `merge_batch` grows an overfull root.
     ///
     /// # Panics
     ///
@@ -1146,83 +1014,25 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         I: IntoIterator<Item = (K, V)>,
     {
         assert!(min_degree >= 2, "B-tree minimum degree must be at least 2");
-        let entries: Vec<(K, V)> = entries.into_iter().collect();
-        for (i, w) in entries.windows(2).enumerate() {
+        let keys: Vec<(K, V)> = entries.into_iter().collect();
+        for (i, w) in keys.windows(2).enumerate() {
             assert!(
                 w[0].0 < w[1].0,
                 "bulk load requires strictly ascending keys (violated at index {})",
                 i + 1
             );
         }
-        let len = entries.len();
-        if len == 0 {
-            return BTree::new(min_degree);
-        }
-        let cap = 2 * min_degree - 1;
-        // Choose a per-page fill that keeps every page legal (>= t-1 keys):
-        // near-full pages, with the tail page borrowing if it would be
-        // under-filled.
-        let fill = cap; // fill pages to capacity, then fix the tail
-        let min_keys = min_degree - 1;
-
-        // Level 0: split entries into leaf pages.
-        let mut level: Vec<BNode<K, V>> = Vec::new();
-        let mut seps: Vec<(K, V)> = Vec::new(); // separators promoted upward
-        let mut i = 0;
-        while i < len {
-            let mut take = fill.min(len - i);
-            // If this page would leave an illegal tail (< min_keys after
-            // the next separator), rebalance the final two pages.
-            let after = len - (i + take);
-            if after > 0 && after - 1 < min_keys {
-                take = (len - i - 1 - min_keys).max(min_keys);
-            }
-            let page: Vec<(K, V)> = entries[i..i + take].to_vec();
-            i += take;
-            level.push(BNode {
-                keys: page,
-                children: Vec::new(),
-            });
-            if i < len {
-                seps.push(entries[i].clone());
-                i += 1;
-            }
-        }
-
-        // Build parent levels until one root remains.
-        let mut children: Vec<Arc<BNode<K, V>>> = level.into_iter().map(Arc::new).collect();
-        let mut separators = seps;
-        while children.len() > 1 {
-            let mut next_children: Vec<Arc<BNode<K, V>>> = Vec::new();
-            let mut next_separators: Vec<(K, V)> = Vec::new();
-            let total = children.len();
-            let mut ci = 0; // child cursor
-            let mut si = 0; // separator cursor
-            while ci < total {
-                // A parent holding k keys spans k+1 children.
-                let mut span = (cap + 1).min(total - ci);
-                let remaining_children = total - (ci + span);
-                if remaining_children > 0 && remaining_children < min_degree {
-                    span = (total - ci - min_degree).max(min_degree);
-                }
-                let node_children: Vec<Arc<BNode<K, V>>> = children[ci..ci + span].to_vec();
-                let node_keys: Vec<(K, V)> = separators[si..si + span - 1].to_vec();
-                ci += span;
-                si += span - 1;
-                next_children.push(Arc::new(BNode {
-                    keys: node_keys,
-                    children: node_children,
-                }));
-                if ci < total {
-                    next_separators.push(separators[si].clone());
-                    si += 1;
-                }
-            }
-            children = next_children;
-            separators = next_separators;
+        let len = keys.len();
+        let mut root = BNode {
+            keys,
+            children: Vec::new(),
+        };
+        while root.keys.len() > 2 * min_degree - 1 {
+            let (children, keys) = split_legal(root, min_degree, &mut 0);
+            root = BNode { keys, children };
         }
         BTree {
-            root: children.pop().expect("at least one node"),
+            root: Arc::new(root),
             len,
             min_degree,
         }
@@ -1561,9 +1371,33 @@ mod tests {
         assert_eq!(t.page_capacity(), 15);
     }
 
+    /// The keys of every page at height `min_height` or more (leaves are
+    /// height 1): the separators a delete there has to replace.
+    fn keys_at_height<K: Clone, V>(tree: &BTree<K, V>, min_height: usize) -> Vec<K> {
+        fn go<K: Clone, V>(n: &BNode<K, V>, h: usize, min: usize, out: &mut Vec<K>) {
+            if h < min {
+                return;
+            }
+            out.extend(n.keys.iter().map(|(k, _)| k.clone()));
+            for c in &n.children {
+                go(c, h - 1, min, out);
+            }
+        }
+        let mut out = Vec::new();
+        go(&tree.root, tree.height(), min_height, &mut out);
+        out
+    }
+
+    /// Addresses of every page reachable from the root.
+    fn page_addrs<K, V>(tree: &BTree<K, V>) -> std::collections::HashSet<usize> {
+        let mut memo = HashMap::new();
+        tree.fold_nodes(&mut memo, &mut |_, _| ());
+        memo.into_keys().collect()
+    }
+
     #[test]
     fn merge_batch_matches_sequential_application() {
-        for t in [2usize, 3, 4] {
+        for t in [2usize, 3, 4, 16] {
             let mut state = 0xabcd_1234u64 ^ (t as u64);
             let mut rand = move || {
                 state = state
@@ -1571,15 +1405,45 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 (state >> 33) as u32
             };
-            let mut tree: BTree<u32, u32> = BTree::new(t);
-            let mut model: BTreeMap<u32, u32> = BTreeMap::new();
-            for round in 0..40 {
+            // Keys 1000 apart leave room for dense runs inside one leaf;
+            // 3000 keys give every degree a height of at least 3.
+            let mut tree: BTree<u32, u32> =
+                BTree::from_sorted_entries(t, (0..3000u32).map(|k| (k * 1000, k)));
+            let mut model: BTreeMap<u32, u32> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+            for round in 0..48 {
                 let mut batch: Vec<(u32, Option<u32>)> = Vec::new();
-                let mut last = 0u32;
-                for _ in 0..(1 + rand() % 40) {
-                    last += 1 + rand() % 25;
-                    let eff = if rand() % 3 == 0 { None } else { Some(rand()) };
-                    batch.push((last, eff));
+                match round % 6 {
+                    // More than a page of inserts into one leaf's gap: the
+                    // leaf comes back several pages wide.
+                    0 | 3 => {
+                        let base = (rand() % 3000) * 1000;
+                        let run = 5 * (2 * t as u32 - 1);
+                        batch.extend((1..=run).map(|d| (base + d, Some(rand()))));
+                    }
+                    // Delete every separator at height 3 and up, with some
+                    // keys around them.
+                    1 => {
+                        let mut keys = keys_at_height(&tree, 3);
+                        keys.extend(model.keys().copied().filter(|_| rand() % 7 == 0));
+                        keys.sort_unstable();
+                        keys.dedup();
+                        batch.extend(keys.into_iter().map(|k| (k, None)));
+                    }
+                    // Delete all keys but one, then grow back from it.
+                    4 if round > 20 => {
+                        let keep = rand() as usize % model.len().max(1);
+                        let keys = model.keys().enumerate().filter(|(i, _)| *i != keep);
+                        batch.extend(keys.map(|(_, k)| (*k, None)));
+                    }
+                    // Sparse mixed inserts, replaces and deletes.
+                    _ => {
+                        let mut last = rand() % 1_000_000;
+                        for _ in 0..(1 + rand() % 60) {
+                            last += 1 + rand() % 40_000;
+                            let eff = if rand() % 3 == 0 { None } else { Some(rand()) };
+                            batch.push((last, eff));
+                        }
+                    }
                 }
                 let (merged, report) = tree.merge_batch_counted(&batch);
                 let (plain, copied) = tree.merge_batch(&batch);
@@ -1600,16 +1464,51 @@ mod tests {
                 let got: Vec<(u32, u32)> = merged.iter().map(|(k, v)| (*k, *v)).collect();
                 let want: Vec<(u32, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
                 assert_eq!(got, want, "t={t} round {round}");
-                // `copied` counts page allocations (work done); on
-                // delete-heavy rounds intermediate pages are allocated and
-                // then re-joined, so it may exceed the retained page count.
+                // Every page of the result the old tree lacks was counted.
+                let old = page_addrs(&tree);
+                let fresh = page_addrs(&merged).difference(&old).count() as u64;
                 assert!(
-                    report.total() >= merged.node_count(),
-                    "t={t} round {round}: report must cover every page"
+                    copied >= fresh,
+                    "t={t} round {round}: {fresh} new pages, {copied} counted"
                 );
                 tree = merged;
             }
         }
+    }
+
+    #[test]
+    fn merge_batch_repairs_a_split_leaf_locally() {
+        // Bulk loading fills every page, so one insert splits its leaf
+        // and every full page above it.
+        let tree: BTree<u32, u32> =
+            BTree::from_sorted_entries(16, (0..20_000u32).map(|k| (k * 2, k)));
+        let bound = 2 * tree.height() as u64 + 1;
+        let (split, copied) = tree.merge_batch(&[(1, Some(0))]);
+        assert!(split.check_invariants());
+        assert_eq!(split, tree.insert(1, 0));
+        assert!(
+            copied <= bound,
+            "an insert into a full leaf copied {copied} pages, bound {bound}"
+        );
+        // A delete in the first leaf left with t - 1 keys underfills it,
+        // and it fuses with a neighbour.
+        fn first_key_of_minimal_leaf(n: &BNode<u32, u32>, t: usize) -> Option<u32> {
+            if n.is_leaf() {
+                return (n.keys.len() == t - 1).then(|| n.keys[0].0);
+            }
+            n.children
+                .iter()
+                .find_map(|c| first_key_of_minimal_leaf(c, t))
+        }
+        let key =
+            first_key_of_minimal_leaf(&split.root, 16).expect("a split leaves a minimal leaf");
+        let (fused, copied) = split.merge_batch(&[(key, None)]);
+        assert!(fused.check_invariants());
+        assert_eq!(fused, split.remove(&key).unwrap().0);
+        assert!(
+            copied <= bound,
+            "a delete that underfills a leaf copied {copied} pages, bound {bound}"
+        );
     }
 
     #[test]

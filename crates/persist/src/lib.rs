@@ -10,13 +10,11 @@
 //! * [`PList`] — the linked-list representation used in the paper's actual
 //!   experiments (Section 4): key-ordered insert copies the prefix spine.
 //! * [`BTree`] — a persistent B-tree of configurable order, the "tree node
-//!   is one physical page" strategy of Section 3.3, and the tree relations
-//!   are stored in: an update copies one root-to-leaf path of pages.
+//!   is one physical page" strategy of Section 3.3: the one tree, holding
+//!   relations and every secondary index's value → posting map. An update
+//!   copies one root-to-leaf path of pages.
 //! * [`paged`] — the data-page/directory-page organization of Figure 2-2,
 //!   with a sharing report that regenerates the figure's claim.
-//! * [`Tree23`] — a 2-3 tree, after the equational formulation of
-//!   Hoffman & O'Donnell that the paper cites; the value → posting map of
-//!   every secondary index, written only through `merge_batch`.
 //!
 //! A write costs what it copies. The B-tree operations `upsert`,
 //! `remove_copied` and `merge_batch` return the new value and the number
@@ -28,10 +26,12 @@
 //! "(log n)/n of a relation is copied" argument. Nothing on a write path
 //! calls them.
 //!
-//! Each structure also provides a `merge_batch` kernel that folds a strictly
+//! The list and the B-tree also provide batch kernels that fold a strictly
 //! ascending run of per-key effects (`Some(v)` sets, `None` removes) into
 //! the structure in one structural pass, copying each touched node once —
-//! the batch-level form of the paper's partial-physical-update bound.
+//! the batch-level form of the paper's partial-physical-update bound. The
+//! B-tree's `merge_batch` repairs a page it overfills or underfills where
+//! it sits, so a split or a fuse copies only the pages it writes.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,10 +41,8 @@ pub mod btree;
 pub mod list;
 pub mod paged;
 pub mod report;
-pub mod tree23;
 
 pub use btree::BTree;
 pub use list::PList;
 pub use paged::{PageSharingReport, PagedStore};
 pub use report::CopyReport;
-pub use tree23::Tree23;

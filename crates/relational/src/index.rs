@@ -4,16 +4,14 @@
 //! function of the database version, rebuilt path-by-path with everything
 //! else shared (§2.2's full logical update by partial physical update
 //! applies to *derived* structures too). Concretely, a [`SecondaryIndex`]
-//! is a persistent 2-3 tree ([`Tree23`]) from attribute value to a
-//! *posting list* (a shared [`PList`], copy-on-write like everything
-//! else), and an [`IndexSet`] is the cheaply clonable collection of them a
-//! `Relation` carries.
+//! is a persistent B-tree ([`BTree`], the tree relations are stored in)
+//! from attribute value to a *posting list* (a shared [`PList`],
+//! copy-on-write like everything else), and an [`IndexSet`] is the cheaply
+//! clonable collection of them a `Relation` carries.
 //!
-//! Relations are stored in B-trees; the index map is not. Its keys are
-//! composite value vectors, and a B-tree path copy clones every key of
-//! every page on the path where a 2-3 node holds at most two — measured,
-//! a B-tree map multiplies the per-transition index upkeep (DESIGN.md
-//! §13 records the numbers).
+//! The map's keys are composite values behind one `Arc`, so a copied page
+//! clones a pointer per key, not a value vector; probes look keys up by
+//! the borrowed slice and build no `Arc`.
 //!
 //! A posting entry ([`PostingEntry`]) is a primary key plus, when that
 //! key's bucket holds exactly one tuple, the tuple itself — the index
@@ -38,7 +36,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use fundb_persist::batch::assert_ascending_by;
-use fundb_persist::{PList, Tree23};
+use fundb_persist::{BTree, PList};
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -77,6 +75,15 @@ enum IxVal {
     Sup,
 }
 
+/// The index map's page degree: a copied page holds at most `2 * 4 - 1`
+/// keys. Chosen by measured index upkeep per transition among 4, 8 and 16
+/// (DESIGN.md §13).
+const MAP_DEGREE: usize = 4;
+
+/// A composite index key: one value per indexed field, shared so that a
+/// copied page clones a pointer per key.
+type IxKey = Arc<[IxVal]>;
+
 /// `t`'s attributes at `fields`, compared in place of its composite key.
 fn indexed_values<'a>(
     fields: &'a [usize],
@@ -87,7 +94,7 @@ fn indexed_values<'a>(
 
 /// The composite key a tuple contributes to an index over `fields`, or
 /// `None` when the tuple is too narrow for any indexed attribute.
-fn composite_key(fields: &[usize], t: &Tuple) -> Option<Vec<IxVal>> {
+fn composite_key(fields: &[usize], t: &Tuple) -> Option<IxKey> {
     fields
         .iter()
         .map(|&f| t.get(f).cloned().map(IxVal::Val))
@@ -128,7 +135,7 @@ fn union<'a>(postings: impl IntoIterator<Item = &'a PList<PostingEntry>>) -> Vec
 pub struct SecondaryIndex {
     name: Arc<str>,
     fields: Arc<[usize]>,
-    map: Tree23<Vec<IxVal>, PList<PostingEntry>>,
+    map: BTree<IxKey, PList<PostingEntry>>,
     /// Total posting entries (sum of posting-list lengths): together with
     /// [`distinct_values`](Self::distinct_values) this gives the planner
     /// an average-fanout hint without an O(n) walk.
@@ -187,7 +194,7 @@ impl SecondaryIndex {
         pairs.sort_by(|a, b| indexed_values(fields, a.0).cmp(indexed_values(fields, b.0)));
         // Cons each posting from its last entry; the values come out
         // descending, so the effect list is reversed once at the end.
-        let mut effects: Vec<(Vec<IxVal>, Option<PList<PostingEntry>>)> = Vec::new();
+        let mut effects: Vec<(IxKey, Option<PList<PostingEntry>>)> = Vec::new();
         let mut posting: PList<PostingEntry> = PList::nil();
         let mut entries = 0usize;
         let mut pairs = pairs.into_iter().rev().peekable();
@@ -206,7 +213,7 @@ impl SecondaryIndex {
             }
         }
         effects.reverse();
-        let (map, _) = Tree23::new().merge_batch(&effects);
+        let (map, _) = BTree::new(MAP_DEGREE).merge_batch(&effects);
         SecondaryIndex {
             name: Arc::from(name),
             fields: fields.into(),
@@ -262,42 +269,49 @@ impl SecondaryIndex {
             values.len(),
             self.fields.len()
         );
-        let lo: Vec<IxVal> = values.iter().cloned().map(IxVal::Val).collect();
+        let mut lo: Vec<IxVal> = values.iter().cloned().map(IxVal::Val).collect();
         if values.len() == self.fields.len() {
             return self
                 .map
-                .get(&lo)
+                .get(&lo[..])
                 .map(|p| p.iter().collect())
                 .unwrap_or_default();
         }
-        let mut hi = lo.clone();
-        hi.push(IxVal::Sup);
-        union(self.map.range(&lo, &hi).into_iter().map(|(_, p)| p))
+        // The prefix followed by `Sup` bounds every full key sharing it.
+        lo.push(IxVal::Sup);
+        let (lo, hi) = (&lo[..values.len()], &lo[..]);
+        union(self.map.range(lo, hi).into_iter().map(|(_, p)| p))
     }
 
     /// The posting entries whose first indexed attribute lies in the
     /// (inclusive) range, ascending by key and deduplicated. Open bounds
     /// default to the smallest/largest indexed value.
     pub fn probe_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<&PostingEntry> {
-        let lo_key: Vec<IxVal> = match lo {
-            // A bare prefix sorts below every full key sharing it.
-            Some(v) => vec![IxVal::Val(v.clone())],
+        // A bare prefix sorts below every full key sharing it; the prefix
+        // followed by `Sup` above every one.
+        let lo_bound;
+        let lo_key: &[IxVal] = match lo {
+            Some(v) => {
+                lo_bound = [IxVal::Val(v.clone())];
+                &lo_bound
+            }
             None => match self.map.min() {
-                Some((k, _)) => k.clone(),
+                Some((k, _)) => k,
                 None => return Vec::new(),
             },
         };
-        let hi_key: Vec<IxVal> = match hi {
-            Some(v) => vec![IxVal::Val(v.clone()), IxVal::Sup],
+        let hi_bound;
+        let hi_key: &[IxVal] = match hi {
+            Some(v) => {
+                hi_bound = [IxVal::Val(v.clone()), IxVal::Sup];
+                &hi_bound
+            }
             None => match self.map.max() {
-                Some((k, _)) => k.clone(),
+                Some((k, _)) => k,
                 None => return Vec::new(),
             },
         };
-        if lo_key > hi_key {
-            return Vec::new();
-        }
-        union(self.map.range(&lo_key, &hi_key).into_iter().map(|(_, p)| p))
+        union(self.map.range(lo_key, hi_key).into_iter().map(|(_, p)| p))
     }
 
     /// The primary keys holding at least one tuple whose first indexed
@@ -329,8 +343,8 @@ impl SecondaryIndex {
     }
 
     /// The distinct composite values `bucket` contributes, ascending.
-    fn values_of(&self, bucket: &[Tuple]) -> Vec<Vec<IxVal>> {
-        let mut values: Vec<Vec<IxVal>> = bucket
+    fn values_of(&self, bucket: &[Tuple]) -> Vec<IxKey> {
+        let mut values: Vec<IxKey> = bucket
             .iter()
             .filter_map(|t| composite_key(&self.fields, t))
             .collect();
@@ -374,7 +388,7 @@ impl SecondaryIndex {
         }
         changes.sort_by(|a, b| a.0.cmp(&b.0));
         let mut entries = self.entries as isize;
-        let effects: Vec<(Vec<IxVal>, Option<PList<PostingEntry>>)> = changes
+        let effects: Vec<(IxKey, Option<PList<PostingEntry>>)> = changes
             .chunk_by(|a, b| a.0 == b.0)
             .map(|group| {
                 let value = &group[0].0;
@@ -396,7 +410,7 @@ impl SecondaryIndex {
 /// One change to the posting of composite value `.0`: key `.1` gets an
 /// entry carrying `row` (`Some(row)`, replacing any entry it had), or
 /// leaves the posting (`None`).
-type PostingChange<'a> = (Vec<IxVal>, &'a Value, Option<Option<&'a Tuple>>);
+type PostingChange<'a> = (IxKey, &'a Value, Option<Option<&'a Tuple>>);
 
 /// `old` with `changes` (one value's, strictly ascending by key) applied,
 /// and the change in its entry count. One walk: entries below the last

@@ -35,7 +35,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`lenient`] | write-once cells, lazy streams, the nondeterministic merge |
-//! | [`persist`] | persistent lists, B-trees, paged stores, the 2-3 tree behind secondary indexes |
+//! | [`persist`] | persistent lists, the B-tree (relations and secondary indexes), paged stores |
 //! | [`relational`] | values, tuples, relations, the persistent database |
 //! | [`query`] | the symbolic query language and `translate` |
 //! | [`core`] | `apply-stream`, the serializer, the pipelined engine, the 2PL baseline, the dataflow compiler |

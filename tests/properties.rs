@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use fundb::persist::{BTree, PList, Tree23};
+use fundb::persist::{BTree, PList};
 use fundb::prelude::*;
 use proptest::prelude::*;
 
@@ -28,29 +28,41 @@ fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
 
 proptest! {
     #[test]
-    fn tree23_matches_btreemap(ops in map_ops()) {
-        // The index map's one write is `merge_batch`; each op lands as a
-        // one-key batch.
+    fn btree_batches_match_btreemap(
+        ops in map_ops(),
+        sizes in prop::collection::vec(1usize..17, 1..121),
+        degree in prop_oneof![2usize..6, Just(16usize)],
+    ) {
+        // The ops land as ascending, deduplicated `merge_batch` runs of
+        // 1–16 effects; a key's last op in a run is the one that counts.
         let mut model = BTreeMap::new();
-        let mut tree: Tree23<u16, u16> = Tree23::new();
-        for op in ops {
-            let effect = match op {
-                MapOp::Insert(k, v) => {
-                    model.insert(k, v);
-                    (k, Some(v))
-                }
-                MapOp::Remove(k) => {
-                    model.remove(&k);
-                    (k, None)
-                }
-            };
-            tree = tree.merge_batch(&[effect]).0;
+        let mut tree: BTree<u16, u16> = BTree::new(degree);
+        let mut ops = ops.into_iter();
+        for size in sizes.into_iter().cycle() {
+            let mut run: BTreeMap<u16, Option<u16>> = BTreeMap::new();
+            for op in ops.by_ref().take(size) {
+                match op {
+                    MapOp::Insert(k, v) => run.insert(k, Some(v)),
+                    MapOp::Remove(k) => run.insert(k, None),
+                };
+            }
+            if run.is_empty() {
+                break;
+            }
+            for (k, eff) in &run {
+                match eff {
+                    Some(v) => model.insert(*k, *v),
+                    None => model.remove(k),
+                };
+            }
+            let batch: Vec<(u16, Option<u16>)> = run.into_iter().collect();
+            tree = tree.merge_batch(&batch).0;
             prop_assert!(tree.check_invariants());
             prop_assert_eq!(tree.len(), model.len());
+            let got: Vec<(u16, u16)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+            let want: Vec<(u16, u16)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(got, want);
         }
-        let got: Vec<(u16, u16)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(u16, u16)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
     }
 
     #[test]

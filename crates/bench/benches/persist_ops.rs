@@ -8,17 +8,15 @@ fn bench_persist(c: &mut Criterion) {
     // Print the copying fractions the structures actually achieve.
     let n = 4096u32;
     let list: PList<u32> = (0..n).collect();
-    let bt: BTree<u32, u32> = (0..n).map(|k| (k, k)).collect();
     println!("copying fraction for one insert at n = {n}:");
     println!("  list  : {}", list.insert_sorted_counted(n / 2).1);
-    println!("  B-tree: {}", bt.insert_counted(n + 1, 0).1);
-    // The batch kernel where a page splits: bulk loading fills every page,
-    // so a one-effect batch into a degree-16 leaf splits it and every full
-    // page above it, and the split is repaired in place.
-    let full: BTree<u32, u32> = BTree::from_sorted_entries(16, (0..20_000u32).map(|k| (k * 2, k)));
-    let (_, report) = full.merge_batch_counted(&[(1, Some(0))]);
+    // A B-tree insert is a one-effect merge_batch. Bulk loading fills every
+    // page, so the insert splits its degree-16 leaf and every full page
+    // above it, each split repaired in place.
+    let full: BTree<u32, u32> = BTree::from_sorted_entries(16, (0..n).map(|k| (k * 2, k)));
     println!(
-        "one-effect merge_batch into a full degree-16 leaf (height {}): {report}",
+        "  B-tree: {} (degree 16, height {}, into a full leaf)",
+        full.insert_counted(1, 0).1,
         full.height()
     );
 

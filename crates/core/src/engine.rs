@@ -308,15 +308,8 @@ fn commit_and_apply(
             return;
         }
     }
-    // A run of one op with no view to feed — a batch sealed by a reader
-    // right away — and index DDL, which always runs alone and changes no
-    // rows, skip the batch machinery: no op vector, no outcome vector, no
-    // extra clone.
-    let ops: Option<Vec<BatchOp>> = if claimed.len() == 1 && !wants_views {
-        None
-    } else {
-        claimed.iter().map(|(_, q, _)| exec::batch_op(q)).collect()
-    };
+    // Index DDL always runs alone and changes no rows: it is no batch.
+    let ops: Option<Vec<BatchOp>> = claimed.iter().map(|(_, q, _)| exec::batch_op(q)).collect();
     let Some(ops) = ops else {
         let Ok([(_, q, resp_cell)]) = <[_; 1]>::try_from(claimed) else {
             unreachable!("only data writes coalesce; index DDL runs alone")
@@ -329,9 +322,9 @@ fn commit_and_apply(
     };
     // Apply the whole run as one commit: the batch kernel derives the
     // per-key transitions once (grouped stably — submission order within a
-    // key is preserved, so the result equals tuple-at-a-time application
-    // in submission order), lands them copying each touched node once, and
-    // hands the same runs on to the views.
+    // key is preserved, so the result equals applying the ops one at a
+    // time in submission order), lands them copying each touched node
+    // once, and hands the same runs on to the views.
     let (next, outcomes, _, runs) = first.apply_batch_with_runs(&ops);
     if wants_views {
         propagate_to_views(slot, &next, first_seq, &runs, stats);

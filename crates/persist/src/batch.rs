@@ -2,8 +2,8 @@
 //!
 //! Every backend takes the same batch shape: a strictly-ascending run of
 //! `(key, Option<value>)` final per-key effects, where `Some(v)` sets the
-//! key and `None` removes it if present. These helpers validate and split
-//! such runs; the structural work lives with each backend.
+//! key and `None` removes it if present. These helpers validate such runs;
+//! the structural work lives with each backend.
 //!
 //! [`assert_ascending_by`] is public so that *derived* batch consumers —
 //! secondary-index maintenance in `fundb-relational` feeds per-key effect
@@ -27,24 +27,4 @@ pub fn assert_ascending_by<T, K: Ord, F: Fn(&T) -> &K>(items: &[T], key: F) {
 /// offending index.
 pub(crate) fn assert_ascending<K: Ord, V>(batch: &[(K, Option<V>)]) {
     assert_ascending_by(batch, |(k, _)| k);
-}
-
-/// Splits `batch` around `key` into (effects below, the effect on `key` if
-/// any, effects above). `batch` is strictly ascending, so this is one
-/// binary search.
-#[allow(clippy::type_complexity)]
-pub(crate) fn split_batch<'a, K: Ord, V>(
-    batch: &'a [(K, Option<V>)],
-    key: &K,
-) -> (
-    &'a [(K, Option<V>)],
-    Option<&'a Option<V>>,
-    &'a [(K, Option<V>)],
-) {
-    let idx = batch.partition_point(|(k, _)| k < key);
-    let (lo, rest) = batch.split_at(idx);
-    match rest.first() {
-        Some((k, v)) if k == key => (lo, Some(v), &rest[1..]),
-        _ => (lo, None, rest),
-    }
 }

@@ -5,12 +5,13 @@
 //! reconstructing the page, as required by applicative updates, is likely to
 //! be negligible" next to the page-transit time. This module is that
 //! strategy: a copy-on-write B-tree whose node capacity models the page
-//! size. Every update copies one root-to-leaf path of "pages" and shares
-//! the rest. The write operations ([`BTree::upsert`], [`BTree::remove_copied`],
-//! [`BTree::merge_batch`]) return the number of pages they allocated and
-//! walk nothing else; the `_counted` forms are the same operations followed
-//! by a walk of the result that counts the pages shared — the measurement
-//! behind the `(log n)/n` claim, for benches and tests.
+//! size. Every write is one [`BTree::merge_batch`]: it copies the
+//! root-to-leaf paths of the "pages" its effects touch, each page once,
+//! shares the rest, and returns the number of pages it allocated, walking
+//! nothing else. [`BTree::insert`] and [`BTree::remove`] are one-effect
+//! batches. The `_counted` forms are the same operations followed by a walk
+//! of the result that counts the pages shared — the measurement behind the
+//! `(log n)/n` claim, for benches and tests.
 //!
 //! A functional B-tree in this style was implemented for the paper's group
 //! by Paul Hudak (Section 5); this is the Rust equivalent.
@@ -404,228 +405,24 @@ impl<K: Ord, V> BTree<K, V> {
 }
 
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
-    /// Inserts or replaces `key`, returning the new tree.
+    /// Inserts or replaces `key`, returning the new tree: a one-effect
+    /// [`merge_batch`](Self::merge_batch).
     pub fn insert(&self, key: K, value: V) -> BTree<K, V> {
-        self.upsert(key, |_| value).0
-    }
-
-    /// Sets `key` to what `f` makes of its current value (`None` when the
-    /// key is absent), in the one descent that copies the path. Returns the
-    /// new tree and the number of pages it allocated — O(log n), nothing is
-    /// walked to measure sharing.
-    pub fn upsert<F: FnOnce(Option<&V>) -> V>(&self, key: K, f: F) -> (BTree<K, V>, u64) {
-        let t = self.min_degree;
-        let mut copied = 0u64;
-        let mut replaced = false;
-        let f = |old: Option<&V>| {
-            replaced = old.is_some();
-            f(old)
-        };
-        let root = if self.root.keys.len() == 2 * t - 1 {
-            // Split the root: the only way a B-tree grows in height.
-            let (left, mid, right) = split_page(&self.root, t, &mut copied);
-            let new_root = BNode {
-                keys: vec![mid],
-                children: vec![left, right],
-            };
-            copied += 1;
-            insert_nonfull(&Arc::new(new_root), key, f, t, &mut copied)
-        } else {
-            insert_nonfull(&self.root, key, f, t, &mut copied)
-        };
-        let out = BTree {
-            root,
-            len: if replaced { self.len } else { self.len + 1 },
-            min_degree: t,
-        };
-        (out, copied)
+        self.merge_batch(&[(key, Some(value))]).0
     }
 
     /// [`insert`](Self::insert) plus a [`CopyReport`] of pages copied versus
     /// shared (the `shared` count is an O(n) walk; use in benches/tests).
     pub fn insert_counted(&self, key: K, value: V) -> (BTree<K, V>, CopyReport) {
-        let (out, copied) = self.upsert(key, |_| value);
-        let shared = out.node_count().saturating_sub(copied);
-        (out, CopyReport::new(copied, shared))
+        self.merge_batch_counted(&[(key, Some(value))])
     }
 
     /// Removes `key`, returning the new tree and removed value, or `None`
-    /// if absent.
+    /// if absent: a one-effect [`merge_batch`](Self::merge_batch).
     pub fn remove(&self, key: &K) -> Option<(BTree<K, V>, V)> {
-        self.remove_copied(key).map(|(out, value, _)| (out, value))
+        let value = self.get(key)?.clone();
+        Some((self.merge_batch(&[(key.clone(), None)]).0, value))
     }
-
-    /// [`remove`](Self::remove) plus the number of pages it allocated.
-    pub fn remove_copied(&self, key: &K) -> Option<(BTree<K, V>, V, u64)> {
-        let t = self.min_degree;
-        let mut removed = None;
-        let mut copied = 0u64;
-        let mut root = delete_from(&self.root, key, t, &mut removed, &mut copied);
-        let value = removed?;
-        // Shrink the root if it emptied out.
-        if root.keys.is_empty() && !root.is_leaf() {
-            root = root.children[0].clone();
-        }
-        let out = BTree {
-            root,
-            len: self.len - 1,
-            min_degree: t,
-        };
-        Some((out, value, copied))
-    }
-
-    /// [`remove`](Self::remove) plus a [`CopyReport`] (the `shared` count is
-    /// an O(n) walk; use in benches/tests).
-    pub fn remove_counted(&self, key: &K) -> Option<(BTree<K, V>, V, CopyReport)> {
-        let (out, value, copied) = self.remove_copied(key)?;
-        let shared = out.node_count().saturating_sub(copied);
-        Some((out, value, CopyReport::new(copied, shared)))
-    }
-}
-
-/// A split result: (left page, median entry, right page).
-type Split<K, V> = (Arc<BNode<K, V>>, (K, V), Arc<BNode<K, V>>);
-
-/// Splits a full page into (left, median entry, right). Two new pages.
-fn split_page<K: Clone, V: Clone>(node: &BNode<K, V>, t: usize, copied: &mut u64) -> Split<K, V> {
-    debug_assert_eq!(node.keys.len(), 2 * t - 1);
-    let mid = node.keys[t - 1].clone();
-    let left = BNode {
-        keys: node.keys[..t - 1].to_vec(),
-        children: if node.is_leaf() {
-            Vec::new()
-        } else {
-            node.children[..t].to_vec()
-        },
-    };
-    let right = BNode {
-        keys: node.keys[t..].to_vec(),
-        children: if node.is_leaf() {
-            Vec::new()
-        } else {
-            node.children[t..].to_vec()
-        },
-    };
-    *copied += 2;
-    (Arc::new(left), mid, Arc::new(right))
-}
-
-/// Inserts into a page known not to be full; `f` makes the new value of
-/// the key's current one, where the descent finds it.
-fn insert_nonfull<K: Ord + Clone, V: Clone, F: FnOnce(Option<&V>) -> V>(
-    node: &Arc<BNode<K, V>>,
-    key: K,
-    f: F,
-    t: usize,
-    copied: &mut u64,
-) -> Arc<BNode<K, V>> {
-    let mut page: BNode<K, V> = (**node).clone();
-    *copied += 1;
-    match page.keys.binary_search_by(|(k, _)| k.cmp(&key)) {
-        Ok(i) => {
-            let value = f(Some(&page.keys[i].1));
-            page.keys[i] = (key, value);
-        }
-        Err(mut i) => {
-            if page.is_leaf() {
-                page.keys.insert(i, (key, f(None)));
-            } else {
-                if page.children[i].keys.len() == 2 * t - 1 {
-                    let (l, mid, r) = split_page(&page.children[i], t, copied);
-                    let go_right = key > mid.0;
-                    let replace = key == mid.0;
-                    page.keys.insert(i, mid);
-                    page.children[i] = l;
-                    page.children.insert(i + 1, r);
-                    if replace {
-                        let value = f(Some(&page.keys[i].1));
-                        page.keys[i] = (key, value);
-                        return Arc::new(page);
-                    }
-                    if go_right {
-                        i += 1;
-                    }
-                }
-                page.children[i] = insert_nonfull(&page.children[i], key, f, t, copied);
-            }
-        }
-    }
-    Arc::new(page)
-}
-
-/// CLRS-style delete: before descending into a child, guarantee it has at
-/// least `t` entries by borrowing from a sibling or merging. `node` itself
-/// is copied on the way down (path copy). When `key` is absent `removed`
-/// stays `None` and the result is to be discarded; no page is copied for
-/// such a miss unless a child on the way had to be rebalanced first.
-fn delete_from<K: Ord + Clone, V: Clone>(
-    node: &Arc<BNode<K, V>>,
-    key: &K,
-    t: usize,
-    removed: &mut Option<V>,
-    copied: &mut u64,
-) -> Arc<BNode<K, V>> {
-    let found = node.keys.binary_search_by(|(k, _)| k.cmp(key));
-    if let Err(i) = found {
-        if node.is_leaf() {
-            return node.clone();
-        }
-        if node.children[i].keys.len() >= t {
-            // Nothing to rebalance: look below before copying this page.
-            let child = delete_from(&node.children[i], key, t, removed, copied);
-            if removed.is_none() {
-                return node.clone();
-            }
-            let mut page: BNode<K, V> = (**node).clone();
-            *copied += 1;
-            page.children[i] = child;
-            return Arc::new(page);
-        }
-    }
-    let mut page: BNode<K, V> = (**node).clone();
-    *copied += 1;
-    match found {
-        Ok(i) => {
-            if page.is_leaf() {
-                let (_, v) = page.keys.remove(i);
-                *removed = Some(v);
-            } else if page.children[i].keys.len() >= t {
-                // Replace with predecessor from the left child.
-                let (pk, pv) = max_entry(&page.children[i]);
-                let mut pred_removed = None;
-                page.children[i] =
-                    delete_from(&page.children[i], &pk, t, &mut pred_removed, copied);
-                *removed = Some(std::mem::replace(&mut page.keys[i], (pk, pv)).1);
-                debug_assert!(pred_removed.is_some());
-            } else if page.children[i + 1].keys.len() >= t {
-                // Replace with successor from the right child.
-                let (sk, sv) = min_entry(&page.children[i + 1]).expect("a rich child is nonempty");
-                let mut succ_removed = None;
-                page.children[i + 1] =
-                    delete_from(&page.children[i + 1], &sk, t, &mut succ_removed, copied);
-                *removed = Some(std::mem::replace(&mut page.keys[i], (sk, sv)).1);
-                debug_assert!(succ_removed.is_some());
-            } else {
-                // Both neighbours minimal: merge them around the key, then
-                // delete from the merged child.
-                let merged = merge_children(&mut page, i, copied);
-                page.children[i] = delete_from(&merged, key, t, removed, copied);
-            }
-        }
-        Err(i) => {
-            let i = ensure_rich_child(&mut page, i, t, copied);
-            page.children[i] = delete_from(&page.children[i], key, t, removed, copied);
-        }
-    }
-    Arc::new(page)
-}
-
-fn max_entry<K: Clone, V: Clone>(node: &Arc<BNode<K, V>>) -> (K, V) {
-    let mut cur = node;
-    while !cur.is_leaf() {
-        cur = cur.children.last().expect("internal node has children");
-    }
-    cur.keys.last().expect("nonempty page").clone()
 }
 
 /// The smallest entry under `node`, or `None` for an empty subtree. Below
@@ -639,85 +436,6 @@ fn min_entry<K: Clone, V: Clone>(node: &Arc<BNode<K, V>>) -> Option<(K, V)> {
     cur.keys.first().cloned()
 }
 
-/// Merges child `i`, separator key `i`, and child `i+1` into a single child
-/// placed at index `i`. Returns the merged child.
-fn merge_children<K: Clone, V: Clone>(
-    page: &mut BNode<K, V>,
-    i: usize,
-    copied: &mut u64,
-) -> Arc<BNode<K, V>> {
-    *copied += 1;
-    let sep = page.keys.remove(i);
-    let right = page.children.remove(i + 1);
-    let left = &page.children[i];
-    let mut keys = left.keys.clone();
-    keys.push(sep);
-    keys.extend(right.keys.iter().cloned());
-    let children = if left.is_leaf() {
-        Vec::new()
-    } else {
-        let mut c = left.children.clone();
-        c.extend(right.children.iter().cloned());
-        c
-    };
-    let merged = Arc::new(BNode { keys, children });
-    page.children[i] = merged.clone();
-    merged
-}
-
-/// Guarantees `page.children[i]` has at least `t` entries, borrowing from a
-/// sibling or merging; returns the (possibly shifted) child index.
-fn ensure_rich_child<K: Clone, V: Clone>(
-    page: &mut BNode<K, V>,
-    i: usize,
-    t: usize,
-    copied: &mut u64,
-) -> usize {
-    if page.children[i].keys.len() >= t {
-        return i;
-    }
-    // Borrow from the left sibling if it can spare an entry.
-    if i > 0 && page.children[i - 1].keys.len() >= t {
-        let mut left = (*page.children[i - 1]).clone();
-        let mut child = (*page.children[i]).clone();
-        *copied += 2;
-        let moved = left.keys.pop().expect("rich sibling nonempty");
-        let sep = std::mem::replace(&mut page.keys[i - 1], moved);
-        child.keys.insert(0, sep);
-        if !left.is_leaf() {
-            let c = left.children.pop().expect("internal node has children");
-            child.children.insert(0, c);
-        }
-        page.children[i - 1] = Arc::new(left);
-        page.children[i] = Arc::new(child);
-        return i;
-    }
-    // Borrow from the right sibling.
-    if i + 1 < page.children.len() && page.children[i + 1].keys.len() >= t {
-        let mut right = (*page.children[i + 1]).clone();
-        let mut child = (*page.children[i]).clone();
-        *copied += 2;
-        let moved = right.keys.remove(0);
-        let sep = std::mem::replace(&mut page.keys[i], moved);
-        child.keys.push(sep);
-        if !right.is_leaf() {
-            let c = right.children.remove(0);
-            child.children.push(c);
-        }
-        page.children[i + 1] = Arc::new(right);
-        page.children[i] = Arc::new(child);
-        return i;
-    }
-    // Merge with a sibling.
-    if i > 0 {
-        merge_children(page, i - 1, copied);
-        i - 1
-    } else {
-        merge_children(page, i, copied);
-        i
-    }
-}
-
 /// `page` as an owned page to rewrite. A page this batch made is taken
 /// over in place; a page the old tree still holds is copied, and counted.
 /// The old tree holds all its pages while a batch runs, so none of them is
@@ -728,6 +446,18 @@ fn own<K: Clone, V: Clone>(page: Arc<BNode<K, V>>, copied: &mut u64) -> BNode<K,
         *copied += 1;
         (*shared).clone()
     })
+}
+
+/// [`own`] for a page left in its slot: the slot ends up holding the page
+/// to rewrite, taken over or copied by the same rule.
+fn writable<'a, K: Clone, V: Clone>(
+    page: &'a mut Arc<BNode<K, V>>,
+    copied: &mut u64,
+) -> &'a mut BNode<K, V> {
+    if Arc::get_mut(page).is_none() {
+        *copied += 1;
+    }
+    Arc::make_mut(page)
 }
 
 /// Legal pages in key order and the separators that go between them.
@@ -824,115 +554,122 @@ fn repair<K: Clone, V: Clone>(page: &mut BNode<K, V>, t: usize, copied: &mut u64
     }
 }
 
-/// Merges `batch` into the subtree under `node` in one pass, returning
-/// `node` itself when nothing under it changes. A returned page may hold
-/// too many or too few keys — the level above repairs it — but every page
-/// below it is legal, save a sole underfull child of a page left with no
-/// keys. `delta` accumulates the net entry-count change.
+/// Merges `batch` into the subtree under `node` in one pass, leaving
+/// `node` as it is when nothing under it changes. The page left in the
+/// slot may hold too many or too few keys — the level above repairs it —
+/// but every page below it is legal, save a sole underfull child of a page
+/// left with no keys. `delta` accumulates the net entry-count change.
 fn merge_page<K: Ord + Clone, V: Clone>(
-    mut node: Arc<BNode<K, V>>,
+    node: &mut Arc<BNode<K, V>>,
     batch: &[(K, Option<V>)],
     t: usize,
     copied: &mut u64,
     delta: &mut i64,
-) -> Arc<BNode<K, V>> {
+) {
     if batch.is_empty() {
-        return node;
+        return;
     }
     if node.is_leaf() {
         let touched = batch
             .iter()
             .any(|(k, eff)| eff.is_some() || node.keys.binary_search_by(|(x, _)| x.cmp(k)).is_ok());
         if !touched {
-            return node;
+            return;
         }
-        // Two-pointer merge of the page entries with the batch.
-        let mut page = own(node, copied);
-        let old = std::mem::take(&mut page.keys);
-        page.keys.reserve(old.len() + batch.len());
-        let mut effects = batch.iter().peekable();
-        for (k, v) in old {
-            while let Some((bk, eff)) = effects.next_if(|(bk, _)| *bk < k) {
-                if let Some(nv) = eff {
-                    page.keys.push((bk.clone(), nv.clone()));
-                    *delta += 1;
-                }
+        // Each effect finds its place by binary search in the entries
+        // still to come; the entries between two effects move in bulk.
+        let mut keys = Vec::with_capacity(node.keys.len() + batch.len());
+        let mut rest = &node.keys[..];
+        for (bk, eff) in batch {
+            let at = rest.partition_point(|(k, _)| k < bk);
+            let found = rest.get(at).is_some_and(|(k, _)| k == bk);
+            keys.extend_from_slice(&rest[..at]);
+            rest = &rest[at + usize::from(found)..];
+            if let Some(v) = eff {
+                keys.push((bk.clone(), v.clone()));
             }
-            match effects.next_if(|(bk, _)| *bk == k) {
-                Some((_, Some(nv))) => page.keys.push((k, nv.clone())),
-                Some((_, None)) => *delta -= 1,
-                None => page.keys.push((k, v)),
+            *delta += i64::from(eff.is_some()) - i64::from(found);
+        }
+        keys.extend_from_slice(rest);
+        match Arc::get_mut(node) {
+            Some(page) => page.keys = keys,
+            None => {
+                *copied += 1;
+                *node = Arc::new(BNode {
+                    keys,
+                    children: Vec::new(),
+                });
             }
         }
-        for (bk, eff) in effects {
-            if let Some(nv) = eff {
-                page.keys.push((bk.clone(), nv.clone()));
-                *delta += 1;
-            }
-        }
-        return Arc::new(page);
+        return;
     }
-    // Internal page: split the batch per child slot and merge recursively.
+    // Internal page: an effect on a separator lands here; each run of
+    // effects between two separators goes to the child between them.
+    // Children without effects are not visited.
+    let mut removed_separators = Vec::new();
     let mut rest = batch;
-    let mut child_batches: Vec<&[(K, Option<V>)]> = Vec::with_capacity(node.keys.len() + 1);
-    let mut key_effects: Vec<Option<&Option<V>>> = Vec::with_capacity(node.keys.len());
-    for (key, _) in &node.keys {
-        let (lo, eff, hi) = crate::batch::split_batch(rest, key);
-        child_batches.push(lo);
-        key_effects.push(eff);
-        rest = hi;
+    while let Some((key, eff)) = rest.first() {
+        let slot = node.keys.partition_point(|(k, _)| k < key);
+        let Some((sep, _)) = node.keys.get(slot) else {
+            merge_child(node, slot, rest, t, copied, delta);
+            break;
+        };
+        if sep == key {
+            match eff {
+                Some(v) => writable(node, copied).keys[slot].1 = v.clone(),
+                None => removed_separators.push(slot),
+            }
+            rest = &rest[1..];
+        } else {
+            let (run, after) = rest.split_at(rest.partition_point(|(k, _)| k < sep));
+            merge_child(node, slot, run, t, copied, delta);
+            rest = after;
+        }
     }
-    child_batches.push(rest);
-    // A page this batch made gives its children up, so the ones it made
-    // too are rewritten in place rather than copied again.
-    let (children, fresh) = match Arc::get_mut(&mut node) {
-        Some(page) => (std::mem::take(&mut page.children), true),
-        None => (node.children.clone(), false),
-    };
-    let merged: Vec<Arc<BNode<K, V>>> = children
-        .into_iter()
-        .zip(&child_batches)
-        .map(|(c, b)| merge_page(c, b, t, copied, delta))
-        .collect();
-    if !fresh
-        && key_effects.iter().all(Option::is_none)
-        && merged
-            .iter()
-            .zip(&node.children)
-            .all(|(m, c)| Arc::ptr_eq(m, c))
-    {
-        return node;
-    }
-    let mut page = own(node, copied);
-    page.children = merged;
-    // Right to left, so a dropped separator shifts no effect still to come.
-    for (i, eff) in key_effects.iter().enumerate().rev() {
-        match eff {
-            None => {}
-            Some(Some(nv)) => page.keys[i].1 = nv.clone(),
-            Some(None) => {
-                *delta -= 1;
-                match min_entry(&page.children[i + 1]) {
-                    // The right subtree's minimum moves up to separate.
-                    Some(min) => {
-                        let right = page.children.remove(i + 1);
-                        let remove_min = [(min.0.clone(), None)];
-                        let right = merge_page(right, &remove_min, t, copied, &mut 0);
-                        page.children.insert(i + 1, right);
-                        page.keys[i] = min;
-                    }
-                    // Nothing survives right of the separator: it goes
-                    // with its empty subtree.
-                    None => {
-                        page.keys.remove(i);
-                        page.children.remove(i + 1);
-                    }
-                }
+    // Right to left, so a dropped separator shifts none still to come.
+    for i in removed_separators.into_iter().rev() {
+        *delta -= 1;
+        let page = writable(node, copied);
+        match min_entry(&page.children[i + 1]) {
+            // The right subtree's minimum moves up to separate.
+            Some(min) => {
+                let remove_min = [(min.0.clone(), None)];
+                merge_page(&mut page.children[i + 1], &remove_min, t, copied, &mut 0);
+                page.keys[i] = min;
+            }
+            // Nothing survives right of the separator: it goes with its
+            // empty subtree.
+            None => {
+                page.keys.remove(i);
+                page.children.remove(i + 1);
             }
         }
     }
-    repair(&mut page, t, copied);
-    Arc::new(page)
+    // A page the old tree still holds is one nothing changed.
+    if let Some(page) = Arc::get_mut(node) {
+        repair(page, t, copied);
+    }
+}
+
+/// Merges `run` into child `slot` of `node`. A page this batch made hands
+/// its child over to be rewritten in place; a page the old tree holds is
+/// copied only once the child comes back changed.
+fn merge_child<K: Ord + Clone, V: Clone>(
+    node: &mut Arc<BNode<K, V>>,
+    slot: usize,
+    run: &[(K, Option<V>)],
+    t: usize,
+    copied: &mut u64,
+    delta: &mut i64,
+) {
+    if let Some(page) = Arc::get_mut(node) {
+        return merge_page(&mut page.children[slot], run, t, copied, delta);
+    }
+    let mut child = Arc::clone(&node.children[slot]);
+    merge_page(&mut child, run, t, copied, delta);
+    if !Arc::ptr_eq(&child, &node.children[slot]) {
+        writable(node, copied).children[slot] = child;
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
@@ -970,7 +707,8 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         }
         let mut copied = 0u64;
         let mut delta = 0i64;
-        let mut root = merge_page(self.root.clone(), batch, t, &mut copied, &mut delta);
+        let mut root = self.root.clone();
+        merge_page(&mut root, batch, t, &mut copied, &mut delta);
         // The root grows a level while it is overfull, and collapses
         // while it has no keys and one child.
         while root.keys.len() > 2 * t - 1 {
@@ -1265,28 +1003,17 @@ mod tests {
                 let got = tree.remove(&k);
                 let want = model.remove(&k);
                 assert_eq!(got.as_ref().map(|(_, v)| v), want.as_ref(), "step {step}");
-                // The counted form is the same removal plus the walk.
-                let counted = tree.remove_counted(&k);
-                assert_eq!(counted.is_some(), got.is_some(), "step {step}");
-                if let Some((t2, _, report)) = counted {
-                    let (plain, _, copied) = tree.remove_copied(&k).unwrap();
-                    assert_eq!(t2, plain, "step {step}");
-                    assert_eq!(report.copied, copied, "step {step}");
-                    assert_eq!(report.total(), t2.node_count(), "step {step}");
-                    // The whole root-to-leaf path of the result is new.
-                    assert!(copied >= t2.height() as u64, "step {step}");
-                }
                 if let Some((t2, _)) = got {
                     tree = t2;
                 }
             } else {
                 let v = rand();
+                // The counted form is the same insert plus the walk.
                 let (counted, report) = tree.insert_counted(k, v);
-                let (plain, copied) = tree.upsert(k, |_| v);
+                let plain = tree.insert(k, v);
                 assert_eq!(counted, plain, "step {step}");
-                assert_eq!(report.copied, copied, "step {step}");
-                tree = tree.insert(k, v);
-                assert_eq!(tree, plain, "step {step}");
+                assert_eq!(report.total(), plain.node_count(), "step {step}");
+                tree = plain;
                 model.insert(k, v);
             }
             if step % 500 == 0 {
@@ -1483,9 +1210,13 @@ mod tests {
         let tree: BTree<u32, u32> =
             BTree::from_sorted_entries(16, (0..20_000u32).map(|k| (k * 2, k)));
         let bound = 2 * tree.height() as u64 + 1;
+        let mut model: BTreeMap<u32, u32> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+        let matches = |t: &BTree<u32, u32>, model: &BTreeMap<u32, u32>| {
+            t.check_invariants() && t.iter().map(|(k, v)| (*k, *v)).eq(model.clone())
+        };
         let (split, copied) = tree.merge_batch(&[(1, Some(0))]);
-        assert!(split.check_invariants());
-        assert_eq!(split, tree.insert(1, 0));
+        model.insert(1, 0);
+        assert!(matches(&split, &model));
         assert!(
             copied <= bound,
             "an insert into a full leaf copied {copied} pages, bound {bound}"
@@ -1503,8 +1234,8 @@ mod tests {
         let key =
             first_key_of_minimal_leaf(&split.root, 16).expect("a split leaves a minimal leaf");
         let (fused, copied) = split.merge_batch(&[(key, None)]);
-        assert!(fused.check_invariants());
-        assert_eq!(fused, split.remove(&key).unwrap().0);
+        model.remove(&key);
+        assert!(matches(&fused, &model));
         assert!(
             copied <= bound,
             "a delete that underfills a leaf copied {copied} pages, bound {bound}"
@@ -1537,14 +1268,18 @@ mod tests {
         assert!(merged.check_invariants());
         assert_eq!(merged.len(), 10_256);
 
+        let mut model: BTreeMap<u32, u32> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+        model.extend(batch.iter().map(|(k, v)| (*k, v.unwrap())));
+        assert!(merged.iter().map(|(k, v)| (*k, *v)).eq(model));
+
+        // The same effects as one-effect batches, one after another.
         let mut singles = 0u64;
         let mut seq = tree.clone();
-        for (k, v) in &batch {
-            let (next, c) = seq.upsert(*k, |_| v.unwrap());
+        for effect in &batch {
+            let (next, c) = seq.merge_batch(std::slice::from_ref(effect));
             singles += c;
             seq = next;
         }
-        assert_eq!(merged, seq);
         assert!(
             copied * 2 <= singles,
             "batch copied {copied} vs {singles} for singles"

@@ -16,17 +16,17 @@
 //! * [`paged`] — the data-page/directory-page organization of Figure 2-2,
 //!   with a sharing report that regenerates the figure's claim.
 //!
-//! A write costs what it copies. The B-tree operations `upsert`,
-//! `remove_copied` and `merge_batch` return the new value and the number
-//! of nodes they allocated — a count the path copy keeps anyway — and
-//! `insert`/`remove` are the same operations with the count dropped. The
+//! A write costs what it copies. The B-tree's one write operation,
+//! `merge_batch`, returns the new value and the number of nodes it
+//! allocated — a count the path copy keeps anyway — and `insert`/`remove`
+//! are one-effect batches with the count dropped. The
 //! `_counted` forms are, literally, the same operation followed by
 //! `node_count()`: an O(n) walk of the result that fills a [`CopyReport`]'s
 //! `shared`, which is how the benches and tests quantify the paper's
 //! "(log n)/n of a relation is copied" argument. Nothing on a write path
 //! calls them.
 //!
-//! The list and the B-tree also provide batch kernels that fold a strictly
+//! The list and the B-tree provide batch kernels that fold a strictly
 //! ascending run of per-key effects (`Some(v)` sets, `None` removes) into
 //! the structure in one structural pass, copying each touched node once —
 //! the batch-level form of the paper's partial-physical-update bound. The

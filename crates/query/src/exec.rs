@@ -200,45 +200,36 @@ pub fn view_scan(view: &RelationName, projection: Option<Vec<FieldRef>>) -> Quer
 
 /// Evaluates a single-relation write — `insert`, `delete`, `replace`, or a
 /// `create index` whose fields [`resolve_index`] already made positions —
-/// returning the successor relation value and the response. A refused
-/// write (duplicate index) returns the input value.
+/// returning the successor relation value and the response. A data write
+/// is a batch of its one [`batch_op`]. A refused write (duplicate index)
+/// returns the input value.
 ///
 /// # Panics
 ///
 /// Panics if `q` is not one of the four write statements.
 pub fn write(rel: &Relation, q: Query) -> (Relation, Response) {
-    match q {
-        Query::Insert { relation, tuple } => {
-            let (next, _) = rel.insert(tuple.clone());
-            (next, Response::Inserted { relation, tuple })
-        }
-        Query::Replace { relation, tuple } => {
-            let (mid, _, _) = rel.delete(tuple.key());
-            let (next, _) = mid.insert(tuple.clone());
-            (next, Response::Inserted { relation, tuple })
-        }
-        Query::Delete { key, .. } => {
-            let (next, removed, _) = rel.delete(&key);
-            (next, Response::Deleted(removed.len()))
-        }
-        Query::CreateIndex {
-            relation,
-            name,
-            fields,
-        } => {
-            let positions: Result<Vec<usize>, String> =
-                fields.iter().map(|f| f.resolve(None)).collect();
-            let built = positions.and_then(|p| {
-                rel.create_index_multi(&name, &p).ok_or_else(|| {
-                    DatabaseError::DuplicateIndex(relation.clone(), name.clone()).to_string()
-                })
-            });
-            match built {
-                Ok(next) => (next, Response::IndexCreated { relation, name }),
-                Err(e) => (rel.clone(), Response::Error(e)),
-            }
-        }
-        other => unreachable!("not a single-relation write: {other}"),
+    if let Some(op) = batch_op(&q) {
+        let (next, outcomes, _) = rel.apply_batch(&[op]);
+        let [outcome] = <[_; 1]>::try_from(outcomes).expect("one outcome per op");
+        return (next, batch_response(q, outcome));
+    }
+    let Query::CreateIndex {
+        relation,
+        name,
+        fields,
+    } = q
+    else {
+        unreachable!("not a single-relation write: {q}")
+    };
+    let positions: Result<Vec<usize>, String> = fields.iter().map(|f| f.resolve(None)).collect();
+    let built = positions.and_then(|p| {
+        rel.create_index_multi(&name, &p).ok_or_else(|| {
+            DatabaseError::DuplicateIndex(relation.clone(), name.clone()).to_string()
+        })
+    });
+    match built {
+        Ok(next) => (next, Response::IndexCreated { relation, name }),
+        Err(e) => (rel.clone(), Response::Error(e)),
     }
 }
 
@@ -255,7 +246,7 @@ pub fn batch_op(q: &Query) -> Option<BatchOp> {
 }
 
 /// The response to a data write that ran as [`batch_op`] inside a batch
-/// kernel — the same response [`write()`] gives for it alone.
+/// kernel.
 ///
 /// # Panics
 ///

@@ -11,7 +11,7 @@
 //!
 //! * the store — the backend's one-pass `merge_batch` / `merge_runs_by`
 //!   kernel copies each touched node once, O(k + touched·log n) instead of
-//!   the O(k·log n) of tuple-at-a-time application;
+//!   the O(k·log n) of landing the ops one at a time;
 //! * the secondary indexes ([`crate::index::IndexSet::apply_transitions`]);
 //! * the relation's cached length (each run's `after.len() - before.len()`);
 //! * every dependent materialized view: [`Relation::apply_batch_with_runs`]
@@ -19,12 +19,15 @@
 //!   [`crate::Database::write`] advance each view from them
 //!   ([`crate::view::advance_view`]) instead of deriving them again.
 //!
-//! [`Relation::apply_transitions`] lands a run through the same kernel call,
-//! which is how views commit their own deltas. Two store paths stay
-//! tuple-at-a-time, each for a reason: runs of at most `SMALL_BATCH_MAX`
-//! ops (too short for the merge to pay for its setup) and the
-//! arrival-order paged store (ops do not commute across keys there). Both
-//! still take their outcomes, index upkeep and length from the runs.
+//! Every data write is such a batch: a single-key write
+//! ([`Relation::insert`], [`Relation::delete`], the executor's statement)
+//! is a batch of one op, landed by the same kernel call.
+//! [`Relation::apply_transitions`] lands a run through that call too,
+//! which is how views commit their own deltas. A key whose bucket comes
+//! out as it went in yields no transition, so a no-op write shares the
+//! whole relation. One store applies the ops themselves: the
+//! arrival-order paged store, where ops do not commute across keys; it
+//! still takes its outcomes, index upkeep and length from the runs.
 
 use fundb_persist::{CopyReport, PList, PagedStore};
 
@@ -61,39 +64,6 @@ pub enum BatchOutcome {
     Inserted,
     /// The op removed this many tuples (`Delete`).
     Deleted(usize),
-}
-
-/// Batches at or below this size land in the store tuple-at-a-time: the
-/// claimed run is too short for the structural merge to amortize its setup
-/// (effect-run and bucket allocations).
-///
-/// Re-measured once no write path walked its result (µs/op for runs of
-/// 1/2/3 ops on scattered keys of a 20 000-row `BTree(16)` relation, best
-/// of five, tuple-at-a-time vs merge path): insert 2.1/2.1/2.1 vs
-/// 4.0/3.9/3.6, delete 4.1/4.2/4.1 vs 6.6/6.7/6.5, replace 7.2/7.4/8.0 vs
-/// 3.9/3.7/3.5; with one index, insert 7.6/6.2/6.0 vs 7.9/7.6/7.2, delete
-/// 7.4/7.5/8.5 vs 10.7/10.3/10.0, replace 13.9/13.9/14.3 vs 4.5/4.2/3.8.
-/// The merge path loses on inserts and deletes, so the short-run path
-/// stays; it wins on `replace` (one descent and no index churn instead of
-/// a delete and an insert) at every length.
-const SMALL_BATCH_MAX: usize = 3;
-
-/// Tuple-at-a-time store application for short runs — the reference
-/// semantics the proptests check the merge path against, minus its setup.
-fn apply_small_batch(store: &Store, ops: &[BatchOp]) -> (Store, CopyReport) {
-    let mut cur = store.clone();
-    let mut report = CopyReport::default();
-    for op in ops {
-        if !matches!(op, BatchOp::Insert(_)) {
-            let (next, _, r) = cur.delete(op.key());
-            (cur, report) = (next, report + r);
-        }
-        if let BatchOp::Insert(t) | BatchOp::Replace(t) = op {
-            let (next, r) = cur.insert(t.clone());
-            (cur, report) = (next, report + r);
-        }
-    }
-    (cur, report)
 }
 
 /// Sequential store application for the arrival-order paged store, where
@@ -151,7 +121,8 @@ fn key_groups(store: &Store, keys: &[&Value]) -> Vec<Vec<Tuple>> {
 /// `store`, strictly ascending by key, and each op's outcome in batch
 /// order. A stable sort groups the ops per key, so each key's ops fold in
 /// submission order — which is why landing the runs equals applying the
-/// ops one at a time.
+/// ops one at a time. A key whose tuples end as they began gets no
+/// transition: indexes, views and the length never see a no-op.
 fn derive(store: &Store, ops: &[BatchOp]) -> (Vec<KeyTransition>, Vec<BatchOutcome>) {
     let mut idx: Vec<usize> = (0..ops.len()).collect();
     idx.sort_by(|&a, &b| ops[a].key().cmp(ops[b].key()));
@@ -176,7 +147,9 @@ fn derive(store: &Store, ops: &[BatchOp]) -> (Vec<KeyTransition>, Vec<BatchOutco
                 }
             }
         }
-        runs.push(KeyTransition::new((*key).clone(), before, after));
+        if before != after {
+            runs.push(KeyTransition::new((*key).clone(), before, after));
+        }
     }
     (runs, outcomes)
 }
@@ -213,6 +186,9 @@ fn transition_effect(tr: &KeyTransition) -> (Value, Option<PList<Tuple>>) {
 /// their place, every touched key's bucket is appended, and the pages are
 /// rebuilt in one pass.
 fn land(store: &Store, runs: &[KeyTransition]) -> (Store, CopyReport) {
+    if runs.is_empty() {
+        return (store.clone(), CopyReport::default());
+    }
     match store {
         Store::List(l) => {
             let effects: Vec<(Value, Option<Vec<Tuple>>)> = runs
@@ -327,9 +303,14 @@ impl Relation {
         }
         let (runs, outcomes) = derive(&self.store, ops);
         let (store, report) = match &self.store {
-            // The mixed workload's read-sealed short runs live here.
-            store if ops.len() <= SMALL_BATCH_MAX => apply_small_batch(store, ops),
-            Store::Paged(p) => apply_paged_batch(p, ops),
+            // Only a pure-delete batch that removed nothing leaves arrival
+            // order alone: an insert or a replace moves tuples even where
+            // its key's bucket comes out the same.
+            Store::Paged(p)
+                if !runs.is_empty() || ops.iter().any(|op| !matches!(op, BatchOp::Delete(_))) =>
+            {
+                apply_paged_batch(p, ops)
+            }
             store => land(store, &runs),
         };
         (self.with_landed(store, &runs), outcomes, report, runs)
@@ -346,30 +327,60 @@ mod tests {
         vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
     }
 
-    /// Reference semantics: ops applied one at a time via the existing
-    /// tuple-level API.
-    fn apply_sequentially(rel: &Relation, ops: &[BatchOp]) -> (Relation, Vec<BatchOutcome>) {
-        let mut cur = rel.clone();
+    /// Reference semantics from std types alone: `base`'s rows in a `Vec`,
+    /// ops applied one at a time (a delete drops every row of its key, an
+    /// insert appends), then laid out in `repr`'s scan order — arrival
+    /// order on the paged store, key order keeping arrival order within a
+    /// key on the B-tree, row order on the list.
+    fn model(repr: Repr, base: &Relation, ops: &[BatchOp]) -> (Vec<Tuple>, Vec<BatchOutcome>) {
+        let mut rows = base.scan();
         let mut outcomes = Vec::new();
         for op in ops {
+            let held = rows.len();
+            if !matches!(op, BatchOp::Insert(_)) {
+                rows.retain(|t| t.key() != op.key());
+            }
             match op {
-                BatchOp::Insert(t) => {
-                    cur = cur.insert(t.clone()).0;
-                    outcomes.push(BatchOutcome::Inserted);
-                }
-                BatchOp::Delete(k) => {
-                    let (next, removed, _) = cur.delete(k);
-                    cur = next;
-                    outcomes.push(BatchOutcome::Deleted(removed.len()));
-                }
-                BatchOp::Replace(t) => {
-                    let (next, _, _) = cur.delete(t.key());
-                    cur = next.insert(t.clone()).0;
+                BatchOp::Delete(_) => outcomes.push(BatchOutcome::Deleted(held - rows.len())),
+                BatchOp::Insert(t) | BatchOp::Replace(t) => {
+                    rows.push(t.clone());
                     outcomes.push(BatchOutcome::Inserted);
                 }
             }
         }
-        (cur, outcomes)
+        match repr {
+            Repr::List => rows.sort(),
+            Repr::BTree(_) => rows.sort_by(|a, b| a.key().cmp(b.key())),
+            Repr::Paged(_) => {}
+        }
+        (rows, outcomes)
+    }
+
+    /// For every tag in `tags`, the keys of the model rows carrying it —
+    /// what the `by_tag` index's posting must hold.
+    fn model_postings(rows: &[Tuple], tags: &[&str]) -> Vec<Vec<Value>> {
+        tags.iter()
+            .map(|tag| {
+                let tag = Value::from(*tag);
+                let mut keys: Vec<Value> = rows
+                    .iter()
+                    .filter(|t| t.get(1) == Some(&tag))
+                    .map(|t| t.key().clone())
+                    .collect();
+                keys.sort();
+                keys.dedup();
+                keys
+            })
+            .collect()
+    }
+
+    /// A B-tree store's pages are legal; the other stores have no
+    /// page invariant to break.
+    fn store_is_legal(rel: &Relation) -> bool {
+        match rel.store() {
+            Store::BTree(t) => t.check_invariants(),
+            _ => true,
+        }
     }
 
     fn tup(k: i64, tag: &str) -> Tuple {
@@ -383,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_all_reprs() {
+    fn batch_matches_the_model_all_reprs() {
         for repr in all_reprs() {
             let base = Relation::from_tuples(repr, (0..30).map(|k| tup(k * 2, "seed")));
             let ops = vec![
@@ -397,10 +408,10 @@ mod tests {
                 BatchOp::Insert(tup(5, "c")),
             ];
             let (batched, outcomes, _) = base.apply_batch(&ops);
-            let (seq, seq_outcomes) = apply_sequentially(&base, &ops);
-            assert_eq!(outcomes, seq_outcomes, "{repr}");
-            assert_eq!(batched.scan(), seq.scan(), "{repr}");
-            assert_eq!(batched.len(), seq.len(), "{repr}");
+            let (rows, model_outcomes) = model(repr, &base, &ops);
+            assert_eq!(outcomes, model_outcomes, "{repr}");
+            assert_eq!(batched.scan(), rows, "{repr}");
+            assert_eq!(batched.len(), rows.len(), "{repr}");
         }
     }
 
@@ -453,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_batch_matches_sequential_with_and_without_an_index() {
+    fn wide_batch_matches_the_model_with_and_without_an_index() {
         // 150 ops over 100 distinct keys: inserts of fresh keys, deletes of
         // seeded keys and of keys inserted earlier in the same batch, and
         // replaces — on every representation, bare and indexed.
@@ -480,23 +491,24 @@ mod tests {
                     base = base.create_index("by_tag", 1).unwrap();
                 }
                 let (batched, outcomes, _) = base.apply_batch(&ops);
-                let (seq, seq_outcomes) = apply_sequentially(&base, &ops);
+                let (rows, model_outcomes) = model(repr, &base, &ops);
                 assert!(
                     outcomes.contains(&BatchOutcome::Deleted(1)),
                     "{repr}: deletes must hit rows"
                 );
-                assert_eq!(outcomes, seq_outcomes, "{repr} indexed={indexed}");
-                assert_eq!(batched.scan(), seq.scan(), "{repr} indexed={indexed}");
-                assert_eq!(batched.len(), seq.len(), "{repr} indexed={indexed}");
+                assert_eq!(outcomes, model_outcomes, "{repr} indexed={indexed}");
+                assert_eq!(batched.scan(), rows, "{repr} indexed={indexed}");
+                assert_eq!(batched.len(), rows.len(), "{repr} indexed={indexed}");
                 if indexed {
-                    assert_eq!(postings(&batched, &tags), postings(&seq, &tags), "{repr}");
+                    let want = model_postings(&rows, &tags);
+                    assert_eq!(postings(&batched, &tags), want, "{repr}");
                 }
             }
         }
     }
 
     #[test]
-    fn batch_maintains_indexes_like_sequential() {
+    fn batch_maintains_indexes_like_the_model() {
         for repr in all_reprs() {
             let base = Relation::from_tuples(repr, (0..30).map(|k| tup(k * 2, "seed")))
                 .create_index("by_tag", 1)
@@ -510,11 +522,14 @@ mod tests {
                 BatchOp::Delete(5.into()),
                 BatchOp::Insert(tup(5, "c")),
             ];
-            assert!(ops.len() > SMALL_BATCH_MAX, "must exercise the merge path");
             let (batched, _, _) = base.apply_batch(&ops);
-            let (seq, _) = apply_sequentially(&base, &ops);
+            let (rows, _) = model(repr, &base, &ops);
             let tags = ["seed", "a", "b", "c", "r", "z"];
-            assert_eq!(postings(&batched, &tags), postings(&seq, &tags), "{repr}");
+            assert_eq!(
+                postings(&batched, &tags),
+                model_postings(&rows, &tags),
+                "{repr}"
+            );
             // The index answers must agree with a scan of the new store.
             let bix = batched.index_on(1).unwrap();
             for t in batched.scan() {
@@ -527,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_copies_less_than_tuple_at_a_time() {
+    fn batch_copies_less_than_one_op_batches() {
         for repr in [Repr::BTree(2), Repr::BTree(4)] {
             let base = Relation::from_tuples(repr, (0..1000).map(|k| tup(k * 2, "seed")));
             let ops: Vec<BatchOp> = (0..64)
@@ -552,6 +567,66 @@ mod tests {
         }
     }
 
+    #[test]
+    fn no_op_writes_share_everything() {
+        for repr in all_reprs() {
+            for indexed in [false, true] {
+                let mut base = Relation::from_tuples(repr, (0..50).map(|k| tup(k * 2, "seed")));
+                if indexed {
+                    base = base.create_index("by_tag", 1).unwrap();
+                }
+                let what = format!("{repr} indexed={indexed}");
+                let (out, removed, report) = base.delete(&7.into());
+                assert!(out.ptr_eq(&base), "{what}: delete of an absent key");
+                assert!(removed.is_empty(), "{what}");
+                assert_eq!(report, CopyReport::default(), "{what}");
+                let (out, outcomes, _) = base.apply_batch(&[BatchOp::Delete(7.into())]);
+                assert!(out.ptr_eq(&base), "{what}: one-op batch");
+                assert_eq!(outcomes, vec![BatchOutcome::Deleted(0)], "{what}");
+                // Key order is untouched by a write that puts back what
+                // it took; arrival order is not.
+                if base.store().is_key_ordered() {
+                    let ops = [
+                        BatchOp::Replace(tup(4, "seed")),
+                        BatchOp::Insert(tup(7, "x")),
+                        BatchOp::Delete(7.into()),
+                    ];
+                    let (out, _, _) = base.apply_batch(&ops);
+                    assert!(out.ptr_eq(&base), "{what}: net no-op batch");
+                }
+            }
+        }
+    }
+
+    /// The pages one-op batches copy in a bulk-loaded 20 000-row
+    /// `BTree(16)` relation: a replace rebuilds at most the path to its
+    /// key, and an insert into a leaf with room exactly the path.
+    #[test]
+    fn a_single_key_write_copies_one_path() {
+        let base = Relation::from_tuples(Repr::TREE, (0..20_000).map(|k| tup(k * 2, "seed")));
+        let height = |rel: &Relation| match &rel.store {
+            Store::BTree(t) => t.height() as u64,
+            _ => unreachable!("a tree relation"),
+        };
+        let h = height(&base);
+        assert_eq!(h, 3);
+        for k in (0..20_000).step_by(97) {
+            let (_, _, report) = base.apply_batch(&[BatchOp::Replace(tup(k * 2, "new"))]);
+            assert!(
+                report.copied <= h,
+                "a replace of key {} copied {} pages, height {h}",
+                k * 2,
+                report.copied
+            );
+        }
+        // Bulk loading fills every leaf: key 1 splits the first one, and
+        // key 3 lands in the left half, which has room.
+        let (split, _) = base.insert(tup(1, "new"));
+        assert_eq!(height(&split), h);
+        let (_, report) = split.insert(tup(3, "new"));
+        assert_eq!(report.copied, h, "an insert into a leaf with room");
+    }
+
     const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
     fn op_strategy() -> impl Strategy<Value = BatchOp> {
@@ -564,10 +639,11 @@ mod tests {
 
     proptest! {
         /// On every representation with an index: `apply_batch` is the
-        /// sequential fold (scan, length, postings, outcomes), and on the
-        /// key-ordered ones it is exactly "land the batch's transitions".
+        /// model's one-at-a-time fold (scan, length, postings, outcomes),
+        /// and on the key-ordered ones it is exactly "land the batch's
+        /// transitions".
         #[test]
-        fn apply_batch_is_the_sequential_fold_and_lands_its_runs(
+        fn apply_batch_is_the_model_fold_and_lands_its_runs(
             seed in prop::collection::vec((0i64..24, 0usize..4), 0..40),
             ops in prop::collection::vec(op_strategy(), 0..40),
         ) {
@@ -576,11 +652,17 @@ mod tests {
                     .create_index("by_tag", 1)
                     .unwrap();
                 let (batched, outcomes, _) = base.apply_batch(&ops);
-                let (seq, seq_outcomes) = apply_sequentially(&base, &ops);
-                prop_assert_eq!(&outcomes, &seq_outcomes, "{} outcomes", repr);
-                prop_assert_eq!(batched.scan(), seq.scan(), "{} contents", repr);
-                prop_assert_eq!(batched.len(), seq.len(), "{} len", repr);
-                prop_assert_eq!(postings(&batched, &TAGS), postings(&seq, &TAGS), "{} postings", repr);
+                let (rows, model_outcomes) = model(repr, &base, &ops);
+                prop_assert_eq!(&outcomes, &model_outcomes, "{} outcomes", repr);
+                prop_assert_eq!(batched.scan(), rows.clone(), "{} contents", repr);
+                prop_assert_eq!(batched.len(), rows.len(), "{} len", repr);
+                prop_assert!(store_is_legal(&batched), "{} pages", repr);
+                prop_assert_eq!(
+                    postings(&batched, &TAGS),
+                    model_postings(&rows, &TAGS),
+                    "{} postings",
+                    repr
+                );
                 if !matches!(repr, Repr::Paged(_)) {
                     let landed = base.apply_transitions(&batch_transitions(&base, &ops));
                     prop_assert_eq!(landed.scan(), batched.scan(), "{} landed contents", repr);

@@ -851,6 +851,26 @@ mod tests {
     }
 
     #[test]
+    fn a_no_op_write_shares_the_relation() {
+        for indexed in [false, true] {
+            let mut db = Database::empty().create_relation("R", Repr::TREE).unwrap();
+            db = db
+                .insert(&"R".into(), Tuple::new(vec![1.into(), "red".into()]))
+                .unwrap()
+                .0;
+            if indexed {
+                db = db.create_index(&"R".into(), "by_color", 1).unwrap();
+            }
+            let (db2, outcomes, _) = db.write(&"R".into(), &[BatchOp::Delete(2.into())]).unwrap();
+            assert_eq!(outcomes, vec![BatchOutcome::Deleted(0)]);
+            assert!(
+                db.shares_relation_with(&db2, &"R".into()),
+                "indexed={indexed}"
+            );
+        }
+    }
+
+    #[test]
     fn create_index_via_database() {
         let db = db_rs();
         let (db, _) = db

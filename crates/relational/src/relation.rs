@@ -20,7 +20,7 @@ use std::fmt;
 use fundb_persist::{BTree, CopyReport, PList, PagedStore};
 
 use crate::batch::BatchOp;
-use crate::index::{IndexSet, KeyTransition, PostingEntry, SecondaryIndex};
+use crate::index::{IndexSet, PostingEntry, SecondaryIndex};
 use crate::tuple::{concat_on, Tuple};
 use crate::value::Value;
 
@@ -113,28 +113,6 @@ impl Store {
             Store::List(l) => l.is_empty(),
             Store::BTree(t) => t.is_empty(),
             Store::Paged(p) => p.is_empty(),
-        }
-    }
-
-    /// Inserts a tuple, returning the new store and a copy report: `copied`
-    /// is exact; `shared` is filled for the list and the paged store only
-    /// (see [`CopyReport`]) — a tree insert costs its one path copy.
-    pub fn insert(&self, tuple: Tuple) -> (Store, CopyReport) {
-        match self {
-            Store::List(l) => {
-                let (l2, report) = l.insert_sorted_counted(tuple);
-                (Store::List(l2), report)
-            }
-            Store::BTree(t) => {
-                let (t2, copied) = t.upsert(tuple.key().clone(), |bucket| {
-                    PList::cons(tuple, bucket.cloned().unwrap_or_default())
-                });
-                (Store::BTree(t2), CopyReport::new(copied, 0))
-            }
-            Store::Paged(p) => {
-                let (p2, report) = p.insert_counted(tuple);
-                (Store::Paged(p2), report)
-            }
         }
     }
 
@@ -277,71 +255,6 @@ impl Store {
             _ => false,
         }
     }
-
-    /// Removes every tuple with key `key`, returning the new store, the
-    /// removed tuples, and a copy report (`copied` exact, `shared` as for
-    /// [`insert`](Self::insert)).
-    pub fn delete(&self, key: &Value) -> (Store, Vec<Tuple>, CopyReport) {
-        match self {
-            Store::List(l) => {
-                // Matching keys are contiguous in the sorted list: copy the
-                // prefix, drop the run, share the suffix.
-                let mut prefix: Vec<Tuple> = Vec::new();
-                let mut removed = Vec::new();
-                let mut cur = l.clone();
-                loop {
-                    match cur.head() {
-                        Some(t) if t.key() < key => {
-                            prefix.push(t.clone());
-                            cur = cur.tail().expect("nonempty list has a tail");
-                        }
-                        Some(t) if t.key() == key => {
-                            removed.push(t.clone());
-                            cur = cur.tail().expect("nonempty list has a tail");
-                        }
-                        _ => break,
-                    }
-                }
-                if removed.is_empty() {
-                    return (self.clone(), Vec::new(), CopyReport::default());
-                }
-                let shared = cur.len() as u64;
-                let copied = prefix.len() as u64;
-                let mut out = cur;
-                for t in prefix.into_iter().rev() {
-                    out = PList::cons(t, out);
-                }
-                (Store::List(out), removed, CopyReport::new(copied, shared))
-            }
-            Store::BTree(t) => match t.remove_copied(key) {
-                None => (self.clone(), Vec::new(), CopyReport::default()),
-                Some((t2, bucket, copied)) => {
-                    let removed = bucket_in_arrival_order(&bucket);
-                    (Store::BTree(t2), removed, CopyReport::new(copied, 0))
-                }
-            },
-            Store::Paged(p) => {
-                // Paged stores have no key order: rebuild (pessimistic, and
-                // documented as such — arrival-order stores are an archive
-                // format in the paper's sense).
-                let mut kept = Vec::new();
-                let mut removed = Vec::new();
-                for t in p.iter() {
-                    if t.key() == key {
-                        removed.push(t.clone());
-                    } else {
-                        kept.push(t.clone());
-                    }
-                }
-                if removed.is_empty() {
-                    return (self.clone(), Vec::new(), CopyReport::default());
-                }
-                let store = PagedStore::with_capacity(p.page_capacity(), kept);
-                let copied = store.page_count() as u64;
-                (Store::Paged(store), removed, CopyReport::new(copied, 0))
-            }
-        }
-    }
 }
 
 /// A persistent relation: a multiset of tuples addressed by key (first
@@ -464,32 +377,12 @@ impl Relation {
         self.len == 0
     }
 
-    /// Inserts a tuple, returning the new relation and a copy report.
-    /// Attached indexes are maintained incrementally: one posting-list
-    /// touch per index, nothing at all when no indexes exist.
+    /// Inserts a tuple, returning the new relation and a copy report: a
+    /// batch of one insert (see [`apply_batch`](Self::apply_batch)), so
+    /// attached indexes take one posting-list touch each.
     pub fn insert(&self, tuple: Tuple) -> (Relation, CopyReport) {
-        let indexes = if self.indexes.is_empty() {
-            self.indexes.clone()
-        } else {
-            let before = self.store.find(tuple.key());
-            let mut after = before.clone();
-            after.push(tuple.clone());
-            self.indexes.apply_transitions(&[KeyTransition::new(
-                tuple.key().clone(),
-                before,
-                after,
-            )])
-        };
-        let (store, report) = self.store.insert(tuple);
-        let len = self.len + 1;
-        (
-            Relation {
-                store,
-                indexes,
-                len,
-            },
-            report,
-        )
+        let (rel, _, report) = self.apply_batch(&[BatchOp::Insert(tuple)]);
+        (rel, report)
     }
 
     /// Every tuple whose key equals `key`, in scan order (see
@@ -612,30 +505,17 @@ impl Relation {
     }
 
     /// Removes every tuple with key `key`, returning the new relation, the
-    /// removed tuples, and a copy report. Returns an unchanged relation and
-    /// no tuples if the key is absent. Attached indexes drop the key from
-    /// the postings of every removed tuple's indexed values.
+    /// removed tuples (in scan order), and a copy report: a batch of one
+    /// delete, whose one transition holds the removed tuples. Returns this
+    /// relation itself and no tuples if the key is absent.
     pub fn delete(&self, key: &Value) -> (Relation, Vec<Tuple>, CopyReport) {
-        let (store, removed, report) = self.store.delete(key);
-        let indexes = if self.indexes.is_empty() || removed.is_empty() {
-            self.indexes.clone()
-        } else {
-            self.indexes.apply_transitions(&[KeyTransition::new(
-                key.clone(),
-                removed.clone(),
-                Vec::new(),
-            )])
-        };
-        let len = self.len - removed.len();
-        (
-            Relation {
-                store,
-                indexes,
-                len,
-            },
-            removed,
-            report,
-        )
+        let (rel, _, report, runs) = self.apply_batch_with_runs(&[BatchOp::Delete(key.clone())]);
+        let removed = runs
+            .into_iter()
+            .next()
+            .map(|tr| tr.before)
+            .unwrap_or_default();
+        (rel, removed, report)
     }
 }
 

@@ -1,12 +1,12 @@
 //! Randomized equivalence tests for the structural batch-merge kernels.
 //!
-//! `Relation::apply_batch` must be observationally identical to applying
-//! the same operations one at a time through the tuple-level API, for every
-//! representation: same final contents in the same iteration order, and the
-//! same per-op outcome (inserted / number of tuples a delete removed). The
-//! generated runs deliberately include duplicate keys, deletes of absent
-//! keys, and `Replace` ops (the engine's delete-then-insert pairs) mixed
-//! into one batch.
+//! `Relation::apply_batch` must be observationally identical to a model
+//! built from std types that applies the same operations one at a time,
+//! for every representation: same final contents in the same iteration
+//! order, and the same per-op outcome (inserted / number of tuples a
+//! delete removed). The generated runs deliberately include duplicate
+//! keys, deletes of absent keys, and `Replace` ops (the engine's
+//! delete-then-insert pairs) mixed into one batch.
 //!
 //! Separately, the copy-bound acceptance check: at k=256 ops into an
 //! n=10 000-key relation, the one-pass kernel must copy at most half the
@@ -14,7 +14,7 @@
 //! B-tree.
 
 use fundb::relational::batch::{BatchOp, BatchOutcome};
-use fundb::relational::{Relation, Repr, Tuple, Value};
+use fundb::relational::{Relation, Repr, Store, Tuple, Value};
 use proptest::prelude::*;
 
 fn all_reprs() -> Vec<Repr> {
@@ -25,29 +25,42 @@ fn tup(k: i64, tag: u8) -> Tuple {
     Tuple::new(vec![k.into(), (tag as i64).into()])
 }
 
-/// Reference semantics: the pre-batch tuple-at-a-time path.
-fn apply_sequentially(rel: &Relation, ops: &[BatchOp]) -> (Relation, Vec<BatchOutcome>) {
-    let mut cur = rel.clone();
+/// Reference semantics from std types alone: `base`'s rows in a `Vec`, ops
+/// applied one at a time (a delete drops every row of its key, an insert
+/// appends), then laid out in `repr`'s scan order — arrival order on the
+/// paged store, key order keeping arrival order within a key on the
+/// B-tree, row order on the list.
+fn model(repr: Repr, base: &Relation, ops: &[BatchOp]) -> (Vec<Tuple>, Vec<BatchOutcome>) {
+    let mut rows = base.scan();
     let mut outcomes = Vec::new();
     for op in ops {
+        let held = rows.len();
+        if !matches!(op, BatchOp::Insert(_)) {
+            rows.retain(|t| t.key() != op.key());
+        }
         match op {
-            BatchOp::Insert(t) => {
-                cur = cur.insert(t.clone()).0;
-                outcomes.push(BatchOutcome::Inserted);
-            }
-            BatchOp::Delete(k) => {
-                let (next, removed, _) = cur.delete(k);
-                cur = next;
-                outcomes.push(BatchOutcome::Deleted(removed.len()));
-            }
-            BatchOp::Replace(t) => {
-                let (next, _, _) = cur.delete(t.key());
-                cur = next.insert(t.clone()).0;
+            BatchOp::Delete(_) => outcomes.push(BatchOutcome::Deleted(held - rows.len())),
+            BatchOp::Insert(t) | BatchOp::Replace(t) => {
+                rows.push(t.clone());
                 outcomes.push(BatchOutcome::Inserted);
             }
         }
     }
-    (cur, outcomes)
+    match repr {
+        Repr::List => rows.sort(),
+        Repr::BTree(_) => rows.sort_by(|a, b| a.key().cmp(b.key())),
+        Repr::Paged(_) => {}
+    }
+    (rows, outcomes)
+}
+
+/// A B-tree store's pages are legal; the other stores have no page
+/// invariant to break.
+fn store_is_legal(rel: &Relation) -> bool {
+    match rel.store() {
+        Store::BTree(t) => t.check_invariants(),
+        _ => true,
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -86,7 +99,7 @@ fn to_ops(raw: &[(OpKind, i64, u8)]) -> Vec<BatchOp> {
 
 proptest! {
     #[test]
-    fn apply_batch_matches_tuple_at_a_time(
+    fn apply_batch_matches_the_sequential_model(
         seed_keys in prop::collection::vec(0i64..24, 0..40),
         raw in batch_ops(),
     ) {
@@ -94,13 +107,14 @@ proptest! {
         for repr in all_reprs() {
             let base = Relation::from_tuples(repr, seed_keys.iter().map(|&k| tup(k, 0)));
             let (batched, outcomes, _) = base.apply_batch(&ops);
-            let (seq, seq_outcomes) = apply_sequentially(&base, &ops);
-            prop_assert_eq!(&outcomes, &seq_outcomes, "{} outcomes", repr);
+            let (rows, model_outcomes) = model(repr, &base, &ops);
+            prop_assert_eq!(&outcomes, &model_outcomes, "{} outcomes", repr);
             // scan() exposes iteration order (key order for list/tree,
             // arrival order for paged), so equality here covers contents
             // AND order.
-            prop_assert_eq!(batched.scan(), seq.scan(), "{} contents", repr);
-            prop_assert_eq!(batched.len(), seq.len(), "{} len", repr);
+            prop_assert_eq!(batched.scan(), rows.clone(), "{} contents", repr);
+            prop_assert_eq!(batched.len(), rows.len(), "{} len", repr);
+            prop_assert!(store_is_legal(&batched), "{} pages", repr);
             // The base version is untouched (persistence).
             prop_assert_eq!(base.len(), seed_keys.len(), "{} persistence", repr);
         }
@@ -123,15 +137,15 @@ proptest! {
         for repr in all_reprs() {
             let base = Relation::from_tuples(repr, vec![tup(key, 255)]);
             let (batched, outcomes, _) = base.apply_batch(&ops);
-            let (seq, seq_outcomes) = apply_sequentially(&base, &ops);
-            prop_assert_eq!(&outcomes, &seq_outcomes, "{} outcomes", repr);
-            prop_assert_eq!(batched.scan(), seq.scan(), "{} contents", repr);
+            let (rows, model_outcomes) = model(repr, &base, &ops);
+            prop_assert_eq!(&outcomes, &model_outcomes, "{} outcomes", repr);
+            prop_assert_eq!(batched.scan(), rows, "{} contents", repr);
         }
     }
 }
 
 /// merge_batch's CopyReport shows at least 2x fewer copied nodes than k
-/// tuple-at-a-time inserts at k=256, n=10_000, on small-degree B-trees and
+/// one-insert batches at k=256, n=10_000, on small-degree B-trees and
 /// on the language's `tree` (degree 16), whose full bulk-loaded pages split
 /// under the run.
 #[test]

@@ -135,8 +135,8 @@ fn db_ops() -> impl Strategy<Value = Vec<DbOp>> {
 }
 
 /// One step of an index-maintenance interleaving: the op, plus whether it
-/// runs alone through the tuple-at-a-time path (`true`) or accumulates into
-/// a run flushed through the batch kernels (`false`).
+/// runs alone as a one-op write (`true`) or accumulates into a run flushed
+/// as one batch (`false`).
 #[derive(Debug, Clone)]
 enum IxOp {
     Insert(i64, i64),

@@ -7,13 +7,17 @@
 //! relying on the 'lenient' aspect of the tupling constructor."
 //!
 //! [`PipelinedEngine`] realizes that sentence with threads: each database
-//! version is a tuple of per-relation [`Lenient`] cells. Submitting a
-//! transaction (under a brief slot lock — the paper's "momentary locking
-//! effect" where streams merge) allocates fresh cells for the relations it
-//! writes and captures the previous cells for the relations it reads; a
-//! worker then blocks only on those captured cells. Readers of `R` overtake
-//! a slow writer of `S` automatically, and the submission order is by
-//! construction a serialization order.
+//! version is a tuple of per-*component* [`Lenient`] cells. A component is
+//! one base relation, or a set of bases tied together by views, plus those
+//! views; its cell holds a [`Database`] value, so every write lands through
+//! [`Database::write`] — the call `translate`, log replay and replica apply
+//! make — which maintains the component's views in the same step.
+//! Submitting a transaction (under a brief slot lock — the paper's
+//! "momentary locking effect" where streams merge) allocates fresh cells
+//! for the components it writes and captures the previous cells for the
+//! components it reads; a worker then blocks only on those captured cells.
+//! Readers of `R` overtake a slow writer of `S` automatically, and the
+//! submission order is by construction a serialization order.
 //!
 //! # Hot path
 //!
@@ -21,26 +25,27 @@
 //! *adaptive* per-slot choice between three regimes (see `DESIGN.md` for
 //! the full argument). All of it is scheduling: what a statement *means*
 //! is [`fundb_query::exec`]'s, the same code `translate` runs, so this
-//! module decides only which relation version a statement sees and when
+//! module decides only which component version a statement sees and when
 //! it runs:
 //!
 //! * **Sharded frontier** — the frontier is a map of independent slots,
-//!   one lock per relation, behind an `RwLock` catalog that only `create`
-//!   takes exclusively. Submissions against different relations never
-//!   contend. Multi-relation captures (join, snapshot) take the involved
-//!   slot locks together in name order, so the captured version vector is
-//!   an atomic cut and lock acquisition cannot cycle.
+//!   one lock per component, behind an `RwLock` catalog that only `create`
+//!   takes exclusively. Submissions against different components never
+//!   contend. Multi-component captures (join, cut, view merge) take the
+//!   involved slot locks together in slot order, so the captured version
+//!   vector is an atomic cut and lock acquisition cannot cycle.
 //! * **Coalesce regime** — under write bursts or queue pressure,
 //!   consecutive writes to the same relation join one open *batch* that
 //!   waits on a single input cell, applies the whole run in submission
 //!   order, and answers each transaction individually. N writes cost one
-//!   relation cell instead of N. A read *seals* the open batch, because
+//!   component cell instead of N. A read *seals* the open batch, because
 //!   it pins the batch's output cell as its version: sealing guarantees
 //!   that cell contains exactly the writes submitted before the read, and
-//!   later writes start a new batch against it. A batch opened while its
-//!   predecessor is still computing is *chained* — it gets no pool job of
-//!   its own; the predecessor's worker claims it when the input arrives,
-//!   so a whole multi-batch run costs one pool handoff.
+//!   later writes start a new batch against it; so does a write to another
+//!   relation of the component. A batch opened while its predecessor is
+//!   still computing is *chained* — it gets no pool job of its own; the
+//!   predecessor's worker claims it when the input arrives, so a whole
+//!   multi-batch run costs one pool handoff.
 //! * **Bypass regime** — when the slot's [`TrafficTracker`] says recent
 //!   traffic is read-interleaved (so a batch would be sealed after ~1 op
 //!   and amortize nothing) and the head version is ready, a write applies
@@ -49,12 +54,17 @@
 //!   is untouched by regime switches.
 //! * **Lock-free read frontier** — each slot publishes its newest *ready*
 //!   version in an [`AtomicArc`] alongside a `submitted` write counter.
-//!   A cheap read (`find`/`count`) loads both without the slot mutex; if
-//!   the published version covers every submitted write, the answer is
-//!   computed right there — no lock, no seal, no job. Otherwise it falls
-//!   back to the slow path (answer from a filled head under the lock —
-//!   *repairing* the frontier in passing, so publication is demand-driven
-//!   and writers never pay for it — then pin-and-force).
+//!   A cheap read (`find`/`count`, or any read a view answers) loads both
+//!   without the slot mutex; if the published version covers every
+//!   submitted write, the answer is computed right there — no lock, no
+//!   seal, no job. Otherwise it falls back to the slow path (answer from a
+//!   filled head under the lock — *repairing* the frontier in passing, so
+//!   publication is demand-driven and writers never pay for it — then
+//!   pin-and-force).
+//!
+//! `create view` merges the slots of its bases into the first base's slot;
+//! a merged-away slot records where its component went, and every path
+//! that locks a slot follows that record.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -64,33 +74,34 @@ use std::sync::Arc;
 
 use fundb_lenient::{spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
 use fundb_query::exec::{self, Entry};
-use fundb_query::{FieldRef, Predicate, Query, Response, Transaction};
-use fundb_relational::{
-    advance_view, materialize_view, BatchOp, Database, KeyTransition, Relation, RelationName,
-    Schema, ViewDef,
-};
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use fundb_query::{FieldRef, Query, Response, Transaction};
+use fundb_relational::{BatchOp, Database, RelationName, ViewDef};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::commit::CommitSink;
 use crate::fasthash::BuildFnv;
 use crate::schedule::{BatchRegime, TrafficTracker};
 use crate::stats::{EngineStats, EngineStatsSnapshot};
 
-/// An open coalescing batch: writes accumulated for one claimed run.
+/// An open coalescing batch: writes to one relation accumulated for one
+/// claimed run.
 ///
 /// `sealed` flips exactly once — set by whoever claims the run (the
 /// batch's own pool job, a predecessor's chain drain, claiming as late as
-/// possible so the run keeps growing until its input arrives), or by a
-/// reader pinning the batch's output as its version. Either way, once
-/// sealed no submission may append, and the batch's output cell is the
-/// fold of precisely the ops recorded here.
+/// possible so the run keeps growing until its input arrives), or at
+/// submission by a reader pinning the batch's output as its version (or a
+/// write to another relation of the component). Either way, once sealed no
+/// submission may append, and the batch's output cell is the fold of
+/// precisely the ops recorded here.
 struct BatchOps {
-    /// The version cell the batch folds from.
-    input: Lenient<Relation>,
-    /// The version cell the batch fills: the slot's head while the batch
-    /// is the newest.
-    output: Lenient<Relation>,
-    /// The run, in application order, each op with its per-relation
+    /// The component version the batch folds from.
+    input: Lenient<Database>,
+    /// The component version the batch fills: the slot's head while the
+    /// batch is the newest.
+    output: Lenient<Database>,
+    /// The relation every op of the run writes.
+    relation: RelationName,
+    /// The run, in application order, each op with its per-component
     /// sequence number (assigned at submission under the slot lock).
     ops: Vec<(u64, Query, Lenient<Response>)>,
     sealed: bool,
@@ -103,135 +114,14 @@ struct BatchOps {
     has_job: bool,
 }
 
-/// Which side of a view's definition a base relation feeds: the single
-/// base of a select/aggregate view, or one side of a join view (the side
-/// decides which delta-derivation rule a transition run goes through).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DepRole {
-    /// The only base of a select or grouped-aggregate view.
-    Base,
-    /// The left (driving) side of a join view.
-    JoinLeft,
-    /// The right (probed) side of a join view.
-    JoinRight,
-}
-
-/// A registration on a base relation's slot: every claimed run committed
-/// against the slot forwards its per-key transitions to `view` — the
-/// differential maintenance pass. Runs whose sequence numbers lie below
-/// `from_seq` were already folded into the view's initial materialization
-/// (their batch was sealed when the view registered) and are skipped.
-#[derive(Clone)]
-struct Dependent {
-    view: Arc<ViewHandle>,
-    role: DepRole,
-    from_seq: u64,
-}
-
-/// A materialized view's contents plus the cached last-committed values of
-/// its base relations. The caches are what makes join maintenance safe
-/// under concurrency: a left-side delta probes the *right base as of its
-/// last propagated commit* (and vice versa), both read and replaced under
-/// the one `inner` lock, so interleaved left/right commits converge to the
-/// join of the final bases regardless of propagation order.
-struct ViewState {
-    /// The view's current contents — a full [`Relation`].
-    current: Relation,
-    /// The single base (select/aggregate) or join-left base, as of the
-    /// last commit propagated from it.
-    left: Relation,
-    /// The join-right base likewise; mirrors `left` for one-base views.
-    right: Relation,
-}
-
-/// One materialized view: its definition, schema, and state. `inner` is
-/// `None` between the view's registration on its base slots and the end of
-/// its initial materialization (which runs on the creating client's
-/// thread); a propagation arriving in that window blocks on `init_cv` —
-/// never the other way round, since materialization waits only on base
-/// head cells, which fill independently.
-struct ViewHandle {
-    name: RelationName,
-    def: ViewDef,
-    schema: Option<Schema>,
-    inner: Mutex<Option<ViewState>>,
-    init_cv: Condvar,
-}
-
-impl ViewHandle {
-    /// Runs `f` on the view's state under its lock, blocking until the
-    /// initial materialization has filled it.
-    fn with_state<T>(&self, f: impl FnOnce(&mut ViewState) -> T) -> T {
-        let mut guard = self.inner.lock();
-        while guard.is_none() {
-            self.init_cv.wait(&mut guard);
-        }
-        f(guard.as_mut().expect("waited for init above"))
-    }
-
-    /// Advances the view by one base commit's transition runs (see
-    /// [`advance_view`]) — O(touched · log n), never a rescan, except for
-    /// a self-join, which is re-evaluated.
-    fn apply_delta(
-        &self,
-        role: DepRole,
-        base: &RelationName,
-        runs: &[KeyTransition],
-        base_after: &Relation,
-        stats: &EngineStats,
-    ) {
-        self.with_state(|st| {
-            let other = match role {
-                DepRole::JoinLeft => Some(&st.right),
-                DepRole::JoinRight => Some(&st.left),
-                DepRole::Base => None,
-            };
-            st.current = advance_view(&self.def, base, &st.current, runs, base_after, other);
-            match role {
-                DepRole::Base | DepRole::JoinLeft => st.left = base_after.clone(),
-                DepRole::JoinRight => st.right = base_after.clone(),
-            }
-            EngineStats::bump(&stats.view_updates);
-        })
-    }
-}
-
-/// Forwards a committed run's transitions — the runs the batch kernel
-/// derived and landed, not a second derivation — to every dependent view
-/// registered on `slot`. Runs inside the commit, *before* any response or
-/// the output cell fills, so an acknowledged base write is already visible
-/// in its views — which is what lets a view read prove freshness by
-/// waiting on base head cells alone.
-fn propagate_to_views(
-    slot: &RelationSlot,
-    next: &Relation,
-    first_seq: u64,
-    runs: &[KeyTransition],
-    stats: &EngineStats,
-) {
-    // Snapshot the registration list, then apply outside its lock: a
-    // propagation may block briefly on a view's initial materialization,
-    // and that wait must not hold up concurrent view creation.
-    let deps: Vec<Dependent> = slot.dependents.lock().clone();
-    for dep in &deps {
-        if first_seq < dep.from_seq {
-            // This run was sealed when the view registered: its effects
-            // are part of the initial materialization already.
-            continue;
-        }
-        dep.view
-            .apply_delta(dep.role, &slot.name, runs, next, stats);
-    }
-}
-
 /// What a slot's lock-free frontier publishes: the newest *ready*
-/// relation value, stamped with how many submitted writes it folds in.
+/// component value, stamped with how many submitted writes it folds in.
 struct FrontierEntry {
     /// Sequence numbers `0..covers` are folded into `value` (burned
     /// numbers from failed commits included).
     covers: u64,
-    /// The ready relation value.
-    value: Relation,
+    /// The ready component value.
+    value: Database,
 }
 
 /// Publishes `(covers, value)` on a slot's frontier, monotonically: a
@@ -244,7 +134,7 @@ struct FrontierEntry {
 /// nothing — paying an allocation per write to pre-warm a frontier no
 /// reader may ever probe is exactly the coalescing tax the bypass regime
 /// exists to avoid.
-fn publish_frontier(frontier: &AtomicArc<FrontierEntry>, covers: u64, value: &Relation) {
+fn publish_frontier(frontier: &AtomicArc<FrontierEntry>, covers: u64, value: &Database) {
     frontier.store_if(
         |current| current.covers >= covers,
         || {
@@ -275,17 +165,13 @@ fn commit_failed(e: &std::io::Error) -> Response {
 /// so recovery still sees a clean prefix of acknowledged history.
 fn commit_and_apply(
     sink: Option<&Arc<dyn CommitSink>>,
-    first: &Relation,
+    first: &Database,
     claimed: Vec<(u64, Query, Lenient<Response>)>,
-    output: &Lenient<Relation>,
-    slot: &RelationSlot,
+    output: &Lenient<Database>,
+    slot: &Slot,
     stats: &EngineStats,
 ) {
     let frontier = &slot.frontier;
-    // Sampled once per run: registration happens under the slot's state
-    // lock before any post-registration batch can open, so a run that
-    // must propagate always sees the flag.
-    let wants_views = slot.has_dependents.load(Ordering::Acquire);
     EngineStats::bump(&stats.batches_claimed);
     EngineStats::add(&stats.ops_claimed, claimed.len() as u64);
     // The run's sequence numbers end here; the frontier entry published
@@ -295,11 +181,11 @@ fn commit_and_apply(
     // publications are ordered along each slot's version chain and
     // `publish_frontier`'s monotonic guard only ever resolves races with
     // readers repairing the frontier from a newer head.
-    let first_seq = claimed.first().map(|(s, _, _)| *s).expect("nonempty run");
     let covers = claimed.last().map(|(s, _, _)| s + 1).expect("nonempty run");
+    let relation = claimed[0].1.relation().expect("a write names its relation");
     if let Some(sink) = sink {
         let records: Vec<(u64, Query)> = claimed.iter().map(|(s, q, _)| (*s, q.clone())).collect();
-        if let Err(e) = sink.commit_writes(&slot.name, &records) {
+        if let Err(e) = sink.commit_writes(relation, &records) {
             publish_frontier(frontier, covers, first);
             for (_, _, resp_cell) in claimed {
                 resp_cell.fill(commit_failed(&e)).ok();
@@ -314,21 +200,20 @@ fn commit_and_apply(
         let Ok([(_, q, resp_cell)]) = <[_; 1]>::try_from(claimed) else {
             unreachable!("only data writes coalesce; index DDL runs alone")
         };
-        let (next, resp) = exec::write(first, q);
+        let (resp, next) = exec::write(first, &q);
         publish_frontier(frontier, covers, &next);
         resp_cell.fill(resp).ok();
         output.fill(next).ok();
         return;
     };
-    // Apply the whole run as one commit: the batch kernel derives the
+    // Apply the whole run as one commit: `Database::write` derives the
     // per-key transitions once (grouped stably — submission order within a
     // key is preserved, so the result equals applying the ops one at a
     // time in submission order), lands them copying each touched node
-    // once, and hands the same runs on to the views.
-    let (next, outcomes, _, runs) = first.apply_batch_with_runs(&ops);
-    if wants_views {
-        propagate_to_views(slot, &next, first_seq, &runs, stats);
-    }
+    // once, and advances the component's views from the same runs.
+    let (next, outcomes, _) = first
+        .write(relation, &ops)
+        .expect("writes to views are refused at submission");
     publish_frontier(frontier, covers, &next);
     for ((_, q, resp_cell), outcome) in claimed.into_iter().zip(outcomes) {
         resp_cell.fill(exec::batch_response(q, outcome)).ok();
@@ -347,13 +232,13 @@ fn commit_and_apply(
 /// fill; the pool job that finds the list empty simply returns.
 fn force(
     batch: &Mutex<BatchOps>,
-    slot: &RelationSlot,
+    slot: &Slot,
     sink: Option<&Arc<dyn CommitSink>>,
     stats: &EngineStats,
 ) -> bool {
     let (current, ops, output) = {
         let mut guard = batch.lock();
-        let Some(rel) = guard.input.try_map(Relation::clone) else {
+        let Some(db) = guard.input.try_map(Database::clone) else {
             return false;
         };
         if guard.ops.is_empty() {
@@ -362,7 +247,7 @@ fn force(
             return false;
         }
         guard.sealed = true;
-        (rel, std::mem::take(&mut guard.ops), guard.output.clone())
+        (db, std::mem::take(&mut guard.ops), guard.output.clone())
     };
     commit_and_apply(sink, &current, ops, &output, slot, stats);
     true
@@ -372,7 +257,7 @@ fn force(
 /// apply the run (or, if a forcing reader claimed it first, wait for the
 /// reader's fill), then drain any chained successors.
 fn run_batch_job(
-    slot: &Arc<RelationSlot>,
+    slot: &Arc<Slot>,
     batch: &Arc<Mutex<BatchOps>>,
     sink: Option<&Arc<dyn CommitSink>>,
     stats: &Arc<EngineStats>,
@@ -413,16 +298,12 @@ fn run_batch_job(
 /// until the slot quiesces or another runner takes over.
 ///
 /// After `MAX_DRAIN` batches the rest of the drain is re-enqueued at the
-/// pool's tail, so one relation's write storm cannot monopolize a narrow
+/// pool's tail, so one component's write storm cannot monopolize a narrow
 /// pool. Liveness: a chained batch is only ever created while its
 /// predecessor's runner is active (the open happens under the slot lock,
 /// and so does this probe), so every chained batch is eventually claimed
-/// here or promoted by a sealing reader.
-fn drain_chain(
-    slot: &Arc<RelationSlot>,
-    sink: Option<&Arc<dyn CommitSink>>,
-    stats: &Arc<EngineStats>,
-) {
+/// here or promoted by a sealing submission.
+fn drain_chain(slot: &Arc<Slot>, sink: Option<&Arc<dyn CommitSink>>, stats: &Arc<EngineStats>) {
     const MAX_DRAIN: u32 = 64;
     let mut drained = 0u32;
     loop {
@@ -448,7 +329,7 @@ fn drain_chain(
         let Some((input, claimed, output)) = work else {
             return;
         };
-        let first = input.try_map(Relation::clone).expect("probed filled above");
+        let first = input.try_map(Database::clone).expect("probed filled above");
         commit_and_apply(sink, &first, claimed, &output, slot.as_ref(), stats);
         drained += 1;
         if drained >= MAX_DRAIN {
@@ -472,22 +353,23 @@ fn drain_chain(
 ///
 /// The inline form is the bypass regime's steady state — each bypass write
 /// replaces the value wholesale, allocating nothing. A cell appears only
-/// when a version is genuinely deferred (an open batch's output) or when a
-/// consumer needs a shareable handle (a batch input, a join pin), at which
-/// point [`share`](Head::share) converts the inline value into a ready
-/// cell *once* and keeps it, so repeated shares don't re-allocate.
+/// when a version is genuinely deferred (an open batch's output, a view
+/// merge) or when a consumer needs a shareable handle (a batch input, a
+/// join pin), at which point [`share`](Head::share) converts the inline
+/// value into a ready cell *once* and keeps it, so repeated shares don't
+/// re-allocate.
 enum Head {
     /// Settled, held inline; replaced by the next bypass write.
-    Ready(Relation),
+    Ready(Database),
     /// Deferred or shared: the usual lenient cell.
-    Cell(Lenient<Relation>),
+    Cell(Lenient<Database>),
 }
 
 impl Head {
     /// The value, if settled — without blocking.
-    fn try_get(&self) -> Option<&Relation> {
+    fn try_get(&self) -> Option<&Database> {
         match self {
-            Head::Ready(rel) => Some(rel),
+            Head::Ready(db) => Some(db),
             Head::Cell(cell) => cell.try_get(),
         }
     }
@@ -501,12 +383,12 @@ impl Head {
     }
 
     /// A shareable handle to this version, materializing a cell on first
-    /// demand. `Relation` clones are a handful of `Arc` bumps.
-    fn share(&mut self) -> Lenient<Relation> {
+    /// demand. `Database` clones are one `Arc` bump.
+    fn share(&mut self) -> Lenient<Database> {
         match self {
             Head::Cell(cell) => cell.clone(),
-            Head::Ready(rel) => {
-                let cell = Lenient::ready(rel.clone());
+            Head::Ready(db) => {
+                let cell = Lenient::ready(db.clone());
                 *self = Head::Cell(cell.clone());
                 cell
             }
@@ -514,7 +396,7 @@ impl Head {
     }
 }
 
-/// Per-relation mutable state: one shard of the frontier.
+/// Per-component mutable state: one shard of the frontier.
 struct SlotState {
     /// The newest version (the open batch's output while one exists).
     head: Head,
@@ -522,23 +404,28 @@ struct SlotState {
     open: Option<Arc<Mutex<BatchOps>>>,
     /// The next write sequence number: how many writes (including failed
     /// commits, whose numbers are burned) have been submitted against this
-    /// relation. Checkpoints record this as their replay mark.
+    /// component. Checkpoints record it as the replay mark of every base
+    /// of the component.
     next_seq: u64,
     /// Recent read/write interleaving; decides bypass vs coalesce.
     tracker: TrafficTracker,
+    /// The slot a `create view` merged this component into. Set once,
+    /// under the lock; whoever locks a moved slot follows it instead.
+    moved: Option<Arc<Slot>>,
 }
 
-/// One relation's slot: static name and schema plus the locked frontier
-/// shard and the lock-free read-side publications.
-struct RelationSlot {
-    name: RelationName,
-    schema: Option<Schema>,
+/// One component's slot: the locked frontier shard and the lock-free
+/// read-side publications.
+struct Slot {
+    /// Engine-unique; multi-slot locks are taken in this order.
+    id: u64,
     state: Mutex<SlotState>,
     /// The newest *ready* version, readable without the slot lock.
     frontier: AtomicArc<FrontierEntry>,
     /// Mirror of `next_seq`, stored (Release) at every submission while
     /// the slot lock is held; the lock-free read path compares it against
-    /// the frontier's `covers` to prove no submitted write is missing.
+    /// the frontier's `covers` to prove no submitted write is missing. A
+    /// merged-away slot stores `u64::MAX`, so the probe always misses.
     submitted: AtomicU64,
     /// Read traffic flag, set (Relaxed) by every read — including frontier
     /// hits, which never take the slot lock; writers sample-and-clear it
@@ -546,71 +433,49 @@ struct RelationSlot {
     /// keeps the read side to a plain store (no RMW); a mark lost to the
     /// load/clear race only nudges the regime heuristic, never correctness.
     read_seen: AtomicBool,
-    /// Materialized views registered on this relation: every claimed run
-    /// forwards its transitions to each of them. A leaf lock — taken under
-    /// the slot's state lock during registration, and alone during
-    /// propagation — so it cannot participate in a lock cycle.
-    dependents: Mutex<Vec<Dependent>>,
-    /// Mirror of `!dependents.is_empty()`, so the common no-views commit
-    /// path pays one relaxed load instead of a lock. Also disables the
-    /// bypass regime: bypass writes skip [`commit_and_apply`], which is
-    /// where propagation lives.
-    has_dependents: AtomicBool,
 }
 
-impl RelationSlot {
+/// Slot identities: the lock order of multi-slot captures.
+static SLOT_IDS: AtomicU64 = AtomicU64::new(0);
+
+impl Slot {
     /// A slot whose frontier starts at `value`, covering `start_seq`
     /// already-accounted writes (nonzero after recovery).
-    fn new(name: RelationName, schema: Option<Schema>, value: Relation, start_seq: u64) -> Self {
-        RelationSlot {
-            name,
-            schema,
+    fn new(value: Database, start_seq: u64) -> Self {
+        Slot {
+            id: SLOT_IDS.fetch_add(1, Ordering::Relaxed),
             frontier: AtomicArc::new(Arc::new(FrontierEntry {
                 covers: start_seq,
                 value: value.clone(),
             })),
             submitted: AtomicU64::new(start_seq),
             read_seen: AtomicBool::new(false),
-            dependents: Mutex::new(Vec::new()),
-            has_dependents: AtomicBool::new(false),
             state: Mutex::new(SlotState {
                 head: Head::Ready(value),
                 open: None,
                 next_seq: start_seq,
                 tracker: TrafficTracker::new(),
+                moved: None,
             }),
         }
     }
-
-    /// Registers `view` on this slot, the `i`-th of its bases: every run
-    /// numbered `from_seq` or later propagates to it. Called under the
-    /// slot's state lock (or before the engine is shared), so `from_seq`
-    /// draws a sharp line through the slot's history.
-    fn register(&self, view: &Arc<ViewHandle>, i: usize, from_seq: u64) {
-        let role = match (&view.def, i) {
-            (ViewDef::Join { .. }, 0) => DepRole::JoinLeft,
-            (ViewDef::Join { .. }, _) => DepRole::JoinRight,
-            _ => DepRole::Base,
-        };
-        self.dependents.lock().push(Dependent {
-            view: Arc::clone(view),
-            role,
-            from_seq,
-        });
-        self.has_dependents.store(true, Ordering::Release);
-    }
 }
 
-/// The catalog: relation name resolution and creation order. Only
-/// `create relation` takes this exclusively; data operations resolve
-/// through the per-thread slot cache and read it only on a cache miss.
+/// What a relation or view name is bound to: what it is, and the slot of
+/// its component (as of binding; a later merge is followed through
+/// [`SlotState::moved`]).
+#[derive(Clone)]
+struct Bound {
+    slot: Arc<Slot>,
+    entry: Entry,
+}
+
+/// The catalog: name resolution and creation order. Only `create` takes
+/// this exclusively; data operations resolve through the per-thread cache
+/// and read it only on a cache miss.
 struct Catalog {
-    slots: HashMap<RelationName, Arc<RelationSlot>, BuildFnv>,
-    /// Materialized views by name. Views have no slot — they are never
-    /// written directly; their contents live in the [`ViewHandle`] and
-    /// advance only through base-commit propagation.
-    views: HashMap<RelationName, Arc<ViewHandle>, BuildFnv>,
-    /// Creation order (relations and views), so a barrier can rebuild a
+    names: HashMap<RelationName, Bound, BuildFnv>,
+    /// Creation order (relations and views), so a cut can rebuild a
     /// `Database` with stable spine positions.
     order: Vec<RelationName>,
     /// Names claimed by an in-flight `create` whose durable commit is
@@ -619,30 +484,35 @@ struct Catalog {
     reserved: HashSet<RelationName>,
 }
 
-impl Catalog {
-    /// Every view with its definition, in creation order — the order the
-    /// sequential model's database lists them in, so a substitution probe
-    /// picks the same view here as there.
-    fn view_defs(&self) -> impl Iterator<Item = (&RelationName, &ViewDef)> {
-        self.order
-            .iter()
-            .filter_map(|n| self.views.get(n).map(|v| (&v.name, &v.def)))
+/// Adds `name`'s entry of `from` — relation value, schema and view
+/// definition, all shared — to `db`.
+fn with_entry(db: &Database, from: &Database, name: &RelationName) -> Database {
+    let relation = from
+        .relation(name)
+        .expect("name from this database")
+        .clone();
+    let schema = from.schema(name).expect("name from this database").cloned();
+    match from.view_def(name).expect("name from this database") {
+        None => db.with_relation_value(name.clone(), relation, schema),
+        Some(def) => db.with_view_value(name.clone(), relation, schema, def.clone()),
     }
+    .expect("names are unique")
 }
 
 /// An atomic cut of the engine's frontier: a database value plus, for each
-/// relation, the number of writes the cut folds in (its replay mark).
+/// base relation, the number of writes the cut folds in (its replay mark).
 ///
 /// Produced by [`PipelinedEngine::consistent_cut`]. A checkpoint of the
 /// `database` paired with the `seq_marks` is exactly enough for recovery:
 /// replay the log, skipping each relation's records below its mark.
 #[derive(Debug, Clone)]
 pub struct ConsistentCut {
-    /// The cut's database value — the engine's actual relation values, so
-    /// structure is physically shared with neighbouring cuts.
+    /// The cut's database value — the engine's actual relation and view
+    /// values, so structure is physically shared with neighbouring cuts.
     pub database: Database,
-    /// Per relation, how many writes (sequence numbers `0..mark`) the
-    /// database value accounts for.
+    /// Per base relation, how many writes (sequence numbers `0..mark`)
+    /// the database value accounts for. Bases of one component share one
+    /// numbering, hence one mark.
     pub seq_marks: HashMap<RelationName, u64>,
 }
 
@@ -671,24 +541,22 @@ pub struct PipelinedEngine {
     sink: Option<Arc<dyn CommitSink>>,
     /// Hot-path event counters (relaxed atomics; see [`EngineStats`]).
     stats: Arc<EngineStats>,
-    /// `true` once any view exists — gates the per-select/join view
-    /// substitution probe so engines without views pay nothing for it.
-    views_exist: AtomicBool,
-    /// Identity for the per-thread slot cache (see [`Self::slot`]).
+    /// Identity for the per-thread name cache (see [`Self::resolve`]).
     id: u64,
 }
 
-/// Monotonic engine identities, so the per-thread slot cache can tell two
-/// engines' relations apart.
+/// Monotonic engine identities, so the per-thread name cache can tell two
+/// engines' names apart.
 static ENGINE_IDS: AtomicU64 = AtomicU64::new(0);
 
-/// One engine's name → slot memo (keyed by the owning engine's id).
-type SlotMemo = (u64, HashMap<RelationName, Arc<RelationSlot>, BuildFnv>);
+/// One engine's name → binding memo (keyed by the owning engine's id).
+type NameMemo = (u64, HashMap<RelationName, Bound, BuildFnv>);
 
 thread_local! {
-    /// One engine's name → slot memo for this thread; reset whenever the
-    /// thread submits to a different engine (see [`PipelinedEngine::slot`]).
-    static SLOT_CACHE: RefCell<SlotMemo> = RefCell::new((u64::MAX, HashMap::default()));
+    /// One engine's name → binding memo for this thread; reset whenever
+    /// the thread submits to a different engine (see
+    /// [`PipelinedEngine::resolve`]).
+    static SLOT_CACHE: RefCell<NameMemo> = RefCell::new((u64::MAX, HashMap::default()));
 }
 
 impl fmt::Debug for PipelinedEngine {
@@ -705,25 +573,20 @@ fn refused(message: String) -> Lenient<Response> {
 }
 
 /// Evaluates a single-relation read — or, under `explain`, plans it —
-/// against the version pinned for it, recording the access path a select
-/// actually ran on. `substituted` marks a view standing in for the
-/// relation the statement was written against.
-fn evaluate(
-    explain: bool,
-    substituted: bool,
-    rel: &Relation,
-    schema: Option<&Schema>,
-    query: &Query,
-    stats: &EngineStats,
-) -> Response {
-    if explain {
-        return exec::explain_read(rel, schema, query, substituted);
-    }
-    let (response, path) = exec::read(rel, schema, query);
-    if let Some(path) = &path {
-        stats.record_path(path);
+/// against the component version pinned for it, counting what it did.
+fn evaluate(db: &Database, query: &Query, explain: bool, stats: &EngineStats) -> Response {
+    let (response, trace) = exec::read(db, query, explain);
+    if !explain {
+        stats.record(&trace);
     }
     response
+}
+
+/// Whether `query` is answered from a view of `db`: it reads a view, or it
+/// is a select a view materializes.
+fn reads_view(db: &Database, query: &Query) -> bool {
+    let named = query.relation().expect("single-relation read");
+    matches!(db.view_def(named), Ok(Some(_))) || exec::substitute(db, query).is_some()
 }
 
 impl PipelinedEngine {
@@ -744,7 +607,8 @@ impl PipelinedEngine {
     /// `seq_marks` gives each relation's starting write sequence number —
     /// `0` for a fresh store, or the recovered next-sequence values after a
     /// restart, so that replayed history and new writes never share a
-    /// number. Relations absent from the map start at `0`.
+    /// number. Relations absent from the map start at `0`; a component
+    /// starts at the largest mark among its bases.
     ///
     /// # Panics
     ///
@@ -765,80 +629,55 @@ impl PipelinedEngine {
         seq_marks: &HashMap<RelationName, u64>,
     ) -> Self {
         let order = initial.relation_names();
-        let view_defs: HashMap<RelationName, Arc<ViewDef>> = initial.views().into_iter().collect();
-        let mut slots: HashMap<RelationName, Arc<RelationSlot>, BuildFnv> = HashMap::default();
-        let mut views: HashMap<RelationName, Arc<ViewHandle>, BuildFnv> = HashMap::default();
-        for n in &order {
-            let rel = initial
-                .relation(n)
-                .expect("name from this database")
-                .clone();
-            let schema = initial.schema(n).expect("name from this database").cloned();
-            match view_defs.get(n) {
-                None => {
-                    slots.insert(
-                        n.clone(),
-                        Arc::new(RelationSlot::new(
-                            n.clone(),
-                            schema,
-                            rel,
-                            seq_marks.get(n).copied().unwrap_or(0),
-                        )),
-                    );
-                }
-                Some(def) => {
-                    // A recovered view: contents come in with the initial
-                    // database (rebuilt from its bases by recovery); the
-                    // base caches are those bases' initial values.
-                    let bases = def.bases();
-                    let left = initial
-                        .relation(bases[0])
-                        .expect("view bases precede the view")
-                        .clone();
-                    let right = bases
-                        .get(1)
-                        .map(|b| {
-                            initial
-                                .relation(b)
-                                .expect("view bases precede the view")
-                                .clone()
-                        })
-                        .unwrap_or_else(|| left.clone());
-                    views.insert(
-                        n.clone(),
-                        Arc::new(ViewHandle {
-                            name: n.clone(),
-                            def: def.as_ref().clone(),
-                            schema,
-                            inner: Mutex::new(Some(ViewState {
-                                current: rel,
-                                left,
-                                right,
-                            })),
-                            init_cv: Condvar::new(),
-                        }),
-                    );
-                }
+        // Components: every name starts alone; a view joins its bases'
+        // components into one and itself to it.
+        let mut group: Vec<usize> = (0..order.len()).collect();
+        for (i, n) in order.iter().enumerate() {
+            let def = initial.view_def(n).expect("name from this database");
+            for base in def.map(ViewDef::bases).unwrap_or_default() {
+                let from = group[initial.position(base).expect("view bases exist")];
+                let into = group[i];
+                group
+                    .iter_mut()
+                    .filter(|g| **g == from)
+                    .for_each(|g| *g = into);
             }
         }
-        for handle in views.values() {
-            for (i, base) in handle.def.bases().into_iter().enumerate() {
-                let slot = slots.get(base).expect("view bases exist as relations");
-                slot.register(handle, i, slot.state.lock().next_seq);
+        let mut names: HashMap<RelationName, Bound, BuildFnv> = HashMap::default();
+        let mut groups = group.clone();
+        groups.sort_unstable();
+        groups.dedup();
+        for g in groups {
+            let members: Vec<&RelationName> = (0..order.len())
+                .filter(|&i| group[i] == g)
+                .map(|i| &order[i])
+                .collect();
+            let db = members
+                .iter()
+                .fold(Database::empty(), |db, n| with_entry(&db, initial, n));
+            let start = members
+                .iter()
+                .filter_map(|n| seq_marks.get(*n).copied())
+                .max()
+                .unwrap_or(0);
+            let slot = Arc::new(Slot::new(db, start));
+            for n in members {
+                let bound = Bound {
+                    slot: Arc::clone(&slot),
+                    entry: exec::entry(initial, n),
+                };
+                names.insert(n.clone(), bound);
             }
         }
-        let views_exist = !views.is_empty();
         PipelinedEngine {
             pool: WorkerPool::new(workers),
             catalog: RwLock::new(Catalog {
-                slots,
-                views,
+                names,
                 order,
                 reserved: HashSet::new(),
             }),
             sink,
             stats: Arc::new(EngineStats::default()),
-            views_exist: AtomicBool::new(views_exist),
             id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -848,17 +687,17 @@ impl PipelinedEngine {
         self.stats.snapshot()
     }
 
-    /// Resolves a relation name to its slot through a per-thread cache, so
-    /// the data hot paths skip both the catalog `RwLock` and a SipHash
-    /// probe on every hit.
+    /// Runs `f` on what `name` is bound to, resolved through a per-thread
+    /// cache, so the data hot paths skip both the catalog `RwLock` and a
+    /// SipHash probe on every hit.
     ///
-    /// Sound because a name's binding is immutable: relations are only
-    /// ever *added* to the catalog, never dropped or rebound, so a cached
-    /// `Arc` can never point at the wrong slot. Misses are not cached (a
-    /// later `create` must become visible), and the cache belongs to one
-    /// engine at a time — a thread that submits to a different engine
-    /// resets it wholesale.
-    fn slot(&self, name: &RelationName) -> Option<Arc<RelationSlot>> {
+    /// Sound because what a name *is* never changes — names are only ever
+    /// added, never dropped or rebound — and a binding's slot that a view
+    /// merge has since retired says where its component went. Misses are
+    /// not cached (a later `create` must become visible), and the cache
+    /// belongs to one engine at a time — a thread that submits to a
+    /// different engine resets it wholesale.
+    fn resolve<T>(&self, name: &RelationName, f: impl FnOnce(&Bound) -> T) -> Option<T> {
         SLOT_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
             let (owner, map) = &mut *cache;
@@ -866,75 +705,109 @@ impl PipelinedEngine {
                 *owner = self.id;
                 map.clear();
             }
-            if let Some(slot) = map.get(name) {
-                return Some(Arc::clone(slot));
+            if let Some(bound) = map.get(name) {
+                return Some(f(bound));
             }
-            let slot = Arc::clone(self.catalog.read().slots.get(name)?);
-            map.insert(name.clone(), Arc::clone(&slot));
-            Some(slot)
+            let bound = self.catalog.read().names.get(name)?.clone();
+            let out = f(&bound);
+            map.insert(name.clone(), bound);
+            Some(out)
         })
     }
 
-    /// Resolves a name to its materialized-view handle, if it names one.
-    fn view(&self, name: &RelationName) -> Option<Arc<ViewHandle>> {
-        if !self.views_exist.load(Ordering::Acquire) {
-            return None;
-        }
-        self.catalog.read().views.get(name).cloned()
+    /// The slot `name` is bound to, if it names anything.
+    fn slot(&self, name: &RelationName) -> Option<Arc<Slot>> {
+        self.resolve(name, |b| Arc::clone(&b.slot))
     }
 
-    /// What `name` resolves to in the catalog, for `exec`'s resolution
-    /// steps (slots carry their static schema).
+    /// What `name` resolves to, for `exec`'s resolution steps.
     fn entry(&self, name: &RelationName) -> Entry {
-        match self.slot(name) {
-            Some(slot) => Entry::Base(slot.schema.clone()),
-            None if self.view(name).is_some() => Entry::View,
-            None => Entry::Missing,
+        self.resolve(name, |b| b.entry.clone())
+            .unwrap_or(Entry::Missing)
+    }
+
+    /// Records, for this thread, that `name`'s component now lives in
+    /// `slot`.
+    fn remember(&self, name: &RelationName, slot: &Arc<Slot>) {
+        SLOT_CACHE.with(|cache| {
+            let mut cache = cache.borrow_mut();
+            let (owner, map) = &mut *cache;
+            if let Some(bound) = map.get_mut(name).filter(|_| *owner == self.id) {
+                bound.slot = Arc::clone(slot);
+            }
+        });
+    }
+
+    /// Locks the slot that holds `name`'s component now — starting from
+    /// `slot`, the one it was bound to, and following merges — and runs
+    /// `f` under the lock.
+    fn with_slot<T>(
+        &self,
+        name: &RelationName,
+        mut slot: Arc<Slot>,
+        f: impl FnOnce(&Arc<Slot>, &mut SlotState) -> T,
+    ) -> T {
+        loop {
+            let mut state = slot.state.lock();
+            if let Some(next) = &state.moved {
+                let next = Arc::clone(next);
+                drop(state);
+                self.remember(name, &next);
+                slot = next;
+                continue;
+            }
+            return f(&slot, &mut state);
         }
     }
 
-    /// The view that materializes exactly `select from relation [where
-    /// predicate]`, if any.
-    fn select_view(
+    /// Locks the slots holding the components of `names` as one atomic
+    /// cut — following merges, each distinct slot once, acquired in slot
+    /// order so concurrent multi-slot locks cannot form a cycle — and runs
+    /// `f` while every lock is held. `f` sees the locked slots, their
+    /// states, and for each name the position of its slot among them.
+    fn with_slots<T>(
         &self,
-        relation: &RelationName,
-        predicate: &Option<Predicate>,
-    ) -> Option<Arc<ViewHandle>> {
-        if !self.views_exist.load(Ordering::Acquire) {
-            return None;
+        names: &[&RelationName],
+        f: impl FnOnce(&[Arc<Slot>], &mut [MutexGuard<'_, SlotState>], &[usize]) -> T,
+    ) -> T {
+        let mut bound: Vec<Arc<Slot>> = names
+            .iter()
+            .map(|n| self.slot(n).expect("resolved before locking"))
+            .collect();
+        loop {
+            let mut slots = bound.clone();
+            slots.sort_by_key(|s| s.id);
+            slots.dedup_by(|a, b| Arc::ptr_eq(a, b));
+            let mut guards: Vec<MutexGuard<'_, SlotState>> =
+                slots.iter().map(|s| s.state.lock()).collect();
+            let at: Vec<usize> = bound
+                .iter()
+                .map(|b| {
+                    slots
+                        .iter()
+                        .position(|s| Arc::ptr_eq(s, b))
+                        .expect("locked above")
+                })
+                .collect();
+            let mut moved = false;
+            for ((name, b), &i) in names.iter().zip(bound.iter_mut()).zip(&at) {
+                if let Some(next) = &guards[i].moved {
+                    *b = Arc::clone(next);
+                    self.remember(name, next);
+                    moved = true;
+                }
+            }
+            if !moved {
+                return f(&slots, &mut guards, &at);
+            }
         }
-        let slot = self.slot(relation)?;
-        let catalog = self.catalog.read();
-        let name = exec::matching_select_view(
-            catalog.view_defs(),
-            relation,
-            predicate,
-            slot.schema.as_ref(),
-        )?;
-        catalog.views.get(name).cloned()
-    }
-
-    /// The view that materializes exactly `join left with right` on the
-    /// resolved positions, if any.
-    fn join_view(
-        &self,
-        left: &RelationName,
-        right: &RelationName,
-        on: Option<(usize, usize)>,
-    ) -> Option<Arc<ViewHandle>> {
-        if !self.views_exist.load(Ordering::Acquire) {
-            return None;
-        }
-        let catalog = self.catalog.read();
-        let name = exec::matching_join_view(catalog.view_defs(), left, right, on)?;
-        catalog.views.get(name).cloned()
     }
 
     /// Enqueues the pool job for `batch`. Must be called while the slot's
     /// state lock is held: enqueue order must respect version-capture
     /// order, or a FIFO worker could stall behind a job whose producer
     /// sits after it in the queue.
-    fn spawn_batch_job(&self, slot: &Arc<RelationSlot>, batch: &Arc<Mutex<BatchOps>>) {
+    fn spawn_batch_job(&self, slot: &Arc<Slot>, batch: &Arc<Mutex<BatchOps>>) {
         let slot = Arc::clone(slot);
         let batch = Arc::clone(batch);
         let sink = self.sink.clone();
@@ -948,11 +821,11 @@ impl PipelinedEngine {
     /// submitted so far. A *chained* batch (one with no pool job) is
     /// promoted here — its job is spawned under the slot lock — because
     /// the sealer is about to queue work that waits on the batch's
-    /// output, and the FIFO deadlock-freedom argument needs the producer
-    /// job enqueued first.
+    /// output (or to replace it as the open batch), and the FIFO
+    /// deadlock-freedom argument needs the producer job enqueued first.
     fn seal_and_promote(
         &self,
-        slot: &Arc<RelationSlot>,
+        slot: &Arc<Slot>,
         state: &mut SlotState,
     ) -> Option<Arc<Mutex<BatchOps>>> {
         let batch = state.open.take()?;
@@ -971,133 +844,22 @@ impl PipelinedEngine {
         Some(batch)
     }
 
-    /// Pins the current versions of several relations as one atomic cut:
-    /// every slot lock is held at once — acquired in name order, so
-    /// concurrent multi-relation pins cannot form a lock cycle — while
-    /// each open batch is sealed and each head shared, so the pinned
-    /// versions are a consistent prefix of every relation's history.
-    /// `under_lock` sees each slot's state (by position in `slots`) while
-    /// all the locks are still held. `slots` must be distinct.
-    fn pin_many(
-        &self,
-        slots: &[Arc<RelationSlot>],
-        mut under_lock: impl FnMut(usize, &SlotState),
-    ) -> Vec<Lenient<Relation>> {
-        let mut by_name: Vec<usize> = (0..slots.len()).collect();
-        by_name.sort_by(|&a, &b| slots[a].name.as_str().cmp(slots[b].name.as_str()));
-        let mut guards: Vec<Option<MutexGuard<'_, SlotState>>> =
-            slots.iter().map(|_| None).collect();
-        for &i in &by_name {
-            guards[i] = Some(slots[i].state.lock());
-        }
-        let mut heads = Vec::with_capacity(slots.len());
-        for (i, (slot, guard)) in slots.iter().zip(guards.iter_mut()).enumerate() {
-            let state = guard.as_mut().expect("guard acquired above");
-            self.seal_and_promote(slot, state);
-            heads.push(state.head.share());
-            under_lock(i, state);
-        }
-        heads
-    }
-
-    /// Submits a read answered from a materialized view's contents.
-    ///
-    /// Freshness protocol: seal and pin every base's head as one cut.
-    /// Once those heads fill, every base write submitted before this read
-    /// has committed, and commits propagate to dependent views *before*
-    /// filling their output cells — so by then the view covers at least
-    /// this read's prefix. (It may additionally include concurrently
-    /// submitted writes; an equivalent serial order simply places them
-    /// before the read.) Fast path: if every base's published frontier
-    /// covers all its submitted writes, that proof has already happened
-    /// and the read answers inline.
-    fn submit_view_read(
-        &self,
-        view: Arc<ViewHandle>,
-        query: Query,
-        explain: bool,
-        substituted: bool,
-    ) -> Lenient<Response> {
-        let bases: Vec<Arc<RelationSlot>> = view
-            .def
-            .bases()
-            .into_iter()
-            .filter_map(|b| self.slot(b))
-            .collect();
-        for slot in &bases {
-            slot.read_seen.store(true, Ordering::Relaxed);
-        }
-        let quiescent = bases.iter().all(|slot| {
-            slot.frontier
-                .with(|e| e.covers == slot.submitted.load(Ordering::Acquire))
-        });
-        if quiescent {
-            EngineStats::bump(&self.stats.frontier_hits);
-            let schema = view.schema.as_ref();
-            return Lenient::ready(view.with_state(|st| {
-                evaluate(
-                    explain,
-                    substituted,
-                    &st.current,
-                    schema,
-                    &query,
-                    &self.stats,
-                )
-            }));
-        }
-        EngineStats::bump(&self.stats.frontier_misses);
-        let heads = self.pin_many(&bases, |_, _| {});
-        let response = Lenient::new();
-        let out = response.clone();
-        let stats = Arc::clone(&self.stats);
-        self.pool.spawn(move || {
-            for h in &heads {
-                h.wait();
-            }
-            let rel = view.with_state(|st| st.current.clone());
-            let answer = evaluate(
-                explain,
-                substituted,
-                &rel,
-                view.schema.as_ref(),
-                &query,
-                &stats,
-            );
-            response.fill(answer).ok();
-        });
-        out
+    /// Seals the open batch and shares the head: the version that folds
+    /// exactly the writes submitted so far.
+    fn pin(&self, slot: &Arc<Slot>, state: &mut SlotState) -> Lenient<Database> {
+        self.seal_and_promote(slot, state);
+        state.head.share()
     }
 
     /// Submits a single-relation read (`find`, `find … to …`, `select`,
     /// `count`, aggregate) or, under `explain`, its plan: planning pins a
     /// version exactly as the read would, so estimates come from the same
-    /// relation value the read would have run against.
+    /// value the read would have run against.
     fn submit_read(&self, query: Query, explain: bool) -> Lenient<Response> {
-        // View substitution: a select whose shape matches a view's
-        // definition is answered from the view instead of its base — and
-        // shows up as such in its plan.
-        if let Query::Select {
-            relation,
-            projection,
-            predicate,
-        } = &query
-        {
-            if let Some(view) = self.select_view(relation, predicate) {
-                if !explain {
-                    EngineStats::bump(&self.stats.view_substitutions);
-                }
-                let scan = exec::view_scan(&view.name, projection.clone());
-                return self.submit_view_read(view, scan, explain, true);
-            }
-        }
         let relation = query.relation().expect("single-relation read");
         let Some(slot) = self.slot(relation) else {
-            return match self.view(relation) {
-                Some(view) => self.submit_view_read(view, query, explain, false),
-                None => refused(exec::no_such_relation(relation)),
-            };
+            return refused(exec::no_such_relation(relation));
         };
-        let schema = slot.schema.as_ref();
         let fast = !explain && query.is_point_read();
         // Every read marks the slot's traffic tracker, so writers
         // learn their bursts are being interrupted.
@@ -1116,16 +878,28 @@ impl PipelinedEngine {
             // would pay.
             let hit = slot.frontier.with(|entry| {
                 (entry.covers == slot.submitted.load(Ordering::Acquire))
-                    .then(|| exec::read(&entry.value, schema, &query).0)
+                    .then(|| exec::read(&entry.value, &query, false).0)
             });
             if let Some(resp) = hit {
                 EngineStats::bump(&self.stats.frontier_hits);
                 return Lenient::ready(resp);
             }
             EngineStats::bump(&self.stats.frontier_misses);
+        } else if !explain && slot.frontier.with(|entry| reads_view(&entry.value, &query)) {
+            // A read a view answers is a scan of maintained contents:
+            // answer it inline too when the frontier covers every
+            // submitted write — from a loaded entry, since a scan is too
+            // long to hold the publication side.
+            let entry = slot.frontier.load();
+            if entry.covers == slot.submitted.load(Ordering::Acquire)
+                && reads_view(&entry.value, &query)
+            {
+                EngineStats::bump(&self.stats.frontier_hits);
+                return Lenient::ready(evaluate(&entry.value, &query, false, &self.stats));
+            }
+            EngineStats::bump(&self.stats.frontier_misses);
         }
-        let (input, sealed_batch) = {
-            let mut state = slot.state.lock();
+        let pinned = self.with_slot(relation, slot, |slot, state| {
             // Second chance under the lock: a filled head already
             // reflects every write submitted so far (an unsealed
             // open batch's output *is* the head and would still be
@@ -1137,14 +911,18 @@ impl PipelinedEngine {
             // publishes once and every read until the next write
             // takes the lock-free path.
             if fast {
-                if let Some(rel) = state.head.try_get() {
-                    let resp = exec::read(rel, schema, &query).0;
-                    publish_frontier(&slot.frontier, state.next_seq, rel);
-                    return Lenient::ready(resp);
+                if let Some(db) = state.head.try_get() {
+                    let resp = exec::read(db, &query, false).0;
+                    publish_frontier(&slot.frontier, state.next_seq, db);
+                    return Err(resp);
                 }
             }
-            let batch = self.seal_and_promote(&slot, &mut state);
-            (state.head.share(), batch)
+            let batch = self.seal_and_promote(slot, state);
+            Ok((Arc::clone(slot), state.head.share(), batch))
+        });
+        let (slot, input, sealed_batch) = match pinned {
+            Ok(pinned) => pinned,
+            Err(answered) => return Lenient::ready(answered),
         };
 
         // The pinned version is still pending. If its own input has
@@ -1154,7 +932,7 @@ impl PipelinedEngine {
         if fast {
             if let Some(batch) = &sealed_batch {
                 if force(batch, &slot, self.sink.as_ref(), &self.stats) {
-                    if let Some(resp) = input.try_map(|rel| exec::read(rel, schema, &query).0) {
+                    if let Some(resp) = input.try_map(|db| exec::read(db, &query, false).0) {
                         return Lenient::ready(resp);
                     }
                 }
@@ -1165,8 +943,7 @@ impl PipelinedEngine {
         let out = response.clone();
         let stats = Arc::clone(&self.stats);
         self.pool.spawn(move || {
-            let rel = input.wait();
-            let answer = evaluate(explain, false, rel, slot.schema.as_ref(), &query, &stats);
+            let answer = evaluate(input.wait(), &query, explain, &stats);
             response.fill(answer).ok();
         });
         out
@@ -1180,47 +957,55 @@ impl PipelinedEngine {
         on: &Option<(FieldRef, FieldRef)>,
         explain: bool,
     ) -> Lenient<Response> {
-        // Operands and join attributes resolve against the static schemas
-        // at submission — refusals answer before any version is pinned,
+        // Operands and join attributes resolve against the catalog at
+        // submission — refusals answer before any version is pinned,
         // like every other schema failure.
         let on = match exec::resolve_join(left, right, on, |n| self.entry(n)) {
             Ok(on) => on,
             Err(e) => return refused(e),
         };
-        // View substitution: a join a view materializes is answered
-        // by scanning the view instead of probing either base.
-        if let Some(view) = self.join_view(left, right, on) {
-            if !explain {
-                EngineStats::bump(&self.stats.view_substitutions);
+        let (l, r) = (
+            self.slot(left).expect("resolved above"),
+            self.slot(right).expect("resolved above"),
+        );
+        l.read_seen.store(true, Ordering::Relaxed);
+        r.read_seen.store(true, Ordering::Relaxed);
+        // A view materializing this join lives in its bases' one
+        // component: when that component's frontier covers every
+        // submitted write, the view scan answers inline.
+        if !explain && Arc::ptr_eq(&l, &r) {
+            let entry = l.frontier.load();
+            if exec::join_view(&entry.value, left, right, on).is_some() {
+                if entry.covers == l.submitted.load(Ordering::Acquire) {
+                    EngineStats::bump(&self.stats.frontier_hits);
+                    let (answer, trace) =
+                        exec::join(&entry.value, &entry.value, left, right, on, false);
+                    self.stats.record(&trace);
+                    return Lenient::ready(answer);
+                }
+                EngineStats::bump(&self.stats.frontier_misses);
             }
-            let scan = exec::view_scan(&view.name, None);
-            return self.submit_view_read(view, scan, explain, true);
         }
-        let mut slots: Vec<Arc<RelationSlot>> = Vec::with_capacity(2);
-        for name in [left, right] {
-            if slots.first().is_none_or(|s| s.name != *name) {
-                slots.push(self.slot(name).expect("resolved as a base above"));
-            }
-        }
-        for slot in &slots {
-            slot.read_seen.store(true, Ordering::Relaxed);
-        }
-        let heads = self.pin_many(&slots, |_, _| {});
+        let (heads, at) = self.with_slots(&[left, right], |slots, states, at| {
+            let heads: Vec<Lenient<Database>> = slots
+                .iter()
+                .zip(states.iter_mut())
+                .map(|(slot, state)| self.pin(slot, state))
+                .collect();
+            (heads, at.to_vec())
+        });
+        let (left, right) = (left.clone(), right.clone());
         let response = Lenient::new();
         let out = response.clone();
         let stats = Arc::clone(&self.stats);
         self.pool.spawn(move || {
             // Intra-transaction flooding: both sides' availability
             // is awaited, but each was produced independently.
-            let left_rel = heads[0].wait();
-            let right_rel = heads[heads.len() - 1].wait();
-            let answer = if explain {
-                exec::explain_join(left_rel, right_rel, on)
-            } else {
-                let (answer, strategy) = exec::join(left_rel, right_rel, on);
-                stats.record_join(&strategy);
-                answer
-            };
+            let (l, r) = (heads[at[0]].wait(), heads[at[1]].wait());
+            let (answer, trace) = exec::join(l, r, &left, &right, on, explain);
+            if !explain {
+                stats.record(&trace);
+            }
             response.fill(answer).ok();
         });
         out
@@ -1236,10 +1021,7 @@ impl PipelinedEngine {
     fn reserve_and_commit(&self, name: &RelationName, query: &Query) -> Result<(), Response> {
         {
             let mut catalog = self.catalog.write();
-            if catalog.slots.contains_key(name)
-                || catalog.views.contains_key(name)
-                || !catalog.reserved.insert(name.clone())
-            {
+            if catalog.names.contains_key(name) || !catalog.reserved.insert(name.clone()) {
                 return Err(Response::Error(exec::relation_exists(name)));
             }
         }
@@ -1252,80 +1034,98 @@ impl PipelinedEngine {
         Ok(())
     }
 
-    /// `create view`: register on the bases, then materialize once.
+    /// `create view`: merges the components of the view's bases into the
+    /// first base's slot, whose next version is their union plus the view.
+    ///
+    /// Under all the bases' slot locks, each slot is sealed and its head
+    /// pinned; a pool job (spawned under the locks, so FIFO order still
+    /// follows version capture) waits for the pinned heads, unites them
+    /// and materializes the view with [`Database::create_view`], filling
+    /// the merged slot's new head — then, like a batch job, drains the
+    /// writes chained behind it. The merged numbering continues past the
+    /// largest merged counter, and the merge takes one number of it: no
+    /// version published before the merge can then cover the merged
+    /// counter, so the lock-free read path never answers from a database
+    /// that lacks the view or an absorbed base. Absorbed slots record
+    /// where their component went and stop matching any frontier probe.
     fn submit_create_view(
         &self,
         query: &Query,
         name: &RelationName,
         def: ViewDef,
     ) -> Lenient<Response> {
-        let base_slots: Vec<Arc<RelationSlot>> = def
-            .bases()
-            .into_iter()
-            .map(|b| self.slot(b).expect("resolved as a base"))
-            .collect();
-        let schema = match &def {
-            ViewDef::Select { .. } => base_slots[0].schema.clone(),
-            _ => None,
-        };
         if let Err(refusal) = self.reserve_and_commit(name, query) {
             return Lenient::ready(refusal);
         }
-        let handle = Arc::new(ViewHandle {
-            name: name.clone(),
-            def,
-            schema,
-            inner: Mutex::new(None),
-            init_cv: Condvar::new(),
+        let response = Lenient::new();
+        let bases = def.bases();
+        let (target, absorbed) = self.with_slots(&bases, |slots, states, at| {
+            let target = Arc::clone(&slots[at[0]]);
+            let mut heads: Vec<Lenient<Database>> = slots
+                .iter()
+                .zip(states.iter_mut())
+                .map(|(slot, state)| self.pin(slot, state))
+                .collect();
+            heads.swap(0, at[0]);
+            let next_seq = 1 + states.iter().map(|s| s.next_seq).max().expect("a base");
+            let head = Lenient::new();
+            {
+                let (name, def) = (name.clone(), def.clone());
+                let (head, response, target) = (head.clone(), response.clone(), target.clone());
+                let (sink, stats) = (self.sink.clone(), Arc::clone(&self.stats));
+                self.pool.spawn(move || {
+                    let mut db = heads[0].wait_cloned();
+                    for other in &heads[1..] {
+                        let other = other.wait();
+                        for n in other.relation_names() {
+                            db = with_entry(&db, other, &n);
+                        }
+                    }
+                    let db = db
+                        .create_view(name.clone(), def)
+                        .expect("the spec resolved against these bases");
+                    let rows = db.relation(&name).expect("created above").len();
+                    publish_frontier(&target.frontier, next_seq, &db);
+                    head.fill(db).ok();
+                    response.fill(Response::ViewCreated { name, rows }).ok();
+                    // Writes submitted behind the merge chained onto it.
+                    drain_chain(&target, sink.as_ref(), &stats);
+                });
+            }
+            let mut absorbed = Vec::new();
+            for (slot, state) in slots.iter().zip(states.iter_mut()) {
+                if Arc::ptr_eq(slot, &target) {
+                    state.head = Head::Cell(head.clone());
+                    state.next_seq = next_seq;
+                    slot.submitted.store(next_seq, Ordering::Release);
+                } else {
+                    state.moved = Some(Arc::clone(&target));
+                    slot.submitted.store(u64::MAX, Ordering::Release);
+                    absorbed.push(Arc::clone(slot));
+                }
+            }
+            (target, absorbed)
         });
-
-        // Register on every base under all their slot locks at once.
-        // Sealing each open batch and recording `next_seq` at the same
-        // instant draws a sharp line through each base's history:
-        // everything at or below the pinned head folds into the initial
-        // materialization, everything after flows through the dependent
-        // registration — no commit is lost or double-applied.
-        let heads = self.pin_many(&base_slots, |i, state| {
-            base_slots[i].register(&handle, i, state.next_seq);
-        });
-
-        {
-            let mut catalog = self.catalog.write();
-            catalog.reserved.remove(name);
-            catalog.views.insert(name.clone(), Arc::clone(&handle));
-            catalog.order.push(name.clone());
+        let mut catalog = self.catalog.write();
+        catalog.reserved.remove(name);
+        for bound in catalog.names.values_mut() {
+            if absorbed.iter().any(|a| Arc::ptr_eq(a, &bound.slot)) {
+                bound.slot = Arc::clone(&target);
+            }
         }
-        self.views_exist.store(true, Ordering::Release);
-
-        // Initial materialization on this client's thread: wait for
-        // the pinned base heads, evaluate the definition once, fill
-        // `inner`. A propagation from a commit past the pinned
-        // prefix blocks on `init_cv` until the fill — never the
-        // other way round, since head cells fill independently.
-        let left = heads[0].wait_cloned();
-        let right = heads.get(1).map(Lenient::wait_cloned);
-        let current = materialize_view(&handle.def, &left, right.as_ref());
-        let rows = current.len();
-        {
-            let mut guard = handle.inner.lock();
-            let right = right.unwrap_or_else(|| left.clone());
-            *guard = Some(ViewState {
-                current,
-                left,
-                right,
-            });
-        }
-        handle.init_cv.notify_all();
-        Lenient::ready(Response::ViewCreated {
-            name: name.clone(),
-            rows,
-        })
+        let bound = Bound {
+            slot: target,
+            entry: Entry::View,
+        };
+        catalog.names.insert(name.clone(), bound);
+        catalog.order.push(name.clone());
+        response
     }
 
     /// Stamps one write submission on a locked slot: its sequence number,
     /// the mirror the lock-free read path compares against, and the
     /// traffic tracker's read-interleaving sample.
-    fn stamp_write(slot: &RelationSlot, state: &mut SlotState) -> u64 {
+    fn stamp_write(slot: &Slot, state: &mut SlotState) -> u64 {
         let seq = state.next_seq;
         state.next_seq += 1;
         // Mirror the submission mark for the lock-free read path
@@ -1341,26 +1141,31 @@ impl PipelinedEngine {
         seq
     }
 
-    /// Opens a batch holding `query` as the slot's new head. With
-    /// `has_job` its pool job is spawned here, still under the slot lock:
-    /// enqueue order must respect version order, or a concurrent submitter
-    /// could enqueue a job that waits on the new head ahead of this one,
-    /// and a FIFO worker would stall behind it forever. Without, the batch
-    /// is *chained*: the predecessor's runner claims it.
+    /// Opens a batch holding `query` as the slot's new head, sealing the
+    /// open one first. With `has_job` its pool job is spawned here, still
+    /// under the slot lock: enqueue order must respect version order, or a
+    /// concurrent submitter could enqueue a job that waits on the new head
+    /// ahead of this one, and a FIFO worker would stall behind it forever.
+    /// Without, the batch is *chained*: the predecessor's runner claims it.
     fn open_batch(
         &self,
-        slot: &Arc<RelationSlot>,
+        slot: &Arc<Slot>,
         state: &mut SlotState,
         seq: u64,
         query: Query,
         sealed: bool,
         has_job: bool,
     ) -> Lenient<Response> {
+        self.seal_and_promote(slot, state);
         let output = Lenient::new();
         let response = Lenient::new();
         let batch = Arc::new(Mutex::new(BatchOps {
             input: state.head.share(),
             output: output.clone(),
+            relation: query
+                .relation()
+                .expect("a write names its relation")
+                .clone(),
             ops: vec![(seq, query, response.clone())],
             sealed,
             has_job,
@@ -1374,34 +1179,66 @@ impl PipelinedEngine {
         response
     }
 
-    /// Submits a data write: coalesce, bypass or open a batch.
-    fn submit_write(&self, slot: &Arc<RelationSlot>, query: Query) -> Lenient<Response> {
-        let mut state = slot.state.lock();
-        let seq = Self::stamp_write(slot, &mut state);
+    /// Submits a data write to a base relation; views are refused here, so
+    /// nothing is stamped or logged for them.
+    fn submit_write(&self, query: Query) -> Lenient<Response> {
+        let relation = query
+            .relation()
+            .expect("a write names its relation")
+            .clone();
+        let base = |b: &Bound| match b.entry {
+            Entry::View => None,
+            _ => Some(Arc::clone(&b.slot)),
+        };
+        match self.resolve(&relation, base) {
+            Some(Some(slot)) => self.with_slot(&relation, slot, |slot, state| {
+                self.place_write(slot, state, query)
+            }),
+            Some(None) => refused(exec::view_is_read_only(&relation)),
+            None => refused(exec::no_such_relation(&relation)),
+        }
+    }
 
-        // Coalesce: join the open batch if it is still accepting.
+    /// Places a data write on its locked slot: coalesce, bypass or open a
+    /// batch.
+    fn place_write(
+        &self,
+        slot: &Arc<Slot>,
+        state: &mut SlotState,
+        query: Query,
+    ) -> Lenient<Response> {
+        let seq = Self::stamp_write(slot, state);
+        let relation = query.relation().expect("a write names its relation");
+
+        // Coalesce: join the open batch if it is still accepting and
+        // writes the same relation.
         if let Some(batch) = &state.open {
             let mut ops = batch.lock();
-            if !ops.sealed {
+            if !ops.sealed && ops.relation == *relation {
                 let response = Lenient::new();
                 let out = response.clone();
                 ops.ops.push((seq, query, response));
                 EngineStats::bump(&self.stats.coalesced_writes);
                 return out;
             }
-            // Sealed mid-flight by its worker: open a successor.
+            // Sealed mid-flight by its worker, or another relation's
+            // run: open a successor.
         }
 
         // Adaptive regime decision. Queue pressure (a pending head:
         // the predecessor version is still being computed) always
         // coalesces — piling writes into a batch behind the pending
         // version is exactly where batching wins. A quiescent slot
-        // with read-interleaved history bypasses instead.
+        // with read-interleaved history bypasses instead — unless it
+        // holds a view: there one write also advances every view of the
+        // component, and paid alone under the slot lock that cost stalls
+        // every submitter queued behind it, where a batch amortizes it.
         let pressure = !state.head.is_filled();
-        // Bypass is off for relations feeding views: propagation
-        // lives in `commit_and_apply`, which bypass skips.
         if state.tracker.regime(pressure) == BatchRegime::Bypass
-            && !slot.has_dependents.load(Ordering::Acquire)
+            && state
+                .head
+                .try_get()
+                .is_some_and(|db| db.view_defs().next().is_none())
         {
             // Bypass: apply inline under the slot lock. No cell, no
             // batch, no pool job, no worker handoff — mixed workloads
@@ -1410,7 +1247,7 @@ impl PipelinedEngine {
             EngineStats::bump(&self.stats.bypass_writes);
             state.open = None;
             if let Some(sink) = &self.sink {
-                if let Err(e) = sink.commit_writes(&slot.name, &[(seq, query.clone())]) {
+                if let Err(e) = sink.commit_writes(relation, &[(seq, query.clone())]) {
                     // The sequence number is burned: the head keeps
                     // the unchanged value, which covers it.
                     return Lenient::ready(commit_failed(&e));
@@ -1420,7 +1257,7 @@ impl PipelinedEngine {
                 .head
                 .try_get()
                 .expect("bypass regime requires a filled head");
-            let (next, resp) = exec::write(first, query);
+            let (resp, next) = exec::write(first, &query);
             state.head = Head::Ready(next);
             return Lenient::ready(resp);
         }
@@ -1430,7 +1267,7 @@ impl PipelinedEngine {
         // batch is *chained* — it gets no pool job of its own; the
         // predecessor's runner claims it when that version fills,
         // so a claimed multi-batch run costs one pool job total.
-        self.open_batch(slot, &mut state, seq, query, false, !pressure)
+        self.open_batch(slot, state, seq, query, false, !pressure)
     }
 
     /// Submits a transaction; the call returns immediately with the cell
@@ -1454,13 +1291,9 @@ impl PipelinedEngine {
             | Query::Select { .. }
             | Query::Count { .. }
             | Query::Aggregate { .. } => self.submit_read(query, false),
-            Query::Insert { ref relation, .. }
-            | Query::Delete { ref relation, .. }
-            | Query::Replace { ref relation, .. } => match self.slot(relation) {
-                Some(slot) => self.submit_write(&slot, query),
-                None if self.view(relation).is_some() => refused(exec::view_is_read_only(relation)),
-                None => refused(exec::no_such_relation(relation)),
-            },
+            Query::Insert { .. } | Query::Delete { .. } | Query::Replace { .. } => {
+                self.submit_write(query)
+            }
             Query::Join {
                 ref left,
                 ref right,
@@ -1480,7 +1313,7 @@ impl PipelinedEngine {
                 ref name,
                 ref fields,
             } => {
-                // Resolve every field against the slot's static schema at
+                // Resolve every field against the relation's schema at
                 // submission, so the logged record and the apply step agree
                 // on positions regardless of how the schema is spelled.
                 let resolved = match exec::resolve_index(relation, fields, |n| self.entry(n)) {
@@ -1492,16 +1325,15 @@ impl PipelinedEngine {
                     Err(e) => return refused(e),
                 };
                 let slot = self.slot(relation).expect("resolved as a base above");
-                let mut state = slot.state.lock();
-                let seq = Self::stamp_write(&slot, &mut state);
-                // DDL never coalesces with data writes: seal the open batch
-                // and run the create in its own already-sealed single-op
-                // batch. The batch kernel folds data writes only, and the
-                // sealed run keeps the WAL record at this exact sequence
-                // position — logged before visibility, the same rule as
-                // `create relation`.
-                self.seal_and_promote(&slot, &mut state);
-                self.open_batch(&slot, &mut state, seq, resolved, true, true)
+                // DDL never coalesces with data writes: it runs in its own
+                // already-sealed single-op batch. The batch kernel folds
+                // data writes only, and the sealed run keeps the WAL
+                // record at this exact sequence position — logged before
+                // visibility, the same rule as `create relation`.
+                self.with_slot(relation, slot, |slot, state| {
+                    let seq = Self::stamp_write(slot, state);
+                    self.open_batch(slot, state, seq, resolved, true, true)
+                })
             }
             Query::Create {
                 ref relation,
@@ -1517,17 +1349,22 @@ impl PipelinedEngine {
                 if let Err(refusal) = self.reserve_and_commit(relation, &query) {
                     return Lenient::ready(refusal);
                 }
-                let slot =
-                    RelationSlot::new(relation.clone(), schema, Relation::empty(repr.to_repr()), 0);
+                let db = Database::empty()
+                    .create_relation_with_schema(relation.clone(), repr.to_repr(), schema.clone())
+                    .expect("an empty database has no names");
+                let bound = Bound {
+                    slot: Arc::new(Slot::new(db, 0)),
+                    entry: Entry::Base(schema),
+                };
                 let mut catalog = self.catalog.write();
                 catalog.reserved.remove(relation);
-                catalog.slots.insert(relation.clone(), Arc::new(slot));
+                catalog.names.insert(relation.clone(), bound);
                 catalog.order.push(relation.clone());
                 Lenient::ready(Response::Created(relation.clone()))
             }
             Query::CreateView { ref name, ref spec } => {
-                // Resolve the spec against the slots' static schemas up
-                // front, so rejected specs never reach the log.
+                // Resolve the spec against the catalog up front, so
+                // rejected specs never reach the log.
                 match exec::resolve_view_spec(spec, |n| self.entry(n)) {
                     Ok(def) => self.submit_create_view(&query, name, def),
                     Err(e) => refused(e),
@@ -1550,60 +1387,38 @@ impl PipelinedEngine {
     }
 
     /// Captures an atomic cut of the frontier: the database value made of
-    /// every relation's current head, plus each relation's write sequence
-    /// mark (how many writes the cut folds in).
+    /// every component's current head, plus each base relation's write
+    /// sequence mark (how many writes the cut folds in).
     ///
-    /// All slot locks are held at once (see [`Self::pin_many`]) while
+    /// All slot locks are held at once (one `with_slots` call) while
     /// heads are pinned and marks read, so the cut is a consistent prefix
-    /// of every relation's history and the marks align exactly with the
+    /// of every component's history and the marks align exactly with the
     /// contents. The assembled database holds the engine's *actual*
-    /// relation values — physical sharing with prior cuts is preserved,
-    /// which is what makes checkpointing a cut incremental.
+    /// relation and view values — physical sharing with prior cuts is
+    /// preserved, which is what makes checkpointing a cut incremental.
     pub fn consistent_cut(&self) -> ConsistentCut {
-        let (slots, views) = {
-            let catalog = self.catalog.read();
-            let pick = |n: &RelationName| catalog.slots.get(n).map(Arc::clone);
-            let slots: Vec<Arc<RelationSlot>> = catalog.order.iter().filter_map(pick).collect();
-            let views: Vec<Arc<ViewHandle>> = catalog
-                .order
+        let names = self.catalog.read().order.clone();
+        let refs: Vec<&RelationName> = names.iter().collect();
+        let (heads, marks, at) = self.with_slots(&refs, |slots, states, at| {
+            let heads: Vec<Lenient<Database>> = slots
                 .iter()
-                .filter_map(|n| catalog.views.get(n).map(Arc::clone))
+                .zip(states.iter_mut())
+                .map(|(slot, state)| self.pin(slot, state))
                 .collect();
-            (slots, views)
-        };
-
-        let mut marks = vec![0u64; slots.len()];
-        let heads = self.pin_many(&slots, |i, state| marks[i] = state.next_seq);
-
-        let mut db = Database::empty();
+            let marks: Vec<u64> = states.iter().map(|s| s.next_seq).collect();
+            (heads, marks, at.to_vec())
+        });
+        let mut database = Database::empty();
         let mut seq_marks = HashMap::new();
-        for ((slot, head), mark) in slots.iter().zip(heads).zip(marks) {
-            db = db
-                .with_relation_value(slot.name.as_str(), head.wait_cloned(), slot.schema.clone())
-                .expect("cut names are unique");
-            seq_marks.insert(slot.name.clone(), mark);
-        }
-        // Views ride along with their definitions, then one recompute pins
-        // their contents to exactly the cut's base values — a propagation
-        // mid-flight when the cut was taken cannot leave the snapshot
-        // internally inconsistent. Views carry no sequence marks; recovery
-        // re-derives them from their bases.
-        if !views.is_empty() {
-            for handle in &views {
-                let value = handle.with_state(|st| st.current.clone());
-                db = db
-                    .with_view_value(
-                        handle.name.as_str(),
-                        value,
-                        handle.schema.clone(),
-                        handle.def.clone(),
-                    )
-                    .expect("cut names are unique");
+        for (name, i) in names.iter().zip(at) {
+            let component = heads[i].wait();
+            database = with_entry(&database, component, name);
+            if let Ok(None) = component.view_def(name) {
+                seq_marks.insert(name.clone(), marks[i]);
             }
-            db = db.recompute_views();
         }
         ConsistentCut {
-            database: db,
+            database,
             seq_marks,
         }
     }
@@ -2209,8 +2024,8 @@ mod tests {
                 rows: 1
             }
         );
-        // Writes after creation flow through the differential pass, not a
-        // recompute; every acknowledged base write is already in the view.
+        // Writes after creation land through `Database::write`, which
+        // advances the view in the same step as its base.
         let rs = engine.run(vec![
             txn("insert (3, 'eng', 30) into R"),
             txn("insert (4, 'ops', 40) into R"),
@@ -2222,7 +2037,6 @@ mod tests {
         let tuples = rs[4].tuples().unwrap();
         assert_eq!(tuples.len(), 1);
         assert_eq!(tuples[0].key(), &3.into());
-        assert!(engine.stats().view_updates >= 1);
     }
 
     #[test]
@@ -2300,25 +2114,16 @@ mod tests {
             txn("insert (1, 'x') into S"),
             txn("create view RS as join R with S on #0 = #0"),
         ]);
-        // A view read is at-least-fresh, not an atomic cut: it may also see
-        // writes submitted after it, so each count is awaited before the
-        // next write goes in.
-        let mut cells = Vec::new();
-        for q in [
-            "insert (2, 'b') into R", // no right partner yet
-            "count RS",
-            "insert (2, 'y') into S", // completes the pair
-            "count RS",
-            "delete 1 from S", // right-side retraction
-            "count RS",
-        ] {
-            let cell = engine.submit(txn(q));
-            if q.starts_with("count") {
-                cell.wait();
-            }
-            cells.push(cell);
-        }
-        let rs: Vec<Response> = cells.iter().map(Lenient::wait_cloned).collect();
+        // A view read sees exactly the writes submitted before it, so the
+        // whole sequence is pipelined without waiting in between.
+        let rs = engine.run(vec![
+            txn("insert (2, 'b') into R"), // no right partner yet
+            txn("count RS"),
+            txn("insert (2, 'y') into S"), // completes the pair
+            txn("count RS"),
+            txn("delete 1 from S"), // right-side retraction
+            txn("count RS"),
+        ]);
         assert_eq!(rs[1], Response::Count(1));
         assert_eq!(rs[3], Response::Count(2));
         assert_eq!(rs[5], Response::Count(1));
@@ -2389,8 +2194,8 @@ mod tests {
         }
         assert!(plain.stats().bypass_writes > 0, "loop must trigger bypass");
 
-        // …but with a dependent view the gate holds bypass off (bypass
-        // skips the commit path that carries propagation) and every count
+        // …but a slot holding a view keeps coalescing (a lone write there
+        // pays every view's upkeep under the slot lock), and every count
         // through the view stays exact.
         let engine = PipelinedEngine::new(2, &base());
         engine.run(vec![txn("create view All as select from R")]);
@@ -2452,6 +2257,241 @@ mod tests {
             let mut got = resp.tuples().unwrap().to_vec();
             got.sort();
             assert_eq!(got, expected, "view {name} diverged from recompute");
+        }
+    }
+
+    /// One writer's statements against its own key stripe of R and S,
+    /// each view read answered by that writer's writes alone: its select
+    /// view `T{t}`, its rows of the join view `RS` and its group of the
+    /// count view `PerTag`.
+    fn writer_statements(t: u64, n: u64) -> Vec<String> {
+        let mut stmts = Vec::new();
+        for i in 0..n {
+            let key = t * 1000 + i;
+            stmts.push(format!("insert ({key}, 't{t}') into R"));
+            if i % 2 == 0 {
+                stmts.push(format!("insert ({key}, 's') into S"));
+            }
+            if i % 5 == 3 {
+                stmts.push(format!("delete {} from R", key - 3));
+            }
+            if i % 7 == 4 {
+                stmts.push(format!("delete {} from S", key - 4));
+            }
+            stmts.push(format!("count T{t}"));
+            stmts.push(format!("find {} in RS", key - i % 3));
+            stmts.push(format!("select from PerTag where #0 = 't{t}'"));
+            if i % 10 == 9 {
+                stmts.push(format!("select from T{t}"));
+            }
+        }
+        stmts
+    }
+
+    #[test]
+    fn view_reads_are_exact_under_concurrent_writers() {
+        // Every view read sees exactly the writes submitted before it:
+        // each writer pipelines all its statements without waiting, and
+        // each answer must equal the sequential model at its position.
+        // Writers touch disjoint keys and read only what their own writes
+        // decide, so one writer's model is its own statements applied in
+        // order to the views' starting state.
+        const WRITERS: u64 = 3;
+        let ddl: Vec<String> = (0..WRITERS)
+            .map(|t| format!("create view T{t} as select from R where #1 = 't{t}'"))
+            .chain([
+                "create view RS as join R with S on #0 = #0".to_string(),
+                "create view PerTag as count R by #1".to_string(),
+            ])
+            .collect();
+        for workers in [1, 2, 4] {
+            let engine = PipelinedEngine::new(workers, &base());
+            engine.run(ddl.iter().map(|q| txn(q)));
+            std::thread::scope(|s| {
+                for t in 0..WRITERS {
+                    let (engine, ddl) = (&engine, &ddl);
+                    s.spawn(move || {
+                        let stmts = writer_statements(t, 60);
+                        let txns: Vec<Transaction> = stmts.iter().map(|q| txn(q)).collect();
+                        let cells: Vec<_> =
+                            txns.iter().map(|tx| engine.submit(tx.clone())).collect();
+                        let mut model: Vec<Transaction> = ddl.iter().map(|q| txn(q)).collect();
+                        model.extend(txns);
+                        let expected = sequential(&model);
+                        for (i, cell) in cells.iter().enumerate() {
+                            assert_eq!(
+                                *cell.wait(),
+                                expected[ddl.len() + i],
+                                "workers={workers}, writer {t}, #{i}: {}",
+                                stmts[i]
+                            );
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn consistent_cuts_share_every_view() {
+        let engine = PipelinedEngine::new(2, &base());
+        engine.run((0..200).map(|i| txn(&format!("insert ({i}, {}) into R", i % 5))));
+        engine.run(vec![
+            txn("insert (1, 'x') into S"),
+            txn("create view Big as select from R where #1 > 2"),
+            txn("create view RS as join R with S on #0 = #0"),
+            txn("create view PerVal as count R by #1"),
+            txn("delete 7 from R"),
+        ]);
+        let (a, b) = (engine.consistent_cut(), engine.consistent_cut());
+        for view in ["Big", "RS", "PerVal"] {
+            assert!(
+                a.database.shares_relation_with(&b.database, &view.into()),
+                "{view} was rebuilt between two cuts with no writes"
+            );
+        }
+    }
+
+    #[test]
+    fn cut_views_equal_recompute_under_concurrent_writers() {
+        let engine = PipelinedEngine::new(2, &base());
+        engine.run(vec![
+            txn("create view Big as select from R where #0 > 100"),
+            txn("create view RS as join R with S on #0 = #0"),
+            txn("create view PerTag as count R by #1"),
+        ]);
+        let sorted = |db: &Database, name: &str| {
+            let mut rows = db.relation(&name.into()).unwrap().scan();
+            rows.sort();
+            rows
+        };
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let engine = &engine;
+                s.spawn(move || {
+                    for i in 0..150u64 {
+                        let key = t * 1000 + i;
+                        engine.submit(txn(&format!("insert ({key}, 't{t}') into R")));
+                        if i % 2 == 0 {
+                            engine.submit(txn(&format!("insert ({key}, 's') into S")));
+                        }
+                        if i % 5 == 3 {
+                            engine.submit(txn(&format!("delete {} from R", key - 3)));
+                        }
+                    }
+                });
+            }
+            for _ in 0..20 {
+                let cut = engine.consistent_cut();
+                let reference = cut.database.recompute_views();
+                for view in ["Big", "RS", "PerTag"] {
+                    assert_eq!(
+                        sorted(&cut.database, view),
+                        sorted(&reference, view),
+                        "{view} differs from its bases within one cut"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn view_merge_redirects_writers_holding_the_old_slots() {
+        // Writers start on R and S — so their per-thread caches hold the
+        // unmerged slots — then `create view RS` merges the two while
+        // they keep writing and reading, RS included.
+        const WRITERS: u64 = 2;
+        let view = "create view RS as join R with S on #0 = #0";
+        let phase = |t: u64, range: std::ops::Range<u64>, rs: bool| -> Vec<String> {
+            let mut stmts = Vec::new();
+            for i in range {
+                let key = t * 1000 + i;
+                stmts.push(format!("insert ({key}, 'r') into R"));
+                stmts.push(format!("insert ({key}, 's{t}') into S"));
+                if i % 3 == 2 {
+                    stmts.push(format!("delete {} from S", key - 1));
+                }
+                stmts.push(format!("find {key} in R"));
+                if rs {
+                    stmts.push(format!("find {} in RS", key - 1));
+                }
+            }
+            stmts
+        };
+        for workers in [1, 2, 4] {
+            let engine = PipelinedEngine::new(workers, &base());
+            let started = std::sync::Barrier::new(WRITERS as usize + 1);
+            let merged = std::sync::Barrier::new(WRITERS as usize + 1);
+            std::thread::scope(|s| {
+                for t in 0..WRITERS {
+                    let (engine, started, merged) = (&engine, &started, &merged);
+                    s.spawn(move || {
+                        let (before, after) = (phase(t, 0..40, false), phase(t, 40..80, true));
+                        let mut cells: Vec<_> =
+                            before.iter().map(|q| engine.submit(txn(q))).collect();
+                        started.wait();
+                        merged.wait();
+                        cells.extend(after.iter().map(|q| engine.submit(txn(q))));
+                        let stmts: Vec<&String> = before.iter().chain(&after).collect();
+                        let mut model: Vec<Transaction> = before.iter().map(|q| txn(q)).collect();
+                        model.push(txn(view));
+                        model.extend(after.iter().map(|q| txn(q)));
+                        let mut expected = sequential(&model);
+                        expected.remove(before.len());
+                        for (i, cell) in cells.iter().enumerate() {
+                            assert_eq!(
+                                *cell.wait(),
+                                expected[i],
+                                "workers={workers}, writer {t}, #{i}: {}",
+                                stmts[i]
+                            );
+                        }
+                    });
+                }
+                started.wait();
+                let created = engine.submit(txn(view));
+                merged.wait();
+                assert!(!created.wait().is_error());
+            });
+            let db = engine.snapshot();
+            let mut got = db.relation(&"RS".into()).unwrap().scan();
+            let mut want = db.recompute_views().relation(&"RS".into()).unwrap().scan();
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn join_view_linking_components_with_views_answers_like_the_model() {
+        let stmts = [
+            "insert (1, 'a') into R",
+            "insert (2, 'b') into R",
+            "insert (1, 'x') into S",
+            "create view RA as select from R where #1 = 'a'",
+            "create view PerS as count S by #1",
+            "insert (3, 'a') into R",
+            "insert (2, 'x') into S",
+            // Links the {R, RA} and {S, PerS} components into one.
+            "create view RS as join R with S on #0 = #0",
+            "insert (3, 'y') into S",
+            "delete 1 from R",
+            "count RA",
+            "select from PerS",
+            "count RS",
+            "join R with S on #0 = #0",
+            "select from R where #1 = 'a'",
+            "insert (4, 'a') into R",
+            "insert (4, 'x') into S",
+            "count RS",
+            "count RA",
+            "select from PerS where #0 = 'x'",
+        ];
+        let txns: Vec<Transaction> = stmts.iter().map(|q| txn(q)).collect();
+        let expected = sequential(&txns);
+        for workers in [1, 2, 4] {
+            let got = PipelinedEngine::new(workers, &base()).run(txns.clone());
+            assert_eq!(got, expected, "workers={workers}");
         }
     }
 

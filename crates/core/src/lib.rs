@@ -12,11 +12,12 @@
 //!   merge-order optimizer the paper flags as future work.
 //! * [`engine`] — the execution mechanism "capable of evaluating
 //!   independent stream components concurrently": a pipelined multi-thread
-//!   engine in which each database version is a tuple of per-relation
-//!   lenient cells, so a transaction blocks only on the relations it
-//!   actually touches. The frontier is sharded per relation, consecutive
-//!   writes coalesce into one job, and cheap reads of settled versions
-//!   answer inline (see `DESIGN.md`).
+//!   engine in which each database version is a tuple of per-component
+//!   lenient cells — a component is one relation, or bases tied together
+//!   by views plus those views — so a transaction blocks only on the
+//!   components it actually touches. The frontier is sharded per
+//!   component, consecutive writes coalesce into one job, and cheap reads
+//!   of settled versions answer inline (see `DESIGN.md`).
 //! * [`locking`] — the conventional two-phase-locking executor the paper
 //!   argues against, as a measurable baseline.
 //! * [`archive`] — complete version archives (Section 3.3): time-travel

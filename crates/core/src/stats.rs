@@ -14,6 +14,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use fundb_query::exec::Trace;
 use fundb_query::{AccessPath, JoinStrategy};
 
 /// Hot-path event counters; every field is bumped with relaxed atomics.
@@ -37,7 +38,8 @@ pub struct EngineStats {
     /// batches_claimed` is the achieved batch length.
     pub ops_claimed: AtomicU64,
     /// Batches sealed at submission time — by a reader pinning the output,
-    /// a join, a DDL barrier, or a consistent cut.
+    /// a join, a DDL barrier, a consistent cut, a view merge, or a write to
+    /// another relation of the component.
     pub seals_by_reader: AtomicU64,
     /// Batches sealed by their claimer (worker job or chain drain): the
     /// run grew until its input arrived.
@@ -64,9 +66,6 @@ pub struct EngineStats {
     /// Selects/joins answered from a matching materialized view instead
     /// of their base relations.
     pub view_substitutions: AtomicU64,
-    /// Differential view-maintenance passes run inside commits (one per
-    /// dependent view per claimed batch).
-    pub view_updates: AtomicU64,
     /// Joins executed by the key-key merge pass.
     pub join_merge: AtomicU64,
     /// Joins executed by per-left-tuple primary-key probes.
@@ -99,7 +98,6 @@ pub struct EngineStatsSnapshot {
     pub path_scan: u64,
     pub path_covered: u64,
     pub view_substitutions: u64,
-    pub view_updates: u64,
     pub join_merge: u64,
     pub join_key_probe: u64,
     pub join_index_nested_loop: u64,
@@ -120,27 +118,31 @@ impl EngineStats {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records which access path a select ran on.
-    pub fn record_path(&self, path: &AccessPath) {
-        Self::bump(match path {
-            AccessPath::KeyEq(_) => &self.path_key_eq,
-            AccessPath::CompositeEq { .. } => &self.path_composite_eq,
-            AccessPath::IndexEq { .. } => &self.path_index_eq,
-            AccessPath::KeyRange(_, _) => &self.path_key_range,
-            AccessPath::IndexRange { .. } => &self.path_index_range,
-            AccessPath::Scan => &self.path_scan,
-            AccessPath::CoveredEq { .. } => &self.path_covered,
-        });
-    }
-
-    /// Records which strategy a join ran on.
-    pub fn record_join(&self, strategy: &JoinStrategy) {
-        Self::bump(match strategy {
-            JoinStrategy::MergeKeys => &self.join_merge,
-            JoinStrategy::KeyProbe => &self.join_key_probe,
-            JoinStrategy::IndexNestedLoop { .. } => &self.join_index_nested_loop,
-            JoinStrategy::ScanBuild => &self.join_scan_build,
-        });
+    /// Records what a read's evaluation did: the access path a select
+    /// ran on, the strategy a join ran on, a view standing in.
+    pub fn record(&self, trace: &Trace) {
+        if let Some(path) = &trace.path {
+            Self::bump(match path {
+                AccessPath::KeyEq(_) => &self.path_key_eq,
+                AccessPath::CompositeEq { .. } => &self.path_composite_eq,
+                AccessPath::IndexEq { .. } => &self.path_index_eq,
+                AccessPath::KeyRange(_, _) => &self.path_key_range,
+                AccessPath::IndexRange { .. } => &self.path_index_range,
+                AccessPath::Scan => &self.path_scan,
+                AccessPath::CoveredEq { .. } => &self.path_covered,
+            });
+        }
+        if let Some(strategy) = &trace.join {
+            Self::bump(match strategy {
+                JoinStrategy::MergeKeys => &self.join_merge,
+                JoinStrategy::KeyProbe => &self.join_key_probe,
+                JoinStrategy::IndexNestedLoop { .. } => &self.join_index_nested_loop,
+                JoinStrategy::ScanBuild => &self.join_scan_build,
+            });
+        }
+        if trace.substituted {
+            Self::bump(&self.view_substitutions);
+        }
     }
 
     /// Reads every counter (relaxed — values are advisory, not a cut).
@@ -165,7 +167,6 @@ impl EngineStats {
             path_scan: get(&self.path_scan),
             path_covered: get(&self.path_covered),
             view_substitutions: get(&self.view_substitutions),
-            view_updates: get(&self.view_updates),
             join_merge: get(&self.join_merge),
             join_key_probe: get(&self.join_key_probe),
             join_index_nested_loop: get(&self.join_index_nested_loop),
@@ -196,7 +197,7 @@ impl fmt::Display for EngineStatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "frontier {}/{} hit/miss · writes {} bypass / {} batched in {} batches (avg {:.1}/batch) · seals {} reader / {} worker · {} chained claims · paths key:{} comp:{} ix:{} krange:{} ixrange:{} scan:{} cov:{} · joins merge:{} probe:{} inl:{} build:{} · views sub:{} upd:{}",
+            "frontier {}/{} hit/miss · writes {} bypass / {} batched in {} batches (avg {:.1}/batch) · seals {} reader / {} worker · {} chained claims · paths key:{} comp:{} ix:{} krange:{} ixrange:{} scan:{} cov:{} · joins merge:{} probe:{} inl:{} build:{} · views sub:{}",
             self.frontier_hits,
             self.frontier_misses,
             self.bypass_writes,
@@ -218,7 +219,6 @@ impl fmt::Display for EngineStatsSnapshot {
             self.join_index_nested_loop,
             self.join_scan_build,
             self.view_substitutions,
-            self.view_updates,
         )
     }
 }
@@ -243,28 +243,37 @@ mod tests {
     #[test]
     fn path_and_join_counters() {
         let stats = EngineStats::default();
-        stats.record_path(&AccessPath::Scan);
-        stats.record_path(&AccessPath::KeyEq(fundb_relational::Value::Int(1)));
-        stats.record_join(&JoinStrategy::MergeKeys);
-        stats.record_join(&JoinStrategy::IndexNestedLoop {
+        let path = |path| Trace {
+            path: Some(path),
+            ..Trace::default()
+        };
+        let join = |strategy| Trace {
+            join: Some(strategy),
+            ..Trace::default()
+        };
+        stats.record(&path(AccessPath::Scan));
+        stats.record(&path(AccessPath::KeyEq(fundb_relational::Value::Int(1))));
+        stats.record(&join(JoinStrategy::MergeKeys));
+        stats.record(&join(JoinStrategy::IndexNestedLoop {
             index: "ix".into(),
             field: 1,
-        });
-        stats.record_path(&AccessPath::CoveredEq {
+        }));
+        stats.record(&path(AccessPath::CoveredEq {
             index: "cx".into(),
             fields: vec![1],
             values: vec![fundb_relational::Value::Int(3)],
+        }));
+        stats.record(&Trace {
+            substituted: true,
+            ..Trace::default()
         });
-        EngineStats::bump(&stats.view_substitutions);
-        EngineStats::add(&stats.view_updates, 2);
         let snap = stats.snapshot();
         assert_eq!(snap.path_scan, 1);
         assert_eq!(snap.path_key_eq, 1);
         assert_eq!(snap.path_covered, 1);
         assert_eq!(snap.view_substitutions, 1);
-        assert_eq!(snap.view_updates, 2);
         assert!(snap.to_string().contains("cov:1"));
-        assert!(snap.to_string().contains("views sub:1 upd:2"));
+        assert!(snap.to_string().contains("views sub:1"));
         assert_eq!(snap.join_merge, 1);
         assert_eq!(snap.join_index_nested_loop, 1);
         assert!(snap.to_string().contains("inl:1"));

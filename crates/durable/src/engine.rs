@@ -654,6 +654,26 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_after_one_delete_shares_the_view() {
+        // The view is kept by the same `Database::write` as its base, so
+        // one delete path-copies a few nodes of each and the next
+        // checkpoint stores only those — not a rebuilt view.
+        let tmp = ScratchDir::new("dur-view-sharing");
+        let (engine, _) = DurableEngine::open(tmp.path(), 2).unwrap();
+        engine.run([tx("create relation R as tree")]);
+        engine.run((0..5000).map(|i| tx(&format!("insert ({i}, {}) into R", i % 5))));
+        engine.run([tx("create view Big as select from R where #1 > 2")]);
+        engine.checkpoint().unwrap();
+        engine.run([tx("delete 2503 from R")]);
+        let stats = engine.checkpoint().unwrap();
+        assert!(
+            stats.nodes_written <= 10,
+            "a one-row delete re-stored {} nodes",
+            stats.nodes_written
+        );
+    }
+
+    #[test]
     fn replication_snapshot_ships_the_log_and_refuses_damaged_history() {
         let tmp = ScratchDir::new("dur-repl-snapshot");
         // Tiny segments: the log spans several, all but the last closed.

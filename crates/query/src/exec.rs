@@ -1,23 +1,23 @@
 //! The one executor: every statement of the query language is evaluated
-//! here, over relation *values*.
+//! here, over database and relation *values*.
 //!
 //! The paper's cut is between computation and coordination: `translate`
 //! makes a query into one pure function, and pipelining, merging and
 //! distribution only decide *when* that function runs. This module is the
-//! computation. [`translate`](crate::translate()) looks the relations up in
-//! a `Database` and calls it; the pipelined engine pins relation versions
-//! and calls it; the primary-copy engine runs `translate` over a database
-//! assembled from its workspace. No scheduler interprets a statement
-//! itself, so the spec and the engines cannot answer differently — response
-//! text included.
+//! computation. [`translate`](crate::translate()) calls [`read`], [`join`]
+//! and [`write()`] on the database it is applied to; the pipelined engine
+//! calls the same three on the component databases it pinned; the
+//! primary-copy engine runs `translate` over a database assembled from its
+//! workspace. No scheduler interprets a statement itself, so the spec and
+//! the engines cannot answer differently — response text included.
 //!
-//! Everything is a plain function over borrowed relation values: no trait
-//! object, no boxed closure, nothing allocated beyond the answer itself.
-//! Name resolution is the scheduler's job (it owns the catalog); the steps
-//! that need a schema take a lookup closure returning an [`Entry`].
+//! Everything is a plain function over borrowed values: no trait object,
+//! no boxed closure, nothing allocated beyond the answer itself. Name
+//! resolution against a scheduler's own catalog takes a lookup closure
+//! returning an [`Entry`].
 
 use fundb_relational::{
-    BatchOp, BatchOutcome, DatabaseError, Relation, RelationName, Schema, Tuple, ViewDef,
+    BatchOp, BatchOutcome, Database, DatabaseError, Relation, RelationName, Schema, Tuple, ViewDef,
 };
 
 use crate::ast::{apply_select, compute_aggregate, AggOp, FieldRef, Predicate, Query, ViewSpec};
@@ -29,7 +29,7 @@ use crate::response::Response;
 
 /// What a name resolves to in a scheduler's catalog, as the resolution
 /// steps need to see it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Entry {
     /// No relation or view has this name.
     Missing,
@@ -56,6 +56,27 @@ impl Entry {
     }
 }
 
+/// What `name` resolves to in `db`'s catalog.
+pub fn entry(db: &Database, name: &RelationName) -> Entry {
+    match db.view_def(name) {
+        Err(_) => Entry::Missing,
+        Ok(Some(_)) => Entry::View,
+        Ok(None) => Entry::Base(db.schema(name).ok().flatten().cloned()),
+    }
+}
+
+/// What evaluating a read did, as an engine counts it.
+#[derive(Debug, Default)]
+pub struct Trace {
+    /// The access path a select ran on.
+    pub path: Option<AccessPath>,
+    /// The strategy a join ran on.
+    pub join: Option<JoinStrategy>,
+    /// Whether a view answered in place of the relations the statement
+    /// names.
+    pub substituted: bool,
+}
+
 /// The answer to any statement naming a relation that does not exist.
 pub fn no_such_relation(name: &RelationName) -> String {
     DatabaseError::NoSuchRelation(name.clone()).to_string()
@@ -72,33 +93,86 @@ pub fn view_is_read_only(name: &RelationName) -> String {
     DatabaseError::WriteToView(name.clone()).to_string()
 }
 
-/// Evaluates a single-relation read — `find`, `find … to …`, `select`,
-/// `count` or an aggregate — against the relation value the scheduler
-/// resolved (and, in an engine, pinned) for it. A `select` also reports
-/// the access path it took.
+/// Evaluates — or, under `explain`, plans — the single-relation read `q`
+/// (`find`, `find … to …`, `select`, `count` or an aggregate) over `db`.
+/// A select that a view of `db` materializes exactly is answered from the
+/// view's maintained contents ([`substitute`]), so its filter never runs
+/// again.
 ///
 /// # Panics
 ///
 /// Panics if `q` is not one of the five read statements.
-pub fn read(rel: &Relation, schema: Option<&Schema>, q: &Query) -> (Response, Option<AccessPath>) {
+pub fn read(db: &Database, q: &Query, explain: bool) -> (Response, Trace) {
+    match substitute(db, q) {
+        Some(scan) => answer(db, &scan, explain, true),
+        None => answer(db, q, explain, false),
+    }
+}
+
+/// The scan of the view of `db` that materializes exactly the select `q`
+/// (`select from relation [where predicate]`), if there is one: the view
+/// holds whole base rows, so only the select's projection remains to
+/// apply. `None` too when the predicate cannot be lowered to a view filter
+/// — substitution is an optimization, never a requirement.
+pub fn substitute(db: &Database, q: &Query) -> Option<Query> {
+    let Query::Select {
+        relation,
+        projection,
+        predicate,
+    } = q
+    else {
+        return None;
+    };
+    let mut views = db.view_defs().peekable();
+    views.peek()?;
+    let schema = db.schema(relation).ok().flatten();
+    let want = match predicate {
+        None => None,
+        Some(p) => Some(p.to_view_filter(schema).ok()?),
+    };
+    let view = views.find_map(|(name, def)| match def {
+        ViewDef::Select { base, filter } if base == relation && *filter == want => Some(name),
+        _ => None,
+    })?;
+    Some(view_scan(view, projection.clone()))
+}
+
+/// Evaluates or plans the read `q` against the relation of `db` it names.
+/// `substituted` marks a view standing in for the relation the statement
+/// was written against.
+fn answer(db: &Database, q: &Query, explain: bool, substituted: bool) -> (Response, Trace) {
+    let mut trace = Trace {
+        substituted,
+        ..Trace::default()
+    };
+    let source = q.relation().expect("single-relation read");
+    let Ok(rel) = db.relation(source) else {
+        return (Response::Error(no_such_relation(source)), trace);
+    };
+    // Looked up only where a field name may need it.
+    let schema = || db.schema(source).ok().flatten();
+    if explain {
+        return (explain_read(rel, schema(), q, substituted), trace);
+    }
     let resp = match q {
         Query::Find { key, .. } => Response::Tuples(rel.find(key)),
         Query::FindRange { lo, hi, .. } => Response::Tuples(rel.find_range(lo, hi)),
         Query::Count { .. } => Response::Count(rel.len()),
-        Query::Aggregate { op, field, .. } => aggregate(&rel.scan(), schema, *op, field),
+        Query::Aggregate { op, field, .. } => aggregate(&rel.scan(), schema(), *op, field),
         Query::Select {
             projection,
             predicate,
             ..
-        } => {
-            return match execute_select_explained(rel, schema, projection, predicate) {
-                Ok((tuples, path)) => (Response::Tuples(tuples), Some(path)),
-                Err(e) => (Response::Error(e), None),
+        } => match execute_select_explained(rel, schema(), projection, predicate) {
+            Ok((tuples, path)) => {
+                trace.path = Some(path);
+                Response::Tuples(tuples)
             }
-        }
+            Err(e) => Response::Error(e),
+        },
         other => unreachable!("not a single-relation read: {other}"),
     };
-    (resp, None)
+    (resp, trace)
 }
 
 /// `sum|min|max` over rows an executor already holds.
@@ -131,12 +205,7 @@ pub fn select_rows(
 /// `substituted` says `rel` is a view standing in for the relation the
 /// statement was written against (see [`view_scan`]); the plan is then the
 /// view scan itself.
-pub fn explain_read(
-    rel: &Relation,
-    schema: Option<&Schema>,
-    q: &Query,
-    substituted: bool,
-) -> Response {
+fn explain_read(rel: &Relation, schema: Option<&Schema>, q: &Query, substituted: bool) -> Response {
     let (plan, estimated_rows) = match q {
         Query::Select { relation, .. } if substituted => {
             (format!("materialized view scan on {relation}"), rel.len())
@@ -167,30 +236,49 @@ pub fn explain_unsupported(q: &Query) -> Response {
     Response::Error(format!("explain supports select, join and find, not '{q}'"))
 }
 
-/// Evaluates an equi-join of two relation values on resolved positions
-/// (`None` = key with key), reporting the strategy it ran.
+/// Evaluates — or, under `explain`, plans — the equi-join of `left` in
+/// `left_db` with `right` in `right_db` on resolved positions (`None` =
+/// key with key; see [`resolve_join`]). A view of `left_db` materializing
+/// exactly this join is already the answer. `translate` passes one
+/// database twice; an engine passes the versions it pinned for the two
+/// sides (a join view ties its bases into one, so it is found in either).
+///
+/// # Panics
+///
+/// Panics if either relation is missing from its database.
 pub fn join(
-    left: &Relation,
-    right: &Relation,
+    left_db: &Database,
+    right_db: &Database,
+    left: &RelationName,
+    right: &RelationName,
     on: Option<(usize, usize)>,
-) -> (Response, JoinStrategy) {
-    let (tuples, strategy) = execute_join_explained(left, right, on);
-    (Response::Tuples(tuples), strategy)
-}
-
-/// Plans the join [`join`] would run, without running it.
-pub fn explain_join(left: &Relation, right: &Relation, on: Option<(usize, usize)>) -> Response {
-    let (strategy, estimated_rows) = choose_join_strategy(left, right, on);
-    Response::Plan {
-        plan: strategy.to_string(),
-        estimated_rows,
+    explain: bool,
+) -> (Response, Trace) {
+    if let Some(view) = join_view(left_db, left, right, on) {
+        return answer(left_db, &view_scan(view, None), explain, true);
     }
+    let l = left_db.relation(left).expect("join operand resolved");
+    let r = right_db.relation(right).expect("join operand resolved");
+    if explain {
+        let (strategy, estimated_rows) = choose_join_strategy(l, r, on);
+        let plan = Response::Plan {
+            plan: strategy.to_string(),
+            estimated_rows,
+        };
+        return (plan, Trace::default());
+    }
+    let (tuples, strategy) = execute_join_explained(l, r, on);
+    let trace = Trace {
+        join: Some(strategy),
+        ..Trace::default()
+    };
+    (Response::Tuples(tuples), trace)
 }
 
 /// The statement that answers a read from the view substituted for it:
 /// the view's rows are exactly the original's matches (a select view) or
 /// its output (a join view), so only a projection remains to apply.
-pub fn view_scan(view: &RelationName, projection: Option<Vec<FieldRef>>) -> Query {
+fn view_scan(view: &RelationName, projection: Option<Vec<FieldRef>>) -> Query {
     Query::Select {
         relation: view.clone(),
         projection,
@@ -198,39 +286,37 @@ pub fn view_scan(view: &RelationName, projection: Option<Vec<FieldRef>>) -> Quer
     }
 }
 
-/// Evaluates a single-relation write — `insert`, `delete`, `replace`, or a
-/// `create index` whose fields [`resolve_index`] already made positions —
-/// returning the successor relation value and the response. A data write
-/// is a batch of its one [`batch_op`]. A refused write (duplicate index)
-/// returns the input value.
+/// Evaluates a single-relation write over `db`: a data write is one
+/// [`batch_op`] landed by [`Database::write`], which advances the views
+/// over its relation in the same step; a `create index` is resolved
+/// ([`resolve_index`]) and built. A refused write answers an error and
+/// returns `db` itself.
 ///
 /// # Panics
 ///
 /// Panics if `q` is not one of the four write statements.
-pub fn write(rel: &Relation, q: Query) -> (Relation, Response) {
-    if let Some(op) = batch_op(&q) {
-        let (next, outcomes, _) = rel.apply_batch(&[op]);
-        let [outcome] = <[_; 1]>::try_from(outcomes).expect("one outcome per op");
-        return (next, batch_response(q, outcome));
-    }
-    let Query::CreateIndex {
-        relation,
-        name,
-        fields,
-    } = q
-    else {
-        unreachable!("not a single-relation write: {q}")
+pub fn write(db: &Database, q: &Query) -> (Response, Database) {
+    let relation = q.relation().expect("single-relation write");
+    let landed = match (q, batch_op(q)) {
+        (_, Some(op)) => db
+            .write(relation, &[op])
+            .map(|(next, mut outcomes, _)| (batch_response(q.clone(), outcomes.remove(0)), next))
+            .map_err(|e| e.to_string()),
+        (Query::CreateIndex { name, fields, .. }, None) => {
+            resolve_index(relation, fields, |n| entry(db, n)).and_then(|positions| {
+                let next = db
+                    .create_index_multi(relation, name, &positions)
+                    .map_err(|e| e.to_string())?;
+                let created = Response::IndexCreated {
+                    relation: relation.clone(),
+                    name: name.clone(),
+                };
+                Ok((created, next))
+            })
+        }
+        (other, None) => unreachable!("not a single-relation write: {other}"),
     };
-    let positions: Result<Vec<usize>, String> = fields.iter().map(|f| f.resolve(None)).collect();
-    let built = positions.and_then(|p| {
-        rel.create_index_multi(&name, &p).ok_or_else(|| {
-            DatabaseError::DuplicateIndex(relation.clone(), name.clone()).to_string()
-        })
-    });
-    match built {
-        Ok(next) => (next, Response::IndexCreated { relation, name }),
-        Err(e) => (rel.clone(), Response::Error(e)),
-    }
+    landed.unwrap_or_else(|e| (Response::Error(e), db.clone()))
 }
 
 /// The batch-kernel operation a data write stands for; `None` for index
@@ -275,9 +361,8 @@ pub fn parse_schema(attrs: &Option<Vec<String>>) -> Result<Option<Schema>, Strin
 }
 
 /// Resolves a join's operands and `on` clause: both sides must be base
-/// relations (a view's freshness rule is not an atomic cut, so views are
-/// not pinned inside joins), and each field resolves against its own
-/// side's schema. `None` is the key-with-key join.
+/// relations (a join over a view is refused), and each field resolves
+/// against its own side's schema. `None` is the key-with-key join.
 ///
 /// # Errors
 ///
@@ -300,8 +385,8 @@ pub fn resolve_join(
 
 /// Resolves a `create index`'s fields against its relation's schema into
 /// attribute positions — what the index is built over, and (as
-/// [`FieldRef::Index`]es) the form [`write()`] evaluates and a log
-/// records, so replay needs no schema.
+/// [`FieldRef::Index`]es) the form an engine logs, so replay needs no
+/// schema.
 ///
 /// # Errors
 ///
@@ -384,41 +469,17 @@ pub fn resolve_view_spec(
     }
 }
 
-/// The view whose definition is exactly `select from relation [where
-/// predicate]`, if there is one: the select can then be answered from the
-/// view's contents without re-filtering (the view holds whole base rows,
-/// so any projection still applies). `None` rather than an error when the
-/// predicate cannot be lowered — substitution is an optimization, never a
-/// requirement.
-pub fn matching_select_view<'a>(
-    views: impl IntoIterator<Item = (&'a RelationName, &'a ViewDef)>,
-    relation: &RelationName,
-    predicate: &Option<Predicate>,
-    schema: Option<&Schema>,
-) -> Option<&'a RelationName> {
-    let mut views = views.into_iter().peekable();
-    views.peek()?;
-    let want = match predicate {
-        None => None,
-        Some(p) => Some(p.to_view_filter(schema).ok()?),
-    };
-    views.find_map(|(name, def)| match def {
-        ViewDef::Select { base, filter } if base == relation && *filter == want => Some(name),
-        _ => None,
-    })
-}
-
-/// The view whose definition is exactly `join left with right` on the
-/// given resolved positions, if there is one. `None` positions mean the
-/// key-with-key join, which a view on `#0 = #0` covers.
-pub fn matching_join_view<'a>(
-    views: impl IntoIterator<Item = (&'a RelationName, &'a ViewDef)>,
+/// The view of `db` whose definition is exactly `join left with right` on
+/// the given resolved positions, if there is one. `None` positions mean
+/// the key-with-key join, which a view on `#0 = #0` covers.
+pub fn join_view<'a>(
+    db: &'a Database,
     left: &RelationName,
     right: &RelationName,
     on: Option<(usize, usize)>,
 ) -> Option<&'a RelationName> {
     let on = on.unwrap_or((0, 0));
-    views.into_iter().find_map(|(name, def)| match def {
+    db.view_defs().find_map(|(name, def)| match def {
         ViewDef::Join {
             left: l,
             right: r,

@@ -6,9 +6,9 @@
 //! (Section 2.1.) The produced function is [`Transaction::apply`] with the
 //! query bound: applying it to a database yields `(response, database')`
 //! without touching the input value. All it does itself is look the
-//! statement's relations up in the [`Database`] and land data writes
-//! through [`Database::write`]; evaluation is [`exec`]'s, the same code
-//! every engine calls.
+//! statement's relations up in the [`Database`]; evaluation — reads, view
+//! substitution, writes through [`Database::write`] — is [`exec`]'s, the
+//! same code every engine calls.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,56 +16,11 @@ use std::sync::Arc;
 use fundb_relational::{Database, RelationName};
 
 use crate::ast::{FieldRef, Query};
-use crate::exec::{self, Entry};
+use crate::exec;
 use crate::response::Response;
 
-/// What `name` resolves to in `db`'s catalog.
-fn entry(db: &Database, name: &RelationName) -> Entry {
-    match db.view_def(name) {
-        Err(_) => Entry::Missing,
-        Ok(Some(_)) => Entry::View,
-        Ok(None) => Entry::Base(db.schema(name).ok().flatten().cloned()),
-    }
-}
-
-/// Evaluates — or, under `explain`, plans — the single-relation read `q`
-/// against the relation it names. `substituted` marks a view standing in
-/// for the relation the statement was written against.
-fn answer(db: &Database, q: &Query, explain: bool, substituted: bool) -> Response {
-    let source = q.relation().expect("single-relation read");
-    let Ok(rel) = db.relation(source) else {
-        return Response::Error(exec::no_such_relation(source));
-    };
-    let schema = db.schema(source).ok().flatten();
-    if explain {
-        exec::explain_read(rel, schema, q, substituted)
-    } else {
-        exec::read(rel, schema, q).0
-    }
-}
-
-/// A single-relation read, or its plan. A select that a view materializes
-/// exactly is answered from the view's maintained contents, so the filter
-/// never runs again.
-fn read(db: &Database, q: &Query, explain: bool) -> Response {
-    if let Query::Select {
-        relation,
-        projection,
-        predicate,
-    } = q
-    {
-        let schema = db.schema(relation).ok().flatten();
-        if let Some(view) = exec::matching_select_view(db.view_defs(), relation, predicate, schema)
-        {
-            let scan = exec::view_scan(view, projection.clone());
-            return answer(db, &scan, explain, true);
-        }
-    }
-    answer(db, q, explain, false)
-}
-
-/// A join, or its plan. A view materializing exactly this join is already
-/// the answer.
+/// A join, or its plan: operands and fields resolve against `db`'s
+/// catalog, then the executor joins (or substitutes a view).
 fn join(
     db: &Database,
     left: &RelationName,
@@ -73,48 +28,10 @@ fn join(
     on: &Option<(FieldRef, FieldRef)>,
     explain: bool,
 ) -> Response {
-    let on = match exec::resolve_join(left, right, on, |n| entry(db, n)) {
-        Ok(on) => on,
-        Err(e) => return Response::Error(e),
-    };
-    if let Some(view) = exec::matching_join_view(db.view_defs(), left, right, on) {
-        return answer(db, &exec::view_scan(view, None), explain, true);
+    match exec::resolve_join(left, right, on, |n| exec::entry(db, n)) {
+        Ok(on) => exec::join(db, db, left, right, on, explain).0,
+        Err(e) => Response::Error(e),
     }
-    let rel = |n: &RelationName| db.relation(n).expect("resolve_join found both operands");
-    if explain {
-        exec::explain_join(rel(left), rel(right), on)
-    } else {
-        exec::join(rel(left), rel(right), on).0
-    }
-}
-
-/// A single-relation write. A data write is one batch op, which the
-/// database derives once, lands, and advances the dependent views from; a
-/// `create index` is resolved against the schema and built by the database.
-fn write(db: &Database, q: &Query) -> (Response, Database) {
-    let relation = q.relation().expect("single-relation write");
-    let landed = match (q, exec::batch_op(q)) {
-        (_, Some(op)) => db
-            .write(relation, &[op])
-            .map(|(next, mut outcomes, _)| {
-                (exec::batch_response(q.clone(), outcomes.remove(0)), next)
-            })
-            .map_err(|e| e.to_string()),
-        (Query::CreateIndex { name, fields, .. }, None) => {
-            exec::resolve_index(relation, fields, |n| entry(db, n)).and_then(|positions| {
-                let next = db
-                    .create_index_multi(relation, name, &positions)
-                    .map_err(|e| e.to_string())?;
-                let created = Response::IndexCreated {
-                    relation: relation.clone(),
-                    name: name.clone(),
-                };
-                Ok((created, next))
-            })
-        }
-        (other, None) => unreachable!("not a single-relation write: {other}"),
-    };
-    landed.unwrap_or_else(|e| (Response::Error(e), db.clone()))
 }
 
 /// The catalog statements, which change (or list) the name space itself.
@@ -132,7 +49,7 @@ fn catalog(db: &Database, q: &Query) -> Result<(Response, Database), String> {
             Ok((Response::Created(relation.clone()), next))
         }
         Query::CreateView { name, spec } => {
-            let def = exec::resolve_view_spec(spec, |n| entry(db, n))?;
+            let def = exec::resolve_view_spec(spec, |n| exec::entry(db, n))?;
             let next = db
                 .create_view(name.clone(), def)
                 .map_err(|e| e.to_string())?;
@@ -157,12 +74,12 @@ fn run(db: &Database, q: &Query) -> (Response, Database) {
         | Query::FindRange { .. }
         | Query::Select { .. }
         | Query::Count { .. }
-        | Query::Aggregate { .. } => (read(db, q, false), db.clone()),
+        | Query::Aggregate { .. } => (exec::read(db, q, false).0, db.clone()),
         Query::Join { left, right, on } => (join(db, left, right, on, false), db.clone()),
         Query::Explain(inner) => {
             let plan = match inner.as_ref() {
                 Query::Join { left, right, on } => join(db, left, right, on, true),
-                read_stmt if read_stmt.is_explainable() => read(db, read_stmt, true),
+                read_stmt if read_stmt.is_explainable() => exec::read(db, read_stmt, true).0,
                 other => exec::explain_unsupported(other),
             };
             (plan, db.clone())
@@ -170,7 +87,7 @@ fn run(db: &Database, q: &Query) -> (Response, Database) {
         Query::Insert { .. }
         | Query::Delete { .. }
         | Query::Replace { .. }
-        | Query::CreateIndex { .. } => write(db, q),
+        | Query::CreateIndex { .. } => exec::write(db, q),
         Query::Create { .. } | Query::CreateView { .. } | Query::Names => {
             catalog(db, q).unwrap_or_else(|e| (Response::Error(e), db.clone()))
         }

@@ -19,7 +19,8 @@
 //!   component, consecutive writes coalesce into one job, and cheap reads
 //!   of settled versions answer inline (see `DESIGN.md`).
 //! * [`locking`] — the conventional two-phase-locking executor the paper
-//!   argues against, as a measurable baseline.
+//!   argues against, as a measurable baseline: locks around the same
+//!   copies and `translate` the primary-copy engine runs.
 //! * [`archive`] — complete version archives (Section 3.3): time-travel
 //!   queries over the retained version stream, with optional bounded
 //!   retention.

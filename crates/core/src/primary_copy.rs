@@ -29,17 +29,130 @@ use fundb_query::{translate, Query, Response};
 use fundb_relational::{Database, Relation, RelationName, Schema, Tuple, ViewDef};
 use parking_lot::{Mutex, RwLock};
 
-/// A relation's primary copy: the current value and a commit counter.
-struct PrimaryCopy {
-    slot: RwLock<(Relation, u64)>,
-}
-
 /// One name of the fixed catalog: its schema and, for a materialized view,
 /// its definition.
 struct CatalogEntry {
     name: RelationName,
     schema: Option<Schema>,
     view: Option<ViewDef>,
+}
+
+/// A fixed catalog and one primary copy per name — what the optimistic
+/// engine and the 2PL baseline ([`LockingDb`](crate::LockingDb)) both
+/// hold. They pick a statement's footprint, assemble its copies into a
+/// [`Database`] for `translate` and store the changed values back with the
+/// same code here, and differ only in how they guard the copies.
+pub(crate) struct PrimaryCopies {
+    /// In the initial database's order.
+    catalog: Vec<CatalogEntry>,
+    /// Each name's primary copy: its current value and a commit counter.
+    copies: HashMap<RelationName, RwLock<(Relation, u64)>>,
+}
+
+impl PrimaryCopies {
+    /// Primary copies of every relation and view of `initial`.
+    pub(crate) fn new(initial: &Database) -> Self {
+        let catalog: Vec<CatalogEntry> = initial
+            .relation_names()
+            .into_iter()
+            .map(|name| CatalogEntry {
+                schema: initial.schema(&name).expect("own name").cloned(),
+                view: initial.view_def(&name).expect("own name").cloned(),
+                name,
+            })
+            .collect();
+        let copies = catalog
+            .iter()
+            .map(|e| {
+                let rel = initial.relation(&e.name).expect("own name").clone();
+                (e.name.clone(), RwLock::new((rel, 0)))
+            })
+            .collect();
+        PrimaryCopies { catalog, copies }
+    }
+
+    /// Names in the catalog, relations and views alike.
+    pub(crate) fn len(&self) -> usize {
+        self.catalog.len()
+    }
+
+    /// `name`'s copy: its value and commit counter behind one lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not in the catalog.
+    pub(crate) fn slot(&self, name: &RelationName) -> &RwLock<(Relation, u64)> {
+        (self.copies.get(name)).unwrap_or_else(|| panic!("no such relation: {name}"))
+    }
+
+    /// The copies `queries` touch, sorted by name: the relations they
+    /// name, every view reading one of them and those views' bases — so a
+    /// write maintains its views as the sequential model does. `relations`
+    /// reads the whole catalog. A name outside the catalog stays out, so
+    /// `translate` over the assembled database refuses it exactly as the
+    /// model does.
+    pub(crate) fn footprint<'q>(
+        &self,
+        queries: impl IntoIterator<Item = &'q Query>,
+    ) -> Vec<RelationName> {
+        let mut named = Vec::new();
+        for q in queries {
+            if matches!(q, Query::Names) {
+                named.extend(self.catalog.iter().map(|e| e.name.clone()));
+            }
+            named.extend(q.reads().into_iter().chain(q.writes()));
+        }
+        named.retain(|n| self.copies.contains_key(n));
+        let mut footprint = named.clone();
+        for e in &self.catalog {
+            let Some(def) = &e.view else { continue };
+            if named.contains(&e.name) || def.bases().into_iter().any(|b| named.contains(b)) {
+                footprint.push(e.name.clone());
+                footprint.extend(def.bases().into_iter().cloned());
+            }
+        }
+        footprint.sort();
+        footprint.dedup();
+        footprint
+    }
+
+    /// Every copy's current value, each read under its own lock.
+    pub(crate) fn current(&self) -> Database {
+        self.assemble(|n| Some(self.slot(n).read().0.clone()))
+    }
+
+    /// The catalog entries `value` admits, in catalog order, each holding
+    /// the value it returns.
+    pub(crate) fn assemble(&self, value: impl Fn(&RelationName) -> Option<Relation>) -> Database {
+        self.catalog.iter().fold(Database::empty(), |db, e| {
+            let Some(rel) = value(&e.name) else {
+                return db;
+            };
+            let (name, schema) = (e.name.clone(), e.schema.clone());
+            match &e.view {
+                None => db.with_relation_value(name, rel, schema),
+                Some(def) => db.with_view_value(name, rel, schema, def.clone()),
+            }
+            .expect("catalog names are unique")
+        })
+    }
+}
+
+/// The values of `footprint` that `after` holds in place of `before(i)`
+/// (compared with `ptr_eq`, so an untouched relation is never stored
+/// back), as `(footprint index, new value)`.
+pub(crate) fn changed<'b>(
+    after: &Database,
+    footprint: &[RelationName],
+    before: impl Fn(usize) -> &'b Relation,
+) -> Vec<(usize, Relation)> {
+    let after = footprint
+        .iter()
+        .map(|n| after.relation(n).expect("the catalog is fixed"));
+    let changed = after
+        .enumerate()
+        .filter(|(i, value)| !value.ptr_eq(before(*i)));
+    changed.map(|(i, value)| (i, value.clone())).collect()
 }
 
 /// A transaction's private workspace: snapshots to read, replacements to
@@ -126,9 +239,7 @@ pub struct OccStats {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct OptimisticEngine {
-    copies: HashMap<RelationName, PrimaryCopy>,
-    /// In the initial database's order.
-    catalog: Vec<CatalogEntry>,
+    copies: PrimaryCopies,
     commit_lock: Mutex<()>,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -140,7 +251,7 @@ impl fmt::Debug for OptimisticEngine {
         write!(
             f,
             "OptimisticEngine[{} relations, {} commits, {} aborts]",
-            self.catalog.len(),
+            self.copies.len(),
             stats.commits,
             stats.aborts
         )
@@ -149,28 +260,10 @@ impl fmt::Debug for OptimisticEngine {
 
 impl OptimisticEngine {
     /// Builds primary copies for every relation and view of `initial`.
-    /// The catalog is fixed (as in the locking baseline).
+    /// The catalog is fixed.
     pub fn new(initial: &Database) -> Self {
-        let catalog: Vec<CatalogEntry> = initial
-            .relation_names()
-            .into_iter()
-            .map(|name| CatalogEntry {
-                schema: initial.schema(&name).expect("own name").cloned(),
-                view: initial.view_def(&name).expect("own name").cloned(),
-                name,
-            })
-            .collect();
-        let copies = catalog
-            .iter()
-            .map(|e| {
-                let rel = initial.relation(&e.name).expect("own name").clone();
-                let slot = RwLock::new((rel, 0));
-                (e.name.clone(), PrimaryCopy { slot })
-            })
-            .collect();
         OptimisticEngine {
-            copies,
-            catalog,
+            copies: PrimaryCopies::new(initial),
             commit_lock: Mutex::new(()),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -197,11 +290,7 @@ impl OptimisticEngine {
             let snapshots: HashMap<RelationName, (Relation, u64)> = footprint
                 .iter()
                 .map(|n| {
-                    let copy = self
-                        .copies
-                        .get(n)
-                        .unwrap_or_else(|| panic!("no such relation: {n}"));
-                    let guard = copy.slot.read();
+                    let guard = self.copies.slot(n).read();
                     (n.clone(), (guard.0.clone(), guard.1))
                 })
                 .collect();
@@ -216,10 +305,10 @@ impl OptimisticEngine {
             let valid = ws
                 .snapshots
                 .iter()
-                .all(|(n, (_, seen))| self.copies[n].slot.read().1 == *seen);
+                .all(|(n, (_, seen))| self.copies.slot(n).read().1 == *seen);
             if valid {
                 for (n, new_rel) in ws.writes {
-                    let mut guard = self.copies[&n].slot.write();
+                    let mut guard = self.copies.slot(&n).write();
                     guard.0 = new_rel;
                     guard.1 += 1;
                 }
@@ -260,25 +349,13 @@ impl OptimisticEngine {
                 0,
             );
         }
-        // A name outside the catalog stays out of the assembled database,
-        // so `translate` refuses it exactly as the sequential model does.
-        let named: Vec<RelationName> = queries
-            .iter()
-            .flat_map(|q| q.reads().into_iter().chain(q.writes()))
-            .filter(|n| self.copies.contains_key(n))
-            .collect();
-        let mut footprint = named.clone();
-        for e in &self.catalog {
-            let Some(def) = &e.view else { continue };
-            if named.contains(&e.name) || def.bases().into_iter().any(|b| named.contains(b)) {
-                footprint.push(e.name.clone());
-                footprint.extend(def.bases().into_iter().cloned());
-            }
-        }
-        footprint.sort();
-        footprint.dedup();
+        let footprint = self.copies.footprint(queries);
         self.execute(&footprint, |ws| {
-            let mut db = self.assemble(|n| footprint.contains(n), |n| ws.relation(n).clone());
+            let value = |n: &RelationName| {
+                let included = footprint.binary_search(n).is_ok();
+                included.then(|| ws.relation(n).clone())
+            };
+            let mut db = self.copies.assemble(value);
             let responses: Vec<Response> = queries
                 .iter()
                 .map(|q| {
@@ -287,11 +364,8 @@ impl OptimisticEngine {
                     response
                 })
                 .collect();
-            for name in &footprint {
-                let after = db.relation(name).expect("the catalog is fixed");
-                if !after.ptr_eq(ws.relation(name)) {
-                    ws.set_relation(name, after.clone());
-                }
+            for (i, value) in changed(&db, &footprint, |i| ws.relation(&footprint[i])) {
+                ws.set_relation(&footprint[i], value);
             }
             responses
         })
@@ -302,25 +376,7 @@ impl OptimisticEngine {
     /// schemas, indexes and view definitions.
     pub fn snapshot(&self) -> Database {
         let _commit = self.commit_lock.lock();
-        self.assemble(|_| true, |n| self.copies[n].slot.read().0.clone())
-    }
-
-    /// The catalog entries `include` admits, in catalog order, each
-    /// holding `value(name)`.
-    fn assemble(
-        &self,
-        include: impl Fn(&RelationName) -> bool,
-        value: impl Fn(&RelationName) -> Relation,
-    ) -> Database {
-        let entries = self.catalog.iter().filter(|e| include(&e.name));
-        entries.fold(Database::empty(), |db, e| {
-            let (name, schema) = (e.name.clone(), e.schema.clone());
-            match &e.view {
-                None => db.with_relation_value(name, value(&e.name), schema),
-                Some(def) => db.with_view_value(name, value(&e.name), schema, def.clone()),
-            }
-            .expect("catalog names are unique")
-        })
+        self.copies.current()
     }
 
     /// Commit/abort counters so far.

@@ -193,13 +193,6 @@ impl<T> Lenient<T> {
         self.inner.slot.get()
     }
 
-    /// Number of live handles to this cell (including `self`).
-    ///
-    /// Exposed for leak diagnostics in tests.
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-
     /// Takes the value out if this is the last handle to a filled cell.
     /// For a drop path only (see `Stream`'s `Drop`): the cell is left
     /// empty, so the handle must not be read again.

@@ -465,11 +465,6 @@ impl<T> StreamWriter<T> {
                 .unwrap_or_else(|_| unreachable!("stream tail filled by foreign writer"));
         }
     }
-
-    /// `true` until [`close`](Self::close) is called (or the writer dropped).
-    pub fn is_open(&self) -> bool {
-        self.tail.is_some()
-    }
 }
 
 impl<T> Drop for StreamWriter<T> {

@@ -155,13 +155,6 @@ impl<T> Thunk<T> {
     }
 }
 
-impl<T: Clone> Thunk<T> {
-    /// Forces and returns an owned clone of the value.
-    pub fn force_cloned(&self) -> T {
-        self.force().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

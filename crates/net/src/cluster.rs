@@ -279,7 +279,8 @@ impl ClientHandle {
     /// configured, everything else to the primary. On a sharded cluster
     /// the query routes by [`plan_route`]: keyed operations to the
     /// owning shard, scans as a scatter-gather over every shard's read
-    /// set, DDL to every primary.
+    /// set, DDL to every primary; a statement no shard can answer from its
+    /// own partition is refused without a message sent.
     pub fn submit(&self, query: &str) -> Lenient<Response> {
         if let Some((pinned, rest)) = pragma::strip_result_on(query) {
             self.stats.pragma_pinned.fetch_add(1, Ordering::Relaxed);
@@ -322,6 +323,7 @@ impl ClientHandle {
                 self.send_gather(kind, self.routes.all_primaries(), query)
             }
             RoutePlan::AnyShard => self.send_single(self.routes.primary_of(0), query),
+            RoutePlan::Refuse(why) => Lenient::ready(Response::Error(why)),
         }
     }
 
@@ -545,11 +547,6 @@ impl Cluster {
     /// Panics if `i` is out of range.
     pub fn client(&self, i: usize) -> ClientHandle {
         self.clients[i].clone()
-    }
-
-    /// Number of client sites.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
     }
 
     /// Total messages that crossed the medium so far.

@@ -4,7 +4,8 @@
 //! Two kinds of routing live here. [`plan_route`] is the *logical* kind: a
 //! pure function from a parsed query to where it must execute on a
 //! partitioned cluster — the owning shard for keyed operations, a
-//! scatter-gather over every shard for scans, every primary for DDL. It is
+//! scatter-gather over every shard for scans, every primary for DDL, and
+//! nowhere for a statement no shard can answer from its own partition. It is
 //! pure so the shard-aware client can be tested without a cluster: a
 //! miswired round-robin (reads for a key bouncing to a sibling shard's
 //! replicas) is caught by a unit test on the plan, not by a flaky empty
@@ -21,7 +22,7 @@
 
 use std::fmt;
 
-use fundb_query::{AggOp, Query, Response};
+use fundb_query::{AggOp, FieldRef, Query, Response, ViewSpec};
 use fundb_rediflow::Topology;
 use fundb_relational::{Tuple, Value};
 
@@ -40,7 +41,7 @@ pub enum GatherKind {
     /// Fold the per-shard aggregates with the same operation.
     Agg(AggOp),
     /// Every shard must succeed (DDL); the first response stands in for
-    /// all of them.
+    /// all of them, except that a created view's row count is summed.
     AllOk,
 }
 
@@ -63,17 +64,39 @@ pub enum RoutePlan {
     /// A catalog read any single shard can answer (every shard holds the
     /// full catalog).
     AnyShard,
+    /// A statement no shard can answer from its own partition: refused
+    /// with this reason, sent nowhere.
+    Refuse(String),
 }
 
 /// Routes a parsed query on a hash-partitioned cluster.
 ///
 /// Keyed operations go to the key's owner; scans and aggregates scatter;
 /// DDL broadcasts to every primary (every shard holds every relation —
-/// only the tuples are partitioned). `join` stays a *gather*, not a
-/// flood: keys are hash-partitioned identically for every relation, so a
-/// key-join is shard-local and the partial joins just concatenate.
+/// only the tuples are partitioned). Keys are hash-partitioned identically
+/// for every relation, so a join on both keys (`join L with R`, or
+/// `on #0 = #0`) finds all its matches on one shard and stays a *gather*
+/// whose partial joins just concatenate. Any other join — a named field
+/// included, since the client holds no schema to resolve it — would meet
+/// only the matches inside each partition, and a `count`/`sum` view would
+/// keep one partial row per shard and group, so those are refused.
 pub fn plan_route(query: &Query) -> RoutePlan {
     match query {
+        Query::Join { on: Some(on), .. }
+        | Query::CreateView {
+            spec: ViewSpec::Join { on, .. },
+            ..
+        } if on != &(FieldRef::Index(0), FieldRef::Index(0)) => RoutePlan::Refuse(format!(
+            "a sharded cluster joins only on the key and resolves no field names: \
+             `on {} = {}` must be `on #0 = #0`, or a key join without `on`",
+            on.0, on.1
+        )),
+        Query::CreateView {
+            spec: ViewSpec::Count { .. } | ViewSpec::Sum { .. },
+            ..
+        } => RoutePlan::Refuse(
+            "a sharded cluster cannot keep a grouped view: a group's rows span shards".into(),
+        ),
         Query::Insert { tuple, .. } | Query::Replace { tuple, .. } => {
             RoutePlan::WriteKey(tuple.key().clone())
         }
@@ -179,10 +202,22 @@ pub fn combine_gather(kind: GatherKind, mut partials: Vec<(SiteId, Response)>) -
                 value: acc,
             }
         }
-        GatherKind::AllOk => match partials.into_iter().next() {
-            Some((_, first)) => first,
-            None => Response::Error("gather over zero shards".into()),
-        },
+        GatherKind::AllOk => {
+            let mut rest = partials.into_iter().map(|(_, r)| r);
+            let first = rest.next();
+            let first = first.unwrap_or_else(|| Response::Error("gather over zero shards".into()));
+            // A view's rows are spread over the shards like its bases'.
+            rest.fold(first, |all, r| match (all, r) {
+                (
+                    Response::ViewCreated { name, rows },
+                    Response::ViewCreated { rows: more, .. },
+                ) => Response::ViewCreated {
+                    name,
+                    rows: rows + more,
+                },
+                (all, _) => all,
+            })
+        }
     }
 }
 
@@ -260,6 +295,29 @@ impl<'a> Router<'a> {
 mod tests {
     use super::*;
     use fundb_rediflow::{Complete, EuclideanCube, Hypercube, Ring};
+
+    #[test]
+    fn off_key_joins_and_grouped_views_route_nowhere() {
+        let plan = |q: &str| plan_route(&fundb_query::parse(q).unwrap());
+        for q in [
+            "join L with R on #1 = #1",
+            "join L with R on id = id",
+            "create view J as join L with R on #0 = #1",
+            "create view G as count L by #1",
+            "create view S as sum #1 of L by #2",
+        ] {
+            assert!(matches!(plan(q), RoutePlan::Refuse(_)), "{q}");
+        }
+        for q in ["join L with R", "join L with R on #0 = #0"] {
+            assert_eq!(plan(q), RoutePlan::GatherRead(GatherKind::Tuples), "{q}");
+        }
+        for q in [
+            "create view K as join L with R on #0 = #0",
+            "create view V as select from L where #1 > 2",
+        ] {
+            assert_eq!(plan(q), RoutePlan::AllPrimaries(GatherKind::AllOk), "{q}");
+        }
+    }
 
     #[test]
     fn hypercube_paths_have_hamming_length() {

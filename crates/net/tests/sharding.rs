@@ -397,3 +397,71 @@ fn promotion_fails_only_requests_bound_for_the_dead_primary() {
     );
     cluster.shutdown();
 }
+
+/// `resp` with a tuple answer in value order — a gather's order.
+fn sorted(resp: &Response) -> Response {
+    match resp {
+        Response::Tuples(ts) => {
+            let mut ts = ts.clone();
+            ts.sort();
+            Response::Tuples(ts)
+        }
+        other => other.clone(),
+    }
+}
+
+/// A sharded cluster answers a join or a view definition exactly as the
+/// sequential model does, or refuses it: a join on anything but both keys,
+/// or on a named field, and a `count`/`sum` view would otherwise gather
+/// only the matches and groups inside each shard's partition. The key
+/// joins and the select view are partition-local and must be answered.
+#[test]
+fn statements_a_shard_cannot_answer_locally_are_refused() {
+    use fundb_query::{parse, translate};
+    use fundb_relational::Database;
+    let tmp = ScratchDir::new("shard-refusals");
+    let cluster = ShardedCluster::start(tmp.path(), 2, 1, 2, 1).unwrap();
+    let c = cluster.client(0);
+    let mut spec = Database::empty();
+    let mut run = |q: &str, local: bool| {
+        let got = c.submit(q).wait_cloned();
+        let refused = matches!(&got, Response::Error(e) if e.starts_with("a sharded cluster"));
+        assert!(!(local && refused), "{q} is partition-local: {got}");
+        if !refused {
+            let (expected, next) = translate(parse(q).unwrap()).apply(&spec);
+            spec = next;
+            assert_eq!(sorted(&got), sorted(&expected), "{q}");
+        }
+    };
+    run("create relation L(id, grp)", true);
+    run("create relation R(id, grp)", true);
+    for k in 0..8 {
+        run(&format!("insert ({k}, {}) into L", k % 2), true);
+        run(&format!("insert ({k}, {}) into R", k % 2), true);
+    }
+    for (q, local) in [
+        ("join L with R", true),
+        ("join L with R on #0 = #0", true),
+        ("join L with R on #1 = #1", false),
+        ("join L with R on #1 = #0", false),
+        ("join L with R on id = id", false),
+        ("join L with R on grp = grp", false),
+        ("create view K as join L with R on #0 = #0", true),
+        ("create view S as select from L where #1 = 1", true),
+        ("create view J as join L with R on #1 = #1", false),
+        ("create view N as join L with R on id = id", false),
+        ("create view G as count L by #1", false),
+        ("create view T as sum #0 of L by #1", false),
+    ] {
+        run(q, local);
+    }
+    for k in 8..12 {
+        run(&format!("insert ({k}, {}) into L", k % 2), true);
+        run(&format!("insert ({k}, 0) into R"), true);
+    }
+    run("delete 3 from L", true);
+    for v in ["K", "S", "J", "N", "G", "T"] {
+        run(&format!("select from {v}"), false);
+    }
+    cluster.shutdown();
+}

@@ -7,9 +7,11 @@
 //! computation. [`translate`](crate::translate()) calls [`read`], [`join`]
 //! and [`write()`] on the database it is applied to; the pipelined engine
 //! calls the same three on the component databases it pinned; the
-//! primary-copy engine runs `translate` over a database assembled from its
-//! workspace. No scheduler interprets a statement itself, so the spec and
-//! the engines cannot answer differently — response text included.
+//! primary-copy engine and the 2PL baseline run `translate` over a
+//! database assembled from their per-relation copies — one from a
+//! workspace of snapshots, the other under locks. No scheduler interprets
+//! a statement itself, so the spec and the engines cannot answer
+//! differently — response text included.
 //!
 //! Everything is a plain function over borrowed values: no trait object,
 //! no boxed closure, nothing allocated beyond the answer itself. Name
@@ -20,7 +22,7 @@ use fundb_relational::{
     BatchOp, BatchOutcome, Database, DatabaseError, Relation, RelationName, Schema, Tuple, ViewDef,
 };
 
-use crate::ast::{apply_select, compute_aggregate, AggOp, FieldRef, Predicate, Query, ViewSpec};
+use crate::ast::{compute_aggregate, AggOp, FieldRef, Query, ViewSpec};
 use crate::plan::{
     choose_join_strategy, execute_join_explained, execute_select_explained, explain_select,
     AccessPath, JoinStrategy,
@@ -175,28 +177,13 @@ fn answer(db: &Database, q: &Query, explain: bool, substituted: bool) -> (Respon
     (resp, trace)
 }
 
-/// `sum|min|max` over rows an executor already holds.
-pub fn aggregate(rows: &[Tuple], schema: Option<&Schema>, op: AggOp, field: &FieldRef) -> Response {
+/// `sum|min|max` over `rows`.
+fn aggregate(rows: &[Tuple], schema: Option<&Schema>, op: AggOp, field: &FieldRef) -> Response {
     match compute_aggregate(rows, schema, op, field) {
         Ok(value) => Response::Aggregate {
             op: op.to_string(),
             value,
         },
-        Err(e) => Response::Error(e),
-    }
-}
-
-/// `select` as filter-and-project over rows an executor already holds —
-/// for executors whose storage is not a [`Relation`] and so has no access
-/// path to plan.
-pub fn select_rows(
-    rows: Vec<Tuple>,
-    schema: Option<&Schema>,
-    projection: &Option<Vec<FieldRef>>,
-    predicate: &Option<Predicate>,
-) -> Response {
-    match apply_select(rows, schema, projection, predicate) {
-        Ok(tuples) => Response::Tuples(tuples),
         Err(e) => Response::Error(e),
     }
 }

@@ -142,9 +142,10 @@ fn drive(stmts: &[String], submit: impl Fn(Transaction) -> Lenient<Response>) ->
 }
 
 /// The statement-matrix differential: the sequential model, the pipelined
-/// engine at every pool width, a durable engine reopened mid-sequence and
-/// the primary-copy engine all evaluate through the one executor, so they
-/// give the same response — text included — to every statement.
+/// engine at every pool width, a durable engine reopened mid-sequence, the
+/// primary-copy engine and the 2PL baseline all evaluate through the one
+/// executor, so they give the same response — text included — to every
+/// statement.
 #[test]
 fn every_scheduler_answers_the_statement_matrix_alike() {
     let reprs = ["list", "tree", "btree(4)", "paged(8)"];
@@ -211,6 +212,20 @@ fn every_scheduler_answers_the_statement_matrix_alike() {
         for (s, e) in fixed.iter().zip(&expected) {
             let (got, _) = occ.execute_queries(&[parse(s).unwrap()]);
             assert_eq!(&got[0], e, "primary-copy, seed {seed}, {repr}: {s}");
+        }
+
+        // The 2PL baseline holds the same copies and runs `translate` over
+        // them under locks; it also lists its catalog.
+        let fixed: Vec<String> = stmts[2..]
+            .iter()
+            .filter(|s| !s.starts_with("create"))
+            .cloned()
+            .collect();
+        let expected = sequential_responses(&base, &fixed);
+        let ldb = LockingDb::from_database(&base);
+        for (s, e) in fixed.iter().zip(&expected) {
+            let got = ldb.execute(&translate(parse(s).unwrap()));
+            assert_eq!(&got, e, "2PL, seed {seed}, {repr}: {s}");
         }
     }
     // All fourteen `Query` variants, `create view` in all four shapes.

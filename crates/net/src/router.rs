@@ -171,7 +171,11 @@ pub fn combine_gather(kind: GatherKind, mut partials: Vec<(SiteId, Response)>) -
                             (None, Some(v)) => Some(v),
                             (Some(a), Some(v)) => Some(match op {
                                 AggOp::Sum => {
-                                    Value::Int(a.as_int().unwrap_or(0) + v.as_int().unwrap_or(0))
+                                    let (a, v) = (a.as_int().unwrap_or(0), v.as_int().unwrap_or(0));
+                                    match a.checked_add(v) {
+                                        Some(sum) => Value::Int(sum),
+                                        None => return Response::Error("sum overflows i64".into()),
+                                    }
                                 }
                                 AggOp::Min => {
                                     if v < a {
@@ -317,6 +321,31 @@ mod tests {
         ] {
             assert_eq!(plan(q), RoutePlan::AllPrimaries(GatherKind::AllOk), "{q}");
         }
+    }
+
+    #[test]
+    fn a_gathered_sum_past_i64_max_is_an_error() {
+        let partial = |site, value: i64| {
+            (
+                SiteId(site),
+                Response::Aggregate {
+                    op: "sum".into(),
+                    value: Some(Value::Int(value)),
+                },
+            )
+        };
+        let sum = |partials| combine_gather(GatherKind::Agg(AggOp::Sum), partials);
+        assert_eq!(
+            sum(vec![partial(0, i64::MAX), partial(1, 1)]),
+            Response::Error("sum overflows i64".into())
+        );
+        assert_eq!(
+            sum(vec![partial(1, -1), partial(0, i64::MAX)]),
+            Response::Aggregate {
+                op: "sum".into(),
+                value: Some(Value::Int(i64::MAX - 1)),
+            }
+        );
     }
 
     #[test]

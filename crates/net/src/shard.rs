@@ -14,7 +14,7 @@
 //! shard 0, every transaction single-shard.
 //!
 //! **Routing** ([`ShardMap`] + the shard-aware
-//! [`ClientHandle`](crate::ClientHandle)): a single-key read or write goes
+//! [`ClientHandle`]): a single-key read or write goes
 //! *directly* to the owning shard — no global hop of any kind, per Didona
 //! et al.'s observation that fast distributed transactions must keep
 //! single-partition work off global coordination. Reads round-robin over
@@ -201,7 +201,7 @@ impl fmt::Debug for ShardRoutes {
 /// Cluster-level traffic counters, in the mold of `EngineStats`: relaxed
 /// atomics bumped on the client's routing path and the receiver thread,
 /// snapshot on demand. One instance is shared by every
-/// [`ClientHandle`](crate::ClientHandle) of a cluster.
+/// [`ClientHandle`] of a cluster.
 #[derive(Debug)]
 pub struct ClusterStats {
     /// Single-key writes routed directly to an owning primary.

@@ -106,7 +106,7 @@ impl fmt::Display for AggOp {
 /// # Errors
 ///
 /// A message when the field cannot be resolved, is missing from a tuple,
-/// or (for `sum`) is not an integer.
+/// or (for `sum`) is not an integer or the total overflows.
 ///
 /// # Example
 ///
@@ -138,7 +138,8 @@ pub fn compute_aggregate(
                     .as_int()
                     .ok_or_else(|| format!("sum needs integer fields, got {v}"))?;
                 let base = prev.as_ref().and_then(Value::as_int).unwrap_or(0);
-                Value::Int(base + x)
+                let sum = base.checked_add(x).ok_or("sum overflows i64")?;
+                Value::Int(sum)
             }
             (AggOp::Min, None) | (AggOp::Max, None) => v.clone(),
             (AggOp::Min, Some(prev)) => {
@@ -803,6 +804,15 @@ mod tests {
         );
         // Missing field errors.
         assert!(compute_aggregate(&tuples, None, AggOp::Sum, &FieldRef::Index(9)).is_err());
+        // A total past i64::MAX errors rather than wrapping.
+        let big = vec![
+            t(vec![1.into(), i64::MAX.into()]),
+            t(vec![2.into(), i64::MAX.into()]),
+        ];
+        assert_eq!(
+            compute_aggregate(&big, None, AggOp::Sum, &f),
+            Err("sum overflows i64".to_string())
+        );
         // Named field resolution.
         let schema = Schema::new(&["id", "qty"]).unwrap();
         assert_eq!(

@@ -15,9 +15,9 @@
 //! * the secondary indexes ([`crate::index::IndexSet::apply_transitions`]);
 //! * the relation's cached length (each run's `after.len() - before.len()`);
 //! * every dependent materialized view: [`Relation::apply_batch_with_runs`]
-//!   hands the runs back, and the engine's commit path and
-//!   [`crate::Database::write`] advance each view from them
-//!   ([`crate::view::advance_view`]) instead of deriving them again.
+//!   hands the runs back, and [`crate::Database::write`] — every
+//!   executor's write — maps them to each view's transitions
+//!   ([`crate::view::derive_delta`]) instead of deriving them again.
 //!
 //! Every data write is such a batch: a single-key write
 //! ([`Relation::insert`], [`Relation::delete`], the executor's statement)
@@ -155,7 +155,7 @@ fn derive(store: &Store, ops: &[BatchOp]) -> (Vec<KeyTransition>, Vec<BatchOutco
 }
 
 /// The per-key before/after transitions a batch induces against `rel`, in
-/// the ascending key order index maintenance and the view delta rules
+/// the ascending key order index maintenance and the view delta rule
 /// require (see [`crate::view`]) — the same runs
 /// [`Relation::apply_batch_with_runs`] lands and returns. No write path
 /// calls it (each takes the runs its batch landed); it is for tests and

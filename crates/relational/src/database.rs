@@ -17,7 +17,7 @@ use crate::relation::{Relation, Repr};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use crate::view::{advance_view, eval_view, materialize_view, rebuilt_like, ViewDef};
+use crate::view::{derive_delta, eval_view, materialize_view, rebuilt_like, ViewDef};
 
 /// The name of a relation (cheap to clone and compare).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -169,24 +169,7 @@ impl Database {
         repr: Repr,
         schema: Option<Schema>,
     ) -> Result<Database, DatabaseError> {
-        let name = name.into();
-        if self.position(&name).is_some() {
-            return Err(DatabaseError::DuplicateRelation(name));
-        }
-        let entries: Vec<Entry> = self
-            .entries
-            .iter()
-            .cloned()
-            .chain(std::iter::once(Entry {
-                name,
-                relation: Relation::empty(repr),
-                schema,
-                view: None,
-            }))
-            .collect();
-        Ok(Database {
-            entries: entries.into_iter().collect(),
-        })
+        self.with_relation_value(name, Relation::empty(repr), schema)
     }
 
     /// Adds relation `name` holding the given relation *value* (rather
@@ -207,23 +190,11 @@ impl Database {
         relation: Relation,
         schema: Option<Schema>,
     ) -> Result<Database, DatabaseError> {
-        let name = name.into();
-        if self.position(&name).is_some() {
-            return Err(DatabaseError::DuplicateRelation(name));
-        }
-        let entries: Vec<Entry> = self
-            .entries
-            .iter()
-            .cloned()
-            .chain(std::iter::once(Entry {
-                name,
-                relation,
-                schema,
-                view: None,
-            }))
-            .collect();
-        Ok(Database {
-            entries: entries.into_iter().collect(),
+        self.append(Entry {
+            name: name.into(),
+            relation,
+            schema,
+            view: None,
         })
     }
 
@@ -242,20 +213,25 @@ impl Database {
         schema: Option<Schema>,
         def: ViewDef,
     ) -> Result<Database, DatabaseError> {
-        let name = name.into();
-        if self.position(&name).is_some() {
-            return Err(DatabaseError::DuplicateRelation(name));
+        self.append(Entry {
+            name: name.into(),
+            relation,
+            schema,
+            view: Some(Arc::new(def)),
+        })
+    }
+
+    /// Appends `entry` at the end of the spine, sharing every existing
+    /// cell's contents; the one place a name's uniqueness is checked.
+    fn append(&self, entry: Entry) -> Result<Database, DatabaseError> {
+        if self.position(&entry.name).is_some() {
+            return Err(DatabaseError::DuplicateRelation(entry.name));
         }
         let entries: Vec<Entry> = self
             .entries
             .iter()
             .cloned()
-            .chain(std::iter::once(Entry {
-                name,
-                relation,
-                schema,
-                view: Some(Arc::new(def)),
-            }))
+            .chain(std::iter::once(entry))
             .collect();
         Ok(Database {
             entries: entries.into_iter().collect(),
@@ -514,10 +490,6 @@ impl Database {
         name: N,
         def: ViewDef,
     ) -> Result<Database, DatabaseError> {
-        let name = name.into();
-        if self.position(&name).is_some() {
-            return Err(DatabaseError::DuplicateRelation(name));
-        }
         for base in def.bases() {
             let entry = self
                 .entries
@@ -534,20 +506,7 @@ impl Database {
         };
         let (left, right) = self.view_bases(&def);
         let relation = materialize_view(&def, left, right);
-        let entries: Vec<Entry> = self
-            .entries
-            .iter()
-            .cloned()
-            .chain(std::iter::once(Entry {
-                name,
-                relation,
-                schema,
-                view: Some(Arc::new(def)),
-            }))
-            .collect();
-        Ok(Database {
-            entries: entries.into_iter().collect(),
-        })
+        self.with_view_value(name, relation, schema, def)
     }
 
     /// The view definition behind `name`, or `None` for a base relation.
@@ -610,34 +569,32 @@ impl Database {
         (left, right)
     }
 
-    /// Advances every dependent view by `base`'s per-key transitions (see
-    /// [`advance_view`]). The receiver is the *post-write* database: a
-    /// single base changed, so for a join the other side still holds its
-    /// pre-write (= unchanged) value — exactly what the delta rules
-    /// expect.
+    /// Advances every dependent view by `base`'s per-key transitions: one
+    /// [`derive_delta`] each, landed by [`Relation::apply_transitions`].
+    /// The receiver is the *post-write* database, so a join's other side —
+    /// for a self-join, the base itself — is read at its new value, as the
+    /// delta rule expects.
     fn propagate_to_views(&self, base: &RelationName, transitions: &[KeyTransition]) -> Database {
         let mut db = self.clone();
         if transitions.is_empty() {
             return db;
         }
-        let base_after = self.relation(base).expect("base exists");
         for (vname, def) in self.view_defs() {
             if !def.depends_on(base) {
                 continue;
             }
-            let new_view = {
-                let other = match def {
-                    ViewDef::Join { left, right, .. } => {
-                        let other = if base == left { right } else { left };
-                        Some(db.relation(other).expect("join base exists"))
-                    }
-                    _ => None,
-                };
-                let view = db.relation(vname).expect("view exists");
-                advance_view(def, base, view, transitions, base_after, other)
+            let other = match def {
+                ViewDef::Join { left, right, .. } => {
+                    let other = if base == left { right } else { left };
+                    Some(self.relation(other).expect("join base exists"))
+                }
+                _ => None,
             };
             db = db
-                .update_relation(vname, |_| (new_view, CopyReport::default(), ()))
+                .update_relation(vname, |view| {
+                    let delta = derive_delta(def, base, view, transitions, other);
+                    (view.apply_transitions(&delta), CopyReport::default(), ())
+                })
                 .expect("view exists")
                 .0;
         }
@@ -646,10 +603,8 @@ impl Database {
 
     /// Replaces every view's contents with a fresh evaluation from the
     /// current base relations, preserving definitions, schemas, reprs and
-    /// index definitions. Recovery uses this: checkpointed bases are
-    /// mark-consistent, so re-deriving the views from them (rather than
-    /// trusting possibly-lagging checkpointed view contents) restores the
-    /// invariant `view = f(bases)` exactly.
+    /// index definitions — the reference tests hold incrementally
+    /// maintained views to (`view = f(bases)`).
     pub fn recompute_views(&self) -> Database {
         let entries: Vec<Entry> = self
             .entries

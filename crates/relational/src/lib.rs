@@ -16,9 +16,9 @@
 //! Nothing here mutates: every update returns a new value, and the old
 //! version remains a fully usable database.
 //!
-//! Derived state is a value too: a materialized [`view`](crate::view) is an
-//! ordinary [`Relation`] kept consistent by propagating each write's
-//! [`KeyTransition`] runs through the view's definition instead of
+//! Derived state is a value too: a materialized [`view`] is an ordinary
+//! [`Relation`] kept consistent by mapping each write's [`KeyTransition`]
+//! runs through the view's definition ([`derive_delta`]) instead of
 //! recomputing it.
 
 #![warn(missing_docs)]
@@ -40,6 +40,4 @@ pub use relation::{Relation, Repr, Store};
 pub use schema::{Schema, SchemaError};
 pub use tuple::{concat_on, Tuple};
 pub use value::Value;
-pub use view::{
-    advance_view, derive_delta, eval_view, materialize_view, rebuilt_like, ViewDef, ViewFilter,
-};
+pub use view::{derive_delta, eval_view, materialize_view, rebuilt_like, ViewDef, ViewFilter};

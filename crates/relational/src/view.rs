@@ -8,30 +8,38 @@
 //! applies them with the existing merge kernels, so a commit costs
 //! O(touched · log n) regardless of the base or view size.
 //!
-//! Delta derivation rules, per operator:
+//! One rule, [`derive_delta`], covers every definition, in the `(data,
+//! diff)` form of differential dataflow:
 //!
-//! * **Selection** — a base transition `(k, before, after)` becomes the
-//!   view transition `(k, filter(before), filter(after))`: the four-way
-//!   old-in/new-in case split (enter, leave, stay, never-in) collapses
-//!   into filtering both sides of the transition.
-//! * **Join** (`L ⋈ R on #lf = #rf`, rows keyed by the left key) — a
-//!   left-side transition re-derives its key's joined bucket by probing
-//!   `R` with each `after` tuple's join value (primary key, secondary
-//!   index, or scan — whatever `R` offers). A right-side transition first
-//!   collects the join *values* whose matches changed, probes `L` for the
-//!   affected left keys, and reconstructs exactly those buckets from
-//!   their current view rows plus the departed/arrived right rows the
-//!   transition itself carries — `R` (the typically-large fact side) is
-//!   never consulted, let alone rescanned.
-//! * **Grouped aggregates** (`count`/`sum` per group) — transitions fold
-//!   into signed per-group diffs (`-1`/`-x` for departing tuples, `+1`/
-//!   `+x` for arriving ones) which are added onto the group's current
-//!   slot; a count reaching zero deletes the group row.
+//! 1. **Signed rows.** Each transition gives `(t, −1)` for every tuple its
+//!    key held before and `(t, +1)` for every tuple it holds after.
+//! 2. **Per-kind map** to signed view rows:
+//!    * *select* keeps the rows that pass the filter;
+//!    * *join* (`L ⋈ R on #lf = #rf`, rows keyed by the left key) is
+//!      `ΔV = ΔL ⋈ R + L ⋈ ΔR − ΔL ⋈ ΔR` with `L` and `R` at their
+//!      post-write values. Only the written side has a delta, so the other
+//!      side is probed (primary key, secondary index or scan — whatever
+//!      it offers) once per distinct join value; a write to the right
+//!      (fact) side never reads the right base. A self-join has both
+//!      deltas, and the third term makes it incremental too;
+//!    * *count/sum* fold the signed rows per group; each changed group
+//!      retracts its current slot row and asserts the new one, none once
+//!      its count reaches 0.
+//! 3. **One consolidation.** The signed view rows are sorted, so grouped
+//!    by view key in ascending order; each distinct row's multiplicities
+//!    are netted; each key's bucket starts from its current rows, drops
+//!    one occurrence per net retraction and appends net assertions, and a
+//!    key gets a transition only when its bucket changed.
+//!
+//! Intra-bucket row order is therefore deterministic and the same for
+//! every executor: rows a commit keeps stay in place, and the rows it adds
+//! follow them in ascending row order. A freshly materialized bucket
+//! ([`eval_view`]) is in scan order.
 //!
 //! Every function here is pure: deltas are derived from values and applied
 //! functionally, so views inherit the persistence story of their bases.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::database::RelationName;
@@ -127,7 +135,10 @@ pub enum ViewDef {
     /// `sum #field of base by #group` — one row
     /// `(group_value, sum, count)` per nonempty group; the count makes
     /// group emptiness detectable so sums can go negative or zero without
-    /// deleting the row. Non-integer summands contribute 0.
+    /// deleting the row. Non-integer summands contribute 0. A view cannot
+    /// fail a commit, so sums wrap on `i64` overflow, in the first
+    /// materialization and the incremental rule alike: wrapping addition
+    /// is a group, so the maintained sum still equals a recompute.
     GroupSum {
         /// The base relation.
         base: RelationName,
@@ -212,8 +223,10 @@ fn summand(t: &Tuple, field: usize) -> i64 {
     t.get(field).and_then(Value::as_int).unwrap_or(0)
 }
 
-/// Full recompute of a view's rows. Used for initial materialization,
-/// recovery, and as the reference the incremental path is tested against.
+/// Full recompute of a view's rows. Used for a view's first
+/// materialization (also when recovery replays its `create view`), by
+/// [`Database::recompute_views`](crate::Database::recompute_views), and
+/// as the reference the incremental path is tested against.
 /// `right` must be `Some` exactly for join definitions (`left` is the
 /// single base otherwise).
 pub fn eval_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Vec<Tuple> {
@@ -264,7 +277,7 @@ pub fn eval_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Ve
             for t in left.scan_iter() {
                 if let Some(g) = t.get(*group) {
                     let slot = slots.entry(g.clone()).or_insert((0, 0));
-                    slot.0 += summand(&t, *field);
+                    slot.0 = slot.0.wrapping_add(summand(&t, *field));
                     slot.1 += 1;
                 }
             }
@@ -294,8 +307,9 @@ pub fn materialize_view(def: &ViewDef, left: &Relation, right: Option<&Relation>
 }
 
 /// Rebuilds a relation from `rows`, keeping `old`'s representation and
-/// re-creating its index definitions — full-recompute fallback that
-/// preserves everything but the contents.
+/// re-creating its index definitions — how
+/// [`Database::recompute_views`](crate::Database::recompute_views)
+/// replaces everything but a view's contents.
 pub fn rebuilt_like(old: &Relation, rows: Vec<Tuple>) -> Relation {
     let mut rel = Relation::from_tuples(old.repr(), rows);
     for ix in old.indexes().iter() {
@@ -306,213 +320,171 @@ pub fn rebuilt_like(old: &Relation, rows: Vec<Tuple>) -> Relation {
     rel
 }
 
-/// Derives a selection view's transitions from its base's: filter both
-/// sides of each transition, keeping only keys whose filtered bucket
-/// actually changed. `view` supplies nothing here — selection transitions
-/// are self-contained — but the ascending-key order of `transitions` is
-/// preserved, as [`Relation::apply_transitions`] requires.
-pub fn select_delta(
-    filter: &Option<ViewFilter>,
-    transitions: &[KeyTransition],
-) -> Vec<KeyTransition> {
-    let keep = |t: &Tuple| filter.as_ref().is_none_or(|p| p.eval(t));
-    let mut out = Vec::new();
+/// A commit's base rows with their multiplicity changes: `-1` for every
+/// tuple a transition's key held before, `+1` for every tuple it holds
+/// after.
+fn signed_rows(transitions: &[KeyTransition]) -> Vec<(&Tuple, i64)> {
+    let n = transitions
+        .iter()
+        .map(|tr| tr.before.len() + tr.after.len());
+    let mut rows = Vec::with_capacity(n.sum());
     for tr in transitions {
-        let before: Vec<Tuple> = tr.before.iter().filter(|t| keep(t)).cloned().collect();
-        let after: Vec<Tuple> = tr.after.iter().filter(|t| keep(t)).cloned().collect();
-        if before != after {
-            out.push(KeyTransition::new(tr.key.clone(), before, after));
+        rows.extend(tr.before.iter().map(|t| (t, -1)));
+        rows.extend(tr.after.iter().map(|t| (t, 1)));
+    }
+    rows
+}
+
+/// Signed rows grouped by their value at `field`; rows without the field
+/// join nothing and are dropped.
+fn by_value<'a>(
+    rows: &[(&'a Tuple, i64)],
+    field: usize,
+) -> BTreeMap<&'a Value, Vec<(&'a Tuple, i64)>> {
+    let mut groups: BTreeMap<&Value, Vec<(&Tuple, i64)>> = BTreeMap::new();
+    for &(t, s) in rows {
+        if let Some(v) = t.get(field) {
+            groups.entry(v).or_default().push((t, s));
+        }
+    }
+    groups
+}
+
+/// `ΔV = ΔL ⋈ R + L ⋈ ΔR − ΔL ⋈ ΔR` with `L` and `R` at their post-write
+/// values. Only the written side carries a delta, so `other` — the side
+/// that was not written, or for a self-join the base's new value — is the
+/// only relation probed, once per distinct join value of each delta.
+fn join_rows(
+    dl: &[(&Tuple, i64)],
+    dr: &[(&Tuple, i64)],
+    other: &Relation,
+    lf: usize,
+    rf: usize,
+) -> Vec<(Tuple, i64)> {
+    let mut out = Vec::new();
+    let dl = by_value(dl, lf);
+    for (v, ls) in &dl {
+        let rs = probe_matches(other, rf, v);
+        for &(l, s) in ls {
+            out.extend(rs.iter().map(|r| (concat_on(l, r, rf), s)));
+        }
+    }
+    for (v, rs) in by_value(dr, rf) {
+        let ls = probe_matches(other, lf, v);
+        let both = dl.get(v).map_or(&[][..], Vec::as_slice);
+        for &(r, s) in &rs {
+            out.extend(ls.iter().map(|l| (concat_on(l, r, rf), s)));
+            out.extend(both.iter().map(|&(l, sl)| (concat_on(l, r, rf), -sl * s)));
         }
     }
     out
 }
 
-/// Derives a join view's transitions from *left*-side base transitions:
-/// each changed left key's joined bucket is re-derived by probing `right`
-/// (the right base's current, unchanged value) with the `after` tuples.
-pub fn join_delta_left(
+/// A grouped aggregate's signed slot rows: the signed base rows fold into
+/// per-group `(count, sum)` diffs, and each changed group retracts its
+/// current slot row and asserts the new one — none once its count is 0.
+/// Sums wrap, as in [`eval_view`] (see [`ViewDef::GroupSum`]). Each
+/// group's bucket, once read, goes into `read` for the consolidation.
+fn group_rows(
     view: &Relation,
-    transitions: &[KeyTransition],
-    right: &Relation,
-    left_field: usize,
-    right_field: usize,
-) -> Vec<KeyTransition> {
-    let mut out = Vec::new();
-    for tr in transitions {
-        let before = view.find(&tr.key);
-        let mut after = Vec::new();
-        for l in &tr.after {
-            if let Some(v) = l.get(left_field) {
-                for r in probe_matches(right, right_field, v) {
-                    after.push(concat_on(l, &r, right_field));
-                }
-            }
-        }
-        if before != after {
-            out.push(KeyTransition::new(tr.key.clone(), before, after));
-        }
-    }
-    out
-}
-
-/// Derives a join view's transitions from *right*-side base transitions
-/// without touching the right base at all: the transitions themselves
-/// carry exactly which right rows left each join value's match set
-/// (`before`) and which arrived (`after`), so each affected left key's
-/// bucket is reconstructed from its current view rows plus those signed
-/// changes. Finding the affected left keys costs one key lookup per
-/// touched join value when the join attribute *is* the left key, an
-/// index probe when `left` has one, and a scan of the (small,
-/// dimension-side) `left` otherwise — the large right side is never
-/// rescanned, which is what keeps maintenance O(touched · log n) on a
-/// fact table with no index on the join attribute.
-pub fn join_delta_right(
-    view: &Relation,
-    transitions: &[KeyTransition],
-    left: &Relation,
-    left_field: usize,
-    right_field: usize,
-) -> Vec<KeyTransition> {
-    // Right rows leaving and entering each touched join value's match set.
-    let mut removed: BTreeMap<&Value, Vec<&Tuple>> = BTreeMap::new();
-    let mut added: BTreeMap<&Value, Vec<&Tuple>> = BTreeMap::new();
-    for tr in transitions {
-        for t in &tr.before {
-            if let Some(v) = t.get(right_field) {
-                removed.entry(v).or_default().push(t);
-            }
-        }
-        for t in &tr.after {
-            if let Some(v) = t.get(right_field) {
-                added.entry(v).or_default().push(t);
-            }
-        }
-    }
-    // Affected left keys, ascending (BTreeSet dedups across values).
-    let touched: BTreeSet<&Value> = removed.keys().chain(added.keys()).copied().collect();
-    let mut keys: BTreeSet<Value> = BTreeSet::new();
-    for v in touched {
-        if left_field == 0 {
-            if left.contains_key(v) {
-                keys.insert(v.clone());
-            }
-        } else if let Some(ix) = left.index_on(left_field) {
-            keys.extend(ix.keys_eq(v));
-        } else {
-            for l in left.scan_iter() {
-                if l.get(left_field) == Some(v) {
-                    keys.insert(l.key().clone());
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for k in keys {
-        let before = view.find(&k);
-        // Reconstruct: drop one bucket row per departed right match (the
-        // view reflected the pre-commit base exactly, so the row is
-        // present), append one per arrival, then canonicalize the order
-        // so reconstructed buckets compare and store deterministically.
-        let mut after = before.clone();
-        for l in left.find(&k) {
-            let Some(v) = l.get(left_field) else { continue };
-            if let Some(rs) = removed.get(v) {
-                for r in rs {
-                    let t = concat_on(&l, r, right_field);
-                    if let Some(pos) = after.iter().position(|x| *x == t) {
-                        after.remove(pos);
-                    }
-                }
-            }
-            if let Some(rs) = added.get(v) {
-                for r in rs {
-                    after.push(concat_on(&l, r, right_field));
-                }
-            }
-        }
-        after.sort();
-        if before != after {
-            out.push(KeyTransition::new(k, before, after));
-        }
-    }
-    out
-}
-
-/// Derives a grouped aggregate view's transitions: fold the base
-/// transitions into signed per-group diffs, then add each diff onto the
-/// group's current slot in `view`. Works for both [`ViewDef::GroupCount`]
-/// (`sum_field = None`) and [`ViewDef::GroupSum`] rows.
-pub fn group_delta(
-    view: &Relation,
-    transitions: &[KeyTransition],
+    rows: &[(&Tuple, i64)],
     group: usize,
     sum_field: Option<usize>,
-) -> Vec<KeyTransition> {
-    // Signed (count, sum) diffs per group value; BTreeMap iteration gives
-    // the ascending-key order the apply kernel requires.
-    let mut diffs: BTreeMap<Value, (i64, i64)> = BTreeMap::new();
-    for tr in transitions {
-        for t in &tr.before {
-            if let Some(g) = t.get(group) {
-                let d = diffs.entry(g.clone()).or_insert((0, 0));
-                d.0 -= 1;
-                d.1 -= sum_field.map_or(0, |f| summand(t, f));
-            }
-        }
-        for t in &tr.after {
-            if let Some(g) = t.get(group) {
-                let d = diffs.entry(g.clone()).or_insert((0, 0));
-                d.0 += 1;
-                d.1 += sum_field.map_or(0, |f| summand(t, f));
-            }
+    read: &mut BTreeMap<Value, Vec<Tuple>>,
+) -> Vec<(Tuple, i64)> {
+    let mut diffs: BTreeMap<&Value, (i64, i64)> = BTreeMap::new();
+    for &(t, s) in rows {
+        if let Some(g) = t.get(group) {
+            let d = diffs.entry(g).or_insert((0, 0));
+            d.0 += s;
+            let x = sum_field.map_or(0, |f| summand(t, f));
+            d.1 = d.1.wrapping_add(x.wrapping_mul(s));
         }
     }
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(2 * diffs.len());
     for (g, (dcount, dsum)) in diffs {
         if dcount == 0 && dsum == 0 {
             continue;
         }
-        let before = view.find(&g);
-        // Current slot: (count, sum) parsed from the group's single row.
-        let (cur_count, cur_sum) = match before.first() {
-            None => (0, 0),
-            Some(row) => match sum_field {
-                None => (row.get(1).and_then(Value::as_int).unwrap_or(0), 0),
-                Some(_) => (
-                    row.get(2).and_then(Value::as_int).unwrap_or(0),
-                    row.get(1).and_then(Value::as_int).unwrap_or(0),
-                ),
-            },
+        let current = view.find(g);
+        let field = |row: &Tuple, i| row.get(i).and_then(Value::as_int).unwrap_or(0);
+        let (count, sum) = match (current.first(), sum_field) {
+            (None, _) => (0, 0),
+            (Some(row), None) => (field(row, 1), 0),
+            (Some(row), Some(_)) => (field(row, 2), field(row, 1)),
         };
-        let count = cur_count + dcount;
-        let sum = cur_sum + dsum;
+        let (count, sum) = (count + dcount, sum.wrapping_add(dsum));
         debug_assert!(count >= 0, "group count went negative");
-        let after = if count <= 0 {
-            Vec::new()
-        } else {
-            match sum_field {
-                None => vec![Tuple::new(vec![g.clone(), Value::Int(count)])],
-                Some(_) => vec![Tuple::new(vec![
-                    g.clone(),
-                    Value::Int(sum),
-                    Value::Int(count),
-                ])],
-            }
-        };
-        if before != after {
-            out.push(KeyTransition::new(g, before, after));
+        out.extend(current.iter().map(|row| (row.clone(), -1)));
+        read.insert(g.clone(), current);
+        if count > 0 {
+            let slot = match sum_field {
+                None => vec![g.clone(), Value::Int(count)],
+                Some(_) => vec![g.clone(), Value::Int(sum), Value::Int(count)],
+            };
+            out.push((Tuple::new(slot), 1));
         }
     }
     out
 }
 
-/// Derives the view transitions a base commit induces, dispatching on the
-/// definition and which side `base` feeds. `other` is the join's *other*
-/// side at its last-committed value — left transitions probe it (the old
-/// right) for matches; right transitions consult it only to find the
-/// affected left keys and reconstruct their buckets from the transitions
-/// themselves. A self-join (`left == right`) has no rule here;
-/// [`advance_view`] re-evaluates it instead.
+/// Lands signed view rows on `view` as ascending per-key transitions: the
+/// rows are sorted (so grouped by view key, the first field), each
+/// distinct row's multiplicities are netted, and each key's bucket starts
+/// from `view.find(k)` — or the bucket the map step already `read` —
+/// drops one occurrence per net retraction and appends net assertions in
+/// ascending row order. A key whose bucket did not change gets no
+/// transition.
+fn consolidate(
+    view: &Relation,
+    mut rows: Vec<(Tuple, i64)>,
+    mut read: BTreeMap<Value, Vec<Tuple>>,
+) -> Vec<KeyTransition> {
+    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut out = Vec::new();
+    let mut rows = rows.into_iter().peekable();
+    while let Some((first, s)) = rows.next() {
+        let key = first.key().clone();
+        let before = read.remove(&key).unwrap_or_else(|| view.find(&key));
+        let mut after = before.clone();
+        let mut changed = false;
+        let (mut row, mut net) = (first, s);
+        loop {
+            while let Some((_, s)) = rows.next_if(|(t, _)| *t == row) {
+                net += s;
+            }
+            for _ in net..0 {
+                if let Some(pos) = after.iter().position(|t| *t == row) {
+                    after.remove(pos);
+                    changed = true;
+                }
+            }
+            if net > 0 {
+                changed = true;
+                after.extend(std::iter::repeat_n(row, net as usize));
+            }
+            match rows.next_if(|(t, _)| *t.key() == key) {
+                Some((next, s)) => (row, net) = (next, s),
+                None => break,
+            }
+        }
+        if changed {
+            out.push(KeyTransition::new(key, before, after));
+        }
+    }
+    out
+}
+
+/// Derives the view transitions a commit to `base` induces: its runs
+/// become signed rows, the definition maps them to signed view rows, and
+/// one consolidation lands those on `view` (the pre-commit view), as the
+/// [module docs](self) set out. `other` is a join's side that `base` is
+/// not, at its current value — for a self-join, the base's new value;
+/// other definitions ignore it.
+///
+/// # Panics
+///
+/// Panics if `def` is a join and `other` is `None`.
 pub fn derive_delta(
     def: &ViewDef,
     base: &RelationName,
@@ -520,54 +492,35 @@ pub fn derive_delta(
     transitions: &[KeyTransition],
     other: Option<&Relation>,
 ) -> Vec<KeyTransition> {
-    match def {
-        ViewDef::Select { filter, .. } => select_delta(filter, transitions),
-        ViewDef::GroupCount { group, .. } => group_delta(view, transitions, *group, None),
+    let signed = signed_rows(transitions);
+    let mut read = BTreeMap::new();
+    let rows = match def {
+        ViewDef::Select { filter, .. } => signed
+            .into_iter()
+            .filter(|(t, _)| filter.as_ref().is_none_or(|p| p.eval(t)))
+            .map(|(t, s)| (t.clone(), s))
+            .collect(),
+        ViewDef::GroupCount { group, .. } => group_rows(view, &signed, *group, None, &mut read),
         ViewDef::GroupSum { field, group, .. } => {
-            group_delta(view, transitions, *group, Some(*field))
+            group_rows(view, &signed, *group, Some(*field), &mut read)
         }
         ViewDef::Join {
             left,
+            right,
             left_field,
             right_field,
-            ..
         } => {
             let other = other.expect("join delta needs the other side");
-            if base == left {
-                join_delta_left(view, transitions, other, *left_field, *right_field)
-            } else {
-                join_delta_right(view, transitions, other, *left_field, *right_field)
-            }
+            let delta = |side: &RelationName| if side == base { &signed[..] } else { &[] };
+            join_rows(delta(left), delta(right), other, *left_field, *right_field)
         }
-    }
-}
-
-/// Advances `view` by one commit to its base `base`: `runs` are the
-/// commit's transitions, `base_after` the base's new value, and `other`
-/// the join's other side as [`derive_delta`] takes it. A self-join changes
-/// both of its sides at once, which no delta rule covers, so it is
-/// re-evaluated from `base_after`; every other definition lands
-/// [`derive_delta`]'s transitions.
-pub fn advance_view(
-    def: &ViewDef,
-    base: &RelationName,
-    view: &Relation,
-    runs: &[KeyTransition],
-    base_after: &Relation,
-    other: Option<&Relation>,
-) -> Relation {
-    match def {
-        ViewDef::Join { left, right, .. } if left == right => {
-            rebuilt_like(view, eval_view(def, base_after, Some(base_after)))
-        }
-        _ => view.apply_transitions(&derive_delta(def, base, view, runs, other)),
-    }
+    };
+    consolidate(view, rows, read)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::batch_transitions;
     use crate::batch::BatchOp;
 
     fn all_reprs() -> Vec<Repr> {
@@ -579,7 +532,10 @@ mod tests {
     }
 
     /// Applies `ops` to `base` and advances `view` under `def` from the
-    /// batch's own runs, returning (new base, new view).
+    /// batch's own runs as [`Database::write`](crate::Database::write)
+    /// does, returning (new base, new view). `other` is a join's unwritten
+    /// side; `None` stands for the new base (a self-join, or a definition
+    /// that reads no other side).
     fn step(
         def: &ViewDef,
         base: &Relation,
@@ -590,8 +546,8 @@ mod tests {
     ) -> (Relation, Relation) {
         let (base2, _, _, runs) = base.apply_batch_with_runs(ops);
         let name: RelationName = if base_is_left { "L".into() } else { "R".into() };
-        let view2 = advance_view(def, &name, view, &runs, &base2, other);
-        (base2, view2)
+        let delta = derive_delta(def, &name, view, &runs, Some(other.unwrap_or(&base2)));
+        (base2, view.apply_transitions(&delta))
     }
 
     /// The view's rows and a recompute's, each sorted.
@@ -610,16 +566,14 @@ mod tests {
                 filter: Some(ViewFilter::Gt(2, 25.into())),
             };
             let base = Relation::from_tuples(repr, (0..20).map(|k| row(k, k % 3, k * 5)));
-            let mut view = Relation::from_tuples(repr, eval_view(&def, &base, None));
+            let view = Relation::from_tuples(repr, eval_view(&def, &base, None));
             let ops = vec![
                 BatchOp::Insert(row(3, 0, 99)),
                 BatchOp::Delete(6.into()),
                 BatchOp::Replace(row(7, 1, 0)),
                 BatchOp::Insert(row(40, 2, 11)),
             ];
-            let ts = batch_transitions(&base, &ops);
-            let (base2, _, _) = base.apply_batch(&ops);
-            view = view.apply_transitions(&select_delta(&Some(ViewFilter::Gt(2, 25.into())), &ts));
+            let (base2, view) = step(&def, &base, None, &view, &ops, true);
             let (got, expect) = sorted_pair(&view, eval_view(&def, &base2, None));
             assert_eq!(got, expect, "{repr}");
             assert_eq!(view.len(), expect.len(), "{repr} len counter");
@@ -665,25 +619,35 @@ mod tests {
     }
 
     #[test]
-    fn self_join_view_is_re_evaluated_from_the_new_base() {
+    fn self_join_view_is_maintained_incrementally() {
         for repr in all_reprs() {
-            let def = ViewDef::Join {
-                left: "L".into(),
-                right: "L".into(),
-                left_field: 1,
-                right_field: 1,
-            };
-            let base = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, k)));
-            let view = Relation::from_tuples(repr, eval_view(&def, &base, Some(&base)));
-            let ops = vec![
-                BatchOp::Insert(row(40, 1, 0)),
-                BatchOp::Delete(3.into()),
-                BatchOp::Replace(row(5, 0, 9)),
-                BatchOp::Insert(row(41, 2, 1)),
-            ];
-            let (base2, view2) = step(&def, &base, None, &view, &ops, true);
-            let (got, expect) = sorted_pair(&view2, eval_view(&def, &base2, Some(&base2)));
-            assert_eq!(got, expect, "{repr}");
+            for (lf, rf) in [(1, 1), (0, 0), (1, 2)] {
+                let def = ViewDef::Join {
+                    left: "L".into(),
+                    right: "L".into(),
+                    left_field: lf,
+                    right_field: rf,
+                };
+                let mut base = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, k)));
+                let mut view = Relation::from_tuples(repr, eval_view(&def, &base, Some(&base)));
+                let batches = [
+                    vec![
+                        BatchOp::Insert(row(40, 1, 0)),
+                        BatchOp::Delete(3.into()),
+                        BatchOp::Replace(row(5, 0, 9)),
+                        BatchOp::Insert(row(41, 2, 1)),
+                    ],
+                    // A key joining itself, and a duplicate-key bucket.
+                    vec![BatchOp::Insert(row(7, 7, 7)), BatchOp::Insert(row(7, 2, 2))],
+                    vec![BatchOp::Delete(7.into()), BatchOp::Replace(row(0, 2, 2))],
+                ];
+                for ops in batches {
+                    (base, view) = step(&def, &base, None, &view, &ops, true);
+                    let (got, expect) = sorted_pair(&view, eval_view(&def, &base, Some(&base)));
+                    assert_eq!(got, expect, "{repr} on #{lf} = #{rf}");
+                    assert_eq!(view.len(), expect.len(), "{repr} len counter");
+                }
+            }
         }
     }
 
@@ -710,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn join_delta_uses_left_index_to_find_affected_keys() {
+    fn a_right_write_probes_the_left_index() {
         let def = ViewDef::Join {
             left: "L".into(),
             right: "R".into(),
@@ -743,8 +707,8 @@ mod tests {
                 group: 1,
             };
             let base = Relation::from_tuples(repr, (0..30).map(|k| row(k, k % 5, k)));
-            let mut counts = Relation::from_tuples(repr, eval_view(&count_def, &base, None));
-            let mut sums = Relation::from_tuples(repr, eval_view(&sum_def, &base, None));
+            let counts = Relation::from_tuples(repr, eval_view(&count_def, &base, None));
+            let sums = Relation::from_tuples(repr, eval_view(&sum_def, &base, None));
             let ops = vec![
                 BatchOp::Delete(0.into()),
                 BatchOp::Delete(5.into()),
@@ -755,10 +719,8 @@ mod tests {
                 BatchOp::Insert(row(100, 9, -4)),
                 BatchOp::Replace(row(1, 1, 1000)),
             ];
-            let ts = batch_transitions(&base, &ops);
-            let (base2, _, _) = base.apply_batch(&ops);
-            counts = counts.apply_transitions(&group_delta(&counts, &ts, 1, None));
-            sums = sums.apply_transitions(&group_delta(&sums, &ts, 1, Some(2)));
+            let (base2, counts) = step(&count_def, &base, None, &counts, &ops, true);
+            let (_, sums) = step(&sum_def, &base, None, &sums, &ops, true);
             // Group 0 is now empty: its rows must be gone entirely.
             assert!(counts.find(&0.into()).is_empty(), "{repr}");
             let (got, expect) = sorted_pair(&counts, eval_view(&count_def, &base2, None));
@@ -766,6 +728,52 @@ mod tests {
             let (got, expect) = sorted_pair(&sums, eval_view(&sum_def, &base2, None));
             assert_eq!(got, expect, "{repr} sums");
         }
+    }
+
+    #[test]
+    fn sums_wrap_on_overflow_and_still_equal_a_recompute() {
+        let def = ViewDef::GroupSum {
+            base: "L".into(),
+            field: 2,
+            group: 1,
+        };
+        let base = Relation::from_tuples(Repr::TREE, [row(0, 1, i64::MAX), row(1, 1, i64::MAX)]);
+        let view = Relation::from_tuples(Repr::TREE, eval_view(&def, &base, None));
+        assert_eq!(
+            view.scan(),
+            vec![Tuple::new(vec![1.into(), (-2).into(), 2.into()])]
+        );
+        let ops = vec![BatchOp::Insert(row(2, 1, 3)), BatchOp::Delete(0.into())];
+        let (base2, view2) = step(&def, &base, None, &view, &ops, true);
+        assert_eq!(view2.scan(), eval_view(&def, &base2, None));
+        assert_eq!(view2.scan()[0].get(1), Some(&Value::Int(i64::MIN + 2)));
+    }
+
+    #[test]
+    fn a_commit_keeps_bucket_rows_in_place_and_appends_in_row_order() {
+        let def = ViewDef::Join {
+            left: "L".into(),
+            right: "R".into(),
+            left_field: 0,
+            right_field: 1,
+        };
+        let left = Relation::from_tuples(Repr::TREE, [row(1, 0, 0)]);
+        let right =
+            Relation::from_tuples(Repr::TREE, [row(30, 1, 0), row(10, 1, 0), row(20, 1, 0)]);
+        let view = Relation::from_tuples(Repr::TREE, eval_view(&def, &left, Some(&right)));
+        let ops = vec![
+            BatchOp::Insert(row(15, 1, 0)),
+            BatchOp::Insert(row(5, 1, 0)),
+            BatchOp::Delete(20.into()),
+        ];
+        let (_, view) = step(&def, &right, Some(&left), &view, &ops, false);
+        let right_keys: Vec<Value> = view
+            .find(&1.into())
+            .iter()
+            .map(|t| t.get(3).unwrap().clone())
+            .collect();
+        // The kept rows 10 and 30 stay in place; the arrivals 5 and 15 follow.
+        assert_eq!(right_keys, vec![10.into(), 30.into(), 5.into(), 15.into()]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for incrementally-maintained views: after any random
-//! interleaving of write batches to the base relations, on every one of
-//! the three backends, a differentially-maintained view equals a full
+//! interleaving of write batches to the base relations, on each of the
+//! three backends, a differentially-maintained view equals a full
 //! recomputation of its definition — and the O(1) `Relation::len`
 //! counter stays equal to a full scan's count through it all.
 
@@ -10,8 +10,15 @@ use fundb_relational::{
 };
 use proptest::prelude::*;
 
+/// A base row. The last field sits near `i64::MAX`, so a sum over it
+/// wraps as soon as a group holds two rows.
 fn row(k: i64, g: i64, x: i64) -> Tuple {
-    Tuple::new(vec![k.into(), g.into(), x.into()])
+    Tuple::new(vec![
+        k.into(),
+        g.into(),
+        x.into(),
+        (i64::MAX - 32 + x).into(),
+    ])
 }
 
 fn repr_strategy() -> impl Strategy<Value = Repr> {
@@ -38,10 +45,18 @@ fn batches_strategy() -> impl Strategy<Value = Vec<(bool, Vec<BatchOp>)>> {
     )
 }
 
-/// One of every view kind, over bases `L` (and `R` for the joins). Two
-/// join shapes: the key-key join (affected left keys found by key
-/// lookup) and the nonkey-nonkey join (found by scanning the left side).
+/// One of every view kind, over bases `L` (and `R` for the joins). The
+/// join shapes cover each way a delta finds its matches: the key-key join
+/// (key lookup), the nonkey-nonkey join (a scan), the join on `L`'s
+/// indexed field (an index probe), and the self-join (both deltas at
+/// once). The second sum wraps on overflow.
 fn all_defs() -> Vec<ViewDef> {
+    let join = |left: &str, right: &str, left_field, right_field| ViewDef::Join {
+        left: left.into(),
+        right: right.into(),
+        left_field,
+        right_field,
+    };
     vec![
         ViewDef::Select {
             base: "L".into(),
@@ -59,19 +74,28 @@ fn all_defs() -> Vec<ViewDef> {
             field: 2,
             group: 1,
         },
-        ViewDef::Join {
-            left: "L".into(),
-            right: "R".into(),
-            left_field: 0,
-            right_field: 2,
+        ViewDef::GroupSum {
+            base: "L".into(),
+            field: 3,
+            group: 1,
         },
-        ViewDef::Join {
-            left: "L".into(),
-            right: "R".into(),
-            left_field: 1,
-            right_field: 1,
-        },
+        join("L", "R", 0, 2),
+        join("L", "R", 1, 1),
+        join("L", "R", L_INDEX, 2),
+        join("L", "L", 1, 1),
     ]
+}
+
+/// `L`'s secondary index, on the field the indexed-left join reads.
+const L_INDEX: usize = 2;
+
+/// The relations a definition reads, as [`eval_view`] takes them.
+fn operands<'a>(def: &ViewDef, left: &'a Relation, right: &'a Relation) -> Option<&'a Relation> {
+    match def {
+        ViewDef::Join { right: r, .. } if r.as_str() == "L" => Some(left),
+        ViewDef::Join { .. } => Some(right),
+        _ => None,
+    }
 }
 
 proptest! {
@@ -79,55 +103,59 @@ proptest! {
 
     /// Maintain every view kind differentially through a random batch
     /// interleaving; after every batch, each view must equal a fresh
-    /// evaluation of its definition over the current bases, on every
+    /// evaluation of its definition over the current bases, on each
     /// backend, with an exact length counter.
     #[test]
     fn views_track_recompute_across_backends(
-        repr in repr_strategy(),
+        degree in 2usize..9,
         batches in batches_strategy(),
     ) {
-        let mut left = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 4, k)));
-        let mut right = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, 2 * k)));
-        let defs = all_defs();
-        let mut views: Vec<Relation> = defs
-            .iter()
-            .map(|d| {
-                let r = matches!(d, ViewDef::Join { .. }).then_some(&right);
-                Relation::from_tuples(repr, eval_view(d, &left, r))
-            })
-            .collect();
-        for (is_left, ops) in batches {
-            let name: RelationName = if is_left { "L" } else { "R" }.into();
-            let base = if is_left { &left } else { &right };
-            let ts = batch_transitions(base, &ops);
-            let (next, _, _) = base.apply_batch(&ops);
-            // Derive deltas against the *pre-batch* view values and the
-            // other side's current (unchanged) value — the same contract
-            // the engine's commit path upholds.
-            for (d, v) in defs.iter().zip(views.iter_mut()) {
-                if !d.depends_on(&name) {
-                    continue;
+        for repr in [Repr::List, Repr::BTree(degree), Repr::Paged(degree)] {
+            let mut left = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 4, k)))
+                .create_index("l_by_x", L_INDEX)
+                .unwrap();
+            let mut right = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, 2 * k)));
+            let defs = all_defs();
+            let mut views: Vec<Relation> = defs
+                .iter()
+                .map(|d| Relation::from_tuples(repr, eval_view(d, &left, operands(d, &left, &right))))
+                .collect();
+            for (is_left, ops) in &batches {
+                let name: RelationName = if *is_left { "L" } else { "R" }.into();
+                let base = if *is_left { &left } else { &right };
+                let ts = batch_transitions(base, ops);
+                let (next, _, _) = base.apply_batch(ops);
+                if *is_left {
+                    left = next;
+                } else {
+                    right = next;
                 }
-                let other = match d {
-                    ViewDef::Join { .. } => Some(if is_left { &right } else { &left }),
-                    _ => None,
-                };
-                let delta = derive_delta(d, &name, v, &ts, other);
-                *v = v.apply_transitions(&delta);
-            }
-            if is_left {
-                left = next;
-            } else {
-                right = next;
-            }
-            for (d, v) in defs.iter().zip(views.iter()) {
-                let r = matches!(d, ViewDef::Join { .. }).then_some(&right);
-                let mut want = eval_view(d, &left, r);
-                let mut got = v.scan();
-                want.sort();
-                got.sort();
-                prop_assert_eq!(&got, &want, "{:?}: view diverged from recompute after a batch", repr);
-                prop_assert_eq!(v.len(), got.len(), "{:?}: view length counter drifted", repr);
+                // Derive deltas against the *pre-batch* view values and the
+                // join's other side at its post-write value — for a
+                // self-join the new base — the contract `Database::write`
+                // upholds.
+                for (d, v) in defs.iter().zip(views.iter_mut()) {
+                    if !d.depends_on(&name) {
+                        continue;
+                    }
+                    let other = match d {
+                        ViewDef::Join { left: l, right: r, .. } => {
+                            let side = if *l == name { r } else { l };
+                            Some(if side.as_str() == "L" { &left } else { &right })
+                        }
+                        _ => None,
+                    };
+                    let delta = derive_delta(d, &name, v, &ts, other);
+                    *v = v.apply_transitions(&delta);
+                }
+                for (d, v) in defs.iter().zip(views.iter()) {
+                    let mut want = eval_view(d, &left, operands(d, &left, &right));
+                    let mut got = v.scan();
+                    want.sort();
+                    got.sort();
+                    prop_assert_eq!(&got, &want, "{:?} {}: view diverged from recompute after a batch", repr, d);
+                    prop_assert_eq!(v.len(), got.len(), "{:?} {}: view length counter drifted", repr, d);
+                }
             }
         }
     }

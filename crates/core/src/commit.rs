@@ -9,14 +9,16 @@
 //! answered — so one fsync covers the whole run, and a transaction's
 //! response doubles as its durability acknowledgement.
 //!
-//! Sequence numbers are per relation: the engine assigns consecutive
-//! numbers (from 0, or from the recovery marks passed to
+//! Sequence numbers are per *component* — a base relation, or the bases a
+//! view ties together: the engine assigns consecutive numbers (from 0, or
+//! from the recovery marks passed to
 //! [`PipelinedEngine::with_sink`](crate::PipelinedEngine::with_sink)) at
-//! submission, under the relation's slot lock. A batch's records therefore
-//! carry consecutive sequence numbers, and the log observes each relation's
-//! writes in version order even when batches of different relations
-//! interleave in the file. A checkpoint records, per relation, how many
-//! writes its state folds in; replay skips records below that mark.
+//! submission, under the component's slot lock. A batch's records therefore
+//! carry consecutive sequence numbers, and the log observes each
+//! component's writes in version order even when batches of different
+//! components interleave in the file. A checkpoint records, per relation,
+//! how many writes its state folds in (every base of a component shares
+//! one mark); replay skips records below that mark.
 
 use std::fmt;
 use std::io;
@@ -28,10 +30,12 @@ use parking_lot::RwLock;
 
 /// A durability hook invoked on the engine's write path.
 ///
-/// Implementations must be thread-safe: batches of *different* relations
-/// commit concurrently from pool workers (and occasionally from a reader
-/// thread forcing a sealed batch). Batches of the *same* relation never
-/// overlap — batch N+1 waits on batch N's output version before claiming.
+/// Implementations must be thread-safe: batches of *different* components
+/// commit concurrently from pool workers, and a bypass write commits on
+/// its submitting thread under its component's slot lock. Commits of the
+/// *same* component never overlap — batch N+1 waits on batch N's output
+/// version before claiming, and a bypass write runs only on a settled
+/// head.
 ///
 /// An `Err` from either method aborts the operation: the engine answers the
 /// affected transactions with an error response and publishes the
@@ -47,7 +51,7 @@ pub trait CommitSink: Send + Sync {
     /// Makes one claimed batch of writes durable — the group commit.
     ///
     /// `writes` holds the batch's operations in application order, each
-    /// with its per-relation sequence number. Implementations should issue
+    /// with its per-component sequence number. Implementations should issue
     /// a single flush for the whole slice; the engine acknowledges each
     /// transaction only after this returns `Ok`.
     fn commit_writes(&self, relation: &RelationName, writes: &[(u64, Query)]) -> io::Result<()>;

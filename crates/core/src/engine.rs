@@ -54,13 +54,14 @@
 //!   is untouched by regime switches.
 //! * **Lock-free read frontier** — each slot publishes its newest *ready*
 //!   version in an [`AtomicArc`] alongside a `submitted` write counter.
-//!   A cheap read (`find`/`count`, or any read a view answers) loads both
+//!   Every read runs as one [`exec::read`] over the versions its names are
+//!   pinned to. A read whose names all live in one component loads both
 //!   without the slot mutex; if the published version covers every
 //!   submitted write, the answer is computed right there — no lock, no
-//!   seal, no job. Otherwise it falls back to the slow path (answer from a
-//!   filled head under the lock — *repairing* the frontier in passing, so
-//!   publication is demand-driven and writers never pay for it — then
-//!   pin-and-force).
+//!   seal, no job. Otherwise a `find` or `count` answers from a filled head
+//!   under the lock — *repairing* the frontier in passing, so publication
+//!   is demand-driven and writers never pay for it — and every other read
+//!   pins the heads it names and runs on the pool.
 //!
 //! `create view` merges the slots of its bases into the first base's slot;
 //! a merged-away slot records where its component went, and every path
@@ -73,7 +74,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fundb_lenient::{spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
-use fundb_query::exec::{self, Entry};
+use fundb_query::exec::{self, Entry, Trace};
 use fundb_query::{FieldRef, Query, Response, Transaction};
 use fundb_relational::{BatchOp, Database, RelationName, ViewDef};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -221,41 +222,8 @@ fn commit_and_apply(
     output.fill(next).ok();
 }
 
-/// Claims and applies a sealed batch *if* its input version is already
-/// available, filling the batch's output cell and every transaction's
-/// response. Returns `false` without blocking otherwise.
-///
-/// This is demand-driven evaluation of a pending version: a reader that
-/// pinned the batch's output forces the suspension on its own thread
-/// instead of waiting for a pool worker to be scheduled. Claiming is
-/// exactly-once — whoever `mem::take`s the non-empty op list owns the
-/// fill; the pool job that finds the list empty simply returns.
-fn force(
-    batch: &Mutex<BatchOps>,
-    slot: &Slot,
-    sink: Option<&Arc<dyn CommitSink>>,
-    stats: &EngineStats,
-) -> bool {
-    let (current, ops, output) = {
-        let mut guard = batch.lock();
-        let Some(db) = guard.input.try_map(Database::clone) else {
-            return false;
-        };
-        if guard.ops.is_empty() {
-            // Already claimed (the pool job got there first); its owner
-            // fills the output.
-            return false;
-        }
-        guard.sealed = true;
-        (db, std::mem::take(&mut guard.ops), guard.output.clone())
-    };
-    commit_and_apply(sink, &current, ops, &output, slot, stats);
-    true
-}
-
 /// The body of a batch's pool job: wait for the input version, claim and
-/// apply the run (or, if a forcing reader claimed it first, wait for the
-/// reader's fill), then drain any chained successors.
+/// apply the run, then drain any chained successors.
 fn run_batch_job(
     slot: &Arc<Slot>,
     batch: &Arc<Mutex<BatchOps>>,
@@ -270,7 +238,8 @@ fn run_batch_job(
     // while the predecessor version was still being computed coalesces
     // into this claim. In a durable engine the previous batch's fsync
     // happens in that window, so commit latency grows batches instead of
-    // stalling submitters.
+    // stalling submitters. A batch with a job is claimed by that job
+    // alone, so the run is never empty here.
     let first = input.wait();
     let claimed = {
         let mut guard = batch.lock();
@@ -280,16 +249,7 @@ fn run_batch_job(
         }
         std::mem::take(&mut guard.ops)
     };
-    if claimed.is_empty() {
-        // A reader forced this batch; the claimer fills the output and
-        // every response. Wait for the fill (the reader is a live client
-        // thread mid-`force`, not a queued job, so this cannot stall the
-        // FIFO queue) — the chain drain below must start from a filled
-        // head.
-        output.wait();
-    } else {
-        commit_and_apply(sink, first, claimed, &output, slot.as_ref(), stats);
-    }
+    commit_and_apply(sink, first, claimed, &output, slot.as_ref(), stats);
     drain_chain(slot, sink, stats);
 }
 
@@ -572,21 +532,25 @@ fn refused(message: String) -> Lenient<Response> {
     Lenient::ready(Response::Error(message))
 }
 
-/// Evaluates a single-relation read — or, under `explain`, plans it —
-/// against the component version pinned for it, counting what it did.
-fn evaluate(db: &Database, query: &Query, explain: bool, stats: &EngineStats) -> Response {
-    let (response, trace) = exec::read(db, query, explain);
-    if !explain {
-        stats.record(&trace);
+/// The names a read statement reads, left operand first: one for a
+/// single-relation read, two for a join, none for an `explain` that
+/// [`exec::read`] refuses on sight.
+fn operands(query: &Query) -> (Option<&RelationName>, Option<&RelationName>) {
+    match query {
+        Query::Join { left, right, .. } => (Some(left), Some(right)),
+        Query::Explain(inner) if inner.is_explainable() => operands(inner),
+        Query::Explain(_) => (None, None),
+        read => (read.relation(), None),
     }
-    response
 }
 
-/// Whether `query` is answered from a view of `db`: it reads a view, or it
-/// is a select a view materializes.
-fn reads_view(db: &Database, query: &Query) -> bool {
-    let named = query.relation().expect("single-relation read");
-    matches!(db.view_def(named), Ok(Some(_))) || exec::substitute(db, query).is_some()
+/// Runs the read `query` over `left` for its left operand and `right` —
+/// when given — for every other name it reads.
+fn read_over(query: &Query, left: &Database, right: Option<&Database>) -> (Response, Trace) {
+    match (operands(query).0, right) {
+        (Some(name), Some(right)) => exec::read(query, |n| if n == name { left } else { right }),
+        _ => exec::read(query, |_| left),
+    }
 }
 
 impl PipelinedEngine {
@@ -851,161 +815,103 @@ impl PipelinedEngine {
         state.head.share()
     }
 
-    /// Submits a single-relation read (`find`, `find … to …`, `select`,
-    /// `count`, aggregate) or, under `explain`, its plan: planning pins a
-    /// version exactly as the read would, so estimates come from the same
-    /// value the read would have run against.
-    fn submit_read(&self, query: Query, explain: bool) -> Lenient<Response> {
-        let relation = query.relation().expect("single-relation read");
-        let Some(slot) = self.slot(relation) else {
-            return refused(exec::no_such_relation(relation));
+    /// Submits a read statement — `find`, `find … to …`, `select`,
+    /// `count`, an aggregate, `join`, or `explain` of any of them — as one
+    /// [`exec::read`] over the component versions its names are pinned
+    /// to: the versions that fold every write submitted before it.
+    /// `explain` pins exactly as its read would, so a plan's estimates
+    /// come from the value the read would run on.
+    fn submit_read(&self, query: Query) -> Lenient<Response> {
+        let nothing = Database::empty();
+        let (Some(left), right) = operands(&query) else {
+            return Lenient::ready(exec::read(&query, |_| &nothing).0);
         };
-        let fast = !explain && query.is_point_read();
-        // Every read marks the slot's traffic tracker, so writers
-        // learn their bursts are being interrupted.
-        slot.read_seen.store(true, Ordering::Relaxed);
-        // Lock-free fast path: if the published frontier entry
-        // covers every submitted write, it *is* the version this
-        // read must observe (submission order positions the read
-        // after exactly those writes), and cheap queries answer
-        // from it without the slot mutex, a seal, or a job.
-        // `submitted` is stored before any write's response fills,
-        // so a client that saw a write acknowledged cannot hit a
-        // frontier that misses it.
-        if fast {
-            // Borrow-only probe: answer while registered on the
-            // publication side, skipping the `Arc` clone a `load`
-            // would pay.
-            let hit = slot.frontier.with(|entry| {
-                (entry.covers == slot.submitted.load(Ordering::Acquire))
-                    .then(|| exec::read(&entry.value, &query, false).0)
-            });
-            if let Some(resp) = hit {
-                EngineStats::bump(&self.stats.frontier_hits);
-                return Lenient::ready(resp);
-            }
-            EngineStats::bump(&self.stats.frontier_misses);
-        } else if !explain && slot.frontier.with(|entry| reads_view(&entry.value, &query)) {
-            // A read a view answers is a scan of maintained contents:
-            // answer it inline too when the frontier covers every
-            // submitted write — from a loaded entry, since a scan is too
-            // long to hold the publication side.
-            let entry = slot.frontier.load();
-            if entry.covers == slot.submitted.load(Ordering::Acquire)
-                && reads_view(&entry.value, &query)
-            {
-                EngineStats::bump(&self.stats.frontier_hits);
-                return Lenient::ready(evaluate(&entry.value, &query, false, &self.stats));
-            }
-            EngineStats::bump(&self.stats.frontier_misses);
-        }
-        let pinned = self.with_slot(relation, slot, |slot, state| {
-            // Second chance under the lock: a filled head already
-            // reflects every write submitted so far (an unsealed
-            // open batch's output *is* the head and would still be
-            // pending), so a cheap query that missed the frontier
-            // can still answer inline — and it *repairs* the
-            // frontier while it is here. Publication is
-            // demand-driven: writers never pay for readers that
-            // may not come; the first read after a write run
-            // publishes once and every read until the next write
-            // takes the lock-free path.
-            if fast {
-                if let Some(db) = state.head.try_get() {
-                    let resp = exec::read(db, &query, false).0;
-                    publish_frontier(&slot.frontier, state.next_seq, db);
-                    return Err(resp);
-                }
-            }
-            let batch = self.seal_and_promote(slot, state);
-            Ok((Arc::clone(slot), state.head.share(), batch))
-        });
-        let (slot, input, sealed_batch) = match pinned {
-            Ok(pinned) => pinned,
-            Err(answered) => return Lenient::ready(answered),
+        // 1. A missing left operand is refused at once. A missing right
+        // operand reads as absent from the empty database, so a join's
+        // operand refusal — left operand first — answers from the left's
+        // pinned value, like a select's unresolvable field.
+        let Some(l) = self.slot(left) else {
+            return refused(exec::no_such_relation(left));
         };
-
-        // The pinned version is still pending. If its own input has
-        // arrived, force the sealed batch here (demand-driven
-        // evaluation) rather than waiting on a worker to be
-        // scheduled.
-        if fast {
-            if let Some(batch) = &sealed_batch {
-                if force(batch, &slot, self.sink.as_ref(), &self.stats) {
-                    if let Some(resp) = input.try_map(|db| exec::read(db, &query, false).0) {
-                        return Lenient::ready(resp);
-                    }
-                }
-            }
-        }
-
-        let response = Lenient::new();
-        let out = response.clone();
-        let stats = Arc::clone(&self.stats);
-        self.pool.spawn(move || {
-            let answer = evaluate(input.wait(), &query, explain, &stats);
-            response.fill(answer).ok();
-        });
-        out
-    }
-
-    /// Submits a join or, under `explain`, its plan.
-    fn submit_join(
-        &self,
-        left: &RelationName,
-        right: &RelationName,
-        on: &Option<(FieldRef, FieldRef)>,
-        explain: bool,
-    ) -> Lenient<Response> {
-        // Operands and join attributes resolve against the catalog at
-        // submission — refusals answer before any version is pinned,
-        // like every other schema failure.
-        let on = match exec::resolve_join(left, right, on, |n| self.entry(n)) {
-            Ok(on) => on,
-            Err(e) => return refused(e),
-        };
-        let (l, r) = (
-            self.slot(left).expect("resolved above"),
-            self.slot(right).expect("resolved above"),
-        );
+        let r = right.and_then(|n| self.slot(n));
+        let missing = right.is_some() && r.is_none();
+        // Every read marks its slots' traffic trackers, so writers learn
+        // their bursts are being interrupted.
         l.read_seen.store(true, Ordering::Relaxed);
-        r.read_seen.store(true, Ordering::Relaxed);
-        // A view materializing this join lives in its bases' one
-        // component: when that component's frontier covers every
-        // submitted write, the view scan answers inline.
-        if !explain && Arc::ptr_eq(&l, &r) {
-            let entry = l.frontier.load();
-            if exec::join_view(&entry.value, left, right, on).is_some() {
-                if entry.covers == l.submitted.load(Ordering::Acquire) {
-                    EngineStats::bump(&self.stats.frontier_hits);
-                    let (answer, trace) =
-                        exec::join(&entry.value, &entry.value, left, right, on, false);
-                    self.stats.record(&trace);
-                    return Lenient::ready(answer);
-                }
-                EngineStats::bump(&self.stats.frontier_misses);
-            }
+        if let Some(r) = &r {
+            r.read_seen.store(true, Ordering::Relaxed);
         }
-        let (heads, at) = self.with_slots(&[left, right], |slots, states, at| {
-            let heads: Vec<Lenient<Database>> = slots
-                .iter()
-                .zip(states.iter_mut())
-                .map(|(slot, state)| self.pin(slot, state))
-                .collect();
-            (heads, at.to_vec())
-        });
-        let (left, right) = (left.clone(), right.clone());
+        let point = query.is_point_read();
+        let one = r.as_ref().is_none_or(|r| Arc::ptr_eq(&l, r));
+        // 2. A read within one component answers inline when the
+        // component's published frontier covers every submitted write: that
+        // version *is* the one the read must observe (submission order
+        // positions the read after exactly those writes). `submitted` is
+        // stored before any write's response fills, so a client that saw a
+        // write acknowledged cannot hit a frontier that misses it. A `find`
+        // or `count` borrows the entry while registered on the publication
+        // side, skipping the `Arc` clone a `load` pays; a longer read runs
+        // on a loaded entry.
+        if one {
+            let covers =
+                |entry: &FrontierEntry| entry.covers == l.submitted.load(Ordering::Acquire);
+            let hit = if point {
+                l.frontier
+                    .with(|entry| covers(entry).then(|| exec::read(&query, |_| &entry.value)))
+            } else {
+                let entry = l.frontier.load();
+                covers(&entry).then(|| read_over(&query, &entry.value, missing.then_some(&nothing)))
+            };
+            if let Some((answer, trace)) = hit {
+                EngineStats::bump(&self.stats.frontier_hits);
+                self.stats.record(&trace);
+                return Lenient::ready(answer);
+            }
+            EngineStats::bump(&self.stats.frontier_misses);
+        }
+        let pinned = match (one, right) {
+            (false, Some(right)) => self.with_slots(&[left, right], |slots, states, at| {
+                // 4. A read over two components pins both heads as one
+                // atomic cut.
+                let heads: Vec<Lenient<Database>> = slots
+                    .iter()
+                    .zip(states.iter_mut())
+                    .map(|(slot, state)| self.pin(slot, state))
+                    .collect();
+                Ok((heads[at[0]].clone(), Some(heads[at[1]].clone())))
+            }),
+            _ => self.with_slot(left, l, |slot, state| {
+                // 3. A `find` or `count` that missed the frontier gets a
+                // second chance under the lock: a filled head already folds
+                // every write submitted so far (an unsealed open batch's
+                // output *is* the head and would still be pending), so it
+                // answers inline — and *repairs* the frontier while it is
+                // here. Publication is demand-driven: writers never pay for
+                // readers that may not come; the first read after a write
+                // run publishes once and every read until the next write
+                // takes the lock-free path.
+                if let Some(db) = state.head.try_get().filter(|_| point) {
+                    let answer = exec::read(&query, |_| db).0;
+                    publish_frontier(&slot.frontier, state.next_seq, db);
+                    return Err(answer);
+                }
+                // 4. Any other read pins the head and runs on the pool.
+                Ok((self.pin(slot, state), None))
+            }),
+        };
+        let (l, r) = match pinned {
+            Ok(heads) => heads,
+            Err(answer) => return Lenient::ready(answer),
+        };
         let response = Lenient::new();
         let out = response.clone();
         let stats = Arc::clone(&self.stats);
         self.pool.spawn(move || {
-            // Intra-transaction flooding: both sides' availability
-            // is awaited, but each was produced independently.
-            let (l, r) = (heads[at[0]].wait(), heads[at[1]].wait());
-            let (answer, trace) = exec::join(l, r, &left, &right, on, explain);
-            if !explain {
-                stats.record(&trace);
-            }
+            // Intra-transaction flooding: both sides' availability is
+            // awaited, but each was produced independently.
+            let (ldb, rdb) = (l.wait(), r.as_ref().map(Lenient::wait));
+            let (answer, trace) = read_over(&query, ldb, rdb.or(missing.then_some(&nothing)));
+            stats.record(&trace);
             response.fill(answer).ok();
         });
         out
@@ -1290,24 +1196,12 @@ impl PipelinedEngine {
             | Query::FindRange { .. }
             | Query::Select { .. }
             | Query::Count { .. }
-            | Query::Aggregate { .. } => self.submit_read(query, false),
+            | Query::Aggregate { .. }
+            | Query::Join { .. }
+            | Query::Explain(_) => self.submit_read(query),
             Query::Insert { .. } | Query::Delete { .. } | Query::Replace { .. } => {
                 self.submit_write(query)
             }
-            Query::Join {
-                ref left,
-                ref right,
-                ref on,
-            } => self.submit_join(left, right, on, false),
-            Query::Explain(inner) => match *inner {
-                Query::Join {
-                    ref left,
-                    ref right,
-                    ref on,
-                } => self.submit_join(left, right, on, true),
-                read if read.is_explainable() => self.submit_read(read, true),
-                ref other => Lenient::ready(exec::explain_unsupported(other)),
-            },
             Query::CreateIndex {
                 ref relation,
                 ref name,
@@ -2173,14 +2067,68 @@ mod tests {
     }
 
     #[test]
-    fn self_join_view_falls_back_to_recompute() {
+    fn self_join_view_is_maintained_like_recompute() {
+        use fundb_relational::eval_view;
+
         let engine = PipelinedEngine::new(2, &base());
         engine.run(vec![
             txn("insert (1, 1) into R"),
-            txn("create view RR as join R with R on #0 = #0"),
+            txn("create view RR as join R with R on #0 = #1"),
         ]);
-        let rs = engine.run(vec![txn("insert (2, 2) into R"), txn("count RR")]);
-        assert_eq!(rs[1], Response::Count(2));
+        let rs = engine.run(vec![
+            txn("insert (2, 1) into R"),
+            txn("insert (3, 2) into R"),
+            txn("replace (1, 3) in R"),
+            txn("delete 2 from R"),
+            txn("count RR"),
+            txn("select from RR"),
+        ]);
+        let db = engine.snapshot();
+        let def = db.view_def(&"RR".into()).unwrap().unwrap().clone();
+        let r = db.relation(&"R".into()).unwrap();
+        let mut expected = eval_view(&def, r, Some(r));
+        expected.sort();
+        let mut got = rs[5].tuples().unwrap().to_vec();
+        got.sort();
+        assert_eq!(rs[4], Response::Count(expected.len()));
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn every_read_of_one_covered_component_answers_inline() {
+        // R and S share one component through the view RS; T is a
+        // component of its own.
+        let engine = PipelinedEngine::new(2, &base());
+        engine.run(vec![
+            txn("create relation T"),
+            txn("create view RS as join R with S on #1 = #1"),
+            txn("insert (1, 'a') into R"),
+            txn("insert (2, 'b') into R"),
+            txn("insert (1, 'x') into S"),
+            txn("insert (1, 't') into T"),
+        ]);
+        // A count answers from the filled head and repairs the frontier:
+        // from here it covers every submitted write.
+        assert_eq!(*engine.submit(txn("count R")).wait(), Response::Count(2));
+        for q in [
+            "select from R where #1 = 'a'",
+            "sum #0 of R",
+            "explain select from R where #0 = 1",
+            "join R with S",
+            "explain join R with S",
+        ] {
+            let hits = engine.stats().frontier_hits;
+            let answer = engine.submit(txn(q));
+            assert!(answer.is_filled(), "{q} must answer before submit returns");
+            assert!(!answer.wait().is_error(), "{q}: {}", answer.wait());
+            assert_eq!(engine.stats().frontier_hits, hits + 1, "{q}");
+        }
+        // A join across two components pins both heads and runs on the
+        // pool.
+        let hits = engine.stats().frontier_hits;
+        let joined = engine.submit(txn("join R with T"));
+        assert_eq!(joined.wait().tuples().unwrap().len(), 1);
+        assert_eq!(engine.stats().frontier_hits, hits);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use fundb_query::{AccessPath, JoinStrategy};
 pub struct EngineStats {
     /// Reads answered from the lock-free frontier (no slot mutex).
     pub frontier_hits: AtomicU64,
-    /// Fast-eligible reads that missed the frontier and fell back to the
-    /// locked path (a write was in flight).
+    /// Reads within one component that missed the frontier (a write was
+    /// in flight) and fell back to the locked path.
     pub frontier_misses: AtomicU64,
     /// Writes applied inline under the slot lock (bypass regime).
     pub bypass_writes: AtomicU64,
@@ -31,8 +31,8 @@ pub struct EngineStats {
     pub coalesced_writes: AtomicU64,
     /// Batches opened (each is the head of a coalescing run).
     pub batches_opened: AtomicU64,
-    /// Batches claimed and applied (by a worker, a drain, or a forcing
-    /// reader).
+    /// Batches claimed and applied (by their own pool job or a
+    /// predecessor's chain drain).
     pub batches_claimed: AtomicU64,
     /// Write ops folded by claimed batches; `ops_claimed /
     /// batches_claimed` is the achieved batch length.

@@ -274,7 +274,9 @@ impl ClientHandle {
     /// Submits a symbolic query; returns the cell its response will fill.
     ///
     /// A `result-on siteN:` prefix ([`pragma::result_on_prefix`]) pins
-    /// the query to that site. Otherwise, on one shard: point reads
+    /// the query to that site; a site that is neither a shard's current
+    /// primary nor one of its replicas is refused without a message sent.
+    /// Otherwise, on one shard: point reads
     /// (`find`, `count`) go round-robin to the read set when one is
     /// configured, everything else to the primary. On a sharded cluster
     /// the query routes by [`plan_route`]: keyed operations to the
@@ -283,6 +285,11 @@ impl ClientHandle {
     /// own partition is refused without a message sent.
     pub fn submit(&self, query: &str) -> Lenient<Response> {
         if let Some((pinned, rest)) = pragma::strip_result_on(query) {
+            if !self.routes.serves(pinned) {
+                return Lenient::ready(Response::Error(format!(
+                    "result-on {pinned}: not a primary or replica of any shard"
+                )));
+            }
             self.stats.pragma_pinned.fetch_add(1, Ordering::Relaxed);
             return self.send_single(pinned, rest);
         }

@@ -13,8 +13,9 @@
 //! observable streams are identical to the lazy formulation; the difference
 //! is mechanical — delivering a message wakes only the sites it is
 //! addressed to, not every reader of the shared stream. A subscriber that
-//! arrives late is seeded from the message log first, so an inbox always
-//! covers the full history from the medium's first message.
+//! arrives late is seeded from the broadcast stream's filled prefix first,
+//! so an inbox always covers the full history from the medium's first
+//! message.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{self, Sender};
+use fundb_lenient::stream::Node;
 use fundb_lenient::{Stream, StreamWriter};
 
 use crate::chaos::{ChaosSnapshot, ChaosStats, FaultPlan, Injector};
@@ -37,11 +39,11 @@ enum Ctrl<P> {
 /// stream `choose` hands out (cloned — any number of readers share one).
 type Inbox<P> = (StreamWriter<Message<P>>, Stream<Message<P>>);
 
-/// Pump-side delivery state: the full merge log (seed source for late
-/// subscribers) and the live per-site inboxes.
+/// Pump-side delivery state: the live per-site inboxes. Its lock also
+/// orders every push onto the broadcast stream, so under it the stream's
+/// filled prefix is exactly the history delivered so far — the seed of a
+/// late subscriber.
 struct Exchange<P> {
-    /// Every message the pump accepted, in merge order.
-    log: Vec<Message<P>>,
     /// One inbox per subscribed site, fed by the pump in merge order.
     subs: HashMap<SiteId, Inbox<P>>,
     /// Set when the pump shuts down; inboxes created afterwards are closed
@@ -103,8 +105,9 @@ impl<P> fmt::Debug for SharedMedium<P> {
     }
 }
 
-/// Delivers one message onto the merge: bump the count, feed matching
-/// inboxes, append to the log, push the broadcast stream. Pump-thread only.
+/// Delivers one message onto the merge: bump the count, push the broadcast
+/// stream, feed matching inboxes — all under the exchange lock, so no inbox
+/// holds a message the broadcast stream lacks. Pump-thread only.
 fn deliver_one<P: Clone>(
     ex: &Mutex<Exchange<P>>,
     writer: &mut StreamWriter<Message<P>>,
@@ -118,16 +121,14 @@ fn deliver_one<P: Clone>(
     // its count.
     counter.fetch_add(1, Ordering::SeqCst);
     let mut ex = ex.lock().expect("exchange lock");
+    writer.push(msg.clone());
     if msg.to == SiteId::BROADCAST {
         for (w, _) in ex.subs.values_mut() {
             w.push(msg.clone());
         }
     } else if let Some((w, _)) = ex.subs.get_mut(&msg.to) {
-        w.push(msg.clone());
+        w.push(msg);
     }
-    ex.log.push(msg.clone());
-    drop(ex);
-    writer.push(msg);
 }
 
 impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
@@ -138,9 +139,9 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
 
     /// Creates a medium whose pump runs every accepted message through
     /// `plan` before inbox delivery. A faulted message never reaches the
-    /// merge log (drop), reaches it twice (duplicate), or reaches it at a
+    /// merge (drop), reaches it twice (duplicate), or reaches it at a
     /// later pump step than it arrived (delay, reorder, partition) — so
-    /// late subscribers seeded from the log see exactly the post-fault
+    /// late subscribers seeded from the merge see exactly the post-fault
     /// history, gapless and in delivered order. An empty plan adds no
     /// overhead. Held messages still in flight when the medium closes are
     /// flushed, in order, before end-of-stream ("links heal at shutdown").
@@ -152,7 +153,6 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
         let chaos = Arc::new(ChaosStats::default());
         let mut injector = (!plan.is_empty()).then(|| Injector::new(plan, Arc::clone(&chaos)));
         let exchange = Arc::new(Mutex::new(Exchange {
-            log: Vec::new(),
             subs: HashMap::new(),
             closed: false,
         }));
@@ -188,7 +188,6 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
             for (w, _) in ex.subs.values_mut() {
                 w.close();
             }
-            drop(ex);
             writer.close();
         });
         SharedMedium {
@@ -239,17 +238,20 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
     /// `site` — plus anything addressed to [`SiteId::BROADCAST`], which
     /// every inbox admits. The stream always starts at the medium's first
     /// message: the first `choose` for a site seeds its inbox from the
-    /// merge log, later ones share the same persistent stream.
+    /// broadcast stream up to its filled end, later ones share the same
+    /// persistent stream.
     pub fn choose(&self, site: SiteId) -> Stream<Message<P>> {
         let mut ex = self.exchange.lock().expect("exchange lock");
         if let Some((_, stream)) = ex.subs.get(&site) {
             return stream.clone();
         }
         let (mut w, stream) = Stream::channel();
-        for m in &ex.log {
+        let mut delivered = &self.broadcast;
+        while let Some(Node::Cons(m, rest)) = delivered.try_node() {
             if admits(site, m.to) {
                 w.push(m.clone());
             }
+            delivered = rest;
         }
         if ex.closed {
             w.close();
@@ -374,8 +376,8 @@ mod tests {
     #[test]
     fn late_subscriber_seeding_races_concurrent_sends() {
         // Pins the `choose` seeding contract under contention: a subscriber
-        // arriving while senders are mid-burst must see every already-logged
-        // message exactly once (seeded from `ex.log`) followed by the rest
+        // arriving while senders are mid-burst must see every already-delivered
+        // message exactly once (seeded from the broadcast stream) followed by the rest
         // (live delivery), with no gap or duplicate at the handoff. The
         // seeding and the pump's delivery hold the same exchange mutex, so
         // per-sender sequences must come out contiguous regardless of when
@@ -419,7 +421,8 @@ mod tests {
     fn choose_after_close_seeds_full_admitted_history() {
         // A subscriber that arrives only after the medium has closed still
         // gets the complete admitted history for its site — `choose` seeds
-        // from `ex.log` and the closed flag terminates the stream after it.
+        // from the broadcast stream and the closed flag terminates the
+        // stream after it.
         let medium: SharedMedium<u8> = SharedMedium::new();
         for i in 0..5 {
             medium.send(Message::new(SiteId(0), SiteId(7), i, i as u8));

@@ -174,6 +174,13 @@ impl ShardRoutes {
         &self.routes[shard as usize].replicas
     }
 
+    /// Whether `site` answers queries: some shard's current primary or one
+    /// of its replicas.
+    pub(crate) fn serves(&self, site: SiteId) -> bool {
+        (0..self.shard_count())
+            .any(|s| self.primary_of(s) == site || self.replicas_of(s).contains(&site))
+    }
+
     /// Where shard `shard` serves a read for round-robin ticket `ticket`:
     /// one of *its own* replicas, or its primary when it has none.
     pub(crate) fn read_site(&self, shard: u32, ticket: u64) -> SiteId {

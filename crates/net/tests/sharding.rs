@@ -57,6 +57,16 @@ fn keyed_traffic_routes_to_owning_shards() {
     // RESULT-ON: pin a query to the site that owns its key.
     let pinned = result_on_prefix(cluster.owning_site(&Value::from(7i64)), "find 7 in R");
     assert_found(&cluster.client(1).submit(&pinned).wait_cloned(), 7);
+    // A site that serves no shard — one that does not exist, or a client
+    // site — is refused before `submit` returns, naming the site.
+    for site in [SiteId(99), c.site()] {
+        let answer = c.submit(&result_on_prefix(site, "find 7 in R"));
+        assert!(answer.is_filled(), "result-on {site} must answer at once");
+        match answer.wait() {
+            Response::Error(e) => assert!(e.contains(&site.to_string()), "{e}"),
+            other => panic!("result-on {site} answered {other}"),
+        }
+    }
 
     // Sanity on the partitioning: both shards actually own some keys.
     let on_shard_1 = (0..40i64)

@@ -593,7 +593,7 @@ impl Query {
 
     /// `true` for the reads that cost one probe or less — `find` is one
     /// descent, `count` a stored counter — which a scheduler may answer
-    /// inline on the submitting thread instead of queueing.
+    /// while it holds a lock instead of queueing.
     pub fn is_point_read(&self) -> bool {
         matches!(self, Query::Find { .. } | Query::Count { .. })
     }

@@ -4,19 +4,20 @@
 //! The paper's cut is between computation and coordination: `translate`
 //! makes a query into one pure function, and pipelining, merging and
 //! distribution only decide *when* that function runs. This module is the
-//! computation. [`translate`](crate::translate()) calls [`read`], [`join`]
-//! and [`write()`] on the database it is applied to; the pipelined engine
-//! calls the same three on the component databases it pinned; the
-//! primary-copy engine and the 2PL baseline run `translate` over a
-//! database assembled from their per-relation copies — one from a
-//! workspace of snapshots, the other under locks. No scheduler interprets
-//! a statement itself, so the spec and the engines cannot answer
-//! differently — response text included.
+//! computation. [`translate`](crate::translate()) calls [`read`] and
+//! [`write()`] on the database it is applied to; the pipelined engine calls
+//! the same two on the component databases it pinned; the primary-copy
+//! engine and the 2PL baseline run `translate` over a database assembled
+//! from their per-relation copies — one from a workspace of snapshots, the
+//! other under locks. No scheduler interprets a statement itself, so the
+//! spec and the engines cannot answer differently — response text
+//! included.
 //!
 //! Everything is a plain function over borrowed values: no trait object,
-//! no boxed closure, nothing allocated beyond the answer itself. Name
-//! resolution against a scheduler's own catalog takes a lookup closure
-//! returning an [`Entry`].
+//! no boxed closure, nothing allocated beyond the answer itself. A read
+//! takes the value each name was pinned to through a lookup closure;
+//! name resolution against a scheduler's own catalog takes a lookup
+//! closure returning an [`Entry`].
 
 use fundb_relational::{
     BatchOp, BatchOutcome, Database, DatabaseError, Relation, RelationName, Schema, Tuple, ViewDef,
@@ -95,19 +96,42 @@ pub fn view_is_read_only(name: &RelationName) -> String {
     DatabaseError::WriteToView(name.clone()).to_string()
 }
 
-/// Evaluates — or, under `explain`, plans — the single-relation read `q`
-/// (`find`, `find … to …`, `select`, `count` or an aggregate) over `db`.
-/// A select that a view of `db` materializes exactly is answered from the
-/// view's maintained contents ([`substitute`]), so its filter never runs
-/// again.
+/// Evaluates — or, under `explain`, plans — the read statement `q` over the
+/// databases its names were pinned to: `db(name)` is the value `name` is
+/// read from. `translate` passes its one database for every name; an engine
+/// passes the component versions it pinned. The reads are `find`,
+/// `find … to …`, `select`, `count`, an aggregate, `join` and `explain` of
+/// any of them; `explain` plans a select, a find or a join, and its trace
+/// is empty.
+///
+/// A select or join that a view materializes exactly is answered from the
+/// view's maintained contents, so its filter or join never runs again. A
+/// join resolves its operands and `on` clause against the values it reads,
+/// left operand first: what a name is never changes, so the refusal is the
+/// same whichever version answers.
 ///
 /// # Panics
 ///
-/// Panics if `q` is not one of the five read statements.
-pub fn read(db: &Database, q: &Query, explain: bool) -> (Response, Trace) {
-    match substitute(db, q) {
-        Some(scan) => answer(db, &scan, explain, true),
-        None => answer(db, q, explain, false),
+/// Panics if `q` is not a read statement.
+pub fn read<'a>(q: &Query, db: impl Fn(&RelationName) -> &'a Database) -> (Response, Trace) {
+    let (q, explain) = match q {
+        Query::Explain(inner) if inner.is_explainable() => (inner.as_ref(), true),
+        Query::Explain(other) => {
+            let refusal = format!("explain supports select, join and find, not '{other}'");
+            return (Response::Error(refusal), Trace::default());
+        }
+        read => (read, false),
+    };
+    let Query::Join { left, right, on } = q else {
+        let db = db(q.relation().expect("a read names its relation"));
+        return match substitute(db, q) {
+            Some(scan) => answer(db, &scan, explain, true),
+            None => answer(db, q, explain, false),
+        };
+    };
+    match resolve_join(left, right, on, |n| entry(db(n), n)) {
+        Ok(on) => join(db(left), db(right), left, right, on, explain),
+        Err(e) => (Response::Error(e), Trace::default()),
     }
 }
 
@@ -116,7 +140,7 @@ pub fn read(db: &Database, q: &Query, explain: bool) -> (Response, Trace) {
 /// holds whole base rows, so only the select's projection remains to
 /// apply. `None` too when the predicate cannot be lowered to a view filter
 /// — substitution is an optimization, never a requirement.
-pub fn substitute(db: &Database, q: &Query) -> Option<Query> {
+fn substitute(db: &Database, q: &Query) -> Option<Query> {
     let Query::Select {
         relation,
         projection,
@@ -154,7 +178,8 @@ fn answer(db: &Database, q: &Query, explain: bool, substituted: bool) -> (Respon
     // Looked up only where a field name may need it.
     let schema = || db.schema(source).ok().flatten();
     if explain {
-        return (explain_read(rel, schema(), q, substituted), trace);
+        let plan = explain_read(rel, schema(), q, substituted);
+        return (plan, Trace::default());
     }
     let resp = match q {
         Query::Find { key, .. } => Response::Tuples(rel.find(key)),
@@ -210,7 +235,7 @@ fn explain_read(rel: &Relation, schema: Option<&Schema>, q: &Query, substituted:
             format!("key range find (#0 in {lo}..{hi})"),
             (rel.len() / 4).max(1),
         ),
-        other => return explain_unsupported(other),
+        other => unreachable!("not an explainable read: {other}"),
     };
     Response::Plan {
         plan,
@@ -218,22 +243,16 @@ fn explain_read(rel: &Relation, schema: Option<&Schema>, q: &Query, substituted:
     }
 }
 
-/// The answer to `explain` of anything but a select, a join or a find.
-pub fn explain_unsupported(q: &Query) -> Response {
-    Response::Error(format!("explain supports select, join and find, not '{q}'"))
-}
-
 /// Evaluates — or, under `explain`, plans — the equi-join of `left` in
 /// `left_db` with `right` in `right_db` on resolved positions (`None` =
 /// key with key; see [`resolve_join`]). A view of `left_db` materializing
-/// exactly this join is already the answer. `translate` passes one
-/// database twice; an engine passes the versions it pinned for the two
-/// sides (a join view ties its bases into one, so it is found in either).
+/// exactly this join is already the answer (a join view ties its bases
+/// into one component, so it is found in either side's database).
 ///
 /// # Panics
 ///
 /// Panics if either relation is missing from its database.
-pub fn join(
+fn join(
     left_db: &Database,
     right_db: &Database,
     left: &RelationName,
@@ -354,7 +373,7 @@ pub fn parse_schema(attrs: &Option<Vec<String>>) -> Result<Option<Schema>, Strin
 /// # Errors
 ///
 /// The refusal or resolution message, left operand first.
-pub fn resolve_join(
+fn resolve_join(
     left: &RelationName,
     right: &RelationName,
     on: &Option<(FieldRef, FieldRef)>,
@@ -459,7 +478,7 @@ pub fn resolve_view_spec(
 /// The view of `db` whose definition is exactly `join left with right` on
 /// the given resolved positions, if there is one. `None` positions mean
 /// the key-with-key join, which a view on `#0 = #0` covers.
-pub fn join_view<'a>(
+fn join_view<'a>(
     db: &'a Database,
     left: &RelationName,
     right: &RelationName,

@@ -5,34 +5,20 @@
 //! 'higher-order' (or function-producing) functions is very useful."
 //! (Section 2.1.) The produced function is [`Transaction::apply`] with the
 //! query bound: applying it to a database yields `(response, database')`
-//! without touching the input value. All it does itself is look the
-//! statement's relations up in the [`Database`]; evaluation — reads, view
-//! substitution, writes through [`Database::write`] — is [`exec`]'s, the
-//! same code every engine calls.
+//! without touching the input value. It does nothing itself but hand the
+//! statement and the [`Database`] to [`exec`] — a read reads every name
+//! from that one database — whose evaluation (reads, joins, `explain`,
+//! view substitution, writes through [`Database::write`]) is the same
+//! code every engine calls.
 
 use std::fmt;
 use std::sync::Arc;
 
 use fundb_relational::{Database, RelationName};
 
-use crate::ast::{FieldRef, Query};
+use crate::ast::Query;
 use crate::exec;
 use crate::response::Response;
-
-/// A join, or its plan: operands and fields resolve against `db`'s
-/// catalog, then the executor joins (or substitutes a view).
-fn join(
-    db: &Database,
-    left: &RelationName,
-    right: &RelationName,
-    on: &Option<(FieldRef, FieldRef)>,
-    explain: bool,
-) -> Response {
-    match exec::resolve_join(left, right, on, |n| exec::entry(db, n)) {
-        Ok(on) => exec::join(db, db, left, right, on, explain).0,
-        Err(e) => Response::Error(e),
-    }
-}
 
 /// The catalog statements, which change (or list) the name space itself.
 fn catalog(db: &Database, q: &Query) -> Result<(Response, Database), String> {
@@ -74,16 +60,9 @@ fn run(db: &Database, q: &Query) -> (Response, Database) {
         | Query::FindRange { .. }
         | Query::Select { .. }
         | Query::Count { .. }
-        | Query::Aggregate { .. } => (exec::read(db, q, false).0, db.clone()),
-        Query::Join { left, right, on } => (join(db, left, right, on, false), db.clone()),
-        Query::Explain(inner) => {
-            let plan = match inner.as_ref() {
-                Query::Join { left, right, on } => join(db, left, right, on, true),
-                read_stmt if read_stmt.is_explainable() => exec::read(db, read_stmt, true).0,
-                other => exec::explain_unsupported(other),
-            };
-            (plan, db.clone())
-        }
+        | Query::Aggregate { .. }
+        | Query::Join { .. }
+        | Query::Explain(_) => (exec::read(q, |_| db).0, db.clone()),
         Query::Insert { .. }
         | Query::Delete { .. }
         | Query::Replace { .. }

@@ -32,10 +32,21 @@ impl<T> fmt::Display for FillError<T> {
 
 impl<T> std::error::Error for FillError<T> {}
 
+/// A callback registered with [`Lenient::on_fill`].
+type OnFill<T> = Box<dyn FnOnce(&T) + Send>;
+
+/// What the cell's mutex guards: whether the value has landed, and the
+/// callbacks still waiting for it. An empty `Vec` does not allocate, so a
+/// cell nobody registers on costs nothing more to fill.
+struct State<T> {
+    filled: bool,
+    on_fill: Vec<OnFill<T>>,
+}
+
 struct Inner<T> {
     slot: OnceLock<T>,
     /// Guards the sleep/notify protocol; the actual value lives in `slot`.
-    filled: Mutex<bool>,
+    state: Mutex<State<T>>,
     cond: Condvar,
 }
 
@@ -88,7 +99,10 @@ impl<T> Lenient<T> {
         Lenient {
             inner: Arc::new(Inner {
                 slot: OnceLock::new(),
-                filled: Mutex::new(false),
+                state: Mutex::new(State {
+                    filled: false,
+                    on_fill: Vec::new(),
+                }),
                 cond: Condvar::new(),
             }),
         }
@@ -106,28 +120,59 @@ impl<T> Lenient<T> {
         Lenient {
             inner: Arc::new(Inner {
                 slot,
-                filled: Mutex::new(true),
+                state: Mutex::new(State {
+                    filled: true,
+                    on_fill: Vec::new(),
+                }),
                 cond: Condvar::new(),
             }),
         }
     }
 
-    /// Fills the cell, waking all blocked waiters.
+    /// Fills the cell, waking all blocked waiters, then runs every
+    /// [`on_fill`](Self::on_fill) callback on this thread, with the cell's
+    /// lock released.
     ///
     /// # Errors
     ///
     /// Returns [`FillError`] carrying `value` back if the cell was already
     /// filled — a lenient cell is single-assignment by construction.
     pub fn fill(&self, value: T) -> Result<(), FillError<T>> {
-        match self.inner.slot.set(value) {
-            Ok(()) => {
-                let mut filled = self.inner.filled.lock();
-                *filled = true;
-                self.inner.cond.notify_all();
-                Ok(())
+        self.inner.slot.set(value).map_err(FillError)?;
+        let on_fill = {
+            let mut state = self.inner.state.lock();
+            state.filled = true;
+            self.inner.cond.notify_all();
+            std::mem::take(&mut state.on_fill)
+        };
+        if !on_fill.is_empty() {
+            let value = self.inner.slot.get().expect("set above");
+            for f in on_fill {
+                f(value);
             }
-            Err(value) => Err(FillError(value)),
         }
+        Ok(())
+    }
+
+    /// Runs `f(&value)` exactly once: right here if the cell is already
+    /// filled, otherwise on the thread that fills it, after the waiters
+    /// are woken. This is how a consumer *reacts* to a value instead of
+    /// demanding it — no thread waits on the cell for it.
+    ///
+    /// `f` runs on the filler's stack, inside whatever the filler was
+    /// doing: it must not block, and must not take a lock the filler may
+    /// hold.
+    pub fn on_fill(&self, f: impl FnOnce(&T) + Send + 'static) {
+        if let Some(v) = self.inner.slot.get() {
+            return f(v);
+        }
+        let mut state = self.inner.state.lock();
+        if !state.filled {
+            state.on_fill.push(Box::new(f));
+            return;
+        }
+        drop(state);
+        f(self.inner.slot.get().expect("filled under the lock"));
     }
 
     /// Returns the value if the cell has been filled, without blocking.
@@ -158,11 +203,11 @@ impl<T> Lenient<T> {
         if let Some(v) = self.inner.slot.get() {
             return v;
         }
-        let mut filled = self.inner.filled.lock();
-        while !*filled {
-            self.inner.cond.wait(&mut filled);
+        let mut state = self.inner.state.lock();
+        while !state.filled {
+            self.inner.cond.wait(&mut state);
         }
-        drop(filled);
+        drop(state);
         self.inner
             .slot
             .get()
@@ -178,18 +223,13 @@ impl<T> Lenient<T> {
             return Some(v);
         }
         let deadline = std::time::Instant::now() + timeout;
-        let mut filled = self.inner.filled.lock();
-        while !*filled {
-            if self
-                .inner
-                .cond
-                .wait_until(&mut filled, deadline)
-                .timed_out()
-            {
+        let mut state = self.inner.state.lock();
+        while !state.filled {
+            if self.inner.cond.wait_until(&mut state, deadline).timed_out() {
                 return self.inner.slot.get();
             }
         }
-        drop(filled);
+        drop(state);
         self.inner.slot.get()
     }
 
@@ -308,6 +348,46 @@ mod tests {
                 .sum();
             assert_eq!(wins, 1);
             assert!(*c.wait() < 4);
+        }
+    }
+
+    #[test]
+    fn on_fill_runs_inline_on_a_filled_cell() {
+        let c = Lenient::ready(5u32);
+        let seen = Lenient::new();
+        let out = seen.clone();
+        c.on_fill(move |v| out.fill(*v).unwrap());
+        assert_eq!(seen.try_get(), Some(&5), "ran before on_fill returned");
+    }
+
+    #[test]
+    fn on_fill_runs_on_the_filler_after_the_value_is_visible() {
+        let c: Lenient<u32> = Lenient::new();
+        let seen = Lenient::new();
+        let (probe, out) = (c.clone(), seen.clone());
+        c.on_fill(move |v| out.fill((*v, probe.try_get().copied())).unwrap());
+        assert!(!seen.is_filled(), "an unfilled cell defers the callback");
+        thread::spawn(move || c.fill(8).unwrap()).join().unwrap();
+        assert_eq!(seen.try_get(), Some(&(8, Some(8))));
+    }
+
+    #[test]
+    fn on_fill_racing_fill_runs_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for i in 0..2000 {
+            let c: Lenient<usize> = Lenient::new();
+            let runs = Arc::new(AtomicUsize::new(0));
+            let filler = {
+                let c = c.clone();
+                thread::spawn(move || c.fill(i).unwrap())
+            };
+            let counted = Arc::clone(&runs);
+            c.on_fill(move |v| {
+                assert_eq!(*v, i);
+                counted.fetch_add(1, Ordering::SeqCst);
+            });
+            filler.join().unwrap();
+            assert_eq!(runs.load(Ordering::SeqCst), 1, "iteration {i}");
         }
     }
 

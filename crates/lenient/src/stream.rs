@@ -439,12 +439,24 @@ impl<T> StreamWriter<T> {
     ///
     /// Panics if the stream has already been [`close`](Self::close)d.
     pub fn push(&mut self, item: T) {
-        let tail = self.tail.as_ref().expect("push on a closed stream writer");
+        self.reserve().fill(item);
+    }
+
+    /// Appends an element that is not known yet: its position is fixed
+    /// now, and later pushes go behind it, but readers see it — and are
+    /// woken — only when the returned [`Reserved`] is filled. Lets a
+    /// writer that orders elements under a lock wake readers after
+    /// releasing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream has already been [`close`](Self::close)d.
+    pub fn reserve(&mut self) -> Reserved<T> {
+        let at = self.tail.take().expect("push on a closed stream writer");
         let next = Lenient::new();
-        let next_stream = Stream::from_node_cell(next.clone());
-        tail.fill(Node::Cons(item, next_stream))
-            .unwrap_or_else(|_| unreachable!("stream tail filled by foreign writer"));
+        let rest = Stream::from_node_cell(next.clone());
         self.tail = Some(next);
+        Reserved { at, rest }
     }
 
     /// Appends every element of `items` in order.
@@ -464,6 +476,28 @@ impl<T> StreamWriter<T> {
             tail.fill(Node::Nil)
                 .unwrap_or_else(|_| unreachable!("stream tail filled by foreign writer"));
         }
+    }
+}
+
+/// A stream position taken by [`StreamWriter::reserve`], not yet filled.
+/// Readers that reach it wait until [`fill`](Self::fill) is called.
+pub struct Reserved<T> {
+    at: Lenient<Node<T>>,
+    rest: Stream<T>,
+}
+
+impl<T> fmt::Debug for Reserved<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Reserved")
+    }
+}
+
+impl<T> Reserved<T> {
+    /// Puts `item` at the reserved position, waking its readers.
+    pub fn fill(self, item: T) {
+        self.at
+            .fill(Node::Cons(item, self.rest))
+            .unwrap_or_else(|_| unreachable!("a reserved position has one filler"));
     }
 }
 
@@ -528,6 +562,17 @@ mod tests {
         let (w, s): (StreamWriter<u8>, Stream<u8>) = Stream::channel();
         drop(w);
         assert!(s.is_nil());
+    }
+
+    #[test]
+    fn reserved_position_holds_its_place_until_filled() {
+        let (mut w, s) = Stream::channel();
+        let first = w.reserve();
+        w.push(2);
+        w.close();
+        assert!(s.try_node().is_none(), "unfilled until the reservation is");
+        first.fill(1);
+        assert_eq!(s.collect_vec(), vec![1, 2]);
     }
 
     #[test]

@@ -3,20 +3,20 @@
 //! `durable::fault` damages bytes on disk; this module damages messages on
 //! the wire. A [`FaultPlan`] is a pure description of what can go wrong —
 //! per-edge drop / duplicate / delay / reorder rules and partitions between
-//! site sets — plus a seed. The plan is interposed in the medium's pump
-//! *before* inbox delivery, so a faulted message never reaches the merge
-//! log at all (drop), reaches it twice (duplicate), or reaches it later
-//! than it arrived (delay, reorder, partition).
+//! site sets — plus a seed. The medium runs the plan inside `send`, under
+//! its exchange lock and *before* inbox delivery, so a faulted message
+//! never reaches the merge at all (drop), reaches it twice (duplicate), or
+//! reaches it later than it was sent (delay, reorder, partition).
 //!
 //! # Replayability
 //!
 //! The fate of a message is a pure function of `(seed, rule, from, to,
-//! seq)` — **not** of the pump's arrival order. Two runs that generate the
-//! same per-sender message sequences therefore fault the same messages the
-//! same way, even if thread scheduling interleaves senders differently.
-//! Time is logical: one *pump step* per message accepted at the pump, so
-//! "delay by 3 steps" means "held until 3 further messages have been
-//! pumped", never a wall-clock sleep.
+//! seq)` — **not** of the order senders reach the medium. Two runs that
+//! generate the same per-sender message sequences therefore fault the
+//! same messages the same way, even if thread scheduling interleaves
+//! senders differently. Time is logical: one *step* per message sent or
+//! `tick`, so "delay by 3 steps" means "held until 3 further messages or
+//! ticks", never a wall-clock sleep.
 //!
 //! # Ordering discipline
 //!
@@ -39,7 +39,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -126,7 +125,7 @@ impl EdgeRule {
         self
     }
 
-    /// With probability `p`, hold a matching message for `steps` pump
+    /// With probability `p`, hold a matching message for `steps` medium
     /// steps. Later messages on the same edge queue behind it (FIFO).
     pub fn delay(mut self, p: f64, steps: u64) -> Self {
         self.delay = Some((p, steps));
@@ -134,7 +133,7 @@ impl EdgeRule {
     }
 
     /// With probability `p`, hold a matching message for a uniform
-    /// `1..=window` pump steps and let later same-edge messages overtake
+    /// `1..=window` medium steps and let later same-edge messages overtake
     /// it. This breaks per-edge FIFO by design.
     pub fn reorder(mut self, p: f64, window: u64) -> Self {
         self.reorder = Some((p, window));
@@ -146,7 +145,7 @@ impl EdgeRule {
     }
 }
 
-/// A partition between two site sets, active over a pump-step window.
+/// A partition between two site sets, active over a window of steps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     a: Vec<SiteId>,
@@ -178,15 +177,15 @@ impl Partition {
         self
     }
 
-    /// The partition starts at pump step `step` (default: step 0).
+    /// The partition starts at medium step `step` (default: step 0).
     pub fn from_step(mut self, step: u64) -> Self {
         self.from_step = step;
         self
     }
 
-    /// The partition heals at pump step `step`: held messages are released
-    /// in original order once the pump reaches it. Without a heal step the
-    /// partition heals when the medium closes.
+    /// The partition heals at medium step `step`: held messages are
+    /// released in original order once the medium reaches it. Without a
+    /// heal step the partition heals when the medium closes.
     pub fn heal_at(mut self, step: u64) -> Self {
         self.heal_at = Some(step);
         self
@@ -232,7 +231,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, zero pump overhead.
+    /// The empty plan: no faults, zero overhead on `send`.
     pub fn none() -> Self {
         Self::default()
     }
@@ -296,7 +295,7 @@ impl FaultPlan {
     }
 }
 
-/// Live fault counters, updated by the pump. Shared out as a snapshot via
+/// Live fault counters, kept by the medium's injector. Read out via
 /// [`SharedMedium::chaos_stats`](crate::SharedMedium::chaos_stats).
 #[derive(Debug, Default)]
 pub struct ChaosStats {
@@ -340,7 +339,7 @@ pub struct ChaosSnapshot {
     pub partitioned: u64,
     /// Held messages eventually delivered (delay + reorder + partition).
     pub released: u64,
-    /// Logical pump steps elapsed: one per message accepted at the pump
+    /// Logical medium steps elapsed: one per message sent before close
     /// plus one per [`tick`](crate::SharedMedium::tick). Zero without a
     /// fault plan (the injector is bypassed entirely).
     pub steps: u64,
@@ -384,11 +383,11 @@ struct Held<P> {
     msg: Message<P>,
 }
 
-/// Pump-side injector state: the plan, the held-message queue, and the
-/// logical step counter. Owned by the pump thread; not shared.
+/// The medium's fault state: the plan, the held-message queue, and the
+/// logical step counter, run under the medium's lock.
 pub(crate) struct Injector<P> {
     plan: FaultPlan,
-    stats: Arc<ChaosStats>,
+    pub(crate) stats: ChaosStats,
     step: u64,
     insert: u64,
     held: Vec<Held<P>>,
@@ -398,10 +397,10 @@ pub(crate) struct Injector<P> {
 }
 
 impl<P: Clone> Injector<P> {
-    pub(crate) fn new(plan: FaultPlan, stats: Arc<ChaosStats>) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         Injector {
             plan,
-            stats,
+            stats: ChaosStats::default(),
             step: 0,
             insert: 0,
             held: Vec::new(),
@@ -410,7 +409,7 @@ impl<P: Clone> Injector<P> {
     }
 
     /// Derives the per-message RNG. Pure in `(seed, rule, from, to, seq)`
-    /// so fates are independent of pump arrival order.
+    /// so fates are independent of the order senders reach the medium.
     fn rng_for(seed: u64, rule: u64, from: SiteId, to: SiteId, seq: u64) -> ChaCha8Rng {
         let mut key = seed;
         for word in [rule, u64::from(from.0), u64::from(to.0), seq] {
@@ -517,15 +516,12 @@ impl<P: Clone> Injector<P> {
         }
     }
 
-    /// Advances one pump step for an arriving message and returns, in
+    /// Advances one step for a sent message and returns, in
     /// order, everything the medium should now deliver: previously held
     /// messages that just came due, then the message itself (possibly
     /// twice, held, or not at all).
     pub(crate) fn admit(&mut self, msg: Message<P>) -> Vec<Message<P>> {
-        self.step += 1;
-        self.stats.steps.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        self.release_due(&mut out);
+        let mut out = self.tick();
         match self.fate(&msg) {
             Fate::Drop => {
                 self.stats.dropped.fetch_add(1, Ordering::Relaxed);
@@ -612,20 +608,19 @@ mod tests {
         Message::new(SiteId(from), SiteId(to), seq, seq as u32)
     }
 
-    fn inj(plan: FaultPlan) -> (Injector<u32>, Arc<ChaosStats>) {
-        let stats = Arc::new(ChaosStats::default());
-        (Injector::new(plan, Arc::clone(&stats)), stats)
+    fn inj(plan: FaultPlan) -> Injector<u32> {
+        Injector::new(plan)
     }
 
     #[test]
     fn empty_plan_passes_everything_through() {
-        let (mut i, stats) = inj(FaultPlan::none());
+        let mut i = inj(FaultPlan::none());
         for s in 0..20 {
             let out = i.admit(msg(0, 1, s));
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].seq, s);
         }
-        let snap = stats.snapshot();
+        let snap = i.stats.snapshot();
         assert_eq!(snap.steps, 20);
         assert_eq!(ChaosSnapshot { steps: 0, ..snap }, ChaosSnapshot::default());
     }
@@ -633,22 +628,22 @@ mod tests {
     #[test]
     fn unconditional_drop_discards_matching_edge_only() {
         let plan = FaultPlan::seeded(1).rule(EdgeRule::edge(SiteId(0), SiteId(1)).drop(1.0));
-        let (mut i, stats) = inj(plan);
+        let mut i = inj(plan);
         assert!(i.admit(msg(0, 1, 0)).is_empty());
         assert_eq!(i.admit(msg(0, 2, 0)).len(), 1, "other edge unaffected");
         assert_eq!(i.admit(msg(2, 1, 0)).len(), 1, "other sender unaffected");
-        assert_eq!(stats.snapshot().dropped, 1);
+        assert_eq!(i.stats.snapshot().dropped, 1);
     }
 
     #[test]
     fn duplicate_delivers_back_to_back() {
         let plan = FaultPlan::seeded(2).rule(EdgeRule::any().duplicate(1.0));
-        let (mut i, stats) = inj(plan);
+        let mut i = inj(plan);
         let out = i.admit(msg(3, 4, 7));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].seq, 7);
         assert_eq!(out[1].seq, 7);
-        assert_eq!(stats.snapshot().duplicated, 1);
+        assert_eq!(i.stats.snapshot().duplicated, 1);
     }
 
     #[test]
@@ -657,7 +652,7 @@ mod tests {
         // sub-rule is awkward, so delay everything on the edge and verify
         // FIFO: all three messages held, released in send order.
         let plan = FaultPlan::seeded(3).rule(EdgeRule::edge(SiteId(0), SiteId(1)).delay(1.0, 3));
-        let (mut i, stats) = inj(plan);
+        let mut i = inj(plan);
         assert!(i.admit(msg(0, 1, 0)).is_empty()); // step 1, due at 4
         assert!(i.admit(msg(0, 1, 1)).is_empty()); // step 2, due at 5
         assert!(i.admit(msg(2, 3, 0)).len() == 1); // step 3: other traffic flows
@@ -667,8 +662,8 @@ mod tests {
         let out = i.admit(msg(2, 3, 2)); // step 5: second releases
         assert_eq!(out.len(), 2);
         assert_eq!((out[0].from, out[0].seq), (SiteId(0), 1));
-        assert_eq!(stats.snapshot().delayed, 2);
-        assert_eq!(stats.snapshot().released, 2);
+        assert_eq!(i.stats.snapshot().delayed, 2);
+        assert_eq!(i.stats.snapshot().released, 2);
     }
 
     #[test]
@@ -678,7 +673,7 @@ mod tests {
                 .from_step(0)
                 .heal_at(5),
         );
-        let (mut i, stats) = inj(plan);
+        let mut i = inj(plan);
         assert!(i.admit(msg(0, 1, 0)).is_empty()); // step 1
         assert!(i.admit(msg(1, 0, 0)).is_empty()); // step 2, symmetric
         assert_eq!(i.admit(msg(0, 2, 0)).len(), 1); // step 3: outside partition
@@ -687,8 +682,8 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!((out[0].from, out[0].to), (SiteId(0), SiteId(1)));
         assert_eq!((out[1].from, out[1].to), (SiteId(1), SiteId(0)));
-        assert_eq!(stats.snapshot().partitioned, 2);
-        assert_eq!(stats.snapshot().released, 2);
+        assert_eq!(i.stats.snapshot().partitioned, 2);
+        assert_eq!(i.stats.snapshot().released, 2);
     }
 
     #[test]
@@ -698,7 +693,7 @@ mod tests {
                 .one_way()
                 .heal_at(100),
         );
-        let (mut i, _) = inj(plan);
+        let mut i = inj(plan);
         assert!(i.admit(msg(0, 1, 0)).is_empty(), "a→b held");
         assert_eq!(i.admit(msg(1, 0, 0)).len(), 1, "b→a flows");
     }
@@ -707,14 +702,14 @@ mod tests {
     fn unhealed_partition_drains_at_close() {
         let plan =
             FaultPlan::seeded(6).partition(Partition::between(vec![SiteId(0)], vec![SiteId(1)]));
-        let (mut i, stats) = inj(plan);
+        let mut i = inj(plan);
         assert!(i.admit(msg(0, 1, 0)).is_empty());
         assert!(i.admit(msg(0, 1, 1)).is_empty());
         let out = i.drain();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].seq, 0);
         assert_eq!(out[1].seq, 1);
-        assert_eq!(stats.snapshot().released, 2);
+        assert_eq!(i.stats.snapshot().released, 2);
     }
 
     #[test]
@@ -723,7 +718,7 @@ mod tests {
         // fate (dropped or not) must be identical.
         let plan = FaultPlan::seeded(7).rule(EdgeRule::any().drop(0.5));
         let survivors = |order: Vec<(u32, u64)>| -> Vec<(u32, u64)> {
-            let (mut i, _) = inj(plan.clone());
+            let mut i = inj(plan.clone());
             let mut out = Vec::new();
             for (from, seq) in order {
                 for m in i.admit(msg(from, 9, seq)) {
@@ -746,14 +741,14 @@ mod tests {
     fn broadcast_passes_partition_unless_included() {
         let part = Partition::between(vec![SiteId(0)], vec![SiteId(1)]).heal_at(100);
         let plan = FaultPlan::seeded(8).partition(part.clone());
-        let (mut i, _) = inj(plan);
+        let mut i = inj(plan);
         assert_eq!(
             i.admit(msg(0, u32::MAX, 0)).len(),
             1,
             "broadcast flows by default"
         );
         let plan = FaultPlan::seeded(8).partition(part.include_broadcast());
-        let (mut i, _) = inj(plan);
+        let mut i = inj(plan);
         assert!(
             i.admit(msg(0, u32::MAX, 0)).is_empty(),
             "held when included"

@@ -383,18 +383,15 @@ impl ClientHandle {
             .sequencer_waits
             .fetch_add(shards as u64, Ordering::Relaxed);
         let cell = Lenient::new();
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        self.pending.lock().insert(
-            seq,
-            Pending::Txn {
-                waiting,
-                direct,
-                ops,
-                shards,
-                error: None,
-                cell: cell.clone(),
-            },
-        );
+        let entry = Pending::Txn {
+            waiting,
+            direct,
+            ops,
+            shards,
+            error: None,
+            cell: cell.clone(),
+        };
+        let seq = self.register(entry, direct.as_slice());
         self.medium.send(Message::new(
             self.site,
             dest,
@@ -409,19 +406,27 @@ impl ClientHandle {
         cell
     }
 
+    /// Registers `entry` under a fresh seq tag *before* its request is
+    /// sent, so a racing reply finds the cell. A promotion may have swept
+    /// the pending map between this request's routing and now, so each of
+    /// `dests` that no longer serves is swept again.
+    fn register(&self, entry: Pending, dests: &[SiteId]) -> u64 {
+        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
+        self.pending.lock().insert(seq, entry);
+        for &dest in dests.iter().filter(|&&d| !self.routes.serves(d)) {
+            self.fail_pending_to(dest, "shard primary halted before a reply arrived");
+        }
+        seq
+    }
+
     /// Registers a [`Pending::Single`] and sends the request.
     fn send_single(&self, dest: SiteId, query: &str) -> Lenient<Response> {
         let cell = Lenient::new();
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        // Register under the seq tag *before* sending: once the request is
-        // on the medium its reply can race in, and must find the cell.
-        self.pending.lock().insert(
-            seq,
-            Pending::Single {
-                dest,
-                cell: cell.clone(),
-            },
-        );
+        let entry = Pending::Single {
+            dest,
+            cell: cell.clone(),
+        };
+        let seq = self.register(entry, &[dest]);
         self.medium.send(Message::new(
             self.site,
             dest,
@@ -438,16 +443,13 @@ impl ClientHandle {
     /// all under the same seq tag (replies are told apart by sender).
     fn send_gather(&self, kind: GatherKind, dests: Vec<SiteId>, query: &str) -> Lenient<Response> {
         let cell = Lenient::new();
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        self.pending.lock().insert(
-            seq,
-            Pending::Gather {
-                kind,
-                waiting: dests.iter().copied().collect(),
-                partials: Vec::new(),
-                cell: cell.clone(),
-            },
-        );
+        let entry = Pending::Gather {
+            kind,
+            waiting: dests.iter().copied().collect(),
+            partials: Vec::new(),
+            cell: cell.clone(),
+        };
+        let seq = self.register(entry, &dests);
         for dest in dests {
             self.medium.send(Message::new(
                 self.site,

@@ -33,8 +33,8 @@
 //!   of Figure 3-1, the replicated cluster.
 //! * [`chaos`] — deterministic fault injection for the medium: a seeded
 //!   [`FaultPlan`] of per-edge drop/duplicate/delay/reorder rules and
-//!   partitions, interposed in the pump so every run replays from
-//!   `(seed, plan)`.
+//!   partitions, run inside the medium's `send` so every run replays
+//!   from `(seed, plan)`.
 //! * [`history`] — the [`HistoryChecker`]: records client-visible
 //!   acks/reads with logical timestamps and checks read-your-writes,
 //!   acked-prefix-under-promotion, and cross-shard all-or-nothing.

@@ -6,9 +6,14 @@
 //! concurrently, each at its own pace; a site's inbox is the `choose`
 //! filter over it.
 //!
+//! The merge is a lock: [`SharedMedium::send`] runs in the sender's own
+//! thread and places the message under the medium's one exchange lock, so
+//! the order in which senders take that lock *is* the merge order, and a
+//! message is in every inbox it is addressed to before `send` returns.
+//!
 //! `choose` *means* `filter(|m| m.to == site || m.to == BROADCAST)` over
-//! the merge, but the pump computes that filter incrementally: each site
-//! gets its own persistent inbox stream and the pump appends every message
+//! the merge, but delivery computes that filter incrementally: each site
+//! gets its own persistent inbox stream and `send` appends every message
 //! to exactly the inboxes whose filter admits it, in merge order. The
 //! observable streams are identical to the lazy formulation; the difference
 //! is mechanical — delivering a message wakes only the sites it is
@@ -19,41 +24,114 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crossbeam::channel::{self, Sender};
-use fundb_lenient::stream::Node;
+use fundb_lenient::stream::{Node, Reserved};
 use fundb_lenient::{Stream, StreamWriter};
+use parking_lot::Mutex;
 
-use crate::chaos::{ChaosSnapshot, ChaosStats, FaultPlan, Injector};
+use crate::chaos::{ChaosSnapshot, FaultPlan, Injector};
 use crate::message::{Message, SiteId};
 
-enum Ctrl<P> {
-    Msg(Message<P>),
-    Tick,
-    Close,
-}
-
-/// One site's inbox: the writer the pump feeds, and the persistent
+/// One site's inbox: the writer delivery feeds, and the persistent
 /// stream `choose` hands out (cloned — any number of readers share one).
 type Inbox<P> = (StreamWriter<Message<P>>, Stream<Message<P>>);
 
-/// Pump-side delivery state: the live per-site inboxes. Its lock also
-/// orders every push onto the broadcast stream, so under it the stream's
-/// filled prefix is exactly the history delivered so far — the seed of a
-/// late subscriber.
+/// An inbox position taken under the lock, and the message to put there.
+type Delivery<P> = (Reserved<Message<P>>, Message<P>);
+
+/// The medium, behind its one lock. Every message is placed under it, so
+/// the broadcast stream's filled prefix is exactly the history delivered
+/// so far — the seed of a late subscriber.
 struct Exchange<P> {
-    /// One inbox per subscribed site, fed by the pump in merge order.
+    /// Feeds `broadcast`: the merge itself.
+    writer: StreamWriter<Message<P>>,
+    broadcast: Stream<Message<P>>,
+    /// Messages delivered onto the merge so far.
+    sent: u64,
+    /// The fault plan's state; `None` without a plan.
+    injector: Option<Injector<P>>,
+    /// One inbox per subscribed site, fed in merge order.
     subs: HashMap<SiteId, Inbox<P>>,
-    /// Set when the pump shuts down; inboxes created afterwards are closed
-    /// immediately after seeding, so their readers see end-of-stream.
+    /// Set by `close`: later sends are lost, later inboxes end after their
+    /// seed.
     closed: bool,
+    /// `close` for this `P`, run when the last handle drops: a `Drop` impl
+    /// cannot ask for the `P: Clone` that delivery needs.
+    close_fn: fn(&mut Exchange<P>),
 }
 
 /// Does `site`'s choose filter admit a message addressed `to`?
 fn admits(site: SiteId, to: SiteId) -> bool {
     to == site || to == SiteId::BROADCAST
+}
+
+impl<P: Clone> Exchange<P> {
+    /// Puts `msgs` on the merge, in order: count each, push it on the
+    /// broadcast stream, and take its position in every inbox that admits
+    /// it. The caller [`fill`]s those positions once the lock is released,
+    /// so no reader is woken under it; the broadcast push comes first, so
+    /// no inbox ever holds a message the broadcast stream lacks.
+    fn deliver(&mut self, msgs: Vec<Message<P>>) -> Vec<Delivery<P>> {
+        let mut out = Vec::new();
+        for msg in msgs {
+            self.sent += 1;
+            self.writer.push(msg.clone());
+            if msg.to == SiteId::BROADCAST {
+                for (w, _) in self.subs.values_mut() {
+                    out.push((w.reserve(), msg.clone()));
+                }
+            } else if let Some((w, _)) = self.subs.get_mut(&msg.to) {
+                out.push((w.reserve(), msg));
+            }
+        }
+        out
+    }
+
+    /// Delivers what the injector holds, then ends every stream.
+    /// Idempotent.
+    fn close(&mut self) {
+        if self.closed {
+            return;
+        }
+        self.closed = true;
+        let held = self.injector.as_mut().map(Injector::drain);
+        fill(self.deliver(held.unwrap_or_default()));
+        for (w, _) in self.subs.values_mut() {
+            w.close();
+        }
+        self.writer.close();
+    }
+
+    /// One step of the medium: `msg` (or, without one, a tick) through the
+    /// fault plan and onto the merge under the lock, then the wake-ups.
+    fn step(exchange: &Mutex<Self>, msg: Option<Message<P>>) {
+        let mut ex = exchange.lock();
+        if ex.closed {
+            return;
+        }
+        let due = match (ex.injector.as_mut(), msg) {
+            (Some(inj), Some(msg)) => inj.admit(msg),
+            (Some(inj), None) => inj.tick(),
+            (None, msg) => msg.into_iter().collect(),
+        };
+        let out = ex.deliver(due);
+        drop(ex);
+        fill(out);
+    }
+}
+
+/// Puts each message at the inbox position taken for it, waking readers.
+fn fill<P>(out: Vec<Delivery<P>>) {
+    for (at, msg) in out {
+        at.fill(msg);
+    }
+}
+
+impl<P> Drop for Exchange<P> {
+    fn drop(&mut self) {
+        (self.close_fn)(self);
+    }
 }
 
 /// The broadcast medium. Cloning yields another handle to the same medium.
@@ -76,162 +154,90 @@ fn admits(site: SiteId, to: SiteId) -> bool {
 /// # drop(medium);
 /// ```
 pub struct SharedMedium<P> {
-    sender: Sender<Ctrl<P>>,
-    broadcast: Stream<Message<P>>,
     exchange: Arc<Mutex<Exchange<P>>>,
-    sent: Arc<AtomicU64>,
-    chaos: Arc<ChaosStats>,
 }
 
 impl<P> Clone for SharedMedium<P> {
     fn clone(&self) -> Self {
         SharedMedium {
-            sender: self.sender.clone(),
-            broadcast: self.broadcast.clone(),
             exchange: Arc::clone(&self.exchange),
-            sent: Arc::clone(&self.sent),
-            chaos: Arc::clone(&self.chaos),
         }
     }
 }
 
 impl<P> fmt::Debug for SharedMedium<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "SharedMedium[{} messages]",
-            self.sent.load(Ordering::SeqCst)
-        )
-    }
-}
-
-/// Delivers one message onto the merge: bump the count, push the broadcast
-/// stream, feed matching inboxes — all under the exchange lock, so no inbox
-/// holds a message the broadcast stream lacks. Pump-thread only.
-fn deliver_one<P: Clone>(
-    ex: &Mutex<Exchange<P>>,
-    writer: &mut StreamWriter<Message<P>>,
-    counter: &AtomicU64,
-    msg: Message<P>,
-) {
-    // Count in the pump, not in `send`: a message the pump never accepts
-    // (sent after `close`, or dropped by a fault plan) must not inflate
-    // `message_count`. Incrementing *before* the push keeps the old
-    // guarantee that a reader who has observed a message also observes
-    // its count.
-    counter.fetch_add(1, Ordering::SeqCst);
-    let mut ex = ex.lock().expect("exchange lock");
-    writer.push(msg.clone());
-    if msg.to == SiteId::BROADCAST {
-        for (w, _) in ex.subs.values_mut() {
-            w.push(msg.clone());
-        }
-    } else if let Some((w, _)) = ex.subs.get_mut(&msg.to) {
-        w.push(msg);
+        write!(f, "SharedMedium[{} messages]", self.exchange.lock().sent)
     }
 }
 
 impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
-    /// Creates a medium and starts its pump.
+    /// Creates a medium.
     pub fn new() -> Self {
         Self::with_faults(FaultPlan::none())
     }
 
-    /// Creates a medium whose pump runs every accepted message through
-    /// `plan` before inbox delivery. A faulted message never reaches the
-    /// merge (drop), reaches it twice (duplicate), or reaches it at a
-    /// later pump step than it arrived (delay, reorder, partition) — so
-    /// late subscribers seeded from the merge see exactly the post-fault
-    /// history, gapless and in delivered order. An empty plan adds no
-    /// overhead. Held messages still in flight when the medium closes are
-    /// flushed, in order, before end-of-stream ("links heal at shutdown").
+    /// Creates a medium that runs every sent message through `plan`
+    /// before inbox delivery. A faulted message never reaches the merge
+    /// (drop), reaches it twice (duplicate), or reaches it at a later step
+    /// than it was sent (delay, reorder, partition) — so late subscribers
+    /// seeded from the merge see exactly the post-fault history, gapless
+    /// and in delivered order. An empty plan adds no overhead. Held
+    /// messages still in flight when the medium closes are delivered, in
+    /// order, before end-of-stream ("links heal at shutdown").
     pub fn with_faults(plan: FaultPlan) -> Self {
-        let (tx, rx) = channel::unbounded::<Ctrl<P>>();
-        let (mut writer, broadcast) = Stream::channel();
-        let sent = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&sent);
-        let chaos = Arc::new(ChaosStats::default());
-        let mut injector = (!plan.is_empty()).then(|| Injector::new(plan, Arc::clone(&chaos)));
-        let exchange = Arc::new(Mutex::new(Exchange {
-            subs: HashMap::new(),
-            closed: false,
-        }));
-        let ex = Arc::clone(&exchange);
-        std::thread::spawn(move || {
-            for ctrl in rx {
-                match ctrl {
-                    Ctrl::Msg(msg) => match injector.as_mut() {
-                        None => deliver_one(&ex, &mut writer, &counter, msg),
-                        Some(inj) => {
-                            for m in inj.admit(msg) {
-                                deliver_one(&ex, &mut writer, &counter, m);
-                            }
-                        }
-                    },
-                    Ctrl::Tick => {
-                        if let Some(inj) = injector.as_mut() {
-                            for m in inj.tick() {
-                                deliver_one(&ex, &mut writer, &counter, m);
-                            }
-                        }
-                    }
-                    Ctrl::Close => break,
-                }
-            }
-            if let Some(inj) = injector.as_mut() {
-                for m in inj.drain() {
-                    deliver_one(&ex, &mut writer, &counter, m);
-                }
-            }
-            let mut ex = ex.lock().expect("exchange lock");
-            ex.closed = true;
-            for (w, _) in ex.subs.values_mut() {
-                w.close();
-            }
-            writer.close();
-        });
+        let (writer, broadcast) = Stream::channel();
         SharedMedium {
-            sender: tx,
-            broadcast,
-            exchange,
-            sent,
-            chaos,
+            exchange: Arc::new(Mutex::new(Exchange {
+                writer,
+                broadcast,
+                sent: 0,
+                injector: (!plan.is_empty()).then(|| Injector::new(plan)),
+                subs: HashMap::new(),
+                closed: false,
+                close_fn: Exchange::close,
+            })),
         }
     }
 
     /// Point-in-time fault counters (all zero without a fault plan).
     pub fn chaos_stats(&self) -> ChaosSnapshot {
-        self.chaos.snapshot()
+        let ex = self.exchange.lock();
+        let stats = ex.injector.as_ref().map(|inj| inj.stats.snapshot());
+        stats.unwrap_or_default()
     }
 
-    /// Advances the fault plan's logical clock by one pump step without
-    /// sending a message, releasing any held message that comes due. A
-    /// quiesced system — every client blocked on a reply a fault is
-    /// holding — generates no traffic, so pump steps would never advance;
+    /// Advances the fault plan's logical clock by one step without sending
+    /// a message, and delivers any held message that comes due before
+    /// returning. A quiesced system — every client blocked on a reply a
+    /// fault is holding — sends nothing, so the clock would never advance;
     /// a waiting driver calls `tick` to make logical time pass instead.
     /// No-op without a fault plan.
     pub fn tick(&self) {
-        let _ = self.sender.send(Ctrl::Tick);
+        Exchange::step(&self.exchange, None);
     }
 
-    /// Puts a message on the medium. Arrival order on the broadcast stream
-    /// is the merge order. Messages sent after [`close`](Self::close) are
-    /// silently lost, as on a powered-down segment, and are *not* counted
-    /// by [`message_count`](Self::message_count).
+    /// Puts a message on the medium and delivers it to its inboxes before
+    /// returning (under a fault plan: whatever the plan lets through at
+    /// this step). Arrival order on the broadcast stream is the merge
+    /// order: the order in which senders take the medium's lock. Messages
+    /// sent after [`close`](Self::close) are silently lost, as on a
+    /// powered-down segment, and are *not* counted by
+    /// [`message_count`](Self::message_count).
     pub fn send(&self, message: Message<P>) {
-        let _ = self.sender.send(Ctrl::Msg(message));
+        Exchange::step(&self.exchange, Some(message));
     }
 
-    /// Shuts the medium down: the broadcast stream ends after the messages
-    /// already accepted. Idempotent.
+    /// Shuts the medium down: held messages are delivered, then the
+    /// broadcast stream and every inbox end. Idempotent.
     pub fn close(&self) {
-        let _ = self.sender.send(Ctrl::Close);
+        self.exchange.lock().close();
     }
 
     /// The entire broadcast stream, from the first message ever sent.
     /// Multiple readers may consume it independently.
     pub fn broadcast_stream(&self) -> Stream<Message<P>> {
-        self.broadcast.clone()
+        self.exchange.lock().broadcast.clone()
     }
 
     /// The paper's `choose`: the sub-stream of messages destined for
@@ -241,12 +247,12 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
     /// broadcast stream up to its filled end, later ones share the same
     /// persistent stream.
     pub fn choose(&self, site: SiteId) -> Stream<Message<P>> {
-        let mut ex = self.exchange.lock().expect("exchange lock");
+        let mut ex = self.exchange.lock();
         if let Some((_, stream)) = ex.subs.get(&site) {
             return stream.clone();
         }
         let (mut w, stream) = Stream::channel();
-        let mut delivered = &self.broadcast;
+        let mut delivered = &ex.broadcast;
         while let Some(Node::Cons(m, rest)) = delivered.try_node() {
             if admits(site, m.to) {
                 w.push(m.clone());
@@ -265,7 +271,7 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
     /// dropped message is never counted and a duplicated one counts twice;
     /// without faults this is exactly the number of accepted sends.
     pub fn message_count(&self) -> u64 {
-        self.sent.load(Ordering::SeqCst)
+        self.exchange.lock().sent
     }
 }
 
@@ -379,7 +385,7 @@ mod tests {
         // arriving while senders are mid-burst must see every already-delivered
         // message exactly once (seeded from the broadcast stream) followed by the rest
         // (live delivery), with no gap or duplicate at the handoff. The
-        // seeding and the pump's delivery hold the same exchange mutex, so
+        // seeding and `send`'s delivery hold the same exchange mutex, so
         // per-sender sequences must come out contiguous regardless of when
         // the subscription lands.
         let medium: SharedMedium<u64> = SharedMedium::new();
@@ -431,6 +437,29 @@ mod tests {
         let inbox = medium.choose(SiteId(7));
         let got: Vec<u8> = inbox.collect_vec().iter().map(|m| m.payload).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn send_and_tick_deliver_before_they_return() {
+        let payload = |inbox: &Stream<Message<u8>>| match inbox.try_node() {
+            Some(Node::Cons(m, _)) => Some(m.payload),
+            _ => None,
+        };
+        let medium: SharedMedium<u8> = SharedMedium::new();
+        let inbox = medium.choose(SiteId(1));
+        medium.send(Message::new(SiteId(0), SiteId(1), 0, 7));
+        assert_eq!(payload(&inbox), Some(7), "send returned before delivery");
+
+        let steps = 3;
+        let edge = crate::chaos::EdgeRule::edge(SiteId(0), SiteId(1)).delay(1.0, steps);
+        let medium: SharedMedium<u8> = SharedMedium::with_faults(FaultPlan::seeded(1).rule(edge));
+        let inbox = medium.choose(SiteId(1));
+        medium.send(Message::new(SiteId(0), SiteId(1), 0, 9));
+        for tick in 0..steps {
+            assert_eq!(payload(&inbox), None, "released after {tick} ticks");
+            medium.tick();
+        }
+        assert_eq!(payload(&inbox), Some(9), "tick returned before delivery");
     }
 
     #[test]

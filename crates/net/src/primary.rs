@@ -12,20 +12,20 @@
 //! actions" of successive transactions do overlap — and mails each response
 //! back to the site it came from, tagged with the originating client.
 //!
-//! The paper has one coordination model, so the crate has one serving
-//! loop: `run_primary_loop` here is what [`PrimarySite`] runs over an
-//! in-memory engine, what each shard of a
-//! [`ShardedCluster`](crate::ShardedCluster) runs over a durable one, and
-//! what a promoted replica continues in. It is generic over the two things
-//! it needs from an engine — submit a transaction, export a catch-up
-//! snapshot — and is the only place in the crate where a query text is
-//! handed to an engine.
+//! The paper has one coordination model, so the crate has one primary, a
+//! function of its inbox, and one loop that feeds it: `run_primary_loop`
+//! is what [`PrimarySite`] runs over an in-memory engine, what each shard
+//! of a [`ShardedCluster`](crate::ShardedCluster) runs over a durable one,
+//! and what a promoted replica continues in. It is generic over the two
+//! things it needs from an engine — submit a transaction, export a
+//! catch-up snapshot — and is the only place in the crate where a query
+//! text is handed to an engine.
 
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fundb_core::{ClientId, PipelinedEngine};
+use fundb_core::PipelinedEngine;
 use fundb_durable::DurableEngine;
 use fundb_lenient::{Lenient, Stream};
 use fundb_query::{parse, translate, Response, Transaction};
@@ -70,92 +70,19 @@ impl PrimaryEngine for Arc<DurableEngine> {
     }
 }
 
-/// Which shard a primary serves, and who gets copies of its sequenced
-/// acks. An unsharded primary is shard 0 of a one-shard cluster — same
-/// loop, same protocol.
-#[derive(Debug)]
-pub(crate) struct PrimaryRole {
-    /// The shard this primary owns: it applies exactly the sub-batches
-    /// tagged with this id in [`Sequenced`](DbPayload::Sequenced) traffic.
-    pub shard: u32,
-    /// Replica peers that receive [`SequencedAck`](DbPayload::SequencedAck)
-    /// copies (so a later promotion knows what was already applied).
-    pub ack_peers: Vec<SiteId>,
-}
-
-/// One sequenced transaction's local work, handed from a primary's pump
-/// to its acker thread: the response cells of the sub-batch the shard
-/// applied (in sub-batch order), plus the identity the fsync receipt must
-/// carry back.
-struct SequencedWork {
-    /// Site the transaction originated at — where the receipt goes.
-    origin: SiteId,
-    /// The submitting client.
-    client: ClientId,
-    /// The origin's transaction tag, echoed as `in_reply_to`.
-    txn: u64,
-    /// One cell per write of this shard's sub-batch; each fills only when
-    /// its write is durable (committed through the engine's WAL).
-    cells: Vec<Lenient<Response>>,
-}
-
-/// Spawns a primary's acker: for each [`SequencedWork`], waits out every
-/// cell (i.e. the whole sub-batch's fsync), then mails a
-/// [`SequencedAck`](DbPayload::SequencedAck) to the transaction's origin
-/// and a copy to each replica peer of this shard.
-///
-/// The peer copies are what make failover exact: the engine's commit
-/// fan-out puts a sub-batch's `Replicate` on the medium *before* its
-/// cells fill, so in merge order every copy follows the shipped writes it
-/// acknowledges — a replica that processes the copy has the corresponding
-/// data already queued, and can strike the transaction off its
-/// might-need-replay buffer.
-///
-/// Every ack is also idempotent at its receiver — the client removes the
-/// pending entry, the replica's strike is a no-op the second time — so a
-/// duplicating or reordering link (the chaos harness's stock faults,
-/// DESIGN.md §15) cannot double-apply a sequenced transaction.
-fn spawn_acker(
+/// Where a primary's replies and receipts leave from. Each registered
+/// answer holds an `Arc` of it until sent; when the last `Arc` drops — the
+/// primary's own at shutdown, then each answer's — `all_sent` fills.
+struct Outbox {
     medium: SharedMedium<DbPayload>,
     site: SiteId,
-    role: PrimaryRole,
-) -> (crossbeam::channel::Sender<SequencedWork>, JoinHandle<()>) {
-    let (tx, rx) = crossbeam::channel::unbounded::<SequencedWork>();
-    let handle = std::thread::spawn(move || {
-        // Own seq range, far from the responder's, for trace readability.
-        let mut seq = u64::MAX / 4;
-        for work in rx {
-            let mut ops = 0usize;
-            let mut err: Option<Response> = None;
-            for cell in &work.cells {
-                let r = cell.wait_cloned();
-                if r.is_error() {
-                    if err.is_none() {
-                        err = Some(r);
-                    }
-                } else {
-                    ops += 1;
-                }
-            }
-            let response = err.unwrap_or(Response::Applied { ops, shards: 1 });
-            for dest in std::iter::once(work.origin).chain(role.ack_peers.iter().copied()) {
-                medium.send(Message::new(
-                    site,
-                    dest,
-                    seq,
-                    DbPayload::SequencedAck {
-                        origin: work.origin,
-                        client: work.client,
-                        in_reply_to: work.txn,
-                        shard: role.shard,
-                        response: response.clone(),
-                    },
-                ));
-                seq += 1;
-            }
-        }
-    });
-    (tx, handle)
+    all_sent: Lenient<()>,
+}
+
+impl Drop for Outbox {
+    fn drop(&mut self) {
+        self.all_sent.fill(()).ok();
+    }
 }
 
 /// The one place a query text becomes a transaction in an engine: parse,
@@ -167,10 +94,165 @@ fn submit_text(engine: &impl PrimaryEngine, text: &str) -> Lenient<Response> {
     }
 }
 
-/// The serving loop of a primary: requests through the engine, sequenced
-/// sub-batches for its shard, catch-up snapshots for bootstrapping
-/// replicas. Runs until `Halt` or end-of-medium; returns the number of
-/// requests served.
+/// Calls `then` with a sub-batch's receipt — `Applied` with its write
+/// count, or its first error — on the thread that fills the last of
+/// `cells` (inline if all are filled).
+fn when_applied(
+    mut cells: std::vec::IntoIter<Lenient<Response>>,
+    ops: Result<usize, Response>,
+    then: impl FnOnce(Response) + Send + 'static,
+) {
+    match cells.next() {
+        None => then(ops.map_or_else(|e| e, |ops| Response::Applied { ops, shards: 1 })),
+        Some(cell) => cell.on_fill(move |r| {
+            let ops = match ops {
+                Ok(_) if r.is_error() => Err(r.clone()),
+                ops => ops.map(|n| n + 1),
+            };
+            when_applied(cells, ops, then);
+        }),
+    }
+}
+
+/// A primary as a function of its inbox: [`step`](Self::step) admits one
+/// message's work into the engine and registers its answer on the work's
+/// response cells, so each answer leaves on the thread that fills its
+/// cell, not behind earlier admissions — the replies are a merge of the
+/// cells. Every answer's `seq` is fixed at admission, so a fault plan's
+/// fate for it does not depend on which cell fills first.
+pub(crate) struct Primary<E> {
+    out: Arc<Outbox>,
+    engine: E,
+    /// The shard this primary owns: it applies exactly the sub-batches
+    /// tagged with this id in [`Sequenced`](DbPayload::Sequenced) traffic.
+    /// An unsharded primary is shard 0 of a one-shard cluster.
+    shard: u32,
+    /// Replica peers that receive [`SequencedAck`](DbPayload::SequencedAck)
+    /// copies (so a later promotion knows what was already applied).
+    ack_peers: Vec<SiteId>,
+    /// Next seqs: replies, acks and control replies each on their own
+    /// range, for trace readability.
+    reply_seq: u64,
+    ack_seq: u64,
+    ctl_seq: u64,
+    served: u64,
+}
+
+impl<E: PrimaryEngine> Primary<E> {
+    pub(crate) fn new(
+        medium: SharedMedium<DbPayload>,
+        site: SiteId,
+        engine: E,
+        shard: u32,
+        ack_peers: Vec<SiteId>,
+    ) -> Self {
+        Primary {
+            out: Arc::new(Outbox {
+                medium,
+                site,
+                all_sent: Lenient::new(),
+            }),
+            engine,
+            shard,
+            ack_peers,
+            reply_seq: 0,
+            ack_seq: u64::MAX / 4,
+            ctl_seq: u64::MAX / 2,
+            served: 0,
+        }
+    }
+
+    /// Handles one inbox message; `false` at `Halt`, a simulated crash
+    /// (the medium stays open so the survivors can take over).
+    pub(crate) fn step(&mut self, msg: Message<DbPayload>) -> bool {
+        let (from, seq) = (msg.from, msg.seq);
+        match msg.payload {
+            DbPayload::Request { client, query } => {
+                let cell = submit_text(&self.engine, &query);
+                let (out, reply_seq) = (Arc::clone(&self.out), self.reply_seq);
+                self.reply_seq += 1;
+                cell.on_fill(move |r| {
+                    let reply = DbPayload::Reply {
+                        client,
+                        in_reply_to: seq,
+                        response: r.clone(),
+                    };
+                    out.medium
+                        .send(Message::new(out.site, from, reply_seq, reply));
+                });
+                self.served += 1;
+            }
+            DbPayload::Sequenced {
+                origin,
+                client,
+                txn,
+                subs,
+            } => {
+                // Apply our sub-batch — if we are a participant — right
+                // here, at this message's position in the inbox: the
+                // medium's merge order is the sequence, so these writes
+                // land exactly between the direct traffic that precedes
+                // and follows the broadcast.
+                let shard = self.shard;
+                let Some((_, queries)) = subs.iter().find(|(s, _)| *s == shard) else {
+                    return true;
+                };
+                let cells: Vec<_> = queries
+                    .iter()
+                    .map(|q| submit_text(&self.engine, q))
+                    .collect();
+                // The receipt goes to the origin, a copy to each replica
+                // peer: the commit ships a sub-batch's `Replicate` before
+                // its cells fill, so every copy follows the writes it
+                // acknowledges. Receipts are idempotent at every receiver,
+                // so a duplicating link (DESIGN.md §15) cannot double-apply.
+                let dests: Vec<SiteId> = std::iter::once(origin)
+                    .chain(self.ack_peers.iter().copied())
+                    .collect();
+                let (out, first_seq) = (Arc::clone(&self.out), self.ack_seq);
+                self.ack_seq += dests.len() as u64;
+                when_applied(cells.into_iter(), Ok(0), move |response| {
+                    for (dest, seq) in dests.into_iter().zip(first_seq..) {
+                        let ack = DbPayload::SequencedAck {
+                            origin,
+                            client,
+                            in_reply_to: txn,
+                            shard,
+                            response: response.clone(),
+                        };
+                        out.medium.send(Message::new(out.site, dest, seq, ack));
+                    }
+                });
+                self.served += 1;
+            }
+            DbPayload::CatchUp => {
+                let (checkpoint, tail) = self.engine.catch_up();
+                let snapshot = DbPayload::Snapshot { checkpoint, tail };
+                let reply = Message::new(self.out.site, from, self.ctl_seq, snapshot);
+                self.out.medium.send(reply);
+                self.ctl_seq += 1;
+            }
+            DbPayload::Halt => return false,
+            _ => {}
+        }
+        true
+    }
+
+    /// Waits until every answer admitted so far is on the medium, then
+    /// drops the engine and returns the number of requests served — what
+    /// lets [`ShardedCluster::kill_primary`](crate::ShardedCluster::kill_primary)
+    /// promise every admitted transaction committed, shipped and answered.
+    pub(crate) fn finish(self) -> u64 {
+        let all_sent = self.out.all_sent.clone();
+        drop(self.out);
+        all_sent.wait();
+        self.served
+    }
+}
+
+/// The serving loop of a primary: steps a [`Primary`] through `backlog`,
+/// then its inbox, until `Halt` or end-of-medium, and waits out its last
+/// sends; returns the number of requests served.
 ///
 /// Every primary runs this — [`PrimarySite`] over a [`PipelinedEngine`],
 /// a shard's initial primary and a promoted replica over a
@@ -184,101 +266,23 @@ pub(crate) fn run_primary_loop<E: PrimaryEngine>(
     medium: SharedMedium<DbPayload>,
     site: SiteId,
     engine: E,
-    role: PrimaryRole,
+    shard: u32,
+    ack_peers: Vec<SiteId>,
     backlog: Vec<Message<DbPayload>>,
 ) -> u64 {
-    let outbound = medium.clone();
-    // (reply destination, client, request seq, response cell) — one entry
-    // per admitted request, in admission order.
-    let (resp_tx, resp_rx) =
-        crossbeam::channel::unbounded::<(SiteId, ClientId, u64, Lenient<Response>)>();
-    // Replies go out in admission order, each waiting on its lenient cell —
-    // independent of whether more requests are arriving, so replies stream
-    // out as they complete. Under a durable engine a cell fills only after
-    // the transaction's batch is on disk (and, via the fan-out, already
-    // shipped to every replica).
-    let responder = std::thread::spawn(move || {
-        for (seq, (dest, client, request_seq, cell)) in resp_rx.into_iter().enumerate() {
-            outbound.send(Message::new(
-                site,
-                dest,
-                seq as u64,
-                DbPayload::Reply {
-                    client,
-                    in_reply_to: request_seq,
-                    response: cell.wait_cloned(),
-                },
-            ));
-        }
-    });
-    let shard = role.shard;
-    let (ack_tx, acker) = spawn_acker(medium.clone(), site, role);
-    let mut served = 0u64;
-    // Control replies (snapshots) are sent from this thread, on a seq
-    // range far from the responder's, purely to keep traces readable.
-    let mut ctl_seq = u64::MAX / 2;
+    let mut primary = Primary::new(medium, site, engine, shard, ack_peers);
     for msg in backlog.into_iter().chain(inbox.iter()) {
-        let (from, seq) = (msg.from, msg.seq);
-        match msg.payload {
-            DbPayload::Request { client, query } => {
-                let cell = submit_text(&engine, &query);
-                if resp_tx.send((from, client, seq, cell)).is_err() {
-                    break; // responder gone; shutting down
-                }
-                served += 1;
-            }
-            DbPayload::Sequenced {
-                origin,
-                client,
-                txn,
-                subs,
-            } => {
-                // Apply our sub-batch — if we are a participant — right
-                // here, at this message's position in the inbox: the
-                // medium's merge order is the sequence, so these writes
-                // land exactly between the direct traffic that precedes
-                // and follows the broadcast.
-                if let Some((_, queries)) = subs.iter().find(|(s, _)| *s == shard) {
-                    let cells = queries.iter().map(|q| submit_text(&engine, q)).collect();
-                    let work = SequencedWork {
-                        origin,
-                        client,
-                        txn,
-                        cells,
-                    };
-                    if ack_tx.send(work).is_err() {
-                        break; // acker gone; shutting down
-                    }
-                    served += 1;
-                }
-            }
-            DbPayload::CatchUp => {
-                let (checkpoint, tail) = engine.catch_up();
-                medium.send(Message::new(
-                    site,
-                    from,
-                    ctl_seq,
-                    DbPayload::Snapshot { checkpoint, tail },
-                ));
-                ctl_seq += 1;
-            }
-            // A simulated crash: stop serving; the medium stays open so
-            // the survivors can take over.
-            DbPayload::Halt => break,
-            _ => {}
+        if !primary.step(msg) {
+            break;
         }
     }
-    drop(resp_tx);
-    drop(ack_tx);
-    let _ = responder.join();
-    let _ = acker.join();
-    served
+    primary.finish()
 }
 
-/// A running primary site.
+/// A running primary site: one thread driving `run_primary_loop`.
 pub struct PrimarySite {
     site: SiteId,
-    pump: Option<JoinHandle<u64>>,
+    driver: Option<JoinHandle<u64>>,
 }
 
 impl fmt::Debug for PrimarySite {
@@ -306,16 +310,12 @@ impl PrimarySite {
         // An unsharded primary is shard 0 of a one-shard cluster with no
         // replica peers; sequenced transactions still work (every sub goes
         // to shard 0), so `submit_txn` is exercisable without durability.
-        let role = PrimaryRole {
-            shard: 0,
-            ack_peers: Vec::new(),
-        };
-        let pump = std::thread::spawn(move || {
-            run_primary_loop(inbox, medium, site, engine, role, Vec::new())
+        let driver = std::thread::spawn(move || {
+            run_primary_loop(inbox, medium, site, engine, 0, Vec::new(), Vec::new())
         });
         PrimarySite {
             site,
-            pump: Some(pump),
+            driver: Some(driver),
         }
     }
 
@@ -327,9 +327,9 @@ impl PrimarySite {
     /// Waits for the site to shut down (call
     /// [`SharedMedium::close`] first); returns transactions served.
     pub fn join(mut self) -> u64 {
-        self.pump
+        self.driver
             .take()
-            .expect("join consumes the only pump handle")
+            .expect("join consumes the only driver handle")
             .join()
             .expect("primary site panicked")
     }
@@ -337,7 +337,7 @@ impl PrimarySite {
 
 impl Drop for PrimarySite {
     fn drop(&mut self) {
-        if let Some(h) = self.pump.take() {
+        if let Some(h) = self.driver.take() {
             let _ = h.join();
         }
     }
@@ -346,8 +346,136 @@ impl Drop for PrimarySite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::{self, Receiver, Sender};
     use fundb_core::ClientId;
+    use fundb_lenient::stream::Node;
     use fundb_relational::Repr;
+
+    /// An engine whose response cells the test fills by hand, in any
+    /// order: every submission hands its (unfilled) cell to the test.
+    struct Manual(Sender<Lenient<Response>>);
+
+    impl PrimaryEngine for Manual {
+        fn submit(&self, _tx: Transaction) -> Lenient<Response> {
+            let cell = Lenient::new();
+            self.0.send(cell.clone()).expect("test holds the receiver");
+            cell
+        }
+
+        fn catch_up(&self) -> (Option<Vec<u8>>, Vec<u8>) {
+            (None, Vec::new())
+        }
+    }
+
+    fn manual() -> (Manual, Receiver<Lenient<Response>>) {
+        let (tx, rx) = channel::unbounded();
+        (Manual(tx), rx)
+    }
+
+    fn request(from: u32, seq: u64, query: &str) -> Message<DbPayload> {
+        let query = query.to_string();
+        let payload = DbPayload::Request {
+            client: ClientId(from),
+            query,
+        };
+        Message::new(SiteId(from), SiteId(0), seq, payload)
+    }
+
+    /// Every message delivered so far, without waiting for more.
+    fn delivered(medium: &SharedMedium<DbPayload>) -> Vec<Message<DbPayload>> {
+        let mut out = Vec::new();
+        let stream = medium.broadcast_stream();
+        let mut at = &stream;
+        while let Some(Node::Cons(m, rest)) = at.try_node() {
+            out.push(m.clone());
+            at = rest;
+        }
+        out
+    }
+
+    #[test]
+    fn a_ready_reply_does_not_wait_behind_an_earlier_unfilled_cell() {
+        let medium: SharedMedium<DbPayload> = SharedMedium::new();
+        let (engine, cells) = manual();
+        let mut primary = Primary::new(medium.clone(), SiteId(0), engine, 0, Vec::new());
+        let inbox = medium.choose(SiteId(1));
+        assert!(primary.step(request(1, 0, "insert 1 into R")));
+        assert!(primary.step(request(1, 1, "find 1 in R")));
+        let (slow, fast) = (cells.recv().unwrap(), cells.recv().unwrap());
+        fast.fill(Response::Count(1)).unwrap();
+        // The fill sent the reply: it is in the inbox already, while the
+        // earlier request's cell is still unfilled.
+        match inbox.try_node() {
+            Some(Node::Cons(m, _)) => match &m.payload {
+                DbPayload::Reply { in_reply_to, .. } => assert_eq!(*in_reply_to, 1),
+                other => panic!("expected a reply, got {other:?}"),
+            },
+            _ => panic!("the ready reply waited behind the unfilled cell"),
+        }
+        slow.fill(Response::Count(0)).unwrap();
+        assert_eq!(primary.finish(), 2);
+    }
+
+    #[test]
+    fn halt_returns_only_after_every_admitted_reply_and_receipt_is_sent() {
+        let medium: SharedMedium<DbPayload> = SharedMedium::new();
+        let (engine, cells) = manual();
+        let inbox = medium.choose(SiteId(0));
+        let driver = {
+            let medium = medium.clone();
+            std::thread::spawn(move || {
+                run_primary_loop(
+                    inbox,
+                    medium,
+                    SiteId(0),
+                    engine,
+                    0,
+                    vec![SiteId(2)],
+                    Vec::new(),
+                )
+            })
+        };
+        medium.send(request(1, 0, "insert 1 into R"));
+        let subs = vec![(0, vec!["insert 2 into R".into(), "insert 3 into R".into()])];
+        let sequenced = DbPayload::Sequenced {
+            origin: SiteId(3),
+            client: ClientId(3),
+            txn: 7,
+            subs,
+        };
+        medium.send(Message::new(SiteId(3), SiteId::BROADCAST, 0, sequenced));
+        medium.send(Message::new(SiteId(9), SiteId(0), 0, DbPayload::Halt));
+        let admitted: Vec<_> = (0..3).map(|_| cells.recv().unwrap()).collect();
+        // Fill late, in reverse admission order.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!driver.is_finished(), "returned with sends outstanding");
+        for cell in admitted.iter().rev() {
+            cell.fill(Response::Count(0)).unwrap();
+        }
+        assert_eq!(driver.join().unwrap(), 2);
+        let sent: Vec<_> = delivered(&medium)
+            .into_iter()
+            .filter(|m| m.from == SiteId(0))
+            .collect();
+        assert!(sent
+            .iter()
+            .any(|m| m.to == SiteId(1)
+                && matches!(m.payload, DbPayload::Reply { in_reply_to: 0, .. })));
+        for dest in [SiteId(3), SiteId(2)] {
+            assert!(
+                sent.iter().any(|m| m.to == dest
+                    && matches!(
+                        &m.payload,
+                        DbPayload::SequencedAck {
+                            in_reply_to: 7,
+                            response: Response::Applied { ops: 2, shards: 1 },
+                            ..
+                        }
+                    )),
+                "no receipt for {dest}: {sent:?}"
+            );
+        }
+    }
 
     fn base() -> Database {
         Database::empty()

@@ -70,7 +70,7 @@ use fundb_relational::{Database, RelationName};
 
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
-use crate::primary::{run_primary_loop, PrimaryRole};
+use crate::primary::run_primary_loop;
 
 /// The site id cluster-control messages (`Halt`, `Promote`, `SyncPing`)
 /// originate from. No running site serves it — but the cluster's `sync`
@@ -179,10 +179,11 @@ struct ReplicaState {
     /// Broadcast [`Sequenced`](DbPayload::Sequenced) transactions with a
     /// sub-batch for our shard whose primary ack we have *not* seen yet,
     /// in arrival order. The primary's ack copy always follows the
-    /// `Replicate` that ships the same writes (the acker waits the
-    /// commit, the commit fan-out ships first), so an entry still here at
-    /// promotion is precisely a transaction the dead primary never
-    /// applied — the promoted primary replays this buffer as its backlog.
+    /// `Replicate` that ships the same writes (the copy leaves when the
+    /// commit fills the sub-batch's cells, and the commit fan-out ships
+    /// first), so an entry still here at promotion is precisely a
+    /// transaction the dead primary never applied — the promoted primary
+    /// replays this buffer as its backlog.
     seq_buf: Vec<Message<DbPayload>>,
     send_seq: u64,
 }
@@ -453,15 +454,7 @@ fn promote_replica(
     // promotion was sent). Apply them first — their origins are still
     // waiting on this shard's receipt.
     Ok(run_primary_loop(
-        cur,
-        medium,
-        site,
-        engine,
-        PrimaryRole {
-            shard,
-            ack_peers: peers,
-        },
-        seq_buf,
+        cur, medium, site, engine, shard, peers, seq_buf,
     ))
 }
 

@@ -63,7 +63,7 @@ use crate::chaos::{ChaosSnapshot, FaultPlan};
 use crate::cluster::ClientHandle;
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
-use crate::primary::{run_primary_loop, PrimaryRole};
+use crate::primary::run_primary_loop;
 use crate::replica::{ReplicaSite, ReplicationSender, CONTROL_SITE};
 
 /// Hash partitioning of primary keys over a fixed number of shards.
@@ -361,7 +361,7 @@ struct ShardGroup {
     shard: u32,
     /// Current primary site — the same atomic the clients route by.
     primary: Arc<AtomicU32>,
-    pump: Option<JoinHandle<u64>>,
+    driver: Option<JoinHandle<u64>>,
     replicas: Vec<ReplicaSite>,
     /// Batches shipped by this shard's primaries, cumulatively.
     batches: Arc<AtomicU64>,
@@ -464,15 +464,12 @@ impl ShardedCluster {
                     Arc::clone(&batches),
                 )));
             }
-            let pump = {
+            let driver = {
                 let inbox = medium.choose(primary_site);
                 let medium = medium.clone();
-                let role = PrimaryRole {
-                    shard: g,
-                    ack_peers: replica_sites.clone(),
-                };
+                let peers = replica_sites.clone();
                 std::thread::spawn(move || {
-                    run_primary_loop(inbox, medium, primary_site, engine, role, Vec::new())
+                    run_primary_loop(inbox, medium, primary_site, engine, g, peers, Vec::new())
                 })
             };
             let replicas: Vec<ReplicaSite> = replica_sites
@@ -497,7 +494,7 @@ impl ShardedCluster {
             groups.push(ShardGroup {
                 shard: g,
                 primary,
-                pump: Some(pump),
+                driver: Some(driver),
                 replicas,
                 batches,
                 active: Mutex::new(replica_sites),
@@ -583,7 +580,8 @@ impl ShardedCluster {
         self.medium.message_count()
     }
 
-    /// Advances the fault plan's logical clock one pump step (see
+    /// Advances the fault plan's logical clock one step, delivering what
+    /// comes due before returning (see
     /// [`SharedMedium::tick`]). No-op without a fault plan.
     pub fn tick(&self) {
         self.medium.tick();
@@ -649,9 +647,10 @@ impl ShardedCluster {
     }
 
     /// Simulates a crash of `shard`'s primary: halts it and waits for its
-    /// serving loop to exit. Because the join drains the responder, every
-    /// transaction the dead primary admitted is committed, shipped to the
-    /// replicas, and answered by the time this returns — later messages to
+    /// serving loop to exit. The loop returns only once every reply and
+    /// sequenced ack it admitted is on the medium, so every transaction
+    /// the dead primary admitted is committed, shipped to the replicas,
+    /// and answered by the time this returns — later messages to
     /// the dead site go unanswered until [`promote`](Self::promote)
     /// re-points the shard; the *other shards keep serving throughout*.
     ///
@@ -662,12 +661,9 @@ impl ShardedCluster {
     /// Panics if `shard` is out of range, or its primary was already
     /// killed and not yet replaced.
     pub fn kill_primary(&mut self, shard: u32) -> u64 {
-        let old = self.primary_site(shard);
-        let seq = self.ctl_seq.fetch_add(1, Ordering::SeqCst);
-        self.medium
-            .send(Message::new(CONTROL_SITE, old, seq, DbPayload::Halt));
+        self.ctl(self.primary_site(shard), DbPayload::Halt);
         self.groups[shard as usize]
-            .pump
+            .driver
             .take()
             .expect("no primary is running for this shard")
             .join()
@@ -702,8 +698,8 @@ impl ShardedCluster {
         for client in &self.clients {
             client.fail_pending_to(old, "shard primary halted before a reply arrived");
         }
-        // The promoted replica's serving loop is now this shard's pump; a
-        // later shutdown joins it through the ReplicaSite handle.
+        // The promoted replica's thread now drives this shard's primary;
+        // a later shutdown joins it through the ReplicaSite handle.
     }
 
     /// Closes the medium and waits for every site; returns the number of
@@ -712,8 +708,8 @@ impl ShardedCluster {
         self.medium.close();
         let mut served = 0;
         for g in &mut self.groups {
-            if let Some(pump) = g.pump.take() {
-                served += pump.join().expect("shard primary loop panicked");
+            if let Some(driver) = g.driver.take() {
+                served += driver.join().expect("shard primary loop panicked");
             }
         }
         for g in &mut self.groups {
@@ -729,8 +725,8 @@ impl Drop for ShardedCluster {
     fn drop(&mut self) {
         self.medium.close();
         for g in &mut self.groups {
-            if let Some(pump) = g.pump.take() {
-                let _ = pump.join();
+            if let Some(driver) = g.driver.take() {
+                let _ = driver.join();
             }
             // ReplicaSite::drop joins each replica thread.
         }

@@ -2,8 +2,8 @@
 //! client-visible invariants checked against the recorded history.
 //!
 //! Every run is parameterised by a [`FaultPlan`] — a seed plus per-edge
-//! duplicate/delay/reorder rules and timed partitions — interposed in the
-//! shared medium's pump. A message's fate is a pure function of
+//! duplicate/delay/reorder rules and timed partitions — run inside the
+//! shared medium's `send`. A message's fate is a pure function of
 //! `(seed, rule, from, to, seq)`, so a failing `(seed, plan)` pair replays
 //! exactly regardless of thread interleaving. The driver records every
 //! client-visible ack and read into a [`HistoryChecker`] and checks, per
@@ -496,7 +496,7 @@ fn drive_plan(cluster: &ShardedCluster, plan: &FaultPlan) -> Result<(), String> 
     if resp.is_error() {
         return Err(format!("create failed: {resp:?}"));
     }
-    // 40 writes are ~120 pump steps — enough traffic to be mid-stream
+    // 40 writes are ~120 medium steps — enough traffic to be mid-stream
     // when a partition from the strategy space (steps 48..96) opens.
     for k in 0..40 {
         let resp = try_wait(

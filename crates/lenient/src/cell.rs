@@ -161,18 +161,33 @@ impl<T> Lenient<T> {
     ///
     /// `f` runs on the filler's stack, inside whatever the filler was
     /// doing: it must not block, and must not take a lock the filler may
-    /// hold.
+    /// hold. A driven stream ([`Stream::drive`](crate::Stream::drive))
+    /// registers its next step this way, so a fill can run a whole site's
+    /// step.
     pub fn on_fill(&self, f: impl FnOnce(&T) + Send + 'static) {
         if let Some(v) = self.inner.slot.get() {
             return f(v);
         }
-        let mut state = self.inner.state.lock();
-        if !state.filled {
-            state.on_fill.push(Box::new(f));
-            return;
+        if let Err(f) = self.on_fill_or_back(f, |f, v| f(v)) {
+            f(self.inner.slot.get().expect("filled under the lock"));
         }
-        drop(state);
-        f(self.inner.slot.get().expect("filled under the lock"));
+    }
+
+    /// Registers `f(carry, &value)` to run on the filling thread if the
+    /// cell is still unfilled; otherwise hands `carry` back unrun, so a
+    /// caller that loops over filled cells continues its loop instead of
+    /// recursing into `f`.
+    pub(crate) fn on_fill_or_back<C: Send + 'static>(
+        &self,
+        carry: C,
+        f: impl FnOnce(C, &T) + Send + 'static,
+    ) -> Result<(), C> {
+        let mut state = self.inner.state.lock();
+        if state.filled {
+            return Err(carry);
+        }
+        state.on_fill.push(Box::new(move |v| f(carry, v)));
+        Ok(())
     }
 
     /// Returns the value if the cell has been filled, without blocking.

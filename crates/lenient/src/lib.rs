@@ -15,7 +15,9 @@
 //! * [`Stream<T>`] — a persistent stream whose tail is a lenient cell or a
 //!   thunk, so "input sequences of unknown or infinite length are bona fide
 //!   data objects". Streams support the paper's operators: `followed-by`
-//!   ([`Stream::cons`]), `first`/`rest`, and apply-to-all ([`Stream::map`]).
+//!   ([`Stream::cons`]), `first`/`rest`, and apply-to-all ([`Stream::map`]);
+//!   [`Stream::drive`] folds a state over a stream on the threads that fill
+//!   it — a site as a function of its inbox, with no thread of its own.
 //!
 //! Two execution-support primitives ride along: [`WorkerPool`], the FIFO
 //! pool the pipelined engine hands batch jobs to, and [`AtomicArc<T>`], a

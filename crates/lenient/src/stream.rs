@@ -11,8 +11,11 @@
 //! paper's "only essential data dependencies play a role in
 //! synchronization".
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::iter::FromIterator;
+use std::time::Duration;
 
 use crate::cell::Lenient;
 use crate::thunk::Thunk;
@@ -153,6 +156,15 @@ impl<T> Stream<T> {
         }
     }
 
+    /// Like [`wait_node`](Self::wait_node), but gives up on an unfilled
+    /// lenient cell after `timeout` and returns `None`.
+    pub fn wait_node_timeout(&self, timeout: Duration) -> Option<&Node<T>> {
+        match &self.cell {
+            CellKind::Lenient(c) => c.wait_timeout(timeout),
+            CellKind::Lazy(t) => Some(t.force()),
+        }
+    }
+
     /// Non-blocking, non-forcing peek at the first spine cell.
     ///
     /// Returns `None` if the cell is unfilled or an unforced suspension.
@@ -174,6 +186,141 @@ impl<T> Stream<T> {
             Node::Nil => None,
             Node::Cons(_, rest) => Some(rest.clone()),
         }
+    }
+}
+
+impl<T: Send + Sync + 'static> Stream<T> {
+    /// Folds `step` over this stream's nodes, each exactly once and in
+    /// order, with no thread of its own: a site as a function of its
+    /// inbox.
+    ///
+    /// `step(state, node)` takes the state by value and returns it for the
+    /// next node, or `None` to stop; the end of the stream is stepped too,
+    /// as [`Node::Nil`]. The fold loops here over every node that is
+    /// already resolved, then registers its continuation with
+    /// [`Lenient::on_fill`] on the first unfilled cell and returns. The
+    /// thread that fills that cell runs the next steps, looping over
+    /// whatever it finds filled in turn. The state is in one place at a
+    /// time, so no two steps overlap, and a fill never waits for a step in
+    /// progress elsewhere: the stepping thread reaches the new node when
+    /// its current step returns. A lazy cell is forced on the stepping
+    /// thread.
+    ///
+    /// `step` runs inside whatever the filler was doing, under
+    /// [`Lenient::on_fill`]'s rule: it must not block, and must not take a
+    /// lock a filler may hold. A step that wakes a waiting thread defers
+    /// the wake-up with [`after_steps`], so the woken thread does not find
+    /// the fold still in the hands of the thread that woke it.
+    pub fn drive<S, F>(self, state: S, step: F)
+    where
+        S: Send + 'static,
+        F: FnMut(S, &Node<T>) -> Option<S> + Send + 'static,
+    {
+        let _outermost = Outermost::enter();
+        let (mut at, mut state, mut step) = (self, state, step);
+        loop {
+            let node = match &at.cell {
+                CellKind::Lazy(t) => t.force(),
+                CellKind::Lenient(c) => match c.try_get() {
+                    Some(node) => node,
+                    None => match c.on_fill_or_back((state, step), resume) {
+                        Ok(()) => return,
+                        // Filled since `try_get`: go round again.
+                        Err((s, f)) => {
+                            (state, step) = (s, f);
+                            continue;
+                        }
+                    },
+                },
+            };
+            let Some(next) = step(state, node) else {
+                return;
+            };
+            state = next;
+            at = match node {
+                Node::Cons(_, rest) => rest.clone(),
+                Node::Nil => return,
+            };
+        }
+    }
+}
+
+/// Work [`after_steps`] deferred, in order.
+type Deferred = VecDeque<Box<dyn FnOnce()>>;
+
+thread_local! {
+    /// The work [`after_steps`] deferred on this thread, while a
+    /// [`Stream::drive`] runs on it; `None` outside one.
+    static AFTER_STEPS: RefCell<Option<Deferred>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` once no fold is stepping on this thread: at once outside
+/// [`Stream::drive`], otherwise when the outermost `drive` on this thread
+/// has stepped every node it found and parked its fold. Work deferred this
+/// way runs in order, still before that `drive` returns.
+pub fn after_steps(f: impl FnOnce() + 'static) {
+    let now = AFTER_STEPS.with(|after| match after.borrow_mut().as_mut() {
+        Some(queue) => {
+            queue.push_back(Box::new(f));
+            None
+        }
+        None => Some(f),
+    });
+    if let Some(f) = now {
+        f();
+    }
+}
+
+/// Marks the outermost [`Stream::drive`] on a thread; dropped, it runs the
+/// work [`after_steps`] deferred, which may defer more. A panicking step
+/// leaves the deferred work undone.
+struct Outermost(bool);
+
+impl Outermost {
+    fn enter() -> Outermost {
+        AFTER_STEPS.with(|after| {
+            let mut after = after.borrow_mut();
+            let outermost = after.is_none();
+            after.get_or_insert_with(VecDeque::new);
+            Outermost(outermost)
+        })
+    }
+}
+
+impl Drop for Outermost {
+    fn drop(&mut self) {
+        if !self.0 {
+            return;
+        }
+        loop {
+            let next = AFTER_STEPS.with(|after| {
+                let mut after = after.borrow_mut();
+                let next = after.as_mut().and_then(VecDeque::pop_front);
+                let next = next.filter(|_| !std::thread::panicking());
+                if next.is_none() {
+                    *after = None;
+                }
+                next
+            });
+            match next {
+                Some(f) => f(),
+                None => return,
+            }
+        }
+    }
+}
+
+/// The continuation [`Stream::drive`] leaves on an unfilled cell: step the
+/// node that filled it, then drive on from its tail.
+fn resume<T, S, F>((state, mut step): (S, F), node: &Node<T>)
+where
+    T: Send + Sync + 'static,
+    S: Send + 'static,
+    F: FnMut(S, &Node<T>) -> Option<S> + Send + 'static,
+{
+    let _outermost = Outermost::enter();
+    if let (Some(state), Node::Cons(_, rest)) = (step(state, node), node) {
+        rest.clone().drive(state, step);
     }
 }
 
@@ -459,6 +606,15 @@ impl<T> StreamWriter<T> {
         Reserved { at, rest }
     }
 
+    /// Moves the stream's open end into a new writer and leaves this one
+    /// closed, without ending the stream: a writer kept under a lock can
+    /// be taken out under it and ended once the lock is released.
+    pub fn detach(&mut self) -> StreamWriter<T> {
+        StreamWriter {
+            tail: self.tail.take(),
+        }
+    }
+
     /// Appends every element of `items` in order.
     ///
     /// # Panics
@@ -573,6 +729,148 @@ mod tests {
         assert!(s.try_node().is_none(), "unfilled until the reservation is");
         first.fill(1);
         assert_eq!(s.collect_vec(), vec![1, 2]);
+    }
+
+    /// What a recording fold has stepped so far: each element (`None` for
+    /// the end of the stream) and the thread that stepped it.
+    type Log<T> = std::sync::Arc<std::sync::Mutex<Vec<(Option<T>, thread::ThreadId)>>>;
+
+    /// Drives `s` with a fold that appends every node it steps to the
+    /// returned log.
+    fn record<T: Clone + Send + Sync + 'static>(s: Stream<T>) -> Log<T> {
+        let log: Log<T> = Default::default();
+        let out = log.clone();
+        s.drive((), move |(), node| {
+            let x = match node {
+                Node::Cons(x, _) => Some(x.clone()),
+                Node::Nil => None,
+            };
+            out.lock().unwrap().push((x, thread::current().id()));
+            Some(())
+        });
+        log
+    }
+
+    fn elements<T: Clone>(log: &Log<T>) -> Vec<Option<T>> {
+        log.lock().unwrap().iter().map(|(x, _)| x.clone()).collect()
+    }
+
+    #[test]
+    fn drive_steps_a_filled_backlog_before_returning_then_each_fill_on_its_filler() {
+        let (mut w, s) = Stream::channel();
+        w.push_all([0, 1, 2]);
+        let log = record(s);
+        let me = thread::current().id();
+        assert_eq!(elements(&log), vec![Some(0), Some(1), Some(2)]);
+        assert!(log.lock().unwrap().iter().all(|(_, t)| *t == me));
+        let filler = thread::spawn(move || {
+            w.push(3);
+            (w, thread::current().id())
+        });
+        let (mut w, them) = filler.join().unwrap();
+        assert_eq!(log.lock().unwrap()[3], (Some(3), them));
+        w.close();
+        assert_eq!(log.lock().unwrap()[4], (None, me), "the end is stepped");
+    }
+
+    #[test]
+    fn drive_runs_a_later_position_on_the_thread_that_fills_the_gap() {
+        let (mut w, s) = Stream::channel();
+        let (first, second) = (w.reserve(), w.reserve());
+        let log = record(s);
+        thread::spawn(move || second.fill(2)).join().unwrap();
+        assert!(elements(&log).is_empty(), "position 2 waits for position 1");
+        let filler = thread::spawn(move || {
+            first.fill(1);
+            thread::current().id()
+        });
+        let them = filler.join().unwrap();
+        let log = log.lock().unwrap().clone();
+        assert_eq!(log, vec![(Some(1), them), (Some(2), them)]);
+    }
+
+    #[test]
+    fn drive_loops_over_a_long_backlog() {
+        on_small_stack(|| {
+            let (mut w, s) = Stream::channel();
+            w.push_all(0..200_000u32);
+            w.close();
+            let steps = Lenient::new();
+            let out = steps.clone();
+            s.drive(0u32, move |n, node| match node {
+                Node::Cons(x, _) => {
+                    assert_eq!(*x, n, "stepped out of order");
+                    Some(n + 1)
+                }
+                Node::Nil => {
+                    out.fill(n).unwrap();
+                    None
+                }
+            });
+            assert_eq!(steps.try_get(), Some(&200_000));
+        });
+    }
+
+    #[test]
+    fn drive_runs_deferred_work_once_the_fold_has_parked() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let (mut w, s) = Stream::channel();
+        w.push_all([1, 2]);
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let steps = seen.clone();
+        s.drive((), move |(), node| {
+            if let Node::Cons(x, _) = node {
+                steps.lock().unwrap().push(format!("step {x}"));
+                let after = steps.clone();
+                let x = *x;
+                after_steps(move || after.lock().unwrap().push(format!("after {x}")));
+            }
+            Some(())
+        });
+        assert_eq!(
+            *seen.lock().unwrap(),
+            ["step 1", "step 2", "after 1", "after 2"],
+            "deferred work waits for the fold to park, then runs before drive returns"
+        );
+        let outside = log.clone();
+        after_steps(move || outside.borrow_mut().push("now"));
+        assert_eq!(*log.borrow(), ["now"], "outside a step it runs at once");
+    }
+
+    #[test]
+    fn drive_racing_two_fillers_steps_each_node_once_in_order() {
+        const BACKLOG: usize = 2;
+        const RESERVED: usize = 8;
+        for i in 0..2000 {
+            let (mut w, s) = Stream::channel();
+            w.push_all(0..BACKLOG);
+            let slots: Vec<Reserved<usize>> = (0..RESERVED).map(|_| w.reserve()).collect();
+            w.close();
+            let (mut evens, mut odds) = (Vec::new(), Vec::new());
+            for (k, slot) in slots.into_iter().enumerate() {
+                let side = if k % 2 == 0 { &mut evens } else { &mut odds };
+                side.push((BACKLOG + k, slot));
+            }
+            let fillers: Vec<_> = [evens, odds]
+                .into_iter()
+                .map(|side| {
+                    thread::spawn(move || {
+                        for (x, slot) in side {
+                            slot.fill(x);
+                        }
+                    })
+                })
+                .collect();
+            let log = record(s);
+            for f in fillers {
+                f.join().unwrap();
+            }
+            let want: Vec<Option<usize>> = (0..BACKLOG + RESERVED)
+                .map(Some)
+                .chain(std::iter::once(None))
+                .collect();
+            assert_eq!(elements(&log), want, "iteration {i}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fundb_core::ClientId;
+use fundb_lenient::stream::{after_steps, Node};
 use fundb_lenient::Lenient;
 use fundb_query::{parse, Query, Response};
 use fundb_relational::Database;
@@ -160,10 +161,13 @@ impl fmt::Debug for ClientHandle {
 }
 
 impl ClientHandle {
-    /// Starts a client site: builds the handle and spawns its receiver,
-    /// which matches incoming replies and sequenced acks to pending
-    /// entries by `in_reply_to` and fails whatever is left when the
-    /// medium closes.
+    /// Starts a client site: builds the handle and drives its inbox as a
+    /// fold with no thread of its own — whichever thread delivers a reply
+    /// or sequenced ack steps it, matching it to its pending entry by
+    /// `in_reply_to` and filling the cell there; the end of the medium
+    /// fails whatever is still pending. A reply sent inside
+    /// [`submit`](Self::submit) — a replica read — has filled its cell
+    /// when `submit` returns.
     pub(crate) fn spawn(
         medium: &SharedMedium<DbPayload>,
         site: SiteId,
@@ -181,93 +185,11 @@ impl ClientHandle {
             stats,
             rr: Arc::new(AtomicU64::new(0)),
         };
-        let inbox = medium.choose(site);
-        let pending = Arc::clone(&handle.pending);
-        let stats = Arc::clone(&handle.stats);
-        std::thread::spawn(move || {
-            for msg in inbox.iter() {
-                match msg.payload {
-                    DbPayload::Reply {
-                        in_reply_to,
-                        response,
-                        ..
-                    } => {
-                        let mut p = pending.lock();
-                        // Entries may be absent: a promotion can fail a
-                        // cell whose (raced) reply arrives afterwards.
-                        match p.get_mut(&in_reply_to) {
-                            Some(Pending::Single { .. }) => {
-                                let cell = p.remove(&in_reply_to).expect("just matched").cell();
-                                drop(p);
-                                let _ = cell.fill(response);
-                            }
-                            Some(Pending::Gather {
-                                waiting, partials, ..
-                            }) => {
-                                if waiting.remove(&msg.from) {
-                                    partials.push((msg.from, response));
-                                }
-                                if waiting.is_empty() {
-                                    if let Some(Pending::Gather {
-                                        kind,
-                                        partials,
-                                        cell,
-                                        ..
-                                    }) = p.remove(&in_reply_to)
-                                    {
-                                        drop(p);
-                                        let _ = cell.fill(combine_gather(kind, partials));
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    DbPayload::SequencedAck {
-                        in_reply_to,
-                        shard,
-                        response,
-                        ..
-                    } => {
-                        let mut p = pending.lock();
-                        if let Some(Pending::Txn { waiting, error, .. }) = p.get_mut(&in_reply_to) {
-                            if waiting.remove(&shard) {
-                                stats.sequencer_acks.fetch_add(1, Ordering::Relaxed);
-                                if error.is_none() {
-                                    if let Response::Error(e) = &response {
-                                        *error = Some(e.clone());
-                                    }
-                                }
-                            }
-                            if waiting.is_empty() {
-                                if let Some(Pending::Txn {
-                                    ops,
-                                    shards,
-                                    error,
-                                    cell,
-                                    ..
-                                }) = p.remove(&in_reply_to)
-                                {
-                                    drop(p);
-                                    let _ = cell.fill(match error {
-                                        Some(e) => Response::Error(e),
-                                        None => Response::Applied { ops, shards },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Medium closed: no reply is coming for anything still
-            // pending — fail the cells rather than strand waiters.
-            for (_, entry) in pending.lock().drain() {
-                let _ = entry.cell().fill(Response::Error(
-                    "cluster shut down before a reply arrived".into(),
-                ));
-            }
-        });
+        let receiver = ClientSite {
+            pending: Arc::clone(&handle.pending),
+            stats: Arc::clone(&handle.stats),
+        };
+        medium.choose(site).drive(receiver, receive);
         handle
     }
 
@@ -516,6 +438,115 @@ impl ClientHandle {
     pub fn site(&self) -> SiteId {
         self.site
     }
+}
+
+/// The state a client site folds its inbox into: the handle's in-flight
+/// submissions and the cluster's counters.
+struct ClientSite {
+    pending: Arc<Mutex<HashMap<u64, Pending>>>,
+    stats: Arc<ClusterStats>,
+}
+
+/// One step of a client site's fold: a reply or sequenced ack fills its
+/// pending entry's cell; the end of the medium fails every cell still
+/// pending.
+fn receive(site: ClientSite, node: &Node<Message<DbPayload>>) -> Option<ClientSite> {
+    let ClientSite { pending, stats } = &site;
+    let Node::Cons(msg, _) = node else {
+        // Medium closed: no reply is coming for anything still pending —
+        // fail the cells rather than strand waiters.
+        for (_, entry) in pending.lock().drain() {
+            answer(
+                entry.cell(),
+                Response::Error("cluster shut down before a reply arrived".into()),
+            );
+        }
+        return None;
+    };
+    match &msg.payload {
+        DbPayload::Reply {
+            in_reply_to,
+            response,
+            ..
+        } => {
+            let mut p = pending.lock();
+            // Entries may be absent: a promotion can fail a cell whose
+            // (raced) reply arrives afterwards.
+            match p.get_mut(in_reply_to) {
+                Some(Pending::Single { .. }) => {
+                    let cell = p.remove(in_reply_to).expect("just matched").cell();
+                    drop(p);
+                    answer(cell, response.clone());
+                }
+                Some(Pending::Gather {
+                    waiting, partials, ..
+                }) => {
+                    if waiting.remove(&msg.from) {
+                        partials.push((msg.from, response.clone()));
+                    }
+                    if waiting.is_empty() {
+                        if let Some(Pending::Gather {
+                            kind,
+                            partials,
+                            cell,
+                            ..
+                        }) = p.remove(in_reply_to)
+                        {
+                            drop(p);
+                            answer(cell, combine_gather(kind, partials));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        DbPayload::SequencedAck {
+            in_reply_to,
+            shard,
+            response,
+            ..
+        } => {
+            let mut p = pending.lock();
+            if let Some(Pending::Txn { waiting, error, .. }) = p.get_mut(in_reply_to) {
+                if waiting.remove(shard) {
+                    stats.sequencer_acks.fetch_add(1, Ordering::Relaxed);
+                    if error.is_none() {
+                        if let Response::Error(e) = response {
+                            *error = Some(e.clone());
+                        }
+                    }
+                }
+                if waiting.is_empty() {
+                    if let Some(Pending::Txn {
+                        ops,
+                        shards,
+                        error,
+                        cell,
+                        ..
+                    }) = p.remove(in_reply_to)
+                    {
+                        drop(p);
+                        let response = match error {
+                            Some(e) => Response::Error(e),
+                            None => Response::Applied { ops, shards },
+                        };
+                        answer(cell, response);
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
+    Some(site)
+}
+
+/// Fills a submitter's cell once the steps running on this thread have
+/// parked, so the submitter it wakes does not find this client's fold
+/// still held here.
+fn answer(cell: Lenient<Response>, response: Response) {
+    after_steps(move || {
+        let _ = cell.fill(response);
+    });
 }
 
 impl Cluster {

@@ -16,8 +16,12 @@
 //! gets its own persistent inbox stream and `send` appends every message
 //! to exactly the inboxes whose filter admits it, in merge order. The
 //! observable streams are identical to the lazy formulation; the difference
-//! is mechanical — delivering a message wakes only the sites it is
-//! addressed to, not every reader of the shared stream. A subscriber that
+//! is mechanical — delivering a message touches only the sites it is
+//! addressed to, not every reader of the shared stream: it wakes a site
+//! that waits on its inbox (a primary's driver thread), and runs the next
+//! step of a site whose inbox is driven as a fold
+//! ([`Stream::drive`](fundb_lenient::Stream::drive): replicas and client
+//! sites), on the sender's thread. A subscriber that
 //! arrives late is seeded from the broadcast stream's filled prefix first,
 //! so an inbox always covers the full history from the medium's first
 //! message.
@@ -58,7 +62,7 @@ struct Exchange<P> {
     closed: bool,
     /// `close` for this `P`, run when the last handle drops: a `Drop` impl
     /// cannot ask for the `P: Clone` that delivery needs.
-    close_fn: fn(&mut Exchange<P>),
+    close_fn: fn(&mut Exchange<P>) -> Closing<P>,
 }
 
 /// Does `site`'s choose filter admit a message addressed `to`?
@@ -88,19 +92,20 @@ impl<P: Clone> Exchange<P> {
         out
     }
 
-    /// Delivers what the injector holds, then ends every stream.
-    /// Idempotent.
-    fn close(&mut self) {
+    /// Puts what the injector holds on the merge and takes every stream's
+    /// open end, for [`finish`] to deliver and end once the lock
+    /// is released: an inbox fill may run a driven site's step, which
+    /// sends. Idempotent: a second close finds nothing to finish.
+    fn close(&mut self) -> Closing<P> {
         if self.closed {
-            return;
+            return (Vec::new(), Vec::new());
         }
         self.closed = true;
         let held = self.injector.as_mut().map(Injector::drain);
-        fill(self.deliver(held.unwrap_or_default()));
-        for (w, _) in self.subs.values_mut() {
-            w.close();
-        }
-        self.writer.close();
+        let out = self.deliver(held.unwrap_or_default());
+        let mut ends: Vec<_> = self.subs.values_mut().map(|(w, _)| w.detach()).collect();
+        ends.push(self.writer.detach());
+        (out, ends)
     }
 
     /// One step of the medium: `msg` (or, without one, a tick) through the
@@ -128,9 +133,20 @@ fn fill<P>(out: Vec<Delivery<P>>) {
     }
 }
 
+/// What `close` leaves for after the lock: the held messages' deliveries,
+/// then the open ends of every inbox and of the broadcast stream.
+type Closing<P> = (Vec<Delivery<P>>, Vec<StreamWriter<Message<P>>>);
+
+/// Delivers the held messages, then ends the streams (dropping a writer
+/// ends its stream).
+fn finish<P>((out, ends): Closing<P>) {
+    fill(out);
+    drop(ends);
+}
+
 impl<P> Drop for Exchange<P> {
     fn drop(&mut self) {
-        (self.close_fn)(self);
+        finish((self.close_fn)(self));
     }
 }
 
@@ -207,6 +223,11 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
         stats.unwrap_or_default()
     }
 
+    /// Whether this medium runs a fault plan.
+    pub(crate) fn has_faults(&self) -> bool {
+        self.exchange.lock().injector.is_some()
+    }
+
     /// Advances the fault plan's logical clock by one step without sending
     /// a message, and delivers any held message that comes due before
     /// returning. A quiesced system — every client blocked on a reply a
@@ -229,9 +250,12 @@ impl<P: Clone + Send + Sync + 'static> SharedMedium<P> {
     }
 
     /// Shuts the medium down: held messages are delivered, then the
-    /// broadcast stream and every inbox end. Idempotent.
+    /// broadcast stream and every inbox end — after the exchange lock is
+    /// released, since a delivery may run a driven site's step, and a
+    /// step sends. Idempotent.
     pub fn close(&self) {
-        self.exchange.lock().close();
+        let closing = self.exchange.lock().close();
+        finish(closing);
     }
 
     /// The entire broadcast stream, from the first message ever sent.
@@ -460,6 +484,53 @@ mod tests {
             medium.tick();
         }
         assert_eq!(payload(&inbox), Some(9), "tick returned before delivery");
+    }
+
+    #[test]
+    fn close_delivers_a_held_request_to_a_driven_replica_and_fails_the_cell() {
+        use crate::chaos::Partition;
+        use crate::cluster::ClientHandle;
+        use crate::message::DbPayload;
+        use crate::replica::ReplicaSite;
+        use crate::shard::{ClusterStats, ShardRoutes};
+        use fundb_core::ClientId;
+        use fundb_query::Response;
+        use std::sync::atomic::{AtomicU32, AtomicU64};
+
+        let (primary, replica, client) = (SiteId(0), SiteId(1), SiteId(2));
+        let tmp = fundb_durable::ScratchDir::new("medium-close-held");
+        let plan = FaultPlan::seeded(3).partition(Partition::between(vec![client], vec![replica]));
+        let medium: SharedMedium<DbPayload> = SharedMedium::with_faults(plan);
+        let batches = Arc::new(AtomicU64::new(0));
+        let site = ReplicaSite::start(
+            tmp.path().into(),
+            medium.clone(),
+            replica,
+            primary,
+            0,
+            1,
+            batches,
+        );
+        // Stand in for the primary's catch-up answer: empty history.
+        let snapshot = DbPayload::Snapshot {
+            checkpoint: None,
+            tail: fundb_durable::encode_records(&[]),
+        };
+        medium.send(Message::new(primary, replica, 0, snapshot));
+        let routes = ShardRoutes::single(Arc::new(AtomicU32::new(primary.0)), vec![replica]);
+        let stats = Arc::new(ClusterStats::new(1));
+        let c = ClientHandle::spawn(&medium, client, ClientId(0), Arc::new(routes), stats);
+        let cell = c.submit("find 1 in R");
+        assert!(!cell.is_filled(), "the partition holds the request");
+        // The held request reaches the replica inside `close`, whose step
+        // answers it with a send: a send under the exchange lock would
+        // never return.
+        medium.close();
+        assert!(
+            matches!(cell.try_get(), Some(Response::Error(e)) if e.contains("shut down")),
+            "{cell:?}"
+        );
+        assert_eq!(site.join(), 0);
     }
 
     #[test]

@@ -33,6 +33,15 @@
 //! prefix — the merge order of the medium doubles as the consistency
 //! argument, with no extra synchronization.
 //!
+//! **A replica is a fold, not a thread.** Its state is folded over its
+//! inbox one message per step ([`Stream::drive`]), by whichever thread
+//! fills the next inbox position: a `Replicate` is queued on the primary's
+//! committing thread, and a read is applied and answered on the thread of
+//! the client that sends it — the deferred apply of queued batches
+//! included — so a read routed to an idle replica is answered before
+//! `submit` returns. Each step still sees the messages in inbox order, so
+//! the consistency argument above is untouched.
+//!
 //! **Failover.** [`ShardedCluster::kill_primary`] halts a shard's primary
 //! (joining it, so every admitted commit is shipped and answered first);
 //! [`ShardedCluster::promote`] then orders a replica to take over. The
@@ -40,7 +49,8 @@
 //! [`DurableEngine`] — its log holds every record it applied, so recovery
 //! reproduces its in-memory state exactly — and continues serving from the
 //! same inbox position in primary mode, running the same loop every
-//! primary runs (`primary::run_primary_loop`). The promoted state is a
+//! primary runs (`primary::run_primary_loop`) on a thread the promotion
+//! starts. The promoted state is a
 //! prefix of acknowledged history containing every acknowledged
 //! transaction.
 //!
@@ -57,14 +67,14 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use fundb_core::CommitSink;
 use fundb_durable::{
     checkpoint_dir, decode_records, encode_records, import, recover_state, replay_records, wal_dir,
     DurableEngine, Wal, WalRecord,
 };
-use fundb_lenient::Stream;
+use fundb_lenient::stream::Node;
+use fundb_lenient::{Lenient, Stream};
 use fundb_query::{parse, translate, Query, Response};
 use fundb_relational::{Database, RelationName};
 
@@ -162,7 +172,29 @@ impl CommitSink for ReplicationSender {
     }
 }
 
-/// The mutable state a replica thread carries through its inbox.
+/// A replica's outcome: requests served as a promoted primary (0 for a
+/// never-promoted replica), or the I/O error that stopped it. Filled
+/// once; dropped unfilled — a panic unwound the step holding the state —
+/// it fills with an error, so [`ReplicaSite::join`] never waits on a
+/// replica that is gone.
+struct Done(Lenient<io::Result<u64>>);
+
+impl Done {
+    fn fill(&self, outcome: io::Result<u64>) {
+        let _ = self.0.fill(outcome);
+    }
+}
+
+impl Drop for Done {
+    fn drop(&mut self) {
+        self.fill(Err(io::Error::other(
+            "replica stopped without an outcome: a step panicked",
+        )));
+    }
+}
+
+/// The state a replica folds its inbox into, one [`step`](Self::step)
+/// per message.
 struct ReplicaState {
     dir: PathBuf,
     medium: SharedMedium<DbPayload>,
@@ -186,6 +218,16 @@ struct ReplicaState {
     /// replays this buffer as its backlog.
     seq_buf: Vec<Message<DbPayload>>,
     send_seq: u64,
+    /// Whether the catch-up `Snapshot` has landed. Until it does, live
+    /// traffic waits in `buffered`, in arrival order: serving a read early
+    /// could miss history the snapshot carries.
+    caught_up: bool,
+    buffered: Vec<Message<DbPayload>>,
+    /// What a promotion needs: the engine's worker count and the shard's
+    /// shipped-batch counter.
+    workers: usize,
+    batches: Arc<AtomicU64>,
+    done: Done,
 }
 
 impl ReplicaState {
@@ -228,16 +270,24 @@ impl ReplicaState {
     /// Folds in every batch queued by [`handle_live`], oldest first.
     ///
     /// Applying is deferred to the next point that actually needs the
-    /// state. On one core this is what keeps the primary's ack path
-    /// clean: receiving a batch is a queue push, and the decode/log/apply
-    /// work runs only once a read (or probe) lands here — by which time
-    /// the commit that shipped the batch has long been acknowledged.
+    /// state. This is what keeps the primary's ack path clean: receiving
+    /// a batch is a queue push on the committing thread, and the
+    /// decode/log/apply work runs only once a read (or probe) lands here,
+    /// on the thread that sent it — by which time the commit that shipped
+    /// the batch has long been acknowledged. The queued batches are
+    /// replayed and logged as one: replay is a fold over the records, so
+    /// their concatenation lands the same state as one batch at a time.
     fn flush_pending(&mut self) -> io::Result<()> {
-        for frames in std::mem::take(&mut self.pending) {
-            let records = decode_records(&frames)?;
-            self.apply_records(&records)?;
-            self.applied += 1;
+        if self.pending.is_empty() {
+            return Ok(());
         }
+        let mut records = Vec::new();
+        for frames in &self.pending {
+            records.extend(decode_records(frames)?);
+        }
+        self.apply_records(&records)?;
+        self.applied += self.pending.len() as u64;
+        self.pending.clear();
         Ok(())
     }
 
@@ -323,145 +373,169 @@ impl ReplicaState {
         }
         Ok(())
     }
-}
 
-/// The whole life of a replica thread: local recovery, catch-up, live
-/// apply-and-serve, and possibly a second life as the promoted primary.
-fn run_replica(
-    dir: PathBuf,
-    medium: SharedMedium<DbPayload>,
-    site: SiteId,
-    primary0: SiteId,
-    shard: u32,
-    workers: usize,
-    batches: Arc<AtomicU64>,
-) -> io::Result<u64> {
-    // 1. Local recovery, the same function DurableEngine::open runs.
-    let (recovered, _) = recover_state(&dir)?;
-
-    let mut state = ReplicaState {
-        medium: medium.clone(),
-        site,
-        shard,
+    /// Local recovery — the function `DurableEngine::open` runs — over
+    /// `dir`, and the replica's log.
+    fn open(
+        dir: PathBuf,
+        medium: SharedMedium<DbPayload>,
+        site: SiteId,
+        shard: u32,
+        workers: usize,
+        batches: Arc<AtomicU64>,
+        done: Lenient<io::Result<u64>>,
+    ) -> io::Result<ReplicaState> {
+        let (recovered, _) = recover_state(&dir)?;
         // The replica's log skips the per-batch fsync: the primary's log
         // is the authoritative copy and catch-up re-ships whatever an OS
         // crash tears off this tail. Promotion syncs once before the log
         // becomes authoritative. Keeps log shipping off the disk's fsync
         // queue — the primary's commit latency must not feel the replicas.
-        wal: Wal::open(&wal_dir(&dir), Wal::DEFAULT_SEGMENT_BYTES)?.without_sync(),
-        db: recovered.database,
-        marks: recovered.seq_marks,
-        pending: Vec::new(),
-        applied: 0,
-        seq_buf: Vec::new(),
-        send_seq: 0,
-        dir,
-    };
+        let wal = Wal::open(&wal_dir(&dir), Wal::DEFAULT_SEGMENT_BYTES)?.without_sync();
+        Ok(ReplicaState {
+            dir,
+            medium,
+            site,
+            shard,
+            wal,
+            db: recovered.database,
+            marks: recovered.seq_marks,
+            pending: Vec::new(),
+            applied: 0,
+            seq_buf: Vec::new(),
+            send_seq: 0,
+            caught_up: false,
+            buffered: Vec::new(),
+            workers,
+            batches,
+            done: Done(done),
+        })
+    }
 
-    // 2. Ask the primary for the history the medium cannot show us (what
-    //    it committed before this medium existed), then read our inbox
-    //    from the very beginning of the broadcast.
-    state.send(primary0, DbPayload::CatchUp);
-    let mut cur = medium.choose(site);
-    // Until the snapshot lands, batches and queries are buffered in
-    // arrival order — serving a read early could miss history the
-    // snapshot carries.
-    let mut buffered: Vec<Message<DbPayload>> = Vec::new();
-    let mut caught_up = false;
-
-    while let Some((msg, rest)) = cur.uncons() {
-        cur = rest;
-        match msg.payload {
-            DbPayload::Snapshot { .. } if caught_up => {} // duplicate
-            DbPayload::Snapshot { checkpoint, tail } => {
-                if let Some(blob) = &checkpoint {
-                    state.install_checkpoint(blob)?;
-                }
-                state.apply_records(&decode_records(&tail)?)?;
-                caught_up = true;
-                for m in std::mem::take(&mut buffered) {
-                    state.handle_live(m)?;
-                }
+    /// The replica as a function of its inbox: takes one node, returns
+    /// the state for the next, or `None` once the fold is over — at
+    /// `Halt`, at the end of the medium, on an I/O error, or at `Promote`,
+    /// whose thread carries the state on as a primary.
+    fn step(mut self, node: &Node<Message<DbPayload>>) -> Option<Self> {
+        let Node::Cons(msg, rest) = node else {
+            return self.stop();
+        };
+        let msg = msg.clone();
+        let outcome = match msg.payload {
+            DbPayload::Promote { peers } => {
+                let inbox = rest.clone();
+                std::thread::spawn(move || self.promote(inbox, peers));
+                return None;
             }
+            DbPayload::Halt => return self.stop(),
+            DbPayload::Snapshot { .. } if self.caught_up => Ok(()), // duplicate
+            DbPayload::Snapshot { checkpoint, tail } => self.catch_up(checkpoint.as_deref(), &tail),
             DbPayload::Replicate { .. }
             | DbPayload::Request { .. }
             | DbPayload::SyncPing { .. }
             | DbPayload::Sequenced { .. }
             | DbPayload::SequencedAck { .. } => {
-                if caught_up {
-                    state.handle_live(msg)?;
+                if self.caught_up {
+                    self.handle_live(msg)
                 } else {
-                    buffered.push(msg);
+                    self.buffered.push(msg);
+                    Ok(())
                 }
             }
-            DbPayload::Promote { peers } => {
-                // The kill-then-promote protocol guarantees every batch
-                // the dead primary acked precedes this message in our
-                // inbox; drain anything still buffered, then take over
-                // from the same stream position.
-                for m in std::mem::take(&mut buffered) {
-                    state.handle_live(m)?;
-                }
-                state.flush_pending()?;
-                return promote_replica(state, cur, peers, workers, batches);
+            _ => Ok(()),
+        };
+        match outcome {
+            Ok(()) => Some(self),
+            Err(e) => {
+                self.done.fill(Err(e));
+                None
             }
-            DbPayload::Halt => break,
-            _ => {}
         }
     }
-    // Fold any still-queued batches into the local log before the thread
-    // ends, so a restart has the longest possible local prefix.
-    state.flush_pending()?;
-    Ok(0)
-}
 
-/// Turns a caught-up replica into the primary: reopen the local store as
-/// a durable engine (its log replays to exactly the replica's state),
-/// attach a sender for the surviving peers, and serve.
-fn promote_replica(
-    state: ReplicaState,
-    cur: Stream<Message<DbPayload>>,
-    peers: Vec<SiteId>,
-    workers: usize,
-    batches: Arc<AtomicU64>,
-) -> io::Result<u64> {
-    let ReplicaState {
-        dir,
-        medium,
-        site,
-        shard,
-        mut wal,
-        seq_buf,
-        ..
-    } = state;
-    // This log is about to be the cluster's authoritative history: force
-    // its tail to media, then release the handle for the engine to reopen.
-    wal.sync()?;
-    drop(wal);
-    let (engine, _report) = DurableEngine::open(&dir, workers)?;
-    let engine = Arc::new(engine);
-    if !peers.is_empty() {
-        engine.attach_sink(Arc::new(ReplicationSender::new(
-            medium.clone(),
-            site,
-            peers.clone(),
-            batches,
-        )));
+    /// Installs the catch-up snapshot, then serves what waited for it.
+    fn catch_up(&mut self, checkpoint: Option<&[u8]>, tail: &[u8]) -> io::Result<()> {
+        if let Some(blob) = checkpoint {
+            self.install_checkpoint(blob)?;
+        }
+        self.apply_records(&decode_records(tail)?)?;
+        self.caught_up = true;
+        self.drain_buffered()
     }
-    // `seq_buf` holds exactly the sequenced transactions the dead primary
-    // admitted to the medium but never applied (applied ones were struck
-    // off by its ack copies, which the clean halt flushed out before the
-    // promotion was sent). Apply them first — their origins are still
-    // waiting on this shard's receipt.
-    Ok(run_primary_loop(
-        cur, medium, site, engine, shard, peers, seq_buf,
-    ))
+
+    fn drain_buffered(&mut self) -> io::Result<()> {
+        for m in std::mem::take(&mut self.buffered) {
+            self.handle_live(m)?;
+        }
+        Ok(())
+    }
+
+    /// `Halt` or the end of the medium: folds any still-queued batches
+    /// into the local log, so a restart has the longest possible local
+    /// prefix.
+    fn stop(mut self) -> Option<Self> {
+        let outcome = self.flush_pending().map(|()| 0);
+        self.done.fill(outcome);
+        None
+    }
+
+    /// The promoted primary's driver thread: reopens the local store as a
+    /// durable engine (its log replays to exactly the replica's state),
+    /// attaches a sender for the surviving peers, and serves `inbox` — the
+    /// stream right after the `Promote` — with the same loop every primary
+    /// runs. The primary keeps a thread: its step would put bypass-write
+    /// fsyncs on the senders' threads.
+    fn promote(mut self, inbox: Stream<Message<DbPayload>>, peers: Vec<SiteId>) {
+        // The kill-then-promote protocol guarantees every batch the dead
+        // primary acked precedes the `Promote` in our inbox: drain what is
+        // buffered, fold in what is queued, and force the log — about to
+        // be the cluster's authoritative history — to media.
+        let drained = self
+            .drain_buffered()
+            .and_then(|()| self.flush_pending())
+            .and_then(|()| self.wal.sync());
+        let ReplicaState {
+            dir,
+            medium,
+            site,
+            shard,
+            wal,
+            seq_buf,
+            workers,
+            batches,
+            done,
+            ..
+        } = self;
+        drop(wal); // released for the engine to reopen
+        done.fill(drained.and_then(|()| {
+            let (engine, _report) = DurableEngine::open(&dir, workers)?;
+            let engine = Arc::new(engine);
+            if !peers.is_empty() {
+                engine.attach_sink(Arc::new(ReplicationSender::new(
+                    medium.clone(),
+                    site,
+                    peers.clone(),
+                    batches,
+                )));
+            }
+            // `seq_buf` holds exactly the sequenced transactions the dead
+            // primary admitted to the medium but never applied (applied
+            // ones were struck off by its ack copies, which the clean halt
+            // flushed out before the promotion was sent). Apply them first
+            // — their origins are still waiting on this shard's receipt.
+            Ok(run_primary_loop(
+                inbox, medium, site, engine, shard, peers, seq_buf,
+            ))
+        }));
+    }
 }
 
-/// A running replica site (one thread).
+/// A running replica site: a fold over its inbox, stepped by whichever
+/// thread fills the next inbox position — no thread of its own until a
+/// promotion starts the primary's.
 pub struct ReplicaSite {
     site: SiteId,
-    handle: Option<JoinHandle<io::Result<u64>>>,
+    done: Lenient<io::Result<u64>>,
 }
 
 impl fmt::Debug for ReplicaSite {
@@ -473,8 +547,10 @@ impl fmt::Debug for ReplicaSite {
 impl ReplicaSite {
     /// Starts a replica at `site`, storing under `dir`, bootstrapping
     /// from `primary0` and tracking `shard`'s sequenced traffic (0 on an
-    /// unsharded cluster). Recovery happens on the spawned thread;
-    /// failures surface at [`join`](Self::join).
+    /// unsharded cluster): recovers the local store here, asks `primary0`
+    /// for the history the medium cannot show, and folds the inbox from
+    /// the medium's first message on. Failures surface at
+    /// [`join`](Self::join).
     pub fn start(
         dir: PathBuf,
         medium: SharedMedium<DbPayload>,
@@ -484,13 +560,18 @@ impl ReplicaSite {
         workers: usize,
         batches: Arc<AtomicU64>,
     ) -> ReplicaSite {
-        let handle = std::thread::spawn(move || {
-            run_replica(dir, medium, site, primary0, shard, workers, batches)
-        });
-        ReplicaSite {
-            site,
-            handle: Some(handle),
+        let done = Lenient::new();
+        let inbox = medium.choose(site);
+        match ReplicaState::open(dir, medium, site, shard, workers, batches, done.clone()) {
+            Ok(mut state) => {
+                state.send(primary0, DbPayload::CatchUp);
+                inbox.drive(state, ReplicaState::step);
+            }
+            Err(e) => {
+                let _ = done.fill(Err(e));
+            }
         }
+        ReplicaSite { site, done }
     }
 
     /// This replica's site id.
@@ -498,24 +579,20 @@ impl ReplicaSite {
         self.site
     }
 
-    /// Waits for the replica thread (close the medium, or promote and
+    /// Waits until the replica is done (close the medium, or promote and
     /// halt, first). Returns requests served while acting as primary (0
     /// for a never-promoted replica); panics on an I/O failure inside the
     /// replica — a simulation harness wants that loud.
-    pub fn join(mut self) -> u64 {
-        self.handle
-            .take()
-            .expect("join consumes the only handle")
-            .join()
-            .expect("replica thread panicked")
-            .expect("replica I/O failure")
+    pub fn join(self) -> u64 {
+        match self.done.wait() {
+            Ok(served) => *served,
+            Err(e) => panic!("replica I/O failure: {e}"),
+        }
     }
 }
 
 impl Drop for ReplicaSite {
     fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.done.wait();
     }
 }

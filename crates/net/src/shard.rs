@@ -52,10 +52,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use fundb_core::fasthash::Fnv1a;
 use fundb_core::ClientId;
 use fundb_durable::DurableEngine;
+use fundb_lenient::stream::Node;
 use fundb_relational::Value;
 use parking_lot::Mutex;
 
@@ -206,7 +208,7 @@ impl fmt::Debug for ShardRoutes {
 }
 
 /// Cluster-level traffic counters, in the mold of `EngineStats`: relaxed
-/// atomics bumped on the client's routing path and the receiver thread,
+/// atomics bumped on the client's routing path and its receiving step,
 /// snapshot on demand. One instance is shared by every
 /// [`ClientHandle`] of a cluster.
 #[derive(Debug)]
@@ -354,6 +356,15 @@ impl fmt::Display for ClusterStatsSnapshot {
         write!(f, " · {}", self.chaos)
     }
 }
+
+/// How long [`ShardedCluster::sync`] waits for an echo under a fault plan
+/// before it ticks.
+const SYNC_TICK: Duration = Duration::from_millis(1);
+
+/// Ticks in a row without an echo after which [`ShardedCluster::sync`]
+/// gives up under a fault plan: more than a partition in the chaos
+/// harness's strategy space holds a message.
+const SYNC_PATIENCE: usize = 256;
 
 /// One shard group: a durable primary and its replicas, plus the shared
 /// routing/progress cells the cluster needs to steer and observe it.
@@ -614,6 +625,12 @@ impl ShardedCluster {
     /// preserve the medium's merge order, so a replica *answering* the
     /// probe has necessarily processed every `Replicate` shipped to it
     /// before the probe. Returns early if the medium closes mid-sync.
+    ///
+    /// Under a fault plan it ticks the medium between waits, so a held
+    /// probe or echo is released, and gives up after
+    /// `SYNC_PATIENCE` ticks in a row bring no echo — a replica whose
+    /// catch-up snapshot a fault holds buffers its probes — leaving that
+    /// shard's lag in [`stats`](Self::stats).
     pub fn sync(&self) {
         let mut targets: HashMap<SiteId, u32> = HashMap::new();
         for g in &self.groups {
@@ -628,21 +645,46 @@ impl ShardedCluster {
         }
         let token = self.ctl_seq.fetch_add(1, Ordering::SeqCst);
         let mut cur = self.medium.choose(CONTROL_SITE);
-        for &site in targets.keys() {
-            self.ctl(site, DbPayload::SyncPing { token });
-        }
+        // A probe's step — the replica's queued apply — runs on the thread
+        // that sends it: one sending thread per replica lets independent
+        // replicas apply side by side.
+        std::thread::scope(|s| {
+            let sends: Vec<_> = targets
+                .keys()
+                .map(|&site| s.spawn(move || self.ctl(site, DbPayload::SyncPing { token })))
+                .collect();
+            for send in sends {
+                send.join().expect("a replica's sync probe step panicked");
+            }
+        });
+        let faulty = self.medium.has_faults();
+        let mut idle = 0;
         while !targets.is_empty() {
-            let Some((msg, rest)) = cur.uncons() else {
+            let node = if faulty {
+                cur.wait_node_timeout(SYNC_TICK)
+            } else {
+                Some(cur.wait_node())
+            };
+            let Some(node) = node else {
+                if idle == SYNC_PATIENCE {
+                    return;
+                }
+                idle += 1;
+                self.medium.tick();
+                continue;
+            };
+            let Node::Cons(msg, rest) = node else {
                 return; // medium closed; nothing more is coming
             };
-            cur = rest;
             if let DbPayload::ReplicateAck { token: t, batches } = msg.payload {
                 if t == token {
                     if let Some(shard) = targets.remove(&msg.from) {
                         self.stats.record_applied(shard as usize, batches);
+                        idle = 0;
                     }
                 }
             }
+            cur = rest.clone();
         }
     }
 
@@ -698,8 +740,8 @@ impl ShardedCluster {
         for client in &self.clients {
             client.fail_pending_to(old, "shard primary halted before a reply arrived");
         }
-        // The promoted replica's thread now drives this shard's primary;
-        // a later shutdown joins it through the ReplicaSite handle.
+        // The promotion's own thread now drives this shard's primary; a
+        // later shutdown waits for it through the ReplicaSite handle.
     }
 
     /// Closes the medium and waits for every site; returns the number of
@@ -728,7 +770,7 @@ impl Drop for ShardedCluster {
             if let Some(driver) = g.driver.take() {
                 let _ = driver.join();
             }
-            // ReplicaSite::drop joins each replica thread.
+            // ReplicaSite::drop waits for each replica to finish.
         }
     }
 }

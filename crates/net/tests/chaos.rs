@@ -477,6 +477,30 @@ fn checker_flags_reads_through_an_active_partition() {
     cluster.shutdown();
 }
 
+/// `sync` is bounded under a fault plan. An unhealed partition holds the
+/// replica's catch-up, so the replica buffers every probe and never
+/// echoes: `sync` gives up instead of blocking, and the lag it leaves
+/// makes `sync_caught` an error.
+#[test]
+fn sync_returns_when_a_partition_holds_the_catch_up() {
+    let tmp = ScratchDir::new("chaos-sync-held");
+    let plan =
+        FaultPlan::seeded(0x5EED).partition(Partition::between(vec![SiteId(0)], vec![SiteId(1)]));
+    let cluster = ShardedCluster::start_with_faults(tmp.path(), 1, 1, 2, 1, plan).unwrap();
+    let resp = wait_chaos(&cluster, &cluster.client(0).submit("create relation R"));
+    assert!(!resp.is_error(), "create failed: {resp:?}");
+    let resp = wait_chaos(&cluster, &cluster.client(0).submit("insert 1 into R"));
+    assert!(!resp.is_error(), "insert failed: {resp:?}");
+    cluster.sync();
+    let (shipped, applied) = cluster.stats().shard_lag[0];
+    assert!(
+        shipped > applied,
+        "lag {shipped}/{applied}: nothing held back"
+    );
+    assert!(sync_caught(&cluster, &[0], 1).is_err());
+    cluster.shutdown();
+}
+
 /// One bounded chaos run against a single-shard, single-replica cluster:
 /// create, write, settle past every timed fault, converge the replica,
 /// read everything back, and check the history. Every exit is an `Err`,

@@ -63,6 +63,26 @@ fn reads_route_to_replicas_and_see_acked_writes() {
     cluster.shutdown();
 }
 
+/// A replica is a fold its senders step: once it is caught up and idle,
+/// a `find` routed to it is applied, answered and matched to its cell
+/// inside `submit`, so the cell is filled when `submit` returns.
+#[test]
+fn a_replica_read_is_answered_before_submit_returns() {
+    let tmp = ScratchDir::new("repl-inline");
+    let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 1).unwrap();
+    let c = cluster.client(0);
+    assert!(!c.submit("create relation R").wait().is_error());
+    assert!(!c.submit("insert 7 into R").wait().is_error());
+    cluster.sync();
+    let cell = c.submit("find 7 in R");
+    assert!(
+        cell.is_filled(),
+        "the replica read waited for another thread"
+    );
+    assert_found(cell.wait(), 7);
+    cluster.shutdown();
+}
+
 /// The failover invariant: kill the primary mid-load, promote a replica,
 /// and every transaction that was acknowledged — before or after the
 /// failover — is present on the promoted node; the cluster keeps

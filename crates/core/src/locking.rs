@@ -191,7 +191,7 @@ mod tests {
         let setup = [
             "create relation T as list",
             "create relation B as btree(4)",
-            "create relation P as paged(4)",
+            "create relation P as tree",
             "insert (1, 'b') into B",
             "insert (1, 'a') into B",
             "insert (3, 20) into P",

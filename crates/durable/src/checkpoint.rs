@@ -56,10 +56,10 @@ const MIN_MANIFEST_ENTRY_BYTES: usize = 4 + 1 + 1 + 8 + 16 + 4 + 1;
 
 /// Node payload tags. Tag 2 was the retired 2-3 tree node; a store holding
 /// one fails to load with a typed error, like any node of the wrong kind.
+/// Node tags 4 and 5 were the retired paged store's data and directory
+/// pages; none of these tags is reused.
 const TAG_LIST_CELL: u8 = 1;
 const TAG_BTREE: u8 = 3;
-const TAG_PAGE: u8 = 4;
-const TAG_DIRECTORY: u8 = 5;
 
 fn manifest_name(i: u64) -> String {
     format!("ckpt-{i:06}.fck")
@@ -321,14 +321,11 @@ impl CheckpointWriter {
             put_str(&mut body, name.as_str());
             match rel.repr() {
                 // Repr tag 1 was the retired 2-3 tree.
+                // Repr tag 3 and node tags 4/5 were the retired paged store.
                 Repr::List => body.push(0),
                 Repr::BTree(t) => {
                     body.push(2);
                     put_u32(&mut body, t as u32);
-                }
-                Repr::Paged(c) => {
-                    body.push(3);
-                    put_u32(&mut body, c as u32);
                 }
             }
             put_schema(
@@ -436,30 +433,6 @@ fn fold_relation(
             }
             emit(p)
         }),
-        Store::Paged(p) => {
-            // Both fold callbacks need the emitter; RefCell arbitrates
-            // (the fold calls them strictly sequentially).
-            let emit = std::cell::RefCell::new(emit);
-            p.fold_pages(
-                memo,
-                &mut |items| {
-                    let mut pl = vec![TAG_PAGE];
-                    put_u32(&mut pl, items.len() as u32);
-                    for t in items {
-                        put_tuple(&mut pl, t);
-                    }
-                    (emit.borrow_mut())(pl)
-                },
-                &mut |pages| {
-                    let mut pl = vec![TAG_DIRECTORY];
-                    put_u32(&mut pl, pages.len() as u32);
-                    for c in pages {
-                        put_u128(&mut pl, *c);
-                    }
-                    (emit.borrow_mut())(pl)
-                },
-            )
-        }
     }
 }
 
@@ -630,7 +603,6 @@ fn try_load_manifest(path: &Path, nodes: &Nodes<'_>) -> io::Result<Option<Manife
             let repr = match c.u8()? {
                 0 => Repr::List,
                 2 => Repr::BTree(c.u32()? as usize),
-                3 => Repr::Paged(c.u32()? as usize),
                 t => return Err(CodecError(format!("unknown repr tag {t}"))),
             };
             let schema = c.schema()?;
@@ -767,32 +739,6 @@ fn materialize(repr: Repr, root: u128, nodes: &Nodes<'_>) -> Result<Option<Relat
             }
             Ok(Some(Relation::from(Store::BTree(t))))
         }
-        Repr::Paged(cap) => {
-            let Some(mut c) = node(nodes, root) else {
-                return Ok(None);
-            };
-            if c.u8()? != TAG_DIRECTORY {
-                return Err(CodecError("expected directory page".into()));
-            }
-            let npages = c.count(16)?;
-            let mut items: Vec<Tuple> = Vec::new();
-            for _ in 0..npages {
-                let page_id = c.u128()?;
-                let Some(mut pc) = node(nodes, page_id) else {
-                    return Ok(None);
-                };
-                if pc.u8()? != TAG_PAGE {
-                    return Err(CodecError("expected data page".into()));
-                }
-                let n = pc.count(MIN_TUPLE_BYTES)?;
-                for _ in 0..n {
-                    items.push(pc.tuple()?);
-                }
-            }
-            Ok(Some(Relation::from(Store::Paged(
-                fundb_persist::PagedStore::with_capacity(cap.max(1), items),
-            ))))
-        }
     }
 }
 
@@ -834,7 +780,7 @@ mod tests {
             .unwrap()
             .create_relation("B", Repr::BTree(4))
             .unwrap()
-            .create_relation("P", Repr::Paged(8))
+            .create_relation("P", Repr::TREE)
             .unwrap();
         for name in ["L", "T", "B", "P"] {
             for k in 0..50 {
@@ -933,7 +879,7 @@ mod tests {
             .unwrap()
             .create_relation("B", Repr::BTree(3))
             .unwrap()
-            .create_relation("P", Repr::Paged(4))
+            .create_relation("P", Repr::List)
             .unwrap();
         let mut w = CheckpointWriter::open(tmp.path()).unwrap();
         w.write(&cut_of(db.clone(), &[])).unwrap();
@@ -1045,6 +991,8 @@ mod tests {
         let id = fnv128(&payload);
         let mut btree = vec![2u8];
         put_u32(&mut btree, 16);
+        // Repr tag 3 was the retired paged store: refused before any node
+        // is read.
         let mut paged = vec![3u8];
         put_u32(&mut paged, 4);
         for (what, repr) in [("list", vec![0u8]), ("B-tree", btree), ("paged", paged)] {
@@ -1055,7 +1003,10 @@ mod tests {
             let manifest = manifest_frame(&one_relation_manifest(&repr, id));
             fs::write(tmp.path().join(manifest_name(1)), manifest).unwrap();
             let err = load_latest(tmp.path()).expect_err(what);
-            assert!(codec_error(&err).is_some(), "{what}: {err}");
+            let codec = codec_error(&err).unwrap_or_else(|| panic!("{what}: {err}"));
+            if what == "paged" {
+                assert!(codec.0.contains("unknown repr tag 3"), "{codec}");
+            }
         }
     }
 
@@ -1081,35 +1032,16 @@ mod tests {
         };
         let mut btree = vec![2u8];
         put_u32(&mut btree, 16);
-        let mut paged = vec![3u8];
-        put_u32(&mut paged, 4);
 
         let mut keys = vec![TAG_BTREE];
         put_u32(&mut keys, HUGE);
         let mut children = vec![TAG_BTREE];
         put_u32(&mut children, 0);
         put_u32(&mut children, HUGE);
-        let mut pages = vec![TAG_DIRECTORY];
-        put_u32(&mut pages, HUGE);
-        for (what, repr, node) in [
-            ("B-tree keys", &btree, keys),
-            ("B-tree children", &btree, children),
-            ("directory pages", &paged, pages),
-        ] {
+        for (what, node) in [("B-tree keys", keys), ("B-tree children", children)] {
             let root = fnv128(&node);
-            load(what, &[node], one_relation_manifest(repr, root));
+            load(what, &[node], one_relation_manifest(&btree, root));
         }
-        let mut page = vec![TAG_PAGE];
-        put_u32(&mut page, HUGE);
-        let mut directory = vec![TAG_DIRECTORY];
-        put_u32(&mut directory, 1);
-        put_u128(&mut directory, fnv128(&page));
-        let root = fnv128(&directory);
-        load(
-            "page tuples",
-            &[page, directory],
-            one_relation_manifest(&paged, root),
-        );
 
         let mut entries = Vec::new();
         put_u32(&mut entries, HUGE);

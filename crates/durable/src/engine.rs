@@ -149,10 +149,12 @@ pub struct ReplayedState {
 /// were applied — what a replica appends to its own log, so the log holds
 /// each record once even when a shipped batch overlaps applied history.
 ///
-/// Consecutive data writes on one relation go through the batch kernel as
-/// one run, as the engine that logged them committed them; DDL, an index
-/// build or a write on another relation ends the run. The state is the
-/// one the record-by-record fold gives.
+/// Data writes go through the batch kernel as one run per relation, held
+/// until a barrier — a `create`, a write that is not a data write (an
+/// index build) or the end of input — and then landed relation by
+/// relation. Writes to different relations commute, and a view's contents
+/// depend only on its bases, so the state is the one the record-by-record
+/// fold gives.
 pub fn replay_records<'a>(
     db: Database,
     marks: HashMap<RelationName, u64>,
@@ -162,12 +164,12 @@ pub fn replay_records<'a>(
     let mut marks = marks;
     let mut applied = Vec::new();
     let mut skipped = 0usize;
-    let mut run = WriteRun::default();
+    let mut runs = WriteRuns::default();
     for (i, record) in records.into_iter().enumerate() {
         match record {
             WalRecord::Create { query } => {
                 let (q, target) = parse_create(query)?;
-                db = run.land(db);
+                db = runs.land(db);
                 // Idempotent: the crash may have been after the create
                 // reached a checkpoint but before log GC. A replayed
                 // `create view` re-materializes from the bases as replayed
@@ -192,15 +194,9 @@ pub fn replay_records<'a>(
                 }
                 let q = parse(query).map_err(invalid_data)?;
                 match (exec::batch_op(&q), q.relation()) {
-                    (Some(op), Some(target)) => {
-                        if run.relation.as_ref() != Some(target) {
-                            db = run.land(db);
-                            run.relation = Some(target.clone());
-                        }
-                        run.ops.push(op);
-                    }
+                    (Some(op), Some(target)) => runs.push(target, op),
                     _ => {
-                        db = run.land(db);
+                        db = runs.land(db);
                         let (_, next) = translate(q).apply(&db);
                         db = next;
                     }
@@ -211,7 +207,7 @@ pub fn replay_records<'a>(
         applied.push(i);
     }
     Ok(ReplayedState {
-        database: run.land(db),
+        database: runs.land(db),
         seq_marks: marks,
         applied,
         skipped,
@@ -230,28 +226,30 @@ fn parse_create(query: &str) -> io::Result<(Query, RelationName)> {
     Ok((q, target))
 }
 
-/// The data writes of consecutive log records on one relation, not yet
-/// applied.
+/// The data writes read since the last barrier, one run per relation in
+/// order of first appearance, not yet applied.
 #[derive(Default)]
-struct WriteRun {
-    relation: Option<RelationName>,
-    ops: Vec<BatchOp>,
-}
+struct WriteRuns(Vec<(RelationName, Vec<BatchOp>)>);
 
-impl WriteRun {
-    /// Applies the run to `db` as one batch and empties it. A relation
-    /// that is missing or is a view refuses the run, as it refuses each
-    /// write alone.
-    fn land(&mut self, db: Database) -> Database {
-        let Some(relation) = self.relation.take() else {
-            return db;
-        };
-        let landed = db.write(&relation, &self.ops);
-        self.ops.clear();
-        match landed {
-            Ok((next, _, _)) => next,
-            Err(_) => db,
+impl WriteRuns {
+    /// Adds `op` to `relation`'s run.
+    fn push(&mut self, relation: &RelationName, op: BatchOp) {
+        match self.0.iter_mut().find(|(r, _)| r == relation) {
+            Some((_, ops)) => ops.push(op),
+            None => self.0.push((relation.clone(), vec![op])),
         }
+    }
+
+    /// Applies each run to `db` as one batch and empties the set. A
+    /// relation that is missing or is a view refuses its run, as it
+    /// refuses each write alone.
+    fn land(&mut self, db: Database) -> Database {
+        self.0
+            .drain(..)
+            .fold(db, |db, (relation, ops)| match db.write(&relation, &ops) {
+                Ok((next, _, _)) => next,
+                Err(_) => db,
+            })
     }
 }
 

@@ -22,10 +22,10 @@ const CREATES: [&str; 4] = [
     "create relation R as tree",
     "create relation S as btree(3)",
     "create relation L as list",
-    "create relation P as paged(4)",
+    "create relation P as tree",
 ];
 
-/// One view of every kind, each over a different backend.
+/// One view of every kind, over list and B-tree bases.
 const VIEWS: [&str; 4] = [
     "create view VR as select from R where #0 > 10",
     "create view VC as count S by #2",
@@ -407,4 +407,98 @@ fn replay_batches_write_runs_around_ddl_like_the_sequential_fold() {
     assert_eq!(resumed.skipped, split);
     assert_eq!(resumed.applied, (split..records.len()).collect::<Vec<_>>());
     assert!(db_equal(&resumed.database, &model));
+}
+
+/// Records alternating between two relations — a sharded cluster's
+/// set-up shape — replay as one run per relation per barrier; the bases,
+/// a join view over both, a count view, the marks and the applied set are
+/// those of applying the records one at a time.
+#[test]
+fn replay_of_an_interleaved_log_lands_one_run_per_relation() {
+    let create = |query: &str| WalRecord::Create {
+        query: query.to_string(),
+    };
+    let write = |relation: &str, seq: u64, query: String| WalRecord::Write {
+        relation: relation.to_string(),
+        seq,
+        query,
+    };
+    let mut records = vec![
+        create("create relation A as tree"),
+        create("create relation B as list"),
+        create("create view J as join A with B on #1 = #1"),
+        create("create view C as count A by #1"),
+    ];
+    let (mut a, mut b) = (0u64, 0u64);
+    for k in 0..60u64 {
+        records.push(write("A", a, format!("insert ({k}, {}) into A", k % 7)));
+        records.push(write(
+            "B",
+            b,
+            format!("insert ({}, {}) into B", 100 + k, k % 5),
+        ));
+        (a, b) = (a + 1, b + 1);
+        if k % 9 == 4 {
+            records.push(write("A", a, format!("delete {} from A", k / 2)));
+            records.push(write("B", b, format!("replace ({}, 3) in B", 100 + k / 3)));
+            (a, b) = (a + 1, b + 1);
+        }
+        if k == 30 {
+            // An index build is a barrier: both pending runs land first.
+            records.push(write("A", a, "create index by_g on A (#1)".into()));
+            a += 1;
+        }
+    }
+
+    let model = fold_records(records.clone());
+    let state = replay_records(Database::empty(), HashMap::new(), &records).unwrap();
+    assert_eq!(state.applied, (0..records.len()).collect::<Vec<_>>());
+    assert_eq!(state.skipped, 0);
+    assert_eq!(state.seq_marks.get(&"A".into()), Some(&a));
+    assert_eq!(state.seq_marks.get(&"B".into()), Some(&b));
+    let got = &state.database;
+    assert!(db_equal(got, &model));
+    assert!(db_equal(got, &got.recompute_views()));
+    for name in ["A", "B", "J", "C"] {
+        let (g, m) = (
+            got.relation(&name.into()).unwrap(),
+            model.relation(&name.into()).unwrap(),
+        );
+        assert_eq!(g.len(), m.len(), "{name}");
+    }
+    assert!(!got.relation(&"J".into()).unwrap().is_empty());
+
+    // A checkpoint holding a prefix that ends mid-interleave: the marks
+    // skip it, and the rest lands as the fold of the rest does.
+    let split = 33;
+    let prefix = replay_records(Database::empty(), HashMap::new(), &records[..split]).unwrap();
+    let resumed = replay_records(prefix.database, prefix.seq_marks, &records).unwrap();
+    assert_eq!(resumed.skipped, split);
+    assert_eq!(resumed.applied, (split..records.len()).collect::<Vec<_>>());
+    assert!(db_equal(&resumed.database, &model));
+}
+
+/// A log written when relations could be paged is refused with a typed
+/// error: the `create` no longer parses, and recovery reports it as
+/// invalid data rather than panicking or guessing a representation.
+#[test]
+fn a_log_creating_a_paged_relation_is_refused_as_invalid_data() {
+    let tmp = ScratchDir::new("wal-retired-paged");
+    let wal_dir = tmp.path().join("wal");
+    let mut wal = Wal::open(&wal_dir, u64::MAX).unwrap();
+    wal.append_batch(&[
+        WalRecord::Create {
+            query: "create relation P as paged(4)".into(),
+        },
+        WalRecord::Write {
+            relation: "P".into(),
+            seq: 0,
+            query: "insert 1 into P".into(),
+        },
+    ])
+    .unwrap();
+    drop(wal);
+    let err = fundb_durable::recover_state(tmp.path()).expect_err("paged is no representation");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("list, tree, btree(n)"), "{err}");
 }

@@ -13,7 +13,6 @@
 //! versions and reports which pages they physically share — the benches use
 //! it to regenerate the figure.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -159,52 +158,6 @@ impl<T> PagedStore<T> {
             .map(|p| Arc::as_ptr(p) as usize)
             .collect()
     }
-
-    /// Memoized fold over the physical pages — the serialization visitor
-    /// used by sharing-aware checkpoints.
-    ///
-    /// `page` folds one data page's items; `directory` folds the per-page
-    /// results into the store's result. Both the data pages and the
-    /// directory page are memoized by address, so pages shared with
-    /// previously folded versions are folded once ever: re-folding a
-    /// successor version costs O(pages copied by the update), which for one
-    /// insert is a single data page plus the directory (Figure 2-2).
-    ///
-    /// Addresses are only stable while the pages are alive — a caller that
-    /// reuses `memo` across calls must keep every previously folded store
-    /// alive for as long as the memo is.
-    pub fn fold_pages<R, P, D>(
-        &self,
-        memo: &mut HashMap<usize, R>,
-        page: &mut P,
-        directory: &mut D,
-    ) -> R
-    where
-        R: Clone,
-        P: FnMut(&[T]) -> R,
-        D: FnMut(&[R]) -> R,
-    {
-        let dir_addr = Arc::as_ptr(&self.directory) as usize;
-        if let Some(r) = memo.get(&dir_addr) {
-            return r.clone();
-        }
-        let page_results: Vec<R> = self
-            .directory
-            .iter()
-            .map(|p| {
-                let addr = Arc::as_ptr(p) as usize;
-                if let Some(r) = memo.get(&addr) {
-                    return r.clone();
-                }
-                let r = page(&p.items);
-                memo.insert(addr, r.clone());
-                r
-            })
-            .collect();
-        let result = directory(&page_results);
-        memo.insert(dir_addr, result.clone());
-        result
-    }
 }
 
 impl<T: Clone> PagedStore<T> {
@@ -240,59 +193,6 @@ impl<T: Clone> PagedStore<T> {
                 directory: Arc::new(pages),
                 page_capacity: self.page_capacity,
                 len: self.len + 1,
-            },
-            CopyReport::new(copied, shared),
-        )
-    }
-
-    /// Appends a whole run of items in one step: the trailing partial page
-    /// is copied once (not once per item) and full pages are minted
-    /// directly, so `k` appends cost O(k / page_capacity + 1) page builds.
-    pub fn append_batch<I: IntoIterator<Item = T>>(&self, items: I) -> (PagedStore<T>, CopyReport) {
-        let mut items = items.into_iter().peekable();
-        if items.peek().is_none() {
-            return (
-                self.clone(),
-                CopyReport::new(0, self.directory.len() as u64),
-            );
-        }
-        let mut pages: Vec<Arc<Page<T>>> = self.directory.as_ref().clone();
-        let mut copied = 0u64;
-        let mut len = self.len;
-        // Top up the trailing partial page, copying it once.
-        let mut current: Vec<T> = match pages.last() {
-            Some(last) if last.items.len() < self.page_capacity => {
-                let c = last.items.clone();
-                pages.pop();
-                copied += 1;
-                c
-            }
-            _ => {
-                copied += 1;
-                Vec::new()
-            }
-        };
-        for item in items {
-            len += 1;
-            current.push(item);
-            if current.len() == self.page_capacity {
-                pages.push(Arc::new(Page {
-                    items: std::mem::take(&mut current),
-                }));
-                copied += 1;
-            }
-        }
-        if current.is_empty() {
-            copied -= 1; // the last minted page was already counted
-        } else {
-            pages.push(Arc::new(Page { items: current }));
-        }
-        let shared = (pages.len() as u64).saturating_sub(copied);
-        (
-            PagedStore {
-                directory: Arc::new(pages),
-                page_capacity: self.page_capacity,
-                len,
             },
             CopyReport::new(copied, shared),
         )
@@ -419,51 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_copies_trailing_page_once() {
-        let v1: PagedStore<u32> = PagedStore::with_capacity(4, 0..10);
-        let (v2, report) = v1.append_batch(10..21);
-        assert_eq!(v2.len(), 21);
-        assert_eq!(
-            v2.iter().copied().collect::<Vec<_>>(),
-            (0..21).collect::<Vec<_>>()
-        );
-        // Pages: [0..4][4..8] shared; [8..12][12..16][16..20][20] new.
-        assert_eq!(report.copied, 4);
-        assert_eq!(report.shared, 2);
-        let sharing = PageSharingReport::between(&v1, &v2);
-        assert_eq!(sharing.shared_pages, 2);
-        // The old trailing partial page was superseded, not copied per item.
-        assert_eq!(sharing.superseded_pages, 1);
-    }
-
-    #[test]
-    fn append_batch_empty_shares_all() {
-        let v1: PagedStore<u32> = PagedStore::with_capacity(4, 0..8);
-        let (v2, report) = v1.append_batch(std::iter::empty());
-        assert!(v1.ptr_eq(&v2));
-        assert_eq!(report.copied, 0);
-        assert_eq!(report.shared, 2);
-    }
-
-    #[test]
-    fn append_batch_matches_sequential_inserts() {
-        for n in [0usize, 1, 3, 4, 5, 9, 16] {
-            let base: PagedStore<u32> = PagedStore::with_capacity(4, 0..6);
-            let (batched, _) = base.append_batch((0..n as u32).map(|i| 100 + i));
-            let mut seq = base.clone();
-            for i in 0..n as u32 {
-                seq = seq.insert(100 + i);
-            }
-            assert_eq!(
-                batched.iter().collect::<Vec<_>>(),
-                seq.iter().collect::<Vec<_>>(),
-                "n={n}"
-            );
-            assert_eq!(batched.len(), seq.len(), "n={n}");
-        }
-    }
-
-    #[test]
     fn replace_copies_exactly_one_page() {
         let v1: PagedStore<u32> = PagedStore::with_capacity(4, 0..12);
         let v2 = v1.replace(5, 500).unwrap();
@@ -488,37 +343,6 @@ mod tests {
         let (_, small_copy) = small.insert_counted(1);
         let (_, big_copy) = big.insert_counted(1);
         assert!(big_copy.copied_fraction() < small_copy.copied_fraction());
-    }
-
-    #[test]
-    fn fold_pages_memoizes_shared_pages() {
-        let v1: PagedStore<u32> = PagedStore::with_capacity(4, 0..16);
-        let mut memo: HashMap<usize, u64> = HashMap::new();
-        let pages_folded = std::cell::Cell::new(0usize);
-        let mut page = |items: &[u32]| {
-            pages_folded.set(pages_folded.get() + 1);
-            items.iter().map(|i| u64::from(*i)).sum::<u64>()
-        };
-        let mut dir = |rs: &[u64]| rs.iter().sum::<u64>();
-        let sum1 = v1.fold_pages(&mut memo, &mut page, &mut dir);
-        assert_eq!(sum1, (0..16u64).sum::<u64>());
-        assert_eq!(pages_folded.get(), 4);
-
-        // Inserting into a full store adds one page; only it is new work.
-        let v2 = v1.insert(100);
-        pages_folded.set(0);
-        let sum2 = v2.fold_pages(&mut memo, &mut page, &mut dir);
-        assert_eq!(sum2, sum1 + 100);
-        assert_eq!(
-            pages_folded.get(),
-            1,
-            "only the new page should be folded on the second pass"
-        );
-
-        // Folding the same version again is a pure memo hit.
-        pages_folded.set(0);
-        assert_eq!(v2.fold_pages(&mut memo, &mut page, &mut dir), sum2);
-        assert_eq!(pages_folded.get(), 0);
     }
 
     #[test]

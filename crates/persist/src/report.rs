@@ -14,8 +14,7 @@ use std::ops::Add;
 /// `_counted` operations, which walk the result to count it. The reports
 /// of the relational layer's write paths (`Relation::insert`, `delete`,
 /// `apply_batch`) fill it only where no tree walk is needed — the suffix
-/// of a list behind the touched cells, the directory of a paged store —
-/// and leave it 0 for the trees, so `total()` and `copied_fraction()` of
+/// of a list behind the touched cells — and leave it 0 for the trees, so `total()` and `copied_fraction()` of
 /// a tree-backed relation's report say nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CopyReport {

@@ -52,8 +52,6 @@ pub enum ReprSpec {
     Tree,
     /// B-tree with the given minimum degree.
     BTree(usize),
-    /// Paged store with the given page capacity.
-    Paged(usize),
 }
 
 impl ReprSpec {
@@ -63,7 +61,6 @@ impl ReprSpec {
             ReprSpec::List => Repr::List,
             ReprSpec::Tree => Repr::TREE,
             ReprSpec::BTree(t) => Repr::BTree(t),
-            ReprSpec::Paged(c) => Repr::Paged(c),
         }
     }
 }
@@ -74,7 +71,6 @@ impl fmt::Display for ReprSpec {
             ReprSpec::List => f.write_str("list"),
             ReprSpec::Tree => f.write_str("tree"),
             ReprSpec::BTree(t) => write!(f, "btree({t})"),
-            ReprSpec::Paged(c) => write!(f, "paged({c})"),
         }
     }
 }
@@ -1026,7 +1022,6 @@ mod tests {
         assert_eq!(ReprSpec::List.to_repr(), Repr::List);
         assert_eq!(ReprSpec::Tree.to_repr(), Repr::BTree(16));
         assert_eq!(ReprSpec::BTree(4).to_repr(), Repr::BTree(4));
-        assert_eq!(ReprSpec::Paged(8).to_repr(), Repr::Paged(8));
         assert_eq!(ReprSpec::BTree(4).to_string(), "btree(4)");
     }
 }

@@ -45,7 +45,7 @@
 //! conj    := atom { "and" atom }
 //! atom    := field ( "=" | "<" | ">" | "!=" ) value | "(" pred ")"
 //! field   := "#" INT | NAME          (names need a relation schema)
-//! repr    := "list" | "tree" | "btree" "(" INT ")" | "paged" "(" INT ")"
+//! repr    := "list" | "tree" | "btree" "(" INT ")"
 //!                                    ("tree" is "btree(16)")
 //! ```
 //!

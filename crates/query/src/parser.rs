@@ -371,18 +371,19 @@ impl Parser {
     }
 
     fn repr_spec(&mut self) -> Result<ReprSpec, ParseError> {
-        let name = match self.next() {
-            Some(Token::Ident(s)) => s.to_ascii_lowercase(),
-            Some(t) => return Err(self.err(format!("expected representation, found '{t}'"))),
-            None => return Err(self.err("expected representation, found end of input")),
+        let found = match self.next() {
+            Some(Token::Ident(s)) => match s.to_ascii_lowercase().as_str() {
+                "list" => return Ok(ReprSpec::List),
+                "tree" => return Ok(ReprSpec::Tree),
+                "btree" => return Ok(ReprSpec::BTree(self.paren_usize("minimum degree", 2)?)),
+                other => format!("'{other}'"),
+            },
+            Some(t) => format!("'{t}'"),
+            None => "end of input".into(),
         };
-        match name.as_str() {
-            "list" => Ok(ReprSpec::List),
-            "tree" => Ok(ReprSpec::Tree),
-            "btree" => Ok(ReprSpec::BTree(self.paren_usize("minimum degree", 2)?)),
-            "paged" => Ok(ReprSpec::Paged(self.paren_usize("page capacity", 1)?)),
-            other => Err(self.err(format!("unknown representation '{other}'"))),
-        }
+        Err(self.err(format!(
+            "expected representation (list, tree, btree(n)), found {found}"
+        )))
     }
 
     /// Parses `(n)` with `n >= min`.
@@ -580,10 +581,6 @@ mod tests {
             parse("create relation R as btree(8)").unwrap().to_string(),
             "create relation R as btree(8)"
         );
-        assert_eq!(
-            parse("create relation R as paged(16)").unwrap().to_string(),
-            "create relation R as paged(16)"
-        );
     }
 
     #[test]
@@ -773,13 +770,25 @@ mod tests {
             "select from R where #x = 1",
             "select from R where #0 ~ 1",
             "create relation R as btree(1)",
-            "create relation R as paged(0)",
+            "create relation R as paged(4)",
             "create relation R as hashmap",
             "insert (1,) into R",
             "insert (1 into R",
             "find 1 in R extra",
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
+        }
+        for unknown in [
+            "create relation R as paged(4)",
+            "create relation R as hashmap",
+            "create relation R as 5",
+            "create relation R as",
+        ] {
+            let e = parse(unknown).unwrap_err();
+            assert!(
+                e.to_string().contains("list, tree, btree(n)"),
+                "{unknown}: {e}"
+            );
         }
     }
 

@@ -38,10 +38,8 @@
 //! posting entry carries its key's tuple whenever that key's bucket holds
 //! exactly one, and [`Relation::index_rows`] reads only multi-tuple
 //! buckets from the primary store. Probes return entries in ascending key
-//! order, so on key-ordered representations an index-assisted select
-//! returns exactly the sequence a full scan-and-filter would. Arrival-order
-//! (paged) stores are the exception: the index path yields key order, so
-//! equivalence there is as a multiset (documented in DESIGN.md §13).
+//! order and every representation scans in key order, so an index-assisted
+//! select returns exactly the sequence a full scan-and-filter would.
 //!
 //! Joins get the same treatment via [`choose_join_strategy`]: key-key
 //! joins keep the merge pass, a non-key equi-join probes a secondary
@@ -505,8 +503,8 @@ pub fn explain_select(
 /// The chosen way to execute an equi-join.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Key-key join: the synchronized merge pass (or scan-and-probe on
-    /// arrival-order stores) of [`Relation::join_by_key`].
+    /// Key-key join: the synchronized merge pass of
+    /// [`Relation::join_by_key`].
     MergeKeys,
     /// Left attribute against the right relation's *key*: one primary
     /// probe per left tuple.
@@ -798,7 +796,7 @@ mod tests {
 
     #[test]
     fn composite_select_matches_scan_select() {
-        for repr in [Repr::List, Repr::BTree(4), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(4)] {
             let r = Relation::from_tuples(
                 repr,
                 (0..80).map(|k| {
@@ -815,15 +813,9 @@ mod tests {
                 Predicate::And(Box::new(eq(1, "g2".into())), Box::new(eq(2, 4.into()))),
                 eq(1, "g1".into()),
             ] {
-                let mut planned = execute_select(&r, None, &None, &Some(pred.clone())).unwrap();
-                let mut scanned: Vec<Tuple> =
-                    r.scan().into_iter().filter(|t| pred.eval(t)).collect();
-                if !matches!(repr, Repr::Paged(_)) {
-                    assert_eq!(planned, scanned, "{repr:?} {pred}");
-                }
-                planned.sort_by_key(|t| format!("{t:?}"));
-                scanned.sort_by_key(|t| format!("{t:?}"));
-                assert_eq!(planned, scanned, "{repr:?} {pred} (multiset)");
+                let planned = execute_select(&r, None, &None, &Some(pred.clone())).unwrap();
+                let scanned: Vec<Tuple> = r.scan().into_iter().filter(|t| pred.eval(t)).collect();
+                assert_eq!(planned, scanned, "{repr:?} {pred}");
             }
         }
     }
@@ -1114,7 +1106,7 @@ mod tests {
 
     #[test]
     fn join_strategies_agree() {
-        for repr in [Repr::List, Repr::BTree(4), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(4)] {
             let (left, right) = join_fixture(repr);
             let indexed = right.create_index("by_cust", 1).unwrap();
             // Reference: the naive build-and-probe on the unindexed right.

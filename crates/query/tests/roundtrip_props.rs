@@ -54,7 +54,6 @@ fn repr_strategy() -> impl Strategy<Value = ReprSpec> {
         Just(ReprSpec::List),
         Just(ReprSpec::Tree),
         (2usize..32).prop_map(ReprSpec::BTree),
-        (1usize..64).prop_map(ReprSpec::Paged),
     ]
 }
 

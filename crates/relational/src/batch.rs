@@ -25,11 +25,10 @@
 //! [`Relation::apply_transitions`] lands a run through that call too,
 //! which is how views commit their own deltas. A key whose bucket comes
 //! out as it went in yields no transition, so a no-op write shares the
-//! whole relation. One store applies the ops themselves: the
-//! arrival-order paged store, where ops do not commute across keys; it
-//! still takes its outcomes, index upkeep and length from the runs.
+//! whole relation. Every store scans in key order, so ops on different
+//! keys commute and the per-key grouping holds for every relation.
 
-use fundb_persist::{CopyReport, PList, PagedStore};
+use fundb_persist::{CopyReport, PList};
 
 use crate::index::KeyTransition;
 use crate::relation::{Relation, Store};
@@ -66,50 +65,17 @@ pub enum BatchOutcome {
     Deleted(usize),
 }
 
-/// Sequential store application for the arrival-order paged store, where
-/// ops do NOT commute across keys (a delete removes only tuples inserted
-/// before it, and scan order is arrival order): pure-insert batches take
-/// the `append_batch` fast path, anything else is simulated in order and
-/// rebuilt in one pass.
-fn apply_paged_batch(store: &PagedStore<Tuple>, ops: &[BatchOp]) -> (Store, CopyReport) {
-    if ops.iter().all(|op| matches!(op, BatchOp::Insert(_))) {
-        let items = ops.iter().filter_map(|op| match op {
-            BatchOp::Insert(t) => Some(t.clone()),
-            _ => None,
-        });
-        let (p2, report) = store.append_batch(items);
-        return (Store::Paged(p2), report);
-    }
-    let mut tuples: Vec<Tuple> = store.iter().cloned().collect();
-    for op in ops {
-        if !matches!(op, BatchOp::Insert(_)) {
-            tuples.retain(|t| t.key() != op.key());
-        }
-        if let BatchOp::Insert(t) | BatchOp::Replace(t) = op {
-            tuples.push(t.clone());
-        }
-    }
-    let p2 = PagedStore::with_capacity(store.page_capacity(), tuples);
-    let copied = p2.page_count() as u64;
-    (Store::Paged(p2), CopyReport::new(copied, 0))
-}
-
 /// Each key's current tuples, in scan order, for a strictly ascending key
-/// run: a probe per key on the B-tree, one pass otherwise (the key-ordered
-/// list stops past the last key; the paged store has no order to stop on).
+/// run: a probe per key on the B-tree, one pass on the list (stopping past
+/// the last key).
 fn key_groups(store: &Store, keys: &[&Value]) -> Vec<Vec<Tuple>> {
-    let tuples: Box<dyn Iterator<Item = &Tuple> + '_> = match store {
-        Store::BTree(_) => {
-            return keys.iter().map(|k| store.find(k)).collect();
-        }
-        Store::List(l) => {
-            let last = keys.last().copied();
-            Box::new(l.iter().take_while(move |t| Some(t.key()) <= last))
-        }
-        Store::Paged(p) => Box::new(p.iter()),
+    let l = match store {
+        Store::BTree(_) => return keys.iter().map(|k| store.find(k)).collect(),
+        Store::List(l) => l,
     };
+    let last = keys.last().copied();
     let mut groups = vec![Vec::new(); keys.len()];
-    for t in tuples {
+    for t in l.iter().take_while(|t| Some(t.key()) <= last) {
         if let Ok(i) = keys.binary_search(&t.key()) {
             groups[i].push(t.clone());
         }
@@ -182,9 +148,6 @@ fn transition_effect(tr: &KeyTransition) -> (Value, Option<PList<Tuple>>) {
 /// Lands a strictly ascending transition run in `store` — each key's
 /// bucket replaced wholesale by its `after` tuples — through the
 /// representation's one-pass kernel, returning the kernel's copy report.
-/// The paged store has no key order to merge along: untouched tuples keep
-/// their place, every touched key's bucket is appended, and the pages are
-/// rebuilt in one pass.
 fn land(store: &Store, runs: &[KeyTransition]) -> (Store, CopyReport) {
     if runs.is_empty() {
         return (store.clone(), CopyReport::default());
@@ -207,14 +170,6 @@ fn land(store: &Store, runs: &[KeyTransition]) -> (Store, CopyReport) {
             let effects: Vec<_> = runs.iter().map(transition_effect).collect();
             let (t2, copied) = t.merge_batch(&effects);
             (Store::BTree(t2), CopyReport::new(copied, 0))
-        }
-        Store::Paged(p) => {
-            let touched = |k: &Value| runs.binary_search_by(|tr| tr.key.cmp(k)).is_ok();
-            let mut tuples: Vec<Tuple> = p.iter().filter(|t| !touched(t.key())).cloned().collect();
-            tuples.extend(runs.iter().flat_map(|tr| tr.after.iter().cloned()));
-            let p2 = PagedStore::with_capacity(p.page_capacity(), tuples);
-            let copied = p2.page_count() as u64;
-            (Store::Paged(p2), CopyReport::new(copied, 0))
         }
     }
 }
@@ -276,8 +231,8 @@ impl Relation {
     /// Applies a batch of writes, returning the new relation, one outcome
     /// per op (in batch order), and the aggregate copy report: `copied` is
     /// every node the batch allocated in the store; `shared` is filled for
-    /// the list and the paged store only (see [`CopyReport`]) — nothing is
-    /// walked to measure it.
+    /// the list only (see [`CopyReport`]) — nothing is walked to measure
+    /// it.
     ///
     /// Equivalent to applying the ops one at a time in batch order — same
     /// final contents, same per-op results — but each touched node is copied
@@ -302,17 +257,7 @@ impl Relation {
             return (self.clone(), Vec::new(), CopyReport::default(), Vec::new());
         }
         let (runs, outcomes) = derive(&self.store, ops);
-        let (store, report) = match &self.store {
-            // Only a pure-delete batch that removed nothing leaves arrival
-            // order alone: an insert or a replace moves tuples even where
-            // its key's bucket comes out the same.
-            Store::Paged(p)
-                if !runs.is_empty() || ops.iter().any(|op| !matches!(op, BatchOp::Delete(_))) =>
-            {
-                apply_paged_batch(p, ops)
-            }
-            store => land(store, &runs),
-        };
+        let (store, report) = land(&self.store, &runs);
         (self.with_landed(store, &runs), outcomes, report, runs)
     }
 }
@@ -324,14 +269,14 @@ mod tests {
     use proptest::prelude::*;
 
     fn all_reprs() -> Vec<Repr> {
-        vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
+        vec![Repr::List, Repr::BTree(4)]
     }
 
     /// Reference semantics from std types alone: `base`'s rows in a `Vec`,
     /// ops applied one at a time (a delete drops every row of its key, an
-    /// insert appends), then laid out in `repr`'s scan order — arrival
-    /// order on the paged store, key order keeping arrival order within a
-    /// key on the B-tree, row order on the list.
+    /// insert appends), then laid out in `repr`'s scan order — key order
+    /// keeping arrival order within a key on the B-tree, row order on the
+    /// list.
     fn model(repr: Repr, base: &Relation, ops: &[BatchOp]) -> (Vec<Tuple>, Vec<BatchOutcome>) {
         let mut rows = base.scan();
         let mut outcomes = Vec::new();
@@ -351,7 +296,6 @@ mod tests {
         match repr {
             Repr::List => rows.sort(),
             Repr::BTree(_) => rows.sort_by(|a, b| a.key().cmp(b.key())),
-            Repr::Paged(_) => {}
         }
         (rows, outcomes)
     }
@@ -584,16 +528,14 @@ mod tests {
                 assert!(out.ptr_eq(&base), "{what}: one-op batch");
                 assert_eq!(outcomes, vec![BatchOutcome::Deleted(0)], "{what}");
                 // Key order is untouched by a write that puts back what
-                // it took; arrival order is not.
-                if base.store().is_key_ordered() {
-                    let ops = [
-                        BatchOp::Replace(tup(4, "seed")),
-                        BatchOp::Insert(tup(7, "x")),
-                        BatchOp::Delete(7.into()),
-                    ];
-                    let (out, _, _) = base.apply_batch(&ops);
-                    assert!(out.ptr_eq(&base), "{what}: net no-op batch");
-                }
+                // it took.
+                let ops = [
+                    BatchOp::Replace(tup(4, "seed")),
+                    BatchOp::Insert(tup(7, "x")),
+                    BatchOp::Delete(7.into()),
+                ];
+                let (out, _, _) = base.apply_batch(&ops);
+                assert!(out.ptr_eq(&base), "{what}: net no-op batch");
             }
         }
     }
@@ -640,8 +582,7 @@ mod tests {
     proptest! {
         /// On every representation with an index: `apply_batch` is the
         /// model's one-at-a-time fold (scan, length, postings, outcomes),
-        /// and on the key-ordered ones it is exactly "land the batch's
-        /// transitions".
+        /// and exactly "land the batch's transitions".
         #[test]
         fn apply_batch_is_the_model_fold_and_lands_its_runs(
             seed in prop::collection::vec((0i64..24, 0usize..4), 0..40),
@@ -663,17 +604,15 @@ mod tests {
                     "{} postings",
                     repr
                 );
-                if !matches!(repr, Repr::Paged(_)) {
-                    let landed = base.apply_transitions(&batch_transitions(&base, &ops));
-                    prop_assert_eq!(landed.scan(), batched.scan(), "{} landed contents", repr);
-                    prop_assert_eq!(landed.len(), batched.len(), "{} landed len", repr);
-                    prop_assert_eq!(
-                        postings(&landed, &TAGS),
-                        postings(&batched, &TAGS),
-                        "{} landed postings",
-                        repr
-                    );
-                }
+                let landed = base.apply_transitions(&batch_transitions(&base, &ops));
+                prop_assert_eq!(landed.scan(), batched.scan(), "{} landed contents", repr);
+                prop_assert_eq!(landed.len(), batched.len(), "{} landed len", repr);
+                prop_assert_eq!(
+                    postings(&landed, &TAGS),
+                    postings(&batched, &TAGS),
+                    "{} landed postings",
+                    repr
+                );
             }
         }
     }

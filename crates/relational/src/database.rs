@@ -478,7 +478,7 @@ impl Database {
     /// A `select` view inherits its base's schema (it holds base rows);
     /// join and aggregate views produce new shapes and carry none. The
     /// view is stored as [`materialize_view`] lays it out: like its
-    /// primary base, or as [`Repr::TREE`] over a paged one.
+    /// primary base.
     ///
     /// # Errors
     ///
@@ -751,18 +751,16 @@ mod tests {
             .create_relation("T", Repr::TREE)
             .unwrap()
             .create_relation("B", Repr::BTree(4))
-            .unwrap()
-            .create_relation("P", Repr::Paged(8))
             .unwrap();
         let mut cur = db;
-        for name in ["L", "T", "B", "P"] {
+        for name in ["L", "T", "B"] {
             for k in 0..10 {
                 let (next, _) = cur.insert(&name.into(), Tuple::of_key(k)).unwrap();
                 cur = next;
             }
         }
-        assert_eq!(cur.tuple_count(), 40);
-        for name in ["L", "T", "B", "P"] {
+        assert_eq!(cur.tuple_count(), 30);
+        for name in ["L", "T", "B"] {
             assert_eq!(
                 cur.find(&name.into(), &5.into()).unwrap().len(),
                 1,
@@ -975,10 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn paged_base_gets_tree_view_and_select_inherits_schema() {
+    fn list_base_gets_list_view_and_select_inherits_schema() {
         let schema = Schema::new(&["id", "color"]).unwrap();
         let db = Database::empty()
-            .create_relation_with_schema("P", Repr::Paged(4), Some(schema.clone()))
+            .create_relation_with_schema("P", Repr::List, Some(schema.clone()))
             .unwrap();
         let db = db
             .create_view(
@@ -989,7 +987,10 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(db.relation(&"V".into()).unwrap().repr(), Repr::TREE);
+        assert_eq!(
+            db.relation(&"V".into()).unwrap().repr(),
+            db.relation(&"P".into()).unwrap().repr()
+        );
         assert_eq!(db.schema(&"V".into()).unwrap(), Some(&schema));
         // Aggregate views carry no schema.
         let db = db

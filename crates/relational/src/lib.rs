@@ -7,7 +7,8 @@
 //!
 //! * a [`Relation`] is a multiset of [`Tuple`]s keyed by their first
 //!   attribute, represented by one of the structures of `fundb_persist`
-//!   (linked list as in the paper's experiments, B-tree, paged store);
+//!   (linked list as in the paper's experiments, or B-tree), both scanning
+//!   in key order;
 //! * a [`Database`] is a persistent association list from [`RelationName`]
 //!   to [`Relation`] — exactly the linked-list database of Section 4 — so
 //!   updating one relation re-conses the spine up to its entry and shares

@@ -8,16 +8,17 @@
 //! no write path here walks the result to count what it shares (the
 //! `_counted` operations of `fundb_persist` do that, for measurement).
 //!
-//! Three representations are provided (the [`Store`]). The paper's
-//! experiments used linked lists and projected better results for trees;
-//! benches compare them. A relation additionally carries an [`IndexSet`] of
-//! secondary indexes — persistent derived structures maintained
-//! incrementally by every write path (see [`crate::index`]); a relation
-//! with no indexes pays nothing for the capability.
+//! Two representations are provided (the [`Store`]), both scanning in key
+//! order. The paper's experiments used linked lists and projected better
+//! results for trees; benches compare them. A relation additionally
+//! carries an [`IndexSet`] of secondary indexes — persistent derived
+//! structures maintained incrementally by every write path (see
+//! [`crate::index`]); a relation with no indexes pays nothing for the
+//! capability.
 
 use std::fmt;
 
-use fundb_persist::{BTree, CopyReport, PList, PagedStore};
+use fundb_persist::{BTree, CopyReport, PList};
 
 use crate::batch::BatchOp;
 use crate::index::{IndexSet, PostingEntry, SecondaryIndex};
@@ -32,15 +33,11 @@ pub enum Repr {
     /// Persistent B-tree of key → tuple bucket, with the given minimum
     /// degree.
     BTree(usize),
-    /// Paged store (Figure 2-2) with the given page capacity; kept in
-    /// arrival order.
-    Paged(usize),
 }
 
 impl Repr {
     /// The tree a relation gets when it asks for one without naming a
-    /// degree: the query language's `tree`, and the store of a view over
-    /// an arrival-order paged base.
+    /// degree: the query language's `tree`.
     pub const TREE: Repr = Repr::BTree(16);
 }
 
@@ -49,21 +46,20 @@ impl fmt::Display for Repr {
         match self {
             Repr::List => write!(f, "list"),
             Repr::BTree(t) => write!(f, "B-tree(t={t})"),
-            Repr::Paged(c) => write!(f, "paged(cap={c})"),
         }
     }
 }
 
 /// The physical tuple store behind a [`Relation`]: one of the persistent
-/// representations of `fundb_persist`. Cloning is O(1) for every variant.
+/// representations of `fundb_persist`. Both scan in key order, so ops on
+/// different keys commute and two stores merge-join. Cloning is O(1) for
+/// every variant.
 #[derive(Clone)]
 pub enum Store {
     /// Key-ordered linked list.
     List(PList<Tuple>),
     /// B-tree of key → bucket of tuples with that key.
     BTree(BTree<Value, PList<Tuple>>),
-    /// Paged store in arrival order.
-    Paged(PagedStore<Tuple>),
 }
 
 impl fmt::Debug for Store {
@@ -85,7 +81,6 @@ impl Store {
         match repr {
             Repr::List => Store::List(PList::nil()),
             Repr::BTree(t) => Store::BTree(BTree::new(t)),
-            Repr::Paged(c) => Store::Paged(PagedStore::new(c)),
         }
     }
 
@@ -94,7 +89,6 @@ impl Store {
         match self {
             Store::List(_) => Repr::List,
             Store::BTree(b) => Repr::BTree(b.min_degree()),
-            Store::Paged(p) => Repr::Paged(p.page_capacity()),
         }
     }
 
@@ -103,7 +97,6 @@ impl Store {
         match self {
             Store::List(l) => l.len(),
             Store::BTree(t) => t.iter().map(|(_, b)| b.len()).sum(),
-            Store::Paged(p) => p.len(),
         }
     }
 
@@ -112,7 +105,6 @@ impl Store {
         match self {
             Store::List(l) => l.is_empty(),
             Store::BTree(t) => t.is_empty(),
-            Store::Paged(p) => p.is_empty(),
         }
     }
 
@@ -135,7 +127,6 @@ impl Store {
                 out
             }
             Store::BTree(t) => t.get(key).map(bucket_in_arrival_order).unwrap_or_default(),
-            Store::Paged(p) => p.iter().filter(|t| t.key() == key).cloned().collect(),
         }
     }
 
@@ -147,7 +138,7 @@ impl Store {
     /// stops at the first key past the probe, so a miss "early" in key space
     /// touches far fewer cells than the relation holds. Tree representations
     /// count the entries compared along the root-to-leaf descent plus the
-    /// matched bucket's length; paged stores scan fully.
+    /// matched bucket's length.
     pub fn find_counted(&self, key: &Value) -> (Vec<Tuple>, usize) {
         match self {
             Store::List(l) => {
@@ -169,17 +160,13 @@ impl Store {
                 let visited = visited + out.len();
                 (out, visited)
             }
-            Store::Paged(p) => {
-                let out: Vec<Tuple> = p.iter().filter(|t| t.key() == key).cloned().collect();
-                (out, p.len())
-            }
         }
     }
 
     /// Every tuple whose key lies in `lo..=hi`, in key order.
     ///
     /// List stores stop scanning once keys pass `hi`; tree stores prune
-    /// subtrees (O(log n + answer)); paged stores scan fully.
+    /// subtrees (O(log n + answer)).
     pub fn find_range(&self, lo: &Value, hi: &Value) -> Vec<Tuple> {
         if lo > hi {
             return Vec::new();
@@ -202,15 +189,6 @@ impl Store {
                 .into_iter()
                 .flat_map(|(_, bucket)| bucket_in_arrival_order(bucket))
                 .collect(),
-            Store::Paged(p) => {
-                let mut out: Vec<Tuple> = p
-                    .iter()
-                    .filter(|t| t.key() >= lo && t.key() <= hi)
-                    .cloned()
-                    .collect();
-                out.sort();
-                out
-            }
         }
     }
 
@@ -222,27 +200,19 @@ impl Store {
         }
     }
 
-    /// Streams every tuple in the store's natural order (key order for
-    /// list/tree, arrival order for paged) without materializing the whole
+    /// Streams every tuple in key order (within a key: arrival order on the
+    /// B-tree, row order on the list) without materializing the whole
     /// relation; at most one tree bucket is buffered at a time.
     pub fn scan_iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
         match self {
             Store::List(l) => Box::new(l.iter().cloned()),
             Store::BTree(t) => Box::new(t.iter().flat_map(|(_, b)| bucket_in_arrival_order(b))),
-            Store::Paged(p) => Box::new(p.iter().cloned()),
         }
     }
 
-    /// All tuples, in the representation's natural order (key order for
-    /// list/tree, arrival order for paged).
+    /// All tuples, in key order (see [`scan_iter`](Self::scan_iter)).
     pub fn scan(&self) -> Vec<Tuple> {
         self.scan_iter().collect()
-    }
-
-    /// `true` when scan order is key order — the property the merge join
-    /// relies on. Only arrival-order paged stores lack it.
-    pub fn is_key_ordered(&self) -> bool {
-        !matches!(self, Store::Paged(_))
     }
 
     /// `true` if `self` and `other` are physically the same store value
@@ -251,7 +221,6 @@ impl Store {
         match (self, other) {
             (Store::List(a), Store::List(b)) => a.ptr_eq(b),
             (Store::BTree(a), Store::BTree(b)) => a.ptr_eq(b),
-            (Store::Paged(a), Store::Paged(b)) => a.ptr_eq(b),
             _ => false,
         }
     }
@@ -260,8 +229,8 @@ impl Store {
 /// A persistent relation: a multiset of tuples addressed by key (first
 /// field). Duplicated keys are allowed; `find` returns every match.
 ///
-/// Copy reports use representation-specific units (list cells, tree nodes,
-/// or pages) — they compare *within* a representation, which is how the
+/// Copy reports use representation-specific units (list cells or tree
+/// nodes) — they compare *within* a representation, which is how the
 /// sharing benches use them.
 ///
 /// # Example
@@ -431,8 +400,7 @@ impl Relation {
         self.store.scan_iter()
     }
 
-    /// All tuples, in the representation's natural order (key order for
-    /// list/tree, arrival order for paged).
+    /// All tuples, in key order (see [`Store::scan_iter`]).
     pub fn scan(&self) -> Vec<Tuple> {
         self.store.scan()
     }
@@ -448,26 +416,9 @@ impl Relation {
     /// appears once, followed by the remaining fields of both sides).
     /// Output follows `self`'s scan order.
     ///
-    /// When both sides scan in key order (list and tree stores) this is a
-    /// single merge pass over the two scan streams — O(n + m + output) with
-    /// no per-tuple lookups. If either side is an arrival-order paged
-    /// store, it falls back to the scan-and-probe loop.
+    /// Both sides scan in key order, so this is a single merge pass over the
+    /// two scan streams — O(n + m + output) with no per-tuple lookups.
     pub fn join_by_key(&self, other: &Relation) -> Vec<Tuple> {
-        if self.store.is_key_ordered() && other.store.is_key_ordered() {
-            return self.merge_join(other);
-        }
-        let mut out = Vec::new();
-        for left in self.scan() {
-            for right in other.find(left.key()) {
-                out.push(concat_on(&left, &right, 0));
-            }
-        }
-        out
-    }
-
-    /// The merge-join pass: both scan streams are key-ordered, so one
-    /// synchronized walk finds every matching key group.
-    fn merge_join(&self, other: &Relation) -> Vec<Tuple> {
         let mut out = Vec::new();
         let mut left = self.scan_iter().peekable();
         let mut right = other.scan_iter().peekable();
@@ -532,7 +483,7 @@ mod tests {
     }
 
     fn all_reprs() -> Vec<Repr> {
-        vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
+        vec![Repr::List, Repr::BTree(4)]
     }
 
     #[test]
@@ -586,14 +537,6 @@ mod tests {
             .map(|t| t.key().as_int().unwrap())
             .collect();
         assert_eq!(keys, vec![1, 2, 3]); // key order
-
-        let paged = Relation::from_tuples(Repr::Paged(2), tuples());
-        let keys: Vec<i64> = paged
-            .scan()
-            .iter()
-            .map(|t| t.key().as_int().unwrap())
-            .collect();
-        assert_eq!(keys, vec![3, 1, 2]); // arrival order
 
         let tree = Relation::from_tuples(Repr::TREE, tuples());
         let keys: Vec<i64> = tree
@@ -757,9 +700,8 @@ mod tests {
 
     #[test]
     fn merge_join_matches_probe_join() {
-        // Key-ordered sides take the merge path; pairing a paged side
-        // forces the probe fallback. Both must produce the same multiset,
-        // and ordered sides the same sequence.
+        // The merge join produces exactly the scan-and-probe loop's
+        // sequence on every pairing of representations.
         let pairs: Vec<(i64, &str)> = vec![(1, "a"), (2, "b"), (2, "c"), (5, "d"), (9, "e")];
         let rights: Vec<(i64, &str)> = vec![(2, "x"), (2, "y"), (5, "z"), (7, "w")];
         let mk = |repr, data: &[(i64, &str)]| {
@@ -772,21 +714,26 @@ mod tests {
         let reference = {
             let left = mk(Repr::List, &pairs);
             let right = mk(Repr::List, &rights);
-            left.join_by_key(&right)
+            let mut out = Vec::new();
+            for l in left.scan() {
+                for r in right.find(l.key()) {
+                    out.push(concat_on(&l, &r, 0));
+                }
+            }
+            out
         };
-        for repr in [Repr::BTree(2), Repr::BTree(4)] {
-            let left = mk(repr, &pairs);
-            let right = mk(repr, &rights);
-            assert_eq!(left.join_by_key(&right), reference, "{repr}");
+        let reprs = [Repr::List, Repr::BTree(2), Repr::BTree(4)];
+        for left_repr in reprs {
+            for right_repr in reprs {
+                let left = mk(left_repr, &pairs);
+                let right = mk(right_repr, &rights);
+                assert_eq!(
+                    left.join_by_key(&right),
+                    reference,
+                    "{left_repr} ⋈ {right_repr}"
+                );
+            }
         }
-        // Paged fallback: same rows, arrival order on the left.
-        let left = mk(Repr::Paged(2), &pairs);
-        let right = mk(Repr::TREE, &rights);
-        let mut got = left.join_by_key(&right);
-        let mut want = reference.clone();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //! 3. **One consolidation.** The signed view rows are sorted, so grouped
 //!    by view key in ascending order; each distinct row's multiplicities
 //!    are netted; each key's bucket starts from its current rows, drops
-//!    one occurrence per net retraction and appends net assertions, and a
+//!    one occurrence per net retraction and adds net assertions, and a
 //!    key gets a transition only when its bucket changed.
 //!
-//! Intra-bucket row order is therefore deterministic and the same for
-//! every executor: rows a commit keeps stay in place, and the rows it adds
-//! follow them in ascending row order. A freshly materialized bucket
-//! ([`eval_view`]) is in scan order.
+//! A view's buckets hold their rows in ascending row order, freshly
+//! materialized ([`eval_view`]) or after any commit, so a view's contents
+//! — order included — depend only on its bases, not on how their writes
+//! were grouped into commits.
 //!
 //! Every function here is pure: deltas are derived from values and applied
 //! functionally, so views inherit the persistence story of their bases.
@@ -44,7 +44,7 @@ use std::fmt;
 
 use crate::database::RelationName;
 use crate::index::KeyTransition;
-use crate::relation::{Relation, Repr};
+use crate::relation::Relation;
 use crate::tuple::{concat_on, Tuple};
 use crate::value::Value;
 
@@ -229,8 +229,9 @@ fn summand(t: &Tuple, field: usize) -> i64 {
 /// as the reference the incremental path is tested against.
 /// `right` must be `Some` exactly for join definitions (`left` is the
 /// single base otherwise).
+/// The rows come in ascending row order — the order a view keeps.
 pub fn eval_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Vec<Tuple> {
-    match def {
+    let mut rows = match def {
         ViewDef::Select { filter, .. } => match filter {
             None => left.scan(),
             Some(p) => left.select(|t| p.eval(t)),
@@ -286,24 +287,20 @@ pub fn eval_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Ve
                 .map(|(g, (s, n))| Tuple::new(vec![g, Value::Int(s), Value::Int(n)]))
                 .collect()
         }
-    }
+    };
+    rows.sort();
+    rows
 }
 
 /// A new view's first materialization: `def` evaluated over its bases and
-/// stored like the primary base `left` — except over an arrival-order paged
-/// base, which gets [`Repr::TREE`] (paged stores rebuild wholesale on keyed
-/// replacement, which would defeat the differential pass). A join given no
-/// `right` is a self-join and probes `left` on both sides.
+/// stored like the primary base `left`. A join given no `right` is a
+/// self-join and probes `left` on both sides.
 pub fn materialize_view(def: &ViewDef, left: &Relation, right: Option<&Relation>) -> Relation {
-    let repr = match left.repr() {
-        Repr::Paged(_) => Repr::TREE,
-        r => r,
-    };
     let right = match def {
         ViewDef::Join { .. } => Some(right.unwrap_or(left)),
         _ => None,
     };
-    Relation::from_tuples(repr, eval_view(def, left, right))
+    Relation::from_tuples(left.repr(), eval_view(def, left, right))
 }
 
 /// Rebuilds a relation from `rows`, keeping `old`'s representation and
@@ -432,8 +429,8 @@ fn group_rows(
 /// rows are sorted (so grouped by view key, the first field), each
 /// distinct row's multiplicities are netted, and each key's bucket starts
 /// from `view.find(k)` — or the bucket the map step already `read` —
-/// drops one occurrence per net retraction and appends net assertions in
-/// ascending row order. A key whose bucket did not change gets no
+/// drops one occurrence per net retraction, adds net assertions and is
+/// kept in ascending row order. A key whose bucket did not change gets no
 /// transition.
 fn consolidate(
     view: &Relation,
@@ -469,6 +466,7 @@ fn consolidate(
             }
         }
         if changed {
+            after.sort();
             out.push(KeyTransition::new(key, before, after));
         }
     }
@@ -522,9 +520,10 @@ pub fn derive_delta(
 mod tests {
     use super::*;
     use crate::batch::BatchOp;
+    use crate::relation::Repr;
 
     fn all_reprs() -> Vec<Repr> {
-        vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
+        vec![Repr::List, Repr::BTree(4)]
     }
 
     fn row(k: i64, g: i64, x: i64) -> Tuple {
@@ -662,12 +661,7 @@ mod tests {
         for repr in all_reprs() {
             let base = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 3, k)));
             let view = materialize_view(&def, &base, None);
-            let stored = if matches!(repr, Repr::Paged(_)) {
-                Repr::TREE
-            } else {
-                repr
-            };
-            assert_eq!(view.repr(), stored, "{repr}");
+            assert_eq!(view.repr(), repr, "{repr}");
             let (got, expect) = sorted_pair(&view, eval_view(&def, &base, Some(&base)));
             assert_eq!(got, expect, "{repr}");
         }
@@ -750,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn a_commit_keeps_bucket_rows_in_place_and_appends_in_row_order() {
+    fn a_commit_keeps_bucket_rows_in_ascending_row_order() {
         let def = ViewDef::Join {
             left: "L".into(),
             right: "R".into(),
@@ -772,8 +766,9 @@ mod tests {
             .iter()
             .map(|t| t.get(3).unwrap().clone())
             .collect();
-        // The kept rows 10 and 30 stay in place; the arrivals 5 and 15 follow.
-        assert_eq!(right_keys, vec![10.into(), 30.into(), 5.into(), 15.into()]);
+        // The kept rows 10 and 30 and the arrivals 5 and 15, in row order:
+        // what a fresh evaluation over the written bases gives.
+        assert_eq!(right_keys, vec![5.into(), 10.into(), 15.into(), 30.into()]);
     }
 
     #[test]

@@ -22,11 +22,7 @@ fn row(k: i64, g: i64, x: i64) -> Tuple {
 }
 
 fn repr_strategy() -> impl Strategy<Value = Repr> {
-    prop_oneof![
-        Just(Repr::List),
-        (2usize..9).prop_map(Repr::BTree),
-        (2usize..9).prop_map(Repr::Paged),
-    ]
+    prop_oneof![Just(Repr::List), (2usize..9).prop_map(Repr::BTree),]
 }
 
 fn op_strategy() -> impl Strategy<Value = BatchOp> {
@@ -110,7 +106,7 @@ proptest! {
         degree in 2usize..9,
         batches in batches_strategy(),
     ) {
-        for repr in [Repr::List, Repr::BTree(degree), Repr::Paged(degree)] {
+        for repr in [Repr::List, Repr::BTree(degree)] {
             let mut left = Relation::from_tuples(repr, (0..12).map(|k| row(k, k % 4, k)))
                 .create_index("l_by_x", L_INDEX)
                 .unwrap();

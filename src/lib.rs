@@ -35,7 +35,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`lenient`] | write-once cells, lazy streams, the nondeterministic merge |
-//! | [`persist`] | persistent lists, the B-tree (relations and secondary indexes), paged stores |
+//! | [`persist`] | persistent lists, the B-tree (relations and secondary indexes), the paged store of Figure 2-2 |
 //! | [`relational`] | values, tuples, relations, the persistent database |
 //! | [`query`] | the symbolic query language and `translate` |
 //! | [`core`] | `apply-stream`, the serializer, the pipelined engine, the 2PL baseline, the dataflow compiler |

@@ -44,7 +44,7 @@ impl std::fmt::Debug for Session {
 /// Help text printed by `:help`.
 pub const HELP: &str = "\
 queries:
-  create relation <R>[(attrs)] [as list|tree|btree(N)|paged(N)]
+  create relation <R>[(attrs)] [as list|tree|btree(N)]
   insert <tuple> into <R>          e.g. insert (1, 'ada') into Emp
   find <key> in <R>                find <lo> to <hi> in <R>
   delete <key> from <R>            replace <tuple> in <R>

@@ -48,9 +48,9 @@ proptest! {
         seed in 0u64..10_000,
         ops_per_phase in 20usize..60,
         workers in 1usize..9,
-        repr_idx in 0usize..3,
+        repr_idx in 0usize..2,
     ) {
-        let repr = [Repr::List, Repr::BTree(4), Repr::Paged(8)][repr_idx];
+        let repr = [Repr::List, Repr::BTree(4)][repr_idx];
         let spec = PhasedSpec::regime_shifts(3, ops_per_phase, seed);
         let db = spec.initial(repr);
         let txns = merged_order(&spec);

@@ -18,7 +18,7 @@ use fundb::relational::{Relation, Repr, Store, Tuple, Value};
 use proptest::prelude::*;
 
 fn all_reprs() -> Vec<Repr> {
-    vec![Repr::List, Repr::BTree(4), Repr::Paged(4)]
+    vec![Repr::List, Repr::BTree(4)]
 }
 
 fn tup(k: i64, tag: u8) -> Tuple {
@@ -27,9 +27,8 @@ fn tup(k: i64, tag: u8) -> Tuple {
 
 /// Reference semantics from std types alone: `base`'s rows in a `Vec`, ops
 /// applied one at a time (a delete drops every row of its key, an insert
-/// appends), then laid out in `repr`'s scan order — arrival order on the
-/// paged store, key order keeping arrival order within a key on the
-/// B-tree, row order on the list.
+/// appends), then laid out in `repr`'s scan order — key order keeping
+/// arrival order within a key on the B-tree, row order on the list.
 fn model(repr: Repr, base: &Relation, ops: &[BatchOp]) -> (Vec<Tuple>, Vec<BatchOutcome>) {
     let mut rows = base.scan();
     let mut outcomes = Vec::new();
@@ -49,7 +48,6 @@ fn model(repr: Repr, base: &Relation, ops: &[BatchOp]) -> (Vec<Tuple>, Vec<Batch
     match repr {
         Repr::List => rows.sort(),
         Repr::BTree(_) => rows.sort_by(|a, b| a.key().cmp(b.key())),
-        Repr::Paged(_) => {}
     }
     (rows, outcomes)
 }
@@ -109,9 +107,9 @@ proptest! {
             let (batched, outcomes, _) = base.apply_batch(&ops);
             let (rows, model_outcomes) = model(repr, &base, &ops);
             prop_assert_eq!(&outcomes, &model_outcomes, "{} outcomes", repr);
-            // scan() exposes iteration order (key order for list/tree,
-            // arrival order for paged), so equality here covers contents
-            // AND order.
+            // scan() exposes iteration order (key order, arrival order
+            // within a key on the B-tree), so equality here covers
+            // contents AND order.
             prop_assert_eq!(batched.scan(), rows.clone(), "{} contents", repr);
             prop_assert_eq!(batched.len(), rows.len(), "{} len", repr);
             prop_assert!(store_is_legal(&batched), "{} pages", repr);

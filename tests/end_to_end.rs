@@ -10,7 +10,7 @@ fn base() -> Database {
         .unwrap()
         .create_relation("Dept", Repr::TREE)
         .unwrap()
-        .create_relation("Log", Repr::Paged(8))
+        .create_relation("Log", Repr::List)
         .unwrap()
 }
 
@@ -190,7 +190,7 @@ fn joins_and_schemas_through_every_executor() {
 #[test]
 fn find_answers_like_a_key_select_on_every_repr() {
     use fundb::core::PipelinedEngine;
-    for repr in ["list", "tree", "btree(4)", "paged(8)"] {
+    for repr in ["list", "tree", "btree(4)"] {
         let mut stmts = vec![format!("create relation R as {repr}")];
         for (k, tag) in [(1, "a"), (2, "x"), (1, "b"), (3, "y"), (1, "c"), (2, "z")] {
             stmts.push(format!("insert ({k}, '{tag}') into R"));

@@ -265,7 +265,7 @@ proptest! {
         use fundb::query::{apply_select, execute_select, FieldRef, Predicate};
         use fundb::relational::BatchOp;
 
-        for repr in [Repr::List, Repr::BTree(3), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(3)] {
             let mut indexed = Relation::empty(repr)
                 .create_index("by_group", 1)
                 .expect("fresh relation has no index yet");
@@ -311,10 +311,6 @@ proptest! {
             // Index maintenance must never perturb the store itself.
             prop_assert_eq!(indexed.scan(), plain.scan(), "{:?}", repr);
 
-            let sorted = |mut ts: Vec<Tuple>| {
-                ts.sort_by_key(|t| format!("{t:?}"));
-                ts
-            };
             let mut predicates: Vec<Predicate> = (0..6)
                 .map(|g| Predicate::FieldEq(FieldRef::Index(1), Value::from(g)))
                 .collect();
@@ -326,13 +322,9 @@ proptest! {
                 let pred = Some(pred);
                 let fast = execute_select(&indexed, None, &None, &pred).unwrap();
                 let slow = apply_select(plain.scan(), None, &None, &pred).unwrap();
-                if repr == Repr::Paged(4) {
-                    // The paged store scans in arrival order while the index
-                    // yields key order: multiset equivalence.
-                    prop_assert_eq!(sorted(fast), sorted(slow), "{:?}", &pred);
-                } else {
-                    prop_assert_eq!(fast, slow, "{:?} on {:?}", &pred, repr);
-                }
+                // Every store scans in key order, as the index yields it:
+                // the same sequence, not only the same multiset.
+                prop_assert_eq!(fast, slow, "{:?} on {:?}", &pred, repr);
             }
         }
     }
@@ -356,7 +348,7 @@ proptest! {
             ts
         };
 
-        for repr in [Repr::List, Repr::BTree(3), Repr::Paged(4)] {
+        for repr in [Repr::List, Repr::BTree(3)] {
             // `indexed` carries a single-column and a composite index, so
             // the planner has real paths to pick; `plain` forces the scan
             // semantics the plans must reproduce.
@@ -417,8 +409,8 @@ proptest! {
                     let fast = execute_select(&indexed, None, &None, &pred).unwrap();
                     let slow = apply_select(plain.scan(), None, &None, &pred).unwrap();
                     prop_assert_eq!(
-                        sorted(fast),
-                        sorted(slow),
+                        fast,
+                        slow,
                         "{:?} #1={} #2={}",
                         repr,
                         g,

@@ -1,66 +1,27 @@
-//! An end-to-end cluster: client sites + primary site on one medium.
+//! A cluster's client sites: the terminals of Figure 3-1.
 //!
-//! This is the whole of Figure 3-1 wired together: terminals at several
-//! sites submit symbolic queries; the medium merges them; the primary site
-//! serializes and executes them on the pipelined functional engine; replies
-//! travel back over the medium and each client site `choose`s its own.
+//! Terminals at several sites submit symbolic queries; the medium merges
+//! them; the primary site serializes and executes them; replies travel
+//! back over the medium and each client site `choose`s its own. A
+//! [`ClientHandle`] is one terminal; [`ShardedCluster`](crate::ShardedCluster)
+//! wires the terminals, the medium and the primaries together.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fundb_core::ClientId;
 use fundb_lenient::stream::{after_steps, Node};
 use fundb_lenient::Lenient;
 use fundb_query::{parse, Query, Response};
-use fundb_relational::Database;
 use parking_lot::Mutex;
 
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
 use crate::pragma;
-use crate::primary::PrimarySite;
-use crate::router::{combine_gather, plan_route, GatherKind, RoutePlan, Router};
+use crate::router::{combine_gather, plan_route, GatherKind, RoutePlan};
 use crate::shard::{ClusterStats, ShardRoutes};
-
-/// Network load observed on a cluster mapped onto a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetworkLoad {
-    /// Messages counted.
-    pub messages: u64,
-    /// Total hops those messages traversed (greedy shortest paths).
-    pub hops: u64,
-}
-
-/// A running database cluster.
-///
-/// # Example
-///
-/// ```
-/// use fundb_net::Cluster;
-/// use fundb_relational::{Database, Repr};
-///
-/// let db = Database::empty().create_relation("R", Repr::List)?;
-/// let cluster = Cluster::start(&db, 2, 4);
-/// let c0 = cluster.client(0);
-/// c0.submit("insert 1 into R");
-/// let found = c0.submit("find 1 in R");
-/// assert_eq!(found.wait().tuples().unwrap().len(), 1);
-/// cluster.shutdown();
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct Cluster {
-    medium: SharedMedium<DbPayload>,
-    primary: Option<PrimarySite>,
-    clients: Vec<ClientHandle>,
-}
-
-impl fmt::Debug for Cluster {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Cluster[{} clients]", self.clients.len())
-    }
-}
 
 /// One in-flight submission, keyed in the pending map by message `seq`.
 enum Pending {
@@ -132,8 +93,7 @@ pub struct ClientHandle {
     /// In-flight submissions by message `seq`.
     pending: Arc<Mutex<HashMap<u64, Pending>>>,
     /// Shard partitioning + per-shard primaries and read sets. With one
-    /// shard it is the routing of the in-memory [`Cluster`] (no read set)
-    /// and of the replicated cluster.
+    /// shard it is the routing of the replicated cluster.
     routes: Arc<ShardRoutes>,
     stats: Arc<ClusterStats>,
     rr: Arc<AtomicU64>,
@@ -547,283 +507,4 @@ fn answer(cell: Lenient<Response>, response: Response) {
     after_steps(move || {
         let _ = cell.fill(response);
     });
-}
-
-impl Cluster {
-    /// Starts a cluster: the primary at site 0, `clients` client sites at
-    /// sites `1..=clients`, and a `workers`-thread engine at the primary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` or `workers` is zero.
-    pub fn start(initial: &Database, clients: usize, workers: usize) -> Self {
-        assert!(clients > 0, "cluster needs at least one client");
-        let medium: SharedMedium<DbPayload> = SharedMedium::new();
-        let primary = PrimarySite::start(&medium, SiteId(0), initial, workers);
-        let routes = Arc::new(ShardRoutes::single(Arc::new(AtomicU32::new(0)), Vec::new()));
-        let stats = Arc::new(ClusterStats::new(1));
-        let clients = (0..clients)
-            .map(|i| {
-                ClientHandle::spawn(
-                    &medium,
-                    SiteId(i as u32 + 1),
-                    ClientId(i as u32),
-                    Arc::clone(&routes),
-                    Arc::clone(&stats),
-                )
-            })
-            .collect();
-        Cluster {
-            medium,
-            primary: Some(primary),
-            clients,
-        }
-    }
-
-    /// Handle for client `i` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn client(&self, i: usize) -> ClientHandle {
-        self.clients[i].clone()
-    }
-
-    /// Total messages that crossed the medium so far.
-    pub fn message_count(&self) -> u64 {
-        self.medium.message_count()
-    }
-
-    /// Maps the cluster onto `topology` (site ids = node indices) and
-    /// accounts the network load so far: total messages and total hops the
-    /// messages traversed under greedy routing. Consumes the broadcast
-    /// history non-destructively (persistent streams allow any number of
-    /// readers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a site id is out of range for the topology.
-    pub fn network_load(&self, topology: &dyn fundb_rediflow::Topology) -> NetworkLoad {
-        let router = Router::new(topology);
-        let mut messages = 0u64;
-        let mut hops = 0u64;
-        // Snapshot: count what has been broadcast so far without waiting
-        // for more (the medium may still be open).
-        let mut cur = self.medium.broadcast_stream();
-        while let Some(node) = cur.try_node() {
-            match node {
-                fundb_lenient::stream::Node::Nil => break,
-                fundb_lenient::stream::Node::Cons(m, rest) => {
-                    messages += 1;
-                    hops += u64::from(router.hops(m.from, m.to));
-                    cur = rest.clone();
-                }
-            }
-        }
-        NetworkLoad { messages, hops }
-    }
-
-    /// Closes the medium and waits for the primary site; returns the number
-    /// of transactions it served.
-    pub fn shutdown(mut self) -> u64 {
-        self.medium.close();
-        self.primary
-            .take()
-            .expect("shutdown consumes the primary")
-            .join()
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        self.medium.close();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fundb_relational::Repr;
-
-    fn base() -> Database {
-        Database::empty()
-            .create_relation("R", Repr::List)
-            .unwrap()
-            .create_relation("S", Repr::List)
-            .unwrap()
-    }
-
-    #[test]
-    fn single_client_round_trip() {
-        let cluster = Cluster::start(&base(), 1, 2);
-        let c = cluster.client(0);
-        assert!(!c.submit("insert (1, 'a') into R").wait().is_error());
-        let r = c.submit("find 1 in R");
-        assert_eq!(r.wait().tuples().unwrap().len(), 1);
-        assert_eq!(cluster.shutdown(), 2);
-    }
-
-    #[test]
-    fn responses_in_submission_order_per_client() {
-        let cluster = Cluster::start(&base(), 1, 4);
-        let c = cluster.client(0);
-        let cells: Vec<_> = (0..30)
-            .map(|i| c.submit(&format!("insert {i} into R")))
-            .collect();
-        let count = c.submit("count R");
-        for cell in &cells {
-            assert!(!cell.wait().is_error());
-        }
-        assert_eq!(*count.wait(), Response::Count(30));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn concurrent_clients_serialize() {
-        let cluster = Cluster::start(&base(), 3, 4);
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let c = cluster.client(i);
-                std::thread::spawn(move || {
-                    let cells: Vec<_> = (0..20)
-                        .map(|k| {
-                            let rel = if i == 2 { "S" } else { "R" };
-                            c.submit(&format!("insert {} into {rel}", i * 100 + k))
-                        })
-                        .collect();
-                    cells.iter().all(|c| !c.wait().is_error())
-                })
-            })
-            .collect();
-        for h in handles {
-            assert!(h.join().unwrap());
-        }
-        let c = cluster.client(0);
-        assert_eq!(*c.submit("count R").wait(), Response::Count(40));
-        assert_eq!(*c.submit("count S").wait(), Response::Count(20));
-        assert_eq!(cluster.shutdown(), 62);
-    }
-
-    #[test]
-    fn parse_errors_come_back_as_errors() {
-        let cluster = Cluster::start(&base(), 1, 1);
-        let c = cluster.client(0);
-        assert!(c.submit("gibberish").wait().is_error());
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn network_load_on_topology() {
-        use fundb_rediflow::Hypercube;
-        let cluster = Cluster::start(&base(), 3, 2);
-        let c = cluster.client(2); // site 3
-        c.submit("count R").wait();
-        let topo = Hypercube::new(3);
-        let load = cluster.network_load(&topo);
-        // One request site3 -> site0 (2 hops on the 3-cube: 011 ^ 000) and
-        // one reply back (2 hops).
-        assert_eq!(load.messages, 2);
-        assert_eq!(load.hops, 4);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn message_accounting() {
-        let cluster = Cluster::start(&base(), 1, 1);
-        let c = cluster.client(0);
-        c.submit("count R").wait();
-        // One request + one reply.
-        assert_eq!(cluster.message_count(), 2);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn shutdown_fails_stranded_requests_instead_of_hanging() {
-        let cluster = Cluster::start(&base(), 1, 1);
-        let c = cluster.client(0);
-        // Close the medium out from under an in-flight submission path: the
-        // request may or may not reach the primary before the close wins
-        // the race; either way the caller must not block forever.
-        let cell = c.submit("count R");
-        cluster.shutdown();
-        let got = cell
-            .wait_timeout(std::time::Duration::from_secs(10))
-            .expect("cell must resolve after shutdown");
-        // Either a real reply (request won the race) or the shutdown error.
-        match got {
-            Response::Count(0) => {}
-            Response::Error(e) => assert!(e.contains("shut down"), "{e}"),
-            other => panic!("unexpected response: {other}"),
-        }
-    }
-
-    #[test]
-    fn threads_sharing_a_handle_get_their_own_replies() {
-        // Regression: submit() used to push a pending cell and send the
-        // request as two unsynchronized steps, so two threads could
-        // interleave (push A, push B, send B, send A) and the FIFO receiver
-        // would fill the wrong cells. Replies are now matched by seq tag.
-        let mut db = base();
-        for k in 0..40 {
-            let tx =
-                fundb_query::translate(parse(&format!("insert ({k}, {}) into R", k * 10)).unwrap());
-            db = tx.apply(&db).1;
-        }
-        let cluster = Cluster::start(&db, 1, 4);
-        let threads: Vec<_> = (0..2)
-            .map(|t| {
-                let c = cluster.client(0);
-                std::thread::spawn(move || {
-                    for round in 0..60 {
-                        let k = (t * 20 + round % 20) as i64;
-                        let got = c.submit(&format!("find {k} in R")).wait_cloned();
-                        let tuples = got.tuples().expect("find succeeds");
-                        assert_eq!(tuples.len(), 1);
-                        assert_eq!(
-                            tuples[0],
-                            fundb_relational::Tuple::from(vec![
-                                fundb_relational::Value::from(k),
-                                fundb_relational::Value::from(k * 10),
-                            ]),
-                            "reply for key {k} filled the wrong cell"
-                        );
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn shutdown_resolves_every_in_flight_cell() {
-        let cluster = Cluster::start(&base(), 2, 2);
-        let cells: Vec<_> = (0..2)
-            .flat_map(|i| {
-                let c = cluster.client(i);
-                (0..50)
-                    .map(move |k| c.submit(&format!("insert {k} into R")))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        cluster.shutdown();
-        for cell in cells {
-            // Every cell resolves — a real reply or the shutdown error —
-            // and no waiter is stranded.
-            let got = cell
-                .wait_timeout(std::time::Duration::from_secs(10))
-                .expect("cell must resolve after shutdown");
-            if let Response::Error(e) = got {
-                assert!(e.contains("shut down"), "{e}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one client")]
-    fn zero_clients_rejected() {
-        let _ = Cluster::start(&base(), 0, 1);
-    }
 }

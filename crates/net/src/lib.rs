@@ -15,22 +15,21 @@
 //!   inbox is literally `choose` = a lazy filter over that stream.
 //! * [`Router`] — multi-hop paths over the simulator topologies, for
 //!   accounting message distance on non-broadcast networks.
-//! * [`PrimarySite`] — the primary-site model: every transaction passes
+//! * [`primary`] — the primary-site model: every transaction passes
 //!   through one coordinating site, which runs the pipelined functional
-//!   engine and mails responses back to their origin sites. [`primary`]
-//!   also holds the one serving loop every primary runs, in-memory or
-//!   durable, initial or promoted.
+//!   engine and mails responses back to their origin sites. It holds the
+//!   one serving loop every primary runs, initial or promoted.
 //! * [`pragma`] — the `RESULT-ON` / `MY-SITE` site pragmas of Section 3.2.
-//! * [`Cluster`] — an end-to-end harness wiring client sites to a primary
-//!   site over a medium.
+//! * [`ClientHandle`] — a client site: a terminal that submits queries
+//!   over the medium and `choose`s its own replies.
 //! * [`replica`] — log shipping: a durable primary's [`ReplicationSender`]
 //!   mails its commit log over the medium to [`ReplicaSite`]s, which serve
 //!   read-only queries locally and can be promoted on primary failure.
-//! * [`ShardedCluster`] — the durable topology: hash-partitioned shard
+//! * [`ShardedCluster`] — the one topology: hash-partitioned shard
 //!   groups (each a durable primary plus its replicas) behind shard-aware
 //!   clients; the medium's merge order doubles as the sequencer for
-//!   cross-shard transactions. With one shard it is the distributed case
-//!   of Figure 3-1, the replicated cluster.
+//!   cross-shard transactions. With one shard and no replicas it is
+//!   Figure 3-1 itself; with replicas, the replicated cluster.
 //! * [`chaos`] — deterministic fault injection for the medium: a seeded
 //!   [`FaultPlan`] of per-edge drop/duplicate/delay/reorder rules and
 //!   partitions, run inside the medium's `send` so every run replays
@@ -54,12 +53,11 @@ pub mod router;
 pub mod shard;
 
 pub use chaos::{ChaosSnapshot, EdgeRule, FaultPlan, Partition, SiteSel};
-pub use cluster::{ClientHandle, Cluster, NetworkLoad};
+pub use cluster::ClientHandle;
 pub use history::{HistoryChecker, HistoryEvent};
 pub use medium::SharedMedium;
 pub use message::{DbPayload, Message, SiteId};
 pub use pragma::{my_site, result_on_prefix, strip_result_on, SitePool};
-pub use primary::PrimarySite;
 pub use replica::{ReplicaSite, ReplicationSender};
 pub use router::{combine_gather, plan_route, GatherKind, RoutePlan, Router};
-pub use shard::{ClusterStats, ClusterStatsSnapshot, ShardMap, ShardedCluster};
+pub use shard::{ClusterStats, ClusterStatsSnapshot, NetworkLoad, ShardMap, ShardedCluster};

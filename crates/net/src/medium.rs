@@ -492,7 +492,7 @@ mod tests {
         use crate::cluster::ClientHandle;
         use crate::message::DbPayload;
         use crate::replica::ReplicaSite;
-        use crate::shard::{ClusterStats, ShardRoutes};
+        use crate::shard::{ClusterStats, ShardMap, ShardRoute, ShardRoutes};
         use fundb_core::ClientId;
         use fundb_query::Response;
         use std::sync::atomic::{AtomicU32, AtomicU64};
@@ -517,7 +517,11 @@ mod tests {
             tail: fundb_durable::encode_records(&[]),
         };
         medium.send(Message::new(primary, replica, 0, snapshot));
-        let routes = ShardRoutes::single(Arc::new(AtomicU32::new(primary.0)), vec![replica]);
+        let route = ShardRoute {
+            primary: Arc::new(AtomicU32::new(primary.0)),
+            replicas: vec![replica],
+        };
+        let routes = ShardRoutes::new(ShardMap::new(1), vec![route]);
         let stats = Arc::new(ClusterStats::new(1));
         let c = ClientHandle::spawn(&medium, client, ClientId(0), Arc::new(routes), stats);
         let cell = c.submit("find 1 in R");

@@ -6,30 +6,25 @@
 //! once a transaction passes through the site, finer grain actions
 //! associated with it may be done concurrently."
 //!
-//! [`PrimarySite`] is that site: it reads its `choose` stream off the
-//! medium (arrival order = the merge = the serialization order), feeds each
+//! `Primary` is that site: it reads its `choose` stream off the medium
+//! (arrival order = the merge = the serialization order), feeds each
 //! request through the pipelined functional engine — so the "finer grain
 //! actions" of successive transactions do overlap — and mails each response
 //! back to the site it came from, tagged with the originating client.
 //!
 //! The paper has one coordination model, so the crate has one primary, a
 //! function of its inbox, and one loop that feeds it: `run_primary_loop`
-//! is what [`PrimarySite`] runs over an in-memory engine, what each shard
-//! of a [`ShardedCluster`](crate::ShardedCluster) runs over a durable one,
-//! and what a promoted replica continues in. It is generic over the two
-//! things it needs from an engine — submit a transaction, export a
-//! catch-up snapshot — and is the only place in the crate where a query
-//! text is handed to an engine.
+//! is what each shard of a [`ShardedCluster`](crate::ShardedCluster) runs
+//! over its durable engine, and what a promoted replica continues in. It
+//! is generic over the two things it needs from an engine — submit a
+//! transaction, export a catch-up snapshot — and is the only place in the
+//! crate where a query text is handed to an engine.
 
-use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use fundb_core::PipelinedEngine;
 use fundb_durable::DurableEngine;
 use fundb_lenient::{Lenient, Stream};
 use fundb_query::{parse, translate, Response, Transaction};
-use fundb_relational::Database;
 
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
@@ -44,17 +39,6 @@ pub(crate) trait PrimaryEngine: Send + 'static {
     /// `(newest checkpoint blob, encoded WAL tail)` — what this engine
     /// committed before the medium existed.
     fn catch_up(&self) -> (Option<Vec<u8>>, Vec<u8>);
-}
-
-impl PrimaryEngine for PipelinedEngine {
-    fn submit(&self, tx: Transaction) -> Lenient<Response> {
-        PipelinedEngine::submit(self, tx)
-    }
-
-    /// An in-memory engine starts with the medium: the stream is complete.
-    fn catch_up(&self) -> (Option<Vec<u8>>, Vec<u8>) {
-        (None, Vec::new())
-    }
 }
 
 impl PrimaryEngine for Arc<DurableEngine> {
@@ -254,13 +238,12 @@ impl<E: PrimaryEngine> Primary<E> {
 /// then its inbox, until `Halt` or end-of-medium, and waits out its last
 /// sends; returns the number of requests served.
 ///
-/// Every primary runs this — [`PrimarySite`] over a [`PipelinedEngine`],
-/// a shard's initial primary and a promoted replica over a
-/// [`DurableEngine`]. A promoted replica enters with its inbox already
-/// advanced past the `Promote`, and hands in as `backlog` the sequenced
-/// transactions the dead primary never applied (buffered broadcasts with
-/// no observed ack); they are applied and acked before any newly-routed
-/// traffic.
+/// Every primary runs this over a [`DurableEngine`] — a shard's initial
+/// primary and a promoted replica alike. A promoted replica enters with
+/// its inbox already advanced past the `Promote`, and hands in as
+/// `backlog` the sequenced transactions the dead primary never applied
+/// (buffered broadcasts with no observed ack); they are applied and acked
+/// before any newly-routed traffic.
 pub(crate) fn run_primary_loop<E: PrimaryEngine>(
     inbox: Stream<Message<DbPayload>>,
     medium: SharedMedium<DbPayload>,
@@ -279,77 +262,13 @@ pub(crate) fn run_primary_loop<E: PrimaryEngine>(
     primary.finish()
 }
 
-/// A running primary site: one thread driving `run_primary_loop`.
-pub struct PrimarySite {
-    site: SiteId,
-    driver: Option<JoinHandle<u64>>,
-}
-
-impl fmt::Debug for PrimarySite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PrimarySite[{}]", self.site)
-    }
-}
-
-impl PrimarySite {
-    /// Starts a primary site at `site` over `medium`, serving `initial`
-    /// with a `workers`-thread engine.
-    ///
-    /// The site holds its own medium handle, so it runs until the medium is
-    /// explicitly [`close`](SharedMedium::close)d; then
-    /// [`join`](Self::join) returns the number of transactions served.
-    pub fn start(
-        medium: &SharedMedium<DbPayload>,
-        site: SiteId,
-        initial: &Database,
-        workers: usize,
-    ) -> Self {
-        let inbox = medium.choose(site);
-        let medium = medium.clone();
-        let engine = PipelinedEngine::new(workers, initial);
-        // An unsharded primary is shard 0 of a one-shard cluster with no
-        // replica peers; sequenced transactions still work (every sub goes
-        // to shard 0), so `submit_txn` is exercisable without durability.
-        let driver = std::thread::spawn(move || {
-            run_primary_loop(inbox, medium, site, engine, 0, Vec::new(), Vec::new())
-        });
-        PrimarySite {
-            site,
-            driver: Some(driver),
-        }
-    }
-
-    /// This coordinator's site id.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// Waits for the site to shut down (call
-    /// [`SharedMedium::close`] first); returns transactions served.
-    pub fn join(mut self) -> u64 {
-        self.driver
-            .take()
-            .expect("join consumes the only driver handle")
-            .join()
-            .expect("primary site panicked")
-    }
-}
-
-impl Drop for PrimarySite {
-    fn drop(&mut self) {
-        if let Some(h) = self.driver.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam::channel::{self, Receiver, Sender};
     use fundb_core::ClientId;
+    use fundb_durable::ScratchDir;
     use fundb_lenient::stream::Node;
-    use fundb_relational::Repr;
 
     /// An engine whose response cells the test fills by hand, in any
     /// order: every submission hands its (unfilled) cell to the test.
@@ -477,31 +396,35 @@ mod tests {
         }
     }
 
-    fn base() -> Database {
-        Database::empty()
-            .create_relation("R", Repr::List)
-            .unwrap()
-            .create_relation("S", Repr::List)
-            .unwrap()
+    /// A durable engine over `dir` holding an empty relation `R`, serving
+    /// at site 0 of `medium` on a thread of its own; the thread returns the
+    /// number of requests served once the medium closes.
+    fn serve(
+        medium: &SharedMedium<DbPayload>,
+        dir: &ScratchDir,
+        workers: usize,
+    ) -> std::thread::JoinHandle<u64> {
+        let (engine, _) = DurableEngine::open(dir.path(), workers).unwrap();
+        let created = engine.submit(translate(parse("create relation R as list").unwrap()));
+        assert!(!created.wait().is_error());
+        let inbox = medium.choose(SiteId(0));
+        let medium = medium.clone();
+        let engine = Arc::new(engine);
+        std::thread::spawn(move || {
+            run_primary_loop(inbox, medium, SiteId(0), engine, 0, Vec::new(), Vec::new())
+        })
     }
 
     #[test]
     fn serves_requests_and_routes_replies() {
         let medium: SharedMedium<DbPayload> = SharedMedium::new();
-        let primary = PrimarySite::start(&medium, SiteId(0), &base(), 2);
+        let tmp = ScratchDir::new("primary-serves");
+        let primary = serve(&medium, &tmp, 2);
 
         let client_site = SiteId(1);
         let inbox = medium.choose(client_site);
         for (i, q) in ["insert 5 into R", "find 5 in R"].iter().enumerate() {
-            medium.send(Message::new(
-                client_site,
-                SiteId(0),
-                i as u64,
-                DbPayload::Request {
-                    client: ClientId(0),
-                    query: (*q).to_string(),
-                },
-            ));
+            medium.send(request(client_site.0, i as u64, q));
         }
         let replies = inbox.take(2).collect_vec();
         assert_eq!(replies.len(), 2);
@@ -512,23 +435,22 @@ mod tests {
             other => panic!("expected reply, got {other:?}"),
         }
         medium.close();
-        assert_eq!(primary.join(), 2);
+        assert_eq!(primary.join().unwrap(), 2);
     }
 
     #[test]
     fn malformed_queries_get_error_replies() {
         let medium: SharedMedium<DbPayload> = SharedMedium::new();
-        let _primary = PrimarySite::start(&medium, SiteId(0), &base(), 1);
+        let tmp = ScratchDir::new("primary-malformed");
+        let primary = serve(&medium, &tmp, 1);
         let inbox = medium.choose(SiteId(7));
-        medium.send(Message::new(
-            SiteId(7),
-            SiteId(0),
-            0,
-            DbPayload::Request {
-                client: ClientId(3),
-                query: "frobnicate everything".into(),
-            },
-        ));
+        // The client id differs from the sending site: the reply must echo
+        // the request's client, not derive one from the sender.
+        let payload = DbPayload::Request {
+            client: ClientId(3),
+            query: "frobnicate everything".into(),
+        };
+        medium.send(Message::new(SiteId(7), SiteId(0), 0, payload));
         let reply = inbox.first().unwrap();
         match reply.payload {
             DbPayload::Reply {
@@ -540,27 +462,22 @@ mod tests {
             other => panic!("expected reply, got {other:?}"),
         }
         medium.close();
+        assert_eq!(primary.join().unwrap(), 1);
     }
 
     #[test]
     fn requests_from_many_sites_serialize() {
         let medium: SharedMedium<DbPayload> = SharedMedium::new();
-        let primary = PrimarySite::start(&medium, SiteId(0), &base(), 4);
+        let tmp = ScratchDir::new("primary-many-sites");
+        let primary = serve(&medium, &tmp, 4);
         // Three "terminals" all insert into R concurrently.
         let senders: Vec<_> = (1..=3u32)
             .map(|s| {
                 let m = medium.clone();
                 std::thread::spawn(move || {
                     for i in 0..20 {
-                        m.send(Message::new(
-                            SiteId(s),
-                            SiteId(0),
-                            i,
-                            DbPayload::Request {
-                                client: ClientId(s),
-                                query: format!("insert {} into R", s * 1000 + i as u32),
-                            },
-                        ));
+                        let query = format!("insert {} into R", s * 1000 + i as u32);
+                        m.send(request(s, i, &query));
                     }
                 })
             })
@@ -570,15 +487,7 @@ mod tests {
         }
         // One more request to observe the final count.
         let inbox = medium.choose(SiteId(9));
-        medium.send(Message::new(
-            SiteId(9),
-            SiteId(0),
-            0,
-            DbPayload::Request {
-                client: ClientId(9),
-                query: "count R".into(),
-            },
-        ));
+        medium.send(request(9, 0, "count R"));
         let reply = inbox.first().unwrap();
         match reply.payload {
             DbPayload::Reply { response, .. } => {
@@ -587,6 +496,6 @@ mod tests {
             other => panic!("expected reply, got {other:?}"),
         }
         medium.close();
-        assert_eq!(primary.join(), 61);
+        assert_eq!(primary.join().unwrap(), 61);
     }
 }

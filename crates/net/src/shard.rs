@@ -8,10 +8,10 @@
 //! checkpoints), its own replicas, its own catch-up and failover. Two
 //! shards means two independent fsync queues; on commit-latency-bound
 //! write traffic the groups overlap their disk waits and throughput
-//! scales. It is the crate's only durable topology: with `shards = 1`
-//! it *is* the replicated cluster of Figure 3-1's distributed case — one
-//! durable primary at site 0, its replicas at `1..=R`, every key on
-//! shard 0, every transaction single-shard.
+//! scales. It is the crate's only topology: with `shards = 1` it *is*
+//! Figure 3-1 — one durable primary at site 0, every key on shard 0,
+//! every transaction single-shard — and with replicas at `1..=R`, the
+//! replicated cluster of its distributed case.
 //!
 //! **Routing** ([`ShardMap`] + the shard-aware
 //! [`ClientHandle`]): a single-key read or write goes
@@ -67,6 +67,7 @@ use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
 use crate::primary::run_primary_loop;
 use crate::replica::{ReplicaSite, ReplicationSender, CONTROL_SITE};
+use crate::router::Router;
 
 /// Hash partitioning of primary keys over a fixed number of shards.
 ///
@@ -151,13 +152,6 @@ impl ShardRoutes {
     pub(crate) fn new(map: ShardMap, routes: Vec<ShardRoute>) -> ShardRoutes {
         assert_eq!(map.shards() as usize, routes.len());
         ShardRoutes { map, routes }
-    }
-
-    /// The one-shard, no-replica table of the in-memory
-    /// [`Cluster`](crate::Cluster): same routing code, degenerate
-    /// partitioning.
-    pub(crate) fn single(primary: Arc<AtomicU32>, replicas: Vec<SiteId>) -> ShardRoutes {
-        ShardRoutes::new(ShardMap::new(1), vec![ShardRoute { primary, replicas }])
     }
 
     pub(crate) fn shard_count(&self) -> u32 {
@@ -357,6 +351,15 @@ impl fmt::Display for ClusterStatsSnapshot {
     }
 }
 
+/// Network load observed on a cluster mapped onto a topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetworkLoad {
+    /// Messages counted.
+    pub messages: u64,
+    /// Total hops those messages traversed (greedy shortest paths).
+    pub hops: u64,
+}
+
 /// How long [`ShardedCluster::sync`] waits for an echo under a fault plan
 /// before it ticks.
 const SYNC_TICK: Duration = Duration::from_millis(1);
@@ -389,6 +392,26 @@ struct ShardGroup {
 /// site `g*(R+1)`, its replicas right after it, and the client sites
 /// after every group. Storage lives under `dir/shard-<g>/primary` and
 /// `dir/shard-<g>/replica-<site>`.
+///
+/// # Example
+///
+/// Figure 3-1 — client sites and one primary on one medium — is one shard
+/// with no replicas:
+///
+/// ```
+/// use fundb_durable::ScratchDir;
+/// use fundb_net::ShardedCluster;
+///
+/// let dir = ScratchDir::new("sharded-cluster-doc");
+/// let cluster = ShardedCluster::start(dir.path(), 1, 2, 4, 0)?;
+/// let c0 = cluster.client(0);
+/// c0.submit("create relation R as list");
+/// c0.submit("insert 1 into R");
+/// let found = c0.submit("find 1 in R");
+/// assert_eq!(found.wait().tuples().unwrap().len(), 1);
+/// cluster.shutdown();
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub struct ShardedCluster {
     medium: SharedMedium<DbPayload>,
     groups: Vec<ShardGroup>,
@@ -591,6 +614,35 @@ impl ShardedCluster {
         self.medium.message_count()
     }
 
+    /// Maps the cluster onto `topology` (site ids = node indices) and
+    /// accounts the network load so far: total messages and total hops the
+    /// messages traversed under greedy routing. Consumes the broadcast
+    /// history non-destructively (persistent streams allow any number of
+    /// readers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site id is out of range for the topology.
+    pub fn network_load(&self, topology: &dyn fundb_rediflow::Topology) -> NetworkLoad {
+        let router = Router::new(topology);
+        let mut messages = 0u64;
+        let mut hops = 0u64;
+        // Snapshot: count what has been broadcast so far without waiting
+        // for more (the medium may still be open).
+        let mut cur = self.medium.broadcast_stream();
+        while let Some(node) = cur.try_node() {
+            match node {
+                Node::Nil => break,
+                Node::Cons(m, rest) => {
+                    messages += 1;
+                    hops += u64::from(router.hops(m.from, m.to));
+                    cur = rest.clone();
+                }
+            }
+        }
+        NetworkLoad { messages, hops }
+    }
+
     /// Advances the fault plan's logical clock one step, delivering what
     /// comes due before returning (see
     /// [`SharedMedium::tick`]). No-op without a fault plan.
@@ -778,6 +830,212 @@ impl Drop for ShardedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fundb_durable::ScratchDir;
+    use fundb_query::Response;
+
+    /// A one-shard cluster with no replicas over `dir` — Figure 3-1's
+    /// primary at site 0 and client `i` at site `i + 1` — with relations
+    /// `R` and `S` created through client 0.
+    fn figure_3_1(dir: &ScratchDir, clients: usize, workers: usize) -> ShardedCluster {
+        let cluster = ShardedCluster::start(dir.path(), 1, clients, workers, 0).unwrap();
+        let c = cluster.client(0);
+        for rel in ["R", "S"] {
+            let created = c
+                .submit(&format!("create relation {rel} as list"))
+                .wait_cloned();
+            assert!(!created.is_error(), "{created:?}");
+        }
+        cluster
+    }
+
+    #[test]
+    fn single_client_round_trip() {
+        let tmp = ScratchDir::new("shard-round-trip");
+        let cluster = figure_3_1(&tmp, 1, 2);
+        let c = cluster.client(0);
+        assert!(!c.submit("insert (1, 'a') into R").wait().is_error());
+        let r = c.submit("find 1 in R");
+        assert_eq!(r.wait().tuples().unwrap().len(), 1);
+        // Two creates, the insert and the find.
+        assert_eq!(cluster.shutdown(), 4);
+    }
+
+    #[test]
+    fn responses_in_submission_order_per_client() {
+        let tmp = ScratchDir::new("shard-submission-order");
+        let cluster = figure_3_1(&tmp, 1, 4);
+        let c = cluster.client(0);
+        let cells: Vec<_> = (0..30)
+            .map(|i| c.submit(&format!("insert {i} into R")))
+            .collect();
+        let count = c.submit("count R");
+        for cell in &cells {
+            assert!(!cell.wait().is_error());
+        }
+        assert_eq!(*count.wait(), Response::Count(30));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn concurrent_clients_serialize() {
+        let tmp = ScratchDir::new("shard-concurrent-clients");
+        let cluster = figure_3_1(&tmp, 3, 4);
+        let handles: Vec<_> = (0..3)
+            .map(|i| {
+                let c = cluster.client(i);
+                std::thread::spawn(move || {
+                    let cells: Vec<_> = (0..20)
+                        .map(|k| {
+                            let rel = if i == 2 { "S" } else { "R" };
+                            c.submit(&format!("insert {} into {rel}", i * 100 + k))
+                        })
+                        .collect();
+                    cells.iter().all(|c| !c.wait().is_error())
+                })
+            })
+            .collect();
+        for h in handles {
+            assert!(h.join().unwrap());
+        }
+        let c = cluster.client(0);
+        assert_eq!(*c.submit("count R").wait(), Response::Count(40));
+        assert_eq!(*c.submit("count S").wait(), Response::Count(20));
+        // Two creates, 60 inserts and two counts.
+        assert_eq!(cluster.shutdown(), 64);
+    }
+
+    #[test]
+    fn parse_errors_come_back_as_errors() {
+        let tmp = ScratchDir::new("shard-parse-error");
+        let cluster = figure_3_1(&tmp, 1, 1);
+        let c = cluster.client(0);
+        assert!(c.submit("gibberish").wait().is_error());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn network_load_on_topology() {
+        use fundb_rediflow::Hypercube;
+        let tmp = ScratchDir::new("shard-network-load");
+        let cluster = figure_3_1(&tmp, 3, 2);
+        let topo = Hypercube::new(3);
+        let before = cluster.network_load(&topo);
+        let c = cluster.client(2); // site 3
+        c.submit("count R").wait();
+        let after = cluster.network_load(&topo);
+        // One request site3 -> site0 (2 hops on the 3-cube: 011 ^ 000) and
+        // one reply back (2 hops).
+        assert_eq!(after.messages - before.messages, 2);
+        assert_eq!(after.hops - before.hops, 4);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn message_accounting() {
+        let tmp = ScratchDir::new("shard-message-count");
+        let cluster = figure_3_1(&tmp, 1, 1);
+        let before = cluster.message_count();
+        cluster.client(0).submit("count R").wait();
+        // One request + one reply.
+        assert_eq!(cluster.message_count() - before, 2);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn shutdown_fails_stranded_requests_instead_of_hanging() {
+        let tmp = ScratchDir::new("shard-stranded");
+        let cluster = figure_3_1(&tmp, 1, 1);
+        let c = cluster.client(0);
+        // Close the medium out from under an in-flight submission path: the
+        // request may or may not reach the primary before the close wins
+        // the race; either way the caller must not block forever.
+        let cell = c.submit("count R");
+        cluster.shutdown();
+        let got = cell
+            .wait_timeout(Duration::from_secs(10))
+            .expect("cell must resolve after shutdown");
+        // Either a real reply (request won the race) or the shutdown error.
+        match got {
+            Response::Count(0) => {}
+            Response::Error(e) => assert!(e.contains("shut down"), "{e}"),
+            other => panic!("unexpected response: {other}"),
+        }
+    }
+
+    #[test]
+    fn threads_sharing_a_handle_get_their_own_replies() {
+        // Regression: submit() used to push a pending cell and send the
+        // request as two unsynchronized steps, so two threads could
+        // interleave (push A, push B, send B, send A) and the FIFO receiver
+        // would fill the wrong cells. Replies are now matched by seq tag.
+        let tmp = ScratchDir::new("shard-shared-handle");
+        let cluster = figure_3_1(&tmp, 1, 4);
+        let loaded: Vec<_> = (0..40i64)
+            .map(|k| {
+                cluster
+                    .client(0)
+                    .submit(&format!("insert ({k}, {}) into R", k * 10))
+            })
+            .collect();
+        assert!(loaded.iter().all(|cell| !cell.wait().is_error()));
+        let threads: Vec<_> = (0..2)
+            .map(|t| {
+                let c = cluster.client(0);
+                std::thread::spawn(move || {
+                    for round in 0..60 {
+                        let k = (t * 20 + round % 20) as i64;
+                        let got = c.submit(&format!("find {k} in R")).wait_cloned();
+                        let tuples = got.tuples().expect("find succeeds");
+                        assert_eq!(tuples.len(), 1);
+                        assert_eq!(
+                            tuples[0],
+                            fundb_relational::Tuple::from(vec![
+                                Value::from(k),
+                                Value::from(k * 10),
+                            ]),
+                            "reply for key {k} filled the wrong cell"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn shutdown_resolves_every_in_flight_cell() {
+        let tmp = ScratchDir::new("shard-in-flight");
+        let cluster = figure_3_1(&tmp, 2, 2);
+        let cells: Vec<_> = (0..2)
+            .flat_map(|i| {
+                let c = cluster.client(i);
+                (0..50)
+                    .map(move |k| c.submit(&format!("insert {k} into R")))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        cluster.shutdown();
+        for cell in cells {
+            // Every cell resolves — a real reply or the shutdown error —
+            // and no waiter is stranded.
+            let got = cell
+                .wait_timeout(Duration::from_secs(10))
+                .expect("cell must resolve after shutdown");
+            if let Response::Error(e) = got {
+                assert!(e.contains("shut down"), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one client")]
+    fn zero_clients_rejected() {
+        let tmp = ScratchDir::new("shard-zero-clients");
+        let _ = ShardedCluster::start(tmp.path(), 1, 0, 1, 0);
+    }
 
     #[test]
     fn every_shard_gets_a_fair_share_of_integer_keys() {

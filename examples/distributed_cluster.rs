@@ -5,20 +5,27 @@
 //! the medium *is* one large merge; the primary site at site 0 `choose`s
 //! the requests addressed to it, serializes them through the pipelined
 //! functional engine, and mails replies back; each terminal `choose`s its
-//! own replies.
+//! own replies. Figure 3-1 is a one-shard cluster with no replicas.
 //!
 //! Run with: `cargo run --example distributed_cluster`
 
-use fundb::net::Cluster;
+use fundb::durable::ScratchDir;
 use fundb::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let inventory = Database::empty()
-        .create_relation("Parts", Repr::List)?
-        .create_relation("Orders", Repr::List)?;
-
-    // Primary at site 0, three client sites, four engine workers.
-    let cluster = Cluster::start(&inventory, 3, 4);
+    // One shard, three client sites, four engine workers, no replicas: the
+    // primary at site 0, the terminals at sites 1..=3.
+    let dir = ScratchDir::new("distributed-cluster-example");
+    let cluster = ShardedCluster::start(dir.path(), 1, 3, 4, 0)?;
+    let setup = cluster.client(0);
+    for ddl in [
+        "create relation Parts as list",
+        "create relation Orders as list",
+    ] {
+        if let Response::Error(e) = setup.submit(ddl).wait() {
+            return Err(format!("{ddl}: {e}").into());
+        }
+    }
 
     // Each site runs its own terminal thread.
     let handles: Vec<_> = (0..3)

@@ -101,7 +101,7 @@ pub mod prelude {
         PipelinedEngine, VersionArchive,
     };
     pub use fundb_lenient::{merge, merge_tagged, Lenient, Stream, Tagged};
-    pub use fundb_net::Cluster;
+    pub use fundb_net::ShardedCluster;
     pub use fundb_query::{parse, translate, Query, Response, Transaction};
     pub use fundb_relational::{Database, Relation, RelationName, Repr, Tuple, Value};
 }

@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use fundb::core::{process_tagged, ClientId, PipelinedEngine};
+use fundb::durable::ScratchDir;
 use fundb::lenient::{Lenient, Stream, Tagged, Thunk};
-use fundb::net::Cluster;
 use fundb::prelude::*;
 
 fn base() -> Database {
@@ -76,8 +76,10 @@ fn lenient_cells_propagate_through_thunks_and_streams() {
 
 #[test]
 fn cluster_replies_stream_before_submission_stops() {
-    let cluster = Cluster::start(&base(), 1, 2);
+    let tmp = ScratchDir::new("lenient-cluster");
+    let cluster = ShardedCluster::start(tmp.path(), 1, 1, 2, 0).unwrap();
     let client = cluster.client(0);
+    assert!(!client.submit("create relation R as list").wait().is_error());
     let first = client.submit("insert 1 into R");
     // Reply arrives while the client is still free to submit more.
     assert!(!first

@@ -7,7 +7,6 @@ use fundb::core::{
 };
 use fundb::durable::{DurableEngine, ScratchDir};
 use fundb::lenient::{merge_deterministic, MergeSchedule, Tagged};
-use fundb::net::Cluster;
 use fundb::prelude::*;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -322,8 +321,14 @@ fn cluster_round_trip_matches_sequential() {
     let db = base(2);
     let queries = random_queries(7, 40, 2);
     let expected = sequential_responses(&db, &queries);
-    let cluster = Cluster::start(&db, 1, 4);
+    // Figure 3-1: one primary and one client site on one medium.
+    let tmp = ScratchDir::new("serial-cluster");
+    let cluster = ShardedCluster::start(tmp.path(), 1, 1, 4, 0).unwrap();
     let client = cluster.client(0);
+    for r in 0..2 {
+        let created = client.submit(&format!("create relation R{r} as list"));
+        assert!(!created.wait().is_error());
+    }
     let cells: Vec<_> = queries.iter().map(|q| client.submit(q)).collect();
     let got: Vec<Response> = cells.into_iter().map(|c| c.wait_cloned()).collect();
     assert_eq!(got, expected);

@@ -67,16 +67,16 @@
 //! a merged-away slot records where its component went, and every path
 //! that locks a slot follows that record.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fundb_lenient::{spawn_on_current_pool, AtomicArc, Lenient, WorkerPool};
+use fundb_lenient::{spawn_on_current_pool, AtomicArc, Lenient, Spawner, WorkerPool};
 use fundb_query::exec::{self, Entry, Trace};
 use fundb_query::{FieldRef, Query, Response, Transaction};
-use fundb_relational::{BatchOp, Database, RelationName, ViewDef};
+use fundb_relational::{BatchOp, BatchOutcome, Database, RelationName, ViewDef};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::commit::CommitSink;
@@ -152,74 +152,214 @@ fn commit_failed(e: &std::io::Error) -> Response {
     Response::Error(format!("commit failed: {e}"))
 }
 
-/// Commits a claimed run through the sink (if any), then applies it and
-/// fills every response plus the batch's output cell.
+/// The engine's durable commit hook, with a handle to the engine's pool:
+/// a batch that lands on a thread off the pool (a submitter's flush) still
+/// hands its chained successor to the pool.
+struct Durable {
+    sink: Arc<dyn CommitSink>,
+    pool: Spawner,
+}
+
+/// What a computed run's answers are made from.
+enum Answers {
+    /// A data batch's per-op outcomes, in run order.
+    Outcomes(Vec<BatchOutcome>),
+    /// The answer of a statement that ran alone: index DDL, or a bypass
+    /// write.
+    One(Response),
+}
+
+/// A claimed run, applied to its input: what it publishes once its
+/// commit — if it has one — returns.
+struct Computed {
+    slot: Arc<Slot>,
+    /// The run's input version, published again if the commit fails.
+    first: Database,
+    next: Database,
+    /// The run in application order: each op's sequence number, statement
+    /// and response cell.
+    claimed: Vec<(u64, Query, Lenient<Response>)>,
+    answers: Answers,
+    output: Lenient<Database>,
+}
+
+impl Computed {
+    /// Applies a claimed run to `first`. A data run lands as one commit:
+    /// `Database::write` derives the per-key transitions once (grouped
+    /// stably — submission order within a key is preserved, so the result
+    /// equals applying the ops one at a time in submission order), lands
+    /// them copying each touched node once, and advances the component's
+    /// views from the same runs. Index DDL always runs alone and changes
+    /// no rows: it is no batch.
+    fn apply(
+        slot: &Arc<Slot>,
+        first: &Database,
+        claimed: Vec<(u64, Query, Lenient<Response>)>,
+        output: &Lenient<Database>,
+    ) -> Computed {
+        let ops: Option<Vec<BatchOp>> = claimed.iter().map(|(_, q, _)| exec::batch_op(q)).collect();
+        let (next, answers) = match ops {
+            Some(ops) => {
+                let relation = claimed[0].1.relation().expect("a write names its relation");
+                let (next, outcomes, _) = first
+                    .write(relation, &ops)
+                    .expect("writes to views are refused at submission");
+                (next, Answers::Outcomes(outcomes))
+            }
+            None => {
+                let [(_, q, _)] = &claimed[..] else {
+                    unreachable!("only data writes coalesce; index DDL runs alone")
+                };
+                let (answer, next) = exec::write(first, q);
+                (next, Answers::One(answer))
+            }
+        };
+        Computed {
+            slot: Arc::clone(slot),
+            first: first.clone(),
+            next,
+            claimed,
+            answers,
+            output: output.clone(),
+        }
+    }
+
+    /// Publishes the run: on `Ok` the successor and the answers; on `Err`
+    /// the unchanged input, every statement answered with the error (its
+    /// sequence numbers are burned). The frontier entry covers the whole
+    /// run and goes up *before* the output cell fills: a successor batch
+    /// starts applying only once this output is filled, so batch
+    /// publications are ordered along each slot's version chain and
+    /// `publish_frontier`'s monotonic guard only ever resolves races with
+    /// readers repairing the frontier from a newer head.
+    fn publish(self, outcome: std::io::Result<()>) {
+        let covers = self
+            .claimed
+            .last()
+            .map(|(s, _, _)| s + 1)
+            .expect("nonempty run");
+        let frontier = &self.slot.frontier;
+        let Err(e) = outcome else {
+            publish_frontier(frontier, covers, &self.next);
+            match self.answers {
+                Answers::Outcomes(outcomes) => {
+                    for ((_, q, cell), outcome) in self.claimed.into_iter().zip(outcomes) {
+                        cell.fill(exec::batch_response(q, outcome)).ok();
+                    }
+                }
+                Answers::One(answer) => {
+                    self.claimed[0].2.fill(answer).ok();
+                }
+            }
+            self.output.fill(self.next).ok();
+            return;
+        };
+        publish_frontier(frontier, covers, &self.first);
+        for (_, _, cell) in &self.claimed {
+            cell.fill(commit_failed(&e)).ok();
+        }
+        self.output.fill(self.first).ok();
+    }
+
+    /// Hands the run's records to the sink; the run publishes once they
+    /// are durable, and then gives the pool the batch chained behind it —
+    /// unless it landed inline, for a runner that drains the chain next.
+    fn commit(self, durable: &Arc<Durable>, stats: &Arc<EngineStats>) {
+        let relation = self.claimed[0]
+            .1
+            .relation()
+            .expect("a write names its relation");
+        let relation = relation.clone();
+        let records = self
+            .claimed
+            .iter()
+            .map(|(s, q, _)| (*s, q.clone()))
+            .collect();
+        let (owner, stats) = (Arc::clone(durable), Arc::clone(stats));
+        let landed = Box::new(move |outcome| {
+            let slot = Arc::clone(&self.slot);
+            self.publish(outcome);
+            if DRAINING.with(Cell::get) != slot.id {
+                promote_chained(&slot, &owner, &stats);
+            }
+        });
+        durable.sink.commit_writes_then(&relation, records, landed);
+    }
+}
+
+/// Applies a claimed run and fills every response plus the batch's output
+/// cell — at once without a sink; with one, once the run is durable.
 ///
-/// This is the group-commit point: one `commit_writes` call — hence one
-/// fsync in a durable sink — covers the whole run, and responses are
-/// filled only afterwards, so an answered write is a durable write. On
-/// commit failure every transaction is answered with an error and the
-/// output version is the *unchanged* input: the run's sequence numbers are
-/// burned. The sink contract makes this safe: a failing `commit_writes`
-/// leaves none of the run's records in the log's valid prefix and either
-/// repairs its tail or refuses all later commits (see `Wal::append_batch`),
-/// so recovery still sees a clean prefix of acknowledged history.
+/// This is the group-commit point. The run is computed first — its
+/// successor and its answers — and only then committed: one
+/// `commit_writes_then` call covers the whole run, and the frontier, the
+/// responses and the output fill only after the sink reports the commit,
+/// so an answered write is a durable write and nothing is visible before
+/// it is durable. A durable store queues the run's frames and lands them
+/// with every other queued batch's in one flush. On commit failure every
+/// transaction is answered with an error and the output version is the
+/// *unchanged* input: the run's sequence numbers are burned. The sink
+/// contract makes this safe: a failing commit leaves none of the run's
+/// records in the log's valid prefix and either repairs its tail or
+/// refuses all later commits (see `Wal::append_batch`), so recovery still
+/// sees a clean prefix of acknowledged history. The successor is never an
+/// input to another batch before it is durable — the next batch waits on
+/// the output cell — so a failed flush has no descendants to unwind.
 fn commit_and_apply(
-    sink: Option<&Arc<dyn CommitSink>>,
+    durable: Option<&Arc<Durable>>,
     first: &Database,
     claimed: Vec<(u64, Query, Lenient<Response>)>,
     output: &Lenient<Database>,
-    slot: &Slot,
-    stats: &EngineStats,
+    slot: &Arc<Slot>,
+    stats: &Arc<EngineStats>,
 ) {
-    let frontier = &slot.frontier;
     EngineStats::bump(&stats.batches_claimed);
     EngineStats::add(&stats.ops_claimed, claimed.len() as u64);
-    // The run's sequence numbers end here; the frontier entry published
-    // below covers them all (burned on failure, folded on success). The
-    // publish happens *before* the output cell fills: a successor batch
-    // starts applying only once this output is filled, so batch
-    // publications are ordered along each slot's version chain and
-    // `publish_frontier`'s monotonic guard only ever resolves races with
-    // readers repairing the frontier from a newer head.
-    let covers = claimed.last().map(|(s, _, _)| s + 1).expect("nonempty run");
-    let relation = claimed[0].1.relation().expect("a write names its relation");
-    if let Some(sink) = sink {
-        let records: Vec<(u64, Query)> = claimed.iter().map(|(s, q, _)| (*s, q.clone())).collect();
-        if let Err(e) = sink.commit_writes(relation, &records) {
-            publish_frontier(frontier, covers, first);
-            for (_, _, resp_cell) in claimed {
-                resp_cell.fill(commit_failed(&e)).ok();
-            }
-            output.fill(first.clone()).ok();
-            return;
+    let run = Computed::apply(slot, first, claimed, output);
+    match durable {
+        None => run.publish(Ok(())),
+        Some(durable) => {
+            DRAINING.with(|d| d.set(slot.id));
+            run.commit(durable, stats);
+            DRAINING.with(|d| d.set(u64::MAX));
         }
     }
-    // Index DDL always runs alone and changes no rows: it is no batch.
-    let ops: Option<Vec<BatchOp>> = claimed.iter().map(|(_, q, _)| exec::batch_op(q)).collect();
-    let Some(ops) = ops else {
-        let Ok([(_, q, resp_cell)]) = <[_; 1]>::try_from(claimed) else {
-            unreachable!("only data writes coalesce; index DDL runs alone")
-        };
-        let (resp, next) = exec::write(first, &q);
-        publish_frontier(frontier, covers, &next);
-        resp_cell.fill(resp).ok();
-        output.fill(next).ok();
+}
+
+thread_local! {
+    /// The slot whose claimed run this thread is committing in
+    /// `commit_and_apply`. Every caller of that drains the slot's chain
+    /// once the commit returns, so a run that lands right here — its flush
+    /// ran inline — leaves its chained successor to that drain, on this
+    /// thread, instead of handing it to the pool.
+    static DRAINING: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
+/// Gives the pool the batch chained behind a run that just landed off its
+/// runner's commit call: one opened while the run was in flight, so it
+/// got no job, and whose input — the landed output — is now filled. The job is spawned under the slot
+/// lock, like every batch job, so enqueue order follows version order; it
+/// claims the batch when it runs, so the batch keeps growing until then.
+/// A merge (`create view`) seals and promotes an open batch itself, so a
+/// merged-away slot has none left here.
+fn promote_chained(slot: &Arc<Slot>, durable: &Arc<Durable>, stats: &Arc<EngineStats>) {
+    let state = slot.state.lock();
+    let Some(batch) = &state.open else {
         return;
     };
-    // Apply the whole run as one commit: `Database::write` derives the
-    // per-key transitions once (grouped stably — submission order within a
-    // key is preserved, so the result equals applying the ops one at a
-    // time in submission order), lands them copying each touched node
-    // once, and advances the component's views from the same runs.
-    let (next, outcomes, _) = first
-        .write(relation, &ops)
-        .expect("writes to views are refused at submission");
-    publish_frontier(frontier, covers, &next);
-    for ((_, q, resp_cell), outcome) in claimed.into_iter().zip(outcomes) {
-        resp_cell.fill(exec::batch_response(q, outcome)).ok();
+    {
+        let mut guard = batch.lock();
+        if guard.has_job || !guard.input.is_filled() {
+            return;
+        }
+        guard.has_job = true;
     }
-    output.fill(next).ok();
+    EngineStats::bump(&stats.chained_claims);
+    let (slot, batch) = (Arc::clone(slot), Arc::clone(batch));
+    let (owner, stats) = (Arc::clone(durable), Arc::clone(stats));
+    durable
+        .pool
+        .spawn(move || run_batch_job(&slot, &batch, Some(&owner), &stats));
 }
 
 /// The body of a batch's pool job: wait for the input version, claim and
@@ -227,7 +367,7 @@ fn commit_and_apply(
 fn run_batch_job(
     slot: &Arc<Slot>,
     batch: &Arc<Mutex<BatchOps>>,
-    sink: Option<&Arc<dyn CommitSink>>,
+    durable: Option<&Arc<Durable>>,
     stats: &Arc<EngineStats>,
 ) {
     let (input, output) = {
@@ -235,10 +375,9 @@ fn run_batch_job(
         (guard.input.clone(), guard.output.clone())
     };
     // Wait for the input *before* claiming the run: every write submitted
-    // while the predecessor version was still being computed coalesces
-    // into this claim. In a durable engine the previous batch's fsync
-    // happens in that window, so commit latency grows batches instead of
-    // stalling submitters. A batch with a job is claimed by that job
+    // while the predecessor version was still being computed or committed
+    // coalesces into this claim, so commit latency grows batches instead
+    // of stalling submitters. A batch with a job is claimed by that job
     // alone, so the run is never empty here.
     let first = input.wait();
     let claimed = {
@@ -249,21 +388,26 @@ fn run_batch_job(
         }
         std::mem::take(&mut guard.ops)
     };
-    commit_and_apply(sink, first, claimed, &output, slot.as_ref(), stats);
-    drain_chain(slot, sink, stats);
+    commit_and_apply(durable, first, claimed, &output, slot, stats);
+    drain_chain(slot, durable, stats);
 }
 
 /// Claims and applies chained batches — successors opened while this
 /// worker's run was still computing, which got no pool job of their own —
-/// until the slot quiesces or another runner takes over.
+/// until the slot quiesces or another runner takes over. With a sink a
+/// run's output fills only once it is durable: a run whose flush ran
+/// inline has landed when its commit returns, and the drain goes on;
+/// otherwise the probe finds the successor's input pending and stops, and
+/// the successor goes to the pool when the run lands (`promote_chained`).
 ///
 /// After `MAX_DRAIN` batches the rest of the drain is re-enqueued at the
 /// pool's tail, so one component's write storm cannot monopolize a narrow
 /// pool. Liveness: a chained batch is only ever created while its
 /// predecessor's runner is active (the open happens under the slot lock,
 /// and so does this probe), so every chained batch is eventually claimed
-/// here or promoted by a sealing submission.
-fn drain_chain(slot: &Arc<Slot>, sink: Option<&Arc<dyn CommitSink>>, stats: &Arc<EngineStats>) {
+/// here, promoted when its predecessor lands, or promoted by a sealing
+/// submission.
+fn drain_chain(slot: &Arc<Slot>, durable: Option<&Arc<Durable>>, stats: &Arc<EngineStats>) {
     const MAX_DRAIN: u32 = 64;
     let mut drained = 0u32;
     loop {
@@ -290,14 +434,14 @@ fn drain_chain(slot: &Arc<Slot>, sink: Option<&Arc<dyn CommitSink>>, stats: &Arc
             return;
         };
         let first = input.try_map(Database::clone).expect("probed filled above");
-        commit_and_apply(sink, &first, claimed, &output, slot.as_ref(), stats);
+        commit_and_apply(durable, &first, claimed, &output, slot, stats);
         drained += 1;
         if drained >= MAX_DRAIN {
             let slot = Arc::clone(slot);
-            let sink = sink.cloned();
+            let durable = durable.cloned();
             let stats = Arc::clone(stats);
             if spawn_on_current_pool(move || {
-                drain_chain(&slot, sink.as_ref(), &stats);
+                drain_chain(&slot, durable.as_ref(), &stats);
             }) {
                 return;
             }
@@ -476,6 +620,15 @@ pub struct ConsistentCut {
     pub seq_marks: HashMap<RelationName, u64>,
 }
 
+/// Where [`PipelinedEngine::place_write`] left a write.
+enum Placed {
+    /// Coalesced, batched, or bypassed without a sink: its response cell.
+    Answered(Lenient<Response>),
+    /// Bypassed with a sink: the one-op run, to commit once the slot lock
+    /// is released.
+    Computed(Computed),
+}
+
 /// A multi-threaded executor with implicit, dependency-only synchronization.
 ///
 /// # Example
@@ -498,7 +651,7 @@ pub struct PipelinedEngine {
     catalog: RwLock<Catalog>,
     /// The durable commit hook, if any: called once per claimed write
     /// batch (group commit) and once per `create`, before responses fill.
-    sink: Option<Arc<dyn CommitSink>>,
+    durable: Option<Arc<Durable>>,
     /// Hot-path event counters (relaxed atomics; see [`EngineStats`]).
     stats: Arc<EngineStats>,
     /// Identity for the per-thread name cache (see [`Self::resolve`]).
@@ -564,9 +717,11 @@ impl PipelinedEngine {
     }
 
     /// An engine whose write path is hooked to a durable [`CommitSink`]:
-    /// every claimed write batch is committed (one sink call — one fsync —
-    /// per batch) before any of its transactions are answered, and every
-    /// `create` is committed before it enters the catalog.
+    /// every claimed write batch is computed and then committed (one sink
+    /// call per batch; a durable store shares one fsync among the batches
+    /// it has queued) before any of its transactions are answered or its
+    /// successor is visible, and every `create` is committed before it
+    /// enters the catalog.
     ///
     /// `seq_marks` gives each relation's starting write sequence number —
     /// `0` for a fresh store, or the recovered next-sequence values after a
@@ -633,14 +788,21 @@ impl PipelinedEngine {
                 names.insert(n.clone(), bound);
             }
         }
+        let pool = WorkerPool::new(workers);
+        let durable = sink.map(|sink| {
+            Arc::new(Durable {
+                sink,
+                pool: pool.spawner(),
+            })
+        });
         PipelinedEngine {
-            pool: WorkerPool::new(workers),
+            pool,
             catalog: RwLock::new(Catalog {
                 names,
                 order,
                 reserved: HashSet::new(),
             }),
-            sink,
+            durable,
             stats: Arc::new(EngineStats::default()),
             id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
         }
@@ -774,10 +936,10 @@ impl PipelinedEngine {
     fn spawn_batch_job(&self, slot: &Arc<Slot>, batch: &Arc<Mutex<BatchOps>>) {
         let slot = Arc::clone(slot);
         let batch = Arc::clone(batch);
-        let sink = self.sink.clone();
+        let durable = self.durable.clone();
         let stats = Arc::clone(&self.stats);
         self.pool
-            .spawn(move || run_batch_job(&slot, &batch, sink.as_ref(), &stats));
+            .spawn(move || run_batch_job(&slot, &batch, durable.as_ref(), &stats));
     }
 
     /// Seals the open batch (if any): no further writes may coalesce into
@@ -931,8 +1093,8 @@ impl PipelinedEngine {
                 return Err(Response::Error(exec::relation_exists(name)));
             }
         }
-        if let Some(sink) = &self.sink {
-            if let Err(e) = sink.commit_create(query) {
+        if let Some(durable) = &self.durable {
+            if let Err(e) = durable.sink.commit_create(query) {
                 self.catalog.write().reserved.remove(name);
                 return Err(commit_failed(&e));
             }
@@ -978,7 +1140,7 @@ impl PipelinedEngine {
             {
                 let (name, def) = (name.clone(), def.clone());
                 let (head, response, target) = (head.clone(), response.clone(), target.clone());
-                let (sink, stats) = (self.sink.clone(), Arc::clone(&self.stats));
+                let (durable, stats) = (self.durable.clone(), Arc::clone(&self.stats));
                 self.pool.spawn(move || {
                     let mut db = heads[0].wait_cloned();
                     for other in &heads[1..] {
@@ -995,7 +1157,7 @@ impl PipelinedEngine {
                     head.fill(db).ok();
                     response.fill(Response::ViewCreated { name, rows }).ok();
                     // Writes submitted behind the merge chained onto it.
-                    drain_chain(&target, sink.as_ref(), &stats);
+                    drain_chain(&target, durable.as_ref(), &stats);
                 });
             }
             let mut absorbed = Vec::new();
@@ -1096,23 +1258,30 @@ impl PipelinedEngine {
             Entry::View => None,
             _ => Some(Arc::clone(&b.slot)),
         };
-        match self.resolve(&relation, base) {
-            Some(Some(slot)) => self.with_slot(&relation, slot, |slot, state| {
-                self.place_write(slot, state, query)
-            }),
-            Some(None) => refused(exec::view_is_read_only(&relation)),
-            None => refused(exec::no_such_relation(&relation)),
+        let slot = match self.resolve(&relation, base) {
+            Some(Some(slot)) => slot,
+            Some(None) => return refused(exec::view_is_read_only(&relation)),
+            None => return refused(exec::no_such_relation(&relation)),
+        };
+        match self.with_slot(&relation, slot, |slot, state| {
+            self.place_write(slot, state, query)
+        }) {
+            Placed::Answered(response) => response,
+            Placed::Computed(run) => {
+                // A durable bypass write commits with the slot lock
+                // released: its flush may land other batches, whose
+                // publication takes their own slots' locks.
+                let durable = self.durable.as_ref().expect("only a sink defers");
+                let response = run.claimed[0].2.clone();
+                run.commit(durable, &self.stats);
+                response
+            }
         }
     }
 
     /// Places a data write on its locked slot: coalesce, bypass or open a
     /// batch.
-    fn place_write(
-        &self,
-        slot: &Arc<Slot>,
-        state: &mut SlotState,
-        query: Query,
-    ) -> Lenient<Response> {
+    fn place_write(&self, slot: &Arc<Slot>, state: &mut SlotState, query: Query) -> Placed {
         let seq = Self::stamp_write(slot, state);
         let relation = query.relation().expect("a write names its relation");
 
@@ -1125,7 +1294,7 @@ impl PipelinedEngine {
                 let out = response.clone();
                 ops.ops.push((seq, query, response));
                 EngineStats::bump(&self.stats.coalesced_writes);
-                return out;
+                return Placed::Answered(out);
             }
             // Sealed mid-flight by its worker, or another relation's
             // run: open a successor.
@@ -1152,20 +1321,29 @@ impl PipelinedEngine {
             // keeping the engine-wide submission-order serialization.
             EngineStats::bump(&self.stats.bypass_writes);
             state.open = None;
-            if let Some(sink) = &self.sink {
-                if let Err(e) = sink.commit_writes(relation, &[(seq, query.clone())]) {
-                    // The sequence number is burned: the head keeps
-                    // the unchanged value, which covers it.
-                    return Lenient::ready(commit_failed(&e));
-                }
-            }
             let first = state
                 .head
                 .try_get()
                 .expect("bypass regime requires a filled head");
-            let (resp, next) = exec::write(first, &query);
-            state.head = Head::Ready(next);
-            return Lenient::ready(resp);
+            let (answer, next) = exec::write(first, &query);
+            if self.durable.is_none() {
+                state.head = Head::Ready(next);
+                return Placed::Answered(Lenient::ready(answer));
+            }
+            // With a sink the write is a one-op run computed here: the
+            // head is its output, pending until the run is durable, so a
+            // write behind it chains and a read pins it — nothing sees
+            // the successor before its commit.
+            let run = Computed {
+                slot: Arc::clone(slot),
+                first: first.clone(),
+                next,
+                claimed: vec![(seq, query, Lenient::new())],
+                answers: Answers::One(answer),
+                output: Lenient::new(),
+            };
+            state.head = Head::Cell(run.output.clone());
+            return Placed::Computed(run);
         }
 
         // Coalesce: open a new batch for this write and every
@@ -1173,7 +1351,7 @@ impl PipelinedEngine {
         // batch is *chained* — it gets no pool job of its own; the
         // predecessor's runner claims it when that version fills,
         // so a claimed multi-batch run costs one pool job total.
-        self.open_batch(slot, state, seq, query, false, !pressure)
+        Placed::Answered(self.open_batch(slot, state, seq, query, false, !pressure))
     }
 
     /// Submits a transaction; the call returns immediately with the cell

@@ -53,7 +53,7 @@ pub mod stats;
 
 pub use apply_stream::{apply_stream, apply_stream_pairs, apply_stream_responses};
 pub use archive::VersionArchive;
-pub use commit::{CommitSink, FanoutSink};
+pub use commit::{CommitSink, Landed};
 pub use dataflow::{AccessShape, CostModel, DataflowCompiler};
 pub use engine::{ConsistentCut, PipelinedEngine};
 pub use locking::LockingDb;

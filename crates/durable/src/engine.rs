@@ -2,13 +2,14 @@
 //! the log and its cuts hooked to the checkpoint store.
 //!
 //! **Commit protocol.** The pipelined engine coalesces same-relation writes
-//! into batches; [`DurableStore`] (the engine's [`CommitSink`]) makes each
-//! claimed batch durable with one WAL append and one fsync *before* any of
-//! the batch's responses are filled. A transaction whose response has
-//! arrived is therefore on disk — the ack is the durability receipt. One
-//! fsync per batch, not per transaction, is the group commit: under load,
-//! fsync latency grows the next batch, so the log keeps up with the
-//! pipeline instead of serializing it.
+//! into batches; [`DurableStore`] (the engine's [`CommitSink`]) queues each
+//! claimed batch's encoded records, and one *flush* makes every queued
+//! batch — of every relation — durable with one WAL append and one fsync
+//! *before* any of their responses are filled. A transaction whose
+//! response has arrived is therefore on disk — the ack is the durability
+//! receipt. One fsync per flush, not per transaction nor per relation, is
+//! the group commit: under load, fsync latency grows the next batches, so
+//! the log keeps up with the pipeline instead of serializing it.
 //!
 //! **Recovery invariant.** [`recover_state`] rebuilds the state stored in a
 //! directory: the newest valid checkpoint, plus the replay of every log
@@ -21,17 +22,20 @@
 //! a shipped checkpoint.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs;
 use std::io;
+use std::mem;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use fundb_core::engine::ConsistentCut;
-use fundb_core::{CommitSink, FanoutSink, PipelinedEngine};
-use fundb_lenient::Lenient;
+use fundb_core::{CommitSink, Landed, PipelinedEngine};
+use fundb_lenient::{spawn_deferred, Lenient};
 use fundb_query::{exec, parse, translate, Query, Response, Transaction};
 use fundb_relational::{BatchOp, Database, RelationName};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::checkpoint::{self, CheckpointStats, CheckpointWriter};
 use crate::wal::{self, ScanStop, Wal, WalRecord};
@@ -47,11 +51,107 @@ pub fn checkpoint_dir(dir: &Path) -> PathBuf {
     dir.join("checkpoints")
 }
 
-/// The durable store: one write-ahead log behind a mutex, so batches from
-/// different relations serialize their fsyncs into one tail.
-#[derive(Debug)]
+/// The durable store: one write-ahead log fed by a group-commit queue.
+///
+/// A committing batch encodes its records on its own thread and queues the
+/// frames with its continuation ([`CommitSink::commit_writes_then`]). One
+/// *flush* takes every queued frame — of every relation — and writes them
+/// with one `write` and one fsync ([`Wal::append_frames`]), holding the
+/// log's lock for that alone; then it runs the queued batches'
+/// continuations, in queue order, with its outcome. A failed flush fails
+/// every batch in it, and the log quarantines its tail (see
+/// [`Wal::append_batch`]). Observers [`attach`](Self::attach)ed to the
+/// store — a replication sender — see each batch after its flush returned
+/// `Ok` and before its continuation answers it.
+///
+/// Who flushes: a committer on a pool worker queues the flush as a pool
+/// job ([`spawn_deferred`]) behind the jobs already waiting — another
+/// relation's batch among them, which then joins the flush — and runs it
+/// itself at the latest when it is about to block; with no job waiting,
+/// or an idle worker to take it, it flushes at once. A committer off the pool (a bypass write, a `create`,
+/// on its submitting thread) flushes at once, taking along whatever is
+/// queued.
 pub struct DurableStore {
+    log: Arc<Log>,
+}
+
+impl fmt::Debug for DurableStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DurableStore")
+            .field("flushes", &self.flushes())
+            .field("batches", &self.batches())
+            .finish()
+    }
+}
+
+/// The store's shared state: what a flush job holds on to.
+struct Log {
     wal: Mutex<Wal>,
+    queue: Mutex<Queue>,
+    /// Sinks told about every flushed batch, in attach order.
+    observers: RwLock<Vec<Arc<dyn CommitSink>>>,
+    flushes: AtomicU64,
+    batches: AtomicU64,
+    /// Test hook: the next committing batch fills the first cell and then
+    /// waits on the second before it queues its frames.
+    #[cfg(test)]
+    gate: Mutex<Option<(Lenient<()>, Lenient<()>)>>,
+}
+
+/// The batches waiting for the next flush.
+#[derive(Default)]
+struct Queue {
+    /// Their frames, concatenated in queue order.
+    frames: Vec<u8>,
+    batches: Vec<Queued>,
+}
+
+/// One queued batch: its records, kept when observers must see them, and
+/// its continuation.
+struct Queued {
+    writes: Option<(RelationName, Vec<(u64, Query)>)>,
+    landed: Landed,
+}
+
+impl Log {
+    /// Writes every queued frame with one append and one fsync, then runs
+    /// the queued continuations with the outcome — after the log's lock is
+    /// released, so the next flush can start meanwhile.
+    fn flush(&self) {
+        // A flush job whose batch an earlier flush took finds nothing
+        // here, and must not wait for the log's lock to learn it.
+        if self.queue.lock().batches.is_empty() {
+            return;
+        }
+        let mut wal = self.wal.lock();
+        let (frames, batches) = {
+            let mut queue = self.queue.lock();
+            (mem::take(&mut queue.frames), mem::take(&mut queue.batches))
+        };
+        if batches.is_empty() {
+            return;
+        }
+        let outcome = wal.append_frames(&frames);
+        drop(wal);
+        self.flushes.fetch_add(1, Relaxed);
+        self.batches.fetch_add(batches.len() as u64, Relaxed);
+        for Queued { writes, landed } in batches {
+            landed(match (&outcome, writes) {
+                (Ok(()), Some((relation, writes))) => self.observe(&relation, &writes),
+                (Ok(()), None) => Ok(()),
+                (Err(e), _) => Err(io::Error::new(e.kind(), e.to_string())),
+            });
+        }
+    }
+
+    /// Tells every observer about a flushed batch; the first that fails
+    /// fails the batch, and later ones do not see it.
+    fn observe(&self, relation: &RelationName, writes: &[(u64, Query)]) -> io::Result<()> {
+        self.observers
+            .read()
+            .iter()
+            .try_for_each(|o| o.commit_writes(relation, writes))
+    }
 }
 
 impl DurableStore {
@@ -59,27 +159,128 @@ impl DurableStore {
     /// [`Wal::recover`] first, as [`recover_state`] does).
     pub fn open(dir: &Path, segment_bytes: u64) -> io::Result<DurableStore> {
         Ok(DurableStore {
-            wal: Mutex::new(Wal::open(dir, segment_bytes)?),
+            log: Arc::new(Log {
+                wal: Mutex::new(Wal::open(dir, segment_bytes)?),
+                queue: Mutex::new(Queue::default()),
+                observers: RwLock::new(Vec::new()),
+                flushes: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+                #[cfg(test)]
+                gate: Mutex::new(None),
+            }),
         })
     }
 
     /// The segment currently being appended to.
     pub fn current_segment(&self) -> u64 {
-        self.wal.lock().current_segment()
+        self.log.wal.lock().current_segment()
+    }
+
+    /// Attaches a commit observer: it sees every batch queued from now on,
+    /// once its flush succeeded, and every later `create` — only what the
+    /// log accepted. This is how a replication sender taps the
+    /// group-commit stream.
+    pub fn attach(&self, observer: Arc<dyn CommitSink>) {
+        self.log.observers.write().push(observer);
+    }
+
+    /// Flushes so far: appends, each one `write` and one fsync, failed
+    /// ones included.
+    pub fn flushes(&self) -> u64 {
+        self.log.flushes.load(Relaxed)
+    }
+
+    /// Batches the flushes so far carried — claimed write batches, bypass
+    /// writes and `create`s.
+    pub fn batches(&self) -> u64 {
+        self.log.batches.load(Relaxed)
+    }
+
+    /// Queues one batch's frames and sees them flushed: by a flush job
+    /// deferred behind the jobs waiting on the pool when the caller is a
+    /// pool worker and `wait` is off, otherwise right here. Each deferred
+    /// job flushes whatever is queued when it runs, so a job whose batch
+    /// an earlier flush took does nothing.
+    fn enqueue(&self, frames: Vec<u8>, queued: Queued, wait: bool) {
+        {
+            let mut queue = self.log.queue.lock();
+            if queue.frames.is_empty() {
+                queue.frames = frames;
+            } else {
+                queue.frames.extend_from_slice(&frames);
+            }
+            queue.batches.push(queued);
+        }
+        let deferred = !wait && {
+            let log = Arc::clone(&self.log);
+            spawn_deferred(move || log.flush())
+        };
+        if !deferred {
+            self.log.flush();
+        }
+    }
+
+    /// Queues one batch's frames and returns the outcome of the flush
+    /// that carried them.
+    fn commit_now(&self, frames: Vec<u8>) -> io::Result<()> {
+        let done: Lenient<io::Result<()>> = Lenient::new();
+        let filled = done.clone();
+        let landed = Box::new(move |outcome| {
+            filled.fill(outcome).ok();
+        });
+        self.enqueue(
+            frames,
+            Queued {
+                writes: None,
+                landed,
+            },
+            true,
+        );
+        match done.wait() {
+            Ok(()) => Ok(()),
+            Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
+        }
     }
 }
 
 impl CommitSink for DurableStore {
     fn commit_writes(&self, relation: &RelationName, writes: &[(u64, Query)]) -> io::Result<()> {
-        self.wal
-            .lock()
-            .append_batch(&WalRecord::write_run(relation, writes))
+        self.commit_now(wal::encode_records(&WalRecord::write_run(relation, writes)))?;
+        self.log.observe(relation, writes)
     }
 
     fn commit_create(&self, query: &Query) -> io::Result<()> {
-        self.wal.lock().append_batch(&[WalRecord::Create {
+        let record = WalRecord::Create {
             query: query.to_string(),
-        }])
+        };
+        self.commit_now(wal::encode_records(&[record]))?;
+        self.log
+            .observers
+            .read()
+            .iter()
+            .try_for_each(|o| o.commit_create(query))
+    }
+
+    fn commit_writes_then(
+        &self,
+        relation: &RelationName,
+        writes: Vec<(u64, Query)>,
+        landed: Landed,
+    ) {
+        #[cfg(test)]
+        if let Some((entered, open)) = self.log.gate.lock().take() {
+            entered.fill(()).ok();
+            open.wait_timeout(std::time::Duration::from_secs(20));
+        }
+        // Encoded here, on the committing thread: the flush holds the
+        // log's lock for the write and the fsync only.
+        let frames = wal::encode_records(&WalRecord::write_run(relation, &writes));
+        let observed = !self.log.observers.read().is_empty();
+        let queued = Queued {
+            writes: observed.then(|| (relation.clone(), writes)),
+            landed,
+        };
+        self.enqueue(frames, queued, false);
     }
 }
 
@@ -257,11 +458,10 @@ impl WriteRuns {
 #[derive(Debug)]
 pub struct DurableEngine {
     engine: PipelinedEngine,
+    /// The engine's sink; sinks attached later (a replication sender)
+    /// observe through it, so they only ever see batches the local log
+    /// accepted.
     store: Arc<DurableStore>,
-    /// The engine's actual sink: the store first, then any sinks attached
-    /// later (a replication sender) — which therefore only ever observe
-    /// batches the local log accepted.
-    fanout: Arc<FanoutSink>,
     checkpoints: Mutex<CheckpointWriter>,
     wal_dir: PathBuf,
     ckpt_dir: PathBuf,
@@ -287,11 +487,10 @@ impl DurableEngine {
         let wal_dir = wal_dir(dir);
         let ckpt_dir = checkpoint_dir(dir);
         let store = Arc::new(DurableStore::open(&wal_dir, segment_bytes)?);
-        let fanout = Arc::new(FanoutSink::new(vec![store.clone() as Arc<dyn CommitSink>]));
         let engine = PipelinedEngine::with_sink(
             workers,
             &cut.database,
-            fanout.clone() as Arc<dyn CommitSink>,
+            store.clone() as Arc<dyn CommitSink>,
             &cut.seq_marks,
         );
         let checkpoints = Mutex::new(CheckpointWriter::open(&ckpt_dir)?);
@@ -299,7 +498,6 @@ impl DurableEngine {
             DurableEngine {
                 engine,
                 store,
-                fanout,
                 checkpoints,
                 wal_dir,
                 ckpt_dir,
@@ -334,12 +532,17 @@ impl DurableEngine {
         &self.engine
     }
 
-    /// Attaches another commit observer *after* the durable store in the
-    /// fan-out: it sees every batch from the next commit on, and only
-    /// batches the local log accepted. This is how a replication sender
-    /// taps the group-commit stream.
+    /// The durable store: the log and its flush counters.
+    pub fn store(&self) -> &DurableStore {
+        &self.store
+    }
+
+    /// Attaches another commit observer to the durable store
+    /// ([`DurableStore::attach`]): it sees every batch from the next
+    /// commit on, once its flush succeeded, before the batch's answers.
+    /// This is how a replication sender taps the group-commit stream.
     pub fn attach_sink(&self, sink: Arc<dyn CommitSink>) {
-        self.fanout.push(sink);
+        self.store.attach(sink);
     }
 
     /// A bootstrap package for a catching-up replica: the newest exported
@@ -694,6 +897,210 @@ mod tests {
         crate::fault::flip_bit(&first, 10, 0).unwrap();
         let err = engine.replication_snapshot().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// Arms the store's gate: the next committing batch signals the first
+    /// cell once computed and queues its frames only once the second is
+    /// filled, holding its worker until then.
+    fn arm_gate(engine: &DurableEngine) -> (Lenient<()>, Lenient<()>) {
+        let (entered, open) = (Lenient::new(), Lenient::new());
+        *engine.store.log.gate.lock() = Some((entered.clone(), open.clone()));
+        (entered, open)
+    }
+
+    const PATIENCE: std::time::Duration = std::time::Duration::from_secs(20);
+
+    /// Submits a burst of uninterrupted writes to `relation` (keys from
+    /// 100 on), so its slot leaves the bypass regime a fresh slot starts
+    /// in and later writes go to batches on the pool.
+    fn warm_to_batches(engine: &DurableEngine, relation: &str) {
+        let burst = (100..116).map(|k| tx(&format!("insert ({k}, 'w') into {relation}")));
+        assert!(engine.run(burst).iter().all(|a| !a.is_error()));
+    }
+
+    #[test]
+    fn concurrent_writers_on_four_relations_share_flushes() {
+        for workers in [1, 2] {
+            let tmp = ScratchDir::new("dur-group");
+            let acked: Vec<Vec<u64>> = {
+                let (engine, _) = DurableEngine::open(tmp.path(), workers).unwrap();
+                engine.run((0..4).map(|r| tx(&format!("create relation R{r} as tree"))));
+                let (flushes, batches) = (engine.store().flushes(), engine.store().batches());
+                let acked = std::thread::scope(|scope| {
+                    let writers: Vec<_> = (0..4)
+                        .map(|r| {
+                            let engine = &engine;
+                            scope.spawn(move || {
+                                (0..150u64)
+                                    .filter(|k| {
+                                        let q = format!("insert ({k}, 'w{r}') into R{r}");
+                                        !engine.submit(tx(&q)).wait().is_error()
+                                    })
+                                    .collect::<Vec<u64>>()
+                            })
+                        })
+                        .collect();
+                    writers.into_iter().map(|w| w.join().unwrap()).collect()
+                });
+                let flushes = engine.store().flushes() - flushes;
+                let batches = engine.store().batches() - batches;
+                assert!(
+                    flushes < batches,
+                    "{workers} worker(s): {flushes} flushes for {batches} batches"
+                );
+                acked
+            };
+            let (cut, report) = recover_state(tmp.path()).unwrap();
+            assert!(report.wal_stop.is_none());
+            for (r, keys) in acked.iter().enumerate() {
+                assert_eq!(keys.len(), 150, "R{r}: every write was acknowledged");
+                let relation = cut
+                    .database
+                    .relation(&RelationName::new(&format!("R{r}")))
+                    .unwrap();
+                for k in keys {
+                    let found = relation.find(&fundb_relational::Value::Int(*k as i64));
+                    assert_eq!(found.len(), 1, "R{r}: acknowledged key {k} recovered");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_fails_every_batch_it_carries() {
+        let tmp = ScratchDir::new("dur-failed-group");
+        let (engine, _) = DurableEngine::open(tmp.path(), 1).unwrap();
+        engine.run([
+            tx("create relation R as tree"),
+            tx("create relation S as tree"),
+            tx("insert (1, 'r') into R"),
+            tx("insert (1, 's') into S"),
+        ]);
+        warm_to_batches(&engine, "R");
+        warm_to_batches(&engine, "S");
+        let before = engine.snapshot();
+        let (flushes, batches) = (engine.store().flushes(), engine.store().batches());
+        // The one worker stops at R's commit; S's batch job queues behind
+        // it, ahead of the flush R's commit defers, so one flush takes both
+        // — and fails.
+        let (entered, open) = arm_gate(&engine);
+        let r = engine.submit(tx("insert (2, 'r') into R"));
+        assert!(entered.wait_timeout(PATIENCE).is_some());
+        let s = engine.submit(tx("insert (2, 's') into S"));
+        engine.store.log.wal.lock().fail_appends = 1;
+        open.fill(()).unwrap();
+        for answer in [&r, &s] {
+            let answer = answer.wait_timeout(PATIENCE).expect("answered");
+            assert!(
+                matches!(answer, Response::Error(e) if e.starts_with("commit failed")),
+                "{answer:?}"
+            );
+        }
+        assert_eq!(engine.store().flushes() - flushes, 1, "one flush");
+        assert_eq!(
+            engine.store().batches() - batches,
+            2,
+            "carried both batches"
+        );
+        assert!(db_equal(&engine.snapshot(), &before), "prior versions kept");
+        let next = engine.run([tx("insert (3, 'r') into R"), tx("insert (3, 's') into S")]);
+        assert!(next.iter().all(|a| !a.is_error()), "{next:?}");
+        let expected = engine.snapshot();
+        drop(engine);
+        let (cut, report) = recover_state(tmp.path()).unwrap();
+        assert!(report.wal_stop.is_none(), "{:?}", report.wal_stop);
+        assert!(db_equal(&cut.database, &expected));
+        for name in ["R", "S"] {
+            let relation = cut.database.relation(&name.into()).unwrap();
+            assert!(relation.find(&fundb_relational::Value::Int(2)).is_empty());
+        }
+        assert_eq!(
+            report.replayed, 38,
+            "2 creates + 36 writes; the failed group is gone"
+        );
+    }
+
+    #[test]
+    fn a_promoted_chained_batch_ahead_of_the_deferred_flush_completes() {
+        let tmp = ScratchDir::new("dur-promoted-chain");
+        let (engine, _) = DurableEngine::open(tmp.path(), 1).unwrap();
+        engine.run([tx("create relation R as tree")]);
+        warm_to_batches(&engine, "R");
+        // The one worker claims A = {1} and stops before queuing its
+        // frames. Behind A's pending output, 2 opens a chained batch B; the
+        // read seals B and promotes it, so B's job is queued ahead of the
+        // flush A's commit then defers. B waits on A's output, which only
+        // that flush fills: the worker must run it before it blocks.
+        let (entered, open) = arm_gate(&engine);
+        let a = engine.submit(tx("insert (1, 'a') into R"));
+        assert!(entered.wait_timeout(PATIENCE).is_some());
+        let b = engine.submit(tx("insert (2, 'b') into R"));
+        let read = engine.submit(tx("find 2 in R"));
+        open.fill(()).unwrap();
+        let answers: Option<Vec<&Response>> = [&a, &b, &read]
+            .iter()
+            .map(|c| c.wait_timeout(PATIENCE))
+            .collect();
+        let Some(answers) = answers else {
+            // The stalled worker would hang the pool's drop as well.
+            std::mem::forget(engine);
+            panic!("a batch queued ahead of the deferred flush stalled the one worker");
+        };
+        assert!(answers.iter().all(|a| !a.is_error()), "{answers:?}");
+        assert_eq!(answers[2].tuples().unwrap().len(), 1);
+    }
+
+    /// Counts the batches it observes and fails them when told to.
+    #[derive(Default)]
+    struct Observer {
+        writes: std::sync::atomic::AtomicUsize,
+        creates: std::sync::atomic::AtomicUsize,
+        fail: bool,
+    }
+
+    impl CommitSink for Observer {
+        fn commit_writes(&self, _: &RelationName, _: &[(u64, Query)]) -> io::Result<()> {
+            self.writes.fetch_add(1, Relaxed);
+            if self.fail {
+                return Err(io::Error::other("injected"));
+            }
+            Ok(())
+        }
+
+        fn commit_create(&self, _: &Query) -> io::Result<()> {
+            self.creates.fetch_add(1, Relaxed);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn observers_see_flushed_batches_in_attach_order_from_their_attach_on() {
+        let tmp = ScratchDir::new("dur-observers");
+        let (engine, _) = DurableEngine::open(tmp.path(), 1).unwrap();
+        let first = Arc::new(Observer::default());
+        engine.attach_sink(first.clone());
+        engine.run([tx("create relation R as tree")]);
+        engine.run([tx("insert (1, 'x') into R")]);
+        let (bad, after) = (
+            Arc::new(Observer {
+                fail: true,
+                ..Observer::default()
+            }),
+            Arc::new(Observer::default()),
+        );
+        engine.attach_sink(bad.clone());
+        engine.attach_sink(after.clone());
+        let refused = engine.run([tx("insert (2, 'x') into R")]);
+        assert!(refused[0].is_error(), "a failing observer fails the batch");
+        assert_eq!(first.creates.load(Relaxed), 1);
+        assert_eq!(first.writes.load(Relaxed), 2);
+        assert_eq!(bad.creates.load(Relaxed), 0, "attached after the create");
+        assert_eq!(bad.writes.load(Relaxed), 1);
+        assert_eq!(
+            after.writes.load(Relaxed),
+            0,
+            "observers after the failing one do not see the batch"
+        );
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! * **Pipelining stays intact.** The engine already coalesces
 //!   same-relation writes into batches to amortize thread handoff; the
-//!   [`wal`] appends each batch with *one* fsync (group commit), and a
-//!   transaction is acknowledged only after its batch's fsync — so an ack
-//!   is a durability receipt, and fsync latency amortizes over batches
-//!   exactly as handoff latency already did.
+//!   durable store queues each batch's records and the [`wal`] appends
+//!   every queued batch, of any relation, with *one* fsync (group
+//!   commit), and a transaction is acknowledged only after that fsync —
+//!   so an ack is a durability receipt, and fsync latency amortizes over
+//!   batches exactly as handoff latency already did.
 //!
 //! * **Sharing pays off on disk.** A version differs from its predecessor
 //!   in `O(log n)` nodes (Section 2.2); the [`checkpoint`] store names

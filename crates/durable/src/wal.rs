@@ -6,10 +6,11 @@
 //! sequence number — query text is the durable encoding because every
 //! query's `Display` re-parses, a property the query crate tests).
 //!
-//! **Group commit**: [`Wal::append_batch`] writes all of a batch's records
-//! with one `write` call and one `fsync`. The engine calls it once per
-//! claimed write batch, so commit cost is amortized over the batch exactly
-//! as thread-handoff cost already was.
+//! **Group commit**: [`Wal::append_frames`] writes a run of encoded
+//! records with one `write` call and one `fsync`. The durable store calls
+//! it once per *flush*, with the frames of every batch queued since the
+//! last one — of any relation — so commit cost is amortized over every
+//! batch in flight, not only over one relation's run.
 //!
 //! **Recovery**: [`Wal::scan`] walks the segments in order and stops at the
 //! first invalid frame. A physically *incomplete* frame (header short of 8
@@ -149,7 +150,8 @@ impl WalRecord {
 }
 
 /// Frame-encodes `records` — one [`put_frame`] per record payload —
-/// exactly the byte run [`Wal::append_batch`] writes. This is the wire
+/// exactly the byte run [`Wal::append_batch`] writes, and what a flush
+/// concatenates for [`Wal::append_frames`]. This is the wire
 /// format replication ships: a replica can append the bytes to its own log
 /// or decode them with [`decode_records`].
 pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
@@ -271,8 +273,9 @@ pub struct ScanOutcome {
 
 /// The append handle: owns the current tail segment.
 ///
-/// Not internally synchronized — the durable store wraps it in a mutex, so
-/// batches of different relations serialize their fsyncs (one log, one
+/// Not internally synchronized — the durable store holds it under a mutex
+/// that a flush takes for its one write and fsync only; the batches of
+/// every relation queued meanwhile share the next flush (one log, one
 /// tail).
 #[derive(Debug)]
 pub struct Wal {
@@ -281,8 +284,8 @@ pub struct Wal {
     segment: u64,
     written: u64,
     /// Rotation threshold: a new segment starts once the current one
-    /// reaches this size. Rotation only happens *between* batches, so a
-    /// batch's records are contiguous in one segment.
+    /// reaches this size. Rotation only happens *between* appends, so a
+    /// flush's records are contiguous in one segment.
     segment_bytes: u64,
     /// Set when a failed append could not be quarantined: the tail may
     /// hold damaged bytes, so no further record may be appended (it would
@@ -300,7 +303,7 @@ pub struct Wal {
     /// Test hook: fail the next N append I/O attempts, each after writing
     /// only half its bytes (a short write followed by an error).
     #[cfg(test)]
-    fail_appends: u32,
+    pub(crate) fail_appends: u32,
 }
 
 impl Wal {
@@ -360,17 +363,25 @@ impl Wal {
     /// record can land beyond damaged bytes, where recovery's
     /// stop-at-first-invalid-frame scan would silently drop it.
     pub fn append_batch(&mut self, records: &[WalRecord]) -> io::Result<()> {
+        self.append_frames(&encode_records(records))
+    }
+
+    /// Appends already frame-encoded records ([`encode_records`], or the
+    /// concatenation of several runs) with one write and one fsync — what
+    /// [`append_batch`](Self::append_batch) does after encoding, and what
+    /// the durable store's flush calls with every queued batch's frames.
+    /// On `Err` none of `frames` is in the valid prefix, as there.
+    pub fn append_frames(&mut self, frames: &[u8]) -> io::Result<()> {
         if self.poisoned {
             return Err(io::Error::other(
                 "wal poisoned by an unrepairable append failure; reopen to recover",
             ));
         }
-        let buf = encode_records(records);
-        if let Err(e) = self.write_and_sync(&buf) {
+        if let Err(e) = self.write_and_sync(frames) {
             self.quarantine();
             return Err(e);
         }
-        self.written += buf.len() as u64;
+        self.written += frames.len() as u64;
         if self.written >= self.segment_bytes {
             // The batch is already durable, so a failed rotation must not
             // fail the append (the caller would answer an error for

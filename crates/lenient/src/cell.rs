@@ -214,10 +214,15 @@ impl<T> Lenient<T> {
     ///
     /// This is the *demand* operation: the only synchronization in a lenient
     /// structure is a consumer waiting here on a genuinely missing component.
+    ///
+    /// A pool worker about to block first runs the jobs it deferred
+    /// ([`spawn_deferred`](crate::pool::spawn_deferred)): the value it
+    /// waits for may be one of theirs to produce.
     pub fn wait(&self) -> &T {
         if let Some(v) = self.inner.slot.get() {
             return v;
         }
+        crate::pool::run_deferred();
         let mut state = self.inner.state.lock();
         while !state.filled {
             self.inner.cond.wait(&mut state);
@@ -237,6 +242,7 @@ impl<T> Lenient<T> {
         if let Some(v) = self.inner.slot.get() {
             return Some(v);
         }
+        crate::pool::run_deferred();
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.inner.state.lock();
         while !state.filled {

@@ -58,7 +58,7 @@ pub mod thunk;
 pub use cell::{FillError, Lenient};
 pub use frontier::AtomicArc;
 pub use merge::{merge, merge_deterministic, merge_tagged, MergeSchedule};
-pub use pool::{spawn_on_current_pool, Job, WorkerPool};
+pub use pool::{spawn_deferred, spawn_on_current_pool, Job, Spawner, WorkerPool};
 pub use stream::{Stream, StreamWriter};
 pub use tagged::Tagged;
 pub use thunk::Thunk;

@@ -3,7 +3,7 @@
 //!
 //! The primary site's group-commit WAL "is exactly the per-site stream a
 //! replicated log would ship" (DESIGN.md §12): a [`ReplicationSender`]
-//! taps the durable engine's commit fan-out and mails each committed batch
+//! observes the durable store's flushes and mails each committed batch
 //! — in the WAL's own frame encoding — to every replica site as a
 //! [`Replicate`](DbPayload::Replicate) message. A [`ReplicaSite`] applies
 //! the batches to its *own* log and database value, and serves read-only
@@ -27,8 +27,8 @@
 //! skipped).
 //!
 //! **Read-your-writes.** A batch's `Replicate` hits the medium *before*
-//! any of its transactions are acknowledged (the sender sits in the commit
-//! fan-out, after the local log). A client that saw an ack and then reads
+//! any of its transactions are acknowledged (the sender observes the
+//! store's flush, after the local log and before the batch's answers). A client that saw an ack and then reads
 //! from a replica therefore finds its write already in the replica's inbox
 //! prefix — the merge order of the medium doubles as the consistency
 //! argument, with no extra synchronization.
@@ -89,7 +89,8 @@ pub(crate) const CONTROL_SITE: SiteId = SiteId(u32::MAX - 1);
 
 /// A [`CommitSink`] that ships every committed batch to the replica sites.
 ///
-/// Registered *after* the durable store in the engine's fan-out, so it
+/// Attached to the durable store, which tells it each batch after the
+/// flush carrying it succeeded and before the batch's answers, so it
 /// only observes batches the local log accepted; and it never fails the
 /// commit — replication is asynchronous, off the ack path, so group-commit
 /// latency is untouched (the Didona et al. trade: replicas acknowledge
@@ -212,7 +213,7 @@ struct ReplicaState {
     /// sub-batch for our shard whose primary ack we have *not* seen yet,
     /// in arrival order. The primary's ack copy always follows the
     /// `Replicate` that ships the same writes (the copy leaves when the
-    /// commit fills the sub-batch's cells, and the commit fan-out ships
+    /// commit fills the sub-batch's cells, and the store's observers ship
     /// first), so an entry still here at promotion is precisely a
     /// transaction the dead primary never applied — the promoted primary
     /// replays this buffer as its backlog.

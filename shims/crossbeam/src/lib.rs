@@ -101,6 +101,11 @@ pub mod channel {
             }
             Ok(())
         }
+
+        /// Whether no message is waiting in the channel.
+        pub fn is_empty(&self) -> bool {
+            self.shared.lock().is_empty()
+        }
     }
 
     impl<T> Clone for Sender<T> {

@@ -155,63 +155,62 @@ impl ClientHandle {
 
     /// Submits a symbolic query; returns the cell its response will fill.
     ///
-    /// A `result-on siteN:` prefix ([`pragma::result_on_prefix`]) pins
-    /// the query to that site; a site that is neither a shard's current
-    /// primary nor one of its replicas is refused without a message sent.
-    /// Otherwise, on one shard: point reads
-    /// (`find`, `count`) go round-robin to the read set when one is
-    /// configured, everything else to the primary. On a sharded cluster
-    /// the query routes by [`plan_route`]: keyed operations to the
-    /// owning shard, scans as a scatter-gather over every shard's read
-    /// set, DDL to every primary; a statement no shard can answer from its
-    /// own partition is refused without a message sent.
+    /// The text is parsed here, once — after a `result-on siteN:` prefix
+    /// ([`pragma::result_on_prefix`]), its body — and travels as the
+    /// parsed [`Query`]; text that does not parse is answered with the
+    /// parse error without a message sent. A pinned query goes to that
+    /// site; a site that is neither a shard's current primary nor one of
+    /// its replicas is refused without a message sent. Otherwise, on one
+    /// shard: point reads (`find`, `count`) go round-robin to the read
+    /// set when one is configured, everything else to the primary. On a
+    /// sharded cluster the query routes by [`plan_route`]: keyed
+    /// operations to the owning shard, scans as a scatter-gather over
+    /// every shard's read set, DDL to every primary; a statement no shard
+    /// can answer from its own partition is refused without a message
+    /// sent.
     pub fn submit(&self, query: &str) -> Lenient<Response> {
-        if let Some((pinned, rest)) = pragma::strip_result_on(query) {
-            if !self.routes.serves(pinned) {
+        let (pinned, text) =
+            pragma::strip_result_on(query).map_or((None, query), |(site, rest)| (Some(site), rest));
+        let parsed = match parse(text) {
+            Ok(q) => q,
+            Err(e) => return Lenient::ready(Response::Error(e.to_string())),
+        };
+        if let Some(site) = pinned {
+            if !self.routes.serves(site) {
                 return Lenient::ready(Response::Error(format!(
-                    "result-on {pinned}: not a primary or replica of any shard"
+                    "result-on {site}: not a primary or replica of any shard"
                 )));
             }
             self.stats.pragma_pinned.fetch_add(1, Ordering::Relaxed);
-            return self.send_single(pinned, rest);
+            return self.send_single(site, parsed);
         }
+        let plan = plan_route(&parsed);
+        self.count_route(&plan);
         if self.routes.shard_count() == 1 {
-            let dest = self.route_one_shard(query);
-            return self.send_single(dest, query);
+            let dest = self.route_one_shard(&parsed);
+            return self.send_single(dest, parsed);
         }
-        let Ok(parsed) = parse(query) else {
-            // Unparsable text: shard 0's primary answers with the error.
-            return self.send_single(self.routes.primary_of(0), query);
-        };
-        match plan_route(&parsed) {
+        match plan {
             RoutePlan::WriteKey(key) => {
-                self.stats
-                    .single_shard_writes
-                    .fetch_add(1, Ordering::Relaxed);
                 let shard = self.routes.shard_of(&key);
-                self.send_single(self.routes.primary_of(shard), query)
+                self.send_single(self.routes.primary_of(shard), parsed)
             }
             RoutePlan::ReadKey(key) => {
-                self.stats
-                    .single_shard_reads
-                    .fetch_add(1, Ordering::Relaxed);
                 let shard = self.routes.shard_of(&key);
                 let ticket = self.rr.fetch_add(1, Ordering::SeqCst);
-                self.send_single(self.routes.read_site(shard, ticket), query)
+                self.send_single(self.routes.read_site(shard, ticket), parsed)
             }
             RoutePlan::GatherRead(kind) => {
-                self.stats.gather_reads.fetch_add(1, Ordering::Relaxed);
                 let ticket = self.rr.fetch_add(1, Ordering::SeqCst);
                 let dests: Vec<SiteId> = (0..self.routes.shard_count())
                     .map(|s| self.routes.read_site(s, ticket))
                     .collect();
-                self.send_gather(kind, dests, query)
+                self.send_gather(kind, dests, parsed)
             }
             RoutePlan::AllPrimaries(kind) => {
-                self.stats.ddl_broadcasts.fetch_add(1, Ordering::Relaxed);
-                self.send_gather(kind, self.routes.all_primaries(), query)
+                self.send_gather(kind, self.routes.all_primaries(), parsed)
             }
-            RoutePlan::AnyShard => self.send_single(self.routes.primary_of(0), query),
+            RoutePlan::AnyShard => self.send_single(self.routes.primary_of(0), parsed),
             RoutePlan::Refuse(why) => Lenient::ready(Response::Error(why)),
         }
     }
@@ -228,7 +227,7 @@ impl ClientHandle {
         if queries.is_empty() {
             return Lenient::ready(Response::Error("empty transaction".into()));
         }
-        let mut subs: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+        let mut subs: BTreeMap<u32, Vec<Query>> = BTreeMap::new();
         for q in queries {
             let parsed = match parse(q) {
                 Ok(p) => p,
@@ -238,7 +237,7 @@ impl ClientHandle {
                 RoutePlan::WriteKey(key) => subs
                     .entry(self.routes.shard_of(&key))
                     .or_default()
-                    .push((*q).to_string()),
+                    .push(parsed),
                 _ => {
                     return Lenient::ready(Response::Error(format!(
                         "transactions sequence single-key writes only; `{q}` is not one"
@@ -302,7 +301,7 @@ impl ClientHandle {
     }
 
     /// Registers a [`Pending::Single`] and sends the request.
-    fn send_single(&self, dest: SiteId, query: &str) -> Lenient<Response> {
+    fn send_single(&self, dest: SiteId, query: Query) -> Lenient<Response> {
         let cell = Lenient::new();
         let entry = Pending::Single {
             dest,
@@ -315,7 +314,7 @@ impl ClientHandle {
             seq,
             DbPayload::Request {
                 client: self.client,
-                query: query.to_string(),
+                query,
             },
         ));
         cell
@@ -323,7 +322,7 @@ impl ClientHandle {
 
     /// Registers a [`Pending::Gather`] and sends one request per site,
     /// all under the same seq tag (replies are told apart by sender).
-    fn send_gather(&self, kind: GatherKind, dests: Vec<SiteId>, query: &str) -> Lenient<Response> {
+    fn send_gather(&self, kind: GatherKind, dests: Vec<SiteId>, query: Query) -> Lenient<Response> {
         let cell = Lenient::new();
         let entry = Pending::Gather {
             kind,
@@ -339,35 +338,38 @@ impl ClientHandle {
                 seq,
                 DbPayload::Request {
                     client: self.client,
-                    query: query.to_string(),
+                    query: query.clone(),
                 },
             ));
         }
         cell
     }
 
+    /// Counts a statement under the kind its [`RoutePlan`] names — on a
+    /// one-shard cluster too, where the plan classifies but does not route.
+    fn count_route(&self, plan: &RoutePlan) {
+        let counter = match plan {
+            RoutePlan::WriteKey(_) => &self.stats.single_shard_writes,
+            RoutePlan::ReadKey(_) => &self.stats.single_shard_reads,
+            RoutePlan::GatherRead(_) => &self.stats.gather_reads,
+            RoutePlan::AllPrimaries(_) => &self.stats.ddl_broadcasts,
+            RoutePlan::AnyShard | RoutePlan::Refuse(_) => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The one-shard routing rule — the replicated cluster's: point reads
-    /// round-robin over the read set; everything else — writes, creates,
-    /// scans whose cost is in the engine anyway — goes to the primary.
-    /// Unparsable text goes to the primary, whose reply carries the parse
-    /// error.
-    fn route_one_shard(&self, query: &str) -> SiteId {
-        let replicas = self.routes.replicas_of(0);
-        if !replicas.is_empty() {
-            if let Ok(Query::Find { .. } | Query::FindRange { .. } | Query::Count { .. }) =
-                parse(query)
-            {
-                self.stats
-                    .single_shard_reads
-                    .fetch_add(1, Ordering::Relaxed);
-                let i = self.rr.fetch_add(1, Ordering::SeqCst) as usize % replicas.len();
-                return replicas[i];
+    /// round-robin over the read set (the primary when there is none);
+    /// everything else — writes, creates, scans whose cost is in the
+    /// engine anyway — goes to the primary.
+    fn route_one_shard(&self, query: &Query) -> SiteId {
+        match query {
+            Query::Find { .. } | Query::FindRange { .. } | Query::Count { .. } => {
+                let ticket = self.rr.fetch_add(1, Ordering::SeqCst);
+                self.routes.read_site(0, ticket)
             }
+            _ => self.routes.primary_of(0),
         }
-        self.stats
-            .single_shard_writes
-            .fetch_add(1, Ordering::Relaxed);
-        self.routes.primary_of(0)
     }
 
     /// Fails every in-flight submission that the halt of `dest` leaves

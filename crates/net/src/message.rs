@@ -3,7 +3,7 @@
 use std::fmt;
 
 use fundb_core::ClientId;
-use fundb_query::Response;
+use fundb_query::{Query, Response};
 
 /// Identifies a processing element / network node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -54,9 +54,10 @@ impl<P> Message<P> {
 
 /// The payloads the database cluster exchanges.
 ///
-/// Requests travel as *symbolic* query text — exactly what the paper's
-/// terminals would transmit — and are translated at the serving site.
-/// Responses travel back as values with the originating client's tag.
+/// Requests travel as *symbolic* queries, parsed once by the submitting
+/// client and translated at the serving site; text that does not parse
+/// never reaches the medium. Responses travel back as values with the
+/// originating client's tag.
 /// The remaining variants carry the replication protocol: committed WAL
 /// batches shipped primary → replica, the catch-up handshake, and the
 /// failover control messages.
@@ -66,8 +67,8 @@ pub enum DbPayload {
     Request {
         /// The submitting client (one site may host several).
         client: ClientId,
-        /// Query text, e.g. `"insert (1, 'ada') into R"`.
-        query: String,
+        /// The parsed query, e.g. of `"insert (1, 'ada') into R"`.
+        query: Query,
     },
     /// A serving site's answer to an earlier request.
     Reply {
@@ -142,7 +143,7 @@ pub enum DbPayload {
         /// Per-shard sub-batches: `(shard, write queries in order)`.
         /// Shards without an entry are not participants and ignore the
         /// message.
-        subs: Vec<(u32, Vec<String>)>,
+        subs: Vec<(u32, Vec<Query>)>,
     },
     /// One participant shard's fsync receipt for a
     /// [`Sequenced`](DbPayload::Sequenced) transaction: sent to the origin
@@ -185,7 +186,7 @@ mod tests {
     fn db_payload_variants() {
         let req = DbPayload::Request {
             client: ClientId(0),
-            query: "find 1 in R".into(),
+            query: fundb_query::parse("find 1 in R").unwrap(),
         };
         let rep = DbPayload::Reply {
             client: ClientId(0),
@@ -210,7 +211,7 @@ mod tests {
             origin: SiteId(9),
             client: ClientId(1),
             txn: 3,
-            subs: vec![(0, vec!["insert 1 into R".into()])],
+            subs: vec![(0, vec![fundb_query::parse("insert 1 into R").unwrap()])],
         };
         let ack = DbPayload::SequencedAck {
             origin: SiteId(9),

@@ -42,9 +42,9 @@ pub fn result_on_prefix(site: SiteId, query: &str) -> String {
 
 /// Parses a [`result_on_prefix`]-shaped pragma off the front of `query`:
 /// `result-on site<N>: <rest>` → `(site, rest)`. Returns `None` when the
-/// prefix is absent or malformed — the text then routes as an ordinary
-/// query (and the server answers with its parse error if it really was a
-/// botched pragma).
+/// prefix is absent or malformed — the text is then parsed as an
+/// ordinary query, so a botched pragma is answered at the client with its
+/// parse error and sends nothing.
 pub fn strip_result_on(query: &str) -> Option<(SiteId, &str)> {
     let rest = query.trim_start().strip_prefix("result-on")?;
     let rest = rest.trim_start().strip_prefix("site")?;

@@ -17,14 +17,15 @@
 //! is what each shard of a [`ShardedCluster`](crate::ShardedCluster) runs
 //! over its durable engine, and what a promoted replica continues in. It
 //! is generic over the two things it needs from an engine — submit a
-//! transaction, export a catch-up snapshot — and is the only place in the
-//! crate where a query text is handed to an engine.
+//! transaction, export a catch-up snapshot. Requests arrive parsed (the
+//! client parses each statement once), so the primary's serial point
+//! only translates each query and hands the transaction to the engine.
 
 use std::sync::Arc;
 
 use fundb_durable::DurableEngine;
 use fundb_lenient::{Lenient, Stream};
-use fundb_query::{parse, translate, Response, Transaction};
+use fundb_query::{translate, Response, Transaction};
 
 use crate::medium::SharedMedium;
 use crate::message::{DbPayload, Message, SiteId};
@@ -66,15 +67,6 @@ struct Outbox {
 impl Drop for Outbox {
     fn drop(&mut self) {
         self.all_sent.fill(()).ok();
-    }
-}
-
-/// The one place a query text becomes a transaction in an engine: parse,
-/// translate, submit — or a ready error cell when it does not parse.
-fn submit_text(engine: &impl PrimaryEngine, text: &str) -> Lenient<Response> {
-    match parse(text) {
-        Ok(q) => engine.submit(translate(q)),
-        Err(e) => Lenient::ready(Response::Error(e.to_string())),
     }
 }
 
@@ -152,7 +144,7 @@ impl<E: PrimaryEngine> Primary<E> {
         let (from, seq) = (msg.from, msg.seq);
         match msg.payload {
             DbPayload::Request { client, query } => {
-                let cell = submit_text(&self.engine, &query);
+                let cell = self.engine.submit(translate(query));
                 let (out, reply_seq) = (Arc::clone(&self.out), self.reply_seq);
                 self.reply_seq += 1;
                 cell.on_fill(move |r| {
@@ -178,12 +170,12 @@ impl<E: PrimaryEngine> Primary<E> {
                 // land exactly between the direct traffic that precedes
                 // and follows the broadcast.
                 let shard = self.shard;
-                let Some((_, queries)) = subs.iter().find(|(s, _)| *s == shard) else {
+                let Some((_, queries)) = subs.into_iter().find(|(s, _)| *s == shard) else {
                     return true;
                 };
                 let cells: Vec<_> = queries
-                    .iter()
-                    .map(|q| submit_text(&self.engine, q))
+                    .into_iter()
+                    .map(|q| self.engine.submit(translate(q)))
                     .collect();
                 // The receipt goes to the origin, a copy to each replica
                 // peer: the commit ships a sub-batch's `Replicate` before
@@ -269,6 +261,7 @@ mod tests {
     use fundb_core::ClientId;
     use fundb_durable::ScratchDir;
     use fundb_lenient::stream::Node;
+    use fundb_query::parse;
 
     /// An engine whose response cells the test fills by hand, in any
     /// order: every submission hands its (unfilled) cell to the test.
@@ -292,7 +285,7 @@ mod tests {
     }
 
     fn request(from: u32, seq: u64, query: &str) -> Message<DbPayload> {
-        let query = query.to_string();
+        let query = parse(query).expect("test queries parse");
         let payload = DbPayload::Request {
             client: ClientId(from),
             query,
@@ -355,7 +348,8 @@ mod tests {
             })
         };
         medium.send(request(1, 0, "insert 1 into R"));
-        let subs = vec![(0, vec!["insert 2 into R".into(), "insert 3 into R".into()])];
+        let writes = ["insert 2 into R", "insert 3 into R"].map(|q| parse(q).unwrap());
+        let subs = vec![(0, writes.to_vec())];
         let sequenced = DbPayload::Sequenced {
             origin: SiteId(3),
             client: ClientId(3),
@@ -439,16 +433,16 @@ mod tests {
     }
 
     #[test]
-    fn malformed_queries_get_error_replies() {
+    fn error_replies_echo_the_requests_client() {
         let medium: SharedMedium<DbPayload> = SharedMedium::new();
-        let tmp = ScratchDir::new("primary-malformed");
+        let tmp = ScratchDir::new("primary-error-reply");
         let primary = serve(&medium, &tmp, 1);
         let inbox = medium.choose(SiteId(7));
         // The client id differs from the sending site: the reply must echo
         // the request's client, not derive one from the sender.
         let payload = DbPayload::Request {
             client: ClientId(3),
-            query: "frobnicate everything".into(),
+            query: parse("insert 1 into Missing").unwrap(),
         };
         medium.send(Message::new(SiteId(7), SiteId(0), 0, payload));
         let reply = inbox.first().unwrap();

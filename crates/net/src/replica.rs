@@ -75,7 +75,7 @@ use fundb_durable::{
 };
 use fundb_lenient::stream::Node;
 use fundb_lenient::{Lenient, Stream};
-use fundb_query::{parse, translate, Query, Response};
+use fundb_query::{translate, Query, Response};
 use fundb_relational::{Database, RelationName};
 
 use crate::medium::SharedMedium;
@@ -296,29 +296,13 @@ impl ReplicaState {
     /// track sequenced transactions for our shard, or answer a read-only
     /// query from the local database value.
     fn handle_live(&mut self, msg: Message<DbPayload>) -> io::Result<()> {
-        let (from, to, seq) = (msg.from, msg.to, msg.seq);
         match msg.payload {
             // Buffer participant broadcasts until the primary's ack copy
             // confirms they were applied (and shipped to us as ordinary
             // `Replicate` traffic). Non-participant broadcasts are other
             // shards' business.
-            DbPayload::Sequenced {
-                origin,
-                client,
-                txn,
-                subs,
-            } if subs.iter().any(|(s, _)| *s == self.shard) => {
-                self.seq_buf.push(Message::new(
-                    from,
-                    to,
-                    seq,
-                    DbPayload::Sequenced {
-                        origin,
-                        client,
-                        txn,
-                        subs,
-                    },
-                ));
+            DbPayload::Sequenced { ref subs, .. } if subs.iter().any(|(s, _)| *s == self.shard) => {
+                self.seq_buf.push(msg);
             }
             DbPayload::Sequenced { .. } => {}
             DbPayload::SequencedAck {
@@ -356,12 +340,13 @@ impl ReplicaState {
             }
             DbPayload::Request { client, query } => {
                 self.flush_pending()?;
-                let response = match parse(&query) {
-                    Err(e) => Response::Error(e.to_string()),
-                    Ok(q) if !q.is_read_only() => Response::Error(
+                // A `result-on` pin can still send a write here.
+                let response = if query.is_read_only() {
+                    translate(query).apply(&self.db).0
+                } else {
+                    Response::Error(
                         "replica serves read-only queries; send writes to the primary".into(),
-                    ),
-                    Ok(q) => translate(q).apply(&self.db).0,
+                    )
                 };
                 let reply = DbPayload::Reply {
                     client,

@@ -205,15 +205,17 @@ impl fmt::Debug for ShardRoutes {
 /// atomics bumped on the client's routing path and its receiving step,
 /// snapshot on demand. One instance is shared by every
 /// [`ClientHandle`] of a cluster.
+/// The route counters classify each unpinned statement by its
+/// [`RoutePlan`](crate::RoutePlan), on one shard too.
 #[derive(Debug)]
 pub struct ClusterStats {
     /// Single-key writes routed directly to an owning primary.
     pub single_shard_writes: AtomicU64,
     /// Single-key reads routed to an owning shard's read set.
     pub single_shard_reads: AtomicU64,
-    /// Scatter-gather reads (scans, aggregates) fanned out to every shard.
+    /// Reads that touch every partition (scans, counts, aggregates).
     pub gather_reads: AtomicU64,
-    /// DDL statements broadcast to every shard primary.
+    /// DDL statements, sent to every shard primary.
     pub ddl_broadcasts: AtomicU64,
     /// Queries pinned to an explicit site by a `RESULT-ON` pragma prefix.
     pub pragma_pinned: AtomicU64,
@@ -306,9 +308,9 @@ pub struct ClusterStatsSnapshot {
     pub single_shard_writes: u64,
     /// Single-key reads routed to an owning shard's read set.
     pub single_shard_reads: u64,
-    /// Scatter-gather reads fanned out to every shard.
+    /// Reads that touch every partition (scans, counts, aggregates).
     pub gather_reads: u64,
-    /// DDL statements broadcast to every shard primary.
+    /// DDL statements, sent to every shard primary.
     pub ddl_broadcasts: u64,
     /// Queries pinned to an explicit site by a `RESULT-ON` prefix.
     pub pragma_pinned: u64,
@@ -831,6 +833,7 @@ impl Drop for ShardedCluster {
 mod tests {
     use super::*;
     use fundb_durable::ScratchDir;
+    use fundb_lenient::Lenient;
     use fundb_query::Response;
 
     /// A one-shard cluster with no replicas over `dir` — Figure 3-1's
@@ -909,7 +912,17 @@ mod tests {
         let tmp = ScratchDir::new("shard-parse-error");
         let cluster = figure_3_1(&tmp, 1, 1);
         let c = cluster.client(0);
-        assert!(c.submit("gibberish").wait().is_error());
+        let submissions: [&dyn Fn() -> Lenient<Response>; 3] = [
+            &|| c.submit("gibberish"),
+            &|| c.submit("result-on site0: gibberish"),
+            &|| c.submit_txn(&["insert 1 into R", "gibberish"]),
+        ];
+        for (i, submit) in submissions.iter().enumerate() {
+            let before = cluster.message_count();
+            assert!(submit().wait().is_error(), "submission {i}");
+            // Answered at the client: the text never reached the medium.
+            assert_eq!(cluster.message_count(), before, "submission {i}");
+        }
         cluster.shutdown();
     }
 
@@ -1107,6 +1120,64 @@ mod tests {
         }
         // Both replicas of a shard actually take turns.
         assert_ne!(routes.read_site(0, 0), routes.read_site(0, 1));
+
+        // One shard with replicas: point reads take turns over them, the
+        // rest goes to the primary, and each statement is counted under
+        // the kind its plan names.
+        let (c, stats, medium) = one_shard_client(vec![SiteId(1), SiteId(2)]);
+        let script = [
+            "find 1 in R",
+            "find 2 in R",
+            "count R",
+            "select from R",
+            "insert 1 into R",
+        ];
+        assert_eq!(
+            routed(&c, &medium, &script),
+            [1, 2, 1, 0, 0].map(SiteId).to_vec()
+        );
+        assert_eq!(route_counts(&stats), (1, 2, 2, 0));
+        medium.close();
+    }
+
+    /// A client of a one-shard cluster whose primary is site 0 and whose
+    /// read set is `replicas`, with the cluster's counters, on a medium no
+    /// site serves: its requests stay there for the test to read.
+    fn one_shard_client(
+        replicas: Vec<SiteId>,
+    ) -> (ClientHandle, Arc<ClusterStats>, SharedMedium<DbPayload>) {
+        let medium = SharedMedium::new();
+        let routes = ShardRoutes::new(
+            ShardMap::new(1),
+            vec![ShardRoute {
+                primary: Arc::new(AtomicU32::new(0)),
+                replicas,
+            }],
+        );
+        let stats = Arc::new(ClusterStats::new(1));
+        let routes = Arc::new(routes);
+        let c = ClientHandle::spawn(&medium, SiteId(9), ClientId(0), routes, Arc::clone(&stats));
+        (c, stats, medium)
+    }
+
+    /// Submits `script` through `c` and returns where each request went.
+    fn routed(c: &ClientHandle, medium: &SharedMedium<DbPayload>, script: &[&str]) -> Vec<SiteId> {
+        for q in script {
+            c.submit(q);
+        }
+        let sent = medium.broadcast_stream().take(script.len()).collect_vec();
+        sent.iter().map(|m| m.to).collect()
+    }
+
+    /// `(writes, keyed reads, gathers, ddl)` as `stats` counted them.
+    fn route_counts(stats: &ClusterStats) -> (u64, u64, u64, u64) {
+        let s = stats.snapshot();
+        (
+            s.single_shard_writes,
+            s.single_shard_reads,
+            s.gather_reads,
+            s.ddl_broadcasts,
+        )
     }
 
     #[test]
@@ -1126,6 +1197,21 @@ mod tests {
         );
         assert_eq!(routes.read_site(0, 9), SiteId(0));
         assert_eq!(routes.read_site(1, 9), SiteId(1));
+
+        // One shard without replicas: everything goes to the primary, and
+        // each statement is counted under the kind its plan names.
+        let (c, stats, medium) = one_shard_client(Vec::new());
+        let script = [
+            "find 1 in R",
+            "insert 1 into R",
+            "count R",
+            "select from R",
+            "create relation T",
+            "explain find 1 in R",
+        ];
+        assert_eq!(routed(&c, &medium, &script), vec![SiteId(0); 6]);
+        assert_eq!(route_counts(&stats), (1, 1, 2, 1));
+        medium.close();
     }
 
     #[test]

@@ -57,6 +57,12 @@ fn keyed_traffic_routes_to_owning_shards() {
     // RESULT-ON: pin a query to the site that owns its key.
     let pinned = result_on_prefix(cluster.owning_site(&Value::from(7i64)), "find 7 in R");
     assert_found(&cluster.client(1).submit(&pinned).wait_cloned(), 7);
+    // A write pinned to a replica is refused there: replicas serve reads.
+    let to_replica = result_on_prefix(cluster.replica_sites(0)[0], "insert 99 into R");
+    match cluster.client(1).submit(&to_replica).wait_cloned() {
+        Response::Error(e) => assert!(e.contains("read-only"), "{e}"),
+        other => panic!("a replica applied a pinned write: {other}"),
+    }
     // A site that serves no shard — one that does not exist, or a client
     // site — is refused before `submit` returns, naming the site.
     for site in [SiteId(99), c.site()] {
@@ -80,7 +86,7 @@ fn keyed_traffic_routes_to_owning_shards() {
     assert_eq!(stats.single_shard_reads, 40);
     assert!(stats.gather_reads >= 1, "{stats}");
     assert_eq!(stats.ddl_broadcasts, 1);
-    assert_eq!(stats.pragma_pinned, 1);
+    assert_eq!(stats.pragma_pinned, 2);
     for (shard, &(shipped, applied)) in stats.shard_lag.iter().enumerate() {
         assert!(shipped > 0, "shard {shard} never shipped");
         assert_eq!(applied, shipped, "shard {shard} lagging after sync");

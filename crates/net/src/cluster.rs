@@ -5,6 +5,13 @@
 //! back over the medium and each client site `choose`s its own. A
 //! [`ClientHandle`] is one terminal; [`ShardedCluster`](crate::ShardedCluster)
 //! wires the terminals, the medium and the primaries together.
+//!
+//! A client has two ways to send a statement: a request to one site, or
+//! a [`Sequenced`](DbPayload::Sequenced) message — a transaction's writes
+//! grouped by shard, or, on a sharded cluster, a statement for every
+//! shard (a gather or DDL) — that takes one position in the medium's
+//! merge. It waits for one receipt per participant shard and folds them
+//! with [`combine_gather`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -30,24 +37,17 @@ enum Pending {
         dest: SiteId,
         cell: Lenient<Response>,
     },
-    /// A scattered read/DDL: one request per shard under a shared `seq`,
-    /// replies told apart by their sending site.
-    Gather {
+    /// A sequenced statement — a transaction, or a gather or DDL on every
+    /// shard: receipts outstanding per participant shard, folded by
+    /// `kind` once the last arrives. `direct` is the owning primary for
+    /// the single-shard transaction fast path (`None` = broadcast; a
+    /// promoted primary will answer for a dead one, so broadcasts survive
+    /// failover and must not be failed).
+    Sequenced {
         kind: GatherKind,
-        waiting: HashSet<SiteId>,
-        partials: Vec<(SiteId, Response)>,
-        cell: Lenient<Response>,
-    },
-    /// A sequenced transaction: fsync receipts outstanding per shard.
-    /// `direct` is the owning primary for the single-shard fast path
-    /// (`None` = broadcast; a promoted primary will answer for a dead
-    /// one, so broadcasts survive failover and must not be failed).
-    Txn {
         waiting: HashSet<u32>,
+        partials: Vec<(u32, Response)>,
         direct: Option<SiteId>,
-        ops: usize,
-        shards: usize,
-        error: Option<String>,
         cell: Lenient<Response>,
     },
 }
@@ -55,18 +55,18 @@ enum Pending {
 impl Pending {
     fn cell(self) -> Lenient<Response> {
         match self {
-            Pending::Single { cell, .. }
-            | Pending::Gather { cell, .. }
-            | Pending::Txn { cell, .. } => cell,
+            Pending::Single { cell, .. } | Pending::Sequenced { cell, .. } => cell,
         }
     }
 
-    /// Whether the halt of `dest` makes this entry unanswerable.
+    /// Whether the halt of `dest` makes this entry unanswerable: a request
+    /// or a single-shard transaction sent to it. A broadcast — a
+    /// cross-shard transaction, gather or DDL — is not: the dead site's
+    /// replicas hold it until the promoted one answers it.
     fn doomed_by(&self, dest: SiteId) -> bool {
         match self {
             Pending::Single { dest: d, .. } => *d == dest,
-            Pending::Gather { waiting, .. } => waiting.contains(&dest),
-            Pending::Txn { direct, .. } => *direct == Some(dest),
+            Pending::Sequenced { direct, .. } => *direct == Some(dest),
         }
     }
 }
@@ -82,9 +82,9 @@ impl Pending {
 ///
 /// On a sharded cluster the handle routes by key: single-key reads and
 /// writes go directly to the owning shard (reads round-robin over that
-/// shard's — and only that shard's — replicas), scans scatter-gather, and
-/// [`submit_txn`](Self::submit_txn) sequences multi-shard writes through
-/// the medium.
+/// shard's — and only that shard's — replicas); scans and DDL, like
+/// [`submit_txn`](Self::submit_txn)'s multi-shard writes, are sequenced
+/// through the medium to every shard's primary.
 pub struct ClientHandle {
     site: SiteId,
     client: ClientId,
@@ -164,10 +164,11 @@ impl ClientHandle {
     /// shard: point reads (`find`, `count`) go round-robin to the read
     /// set when one is configured, everything else to the primary. On a
     /// sharded cluster the query routes by [`plan_route`]: keyed
-    /// operations to the owning shard, scans as a scatter-gather over
-    /// every shard's read set, DDL to every primary; a statement no shard
-    /// can answer from its own partition is refused without a message
-    /// sent.
+    /// operations to the owning shard; scans and DDL as one
+    /// [`Sequenced`](DbPayload::Sequenced) broadcast holding the query for
+    /// every shard, which each shard's primary answers at the broadcast's
+    /// one merge position; a statement no shard can answer from its own
+    /// partition is refused without a message sent.
     pub fn submit(&self, query: &str) -> Lenient<Response> {
         let (pinned, text) =
             pragma::strip_result_on(query).map_or((None, query), |(site, rest)| (Some(site), rest));
@@ -200,15 +201,11 @@ impl ClientHandle {
                 let ticket = self.rr.fetch_add(1, Ordering::SeqCst);
                 self.send_single(self.routes.read_site(shard, ticket), parsed)
             }
-            RoutePlan::GatherRead(kind) => {
-                let ticket = self.rr.fetch_add(1, Ordering::SeqCst);
-                let dests: Vec<SiteId> = (0..self.routes.shard_count())
-                    .map(|s| self.routes.read_site(s, ticket))
+            RoutePlan::GatherRead(kind) | RoutePlan::AllPrimaries(kind) => {
+                let subs = (0..self.routes.shard_count())
+                    .map(|s| (s, vec![parsed.clone()]))
                     .collect();
-                self.send_gather(kind, dests, parsed)
-            }
-            RoutePlan::AllPrimaries(kind) => {
-                self.send_gather(kind, self.routes.all_primaries(), parsed)
+                self.send_sequenced(kind, subs, None)
             }
             RoutePlan::AnyShard => self.send_single(self.routes.primary_of(0), parsed),
             RoutePlan::Refuse(why) => Lenient::ready(Response::Error(why)),
@@ -245,46 +242,20 @@ impl ClientHandle {
                 }
             }
         }
-        let ops = queries.len();
-        let shards = subs.len();
-        let waiting: HashSet<u32> = subs.keys().copied().collect();
-        let (dest, direct) = if shards == 1 {
+        let direct = if subs.len() == 1 {
             // Didona et al.'s rule: a transaction whose keys live on one
             // shard must not touch any global path — direct unicast.
             self.stats.single_shard_txns.fetch_add(1, Ordering::Relaxed);
-            let d = self
-                .routes
-                .primary_of(*waiting.iter().next().expect("one shard"));
-            (d, Some(d))
+            subs.keys().next().map(|&s| self.routes.primary_of(s))
         } else {
             self.stats.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
-            (SiteId::BROADCAST, None)
+            None
         };
         self.stats
             .sequencer_waits
-            .fetch_add(shards as u64, Ordering::Relaxed);
-        let cell = Lenient::new();
-        let entry = Pending::Txn {
-            waiting,
-            direct,
-            ops,
-            shards,
-            error: None,
-            cell: cell.clone(),
-        };
-        let seq = self.register(entry, direct.as_slice());
-        self.medium.send(Message::new(
-            self.site,
-            dest,
-            seq,
-            DbPayload::Sequenced {
-                origin: self.site,
-                client: self.client,
-                txn: seq,
-                subs: subs.into_iter().collect(),
-            },
-        ));
-        cell
+            .fetch_add(subs.len() as u64, Ordering::Relaxed);
+        let kind = GatherKind::Txn { ops: queries.len() };
+        self.send_sequenced(kind, subs.into_iter().collect(), direct)
     }
 
     /// Registers `entry` under a fresh seq tag *before* its request is
@@ -320,28 +291,35 @@ impl ClientHandle {
         cell
     }
 
-    /// Registers a [`Pending::Gather`] and sends one request per site,
-    /// all under the same seq tag (replies are told apart by sender).
-    fn send_gather(&self, kind: GatherKind, dests: Vec<SiteId>, query: Query) -> Lenient<Response> {
+    /// Registers a [`Pending::Sequenced`] awaiting one receipt per shard
+    /// of `subs` and sends them as one [`Sequenced`](DbPayload::Sequenced)
+    /// message: to `direct`, or broadcast when it is `None`.
+    fn send_sequenced(
+        &self,
+        kind: GatherKind,
+        subs: Vec<(u32, Vec<Query>)>,
+        direct: Option<SiteId>,
+    ) -> Lenient<Response> {
         let cell = Lenient::new();
-        let entry = Pending::Gather {
+        let entry = Pending::Sequenced {
             kind,
-            waiting: dests.iter().copied().collect(),
+            waiting: subs.iter().map(|(shard, _)| *shard).collect(),
             partials: Vec::new(),
+            direct,
             cell: cell.clone(),
         };
-        let seq = self.register(entry, &dests);
-        for dest in dests {
-            self.medium.send(Message::new(
-                self.site,
-                dest,
-                seq,
-                DbPayload::Request {
-                    client: self.client,
-                    query: query.clone(),
-                },
-            ));
-        }
+        let seq = self.register(entry, direct.as_slice());
+        self.medium.send(Message::new(
+            self.site,
+            direct.unwrap_or(SiteId::BROADCAST),
+            seq,
+            DbPayload::Sequenced {
+                origin: self.site,
+                client: self.client,
+                txn: seq,
+                subs,
+            },
+        ));
         cell
     }
 
@@ -374,13 +352,14 @@ impl ClientHandle {
 
     /// Fails every in-flight submission that the halt of `dest` leaves
     /// unanswerable — used at promotion, when the halted old primary will
-    /// never reply. Broadcast transactions survive: the promoted primary
-    /// replays and acks whatever the dead one left unapplied.
+    /// never reply. Broadcasts survive — cross-shard transactions, gathers
+    /// and DDL alike: the promoted primary replays and acks whatever the
+    /// dead one left unapplied.
     ///
-    /// Scope is exactly the dead site: single requests are doomed by
-    /// their destination, gathers by still awaiting `dest`'s partial.
-    /// Requests in flight to *other* sites — another shard's primary, a
-    /// replica read — are untouched, however delayed they are (pinned by
+    /// Scope is exactly the dead site: requests and single-shard
+    /// transactions are doomed by their destination. Requests in flight
+    /// to *other* sites — another shard's primary, a replica read — are
+    /// untouched, however delayed they are (pinned by
     /// `tests/sharding.rs::promotion_fails_only_requests_bound_for_the_dead_primary`).
     pub(crate) fn fail_pending_to(&self, dest: SiteId, reason: &str) {
         let mut pending = self.pending.lock();
@@ -431,35 +410,11 @@ fn receive(site: ClientSite, node: &Node<Message<DbPayload>>) -> Option<ClientSi
             response,
             ..
         } => {
-            let mut p = pending.lock();
-            // Entries may be absent: a promotion can fail a cell whose
+            // The entry may be absent: a promotion can fail a cell whose
             // (raced) reply arrives afterwards.
-            match p.get_mut(in_reply_to) {
-                Some(Pending::Single { .. }) => {
-                    let cell = p.remove(in_reply_to).expect("just matched").cell();
-                    drop(p);
-                    answer(cell, response.clone());
-                }
-                Some(Pending::Gather {
-                    waiting, partials, ..
-                }) => {
-                    if waiting.remove(&msg.from) {
-                        partials.push((msg.from, response.clone()));
-                    }
-                    if waiting.is_empty() {
-                        if let Some(Pending::Gather {
-                            kind,
-                            partials,
-                            cell,
-                            ..
-                        }) = p.remove(in_reply_to)
-                        {
-                            drop(p);
-                            answer(cell, combine_gather(kind, partials));
-                        }
-                    }
-                }
-                _ => {}
+            let entry = pending.lock().remove(in_reply_to);
+            if let Some(entry) = entry {
+                answer(entry.cell(), response.clone());
             }
         }
         DbPayload::SequencedAck {
@@ -469,30 +424,29 @@ fn receive(site: ClientSite, node: &Node<Message<DbPayload>>) -> Option<ClientSi
             ..
         } => {
             let mut p = pending.lock();
-            if let Some(Pending::Txn { waiting, error, .. }) = p.get_mut(in_reply_to) {
+            if let Some(Pending::Sequenced {
+                kind,
+                waiting,
+                partials,
+                ..
+            }) = p.get_mut(in_reply_to)
+            {
                 if waiting.remove(shard) {
-                    stats.sequencer_acks.fetch_add(1, Ordering::Relaxed);
-                    if error.is_none() {
-                        if let Response::Error(e) = response {
-                            *error = Some(e.clone());
-                        }
+                    if matches!(kind, GatherKind::Txn { .. }) {
+                        stats.sequencer_acks.fetch_add(1, Ordering::Relaxed);
                     }
+                    partials.push((*shard, response.clone()));
                 }
                 if waiting.is_empty() {
-                    if let Some(Pending::Txn {
-                        ops,
-                        shards,
-                        error,
+                    if let Some(Pending::Sequenced {
+                        kind,
+                        partials,
                         cell,
                         ..
                     }) = p.remove(in_reply_to)
                     {
                         drop(p);
-                        let response = match error {
-                            Some(e) => Response::Error(e),
-                            None => Response::Applied { ops, shards },
-                        };
-                        answer(cell, response);
+                        answer(cell, combine_gather(kind, partials));
                     }
                 }
             }

@@ -28,8 +28,9 @@
 //! * [`ShardedCluster`] — the one topology: hash-partitioned shard
 //!   groups (each a durable primary plus its replicas) behind shard-aware
 //!   clients; the medium's merge order doubles as the sequencer for
-//!   cross-shard transactions. With one shard and no replicas it is
-//!   Figure 3-1 itself; with replicas, the replicated cluster.
+//!   cross-shard transactions, gathers and DDL. With one shard and no
+//!   replicas it is Figure 3-1 itself; with replicas, the replicated
+//!   cluster.
 //! * [`chaos`] — deterministic fault injection for the medium: a seeded
 //!   [`FaultPlan`] of per-edge drop/duplicate/delay/reorder rules and
 //!   partitions, run inside the medium's `send` so every run replays

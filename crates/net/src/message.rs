@@ -126,12 +126,14 @@ pub enum DbPayload {
         /// The surviving replica sites the new primary ships batches to.
         peers: Vec<SiteId>,
     },
-    /// A multi-write transaction serialized through the medium: the merge
-    /// order of this message *is* its global sequence position. Sent
-    /// directly to the owning shard's primary when every write lands on
-    /// one shard (no global hop), broadcast when the writes span shards —
-    /// each participant applies its own sub-batch at the position this
-    /// message occupies in its inbox, interleaved with its direct traffic.
+    /// Statements serialized through the medium: the merge order of this
+    /// message *is* their global sequence position. A multi-write
+    /// transaction is sent directly to the owning shard's primary when
+    /// every write lands on one shard (no global hop), broadcast when the
+    /// writes span shards; a gather or DDL statement on a sharded cluster
+    /// is broadcast with the one statement for every shard. Each
+    /// participant applies its own sub-batch at the position this message
+    /// occupies in its inbox, interleaved with its direct traffic.
     Sequenced {
         /// The site the transaction originated at (acks route back here;
         /// `(origin, txn)` identifies the transaction cluster-wide).
@@ -140,16 +142,17 @@ pub enum DbPayload {
         client: ClientId,
         /// The origin's request seq — acks echo it as `in_reply_to`.
         txn: u64,
-        /// Per-shard sub-batches: `(shard, write queries in order)`.
+        /// Per-shard sub-batches: `(shard, queries in order)`.
         /// Shards without an entry are not participants and ignore the
         /// message.
         subs: Vec<(u32, Vec<Query>)>,
     },
-    /// One participant shard's fsync receipt for a
-    /// [`Sequenced`](DbPayload::Sequenced) transaction: sent to the origin
-    /// site once every write of the shard's sub-batch is durable, and
-    /// copied to the shard's replica peers so a promoted replica knows
-    /// which sequenced transactions the dead primary already applied.
+    /// One participant shard's receipt for a
+    /// [`Sequenced`](DbPayload::Sequenced) message: sent to the origin
+    /// site once every statement of the shard's sub-batch is answered (a
+    /// write: durable), and copied to the shard's replica peers so a
+    /// promoted replica knows which broadcasts the dead primary already
+    /// applied.
     SequencedAck {
         /// The originating site of the transaction (echoed).
         origin: SiteId,
@@ -159,7 +162,8 @@ pub enum DbPayload {
         in_reply_to: u64,
         /// The acking shard.
         shard: u32,
-        /// The sub-batch's outcome: the first error, or a success summary.
+        /// The sub-batch's outcome: its first error, else its last
+        /// statement's response.
         response: Response,
     },
 }

@@ -70,22 +70,24 @@ impl Drop for Outbox {
     }
 }
 
-/// Calls `then` with a sub-batch's receipt — `Applied` with its write
-/// count, or its first error — on the thread that fills the last of
-/// `cells` (inline if all are filled).
+/// Calls `then` with a sub-batch's receipt — its first error, else its
+/// last statement's response, folded into `receipt` — on the thread that
+/// fills the last of `cells` (inline if all are filled). A gather's
+/// partial is thus its one statement's answer.
 fn when_applied(
     mut cells: std::vec::IntoIter<Lenient<Response>>,
-    ops: Result<usize, Response>,
+    receipt: Response,
     then: impl FnOnce(Response) + Send + 'static,
 ) {
     match cells.next() {
-        None => then(ops.map_or_else(|e| e, |ops| Response::Applied { ops, shards: 1 })),
+        None => then(receipt),
         Some(cell) => cell.on_fill(move |r| {
-            let ops = match ops {
-                Ok(_) if r.is_error() => Err(r.clone()),
-                ops => ops.map(|n| n + 1),
+            let receipt = if receipt.is_error() {
+                receipt
+            } else {
+                r.clone()
             };
-            when_applied(cells, ops, then);
+            when_applied(cells, receipt, then);
         }),
     }
 }
@@ -166,9 +168,10 @@ impl<E: PrimaryEngine> Primary<E> {
             } => {
                 // Apply our sub-batch — if we are a participant — right
                 // here, at this message's position in the inbox: the
-                // medium's merge order is the sequence, so these writes
-                // land exactly between the direct traffic that precedes
-                // and follows the broadcast.
+                // medium's merge order is the sequence, so its statements
+                // — a transaction's writes, a gather's read, DDL — land
+                // exactly between the direct traffic that precedes and
+                // follows the broadcast.
                 let shard = self.shard;
                 let Some((_, queries)) = subs.into_iter().find(|(s, _)| *s == shard) else {
                     return true;
@@ -187,7 +190,9 @@ impl<E: PrimaryEngine> Primary<E> {
                     .collect();
                 let (out, first_seq) = (Arc::clone(&self.out), self.ack_seq);
                 self.ack_seq += dests.len() as u64;
-                when_applied(cells.into_iter(), Ok(0), move |response| {
+                // An empty sub-batch, which no client sends, applied nothing.
+                let nothing = Response::Applied { ops: 0, shards: 1 };
+                when_applied(cells.into_iter(), nothing, move |response| {
                     for (dest, seq) in dests.into_iter().zip(first_seq..) {
                         let ack = DbPayload::SequencedAck {
                             origin,
@@ -362,8 +367,8 @@ mod tests {
         // Fill late, in reverse admission order.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!driver.is_finished(), "returned with sends outstanding");
-        for cell in admitted.iter().rev() {
-            cell.fill(Response::Count(0)).unwrap();
+        for (i, cell) in admitted.iter().enumerate().rev() {
+            cell.fill(Response::Count(i)).unwrap();
         }
         assert_eq!(driver.join().unwrap(), 2);
         let sent: Vec<_> = delivered(&medium)
@@ -381,7 +386,8 @@ mod tests {
                         &m.payload,
                         DbPayload::SequencedAck {
                             in_reply_to: 7,
-                            response: Response::Applied { ops: 2, shards: 1 },
+                            // The sub-batch's last statement's answer.
+                            response: Response::Count(2),
                             ..
                         }
                     )),

@@ -209,14 +209,14 @@ struct ReplicaState {
     pending: Vec<Vec<u8>>,
     /// Replicate batches applied, cumulatively — the value acked back.
     applied: u64,
-    /// Broadcast [`Sequenced`](DbPayload::Sequenced) transactions with a
-    /// sub-batch for our shard whose primary ack we have *not* seen yet,
-    /// in arrival order. The primary's ack copy always follows the
-    /// `Replicate` that ships the same writes (the copy leaves when the
-    /// commit fills the sub-batch's cells, and the store's observers ship
-    /// first), so an entry still here at promotion is precisely a
-    /// transaction the dead primary never applied — the promoted primary
-    /// replays this buffer as its backlog.
+    /// Broadcast [`Sequenced`](DbPayload::Sequenced) messages — cross-shard
+    /// transactions, gathers and DDL — with a sub-batch for our shard whose
+    /// primary ack we have *not* seen yet, in arrival order. The primary's
+    /// ack copy always follows the `Replicate` that ships the same writes
+    /// (the copy leaves when the commit fills the sub-batch's cells, and
+    /// the store's observers ship first), so an entry still here at
+    /// promotion is precisely one the dead primary never applied — the
+    /// promoted primary replays this buffer as its backlog.
     seq_buf: Vec<Message<DbPayload>>,
     send_seq: u64,
     /// Whether the catch-up `Snapshot` has landed. Until it does, live
@@ -293,35 +293,34 @@ impl ReplicaState {
     }
 
     /// One live message: queue a shipped batch, answer a sync probe,
-    /// track sequenced transactions for our shard, or answer a read-only
-    /// query from the local database value.
-    fn handle_live(&mut self, msg: Message<DbPayload>) -> io::Result<()> {
-        match msg.payload {
+    /// track sequenced broadcasts for our shard, or answer a read-only
+    /// query from the local database value. Borrows the message and
+    /// copies only what it keeps: shipped frames, a buffered broadcast.
+    fn handle_live(&mut self, msg: &Message<DbPayload>) -> io::Result<()> {
+        match &msg.payload {
             // Buffer participant broadcasts until the primary's ack copy
             // confirms they were applied (and shipped to us as ordinary
             // `Replicate` traffic). Non-participant broadcasts are other
             // shards' business.
-            DbPayload::Sequenced { ref subs, .. } if subs.iter().any(|(s, _)| *s == self.shard) => {
-                self.seq_buf.push(msg);
+            DbPayload::Sequenced { subs, .. } if subs.iter().any(|(s, _)| *s == self.shard) => {
+                self.seq_buf.push(msg.clone());
             }
-            DbPayload::Sequenced { .. } => {}
             DbPayload::SequencedAck {
                 origin,
                 in_reply_to,
                 shard,
                 ..
-            } if shard == self.shard => {
+            } if *shard == self.shard => {
                 self.seq_buf.retain(|m| {
                     !matches!(
                         &m.payload,
                         DbPayload::Sequenced { origin: o, txn, .. }
-                            if *o == origin && *txn == in_reply_to
+                            if o == origin && txn == in_reply_to
                     )
                 });
             }
-            DbPayload::SequencedAck { .. } => {}
             DbPayload::Replicate { frames } => {
-                self.pending.push(frames);
+                self.pending.push(frames.clone());
                 // No per-batch ack: progress is only reported when a
                 // SyncPing asks — steady-state shipping costs the medium
                 // exactly one message per batch.
@@ -333,7 +332,7 @@ impl ReplicaState {
                 // and that positional fact, echoed, is the sync barrier.
                 self.flush_pending()?;
                 let ack = DbPayload::ReplicateAck {
-                    token,
+                    token: *token,
                     batches: self.applied,
                 };
                 self.send(msg.from, ack);
@@ -342,14 +341,14 @@ impl ReplicaState {
                 self.flush_pending()?;
                 // A `result-on` pin can still send a write here.
                 let response = if query.is_read_only() {
-                    translate(query).apply(&self.db).0
+                    translate(query.clone()).apply(&self.db).0
                 } else {
                     Response::Error(
                         "replica serves read-only queries; send writes to the primary".into(),
                     )
                 };
                 let reply = DbPayload::Reply {
-                    client,
+                    client: *client,
                     in_reply_to: msg.seq,
                     response,
                 };
@@ -406,16 +405,15 @@ impl ReplicaState {
         let Node::Cons(msg, rest) = node else {
             return self.stop();
         };
-        let msg = msg.clone();
-        let outcome = match msg.payload {
+        let outcome = match &msg.payload {
             DbPayload::Promote { peers } => {
-                let inbox = rest.clone();
+                let (inbox, peers) = (rest.clone(), peers.clone());
                 std::thread::spawn(move || self.promote(inbox, peers));
                 return None;
             }
             DbPayload::Halt => return self.stop(),
             DbPayload::Snapshot { .. } if self.caught_up => Ok(()), // duplicate
-            DbPayload::Snapshot { checkpoint, tail } => self.catch_up(checkpoint.as_deref(), &tail),
+            DbPayload::Snapshot { checkpoint, tail } => self.catch_up(checkpoint.as_deref(), tail),
             DbPayload::Replicate { .. }
             | DbPayload::Request { .. }
             | DbPayload::SyncPing { .. }
@@ -424,7 +422,7 @@ impl ReplicaState {
                 if self.caught_up {
                     self.handle_live(msg)
                 } else {
-                    self.buffered.push(msg);
+                    self.buffered.push(msg.clone());
                     Ok(())
                 }
             }
@@ -451,7 +449,7 @@ impl ReplicaState {
 
     fn drain_buffered(&mut self) -> io::Result<()> {
         for m in std::mem::take(&mut self.buffered) {
-            self.handle_live(m)?;
+            self.handle_live(&m)?;
         }
         Ok(())
     }

@@ -3,14 +3,15 @@
 //!
 //! Two kinds of routing live here. [`plan_route`] is the *logical* kind: a
 //! pure function from a parsed query to where it must execute on a
-//! partitioned cluster — the owning shard for keyed operations, a
-//! scatter-gather over every shard for scans, every primary for DDL, and
-//! nowhere for a statement no shard can answer from its own partition. It is
-//! pure so the shard-aware client can be tested without a cluster: a
-//! miswired round-robin (reads for a key bouncing to a sibling shard's
-//! replicas) is caught by a unit test on the plan, not by a flaky empty
-//! read. [`combine_gather`] folds the per-shard partial responses of a
-//! scattered read back into one response.
+//! partitioned cluster — the owning shard for keyed operations, every
+//! shard for scans and DDL, and nowhere for a statement no shard can
+//! answer from its own partition. It is pure so the shard-aware client
+//! can be tested without a cluster: a miswired round-robin (reads for a
+//! key bouncing to a sibling shard's replicas) is caught by a unit test on
+//! the plan, not by a flaky empty read. A statement for every shard
+//! travels like a cross-shard transaction, as one sequenced broadcast,
+//! and [`combine_gather`] folds the per-shard receipts of either back into
+//! one response.
 //!
 //! [`Router`] is the *physical* kind: "Nodes which route information
 //! within the network must, of course, take the physical topology into
@@ -28,7 +29,8 @@ use fundb_relational::{Tuple, Value};
 
 use crate::message::SiteId;
 
-/// How the partial responses of a scattered read are folded into one.
+/// How the per-shard partial responses of a sequenced statement are
+/// folded into one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatherKind {
     /// Concatenate tuple sets and sort by value order (hash partitioning
@@ -43,6 +45,13 @@ pub enum GatherKind {
     /// Every shard must succeed (DDL); the first response stands in for
     /// all of them, except that a created view's row count is summed.
     AllOk,
+    /// A transaction of `ops` writes: every participant must succeed, and
+    /// the answer is [`Response::Applied`] over the participant count —
+    /// the per-write responses stay on their shards.
+    Txn {
+        /// The transaction's writes, over every participant.
+        ops: usize,
+    },
 }
 
 /// Where a query must execute on a partitioned cluster.
@@ -56,10 +65,12 @@ pub enum RoutePlan {
     WriteKey(Value),
     /// A single-key read: the owning shard's read set.
     ReadKey(Value),
-    /// A read that touches every partition: scatter to each shard's read
-    /// set, gather with the given combine.
+    /// A read that touches every partition: one sequenced broadcast that
+    /// every shard's primary answers at the same merge position, its
+    /// partials folded with the given combine.
     GatherRead(GatherKind),
-    /// DDL that must hold on every shard: scatter to every primary.
+    /// DDL that must hold on every shard: one sequenced broadcast that
+    /// every shard's primary applies at the same merge position.
     AllPrimaries(GatherKind),
     /// A catalog read any single shard can answer (every shard holds the
     /// full catalog).
@@ -71,9 +82,9 @@ pub enum RoutePlan {
 
 /// Routes a parsed query on a hash-partitioned cluster.
 ///
-/// Keyed operations go to the key's owner; scans and aggregates scatter;
-/// DDL broadcasts to every primary (every shard holds every relation —
-/// only the tuples are partitioned). Keys are hash-partitioned identically
+/// Keyed operations go to the key's owner; scans, aggregates and DDL go
+/// to every shard (every shard holds every relation — only the tuples are
+/// partitioned). Keys are hash-partitioned identically
 /// for every relation, so a join on both keys (`join L with R`, or
 /// `on #0 = #0`) finds all its matches on one shard and stays a *gather*
 /// whose partial joins just concatenate. Any other join — a named field
@@ -119,25 +130,30 @@ pub fn plan_route(query: &Query) -> RoutePlan {
     }
 }
 
-/// Folds per-shard partial responses into the response the client sees.
+/// Folds per-shard partial responses, keyed by shard, into the response
+/// the client sees.
 ///
-/// `partials` is sorted by responding site first, so the fold — in
-/// particular which error surfaces when several shards fail — does not
-/// depend on reply arrival order.
-pub fn combine_gather(kind: GatherKind, mut partials: Vec<(SiteId, Response)>) -> Response {
-    partials.sort_by_key(|(site, _)| *site);
+/// `partials` is sorted by shard first, so the fold — in particular which
+/// error surfaces when several shards fail — does not depend on receipt
+/// arrival order.
+pub fn combine_gather(kind: GatherKind, mut partials: Vec<(u32, Response)>) -> Response {
+    partials.sort_by_key(|(shard, _)| *shard);
     if let Some((_, err)) = partials.iter().find(|(_, r)| r.is_error()) {
         return err.clone();
     }
     match kind {
+        GatherKind::Txn { ops } => Response::Applied {
+            ops,
+            shards: partials.len(),
+        },
         GatherKind::Tuples => {
             let mut tuples: Vec<Tuple> = Vec::new();
-            for (site, r) in partials {
+            for (shard, r) in partials {
                 match r {
                     Response::Tuples(ts) => tuples.extend(ts),
                     other => {
                         return Response::Error(format!(
-                            "{site} answered a tuple gather with {other}"
+                            "shard {shard} answered a tuple gather with {other}"
                         ))
                     }
                 }
@@ -147,12 +163,12 @@ pub fn combine_gather(kind: GatherKind, mut partials: Vec<(SiteId, Response)>) -
         }
         GatherKind::Count => {
             let mut total = 0usize;
-            for (site, r) in partials {
+            for (shard, r) in partials {
                 match r {
                     Response::Count(n) => total += n,
                     other => {
                         return Response::Error(format!(
-                            "{site} answered a count gather with {other}"
+                            "shard {shard} answered a count gather with {other}"
                         ))
                     }
                 }
@@ -162,7 +178,7 @@ pub fn combine_gather(kind: GatherKind, mut partials: Vec<(SiteId, Response)>) -
         GatherKind::Agg(op) => {
             let mut acc: Option<Value> = None;
             let mut op_name = op.to_string();
-            for (site, r) in partials {
+            for (shard, r) in partials {
                 match r {
                     Response::Aggregate { op: name, value } => {
                         op_name = name;
@@ -196,7 +212,7 @@ pub fn combine_gather(kind: GatherKind, mut partials: Vec<(SiteId, Response)>) -
                     }
                     other => {
                         return Response::Error(format!(
-                            "{site} answered an aggregate gather with {other}"
+                            "shard {shard} answered an aggregate gather with {other}"
                         ))
                     }
                 }
@@ -325,9 +341,9 @@ mod tests {
 
     #[test]
     fn a_gathered_sum_past_i64_max_is_an_error() {
-        let partial = |site, value: i64| {
+        let partial = |shard, value: i64| {
             (
-                SiteId(site),
+                shard,
                 Response::Aggregate {
                     op: "sum".into(),
                     value: Some(Value::Int(value)),

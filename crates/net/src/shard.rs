@@ -20,9 +20,11 @@
 //! single-partition work off global coordination. Reads round-robin over
 //! the owning shard's replicas only (read-your-writes holds per shard,
 //! because each shard ships its batches before acking — see
-//! [`crate::replica`]). Scans and aggregates scatter to every shard and
-//! gather; DDL broadcasts to every primary so each shard holds the full
-//! catalog.
+//! [`crate::replica`]). Scans, aggregates and DDL go to every shard the
+//! way a cross-shard transaction does (below): one broadcast, which every
+//! shard's primary answers at the same merge position, so a gather sees
+//! a cross-shard transaction on every shard or on none, and DDL leaves
+//! each shard with the full catalog.
 //!
 //! **Cross-shard transactions** reuse the paper's deepest idea — "the
 //! network medium acts as one large merge pseudo-function" — as a
@@ -39,9 +41,9 @@
 //! [`ShardedCluster::promote`] act on one group; the others never notice.
 //! Replicas buffer participant broadcasts until the primary's ack copy
 //! confirms them, so a promoted replica knows exactly which sequenced
-//! transactions the dead primary never applied and replays them first —
-//! every *acknowledged* transaction survives, and unacked broadcasts
-//! complete instead of vanishing. See DESIGN.md §14 for the full
+//! transactions, gathers and DDL the dead primary never applied and
+//! replays them first — every *acknowledged* transaction survives, and
+//! unacked broadcasts complete instead of vanishing. See DESIGN.md §14 for the full
 //! argument and its scope (per-shard sub-batch atomicity).
 
 use std::collections::HashMap;
@@ -187,12 +189,6 @@ impl ShardRoutes {
             route.replicas[ticket as usize % route.replicas.len()]
         }
     }
-
-    pub(crate) fn all_primaries(&self) -> Vec<SiteId> {
-        (0..self.shard_count())
-            .map(|s| self.primary_of(s))
-            .collect()
-    }
 }
 
 impl fmt::Debug for ShardRoutes {
@@ -215,7 +211,8 @@ pub struct ClusterStats {
     pub single_shard_reads: AtomicU64,
     /// Reads that touch every partition (scans, counts, aggregates).
     pub gather_reads: AtomicU64,
-    /// DDL statements, sent to every shard primary.
+    /// DDL statements (with more than one shard, sequenced to every
+    /// primary as one broadcast).
     pub ddl_broadcasts: AtomicU64,
     /// Queries pinned to an explicit site by a `RESULT-ON` pragma prefix.
     pub pragma_pinned: AtomicU64,
@@ -224,9 +221,10 @@ pub struct ClusterStats {
     /// Sequenced transactions spanning shards (broadcast).
     pub cross_shard_txns: AtomicU64,
     /// Participant fsync receipts awaited, cumulatively (one per
-    /// participant shard per sequenced transaction).
+    /// participant shard per sequenced transaction; a sequenced gather or
+    /// DDL statement counts under its route instead).
     pub sequencer_waits: AtomicU64,
-    /// Participant fsync receipts received.
+    /// Participant fsync receipts received for transactions.
     pub sequencer_acks: AtomicU64,
     /// Per-shard replication progress recorded at the last `sync`:
     /// batches shipped by the primary vs. applied by its replicas.
@@ -310,7 +308,8 @@ pub struct ClusterStatsSnapshot {
     pub single_shard_reads: u64,
     /// Reads that touch every partition (scans, counts, aggregates).
     pub gather_reads: u64,
-    /// DDL statements, sent to every shard primary.
+    /// DDL statements (with more than one shard, sequenced to every
+    /// primary as one broadcast).
     pub ddl_broadcasts: u64,
     /// Queries pinned to an explicit site by a `RESULT-ON` prefix.
     pub pragma_pinned: u64,
@@ -318,9 +317,9 @@ pub struct ClusterStatsSnapshot {
     pub single_shard_txns: u64,
     /// Sequenced transactions spanning shards.
     pub cross_shard_txns: u64,
-    /// Participant fsync receipts awaited, cumulatively.
+    /// Transactions' participant fsync receipts awaited, cumulatively.
     pub sequencer_waits: u64,
-    /// Participant fsync receipts received.
+    /// Transactions' participant fsync receipts received.
     pub sequencer_acks: u64,
     /// Per shard, at the last `sync`: (batches shipped, batches applied).
     pub shard_lag: Vec<(u64, u64)>,
@@ -769,8 +768,9 @@ impl ShardedCluster {
     /// Promotes replica `site` to primary of `shard`: sends `Promote`
     /// (with the shard's surviving replica set), re-points client routing
     /// for that shard, and fails the in-flight requests the dead primary
-    /// will never answer — except broadcast sequenced transactions, which
-    /// the promoted primary replays and acks itself. The order matters —
+    /// will never answer — except broadcasts (cross-shard transactions,
+    /// gathers and DDL), which the promoted primary replays and answers
+    /// itself. The order matters —
     /// the promotion message is on the medium *before* any client can
     /// address the new primary, so the replica sees it before the first
     /// re-routed write.
@@ -1212,6 +1212,33 @@ mod tests {
         assert_eq!(routed(&c, &medium, &script), vec![SiteId(0); 6]);
         assert_eq!(route_counts(&stats), (1, 1, 2, 1));
         medium.close();
+    }
+
+    /// Sequenced gathers and DDL count under their routes only, never as
+    /// transactions or their receipts: a two-shard cluster's acks per
+    /// cross-shard transaction stay at one per participant — what
+    /// `bench_stack` reports as `net.seq_acks_per_txn` (2.0).
+    #[test]
+    fn sequenced_gathers_and_ddl_count_under_their_routes_only() {
+        let tmp = ScratchDir::new("shard-sequenced-counters");
+        let cluster = ShardedCluster::start(tmp.path(), 2, 1, 2, 1).unwrap();
+        let c = cluster.client(0);
+        let ok = |r: Lenient<Response>| assert!(!r.wait().is_error(), "{:?}", r.wait());
+        ok(c.submit("create relation R"));
+        let map = cluster.shard_map();
+        let keys = |shard| (0..).filter(move |&k| map.shard_of(&Value::from(k)) == shard);
+        for (a, b) in keys(0).zip(keys(1)).take(5) {
+            ok(c.submit_txn(&[&format!("insert {a} into R"), &format!("insert {b} into R")]));
+            ok(c.submit("count R"));
+            ok(c.submit("select from R"));
+        }
+        ok(c.submit("create relation S"));
+        assert_eq!(*c.submit("count R").wait(), Response::Count(10));
+        let s = cluster.stats();
+        assert_eq!((s.gather_reads, s.ddl_broadcasts), (11, 2), "{s}");
+        assert_eq!((s.cross_shard_txns, s.single_shard_txns), (5, 0), "{s}");
+        assert_eq!((s.sequencer_waits, s.sequencer_acks), (10, 10), "{s}");
+        cluster.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end sharding properties: key-routed reads and writes, the
-//! RESULT-ON pragma pinning execution to the owning site, scatter-gather
-//! reads, sequenced transaction atomicity as observed from each shard's
-//! read path, and shard-local failover under cross-shard load.
+//! RESULT-ON pragma pinning execution to the owning site, gathers at one
+//! merge position, sequenced transaction atomicity as observed from each
+//! shard's read path, and shard-local failover under cross-shard load.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -307,6 +307,96 @@ fn killing_one_shard_primary_preserves_cross_shard_transactions() {
     let stats = cluster.stats();
     assert!(stats.cross_shard_txns > 10, "{stats}");
     assert_eq!(stats.sequencer_acks, stats.sequencer_waits, "{stats}");
+    cluster.shutdown();
+}
+
+/// Keys owned by `shard`, in ascending order.
+fn keys_of(cluster: &ShardedCluster, shard: u32) -> impl Iterator<Item = i64> {
+    let map = cluster.shard_map();
+    (0..).filter(move |&k| map.shard_of(&Value::from(k)) == shard)
+}
+
+/// A gather takes one merge position on every shard, as the cross-shard
+/// transactions it races do: while each transaction inserts one key per
+/// shard, a looped `count` sees each transaction on both shards or on
+/// neither, so every count is even — replicas included, which answer no
+/// gather.
+#[test]
+fn a_gather_sees_a_cross_shard_transaction_on_every_shard_or_on_none() {
+    let tmp = ScratchDir::new("shard-gather-position");
+    let cluster = ShardedCluster::start(tmp.path(), 2, 2, 2, 1).unwrap();
+    let c = cluster.client(0);
+    assert!(!c.submit("create relation R").wait().is_error());
+
+    let done = Arc::new(AtomicBool::new(false));
+    let counter = {
+        let (r, done) = (cluster.client(1), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut counts = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                match r.submit("count R").wait_cloned() {
+                    Response::Count(n) => counts.push(n),
+                    other => panic!("count answered {other}"),
+                }
+            }
+            counts
+        })
+    };
+    for (a, b) in keys_of(&cluster, 0).zip(keys_of(&cluster, 1)).take(300) {
+        let txn = c.submit_txn(&[&format!("insert {a} into R"), &format!("insert {b} into R")]);
+        assert_eq!(*txn.wait(), Response::Applied { ops: 2, shards: 2 });
+    }
+    done.store(true, Ordering::SeqCst);
+    let counts = counter.join().unwrap();
+    let odd = counts.iter().filter(|&&n| n % 2 == 1).count();
+    assert_eq!(
+        odd,
+        0,
+        "{odd} of {} counts saw half a transaction",
+        counts.len()
+    );
+    assert!(counts.len() > 10, "the counter barely ran: {counts:?}");
+    assert_eq!(*c.submit("count R").wait(), Response::Count(600));
+    cluster.shutdown();
+}
+
+/// A gather or DDL statement sent while its shard has no primary is
+/// answered once a replica is promoted, not failed: like a cross-shard
+/// transaction it is a broadcast, which the replica holds until it takes
+/// over and then answers at the broadcast's position.
+#[test]
+fn a_promoted_primary_answers_the_gathers_and_ddl_its_shard_missed() {
+    let tmp = ScratchDir::new("shard-failover-gather");
+    let mut cluster = ShardedCluster::start(tmp.path(), 2, 1, 2, 1).unwrap();
+    let c = cluster.client(0);
+    assert!(!c.submit("create relation R").wait().is_error());
+    for k in 0..20 {
+        assert!(!c.submit(&format!("insert {k} into R")).wait().is_error());
+    }
+
+    cluster.kill_primary(0);
+    let ddl = c.submit("create relation T");
+    let count = c.submit("count R");
+    assert!(
+        ddl.try_get().is_none(),
+        "{:?} without shard 0",
+        ddl.try_get()
+    );
+    cluster.promote(0, cluster.replica_sites(0)[0]);
+
+    let answer = |cell: &fundb_lenient::Lenient<Response>| {
+        cell.wait_timeout(Duration::from_secs(10))
+            .expect("the promoted primary must answer")
+            .clone()
+    };
+    assert_eq!(answer(&ddl), Response::Created("T".into()));
+    assert_eq!(answer(&count), Response::Count(20));
+    // T exists on both shards.
+    for k in [keys_of(&cluster, 0).next(), keys_of(&cluster, 1).next()] {
+        let insert = c.submit(&format!("insert {} into T", k.unwrap()));
+        assert!(!insert.wait().is_error(), "{:?}", insert.wait());
+    }
+    assert_eq!(*c.submit("count T").wait(), Response::Count(2));
     cluster.shutdown();
 }
 
